@@ -5,7 +5,6 @@ effective diameter estimation, sequential baselines and exhaustive oracles.
 from .core import Point, StreamParams, WindowView, dist, radius_excluding
 from .histogram import (
     bump_and_trim,
-    expire_entry,
     new_histogram,
     synthetic_full_window,
     weight_estimate,
@@ -39,7 +38,6 @@ __all__ = [
     "radius_excluding",
     "new_histogram",
     "bump_and_trim",
-    "expire_entry",
     "weight_estimate",
     "synthetic_full_window",
     "GuessState",

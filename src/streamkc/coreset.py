@@ -244,20 +244,9 @@ class GuessState:
 
     def union_points(self) -> list[Point]:
         """Attractions, orphans and representatives, deduplicated, in storage order."""
-        seen: set[int] = set()
-        out: list[Point] = []
-        for p in self.attractions:
-            seen.add(p.arrival)
-            out.append(p)
-        for r, _ in self.orphans.values():
-            if r.arrival not in seen:
-                seen.add(r.arrival)
-                out.append(r)
-        for rep, _ in self.reps.values():
-            if rep.arrival not in seen:
-                seen.add(rep.arrival)
-                out.append(rep)
-        return out
+        held = self.attractions + [q for q, _ in self.orphans.values()]
+        held += [q for q, _ in self.reps.values()]
+        return list({q.arrival: q for q in held}.values())
 
     def coreset_points(self) -> list[tuple[Point, int]]:
         """Representatives and orphans with their estimated window counts."""
@@ -365,12 +354,9 @@ class GuessLadder:
         max_attractions: Optional[int] = None,
         prune_orphans: bool = True,
         orphan_cap: Optional[int] = None,
-        high_init: str = "synthetic",
     ):
         if mode not in ("fixed", "oblivious"):
             raise ValueError(f"unknown mode {mode!r}")
-        if high_init not in ("synthetic", "replay"):
-            raise ValueError(f"unknown high_init {high_init!r}")
         self.params = params
         self.mode = mode
         self.metric = metric
@@ -380,8 +366,8 @@ class GuessLadder:
         )
         self.prune_orphans = prune_orphans
         self.orphan_cap = orphan_cap
-        self.high_init = high_init
         self.t = 0
+        self.dim: Optional[int] = None  # fixed by the first point
         self.states: dict[int, GuessState] = {}
         self.d_min = d_min
         self.d_max = d_max
@@ -442,13 +428,18 @@ class GuessLadder:
     # -- updates -------------------------------------------------------------
 
     def process_point(self, p: Point, t: Optional[int] = None) -> None:
-        """Feed the next stream point.  Arrivals must be consecutive from 1."""
+        """Feed the next stream point.  Arrivals must be consecutive from 1
+        and every point must have the first point's dimension; a rejected
+        point leaves the ladder untouched."""
         if t is None:
             t = p.arrival
         if t != p.arrival:
             raise ValueError(f"t={t} does not match arrival {p.arrival}")
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
+        if self.dim is not None and p.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
+        self.dim = p.dim
         if self.mode == "oblivious":
             self.maintain_oblivious_ladder(p, t)
             self.t = t
@@ -493,14 +484,10 @@ class GuessLadder:
     def _bootstrap(self) -> None:
         """First grid construction: replay the buffered prefix through empty
         states, which reproduces exactly what a from-scratch run would hold."""
-        N, lam = self.params.window_len, self.params.lam
         lo = self._exp_floor(self.d_t / 2.0)
         hi = self._exp_ceil(2.0 * self.D_t)
         for e in range(lo, hi + 1):
-            st = self._new_state(e)
-            for q in self.warmup:
-                st.process_point(q, q.arrival, N, lam, self.metric)
-            self.states[e] = st
+            self.states[e] = self._replayed_state(e, self.warmup)
         self.bootstrapped = True
         self.warmup = []
 
@@ -512,17 +499,17 @@ class GuessLadder:
         for e in [e for e in self.states if e < lo or e > hi]:
             del self.states[e]
         for e in range(lo, old_lo):
-            self.states[e] = self._low_guess_state(e, prev_recent)
+            # the recent points are mutually farther than twice the new
+            # guess, so replaying just them is what a fresh run would store
+            self.states[e] = self._replayed_state(e, prev_recent)
         for e in range(max(old_hi + 1, lo), hi + 1):
             self.states[e] = self._high_guess_state(e, prev_recent, t)
 
-    def _low_guess_state(self, exponent: int, prev_recent: list[Point]) -> GuessState:
-        """State for a guess below the previous grid: the recent points are
-        mutually farther than twice the new guess, so replaying just them is
-        exactly what a fresh run over them would store."""
+    def _replayed_state(self, exponent: int, points: list[Point]) -> GuessState:
+        """Fresh state for the guess, fed the given points in order."""
         N, lam = self.params.window_len, self.params.lam
         st = self._new_state(exponent)
-        for q in prev_recent:
+        for q in points:
             st.process_point(q, q.arrival, N, lam, self.metric)
         return st
 
@@ -536,10 +523,13 @@ class GuessLadder:
         representative is the latest point, standing for the whole window.
         The anchor is the (about to expire) oldest window point while the
         window is full, or the very first stream point before that; its
-        histogram is built directly by ``synthetic_full_window``.
+        histogram is built directly by ``synthetic_full_window``.  That
+        shortcut is exact only when the attraction radius is at least twice
+        the guess; narrower ladders (such as the fine one) replay the
+        recent points instead.
         """
-        if self.high_init == "replay":
-            return self._low_guess_state(exponent, prev_recent)
+        if self.attr_factor < 2.0:
+            return self._replayed_state(exponent, prev_recent)
         st = self._new_state(exponent)
         N, lam = self.params.window_len, self.params.lam
         rep = prev_recent[-1]
@@ -570,38 +560,25 @@ class GuessLadder:
                     return False
         return True
 
-    def selected_exponent(self, search: str = "linear") -> int:
-        if search not in ("linear", "binary"):
-            raise ValueError(f"unknown search {search!r}")
+    def selected_exponent(self) -> int:
+        """Smallest qualifying guess, found by scanning the grid upward."""
         exps = self.exponents()
         if not exps:
             raise RuntimeError("ladder holds no guesses yet")
-        if search == "linear":
-            for e in exps:
-                if self.qualifies(e):
-                    return e
-        else:
-            # assumes qualification is monotone in the guess (see README)
-            lo, hi = 0, len(exps) - 1
-            if self.qualifies(exps[hi]):
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if self.qualifies(exps[mid]):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                return exps[lo]
+        for e in exps:
+            if self.qualifies(e):
+                return e
         raise RuntimeError(
             "no qualifying guess: the ladder does not cover the needed radius "
             "range (check d_min/d_max in fixed mode)"
         )
 
-    def extract_coreset(self, search: str = "linear") -> WeightedCoreset:
+    def extract_coreset(self) -> WeightedCoreset:
         """Weighted coreset for the current window: representatives and
         orphans of the smallest qualifying guess."""
         if self.mode == "oblivious" and not self.bootstrapped:
             return self.warmup_coreset()
-        return self.coreset_at(self.selected_exponent(search))
+        return self.coreset_at(self.selected_exponent())
 
     def warmup_coreset(self) -> WeightedCoreset:
         """Before the grid exists every point is kept verbatim: the active
@@ -663,7 +640,6 @@ class GuessLadder:
                 "max_attractions": self.max_attractions,
                 "prune_orphans": self.prune_orphans,
                 "orphan_cap": self.orphan_cap,
-                "high_init": self.high_init,
             },
             "t": self.t,
             "d_min": self.d_min,
@@ -688,6 +664,8 @@ class GuessLadder:
 
     @classmethod
     def from_snapshot(cls, snap: dict, metric: Metric = dist) -> "GuessLadder":
+        """Inverse of to_snapshot.  A "high_init" config entry, written by
+        older versions, is ignored: it is now derived from attr_factor."""
         if snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a ladder snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
@@ -704,14 +682,15 @@ class GuessLadder:
             max_attractions=cfg["max_attractions"],
             prune_orphans=cfg["prune_orphans"],
             orphan_cap=cfg["orphan_cap"],
-            high_init=cfg["high_init"],
         )
         ladder.t = snap["t"]
         ladder.states = {}
+        held: list[Point] = []  # any stored point fixes the stream's dimension
         for entry in snap["states"]:
             st = ladder._new_state(entry["exponent"])
             st.restore(entry)
             ladder.states[entry["exponent"]] = st
+            held += st.attractions[:1]
         if ladder.mode == "oblivious":
             ob = snap["oblivious"]
             ladder.first_point = (
@@ -725,4 +704,6 @@ class GuessLadder:
             ladder.D_t = ob["D_t"]
             ladder.bootstrapped = ob["bootstrapped"]
             ladder.warmup = [_point_in(q) for q in ob["warmup"]]
+            held += ladder.recent
+        ladder.dim = held[0].dim if held else None
         return ladder

@@ -196,7 +196,6 @@ class FineCoresetState:
             max_attractions=cfg.fine_cap,
             prune_orphans=False,
             orphan_cap=cfg.fine_cap,
-            high_init="replay",
         )
 
     @property
@@ -207,18 +206,18 @@ class FineCoresetState:
         self.validation.process_point(p, t)
         self.fine.process_point(p, t)
 
-    def fine_coreset(self, search: str = "linear") -> tuple[WeightedCoreset, bool]:
+    def fine_coreset(self) -> tuple[WeightedCoreset, bool]:
         """Fine coreset at the validation-selected guess, plus whether that
         fine state ever overflowed its cap."""
         val = self.validation
         if val.mode == "oblivious" and not val.bootstrapped:
             return val.warmup_coreset(), False
-        e = val.selected_exponent(search)
+        e = val.selected_exponent()
         if e not in self.fine.states:
             raise RuntimeError(f"fine ladder lost guess exponent {e}")
         return self.fine.coreset_at(e), self.fine.states[e].evictions > 0
 
-    def estimate(self, search: str = "linear") -> EffDiameterEstimate:
+    def estimate(self) -> EffDiameterEstimate:
         """Lower and upper estimates for the current window."""
         cfg = self.cfg
         if cfg.eps >= 1:
@@ -226,7 +225,7 @@ class FineCoresetState:
         wsize = min(self.t, self.validation.params.window_len)
         if wsize < 1:
             raise RuntimeError("no points processed yet")
-        coreset, overflowed = self.fine_coreset(search)
+        coreset, overflowed = self.fine_coreset()
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
         low_raw, sat_low = coreset_effective_diameter(coreset, shrunk, wsize)
         up_raw, sat_up = coreset_effective_diameter(coreset, cfg.alpha, wsize)

@@ -56,15 +56,6 @@ def bump_and_trim(hist: Histogram, t: int, lam: float) -> Histogram:
     return trimmed
 
 
-def expire_entry(hist: Histogram, t: int, window_len: int) -> Histogram:
-    """Drop the entry stamped exactly ``t - window_len`` (it refers to the
-    point expiring now).  An empty result means the proxy itself is stale and
-    the owner should discard it.
-    """
-    stale = t - window_len
-    return [(ts, c) for ts, c in hist if ts != stale]
-
-
 def weight_estimate(hist: Histogram) -> int:
     """Count of the oldest surviving entry: the (1+lam)-accurate number of
     active points this proxy stands for.  Caller must have expired stale

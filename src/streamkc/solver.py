@@ -1,12 +1,14 @@
 """Center selection on weighted point sets, sequential baselines, and the
 exhaustive oracle used to verify them.
 
-``outliers_cluster`` is the greedy weighted routine shared by everything
-here: each round picks the candidate whose small ball captures the most
-uncovered weight, then discards everything inside a larger ball around it.
-``compute_solution`` drives it over a geometric radius grid on a coreset
-extracted from a ``GuessLadder``; the baselines drive it (or farthest-first
-traversal) over a raw window.
+``outliers_cluster`` is the one greedy weighted routine behind every solver
+here (Charikar, Khuller, Mount & Narasimhan, SODA 2001): each round picks the
+candidate whose small ball captures the most uncovered weight, then discards
+everything inside a larger ball around it.  ``compute_solution`` and the
+``charikar`` baselines drive it over the same geometric radius grid
+(``_radius_grid``), scanning radii upward from zero and stopping at the first
+one whose run leaves at most z uncovered weight.  Distances are read in
+blocks of rows through ``_distances``, so no full pairwise matrix is built.
 """
 
 from __future__ import annotations
@@ -17,9 +19,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import Metric, Point, WindowView, dist, radius_excluding
 from .coreset import GuessLadder
+
+# rows per distance block: bounds a block to _BLOCK x n floats
+_BLOCK = 256
+
+Distances = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +47,44 @@ class SolveOutcome:
     coreset_size: Optional[int] = None
 
 
+def _distances(points: Sequence[Point], metric: Metric) -> Distances:
+    """Block distance reader: d(rows, cols) is the len(rows) x len(cols)
+    matrix of metric(points[i], points[j]).  Euclidean blocks come from
+    cdist on one coordinate array; any other metric is called per pair."""
+    if metric is dist:
+        coords = np.array([p.coords for p in points], dtype=float)
+        return lambda rows, cols: cdist(coords[rows], coords[cols])
+    return lambda rows, cols: np.array(
+        [[metric(points[i], points[j]) for j in cols] for i in rows], dtype=float
+    ).reshape(len(rows), len(cols))
+
+
+def _extremes(d: Distances, n: int) -> tuple[float, float]:
+    """(smallest positive, largest) distance between two distinct points,
+    read one row block at a time; 0.0 stands in for a missing value."""
+    lo, hi = math.inf, 0.0
+    for r0 in range(0, n - 1, _BLOCK):
+        rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
+        block = d(rows, np.arange(r0, n))
+        block[rows - r0, rows - r0] = 0.0  # a point and itself form no pair
+        hi = max(hi, float(block.max()))
+        lo = min(lo, float(block.min(initial=math.inf, where=block > 0)))
+    return (lo if lo < math.inf else 0.0), hi
+
+
+def _radius_grid(lo: float, cap: float, ratio: float) -> list[float]:
+    """0, then lo * ratio**i up to cap, then one step past cap so that
+    success at the bound is reachable.  Just [0] when lo is not positive."""
+    grid = [0.0]
+    if lo > 0:
+        rho = lo
+        while rho <= cap:
+            grid.append(rho)
+            rho *= ratio
+        grid.append(rho)
+    return grid
+
+
 def outliers_cluster(
     points: Sequence[Point],
     weights: Sequence[int],
@@ -46,38 +92,40 @@ def outliers_cluster(
     rho: float,
     eps: float,
     metric: Metric = dist,
+    candidates: Optional[Callable[[int], np.ndarray]] = None,
 ) -> tuple[list[Point], list[tuple[Point, int]]]:
     """Greedy weighted center selection at radius guess rho.
 
-    Runs at most k rounds.  Each round scans all points, scoring each by the
-    total weight of uncovered points within (1 + 2*eps)*rho, picks the first
-    best in storage order, and covers (removes) all uncovered points within
-    (3 + 4*eps)*rho of it.  Returns the chosen centers and the uncovered
-    points with their weights.
+    Runs at most k rounds.  Each round scores every candidate by the total
+    weight of uncovered points within (1 + 2*eps)*rho, picks the first best
+    in candidate order, and covers (removes) all uncovered points within
+    (3 + 4*eps)*rho of it.  Candidates are all points in storage order, or
+    the non-empty index array candidates(round) when given.  Returns the
+    chosen centers and the uncovered points with their weights.
     """
     if rho < 0 or eps < 0:
         raise ValueError("rho and eps must be non-negative")
     n = len(points)
     cover_r = (1.0 + 2.0 * eps) * rho
     removal_r = (3.0 + 4.0 * eps) * rho
-    uncovered = list(range(n))
+    d = _distances(points, metric)
+    w = np.asarray(weights, dtype=float)
+    uncovered = np.arange(n)
     centers: list[Point] = []
-    for _ in range(k):
-        if not uncovered:
+    for r in range(k):
+        if not uncovered.size:
             break
-        best_i = -1
-        best_w = -1
-        for i in range(n):
-            w = 0
-            pi = points[i]
-            for j in uncovered:
-                if metric(pi, points[j]) <= cover_r:
-                    w += weights[j]
-            if w > best_w:
-                best_i, best_w = i, w
-        x = points[best_i]
-        centers.append(x)
-        uncovered = [j for j in uncovered if metric(x, points[j]) > removal_r]
+        cand = np.arange(n) if candidates is None else candidates(r)
+        w_unc = w[uncovered]
+        best_i, best_w = -1, -1.0
+        for c0 in range(0, cand.size, _BLOCK):
+            rows = cand[c0 : c0 + _BLOCK]
+            scores = (d(rows, uncovered) <= cover_r) @ w_unc
+            j = int(scores.argmax())
+            if scores[j] > best_w:
+                best_i, best_w = int(rows[j]), scores[j]
+        centers.append(points[best_i])
+        uncovered = uncovered[d([best_i], uncovered)[0] > removal_r]
     return centers, [(points[j], weights[j]) for j in uncovered]
 
 
@@ -86,12 +134,11 @@ def compute_solution(
     t: Optional[int] = None,
     k: Optional[int] = None,
     z: Optional[int] = None,
-    search: str = "linear",
     eps: Optional[float] = None,
     window: Optional[WindowView] = None,
     metric: Metric = dist,
 ) -> SolveOutcome:
-    """Extract a coreset and search the smallest radius whose greedy run
+    """Extract a coreset and find the smallest grid radius whose greedy run
     leaves at most z uncovered weight.
 
     The radius grid starts at zero (degenerate exact covers), then walks
@@ -104,7 +151,7 @@ def compute_solution(
     k = params.k if k is None else k
     z = params.z if z is None else z
     eps = 4.0 * (1.0 + params.beta) if eps is None else eps
-    coreset = ladder.extract_coreset(search)
+    coreset = ladder.extract_coreset()
     pts = [p for p, _ in coreset.points]
     wts = [w for _, w in coreset.points]
 
@@ -113,56 +160,23 @@ def compute_solution(
     elif ladder.bootstrapped:
         lo, cap = ladder.d_t / 2.0, 4.0 * ladder.D_t
     else:
-        # warm-up: the coreset is the exact buffer, bound the grid by it
-        pair = [
-            metric(pts[i], pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        ]
-        pos = [d for d in pair if d > 0]
-        lo = min(pos) if pos else 1.0
-        cap = 4.0 * max(pair) if pair else lo
+        # warm-up: the coreset is the exact buffer, bound the grid by it;
+        # without a positive distance, radius 0 already covers every point
+        lo, hi = _extremes(_distances(pts, metric), len(pts))
+        cap = 4.0 * hi
 
-    grid = [0.0]
-    rho = lo
-    while rho <= cap:
-        grid.append(rho)
-        rho *= 1.0 + params.beta
-    grid.append(rho)  # one step past the cap so success at the bound is reachable
-
-    def attempt(rho: float):
+    for rho in _radius_grid(lo, cap, 1.0 + params.beta):
         centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric)
-        return centers, sum(w for _, w in uncovered)
-
-    hit = None
-    if search == "linear":
-        for rho in grid:
-            centers, uw = attempt(rho)
-            if uw <= z:
-                hit = (rho, centers, uw)
-                break
+        uw = sum(w for _, w in uncovered)
+        if uw <= z:
+            break
     else:
-        # leftmost success by bisection; assumes success is monotone in rho
-        lo_i, hi_i = 0, len(grid) - 1
-        if attempt(grid[hi_i])[1] <= z:
-            while lo_i < hi_i:
-                mid = (lo_i + hi_i) // 2
-                if attempt(grid[mid])[1] <= z:
-                    hi_i = mid
-                else:
-                    lo_i = mid + 1
-            centers, uw = attempt(grid[lo_i])
-            hit = (grid[lo_i], centers, uw)
-    if hit is None:
         raise RuntimeError("radius grid exhausted without covering enough weight")
-    rho_min, centers, uw = hit
-    achieved = None
-    if window is not None:
-        achieved = radius_excluding(centers, window, z, metric)
+    achieved = None if window is None else radius_excluding(centers, window, z, metric)
     return SolveOutcome(
         centers=tuple(centers),
         uncovered_weight=uw,
-        rho_min=rho_min,
+        rho_min=rho,
         achieved_radius=achieved,
         guess=coreset.guess,
         coreset_size=len(coreset),
@@ -231,70 +245,33 @@ def gonzalez(window: WindowView, k: int, metric: Metric = dist) -> list[Point]:
     return centers
 
 
-def _np_coords(window: WindowView) -> np.ndarray:
-    return np.array([p.coords for p in window.points])
-
-
-def _pairwise_extremes(coords: np.ndarray, block: int = 512) -> tuple[float, float]:
-    """(min positive, max) pairwise Euclidean distance, computed in blocks."""
-    n = len(coords)
-    minpos, dmax = math.inf, 0.0
-    for i0 in range(0, n, block):
-        chunk = coords[i0 : i0 + block]
-        d2 = (
-            (chunk**2).sum(1)[:, None]
-            + (coords**2).sum(1)[None, :]
-            - 2.0 * chunk @ coords.T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        dmax = max(dmax, float(d2.max()))
-        pos = d2[d2 > 0]
-        if pos.size:
-            minpos = min(minpos, float(pos.min()))
-    return math.sqrt(minpos) if minpos < math.inf else 0.0, math.sqrt(dmax)
-
-
-def _cluster_unit_euclidean(
-    coords: np.ndarray,
+def _whole_window(
+    window: WindowView,
     k: int,
-    rho: float,
-    eps: float,
-    sampler: Optional[Callable[[int], np.ndarray]] = None,
-    block: int = 256,
-) -> tuple[list[int], int]:
-    """outliers_cluster specialised to unit weights and Euclidean coords.
-
-    sampler(iteration) may restrict the candidate centers; coverage and
-    removal always consider every point.  Returns chosen indices and the
-    uncovered count.
-    """
-    n = len(coords)
-    cover_r = (1.0 + 2.0 * eps) * rho
-    removal_r = (3.0 + 4.0 * eps) * rho
-    uncovered = np.ones(n, dtype=bool)
-    centers: list[int] = []
-    sq = (coords**2).sum(1)
-    for it in range(k):
-        if not uncovered.any():
-            break
-        cand = np.arange(n) if sampler is None else sampler(it)
-        if cand.size == 0:
-            cand = np.arange(n)
-        unc_idx = np.flatnonzero(uncovered)
-        unc = coords[unc_idx]
-        unc_sq = sq[unc_idx]
-        best_i, best_w = -1, -1
-        for c0 in range(0, cand.size, block):
-            cc = cand[c0 : c0 + block]
-            d2 = sq[cc][:, None] + unc_sq[None, :] - 2.0 * coords[cc] @ unc.T
-            counts = (d2 <= cover_r * cover_r).sum(1)
-            j = int(counts.argmax())
-            if counts[j] > best_w:
-                best_i, best_w = int(cc[j]), int(counts[j])
-        centers.append(best_i)
-        d2x = sq[unc_idx] + sq[best_i] - 2.0 * unc @ coords[best_i]
-        uncovered[unc_idx[d2x <= removal_r * removal_r]] = False
-    return centers, int(uncovered.sum())
+    z: int,
+    step: float,
+    metric: Metric,
+    candidates: Optional[Callable[[int], np.ndarray]] = None,
+) -> SolveOutcome:
+    """Smallest rho on a geometric grid (ratio 1 + step, spanning the
+    window's positive pairwise distances) for which the unit-weight greedy
+    run leaves at most z uncovered points."""
+    pts = list(window.points)
+    n = len(pts)
+    lo, hi = _extremes(_distances(pts, metric), n)
+    for rho in _radius_grid(lo, hi, 1.0 + step):
+        centers, uncovered = outliers_cluster(
+            pts, [1] * n, k, rho, 0.0, metric, candidates
+        )
+        if len(uncovered) <= z:
+            achieved = 0.0 if z >= n else radius_excluding(centers, window, z, metric)
+            return SolveOutcome(
+                centers=tuple(centers),
+                uncovered_weight=len(uncovered),
+                rho_min=rho,
+                achieved_radius=achieved,
+            )
+    raise RuntimeError("radius grid exhausted; should be unreachable")
 
 
 def charikar(
@@ -304,45 +281,9 @@ def charikar(
     step: float = 0.5,
     metric: Metric = dist,
 ) -> SolveOutcome:
-    """Whole-window baseline: smallest rho on a geometric grid (ratio
-    1 + step, spanning the window's positive pairwise distances) for which
-    the unit-weight greedy run leaves at most z uncovered points."""
-    pts = list(window.points)
-    n = len(pts)
-    euclid = metric is dist
-    if euclid:
-        coords = _np_coords(window)
-        minpos, dmax = _pairwise_extremes(coords)
-    else:
-        pair = [metric(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n)]
-        pos = [d for d in pair if d > 0]
-        minpos = min(pos) if pos else 0.0
-        dmax = max(pair) if pair else 0.0
-
-    grid = [0.0]
-    if minpos > 0:
-        rho = minpos
-        while rho < dmax:
-            grid.append(rho)
-            rho *= 1.0 + step
-        grid.append(rho)
-
-    for rho in grid:
-        if euclid:
-            centers_i, uw = _cluster_unit_euclidean(coords, k, rho, 0.0)
-            centers = [pts[i] for i in centers_i]
-        else:
-            centers, unc = outliers_cluster(pts, [1] * n, k, rho, 0.0, metric)
-            uw = len(unc)
-        if uw <= z:
-            achieved = 0.0 if z >= n else radius_excluding(centers, window, z, metric)
-            return SolveOutcome(
-                centers=tuple(centers),
-                uncovered_weight=uw,
-                rho_min=rho,
-                achieved_radius=achieved,
-            )
-    raise RuntimeError("radius grid exhausted; should be unreachable")
+    """Whole-window baseline: the greedy scans every window point as a
+    candidate center at each radius of the grid."""
+    return _whole_window(window, k, z, step, metric)
 
 
 def samp_charikar(
@@ -354,36 +295,14 @@ def samp_charikar(
     seed: int = 0,
 ) -> SolveOutcome:
     """charikar with each center-selection scan restricted to a Bernoulli
-    sample of the window of expected size sample_size.  Euclidean only."""
-    pts = list(window.points)
-    n = len(pts)
-    coords = _np_coords(window)
-    minpos, dmax = _pairwise_extremes(coords)
+    sample of the window of expected size sample_size (all points when a
+    draw comes out empty).  Euclidean only."""
+    n = len(window.points)
     rng = np.random.default_rng(seed)
     prob = min(1.0, sample_size / n)
 
-    def sampler(_it: int) -> np.ndarray:
-        if prob >= 1.0:
-            return np.arange(n)
-        return np.flatnonzero(rng.random(n) < prob)
+    def sample(_round: int) -> np.ndarray:
+        picked = np.flatnonzero(rng.random(n) < prob)
+        return picked if picked.size else np.arange(n)
 
-    grid = [0.0]
-    if minpos > 0:
-        rho = minpos
-        while rho < dmax:
-            grid.append(rho)
-            rho *= 1.0 + step
-        grid.append(rho)
-
-    for rho in grid:
-        centers_i, uw = _cluster_unit_euclidean(coords, k, rho, 0.0, sampler)
-        if uw <= z:
-            centers = [pts[i] for i in centers_i]
-            achieved = 0.0 if z >= n else radius_excluding(centers, window, z)
-            return SolveOutcome(
-                centers=tuple(centers),
-                uncovered_weight=uw,
-                rho_min=rho,
-                achieved_radius=achieved,
-            )
-    raise RuntimeError("radius grid exhausted; should be unreachable")
+    return _whole_window(window, k, z, step, dist, None if prob >= 1.0 else sample)

@@ -13,6 +13,7 @@ import numpy as np
 
 from streamkc.core import Point, StreamParams, WindowView, dist
 from streamkc.coreset import GuessLadder
+from streamkc.histogram import Histogram
 
 
 class ExactHistogram:
@@ -31,6 +32,49 @@ class ExactHistogram:
 
     def weight(self) -> int:
         return self.entries[0][1]
+
+
+def expire_entry(hist: Histogram, t: int, window_len: int) -> Histogram:
+    """Drop the entry stamped exactly ``t - window_len`` (it refers to the
+    point expiring now).  An empty result means the proxy itself is stale and
+    the owner should discard it.
+    """
+    stale = t - window_len
+    return [(ts, c) for ts, c in hist if ts != stale]
+
+
+def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist):
+    """Scalar greedy of Charikar, Khuller, Mount & Narasimhan: the reference
+    for ``streamkc.solver.outliers_cluster``.
+
+    Runs at most k rounds.  Each round scans all points, scoring each by the
+    total weight of uncovered points within (1 + 2*eps)*rho, picks the first
+    best in storage order, and covers (removes) all uncovered points within
+    (3 + 4*eps)*rho of it.  Returns the chosen centers and the uncovered
+    points with their weights.
+    """
+    n = len(points)
+    cover_r = (1.0 + 2.0 * eps) * rho
+    removal_r = (3.0 + 4.0 * eps) * rho
+    uncovered = list(range(n))
+    centers = []
+    for _ in range(k):
+        if not uncovered:
+            break
+        best_i = -1
+        best_w = -1
+        for i in range(n):
+            w = 0
+            pi = points[i]
+            for j in uncovered:
+                if metric(pi, points[j]) <= cover_r:
+                    w += weights[j]
+            if w > best_w:
+                best_i, best_w = i, w
+        x = points[best_i]
+        centers.append(x)
+        uncovered = [j for j in uncovered if metric(x, points[j]) > removal_r]
+    return centers, [(points[j], weights[j]) for j in uncovered]
 
 
 class LadderShadow:

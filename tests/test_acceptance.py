@@ -24,13 +24,12 @@ from streamkc.experiment import generate_ball_stream
 from streamkc.histogram import (
     bump_and_trim,
     check_invariants,
-    expire_entry,
     new_histogram,
     synthetic_full_window,
     weight_estimate,
 )
 from streamkc.solver import brute_force_optimum, charikar, compute_solution, gonzalez, samp_charikar
-from oracles import ExactHistogram, LadderShadow, active_window, coverage_radius, make_stream, stream_extremes
+from oracles import ExactHistogram, LadderShadow, expire_entry, active_window, coverage_radius, make_stream, stream_extremes
 
 
 def stream_points(coords):

@@ -155,6 +155,22 @@ class TestFineState:
         with pytest.raises(ValueError, match="eps"):
             state.estimate()
 
+    def test_wrong_dimension_leaves_both_ladders_untouched(self):
+        # the fine ladder holds enough attractions for its vectorized search
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1)
+        state = FineCoresetState(cfg, window_len=100, mode="fixed", d_min=0.01, d_max=100.0)
+        pts = stream_points(generate_ball_stream(60, dim=4, seed=2))
+        for p in pts:
+            state.process_point(p)
+        assert max(len(st.attractions) for st in state.fine.states.values()) >= 48
+        before = (state.validation.to_snapshot(), state.fine.to_snapshot())
+        with pytest.raises(ValueError, match="dimension"):
+            state.process_point(Point(61, (0.5,)))
+        assert (state.validation.to_snapshot(), state.fine.to_snapshot()) == before
+        state.process_point(Point(61, (0.1, 0.2, 0.3, 0.4)))
+        assert state.t == 61
+        state.estimate()
+
     def test_saturation_counter_and_flag(self):
         cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.5, fine_cap=3)
         state = FineCoresetState(cfg, window_len=100, mode="fixed", d_min=0.05, d_max=30.0)

@@ -4,13 +4,12 @@ import pytest
 from streamkc.histogram import (
     bump_and_trim,
     check_invariants,
-    expire_entry,
     max_entries,
     new_histogram,
     synthetic_full_window,
     weight_estimate,
 )
-from oracles import ExactHistogram
+from oracles import ExactHistogram, expire_entry
 
 
 def test_new_histogram():

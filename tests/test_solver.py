@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from streamkc import solver
 from streamkc.core import Point, StreamParams, WindowView, dist, radius_excluding
 from streamkc.coreset import GuessLadder
+from streamkc.experiment import generate_ball_stream
 from streamkc.solver import (
     brute_force_optimum,
     charikar,
@@ -11,11 +17,15 @@ from streamkc.solver import (
     outliers_cluster,
     samp_charikar,
 )
-from oracles import make_stream, stream_extremes
+from oracles import make_stream, reference_outliers_cluster, stream_extremes
 
 
 def wv(*coords_1d):
     return WindowView.from_coords([[c] for c in coords_1d])
+
+
+def manhattan(p, q):
+    return sum(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
 class TestOutliersCluster:
@@ -45,6 +55,40 @@ class TestOutliersCluster:
     def test_rejects_negative_rho(self):
         with pytest.raises(ValueError):
             outliers_cluster([Point(1, (0.0,))], [1], 1, -1.0, 0.0)
+
+    @pytest.mark.parametrize("metric", [dist, manhattan])
+    @pytest.mark.parametrize("block", [7, solver._BLOCK])
+    def test_matches_scalar_reference(self, metric, block, monkeypatch):
+        # the blocked kernel must pick the same centers in the same order and
+        # strand the same points as the scalar greedy; lattice instances with
+        # unit weights tie scores everywhere, and the small block size makes
+        # the tie-break span several blocks
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        rng = np.random.default_rng(53)
+        for trial in range(12):
+            n = int(rng.integers(1, 40))
+            if trial % 2 == 0:
+                coords = rng.integers(0, 6, size=(n, 2))
+                weights = [1] * n
+            else:
+                coords = rng.random((n, 3)) * 5.0
+                weights = [int(w) for w in rng.integers(1, 6, size=n)]
+            pts = [Point(i + 1, tuple(float(c) for c in row)) for i, row in enumerate(coords)]
+            for k in (1, 3):
+                for rho in (0.0, 0.9, 1.3, 2.1):
+                    for eps in (0.0, 0.25, 0.5):
+                        got = outliers_cluster(pts, weights, k, rho, eps, metric)
+                        want = reference_outliers_cluster(pts, weights, k, rho, eps, metric)
+                        assert got == want, (trial, k, rho, eps)
+
+    def test_candidates_restrict_the_centers(self):
+        w = wv(0, 1, 2, 50)
+        pts = list(w.points)
+        centers, uncovered = outliers_cluster(
+            pts, [1] * 4, 1, 1.0, 0.0, candidates=lambda _round: np.array([3])
+        )
+        assert centers == [pts[3]]
+        assert [p for p, _ in uncovered] == pts[:3]
 
 
 class TestBruteForce:
@@ -126,6 +170,40 @@ class TestCharikar:
         w = WindowView.from_coords([[2.0, 2.0]] * 5)
         out = charikar(w, 1, 0)
         assert out.achieved_radius == 0.0 and out.rho_min == 0.0
+
+    def test_grid_anchored_at_smallest_pair_distance(self):
+        # far points make the squared-norm expansion of a point's distance to
+        # itself leave a positive residue; the grid must still start at the
+        # smallest positive distance between two distinct points
+        coords = np.vstack(
+            [
+                generate_ball_stream(120, dim=4, seed=3),
+                generate_ball_stream(4, dim=4, outlier_rate=1.0, outlier_norm=200.0, seed=4),
+            ]
+        )
+        d = pdist(coords)
+        minpos = float(d[d > 0].min())
+        w = WindowView.from_coords(coords)
+        n, step = len(coords), 0.5
+        for out in (
+            charikar(w, 2, 2, step=step),
+            samp_charikar(w, 2, 2, step=step, sample_size=n),
+        ):
+            if out.rho_min == 0.0:
+                continue
+            i = round(math.log(out.rho_min / minpos) / math.log1p(step))
+            assert out.rho_min == pytest.approx(minpos * (1.0 + step) ** i, rel=1e-9)
+
+    def test_blocked_memory_on_a_large_window(self):
+        rng = np.random.default_rng(61)
+        w = WindowView.from_coords(rng.random((2000, 4)))
+        tracemalloc.start()
+        try:
+            charikar(w, 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestSampCharikar:
@@ -223,16 +301,6 @@ class TestComputeSolution:
             for rho in (r_star, 1.5 * r_star + 1e-12, 4.0 * r_star + 1e-12):
                 _, uncovered = outliers_cluster(pts, wts, k, rho, eps)
                 assert sum(w for _, w in uncovered) <= z
-
-    def test_binary_matches_linear_outcome_quality(self):
-        rng = np.random.default_rng(47)
-        stream = make_stream(rng, 25, 2)
-        lad = self._ladder(stream, 2, 1)
-        window = WindowView(points=tuple(stream), t=25)
-        a = compute_solution(lad, search="linear", window=window)
-        b = compute_solution(lad, search="binary", window=window)
-        assert b.uncovered_weight <= 1
-        assert a.rho_min <= b.rho_min * (1.0 + 1e-12)
 
     def test_solution_during_oblivious_warmup(self):
         params = StreamParams(50, 2, 1, 0.5, 0.5)
