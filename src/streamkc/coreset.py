@@ -13,9 +13,11 @@ distance bounds; in *oblivious* mode it tracks running estimates derived
 from the first stream point and the most recent ``k + z + 1`` points, so no
 prior knowledge of the data's distance scale is needed.
 
-The same machinery doubles as the fine-grained layer used for effective
-diameter estimation, by shrinking the attraction radius and raising the
-attraction cap (see ``streamkc.effdiam``).
+Each setting is bound once: the ladder hands the window length, ``lam``, the
+metric and its ``cap`` policy to every state it creates, so updates take only
+the point, whose arrival is the clock.  The same machinery doubles as the
+fine-grained layer used for effective diameter estimation, by shrinking the
+attraction radius and setting ``cap`` (see ``streamkc.effdiam``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,9 +70,11 @@ class GuessState:
 
     max_attractions caps the attraction set; inserting beyond it evicts the
     oldest attraction point (its representative becomes an orphan) and bumps
-    ``evictions``.  With prune_orphans set, any orphan older than the oldest
+    ``evictions``.  Without an orphan_cap, any orphan older than the oldest
     attraction point is discarded whenever the attraction set exceeds
     ``max_attractions - 1`` (such orphans can never reach a usable coreset).
+    With one, orphans are never pruned, and an insertion that leaves more
+    than orphan_cap of them evicts the oldest and bumps ``evictions``.
 
     Must see every time step: the expiry sweep relies on consecutive calls,
     so that anything stale matches the current step's expiring timestamp
@@ -83,8 +87,10 @@ class GuessState:
         "guess",
         "attr_radius",
         "max_attractions",
-        "prune_orphans",
         "orphan_cap",
+        "window_len",
+        "lam",
+        "metric",
         "attractions",
         "reps",
         "orphans",
@@ -100,14 +106,18 @@ class GuessState:
         guess: float,
         attr_radius: float,
         max_attractions: int,
-        prune_orphans: bool = True,
+        window_len: int,
+        lam: float,
+        metric: Metric = dist,
         orphan_cap: Optional[int] = None,
     ):
         self.guess = guess
         self.attr_radius = attr_radius
         self.max_attractions = max_attractions
-        self.prune_orphans = prune_orphans
         self.orphan_cap = orphan_cap
+        self.window_len = window_len
+        self.lam = lam
+        self.metric = metric
         self.attractions: list[Point] = []  # arrival order == expiry order
         self.reps: dict[int, tuple[Point, Histogram]] = {}  # attraction arrival -> (rep, hist)
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
@@ -121,29 +131,28 @@ class GuessState:
 
     # -- update ------------------------------------------------------------
 
-    def process_point(
-        self, p: Point, t: int, window_len: int, lam: float, metric: Metric = dist
-    ) -> Optional[int]:
-        """Expire stale state, then absorb the arrival p.
+    def process_point(self, p: Point) -> Optional[int]:
+        """Expire stale state at time p.arrival, then absorb p.
 
         Returns the arrival index of the attraction point that captured p, or
         None when p became a new attraction point.
         """
-        self.sweep(t, window_len)
-        idx = self._first_within(p, metric)
+        t = p.arrival
+        self.sweep(t)
+        idx = self._first_within(p)
         if idx is None:
             self._insert(p)
             return None
         a = self.attractions[idx]
         _, hist = self.reps[a.arrival]
-        self.reps[a.arrival] = (p, bump_and_trim(hist, t, lam))
+        self.reps[a.arrival] = (p, bump_and_trim(hist, t, self.lam))
         return a.arrival
 
-    def sweep(self, t: int, window_len: int) -> None:
+    def sweep(self, t: int) -> None:
         """Expiry pass: attraction points first (their representatives become
         orphans), then the orphan expiring now, then the one histogram entry
         stamped with the expiring timestamp."""
-        stale = t - window_len
+        stale = t - self.window_len
         attrs = self.attractions
         while attrs and attrs[0].arrival <= stale:
             a = attrs.pop(0)
@@ -163,19 +172,6 @@ class GuessState:
             else:
                 del self.orphans[owner]
 
-    def insert_attraction(self, p: Point, metric: Metric = dist) -> None:
-        """Add p as a new attraction point (and its own representative).
-
-        p must be farther than the attraction radius from every current
-        attraction point.
-        """
-        if self._first_within(p, metric) is not None:
-            raise ValueError(
-                f"point at arrival {p.arrival} is within {self.attr_radius} of an "
-                "existing attraction point"
-            )
-        self._insert(p)
-
     def _insert(self, p: Point) -> None:
         self.attractions.append(p)
         self._buf_append(p.coords)
@@ -185,12 +181,13 @@ class GuessState:
             self._lo += 1
             self._add_orphan(*self.reps.pop(old.arrival))
             self.evictions += 1
-        if self.prune_orphans and len(self.attractions) > self.max_attractions - 1:
-            oldest = self.attractions[0].arrival
-            for arrival in [a for a in self.orphans if a < oldest]:
-                _, hist = self.orphans.pop(arrival)
-                self._first_ts.pop(hist[0][0], None)
-        if self.orphan_cap is not None and len(self.orphans) > self.orphan_cap:
+        if self.orphan_cap is None:
+            if len(self.attractions) > self.max_attractions - 1:
+                oldest = self.attractions[0].arrival
+                for arrival in [a for a in self.orphans if a < oldest]:
+                    _, hist = self.orphans.pop(arrival)
+                    self._first_ts.pop(hist[0][0], None)
+        elif len(self.orphans) > self.orphan_cap:
             victim = min(self.orphans)
             _, hist = self.orphans.pop(victim)
             self._first_ts.pop(hist[0][0], None)
@@ -224,13 +221,14 @@ class GuessState:
         self._buf[self._hi] = coords
         self._hi += 1
 
-    def _first_within(self, p: Point, metric: Metric) -> Optional[int]:
+    def _first_within(self, p: Point) -> Optional[int]:
         """Index of the oldest attraction point within the attraction radius."""
         attrs = self.attractions
         n = len(attrs)
         if n == 0:
             return None
         r = self.attr_radius
+        metric = self.metric
         if metric is dist and n >= _VEC_MIN:
             diff = self._buf[self._lo : self._hi] - np.asarray(p.coords)
             hits = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= r * r)
@@ -262,9 +260,8 @@ class GuessState:
             len(h) for _, h in self.orphans.values()
         )
 
-    def check_invariants(
-        self, t: int, window_len: int, lam: float, metric: Metric = dist
-    ) -> None:
+    def check_invariants(self, t: int) -> None:
+        window_len, lam, metric = self.window_len, self.lam, self.metric
         attrs = self.attractions
         assert len(attrs) <= self.max_attractions
         assert len(self.reps) == len(attrs), "one representative per attraction point"
@@ -340,6 +337,11 @@ class GuessLadder:
     mode "fixed" requires d_min and d_max bracketing the stream's pairwise
     distances; mode "oblivious" discovers the needed grid on the fly.  A
     single instance is single-writer; reads are safe once no update runs.
+
+    cap sets each state's capacity policy.  None keeps k + z + 1 attraction
+    points and prunes orphans that can no longer reach a coreset; an integer
+    c keeps at most c attraction points and at most c orphans, pruning none
+    (the effective-diameter fine ladder).
     """
 
     def __init__(
@@ -351,9 +353,7 @@ class GuessLadder:
         metric: Metric = dist,
         *,
         attr_factor: float = 2.0,
-        max_attractions: Optional[int] = None,
-        prune_orphans: bool = True,
-        orphan_cap: Optional[int] = None,
+        cap: Optional[int] = None,
     ):
         if mode not in ("fixed", "oblivious"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -361,11 +361,7 @@ class GuessLadder:
         self.mode = mode
         self.metric = metric
         self.attr_factor = attr_factor
-        self.max_attractions = (
-            params.k + params.z + 1 if max_attractions is None else max_attractions
-        )
-        self.prune_orphans = prune_orphans
-        self.orphan_cap = orphan_cap
+        self.cap = cap
         self.t = 0
         self.dim: Optional[int] = None  # fixed by the first point
         self.states: dict[int, GuessState] = {}
@@ -384,7 +380,8 @@ class GuessLadder:
             self.recent: deque[Point] = deque(maxlen=params.k + params.z + 1)
             self.d_t = 0.0
             self.D_t = 0.0
-            self.warmup: list[Point] = []
+            # arrivals are consecutive, so the last N points are the window
+            self.warmup: deque[Point] = deque(maxlen=params.window_len)
             self.bootstrapped = False
 
     # -- grid helpers --------------------------------------------------------
@@ -414,12 +411,15 @@ class GuessLadder:
 
     def _new_state(self, exponent: int) -> GuessState:
         g = self.guess_value(exponent)
+        params = self.params
         return GuessState(
             guess=g,
             attr_radius=self.attr_factor * g,
-            max_attractions=self.max_attractions,
-            prune_orphans=self.prune_orphans,
-            orphan_cap=self.orphan_cap,
+            max_attractions=params.k + params.z + 1 if self.cap is None else self.cap,
+            window_len=params.window_len,
+            lam=params.lam,
+            metric=self.metric,
+            orphan_cap=self.cap,
         )
 
     def exponents(self) -> list[int]:
@@ -427,35 +427,30 @@ class GuessLadder:
 
     # -- updates -------------------------------------------------------------
 
-    def process_point(self, p: Point, t: Optional[int] = None) -> None:
+    def process_point(self, p: Point) -> None:
         """Feed the next stream point.  Arrivals must be consecutive from 1
         and every point must have the first point's dimension; a rejected
         point leaves the ladder untouched."""
-        if t is None:
-            t = p.arrival
-        if t != p.arrival:
-            raise ValueError(f"t={t} does not match arrival {p.arrival}")
+        t = p.arrival
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
         if self.dim is not None and p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
         self.dim = p.dim
+        self.t = t
         if self.mode == "oblivious":
-            self.maintain_oblivious_ladder(p, t)
-            self.t = t
+            self.maintain_oblivious_ladder(p)
             if not self.bootstrapped:
                 self.warmup.append(p)
                 return
-        else:
-            self.t = t
-        N, lam = self.params.window_len, self.params.lam
         for st in self.states.values():
-            st.process_point(p, t, N, lam, self.metric)
+            st.process_point(p)
 
-    def maintain_oblivious_ladder(self, p: Point, t: int) -> None:
+    def maintain_oblivious_ladder(self, p: Point) -> None:
         """Refresh the distance estimates and retarget the grid before p is
         handed to the per-guess states.  Called by process_point exactly once
         per arrival; do not invoke separately when feeding through it."""
+        t = p.arrival
         if self.first_point is None:
             self.first_point = p
         else:
@@ -489,7 +484,7 @@ class GuessLadder:
         for e in range(lo, hi + 1):
             self.states[e] = self._replayed_state(e, self.warmup)
         self.bootstrapped = True
-        self.warmup = []
+        self.warmup.clear()
 
     def _retarget(self, prev_recent: list[Point], t: int) -> None:
         lo = self._exp_floor(self.d_t / 2.0)
@@ -505,12 +500,11 @@ class GuessLadder:
         for e in range(max(old_hi + 1, lo), hi + 1):
             self.states[e] = self._high_guess_state(e, prev_recent, t)
 
-    def _replayed_state(self, exponent: int, points: list[Point]) -> GuessState:
+    def _replayed_state(self, exponent: int, points: Sequence[Point]) -> GuessState:
         """Fresh state for the guess, fed the given points in order."""
-        N, lam = self.params.window_len, self.params.lam
         st = self._new_state(exponent)
         for q in points:
-            st.process_point(q, q.arrival, N, lam, self.metric)
+            st.process_point(q)
         return st
 
     def _high_guess_state(
@@ -581,10 +575,9 @@ class GuessLadder:
         return self.coreset_at(self.selected_exponent())
 
     def warmup_coreset(self) -> WeightedCoreset:
-        """Before the grid exists every point is kept verbatim: the active
-        buffer itself is an exact (radius zero) coreset."""
-        stale = self.t - self.params.window_len
-        pts = tuple((q, 1) for q in self.warmup if q.arrival > stale)
+        """Before the grid exists every window point is kept verbatim: the
+        active buffer itself is an exact (radius zero) coreset."""
+        pts = tuple((q, 1) for q in self.warmup)
         if not pts:
             raise RuntimeError("no points processed yet")
         return WeightedCoreset(points=pts, guess=0.0, t=self.t)
@@ -616,9 +609,8 @@ class GuessLadder:
         return self.stored_points() * dim + 2 * self.histogram_entries() + scalars
 
     def check_invariants(self) -> None:
-        N, lam = self.params.window_len, self.params.lam
         for st in self.states.values():
-            st.check_invariants(self.t, N, lam, self.metric)
+            st.check_invariants(self.t)
 
     # -- snapshots -------------------------------------------------------------
 
@@ -635,12 +627,7 @@ class GuessLadder:
                 "lam": self.params.lam,
                 "beta": self.params.beta,
             },
-            "config": {
-                "attr_factor": self.attr_factor,
-                "max_attractions": self.max_attractions,
-                "prune_orphans": self.prune_orphans,
-                "orphan_cap": self.orphan_cap,
-            },
+            "config": {"attr_factor": self.attr_factor, "cap": self.cap},
             "t": self.t,
             "d_min": self.d_min,
             "d_max": self.d_max,
@@ -664,8 +651,10 @@ class GuessLadder:
 
     @classmethod
     def from_snapshot(cls, snap: dict, metric: Metric = dist) -> "GuessLadder":
-        """Inverse of to_snapshot.  A "high_init" config entry, written by
-        older versions, is ignored: it is now derived from attr_factor."""
+        """Inverse of to_snapshot.  Older version-1 snapshots still load: a
+        "high_init" config entry is ignored (it is derived from attr_factor),
+        and a max_attractions/prune_orphans/orphan_cap triple is mapped to
+        the cap policy it spells, or rejected if it spells neither."""
         if snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a ladder snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
@@ -679,9 +668,7 @@ class GuessLadder:
             d_max=snap["d_max"],
             metric=metric,
             attr_factor=cfg["attr_factor"],
-            max_attractions=cfg["max_attractions"],
-            prune_orphans=cfg["prune_orphans"],
-            orphan_cap=cfg["orphan_cap"],
+            cap=cfg["cap"] if "cap" in cfg else _legacy_cap(cfg, params),
         )
         ladder.t = snap["t"]
         ladder.states = {}
@@ -703,7 +690,20 @@ class GuessLadder:
             ladder.d_t = ob["d_t"]
             ladder.D_t = ob["D_t"]
             ladder.bootstrapped = ob["bootstrapped"]
-            ladder.warmup = [_point_in(q) for q in ob["warmup"]]
+            ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
             held += ladder.recent
         ladder.dim = held[0].dim if held else None
         return ladder
+
+
+def _legacy_cap(cfg: dict, params: StreamParams) -> Optional[int]:
+    """cap equivalent of an older snapshot's capacity fields."""
+    m, prune, oc = cfg["max_attractions"], cfg["prune_orphans"], cfg["orphan_cap"]
+    if prune and oc is None and m == params.k + params.z + 1:
+        return None
+    if not prune and oc is not None and m == oc:
+        return oc
+    raise ValueError(
+        f"snapshot capacity max_attractions={m}, prune_orphans={prune}, "
+        f"orphan_cap={oc} matches no cap policy"
+    )

@@ -7,7 +7,7 @@ are within d.  The streaming estimator runs two guess ladders side by side:
 a coarse *validation* ladder (one center, no outliers) that picks the right
 guess, and a *fine* ladder with a much smaller attraction radius whose
 representatives and orphans form the weighted coreset the estimate is
-computed on.
+computed on.  Distances are Euclidean throughout, like the exact oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .core import Metric, Point, StreamParams, WindowView, dist
+from .core import Point, StreamParams, WindowView
 from .coreset import GuessLadder, WeightedCoreset
 
 
@@ -181,30 +181,26 @@ class FineCoresetState:
         mode: str = "oblivious",
         d_min: Optional[float] = None,
         d_max: Optional[float] = None,
-        metric: Metric = dist,
     ):
         self.cfg = cfg
         params = StreamParams(window_len, k=1, z=0, lam=cfg.lam, beta=cfg.beta)
-        self.validation = GuessLadder(params, mode, d_min, d_max, metric)
+        self.validation = GuessLadder(params, mode, d_min, d_max)
         self.fine = GuessLadder(
             params,
             mode,
             d_min,
             d_max,
-            metric,
             attr_factor=cfg.fine_precision / 2.0,
-            max_attractions=cfg.fine_cap,
-            prune_orphans=False,
-            orphan_cap=cfg.fine_cap,
+            cap=cfg.fine_cap,
         )
 
     @property
     def t(self) -> int:
         return self.validation.t
 
-    def process_point(self, p: Point, t: Optional[int] = None) -> None:
-        self.validation.process_point(p, t)
-        self.fine.process_point(p, t)
+    def process_point(self, p: Point) -> None:
+        self.validation.process_point(p)
+        self.fine.process_point(p)
 
     def fine_coreset(self) -> tuple[WeightedCoreset, bool]:
         """Fine coreset at the validation-selected guess, plus whether that

@@ -9,6 +9,9 @@ everything inside a larger ball around it.  ``compute_solution`` and the
 (``_radius_grid``), scanning radii upward from zero and stopping at the first
 one whose run leaves at most z uncovered weight.  Distances are read in
 blocks of rows through ``_distances``, so no full pairwise matrix is built.
+
+``compute_solution`` takes k, z, beta and the metric from the ladder it
+solves on, so the coreset is always clustered in the metric it was built in.
 """
 
 from __future__ import annotations
@@ -131,25 +134,20 @@ def outliers_cluster(
 
 def compute_solution(
     ladder: GuessLadder,
-    t: Optional[int] = None,
-    k: Optional[int] = None,
-    z: Optional[int] = None,
     eps: Optional[float] = None,
     window: Optional[WindowView] = None,
-    metric: Metric = dist,
 ) -> SolveOutcome:
     """Extract a coreset and find the smallest grid radius whose greedy run
-    leaves at most z uncovered weight.
+    leaves at most the ladder's z uncovered weight with its k centers.
 
     The radius grid starts at zero (degenerate exact covers), then walks
     geometrically with step (1 + beta) from the ladder's lower distance bound.
-    eps defaults to 4*(1 + beta), matching the coreset's dilation.
+    eps defaults to 4*(1 + beta), matching the coreset's dilation.  Distances,
+    including the scoring against window when one is given, are the ladder's
+    metric.
     """
-    if t is not None and t != ladder.t:
-        raise ValueError(f"t={t} does not match ladder clock {ladder.t}")
-    params = ladder.params
-    k = params.k if k is None else k
-    z = params.z if z is None else z
+    params, metric = ladder.params, ladder.metric
+    k, z = params.k, params.z
     eps = 4.0 * (1.0 + params.beta) if eps is None else eps
     coreset = ladder.extract_coreset()
     pts = [p for p, _ in coreset.points]

@@ -82,28 +82,25 @@ class LadderShadow:
     guess, which attraction point captured each arrival.  From that full
     history it can answer exact proxies and exact per-proxy weights."""
 
-    def __init__(self, ladder: GuessLadder, metric=dist):
+    def __init__(self, ladder: GuessLadder):
         assert ladder.mode == "fixed", "the shadow only replays fixed grids"
         assert ladder.t == 0, "attach the shadow before streaming"
         self.ladder = ladder
-        self.metric = metric
         self.attractor_of: dict[int, dict[int, int]] = {
             e: {} for e in self.ladder.states
         }
         self.last_rep: dict[int, dict[int, Point]] = {e: {} for e in self.ladder.states}
 
     @classmethod
-    def standard(cls, params: StreamParams, d_min: float, d_max: float, metric=dist):
-        return cls(GuessLadder(params, "fixed", d_min, d_max, metric), metric)
+    def standard(cls, params: StreamParams, d_min: float, d_max: float):
+        return cls(GuessLadder(params, "fixed", d_min, d_max))
 
     def feed(self, p: Point) -> None:
         lad = self.ladder
-        t = p.arrival
-        assert t == lad.t + 1
-        lad.t = t
-        N, lam = lad.params.window_len, lad.params.lam
+        assert p.arrival == lad.t + 1
+        lad.t = p.arrival
         for e, st in lad.states.items():
-            attr = st.process_point(p, t, N, lam, self.metric)
+            attr = st.process_point(p)
             if attr is None:
                 attr = p.arrival
             self.attractor_of[e][p.arrival] = attr

@@ -16,18 +16,18 @@ def pt(arrival, *coords):
 
 class TestGuessState:
     def test_two_far_points_both_attract(self):
-        st = GuessState(guess=1.0, attr_radius=2.0, max_attractions=5)
-        st.process_point(pt(1, 0), 1, 100, 0.5)
-        st.process_point(pt(2, 5), 2, 100, 0.5)
+        st = GuessState(1.0, 2.0, max_attractions=5, window_len=100, lam=0.5)
+        st.process_point(pt(1, 0))
+        st.process_point(pt(2, 5))
         assert [a.coords for a in st.attractions] == [(0.0,), (5.0,)]
         for a in st.attractions:
             rep, hist = st.reps[a.arrival]
             assert rep is a and hist == [(a.arrival, 1)]
 
     def test_close_point_becomes_representative(self):
-        st = GuessState(guess=1.0, attr_radius=2.0, max_attractions=5)
-        st.process_point(pt(1, 0), 1, 100, 0.5)
-        captured = st.process_point(pt(2, 1), 2, 100, 0.5)
+        st = GuessState(1.0, 2.0, max_attractions=5, window_len=100, lam=0.5)
+        st.process_point(pt(1, 0))
+        captured = st.process_point(pt(2, 1))
         assert captured == 1
         assert [a.coords for a in st.attractions] == [(0.0,)]
         rep, hist = st.reps[1]
@@ -35,25 +35,19 @@ class TestGuessState:
         assert hist == [(1, 2), (2, 1)]
 
     def test_capture_prefers_oldest_attraction(self):
-        st = GuessState(guess=1.0, attr_radius=2.0, max_attractions=5)
-        st.process_point(pt(1, 0), 1, 100, 0.5)
-        st.process_point(pt(2, 3), 2, 100, 0.5)
+        st = GuessState(1.0, 2.0, max_attractions=5, window_len=100, lam=0.5)
+        st.process_point(pt(1, 0))
+        st.process_point(pt(2, 3))
         # within 2.0 of both attraction points; the older one wins
-        assert st.process_point(pt(3, 1.5), 3, 100, 0.5) == 1
-
-    def test_insert_attraction_precondition(self):
-        st = GuessState(guess=1.0, attr_radius=2.0, max_attractions=5)
-        st.insert_attraction(pt(1, 0))
-        with pytest.raises(ValueError):
-            st.insert_attraction(pt(2, 1))
+        assert st.process_point(pt(3, 1.5)) == 1
 
     def test_eviction_at_capacity(self):
         cap = 4
-        st = GuessState(guess=0.1, attr_radius=0.2, max_attractions=cap)
+        st = GuessState(0.1, 0.2, max_attractions=cap, window_len=100, lam=0.5)
         for i in range(cap):
-            st.process_point(pt(i + 1, i), i + 1, 100, 0.5)
+            st.process_point(pt(i + 1, i))
         assert len(st.attractions) == cap and not st.orphans
-        st.process_point(pt(cap + 1, cap), cap + 1, 100, 0.5)
+        st.process_point(pt(cap + 1, cap))
         assert len(st.attractions) == cap
         assert st.evictions == 1
         # the evicted point's representative became an orphan, then was
@@ -61,25 +55,25 @@ class TestGuessState:
         assert st.orphans == {}
 
     def test_orphans_kept_when_below_prune_threshold(self):
-        st = GuessState(guess=0.1, attr_radius=0.2, max_attractions=10)
-        st.process_point(pt(1, 0), 1, 10, 0.5)
+        st = GuessState(0.1, 0.2, max_attractions=10, window_len=10, lam=0.5)
+        st.process_point(pt(1, 0))
         for t in range(2, 10):
-            st.process_point(pt(t, 100.0 + 300 * t), t, 10, 0.5)
-        st.process_point(pt(10, 0.05), 10, 10, 0.5)  # representative of point 1
+            st.process_point(pt(t, 100.0 + 300 * t))
+        st.process_point(pt(10, 0.05))  # representative of point 1
         # point 1 expires at t=11; its live representative becomes an orphan
-        st.process_point(pt(11, 20), 11, 10, 0.5)
+        st.process_point(pt(11, 20))
         assert list(st.orphans) == [10]
         # a new attraction point without capacity pressure keeps the orphan
-        st.process_point(pt(12, 30), 12, 10, 0.5)
+        st.process_point(pt(12, 30))
         assert list(st.orphans) == [10]
 
     def test_expiry_order_attractions_then_orphans(self):
-        st = GuessState(guess=1.0, attr_radius=2.0, max_attractions=5)
-        st.process_point(pt(1, 0), 1, 3, 0.5)
-        st.process_point(pt(2, 1), 2, 3, 0.5)
+        st = GuessState(1.0, 2.0, max_attractions=5, window_len=3, lam=0.5)
+        st.process_point(pt(1, 0))
+        st.process_point(pt(2, 1))
         # at t=4 the attraction point (arrival 1) expires; its representative
         # (arrival 2) survives as an orphan with the stale entry removed
-        st.process_point(pt(4, 10), 4, 3, 0.5)
+        st.process_point(pt(4, 10))
         assert st.attractions[0].arrival == 4
         assert list(st.orphans) == [2]
         assert st.orphans[2][1] == [(2, 1)]
@@ -88,13 +82,15 @@ class TestGuessState:
         rng = np.random.default_rng(0)
         for trial in range(20):
             k_z = int(rng.integers(1, 6))
-            st = GuessState(guess=0.5, attr_radius=1.0, max_attractions=k_z + 1)
             n = int(rng.integers(10, 80))
             window_len = int(rng.integers(k_z + 2, 40))
+            st = GuessState(
+                0.5, 1.0, max_attractions=k_z + 1, window_len=window_len, lam=0.5
+            )
             for i in range(n):
                 p = pt(i + 1, *rng.random(2) * 8)
-                st.process_point(p, i + 1, window_len, 0.5)
-                st.check_invariants(i + 1, window_len, 0.5)
+                st.process_point(p)
+                st.check_invariants(i + 1)
                 assert len(st.attractions) <= k_z + 1
                 assert len(st.reps) <= k_z + 1
                 assert len(st.orphans) <= k_z + 1, "orphans exceeded bound"
@@ -359,6 +355,18 @@ class TestObliviousLadder:
         )
         assert cov <= 4.0 * (1.0 + 0.5) * 0.5 + 1e-9  # r*_{1,1} = 0.5 here
 
+    def test_constant_stream_warmup_stays_within_the_window(self):
+        N, k, z = 100, 2, 2
+        lad = GuessLadder(StreamParams(N, k, z, 0.5, 0.5), "oblivious")
+        for t in range(1, 5001):
+            lad.process_point(pt(t, 1.0, 1.0))
+            assert lad.stored_points() <= N + k + z + 2
+        assert not lad.bootstrapped
+        lad.process_point(pt(5001, 2.0, 1.0))
+        assert lad.bootstrapped
+        lad.check_invariants()
+        assert lad.extract_coreset().total_weight() <= N
+
 
 class TestLadderSoak:
     def test_every_step_invariants_both_modes(self):
@@ -433,6 +441,42 @@ class TestSnapshot:
         snap["config"]["high_init"] = "synthetic"
         restored = GuessLadder.from_snapshot(snap)
         assert restored.to_snapshot() == lad.to_snapshot()
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_loads_snapshot_with_the_older_capacity_fields(self, cap):
+        rng = np.random.default_rng(61)
+        params = StreamParams(25, 2, 1, 0.5, 0.5)
+        lad = GuessLadder(params, "oblivious", cap=cap)
+        for p in make_stream(rng, 40, 2):
+            lad.process_point(p)
+        snap = json.loads(json.dumps(lad.to_snapshot()))
+        snap["config"] = {
+            "attr_factor": 2.0,
+            "max_attractions": params.k + params.z + 1 if cap is None else cap,
+            "prune_orphans": cap is None,
+            "orphan_cap": cap,
+        }
+        restored = GuessLadder.from_snapshot(snap)
+        assert restored.to_snapshot() == lad.to_snapshot()
+
+    @pytest.mark.parametrize(
+        "max_attractions, prune_orphans, orphan_cap",
+        [(5, True, None), (4, False, None), (4, True, 4), (4, False, 5)],
+    )
+    def test_rejects_older_capacity_fields_matching_no_policy(
+        self, max_attractions, prune_orphans, orphan_cap
+    ):
+        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
+        lad.process_point(pt(1, 0.5))
+        snap = lad.to_snapshot()
+        snap["config"] = {
+            "attr_factor": 2.0,
+            "max_attractions": max_attractions,
+            "prune_orphans": prune_orphans,
+            "orphan_cap": orphan_cap,
+        }
+        with pytest.raises(ValueError, match="cap policy"):
+            GuessLadder.from_snapshot(snap)
 
     def test_version_check(self):
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")

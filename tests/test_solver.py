@@ -17,7 +17,7 @@ from streamkc.solver import (
     outliers_cluster,
     samp_charikar,
 )
-from oracles import make_stream, reference_outliers_cluster, stream_extremes
+from oracles import active_window, make_stream, reference_outliers_cluster, stream_extremes
 
 
 def wv(*coords_1d):
@@ -309,6 +309,35 @@ class TestComputeSolution:
         out = compute_solution(lad)
         assert out.rho_min == 0.0
         assert out.centers[0].coords == (3.0, 4.0)
+
+    def test_solves_in_the_ladders_metric(self):
+        # a Manhattan ladder's coreset is clustered, and the centers scored,
+        # in Manhattan distance: the same grid scan done by hand must agree
+        rng = np.random.default_rng(59)
+        k, z, beta = 2, 1, 0.5
+        eps = 4.0 * (1.0 + beta)
+        for _ in range(20):
+            n = int(rng.integers(8, 20))
+            stream = make_stream(rng, 2 * n, 2)
+            params = StreamParams(n, k, z, 0.5, beta)
+            lad = GuessLadder(params, "oblivious", metric=manhattan)
+            for p in stream:
+                lad.process_point(p)
+            assert lad.bootstrapped
+            window = active_window(stream, lad.t, n)
+            out = compute_solution(lad, window=window)
+            coreset = lad.extract_coreset()
+            pts = [p for p, _ in coreset.points]
+            wts = [w for _, w in coreset.points]
+            for rho in solver._radius_grid(lad.d_t / 2.0, 4.0 * lad.D_t, 1.0 + beta):
+                centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, manhattan)
+                uw = sum(w for _, w in uncovered)
+                if uw <= z:
+                    break
+            assert out.centers == tuple(centers)
+            assert out.rho_min == rho
+            assert out.uncovered_weight == uw
+            assert out.achieved_radius == radius_excluding(centers, window, z, manhattan)
 
     def test_eps_override(self):
         stream = [Point(1, (0.0,)), Point(2, (1.0,)), Point(3, (9.0,))]
