@@ -1,7 +1,10 @@
 """Points, windows, distances and shared stream parameters.
 
 Everything here is a plain value type or a pure function; instances can be
-shared freely between threads.
+shared freely between threads.  A metric is a scalar call ``metric(p, q)``
+plus a block form ``metric.pairwise(xs, ys)``, the len(xs) x len(ys) matrix
+between the rows of two coordinate arrays; every bulk distance pass of the
+engine reads blocks through ``_distances``.
 """
 
 from __future__ import annotations
@@ -10,7 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-Metric = Callable[["Point", "Point"], float]
+import numpy as np
+from scipy.spatial.distance import cdist
+
+Metric = Callable[["Point", "Point"], float]  # plus a .pairwise block form
+
+# rows per distance block: bounds a block to _BLOCK x n floats
+_BLOCK = 256
+
+Distances = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,11 +47,36 @@ def dist(p: Point, q: Point) -> float:
     """Euclidean distance. The default (and only acceptance-tested) metric.
 
     Any other metric must be symmetric, non-negative, zero only on equal
-    coordinates, and satisfy the triangle inequality.
+    coordinates, satisfy the triangle inequality, and carry a ``pairwise``
+    block form that agrees with it.
     """
-    if len(p.coords) != len(q.coords):
-        raise ValueError(f"dimension mismatch: {len(p.coords)} vs {len(q.coords)}")
     return math.dist(p.coords, q.coords)
+
+
+# an attribute keeps dist a plain (fast) function; functools.wraps copies it
+dist.pairwise = cdist
+
+
+def _distances(points: Sequence[Point], metric: Metric) -> Distances:
+    """Block distance reader: d(rows, cols) is the len(rows) x len(cols)
+    matrix of metric(points[i], points[j]), read by the metric's block form
+    from one coordinate array."""
+    coords = np.array([p.coords for p in points], dtype=float)
+    pairwise = metric.pairwise
+    return lambda rows, cols: pairwise(coords[rows], coords[cols])
+
+
+def _extremes(d: Distances, n: int) -> tuple[float, float]:
+    """(smallest positive, largest) distance between two distinct points,
+    read one row block at a time; 0.0 stands in for a missing value."""
+    lo, hi = math.inf, 0.0
+    for r0 in range(0, n - 1, _BLOCK):
+        rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
+        block = d(rows, np.arange(r0, n))
+        block[rows - r0, rows - r0] = 0.0  # a point and itself form no pair
+        hi = max(hi, float(block.max()))
+        lo = min(lo, float(block.min(initial=math.inf, where=block > 0)))
+    return (lo if lo < math.inf else 0.0), hi
 
 
 @dataclass(frozen=True, slots=True)

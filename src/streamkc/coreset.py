@@ -18,6 +18,11 @@ metric and its ``cap`` policy to every state it creates, so updates take only
 the point, whose arrival is the clock.  The same machinery doubles as the
 fine-grained layer used for effective diameter estimation, by shrinking the
 attraction radius and setting ``cap`` (see ``streamkc.effdiam``).
+
+Bulk distance passes (the attraction search over ``_VEC_MIN`` or more
+points, the ``d_t`` estimate, qualification and the invariant checks) read
+the metric's block form (``streamkc.core``); a metric without one is
+rejected when a state or ladder is built or restored.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Metric, Point, StreamParams, dist
+from .core import _BLOCK, Metric, Point, StreamParams, _distances, _extremes, dist
 from .histogram import (
     Histogram,
     bump_and_trim,
@@ -117,7 +122,7 @@ class GuessState:
         self.orphan_cap = orphan_cap
         self.window_len = window_len
         self.lam = lam
-        self.metric = metric
+        self.metric = _block_metric(metric)
         self.attractions: list[Point] = []  # arrival order == expiry order
         self.reps: dict[int, tuple[Point, Histogram]] = {}  # attraction arrival -> (rep, hist)
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
@@ -229,9 +234,9 @@ class GuessState:
             return None
         r = self.attr_radius
         metric = self.metric
-        if metric is dist and n >= _VEC_MIN:
-            diff = self._buf[self._lo : self._hi] - np.asarray(p.coords)
-            hits = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= r * r)
+        if n >= _VEC_MIN:
+            near = metric.pairwise(np.array([p.coords]), self._buf[self._lo : self._hi])
+            hits = np.flatnonzero(near[0] <= r)
             return int(hits[0]) if hits.size else None
         for i, a in enumerate(attrs):
             if metric(p, a) <= r:
@@ -261,30 +266,37 @@ class GuessState:
         )
 
     def check_invariants(self, t: int) -> None:
-        window_len, lam, metric = self.window_len, self.lam, self.metric
+        window_len, lam = self.window_len, self.lam
         attrs = self.attractions
-        assert len(attrs) <= self.max_attractions
-        assert len(self.reps) == len(attrs), "one representative per attraction point"
-        assert len(attrs) == len({a.arrival for a in attrs})
-        assert self._hi - self._lo == len(attrs)
-        for i in range(len(attrs)):
+        n = len(attrs)
+        assert n <= self.max_attractions
+        assert len(self.reps) == n, "one representative per attraction point"
+        assert n == len({a.arrival for a in attrs})
+        assert self._hi - self._lo == n
+        for i in range(n):
             assert attrs[i].arrival > t - window_len, "stored expired attraction point"
             assert tuple(self._buf[self._lo + i]) == attrs[i].coords
             if i:
                 assert attrs[i - 1].arrival < attrs[i].arrival
-            for j in range(i + 1, len(attrs)):
-                assert metric(attrs[i], attrs[j]) > self.attr_radius, (
+        d = _distances(attrs, self.metric)
+        for r0 in range(0, n - 1, _BLOCK):
+            rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
+            # pairs (i, j) with i < j: the strict upper triangle from column r0
+            close = np.argwhere(np.triu(d(rows, np.arange(r0, n)) <= self.attr_radius, 1))
+            if close.size:
+                i, j = r0 + close[0]
+                raise AssertionError(
                     f"attraction points {attrs[i].arrival},{attrs[j].arrival} too close"
                 )
         for a in attrs:
             rep, hist = self.reps[a.arrival]
-            assert rep.arrival >= a.arrival
+            assert a.arrival <= rep.arrival <= t
             assert rep.arrival > t - window_len
             check_histogram(hist, window_len, lam)
         if self.orphan_cap is not None:
             assert len(self.orphans) <= self.orphan_cap
         for arrival, (r, hist) in self.orphans.items():
-            assert arrival == r.arrival
+            assert arrival == r.arrival <= t
             assert r.arrival > t - window_len, "stored expired orphan"
             assert self._first_ts.get(hist[0][0]) == arrival
             check_histogram(hist, window_len, lam)
@@ -359,7 +371,7 @@ class GuessLadder:
             raise ValueError(f"unknown mode {mode!r}")
         self.params = params
         self.mode = mode
-        self.metric = metric
+        self.metric = _block_metric(metric)
         self.attr_factor = attr_factor
         self.cap = cap
         self.t = 0
@@ -400,14 +412,9 @@ class GuessLadder:
         return e
 
     def _exp_ceil(self, x: float) -> int:
-        """Smallest e with (1+beta)^e >= x, robust to log rounding."""
-        b = 1.0 + self.params.beta
-        e = math.ceil(math.log(x) / math.log(b))
-        while b**e < x:
-            e += 1
-        while b ** (e - 1) >= x:
-            e -= 1
-        return e
+        """Smallest e with (1+beta)^e >= x."""
+        f = self._exp_floor(x)
+        return f if (1.0 + self.params.beta) ** f == x else f + 1
 
     def _new_state(self, exponent: int) -> GuessState:
         g = self.guess_value(exponent)
@@ -457,24 +464,14 @@ class GuessLadder:
             self.D_t = max(self.D_t, self.metric(self.first_point, p))
         prev_recent = list(self.recent)
         self.recent.append(p)
-        d = self._min_positive_pairwise(self.recent)
-        if d is not None:
+        d, _ = _extremes(_distances(self.recent, self.metric), len(self.recent))
+        if d > 0:
             self.d_t = d
         if not self.bootstrapped:
             if t >= self.params.k + self.params.z + 2 and self.d_t > 0:
                 self._bootstrap()
             return
         self._retarget(prev_recent, t)
-
-    def _min_positive_pairwise(self, pts) -> Optional[float]:
-        best = None
-        seq = list(pts)
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                d = self.metric(seq[i], seq[j])
-                if d > 0.0 and (best is None or d < best):
-                    best = d
-        return best
 
     def _bootstrap(self) -> None:
         """First grid construction: replay the buffered prefix through empty
@@ -540,18 +537,23 @@ class GuessLadder:
     def qualifies(self, exponent: int) -> bool:
         """A guess qualifies when its attraction set is small enough and a
         greedy separation pass over all its stored points selects at most
-        k + z points at twice the guess radius."""
+        k + z points at twice the guess radius.  The pass reads one distance
+        row per point it takes, at most k + z + 1 rows."""
         st = self.states[exponent]
         cap = self.params.k + self.params.z
         if len(st.attractions) > cap:
             return False
-        threshold = 2.0 * st.guess
-        chosen: list[Point] = []
-        for q in st.union_points():
-            if all(self.metric(q, c) > threshold for c in chosen):
-                chosen.append(q)
-                if len(chosen) > cap:
+        pts = st.union_points()
+        d = _distances(pts, self.metric)
+        cols = np.arange(len(pts))
+        free = np.ones(len(pts), dtype=bool)  # not within twice the guess of a pick
+        taken = 0
+        for i in range(len(pts)):
+            if free[i]:
+                taken += 1
+                if taken > cap:
                     return False
+                free &= d([i], cols)[0] > 2.0 * st.guess
         return True
 
     def selected_exponent(self) -> int:
@@ -654,11 +656,26 @@ class GuessLadder:
         """Inverse of to_snapshot.  Older version-1 snapshots still load: a
         "high_init" config entry is ignored (it is derived from attr_factor),
         and a max_attractions/prune_orphans/orphan_cap triple is mapped to
-        the cap policy it spells, or rejected if it spells neither."""
+        the cap policy it spells, or rejected if it spells neither.
+
+        The restored ladder is verified with check_invariants; a snapshot
+        that is malformed or restores a broken state raises ValueError
+        ("corrupt ladder snapshot: ...").
+        """
+        _block_metric(metric)
         if snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a ladder snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
+        try:
+            ladder = cls._restore(snap, metric)
+            ladder.check_invariants()
+        except (AssertionError, KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"corrupt ladder snapshot: {exc!r}") from exc
+        return ladder
+
+    @classmethod
+    def _restore(cls, snap: dict, metric: Metric) -> "GuessLadder":
         params = StreamParams(**snap["params"])
         cfg = snap["config"]
         ladder = cls(
@@ -694,6 +711,13 @@ class GuessLadder:
             held += ladder.recent
         ladder.dim = held[0].dim if held else None
         return ladder
+
+
+def _block_metric(metric: Metric) -> Metric:
+    """The metric, once it is known to carry a callable block form."""
+    if not callable(getattr(metric, "pairwise", None)):
+        raise TypeError(f"metric {metric!r} has no pairwise(xs, ys) block form")
+    return metric
 
 
 def _legacy_cap(cfg: dict, params: StreamParams) -> Optional[int]:

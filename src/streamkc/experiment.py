@@ -284,72 +284,26 @@ def _query(cfg, alg, step, ladder, fine_state, window, t, dim, update_ns) -> dic
     view = WindowView(points=tuple(window), t=t)
     med_update = int(statistics.median(update_ns)) if update_ns else 0
     q0 = time.perf_counter_ns()
-    if alg == "sliding":
-        out = compute_solution(ladder, window=view)
-        q_ns = time.perf_counter_ns() - q0
-        return _row(
-            t,
-            radius=out.achieved_radius,
-            uncovered=out.uncovered_weight,
-            memory_floats=ladder.memory_floats(dim),
-            update_ns=med_update,
-            query_ns=q_ns,
-        )
-    if alg == "charikar":
-        out = charikar(view, cfg.k, cfg.z, step)
-        q_ns = time.perf_counter_ns() - q0
-        return _row(
-            t,
-            radius=out.achieved_radius,
-            uncovered=out.uncovered_weight,
-            memory_floats=len(window) * dim,
-            update_ns=med_update,
-            query_ns=q_ns,
-        )
-    if alg == "samp-charikar":
-        out = samp_charikar(view, cfg.k, cfg.z, step, cfg.sample_size, cfg.seed)
-        q_ns = time.perf_counter_ns() - q0
-        return _row(
-            t,
-            radius=out.achieved_radius,
-            uncovered=out.uncovered_weight,
-            memory_floats=len(window) * dim,
-            update_ns=med_update,
-            query_ns=q_ns,
-        )
-    if alg == "gon":
-        centers = gonzalez(view, cfg.k)
-        radius = radius_excluding(centers, view, cfg.z)
-        q_ns = time.perf_counter_ns() - q0
-        return _row(
-            t,
-            radius=radius,
-            memory_floats=len(window) * dim,
-            update_ns=med_update,
-            query_ns=q_ns,
-        )
-    if alg == "eff-sliding":
+    if alg in ("sliding", "charikar", "samp-charikar"):
+        if alg == "sliding":
+            out = compute_solution(ladder, window=view)
+        elif alg == "charikar":
+            out = charikar(view, cfg.k, cfg.z, step)
+        else:
+            out = samp_charikar(view, cfg.k, cfg.z, step, cfg.sample_size, cfg.seed)
+        vals = dict(radius=out.achieved_radius, uncovered=out.uncovered_weight)
+    elif alg == "gon":
+        vals = dict(radius=radius_excluding(gonzalez(view, cfg.k), view, cfg.z))
+    elif alg == "eff-sliding":
         est = fine_state.estimate()
-        q_ns = time.perf_counter_ns() - q0
-        return _row(
-            t,
-            eff_lower=est.lower,
-            eff_upper=est.upper,
-            memory_floats=fine_state.memory_floats(dim),
-            update_ns=med_update,
-            query_ns=q_ns,
-            saturated=int(est.saturated),
-        )
-    value = eff_sequential(view, cfg.alpha, cfg.bucket_step)
+        vals = dict(eff_lower=est.lower, eff_upper=est.upper, saturated=int(est.saturated))
+    else:
+        value = eff_sequential(view, cfg.alpha, cfg.bucket_step)
+        vals = dict(eff_lower=value, eff_upper=value)
     q_ns = time.perf_counter_ns() - q0
-    return _row(
-        t,
-        eff_lower=value,
-        eff_upper=value,
-        memory_floats=len(window) * dim,
-        update_ns=med_update,
-        query_ns=q_ns,
-    )
+    engine = ladder if ladder is not None else fine_state
+    mem = len(window) * dim if engine is None else engine.memory_floats(dim)
+    return _row(t, memory_floats=mem, update_ns=med_update, query_ns=q_ns, **vals)
 
 
 def _write_metrics(cfg: ExperimentConfig, rows: list[dict]) -> None:

@@ -8,7 +8,8 @@ everything inside a larger ball around it.  ``compute_solution`` and the
 ``charikar`` baselines drive it over the same geometric radius grid
 (``_radius_grid``), scanning radii upward from zero and stopping at the first
 one whose run leaves at most z uncovered weight.  Distances are read in
-blocks of rows through ``_distances``, so no full pairwise matrix is built.
+blocks of at most ``_BLOCK`` rows through ``core._distances``, in the
+metric's own block form, so no full pairwise matrix is built.
 
 ``compute_solution`` takes k, z, beta and the metric from the ladder it
 solves on, so the coreset is always clustered in the metric it was built in.
@@ -22,15 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import Metric, Point, WindowView, dist, radius_excluding
+from .core import _BLOCK, Metric, Point, WindowView, dist, radius_excluding
+from .core import _distances, _extremes
 from .coreset import GuessLadder
-
-# rows per distance block: bounds a block to _BLOCK x n floats
-_BLOCK = 256
-
-Distances = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,31 +44,6 @@ class SolveOutcome:
     achieved_radius: Optional[float] = None
     guess: Optional[float] = None
     coreset_size: Optional[int] = None
-
-
-def _distances(points: Sequence[Point], metric: Metric) -> Distances:
-    """Block distance reader: d(rows, cols) is the len(rows) x len(cols)
-    matrix of metric(points[i], points[j]).  Euclidean blocks come from
-    cdist on one coordinate array; any other metric is called per pair."""
-    if metric is dist:
-        coords = np.array([p.coords for p in points], dtype=float)
-        return lambda rows, cols: cdist(coords[rows], coords[cols])
-    return lambda rows, cols: np.array(
-        [[metric(points[i], points[j]) for j in cols] for i in rows], dtype=float
-    ).reshape(len(rows), len(cols))
-
-
-def _extremes(d: Distances, n: int) -> tuple[float, float]:
-    """(smallest positive, largest) distance between two distinct points,
-    read one row block at a time; 0.0 stands in for a missing value."""
-    lo, hi = math.inf, 0.0
-    for r0 in range(0, n - 1, _BLOCK):
-        rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
-        block = d(rows, np.arange(r0, n))
-        block[rows - r0, rows - r0] = 0.0  # a point and itself form no pair
-        hi = max(hi, float(block.max()))
-        lo = min(lo, float(block.min(initial=math.inf, where=block > 0)))
-    return (lo if lo < math.inf else 0.0), hi
 
 
 def _radius_grid(lo: float, cap: float, ratio: float) -> list[float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from streamkc.core import Point, StreamParams, WindowView, dist
 from streamkc.coreset import GuessLadder
@@ -32,6 +33,31 @@ class ExactHistogram:
 
     def weight(self) -> int:
         return self.entries[0][1]
+
+
+def manhattan(p: Point, q: Point) -> float:
+    """L1 distance: the second metric the suite runs the engine in."""
+    return sum(abs(a - b) for a, b in zip(p.coords, q.coords))
+
+
+manhattan.pairwise = lambda xs, ys: cdist(xs, ys, "cityblock")
+
+
+def looped(metric):
+    """A twin of metric whose block form calls the scalar metric once per
+    pair, for checking a metric's own block form against it."""
+
+    def scalar(p: Point, q: Point) -> float:
+        return metric(p, q)
+
+    def pairwise(xs, ys):
+        ps = [Point(1, tuple(float(c) for c in x)) for x in xs]
+        qs = [Point(1, tuple(float(c) for c in y)) for y in ys]
+        rows = [[metric(p, q) for q in qs] for p in ps]
+        return np.array(rows, dtype=float).reshape(len(ps), len(qs))
+
+    scalar.pairwise = pairwise
+    return scalar
 
 
 def expire_entry(hist: Histogram, t: int, window_len: int) -> Histogram:
@@ -75,6 +101,29 @@ def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist):
         centers.append(x)
         uncovered = [j for j in uncovered if metric(x, points[j]) > removal_r]
     return centers, [(points[j], weights[j]) for j in uncovered]
+
+
+def reference_qualifies(ladder: GuessLadder, exponent: int) -> bool:
+    """Scalar qualification test: the reference for
+    ``streamkc.coreset.GuessLadder.qualifies``.
+
+    A guess qualifies when it holds at most k + z attraction points and a
+    greedy pass over its stored points in storage order, taking each point
+    farther than twice the guess from every point taken so far, takes at
+    most k + z points.
+    """
+    st = ladder.states[exponent]
+    cap = ladder.params.k + ladder.params.z
+    if len(st.attractions) > cap:
+        return False
+    threshold = 2.0 * st.guess
+    chosen: list[Point] = []
+    for q in st.union_points():
+        if all(ladder.metric(q, c) > threshold for c in chosen):
+            chosen.append(q)
+            if len(chosen) > cap:
+                return False
+    return True
 
 
 class LadderShadow:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -103,3 +104,16 @@ def test_window_from_coords_assigns_arrivals():
     assert [p.arrival for p in w.points] == [1, 2]
     assert w.t == 2
     assert len(w) == 2
+
+
+def test_dist_block_form_agrees_with_the_scalar_call():
+    rng = np.random.default_rng(5)
+    xs, ys = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+    block = dist.pairwise(xs, ys)
+    assert block.shape == (7, 4)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want = dist(Point(1, tuple(x)), Point(1, tuple(y)))
+            assert math.isclose(block[i, j], want, rel_tol=1e-12)
+    # a wrapped metric keeps its block form
+    assert functools.wraps(dist)(lambda p, q: dist(p, q)).pairwise is dist.pairwise

@@ -1,13 +1,24 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from streamkc import coreset
 from streamkc.core import Point, StreamParams, WindowView, dist
 from streamkc.coreset import GuessLadder, GuessState
 from streamkc.histogram import synthetic_full_window
 from streamkc.solver import brute_force_optimum
-from oracles import LadderShadow, active_window, coverage_radius, make_stream, stream_extremes
+from oracles import (
+    LadderShadow,
+    active_window,
+    coverage_radius,
+    looped,
+    make_stream,
+    manhattan,
+    reference_qualifies,
+    stream_extremes,
+)
 
 
 def pt(arrival, *coords):
@@ -194,9 +205,6 @@ class TestFixedLadder:
         assert coreset.guess == lad.states[min(lad.states)].guess
 
     def test_pluggable_metric(self):
-        def manhattan(p, q):
-            return sum(abs(a - b) for a, b in zip(p.coords, q.coords))
-
         params = StreamParams(20, 1, 0, 0.5, 0.5)
         lad = GuessLadder(params, "fixed", 0.5, 64.0, metric=manhattan)
         lad.process_point(Point(1, (0.0, 0.0)))
@@ -484,3 +492,164 @@ class TestSnapshot:
         snap["version"] = 99
         with pytest.raises(ValueError, match="version"):
             GuessLadder.from_snapshot(snap)
+
+
+def _crowd_attractions(snap, t, window_len):
+    st = next(s for s in snap["states"] if len(s["attractions"]) >= 2)
+    st["attractions"][1][1] = list(st["attractions"][0][1])
+
+
+def _flatten_counts(snap, t, window_len):
+    hist = next(h for s in snap["states"] for _, _, h in s["reps"] if len(h) >= 2)
+    hist[1][1] = hist[0][1]
+
+
+def _age_an_orphan(snap, t, window_len):
+    orphan = next(o for s in snap["states"] for o in s["orphans"])
+    orphan[0][0] = orphan[1][0][0] = t - window_len  # arrival and first timestamp
+
+
+def _orphan_a_representative(snap, t, window_len):
+    snap["states"][0]["reps"][0][0] += 10**6
+
+
+def _drop_a_field(snap, t, window_len):
+    del snap["states"][0]["evictions"]
+
+
+def _rewind_the_clock(snap, t, window_len):
+    snap["t"] = t - 10  # stored points would arrive after the clock
+
+
+class TestSnapshotVerification:
+    """from_snapshot verifies what it restored: a JSON round-trip of a
+    corrupted snapshot fails loudly instead of yielding a broken ladder."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            None,
+            _crowd_attractions,  # two attraction points within the radius
+            _flatten_counts,  # histogram counts that do not decrease
+            _age_an_orphan,  # an orphan older than the window
+            _orphan_a_representative,  # a reps entry with no attraction point
+            _drop_a_field,
+            _rewind_the_clock,
+        ],
+        ids=lambda f: "valid" if f is None else f.__name__.strip("_"),
+    )
+    def test_round_trip(self, corrupt):
+        rng = np.random.default_rng(67)
+        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
+        for p in make_stream(rng, 80, 2):
+            lad.process_point(p)
+        snap = json.loads(json.dumps(lad.to_snapshot()))
+        if corrupt is None:
+            assert GuessLadder.from_snapshot(snap).to_snapshot() == lad.to_snapshot()
+            return
+        corrupt(snap, lad.t, lad.params.window_len)
+        with pytest.raises(ValueError, match="corrupt ladder snapshot"):
+            GuessLadder.from_snapshot(json.loads(json.dumps(snap)))
+
+    def test_separation_check_reads_row_blocks(self, monkeypatch):
+        # a fine-style state with more attraction points than one block
+        monkeypatch.setattr(coreset, "_BLOCK", 5)
+        st = GuessState(1.0, 0.5, max_attractions=64, window_len=100, lam=0.5)
+        for i in range(1, 24):
+            st.process_point(pt(i, float(i)))
+        st.check_invariants(23)
+        st.attractions[17] = pt(18, 3.25)  # within 0.5 of the point at 3.0
+        st._buf[st._lo + 17] = (3.25,)
+        with pytest.raises(AssertionError, match="attraction points 3,18 too close"):
+            st.check_invariants(23)
+
+
+class TestBlockMetric:
+    """Every bulk distance pass reads the metric's own block form."""
+
+    def test_metric_without_pairwise_is_rejected(self):
+        params = StreamParams(20, 1, 1, 0.5, 0.5)
+
+        def scalar_only(p, q):
+            return dist(p, q)
+
+        with pytest.raises(TypeError, match="pairwise"):
+            GuessLadder(params, "oblivious", metric=scalar_only)
+        with pytest.raises(TypeError, match="pairwise"):
+            GuessState(1.0, 2.0, max_attractions=64, window_len=20, lam=0.5, metric=scalar_only)
+        snap = GuessLadder(params, "oblivious").to_snapshot()
+        with pytest.raises(TypeError, match="pairwise"):
+            GuessLadder.from_snapshot(snap, metric=scalar_only)
+
+    def test_manhattan_block_form_matches_a_looped_twin(self, monkeypatch):
+        # the ladder holds 48 or more attraction points, so its attraction
+        # search runs on Manhattan's block form, not on scalar calls
+        stream = make_stream(np.random.default_rng(71), 200, 3, "uniform")
+        params = StreamParams(120, 2, 1, 0.5, 0.5)
+
+        def run(metric):
+            lad = GuessLadder(params, "oblivious", metric=metric, attr_factor=0.2, cap=64)
+            most = 0
+            for p in stream:
+                lad.process_point(p)
+                most = max([most] + [len(st.attractions) for st in lad.states.values()])
+            return most, lad.to_snapshot()
+
+        most, snap = run(manhattan)
+        assert most >= 48
+        assert run(looped(manhattan)) == (most, snap)
+        monkeypatch.setattr(coreset, "_VEC_MIN", 10**9)  # scalar attraction search only
+        assert run(manhattan) == (most, snap)
+
+    @pytest.mark.parametrize("metric", [dist, manhattan])
+    def test_d_t_is_the_smallest_positive_recent_distance(self, metric):
+        rng = np.random.default_rng(73)
+        lad = GuessLadder(StreamParams(40, 3, 2, 0.5, 0.5), "oblivious", metric=metric)
+        stream = make_stream(rng, 150, 3)
+        lad.process_point(stream[0])
+        for p in stream[1:]:
+            lad.process_point(p)
+            want = stream_extremes(list(lad.recent), metric)[0]
+            assert math.isclose(lad.d_t, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("metric", [dist, manhattan])
+    def test_qualifies_matches_the_scalar_reference(self, metric):
+        rng = np.random.default_rng(79)
+        checked = rejected = 0
+        for trial in range(6):
+            k, z = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            params = StreamParams(30, k, z, 0.5, 0.5)
+            lad = GuessLadder(params, "oblivious", metric=metric)
+            for p in make_stream(rng, 90, 2, "uniform" if trial % 2 else "blobs"):
+                lad.process_point(p)
+                if p.arrival % 9 == 0:
+                    for e in lad.exponents():
+                        got = lad.qualifies(e)
+                        assert got == reference_qualifies(lad, e)
+                        checked += 1
+                        rejected += not got
+        assert checked > rejected > 0
+
+
+def _parent_exp_ceil(b: float, x: float) -> int:
+    """The earlier two-loop search for the smallest e with b**e >= x."""
+    e = math.ceil(math.log(x) / math.log(b))
+    while b**e < x:
+        e += 1
+    while b ** (e - 1) >= x:
+        e -= 1
+    return e
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.25, 1 / 3, 0.5, 1.0])
+def test_exp_ceil_matches_the_two_loop_search(beta):
+    lad = GuessLadder(StreamParams(20, 1, 1, 0.5, beta), "oblivious")
+    b = 1.0 + beta
+    rng = np.random.default_rng(83)
+    xs = list(10.0 ** rng.uniform(-12.0, 12.0, 20_000))
+    lo, hi = math.floor(math.log(1e-12, b)), math.ceil(math.log(1e12, b))
+    for e in range(lo, hi + 1):
+        x = b**e
+        xs += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, math.inf))]
+    for x in xs:
+        assert lad._exp_ceil(x) == _parent_exp_ceil(b, x), x

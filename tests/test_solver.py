@@ -17,15 +17,17 @@ from streamkc.solver import (
     outliers_cluster,
     samp_charikar,
 )
-from oracles import active_window, make_stream, reference_outliers_cluster, stream_extremes
+from oracles import (
+    active_window,
+    make_stream,
+    manhattan,
+    reference_outliers_cluster,
+    stream_extremes,
+)
 
 
 def wv(*coords_1d):
     return WindowView.from_coords([[c] for c in coords_1d])
-
-
-def manhattan(p, q):
-    return sum(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
 class TestOutliersCluster:
