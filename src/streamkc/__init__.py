@@ -26,6 +26,7 @@ from .effdiam import (
     coreset_effective_diameter,
     eff_sequential,
     exact_effective_diameter,
+    pair_masses,
 )
 
 __version__ = "0.1.0"
@@ -54,6 +55,7 @@ __all__ = [
     "EffDiameterEstimate",
     "FineCoresetState",
     "exact_effective_diameter",
+    "pair_masses",
     "coreset_effective_diameter",
     "eff_sequential",
     "__version__",

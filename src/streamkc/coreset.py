@@ -382,10 +382,8 @@ class GuessLadder:
         if mode == "fixed":
             if d_min is None or d_max is None or not 0 < d_min <= d_max:
                 raise ValueError("fixed mode requires 0 < d_min <= d_max")
-            # the grid reaches down to d_min/2 so that points at the minimum
-            # scale can still sit in separate attraction sets, mirroring the
-            # oblivious grid's lower end
-            for e in range(self._exp_floor(d_min / 2.0), self._exp_ceil(d_max) + 1):
+            lo, hi = self._grid_bounds()
+            for e in range(lo, hi + 1):
                 self.states[e] = self._new_state(e)
         else:
             self.first_point: Optional[Point] = None
@@ -415,6 +413,16 @@ class GuessLadder:
         """Smallest e with (1+beta)^e >= x."""
         f = self._exp_floor(x)
         return f if (1.0 + self.params.beta) ** f == x else f + 1
+
+    def _grid_bounds(self) -> tuple[int, int]:
+        """Lowest and highest exponent of the grid: floor(d_min/2) and
+        ceil(d_max) in fixed mode, floor(d_t/2) and ceil(2 D_t) from the
+        running estimates in oblivious mode.  The fixed grid reaches down to
+        d_min/2 so that points at the minimum scale can still sit in
+        separate attraction sets, mirroring the oblivious grid's lower end."""
+        if self.mode == "fixed":
+            return self._exp_floor(self.d_min / 2.0), self._exp_ceil(self.d_max)
+        return self._exp_floor(self.d_t / 2.0), self._exp_ceil(2.0 * self.D_t)
 
     def _new_state(self, exponent: int) -> GuessState:
         g = self.guess_value(exponent)
@@ -476,16 +484,14 @@ class GuessLadder:
     def _bootstrap(self) -> None:
         """First grid construction: replay the buffered prefix through empty
         states, which reproduces exactly what a from-scratch run would hold."""
-        lo = self._exp_floor(self.d_t / 2.0)
-        hi = self._exp_ceil(2.0 * self.D_t)
+        lo, hi = self._grid_bounds()
         for e in range(lo, hi + 1):
             self.states[e] = self._replayed_state(e, self.warmup)
         self.bootstrapped = True
         self.warmup.clear()
 
     def _retarget(self, prev_recent: list[Point], t: int) -> None:
-        lo = self._exp_floor(self.d_t / 2.0)
-        hi = self._exp_ceil(2.0 * self.D_t)
+        lo, hi = self._grid_bounds()
         old_lo = min(self.states)
         old_hi = max(self.states)
         for e in [e for e in self.states if e < lo or e > hi]:
@@ -611,6 +617,29 @@ class GuessLadder:
         return self.stored_points() * dim + 2 * self.histogram_entries() + scalars
 
     def check_invariants(self) -> None:
+        """Every state's invariants, plus the ladder-wide ones: the grid is
+        exactly the exponent range its mode implies, and in oblivious mode
+        d_t and D_t agree with the points they are derived from.
+
+        d_t is compared with a relative tolerance of 1e-9, since a snapshot
+        written before d_t came from the metric's block form holds the
+        scalar form's value, which may differ in the last bits."""
+        if self.mode == "oblivious":
+            d, _ = _extremes(_distances(self.recent, self.metric), len(self.recent))
+            assert d == 0 or math.isclose(self.d_t, d, rel_tol=1e-9), (
+                f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
+            )
+            if self.first_point is not None:
+                first = self.first_point
+                far = max((self.metric(first, q) for q in self.recent), default=0.0)
+                assert far <= self.D_t, f"D_t {self.D_t!r} is below {far!r}"
+            if self.bootstrapped:
+                assert 0 < self.d_t < math.inf and 0 < self.D_t < math.inf
+        # no oblivious grid exists before the bootstrap
+        built = self.mode == "fixed" or self.bootstrapped
+        lo, hi = self._grid_bounds() if built else (0, -1)
+        grid = self.exponents()
+        assert grid == list(range(lo, hi + 1)), f"grid {grid} is not [{lo}, {hi}]"
         for st in self.states.values():
             st.check_invariants(self.t)
 

@@ -7,7 +7,9 @@ are within d.  The streaming estimator runs two guess ladders side by side:
 a coarse *validation* ladder (one center, no outliers) that picks the right
 guess, and a *fine* ladder with a much smaller attraction radius whose
 representatives and orphans form the weighted coreset the estimate is
-computed on.  Distances are Euclidean throughout, like the exact oracle.
+computed on.  A query sorts that coreset's pairs once (``pair_masses``) and
+reads both of its levels from the one table.  Distances are Euclidean
+throughout, like the exact oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from scipy.spatial.distance import pdist
 
 from .core import Point, StreamParams, WindowView
 from .coreset import GuessLadder, WeightedCoreset
+
+# largest window whose squared size, the total ordered-pair mass, is below
+# 2^53, so that every cumulative pair mass is an exact integer
+MAX_WINDOW_LEN = math.isqrt(2**53 - 1)
 
 
 def exact_effective_diameter(window: WindowView, alpha: float) -> float:
@@ -38,45 +44,66 @@ def exact_effective_diameter(window: WindowView, alpha: float) -> float:
     return float(d[j - 1])
 
 
-def coreset_effective_diameter(
-    coreset: WeightedCoreset, alpha: float, window_size: int
-) -> tuple[float, bool]:
-    """Smallest coreset pair distance whose cumulative ordered-pair weight
-    mass reaches alpha * window_size^2.
+def pair_masses(coreset: WeightedCoreset) -> tuple[np.ndarray, np.ndarray]:
+    """The coreset's pair-mass table: its pair distances in ascending
+    order, and the cumulative ordered-pair weight mass at each of them.
 
-    Because stored weights underestimate true counts, the threshold can be
-    unreachable; in that case the largest coreset distance is returned with
-    the saturation flag set.
+    Entry 0 stands for the self-pairs (distance 0.0, mass sum of w^2); each
+    later entry is one pair i < j with mass 2 * w_i * w_j, so the last
+    cumulative mass is (sum of w)^2.  Built once per query and read by
+    ``coreset_effective_diameter`` at any number of levels.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
     pts = coreset.points
     n = len(pts)
     if n == 0:
         raise ValueError("empty coreset")
     w = np.array([wt for _, wt in pts], dtype=float)
-    need = alpha * window_size * window_size
-    mass0 = float((w * w).sum())  # self-pairs, distance zero
-    if mass0 >= need:
-        return 0.0, False
-    if n == 1:
-        return 0.0, True
-    coords = np.array([p.coords for p, _ in pts])
-    d = pdist(coords)
+    m = n * (n - 1) // 2
+    # both columns are filled in place (pdist's out=, an in-place cumsum), so
+    # a query holds at most four pair-sized arrays at once
+    dists = np.empty(m + 1)
+    dists[0] = 0.0
+    pdist(np.array([p.coords for p, _ in pts], dtype=float), out=dists[1:])
+    masses = np.empty(m + 1)
+    masses[0] = (w * w).sum()
     # pair masses in condensed (row-major i<j) order, built row by row to
     # avoid materializing the full n x n product
-    masses = np.empty_like(d)
-    pos = 0
+    pos = 1
     for i in range(n - 1):
-        m = n - 1 - i
-        np.multiply(w[i + 1 :], 2.0 * w[i], out=masses[pos : pos + m])
-        pos += m
-    order = np.argsort(d, kind="stable")
-    cum = mass0 + np.cumsum(masses[order])
-    hit = int(np.searchsorted(cum, need, side="left"))
-    if hit >= len(cum):
-        return float(d.max()), True
-    return float(d[order[hit]]), False
+        np.multiply(w[i + 1 :], 2.0 * w[i], out=masses[pos : pos + n - 1 - i])
+        pos += n - 1 - i
+    # An unstable sort is safe: weights are integer counts, so every mass is
+    # an integer and every cumulative mass is exact while it stays below
+    # 2^53 (window_size^2 < 2^53, which FineCoresetState enforces).  The
+    # cumulative mass before and after a run of equal distances is then the
+    # same in any order, so the first entry that reaches a threshold has
+    # the same distance whichever way the run is ordered.
+    order = np.argsort(dists[1:])
+    dists[1:] = dists[1:][order]
+    masses[1:] = masses[1:][order]
+    return dists, np.cumsum(masses, out=masses)
+
+
+def coreset_effective_diameter(
+    pairs: tuple[np.ndarray, np.ndarray], alpha: float, window_size: int
+) -> tuple[float, bool]:
+    """Smallest distance in a coreset's pair-mass table (``pair_masses``)
+    whose cumulative ordered-pair weight mass reaches alpha * window_size^2:
+    one binary search.  The self-pair entry answers 0.0 when the self-pairs
+    alone reach the threshold, as they do for a one-point coreset of full
+    weight.
+
+    Because stored weights underestimate true counts, the threshold can be
+    unreachable; in that case the largest coreset distance (0.0 for a single
+    point) is returned with the saturation flag set.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    dists, cum = pairs
+    hit = int(np.searchsorted(cum, alpha * window_size * window_size, side="left"))
+    if hit == len(cum):
+        return float(dists[-1]), True
+    return float(dists[hit]), False
 
 
 def eff_sequential(window: WindowView, alpha: float, bucket_step: float = 0.01) -> float:
@@ -153,15 +180,23 @@ class EffDiameterConfig:
 class EffDiameterEstimate:
     """Lower/upper estimates bracketing the window's effective diameter.
 
-    saturated is set when the fine layer overflowed its cap or the weight
-    mass could not reach the requested pair fraction; such estimates fall
-    back to the largest coreset distance and carry no bracketing guarantee.
+    Three causes can void the guarantee, each its own flag: overflowed (the
+    fine state at the selected guess evicted attraction points at its cap),
+    short_lower and short_upper (the coreset's weight mass cannot reach the
+    pair fraction of the lower or the upper level, so that level falls back
+    to the largest coreset distance).  saturated is set when any of them is.
     """
 
     lower: float
     upper: float
     coreset_size: int
-    saturated: bool
+    overflowed: bool
+    short_lower: bool
+    short_upper: bool
+
+    @property
+    def saturated(self) -> bool:
+        return self.overflowed or self.short_lower or self.short_upper
 
 
 class FineCoresetState:
@@ -182,6 +217,11 @@ class FineCoresetState:
         d_min: Optional[float] = None,
         d_max: Optional[float] = None,
     ):
+        if window_len > MAX_WINDOW_LEN:
+            raise ValueError(
+                f"window_len must be at most {MAX_WINDOW_LEN}: beyond it "
+                "window_len^2 reaches 2^53 and pair masses stop being exact"
+            )
         self.cfg = cfg
         params = StreamParams(window_len, k=1, z=0, lam=cfg.lam, beta=cfg.beta)
         self.validation = GuessLadder(params, mode, d_min, d_max)
@@ -214,7 +254,9 @@ class FineCoresetState:
         return self.fine.coreset_at(e), self.fine.states[e].evictions > 0
 
     def estimate(self) -> EffDiameterEstimate:
-        """Lower and upper estimates for the current window."""
+        """Lower and upper estimates for the current window: one pair-mass
+        table of the fine coreset, read at the shrunk level alpha/(1+lam)^2
+        for the lower estimate and at alpha for the upper one."""
         cfg = self.cfg
         if cfg.eps >= 1:
             raise ValueError("estimates require eps < 1")
@@ -222,14 +264,17 @@ class FineCoresetState:
         if wsize < 1:
             raise RuntimeError("no points processed yet")
         coreset, overflowed = self.fine_coreset()
+        pairs = pair_masses(coreset)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
-        low_raw, sat_low = coreset_effective_diameter(coreset, shrunk, wsize)
-        up_raw, sat_up = coreset_effective_diameter(coreset, cfg.alpha, wsize)
+        low_raw, short_lower = coreset_effective_diameter(pairs, shrunk, wsize)
+        up_raw, short_upper = coreset_effective_diameter(pairs, cfg.alpha, wsize)
         return EffDiameterEstimate(
             lower=low_raw / (1.0 + cfg.eps),
             upper=up_raw / (1.0 - cfg.eps),
             coreset_size=len(coreset),
-            saturated=overflowed or sat_low or sat_up,
+            overflowed=overflowed,
+            short_lower=short_lower,
+            short_upper=short_upper,
         )
 
     def saturation_events(self) -> int:

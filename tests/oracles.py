@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from streamkc.core import Point, StreamParams, WindowView, dist
-from streamkc.coreset import GuessLadder
+from streamkc.coreset import GuessLadder, WeightedCoreset
 from streamkc.histogram import Histogram
 
 
@@ -124,6 +124,46 @@ def reference_qualifies(ladder: GuessLadder, exponent: int) -> bool:
             if len(chosen) > cap:
                 return False
     return True
+
+
+def reference_coreset_effective_diameter(
+    coreset: WeightedCoreset, alpha: float, window_size: int
+) -> tuple[float, bool]:
+    """Two-branch, stable-sort pair-mass search: the reference for
+    ``streamkc.effdiam.coreset_effective_diameter`` over ``pair_masses``.
+
+    Smallest coreset pair distance whose cumulative ordered-pair weight mass
+    reaches alpha * window_size^2, or the largest coreset distance with the
+    saturation flag set when the threshold is unreachable.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    pts = coreset.points
+    n = len(pts)
+    if n == 0:
+        raise ValueError("empty coreset")
+    w = np.array([wt for _, wt in pts], dtype=float)
+    need = alpha * window_size * window_size
+    mass0 = float((w * w).sum())  # self-pairs, distance zero
+    if mass0 >= need:
+        return 0.0, False
+    if n == 1:
+        return 0.0, True
+    coords = np.array([p.coords for p, _ in pts])
+    d = pdist(coords)
+    # pair masses in condensed (row-major i<j) order
+    masses = np.empty_like(d)
+    pos = 0
+    for i in range(n - 1):
+        m = n - 1 - i
+        np.multiply(w[i + 1 :], 2.0 * w[i], out=masses[pos : pos + m])
+        pos += m
+    order = np.argsort(d, kind="stable")
+    cum = mass0 + np.cumsum(masses[order])
+    hit = int(np.searchsorted(cum, need, side="left"))
+    if hit >= len(cum):
+        return float(d.max()), True
+    return float(d[order[hit]]), False
 
 
 class LadderShadow:

@@ -521,6 +521,15 @@ def _rewind_the_clock(snap, t, window_len):
     snap["t"] = t - 10  # stored points would arrive after the clock
 
 
+def _inflate_d_t(snap, t, window_len):
+    snap["oblivious"]["d_t"] = 1e6
+
+
+def _drop_a_middle_guess(snap, t, window_len):
+    states = snap["states"]
+    del states[len(states) // 2]
+
+
 class TestSnapshotVerification:
     """from_snapshot verifies what it restored: a JSON round-trip of a
     corrupted snapshot fails loudly instead of yielding a broken ladder."""
@@ -535,6 +544,8 @@ class TestSnapshotVerification:
             _orphan_a_representative,  # a reps entry with no attraction point
             _drop_a_field,
             _rewind_the_clock,
+            _inflate_d_t,  # not the recent points' smallest distance
+            _drop_a_middle_guess,  # a gap in the grid
         ],
         ids=lambda f: "valid" if f is None else f.__name__.strip("_"),
     )

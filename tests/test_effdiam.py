@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from streamkc import effdiam
 from streamkc.core import Point, WindowView
 from streamkc.coreset import WeightedCoreset
 from streamkc.effdiam import (
+    MAX_WINDOW_LEN,
     EffDiameterConfig,
     FineCoresetState,
     coreset_effective_diameter,
     eff_sequential,
     exact_effective_diameter,
+    pair_masses,
 )
 from streamkc.experiment import generate_ball_stream
-from oracles import LadderShadow, stream_extremes
+from oracles import LadderShadow, reference_coreset_effective_diameter, stream_extremes
 
 
 def wv(*coords_1d):
@@ -58,23 +62,23 @@ class TestCoresetEstimate:
 
     def test_self_pairs_reach_threshold(self):
         T = self._coreset([(0, 2), (10, 1)])
-        value, saturated = coreset_effective_diameter(T, 0.5, 3)
+        value, saturated = coreset_effective_diameter(pair_masses(T), 0.5, 3)
         assert value == 0.0 and not saturated
 
     def test_cross_pairs_needed(self):
         T = self._coreset([(0, 2), (10, 1)])
-        value, saturated = coreset_effective_diameter(T, 0.9, 3)
+        value, saturated = coreset_effective_diameter(pair_masses(T), 0.9, 3)
         assert value == 10.0 and not saturated
 
     def test_single_point_full_weight(self):
         for alpha in (0.1, 0.5, 0.99):
             T = self._coreset([(5, 7)])
-            value, saturated = coreset_effective_diameter(T, alpha, 7)
+            value, saturated = coreset_effective_diameter(pair_masses(T), alpha, 7)
             assert value == 0.0 and not saturated
 
     def test_saturation_when_weights_insufficient(self):
         T = self._coreset([(0, 1), (3, 1)])
-        value, saturated = coreset_effective_diameter(T, 0.9, 100)
+        value, saturated = coreset_effective_diameter(pair_masses(T), 0.9, 100)
         assert saturated and value == 3.0
 
     def test_monotone_in_alpha(self):
@@ -84,9 +88,77 @@ class TestCoresetEstimate:
         total = sum(w for _, w in pairs)
         prev = -1.0
         for alpha in np.linspace(0.05, 0.999, 17):
-            value, _ = coreset_effective_diameter(T, float(alpha), total)
+            value, _ = coreset_effective_diameter(pair_masses(T), float(alpha), total)
             assert value >= prev
             prev = value
+
+
+def _random_coreset(rng, style):
+    """Seeded coreset with integer weights; "lattice" and "duplicates" make
+    many exactly equal pair distances."""
+    n = int(rng.integers(1, 30))
+    dim = int(rng.integers(1, 4))
+    if style == "lattice":
+        coords = rng.integers(0, 3, size=(n, dim)).astype(float)
+    elif style == "duplicates":
+        base = rng.random((max(1, n // 3), dim)) * 5
+        coords = base[rng.integers(0, len(base), size=n)]
+    else:
+        coords = rng.random((n, dim)) * 5
+    pts = tuple(
+        (Point(i + 1, tuple(float(c) for c in row)), int(w))
+        for i, (row, w) in enumerate(zip(coords, rng.integers(1, 6, size=n)))
+    )
+    return WeightedCoreset(points=pts, guess=1.0, t=n)
+
+
+class TestPairMassTable:
+    def test_lookup_matches_the_two_pass_reference(self):
+        rng = np.random.default_rng(71)
+        seen = {"n1": 0, "ties": 0, "saturated": 0, "unsaturated": 0}
+        for trial in range(240):
+            T = _random_coreset(rng, ("uniform", "lattice", "duplicates")[trial % 3])
+            total = T.total_weight()
+            window_size = total + int(rng.integers(0, total + 1))
+            pairs = pair_masses(T)
+            d = pdist(np.array([p.coords for p, _ in T.points]))
+            seen["n1"] += len(T) == 1
+            seen["ties"] += len(np.unique(d)) < len(d)
+            # both levels of a default query, then one random level
+            for alpha in (0.9 / 1.5**2, 0.9, float(rng.uniform(0.01, 1.0))):
+                got = coreset_effective_diameter(pairs, alpha, window_size)
+                assert got == reference_coreset_effective_diameter(T, alpha, window_size)
+                seen["saturated" if got[1] else "unsaturated"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_table_starts_with_the_self_pairs(self):
+        T = _random_coreset(np.random.default_rng(3), "lattice")
+        dists, cum = pair_masses(T)
+        w = [wt for _, wt in T.points]
+        assert dists[0] == 0.0 and cum[0] == sum(x * x for x in w)
+        assert cum[-1] == sum(w) ** 2
+        assert np.all(np.diff(dists) >= 0) and np.all(np.diff(cum) > 0)
+
+    def test_estimate_builds_one_table_per_query(self, monkeypatch):
+        calls = []
+        real = effdiam.pair_masses
+        monkeypatch.setattr(effdiam, "pair_masses", lambda c: calls.append(c) or real(c))
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.1)
+        state = FineCoresetState(cfg, window_len=40, mode="fixed", d_min=0.01, d_max=100.0)
+        for p in stream_points(generate_ball_stream(30, dim=2, seed=5)):
+            state.process_point(p)
+        state.estimate()
+        assert len(calls) == 1
+
+    def test_window_len_bound_keeps_pair_masses_exact(self, monkeypatch):
+        assert MAX_WINDOW_LEN**2 < 2**53 <= (MAX_WINDOW_LEN + 1) ** 2
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1)
+        FineCoresetState(cfg, window_len=MAX_WINDOW_LEN)  # allocates nothing per slot
+        built = []
+        monkeypatch.setattr(effdiam, "GuessLadder", lambda *a, **kw: built.append(a))
+        with pytest.raises(ValueError, match="window_len must be at most 94906265"):
+            FineCoresetState(cfg, window_len=MAX_WINDOW_LEN + 1)
+        assert built == []
 
 
 class TestEffSequential:
@@ -179,6 +251,39 @@ class TestFineState:
             state.process_point(Point(i + 1, tuple(rng.random(2) * 10)))
         assert state.saturation_events() > 0
         est = state.estimate()
+        assert est.saturated and est.overflowed
+
+    def test_overflow_alone(self):
+        # three far points overflow the two-point cap; once they expire, the
+        # window's points all sit at one spot and keep their full weight
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, fine_cap=2)
+        state = FineCoresetState(cfg, window_len=5, mode="fixed", d_min=0.05, d_max=30.0)
+        for i, x in enumerate([0.0, 10.0, 20.0] + [20.0] * 7):
+            state.process_point(Point(i + 1, (x,)))
+        est = state.estimate()
+        assert (est.overflowed, est.short_lower, est.short_upper) == (True, False, False)
+        assert est.saturated
+
+    @pytest.mark.parametrize(
+        "weights, flags",
+        # 10 window points, alpha 0.9, lam 0.5: the levels need ordered-pair
+        # masses of 40 and 90; two points of weight 4 reach 64, of weight 2 16
+        [((4, 4), (False, False, True)), ((2, 2), (False, True, True))],
+        ids=["upper_only", "both_levels"],
+    )
+    def test_mass_shortfall(self, monkeypatch, weights, flags):
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=0.5)
+        state = FineCoresetState(cfg, window_len=10, mode="fixed", d_min=0.05, d_max=30.0)
+        for i in range(10):
+            state.process_point(Point(i + 1, (float(i % 2),)))
+        light = WeightedCoreset(
+            points=tuple((Point(i + 1, (float(i),)), w) for i, w in enumerate(weights)),
+            guess=1.0,
+            t=10,
+        )
+        monkeypatch.setattr(state, "fine_coreset", lambda: (light, False))
+        est = state.estimate()
+        assert (est.overflowed, est.short_lower, est.short_upper) == flags
         assert est.saturated
 
     def test_sandwich_on_ball_windows(self):
@@ -278,7 +383,8 @@ class TestFineState:
         )
         wsize = len(active)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
-        lo_est, _ = coreset_effective_diameter(coreset, shrunk, wsize)
-        mid_exact, _ = coreset_effective_diameter(exact_coreset, cfg.alpha, wsize)
-        hi_est, _ = coreset_effective_diameter(coreset, cfg.alpha, wsize)
+        pairs = pair_masses(coreset)
+        lo_est, _ = coreset_effective_diameter(pairs, shrunk, wsize)
+        mid_exact, _ = coreset_effective_diameter(pair_masses(exact_coreset), cfg.alpha, wsize)
+        hi_est, _ = coreset_effective_diameter(pairs, cfg.alpha, wsize)
         assert lo_est <= mid_exact <= hi_est
