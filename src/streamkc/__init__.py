@@ -2,7 +2,7 @@
 effective diameter estimation, sequential baselines and exhaustive oracles.
 """
 
-from .core import Point, StreamParams, WindowView, dist, radius_excluding
+from .core import InvariantError, Point, StreamParams, WindowView, dist, radius_excluding
 from .histogram import (
     bump_and_trim,
     new_histogram,
@@ -37,6 +37,7 @@ __all__ = [
     "WindowView",
     "dist",
     "radius_excluding",
+    "InvariantError",
     "new_histogram",
     "bump_and_trim",
     "weight_estimate",

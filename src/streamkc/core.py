@@ -21,6 +21,13 @@ Metric = Callable[["Point", "Point"], float]  # plus a .pairwise block form
 # rows per distance block: bounds a block to _BLOCK x n floats
 _BLOCK = 256
 
+
+class InvariantError(AssertionError):
+    """A structure's invariant does not hold.  The checks raise it
+    explicitly, so they still verify under ``python -O``; as an
+    AssertionError it is caught wherever a failed assert would be."""
+
+
 Distances = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 

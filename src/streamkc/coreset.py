@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import _BLOCK, Metric, Point, StreamParams, _distances, _extremes, dist
+from .core import _BLOCK, InvariantError, Metric, Point, StreamParams, dist
+from .core import _distances, _extremes
 from .histogram import (
     Histogram,
     bump_and_trim,
@@ -266,18 +267,23 @@ class GuessState:
         )
 
     def check_invariants(self, t: int) -> None:
+        """Raise InvariantError unless the state is consistent at clock t."""
         window_len, lam = self.window_len, self.lam
         attrs = self.attractions
         n = len(attrs)
-        assert n <= self.max_attractions
-        assert len(self.reps) == n, "one representative per attraction point"
-        assert n == len({a.arrival for a in attrs})
-        assert self._hi - self._lo == n
+        if n > self.max_attractions:
+            raise InvariantError(f"{n} attraction points, cap {self.max_attractions}")
+        if len(self.reps) != n:
+            raise InvariantError("not one representative per attraction point")
+        if n != len({a.arrival for a in attrs}) or self._hi - self._lo != n:
+            raise InvariantError("attraction points repeat or miss their buffer rows")
         for i in range(n):
-            assert attrs[i].arrival > t - window_len, "stored expired attraction point"
-            assert tuple(self._buf[self._lo + i]) == attrs[i].coords
-            if i:
-                assert attrs[i - 1].arrival < attrs[i].arrival
+            if attrs[i].arrival <= t - window_len:
+                raise InvariantError("stored expired attraction point")
+            if tuple(self._buf[self._lo + i]) != attrs[i].coords:
+                raise InvariantError(f"buffer row {i} is not its attraction point")
+            if i and attrs[i - 1].arrival >= attrs[i].arrival:
+                raise InvariantError("attraction points not in arrival order")
         d = _distances(attrs, self.metric)
         for r0 in range(0, n - 1, _BLOCK):
             rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
@@ -285,22 +291,26 @@ class GuessState:
             close = np.argwhere(np.triu(d(rows, np.arange(r0, n)) <= self.attr_radius, 1))
             if close.size:
                 i, j = r0 + close[0]
-                raise AssertionError(
+                raise InvariantError(
                     f"attraction points {attrs[i].arrival},{attrs[j].arrival} too close"
                 )
         for a in attrs:
             rep, hist = self.reps[a.arrival]
-            assert a.arrival <= rep.arrival <= t
-            assert rep.arrival > t - window_len
+            if not a.arrival <= rep.arrival <= t or rep.arrival <= t - window_len:
+                raise InvariantError(f"representative {rep.arrival} out of range")
             check_histogram(hist, window_len, lam)
-        if self.orphan_cap is not None:
-            assert len(self.orphans) <= self.orphan_cap
+        if self.orphan_cap is not None and len(self.orphans) > self.orphan_cap:
+            raise InvariantError(f"{len(self.orphans)} orphans, cap {self.orphan_cap}")
         for arrival, (r, hist) in self.orphans.items():
-            assert arrival == r.arrival <= t
-            assert r.arrival > t - window_len, "stored expired orphan"
-            assert self._first_ts.get(hist[0][0]) == arrival
+            if not arrival == r.arrival <= t:
+                raise InvariantError(f"orphan {arrival} misfiled or after the clock")
+            if r.arrival <= t - window_len:
+                raise InvariantError("stored expired orphan")
+            if self._first_ts.get(hist[0][0]) != arrival:
+                raise InvariantError(f"orphan {arrival} not in the timestamp index")
             check_histogram(hist, window_len, lam)
-        assert len(self._first_ts) == len(self.orphans)
+        if len(self._first_ts) != len(self.orphans):
+            raise InvariantError("timestamp index out of step with the orphans")
 
     # -- snapshots -----------------------------------------------------------
 
@@ -619,27 +629,33 @@ class GuessLadder:
     def check_invariants(self) -> None:
         """Every state's invariants, plus the ladder-wide ones: the grid is
         exactly the exponent range its mode implies, and in oblivious mode
-        d_t and D_t agree with the points they are derived from.
+        d_t and D_t agree with the points they are derived from.  The
+        first that fails raises InvariantError.
 
         d_t is compared with a relative tolerance of 1e-9, since a snapshot
         written before d_t came from the metric's block form holds the
         scalar form's value, which may differ in the last bits."""
         if self.mode == "oblivious":
             d, _ = _extremes(_distances(self.recent, self.metric), len(self.recent))
-            assert d == 0 or math.isclose(self.d_t, d, rel_tol=1e-9), (
-                f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
-            )
+            if not (d == 0 or math.isclose(self.d_t, d, rel_tol=1e-9)):
+                raise InvariantError(
+                    f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
+                )
             if self.first_point is not None:
                 first = self.first_point
                 far = max((self.metric(first, q) for q in self.recent), default=0.0)
-                assert far <= self.D_t, f"D_t {self.D_t!r} is below {far!r}"
-            if self.bootstrapped:
-                assert 0 < self.d_t < math.inf and 0 < self.D_t < math.inf
+                if not far <= self.D_t:
+                    raise InvariantError(f"D_t {self.D_t!r} is below {far!r}")
+            if self.bootstrapped and not (
+                0 < self.d_t < math.inf and 0 < self.D_t < math.inf
+            ):
+                raise InvariantError(f"d_t {self.d_t!r}, D_t {self.D_t!r} not in (0, inf)")
         # no oblivious grid exists before the bootstrap
         built = self.mode == "fixed" or self.bootstrapped
         lo, hi = self._grid_bounds() if built else (0, -1)
         grid = self.exponents()
-        assert grid == list(range(lo, hi + 1)), f"grid {grid} is not [{lo}, {hi}]"
+        if grid != list(range(lo, hi + 1)):
+            raise InvariantError(f"grid {grid} is not [{lo}, {hi}]")
         for st in self.states.values():
             st.check_invariants(self.t)
 

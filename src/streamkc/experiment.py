@@ -103,8 +103,8 @@ class ExperimentConfig:
         if self.mode not in ("fixed", "oblivious"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "fixed" and self.algorithm in ("sliding", "eff-sliding"):
-            if self.d_min is None or self.d_max is None or not 0 < self.d_min < self.d_max:
-                raise ValueError("fixed mode requires 0 < d_min < d_max")
+            if self.d_min is None or self.d_max is None or not 0 < self.d_min <= self.d_max:
+                raise ValueError("fixed mode requires 0 < d_min <= d_max")
         if self.algorithm in ("sliding", "charikar", "samp-charikar", "gon"):
             # surfaces bad k/z combinations before streaming starts
             StreamParams(self.window_len, self.k, self.z, self.lam, self.beta)

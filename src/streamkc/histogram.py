@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+from .core import InvariantError
+
 Histogram = list[tuple[int, int]]
 
 
@@ -94,18 +96,25 @@ def max_entries(window_len: int, lam: float) -> int:
 
 
 def check_invariants(hist: Histogram, window_len: int, lam: float) -> None:
-    """Raise AssertionError if any histogram invariant is violated."""
-    assert hist, "histogram is empty"
+    """Raise InvariantError if any histogram invariant is violated."""
+    if not hist:
+        raise InvariantError("histogram is empty")
     factor = 1.0 + lam
     for i, (ts, c) in enumerate(hist):
-        assert 1 <= c <= window_len, f"count {c} outside [1, {window_len}]"
-        if i:
-            assert ts > hist[i - 1][0], "timestamps not strictly increasing"
-            assert c < hist[i - 1][1], "counts not strictly decreasing"
+        if not 1 <= c <= window_len:
+            raise InvariantError(f"count {c} outside [1, {window_len}]")
+        if i and ts <= hist[i - 1][0]:
+            raise InvariantError("timestamps not strictly increasing")
+        if i and c >= hist[i - 1][1]:
+            raise InvariantError("counts not strictly decreasing")
     for i in range(len(hist) - 1):
         ci, cj = hist[i][1], hist[i + 1][1]
-        assert ci <= factor * cj or ci == cj + 1, f"adjacent gap at {i}: {ci} vs {cj}"
+        if not (ci <= factor * cj or ci == cj + 1):
+            raise InvariantError(f"adjacent gap at {i}: {ci} vs {cj}")
     for i in range(len(hist) - 2):
-        assert hist[i][1] > factor * hist[i + 2][1], f"two-apart overlap at {i}"
-    assert hist[-1][1] == 1, "last entry count must be 1"
-    assert len(hist) <= max_entries(window_len, lam), "histogram too long"
+        if not hist[i][1] > factor * hist[i + 2][1]:
+            raise InvariantError(f"two-apart overlap at {i}")
+    if hist[-1][1] != 1:
+        raise InvariantError("last entry count must be 1")
+    if len(hist) > max_entries(window_len, lam):
+        raise InvariantError("histogram too long")

@@ -11,6 +11,14 @@ one whose run leaves at most z uncovered weight.  Distances are read in
 blocks of at most ``_BLOCK`` rows through ``core._distances``, in the
 metric's own block form, so no full pairwise matrix is built.
 
+Before a scan, a farthest-first traversal (Gonzalez, TCS 1985; also the
+``gonzalez`` baseline) picks k + z + 1 points and measures their smallest
+pairwise distance, the separation.  A radius whose removal balls are less
+than half that wide cannot succeed: each ball holds at most one of those
+points, so at least z + 1 of them, each of weight at least 1, stay
+uncovered.  The scan skips such radii without a run; every radius it does
+try is the same grid value as in a full scan, so its outcome is the same.
+
 ``compute_solution`` takes k, z, beta and the metric from the ladder it
 solves on, so the coreset is always clustered in the metric it was built in.
 """
@@ -24,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import _BLOCK, Metric, Point, WindowView, dist, radius_excluding
+from .core import _BLOCK, Distances, Metric, Point, WindowView, dist, radius_excluding
 from .core import _distances, _extremes
 from .coreset import GuessLadder
 
@@ -103,6 +111,62 @@ def outliers_cluster(
     return centers, [(points[j], weights[j]) for j in uncovered]
 
 
+def _farthest_first(d: Distances, n: int, m: int) -> tuple[list[int], float]:
+    """Farthest-first traversal (Gonzalez, TCS 1985) of n >= 1 points,
+    seeded at point 0: the first min(m, n) picks, each the first point
+    farthest from the picks before it, read one distance row per pick.
+    Also returns the picks' smallest pairwise distance (inf for one pick),
+    which is the smallest distance from a pick to the picks before it."""
+    everyone = np.arange(n)
+    picks, sep = [0], math.inf
+    near = d([0], everyone)[0]
+    while len(picks) < min(m, n):
+        i = int(np.argmax(near))
+        picks.append(i)
+        sep = min(sep, float(near[i]))
+        near = np.minimum(near, d([i], everyone)[0])
+    return picks, sep
+
+
+def _first_covering(
+    grid: list[float],
+    pts: Sequence[Point],
+    wts: Sequence[int],
+    d: Distances,
+    k: int,
+    z: int,
+    eps: float,
+    metric: Metric,
+    candidates: Optional[Callable[[int], np.ndarray]] = None,
+) -> tuple[float, list[Point], int]:
+    """(rho, centers, uncovered weight) of the first grid radius whose
+    greedy run leaves at most z uncovered weight; every weight is >= 1.
+
+    A radius is skipped without a run when 2 * (3 + 4*eps) * rho is below
+    the separation of k + z + 1 farthest-first picks: every removal ball
+    then holds at most one pick, so z + 1 picks stay uncovered after the k
+    rounds, and the run fails.  With fewer than k + z + 1 points the
+    separation is 0 and nothing is skipped.  A failing run takes all k
+    rounds, since uncovered picks remain, so a skip still draws the k
+    candidate sets the run would have drawn.
+    """
+    n = len(pts)
+    sep = 0.0 if n < k + z + 1 else _farthest_first(d, n, k + z + 1)[1]
+    for rho in grid:
+        # the relative margin absorbs rounding in the distances the bound
+        # and the run read: a radius that near the bound is always run
+        if 2.0 * (3.0 + 4.0 * eps) * rho * (1.0 + 1e-9) < sep:
+            if candidates is not None:
+                for r in range(k):
+                    candidates(r)
+            continue
+        centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric, candidates)
+        uw = sum(w for _, w in uncovered)
+        if uw <= z:
+            return rho, centers, uw
+    raise RuntimeError("radius grid exhausted without covering enough weight")
+
+
 def compute_solution(
     ladder: GuessLadder,
     eps: Optional[float] = None,
@@ -112,7 +176,8 @@ def compute_solution(
     leaves at most the ladder's z uncovered weight with its k centers.
 
     The radius grid starts at zero (degenerate exact covers), then walks
-    geometrically with step (1 + beta) from the ladder's lower distance bound.
+    geometrically with step (1 + beta) from the ladder's lower distance bound;
+    radii below the separation bound are skipped (``_first_covering``).
     eps defaults to 4*(1 + beta), matching the coreset's dilation.  Distances,
     including the scoring against window when one is given, are the ladder's
     metric.
@@ -123,6 +188,7 @@ def compute_solution(
     coreset = ladder.extract_coreset()
     pts = [p for p, _ in coreset.points]
     wts = [w for _, w in coreset.points]
+    d = _distances(pts, metric)
 
     if ladder.mode == "fixed":
         lo, cap = ladder.d_min / 2.0, ladder.d_max * (1.0 + params.beta)
@@ -131,16 +197,11 @@ def compute_solution(
     else:
         # warm-up: the coreset is the exact buffer, bound the grid by it;
         # without a positive distance, radius 0 already covers every point
-        lo, hi = _extremes(_distances(pts, metric), len(pts))
+        lo, hi = _extremes(d, len(pts))
         cap = 4.0 * hi
 
-    for rho in _radius_grid(lo, cap, 1.0 + params.beta):
-        centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric)
-        uw = sum(w for _, w in uncovered)
-        if uw <= z:
-            break
-    else:
-        raise RuntimeError("radius grid exhausted without covering enough weight")
+    grid = _radius_grid(lo, cap, 1.0 + params.beta)
+    rho, centers, uw = _first_covering(grid, pts, wts, d, k, z, eps, metric)
     achieved = None if window is None else radius_excluding(centers, window, z, metric)
     return SolveOutcome(
         centers=tuple(centers),
@@ -202,16 +263,8 @@ def gonzalez(window: WindowView, k: int, metric: Metric = dist) -> list[Point]:
     if k < 1:
         raise ValueError("k must be >= 1")
     pts = window.points
-    centers = [pts[0]]
-    mind = [metric(p, pts[0]) for p in pts]
-    while len(centers) < min(k, len(pts)):
-        i = max(range(len(pts)), key=lambda j: mind[j])
-        centers.append(pts[i])
-        for j in range(len(pts)):
-            d = metric(pts[j], pts[i])
-            if d < mind[j]:
-                mind[j] = d
-    return centers
+    picks, _ = _farthest_first(_distances(pts, metric), len(pts), k)
+    return [pts[i] for i in picks]
 
 
 def _whole_window(
@@ -227,20 +280,19 @@ def _whole_window(
     run leaves at most z uncovered points."""
     pts = list(window.points)
     n = len(pts)
-    lo, hi = _extremes(_distances(pts, metric), n)
-    for rho in _radius_grid(lo, hi, 1.0 + step):
-        centers, uncovered = outliers_cluster(
-            pts, [1] * n, k, rho, 0.0, metric, candidates
-        )
-        if len(uncovered) <= z:
-            achieved = 0.0 if z >= n else radius_excluding(centers, window, z, metric)
-            return SolveOutcome(
-                centers=tuple(centers),
-                uncovered_weight=len(uncovered),
-                rho_min=rho,
-                achieved_radius=achieved,
-            )
-    raise RuntimeError("radius grid exhausted; should be unreachable")
+    d = _distances(pts, metric)
+    lo, hi = _extremes(d, n)
+    grid = _radius_grid(lo, hi, 1.0 + step)
+    rho, centers, uw = _first_covering(
+        grid, pts, [1] * n, d, k, z, 0.0, metric, candidates
+    )
+    achieved = 0.0 if z >= n else radius_excluding(centers, window, z, metric)
+    return SolveOutcome(
+        centers=tuple(centers),
+        uncovered_weight=uw,
+        rho_min=rho,
+        achieved_radius=achieved,
+    )
 
 
 def charikar(

@@ -12,9 +12,10 @@ from collections import Counter
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from streamkc.core import Point, StreamParams, WindowView, dist
+from streamkc.core import Point, StreamParams, WindowView, _distances, _extremes, dist
 from streamkc.coreset import GuessLadder, WeightedCoreset
 from streamkc.histogram import Histogram
+from streamkc.solver import _radius_grid, outliers_cluster
 
 
 class ExactHistogram:
@@ -124,6 +125,77 @@ def reference_qualifies(ladder: GuessLadder, exponent: int) -> bool:
             if len(chosen) > cap:
                 return False
     return True
+
+
+def reference_gonzalez(window: WindowView, k: int, metric=dist) -> list[Point]:
+    """Scalar farthest-first traversal seeded at the first window point, the
+    first farthest point on ties: the reference for ``streamkc.solver.gonzalez``."""
+    pts = window.points
+    centers = [pts[0]]
+    mind = [metric(p, pts[0]) for p in pts]
+    while len(centers) < min(k, len(pts)):
+        i = max(range(len(pts)), key=lambda j: mind[j])
+        centers.append(pts[i])
+        for j in range(len(pts)):
+            d = metric(pts[j], pts[i])
+            if d < mind[j]:
+                mind[j] = d
+    return centers
+
+
+def reference_scan(grid, pts, wts, k, z, eps, metric=dist, candidates=None):
+    """Unpruned radius scan: the reference for the scans of
+    ``streamkc.solver``, which skip radii below their separation bound.
+
+    Runs the greedy at every grid radius, upward, and returns (rho, centers,
+    uncovered weight) of the first run that leaves at most z uncovered
+    weight.  The grid itself is built as the solver builds it, so both scans
+    visit the same floats.
+    """
+    for rho in grid:
+        centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric, candidates)
+        uw = sum(w for _, w in uncovered)
+        if uw <= z:
+            return rho, centers, uw
+    raise RuntimeError("radius grid exhausted without covering enough weight")
+
+
+def reference_solution_scan(ladder: GuessLadder, eps=None):
+    """(grid, scan result) of ``compute_solution`` on ladder, unpruned."""
+    params, metric = ladder.params, ladder.metric
+    eps = 4.0 * (1.0 + params.beta) if eps is None else eps
+    coreset = ladder.extract_coreset()
+    pts = [p for p, _ in coreset.points]
+    wts = [w for _, w in coreset.points]
+    if ladder.mode == "fixed":
+        lo, cap = ladder.d_min / 2.0, ladder.d_max * (1.0 + params.beta)
+    elif ladder.bootstrapped:
+        lo, cap = ladder.d_t / 2.0, 4.0 * ladder.D_t
+    else:
+        lo, hi = _extremes(_distances(pts, metric), len(pts))
+        cap = 4.0 * hi
+    grid = _radius_grid(lo, cap, 1.0 + params.beta)
+    return grid, reference_scan(grid, pts, wts, params.k, params.z, eps, metric)
+
+
+def reference_window_scan(window: WindowView, k, z, step=0.5, metric=dist,
+                          sample_size=None, seed=0):
+    """(grid, scan result) of ``charikar`` on window, unpruned; of
+    ``samp_charikar`` with its Bernoulli sampler when sample_size is given."""
+    pts = list(window.points)
+    n = len(pts)
+    lo, hi = _extremes(_distances(pts, metric), n)
+    grid = _radius_grid(lo, hi, 1.0 + step)
+    candidates = None
+    if sample_size is not None and sample_size < n:
+        rng = np.random.default_rng(seed)
+        prob = sample_size / n
+
+        def candidates(_round):
+            picked = np.flatnonzero(rng.random(n) < prob)
+            return picked if picked.size else np.arange(n)
+
+    return grid, reference_scan(grid, pts, [1] * n, k, z, 0.0, metric, candidates)
 
 
 def reference_coreset_effective_diameter(

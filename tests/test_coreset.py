@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -561,6 +564,40 @@ class TestSnapshotVerification:
         corrupt(snap, lad.t, lad.params.window_len)
         with pytest.raises(ValueError, match="corrupt ladder snapshot"):
             GuessLadder.from_snapshot(json.loads(json.dumps(snap)))
+
+    def test_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the checks raise explicitly
+        rng = np.random.default_rng(67)
+        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
+        for p in make_stream(rng, 80, 2):
+            lad.process_point(p)
+        snaps = []
+        for corrupt in (_inflate_d_t, _drop_a_middle_guess):
+            snap = json.loads(json.dumps(lad.to_snapshot()))
+            corrupt(snap, lad.t, lad.params.window_len)
+            snaps.append(snap)
+        child = (
+            "import json, sys\n"
+            "from streamkc.coreset import GuessLadder\n"
+            "assert False, 'asserts are on'\n"
+            "for snap in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        GuessLadder.from_snapshot(snap)\n"
+            "        print('loaded')\n"
+            "    except ValueError as exc:\n"
+            "        print(str(exc).split(':')[0])\n"
+        )
+        src = os.path.join(os.path.dirname(coreset.__file__), os.pardir)
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            input=json.dumps(snaps),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert out.stdout.splitlines() == ["corrupt ladder snapshot"] * 2
 
     def test_separation_check_reads_row_blocks(self, monkeypatch):
         # a fine-style state with more attraction points than one block

@@ -188,6 +188,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("algorithm", ["sliding", "eff-sliding"])
+    def test_fixed_mode_accepts_equal_distance_bounds(self, tmp_path, algorithm):
+        # the ladder's own rule is 0 < d_min <= d_max; two alternating
+        # locations make 1.0 both the smallest and the largest distance
+        data = tmp_path / "two.csv"
+        write_points([[float(i % 2), 0.0] for i in range(60)], data)
+        cfg = self._cfg(tmp_path, input_path=data, algorithm=algorithm, mode="fixed",
+                        d_min=1.0, d_max=1.0)
+        cfg.validate()
+        rows = read_metrics(run_experiment(cfg))
+        assert [int(r["timestep"]) for r in rows] == [30, 40, 50, 60]
+        with pytest.raises(ValueError, match="0 < d_min <= d_max"):
+            self._cfg(tmp_path, mode="fixed", d_min=0.6, d_max=0.5).validate()
+
     def test_injection_in_pipeline(self, tmp_path):
         cfg = self._cfg(tmp_path, inject_prob=1.0, outlier_scale=10.0)
         rows = read_metrics(run_experiment(cfg))

@@ -21,7 +21,10 @@ from oracles import (
     active_window,
     make_stream,
     manhattan,
+    reference_gonzalez,
     reference_outliers_cluster,
+    reference_solution_scan,
+    reference_window_scan,
     stream_extremes,
 )
 
@@ -138,6 +141,29 @@ class TestGonzalez:
             centers = gonzalez(w, k)
             _, r_star = brute_force_optimum(w, k, 0)
             assert radius_excluding(centers, w, 0) <= 2.0 * r_star + 1e-9
+
+
+    @pytest.mark.parametrize("metric", [dist, manhattan], ids=["euclidean", "manhattan"])
+    def test_matches_the_scalar_reference(self, metric):
+        # row reads in place of scalar calls: same picks, ties included
+        rng = np.random.default_rng(71)
+        for trial in range(30):
+            n = int(rng.integers(1, 60))
+            k = int(rng.integers(1, 12))
+            if trial % 3:
+                coords = rng.random((n, 3)) * 10
+            else:
+                coords = rng.integers(0, 4, size=(n, 2)).astype(float)
+            w = WindowView.from_coords(coords)
+            got = gonzalez(w, k, metric)
+            assert [c.arrival for c in got] == [
+                c.arrival for c in reference_gonzalez(w, k, metric)
+            ]
+            _, sep = solver._farthest_first(
+                solver._distances(w.points, metric), n, k
+            )
+            pairs = [metric(p, q) for i, p in enumerate(got) for q in got[:i]]
+            assert sep == pytest.approx(min(pairs, default=math.inf), rel=1e-12)
 
 
 class TestCharikar:
@@ -346,3 +372,180 @@ class TestComputeSolution:
         lad = self._ladder(stream, 1, 1)
         out = compute_solution(lad, eps=0.0)
         assert out.uncovered_weight <= 1
+
+
+def _points(coords):
+    return [Point(i + 1, tuple(float(c) for c in row)) for i, row in enumerate(coords)]
+
+
+def _ball_with_far_points(n, seed):
+    rng = np.random.default_rng(seed)
+    coords = generate_ball_stream(n, dim=3, seed=seed)
+    far = rng.random(n) < 0.05
+    coords[far] *= 40.0
+    return coords
+
+
+def _lattice(n, seed):
+    return np.random.default_rng(seed).integers(0, 6, size=(n, 2)).astype(float)
+
+
+def _few_locations(n, seed):
+    # three locations: fewer than k + z + 1 distinct points
+    return np.random.default_rng(seed).integers(0, 3, size=(n, 1)) * np.array([[1.0, 2.0]])
+
+
+def _blobs(n, seed, style="blobs"):
+    rng = np.random.default_rng(seed)
+    return np.array([p.coords for p in make_stream(rng, n, 2, style)])
+
+
+# (name, coords, window_len, k, z, mode, metric) for compute_solution
+LADDER_CASES = [
+    ("ball-fixed", _ball_with_far_points(150, 1), 150, 3, 4, "fixed", dist),
+    ("blobs-fixed", _blobs(200, 3), 150, 3, 4, "fixed", dist),
+    ("uniform-fixed", _blobs(200, 2, "uniform"), 150, 3, 4, "fixed", dist),
+    ("ball-oblivious", _ball_with_far_points(200, 2), 60, 3, 4, "oblivious", dist),
+    ("blobs-oblivious", _blobs(200, 1), 100, 4, 6, "oblivious", dist),
+    ("warm-up", _ball_with_far_points(7, 3), 30, 3, 4, "oblivious", dist),
+    ("few-locations", _few_locations(120, 4), 60, 2, 2, "oblivious", dist),
+    ("n-below-k-plus-z", _ball_with_far_points(7, 5), 8, 3, 4, "fixed", dist),
+    ("lattice", _lattice(150, 6), 80, 2, 3, "oblivious", dist),
+    ("manhattan", _blobs(200, 2), 80, 3, 3, "oblivious", manhattan),
+]
+
+# (name, coords, k, z, metric) for charikar and samp_charikar
+WINDOW_CASES = [
+    ("ball", _ball_with_far_points(200, 11), 3, 5, dist),
+    ("few-locations", _few_locations(90, 12), 2, 3, dist),
+    ("n-below-k-plus-z", _ball_with_far_points(5, 13), 2, 3, dist),
+    ("lattice", _lattice(120, 14), 2, 4, dist),
+    ("manhattan", _ball_with_far_points(150, 15), 3, 3, manhattan),
+]
+
+
+def _ladder_for(case):
+    _, coords, window_len, k, z, mode, metric = case
+    stream = _points(coords)
+    params = StreamParams(window_len, k, z, 0.5, 0.5)
+    bounds = stream_extremes(stream, metric) if mode == "fixed" else (None, None)
+    lad = GuessLadder(params, mode, *bounds, metric=metric)
+    for p in stream:
+        lad.process_point(p)
+    return lad
+
+
+def _recording(monkeypatch):
+    """Radii at which the solver runs the greedy, in call order."""
+    run, kernel = [], solver.outliers_cluster
+
+    def recorded(points, weights, k, rho, *args, **kw):
+        run.append(rho)
+        return kernel(points, weights, k, rho, *args, **kw)
+
+    monkeypatch.setattr(solver, "outliers_cluster", recorded)
+    return run
+
+
+class TestSeparationSkip:
+    """The scans skip radii whose runs provably fail; what they return is
+    exactly what the unpruned scan returns."""
+
+    @pytest.mark.parametrize("case", LADDER_CASES, ids=lambda c: c[0])
+    def test_compute_solution_matches_the_unpruned_scan(self, case):
+        lad = _ladder_for(case)
+        if lad.mode == "oblivious":
+            assert lad.bootstrapped == (case[0] != "warm-up")
+        _, (rho, centers, uw) = reference_solution_scan(lad)
+        out = compute_solution(lad)
+        assert [c.arrival for c in out.centers] == [c.arrival for c in centers]
+        assert out.uncovered_weight == uw
+        assert out.rho_min == rho
+
+    @pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: c[0])
+    def test_charikar_matches_the_unpruned_scan(self, case):
+        _, coords, k, z, metric = case
+        w = WindowView(points=tuple(_points(coords)), t=len(coords))
+        _, (rho, centers, uw) = reference_window_scan(w, k, z, metric=metric)
+        out = charikar(w, k, z, metric=metric)
+        assert [c.arrival for c in out.centers] == [c.arrival for c in centers]
+        assert out.uncovered_weight == uw
+        assert out.rho_min == rho
+
+    @pytest.mark.parametrize("case", [c for c in WINDOW_CASES if c[4] is dist],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("sample_size", [3, 20, 1000])
+    def test_samp_charikar_matches_the_unpruned_scan(self, case, sample_size):
+        _, coords, k, z, _ = case
+        w = WindowView(points=tuple(_points(coords)), t=len(coords))
+        _, (rho, centers, uw) = reference_window_scan(
+            w, k, z, sample_size=sample_size, seed=5
+        )
+        out = samp_charikar(w, k, z, sample_size=sample_size, seed=5)
+        assert [c.arrival for c in out.centers] == [c.arrival for c in centers]
+        assert out.uncovered_weight == uw
+        assert out.rho_min == rho
+
+    def test_every_skipped_radius_fails(self, monkeypatch):
+        run = _recording(monkeypatch)
+        scans = []  # (grid, rho_min, radii run, pts, wts, k, z, eps, metric)
+        for case in LADDER_CASES:
+            lad = _ladder_for(case)
+            grid, _ = reference_solution_scan(lad)
+            run.clear()
+            out = compute_solution(lad)
+            coreset = lad.extract_coreset()
+            pts = [p for p, _ in coreset.points]
+            wts = [w for _, w in coreset.points]
+            eps = 4.0 * (1.0 + lad.params.beta)
+            k, z = lad.params.k, lad.params.z
+            scans.append((grid, out.rho_min, list(run), pts, wts, k, z, eps, lad.metric))
+        for _, coords, k, z, metric in WINDOW_CASES:
+            w = WindowView(points=tuple(_points(coords)), t=len(coords))
+            grid, _ = reference_window_scan(w, k, z, metric=metric)
+            run.clear()
+            out = charikar(w, k, z, metric=metric)
+            n = len(coords)
+            scans.append((grid, out.rho_min, list(run), list(w.points), [1] * n,
+                          k, z, 0.0, metric))
+        monkeypatch.undo()
+        skipped = 0
+        for grid, rho_min, ran, pts, wts, k, z, eps, metric in scans:
+            tried = grid[: grid.index(rho_min) + 1]
+            # only grid radii up to rho_min are run, upward, each once
+            assert ran == [rho for rho in tried if rho in ran]
+            for rho in tried:
+                if rho not in ran:
+                    skipped += 1
+                    _, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric)
+                    assert sum(w for _, w in uncovered) > z
+        assert skipped > 0
+
+    def test_nothing_is_skipped_below_k_plus_z_plus_one_distinct_points(
+        self, monkeypatch
+    ):
+        run = _recording(monkeypatch)
+        for name, coords, k, z, _ in WINDOW_CASES:
+            if name not in ("few-locations", "n-below-k-plus-z"):
+                continue
+            w = WindowView(points=tuple(_points(coords)), t=len(coords))
+            grid, (rho, _, _) = reference_window_scan(w, k, z)
+            run.clear()
+            charikar(w, k, z)
+            assert run == grid[: grid.index(rho) + 1]
+
+    def test_charikar_on_500_points_skips_radii(self, monkeypatch):
+        coords = np.vstack(
+            [
+                generate_ball_stream(490, dim=4, seed=21),
+                generate_ball_stream(10, dim=4, outlier_rate=1.0, outlier_norm=50.0,
+                                     seed=22),
+            ]
+        )
+        w = WindowView(points=tuple(_points(coords)), t=len(coords))
+        grid, (rho, _, _) = reference_window_scan(w, 10, 10)
+        unpruned = grid.index(rho) + 1
+        run = _recording(monkeypatch)
+        out = charikar(w, 10, 10)
+        assert out.rho_min == rho
+        assert len(run) * 2 <= unpruned, (len(run), unpruned)
