@@ -7,16 +7,18 @@ are within d.  The streaming estimator runs two guess ladders side by side:
 a coarse *validation* ladder (one center, no outliers) that picks the right
 guess, and a *fine* ladder with a much smaller attraction radius whose
 representatives and orphans form the weighted coreset the estimate is
-computed on.  A query sorts that coreset's pairs once (``pair_masses``) and
-reads both of its levels from the one table.  Distances are Euclidean
-throughout, like the exact oracle.
+computed on.  A query builds one table of that coreset's pairs
+(``pair_masses``) and reads both of its levels from it by exact bucketed
+selection, sorting only the few pairs around each level
+(``coreset_effective_diameter``).  Distances are Euclidean throughout, like
+the exact oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -39,71 +41,135 @@ def exact_effective_diameter(window: WindowView, alpha: float) -> float:
     rank = math.ceil(alpha * n * n)
     if rank <= n:
         return 0.0
-    d = np.sort(pdist(np.array([p.coords for p in window.points])))
+    d = pdist(np.array([p.coords for p in window.points]))
     j = math.ceil((rank - n) / 2)  # each unordered pair appears twice
-    return float(d[j - 1])
+    return float(np.partition(d, j - 1)[j - 1])
 
 
-def pair_masses(coreset: WeightedCoreset) -> tuple[np.ndarray, np.ndarray]:
-    """The coreset's pair-mass table: its pair distances in ascending
-    order, and the cumulative ordered-pair weight mass at each of them.
+# A level read selects by bucketing: one pass splits the pairs into
+# 2^_BUCKET_BITS buckets by distance, and a bucket of at most _SORT_AT pairs
+# is sorted outright instead of split again.
+_BUCKET_BITS = 12
+_SORT_AT = 8192
 
-    Entry 0 stands for the self-pairs (distance 0.0, mass sum of w^2); each
-    later entry is one pair i < j with mass 2 * w_i * w_j, so the last
-    cumulative mass is (sum of w)^2.  Built once per query and read by
-    ``coreset_effective_diameter`` at any number of levels.
+
+class PairMassTable(NamedTuple):
+    """A coreset's pairs, built once per query by ``pair_masses``.
+
+    Each pair i < j stands for two ordered pairs of mass 2 * w_i * w_j.
+    When bucket is None the pairs are sorted by distance and cum[i] is
+    self_mass plus the mass of pairs 0..i; otherwise dists and masses are
+    in condensed (row-major i < j) order, bucket holds each pair's bucket
+    and cum[b] is self_mass plus the mass of buckets 0..b.
+    """
+
+    self_mass: float  # sum of w^2: the self-pairs, at distance 0
+    dists: np.ndarray
+    masses: np.ndarray
+    bucket: Optional[np.ndarray]
+    cum: np.ndarray
+
+
+def _select(
+    dists: np.ndarray, masses: np.ndarray, below: float
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """dists, masses, bucket and cum of a ``PairMassTable`` over the given
+    pairs, whose cumulative masses start from below.
+
+    A table of at most _SORT_AT pairs, or of one distance, comes back sorted
+    (one distance needs no argsort).  Larger tables are bucketed by
+    the bits of their distances: a non-negative double orders as its bit
+    pattern read as an int64 (+0.0, subnormals and inf included), so
+    bucket = (key - min key) >> shift is exact integer arithmetic that never
+    puts a larger distance in a smaller bucket, and equal distances share a
+    bucket.  shift leaves at most 2^_BUCKET_BITS buckets, so each pass
+    narrows the key span by that factor and a read takes at most
+    ceil(63 / _BUCKET_BITS) passes.
+    """
+    keys = dists.view(np.int64)
+    lo, hi = (int(keys.min()), int(keys.max())) if dists.size else (0, 0)
+    if dists.size <= _SORT_AT or lo == hi:
+        if lo < hi:
+            order = np.argsort(dists)
+            dists, masses = dists[order], masses[order]
+        cum = np.cumsum(masses)
+        cum += below
+        return dists, masses, None, cum
+    shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
+    bucket = keys - lo
+    bucket >>= shift
+    cum = np.bincount(bucket, weights=masses)
+    np.cumsum(cum, out=cum)
+    cum += below
+    return dists, masses, bucket, cum
+
+
+def pair_masses(coreset: WeightedCoreset) -> PairMassTable:
+    """The coreset's pair-mass table (``PairMassTable``): its self-pair
+    mass, and its pair distances and masses, sorted when there are at most
+    _SORT_AT pairs and bucketed by distance otherwise (``_select``).  Built
+    once per query and read by ``coreset_effective_diameter`` at any number
+    of levels.
+
+    A bucketed table holds three pair-sized arrays: the distances, the
+    masses and the int64 bucket of each pair.  Reading a level adds a
+    boolean mask over the pairs and copies of the selected bucket's pairs.
     """
     pts = coreset.points
     n = len(pts)
     if n == 0:
         raise ValueError("empty coreset")
     w = np.array([wt for _, wt in pts], dtype=float)
-    m = n * (n - 1) // 2
-    # both columns are filled in place (pdist's out=, an in-place cumsum), so
-    # a query holds at most four pair-sized arrays at once
-    dists = np.empty(m + 1)
-    dists[0] = 0.0
-    pdist(np.array([p.coords for p, _ in pts], dtype=float), out=dists[1:])
-    masses = np.empty(m + 1)
-    masses[0] = (w * w).sum()
-    # pair masses in condensed (row-major i<j) order, built row by row to
-    # avoid materializing the full n x n product
-    pos = 1
+    dists = pdist(np.array([p.coords for p, _ in pts], dtype=float))
+    # pair masses in condensed order, built row by row to avoid
+    # materializing the full n x n product
+    masses = np.empty_like(dists)
+    pos = 0
     for i in range(n - 1):
         np.multiply(w[i + 1 :], 2.0 * w[i], out=masses[pos : pos + n - 1 - i])
         pos += n - 1 - i
-    # An unstable sort is safe: weights are integer counts, so every mass is
-    # an integer and every cumulative mass is exact while it stays below
-    # 2^53 (window_size^2 < 2^53, which FineCoresetState enforces).  The
-    # cumulative mass before and after a run of equal distances is then the
-    # same in any order, so the first entry that reaches a threshold has
-    # the same distance whichever way the run is ordered.
-    order = np.argsort(dists[1:])
-    dists[1:] = dists[1:][order]
-    masses[1:] = masses[1:][order]
-    return dists, np.cumsum(masses, out=masses)
+    self_mass = float((w * w).sum())
+    return PairMassTable(self_mass, *_select(dists, masses, self_mass))
 
 
 def coreset_effective_diameter(
-    pairs: tuple[np.ndarray, np.ndarray], alpha: float, window_size: int
+    table: PairMassTable, alpha: float, window_size: int
 ) -> tuple[float, bool]:
-    """Smallest distance in a coreset's pair-mass table (``pair_masses``)
-    whose cumulative ordered-pair weight mass reaches alpha * window_size^2:
-    one binary search.  The self-pair entry answers 0.0 when the self-pairs
-    alone reach the threshold, as they do for a one-point coreset of full
-    weight.
+    """Smallest pair distance in a coreset's pair-mass table
+    (``pair_masses``) at which the cumulative ordered-pair weight mass,
+    self-pairs included, reaches alpha * window_size^2.  The self-pairs
+    answer 0.0 when they alone reach it, as they do for a one-point coreset
+    of full weight.
 
     Because stored weights underestimate true counts, the threshold can be
     unreachable; in that case the largest coreset distance (0.0 for a single
     point) is returned with the saturation flag set.
+
+    The read is an exact selection.  A binary search over the cumulative
+    bucket masses finds the first bucket that reaches the threshold and the
+    mass below it; that bucket's pairs are bucketed again, or sorted
+    (``_select``), until the table is sorted, and a last binary search picks
+    the pair.  This gives the value a full sort would: bucket order never
+    contradicts distance order, so the mass below a bucket is the mass of
+    every nearer pair.  Weights are integer counts and
+    (sum of w)^2 <= window_size^2 < 2^53 (``MAX_WINDOW_LEN``), so every mass
+    and every partial sum is an exact integer in any summation order.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    dists, cum = pairs
-    hit = int(np.searchsorted(cum, alpha * window_size * window_size, side="left"))
-    if hit == len(cum):
-        return float(dists[-1]), True
-    return float(dists[hit]), False
+    need = alpha * window_size * window_size
+    below, dists, masses, bucket, cum = table
+    if below >= need:
+        return 0.0, False
+    if not cum.size or cum[-1] < need:
+        return float(dists.max(initial=0.0)), True
+    while bucket is not None:
+        b = int(np.searchsorted(cum, need, side="left"))
+        if b:
+            below = float(cum[b - 1])
+        inside = np.flatnonzero(bucket == b)  # faster than a boolean mask
+        dists, masses, bucket, cum = _select(dists.take(inside), masses.take(inside), below)
+    return float(dists[np.searchsorted(cum, need, side="left")]), False
 
 
 def eff_sequential(window: WindowView, alpha: float, bucket_step: float = 0.01) -> float:
@@ -264,10 +330,10 @@ class FineCoresetState:
         if wsize < 1:
             raise RuntimeError("no points processed yet")
         coreset, overflowed = self.fine_coreset()
-        pairs = pair_masses(coreset)
+        table = pair_masses(coreset)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
-        low_raw, short_lower = coreset_effective_diameter(pairs, shrunk, wsize)
-        up_raw, short_upper = coreset_effective_diameter(pairs, cfg.alpha, wsize)
+        low_raw, short_lower = coreset_effective_diameter(table, shrunk, wsize)
+        up_raw, short_upper = coreset_effective_diameter(table, cfg.alpha, wsize)
         return EffDiameterEstimate(
             lower=low_raw / (1.0 + cfg.eps),
             upper=up_raw / (1.0 - cfg.eps),

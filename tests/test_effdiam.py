@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ class TestExactOracle:
             )
             want = ordered[math.ceil(alpha * n * n) - 1]
             assert exact_effective_diameter(w, alpha) == pytest.approx(want)
+
+    @pytest.mark.parametrize("style", ["uniform", "lattice", "duplicates"])
+    def test_partition_matches_the_sorted_rank(self, style):
+        rng = np.random.default_rng(17)
+        levels = {"rank <= n": 0, "alpha = 1": 0, "pairs": 0}
+        for _ in range(30):
+            T = _random_coreset(rng, style)
+            coords = [p.coords for p, _ in T.points]
+            n = len(coords)
+            window = WindowView.from_coords(coords)
+            d = np.sort(pdist(np.array(coords)))
+            for alpha in (float(rng.uniform(0.01, 1.0)), 0.5 / n, 1.0):
+                rank = math.ceil(alpha * n * n)
+                want = 0.0 if rank <= n else float(d[math.ceil((rank - n) / 2) - 1])
+                assert exact_effective_diameter(window, alpha) == want
+                levels["rank <= n" if rank <= n else "alpha = 1" if alpha == 1 else "pairs"] += 1
+        assert min(levels.values()) > 0, levels
 
 
 class TestCoresetEstimate:
@@ -112,6 +130,39 @@ def _random_coreset(rng, style):
     return WeightedCoreset(points=pts, guess=1.0, t=n)
 
 
+def _large_coreset(rng, style, n):
+    """Seeded coreset of n points with integer weights 1..5 on the spreads
+    that stress a bucketed selection: one point 10^6 times farther than the
+    rest ("far"), coordinates scaled by 1e-300 (every distance 0.0), by
+    1e-160 (squared distances subnormal) or by 1e200 (infinite distances),
+    a third of the points scaled by 1e155 ("partly_huge": finite and
+    infinite distances), one location ("duplicates"), one repeated point
+    ("one_duplicate": a single zero distance) and an integer lattice (heavy
+    ties)."""
+    coords = rng.normal(size=(n, 4))
+    if style == "far":
+        coords[0] *= 1e6
+    elif style == "tiny":
+        coords *= 1e-300
+    elif style == "subnormal_squares":
+        coords *= 1e-160
+    elif style == "huge":
+        coords *= 1e200
+    elif style == "partly_huge":
+        coords[: n // 3] *= 1e155
+    elif style == "duplicates":
+        coords[:] = coords[0]
+    elif style == "one_duplicate":
+        coords[1] = coords[0]
+    elif style == "lattice":
+        coords = rng.integers(0, 4, size=(n, 3)).astype(float)
+    pts = tuple(
+        (Point(i + 1, tuple(float(c) for c in row)), int(w))
+        for i, (row, w) in enumerate(zip(coords, rng.integers(1, 6, size=n)))
+    )
+    return WeightedCoreset(points=pts, guess=1.0, t=n)
+
+
 class TestPairMassTable:
     def test_lookup_matches_the_two_pass_reference(self):
         rng = np.random.default_rng(71)
@@ -131,13 +182,61 @@ class TestPairMassTable:
                 seen["saturated" if got[1] else "unsaturated"] += 1
         assert min(seen.values()) > 0, seen
 
-    def test_table_starts_with_the_self_pairs(self):
-        T = _random_coreset(np.random.default_rng(3), "lattice")
-        dists, cum = pair_masses(T)
+    @pytest.mark.parametrize("style, n", [("lattice", 20), ("ball", 300)])
+    def test_table_holds_the_self_and_total_mass(self, style, n):
+        T = _large_coreset(np.random.default_rng(3), style, n)
+        table = pair_masses(T)
         w = [wt for _, wt in T.points]
-        assert dists[0] == 0.0 and cum[0] == sum(x * x for x in w)
-        assert cum[-1] == sum(w) ** 2
-        assert np.all(np.diff(dists) >= 0) and np.all(np.diff(cum) > 0)
+        assert table.self_mass == sum(x * x for x in w)
+        assert table.cum[-1] == sum(w) ** 2
+        assert np.all(np.diff(table.cum) >= 0)
+        # 190 pairs are sorted outright, 44,850 are bucketed
+        assert (table.bucket is None) == (n == 20)
+
+    @pytest.mark.parametrize(
+        "style, n",
+        [("ball", 300), ("ball", 1000), ("ball", 1500), ("far", 1000),
+         ("tiny", 600), ("subnormal_squares", 600), ("huge", 600),
+         ("partly_huge", 600), ("duplicates", 600), ("one_duplicate", 1000),
+         ("lattice", 1000), ("ball", 1), ("ball", 2)],
+    )
+    def test_selection_matches_the_sorted_reference_at_real_sizes(
+        self, monkeypatch, style, n
+    ):
+        selected = []
+        real = effdiam._select
+        monkeypatch.setattr(
+            effdiam, "_select",
+            lambda d, m, below: selected.append(d.size) or real(d, m, below),
+        )
+        rng = np.random.default_rng(n)
+        T = _large_coreset(rng, style, n)
+        table = pair_masses(T)
+        total = T.total_weight()
+        for window_size in (total, total + int(rng.integers(1, total + 1))):
+            for alpha in (0.9 / 1.5**2, 0.9, float(rng.uniform(0.01, 1.0)), 1.0):
+                got = coreset_effective_diameter(table, alpha, window_size)
+                assert got == reference_coreset_effective_diameter(T, alpha, window_size)
+        if style in ("lattice", "one_duplicate"):
+            # a zero or heavily repeated distance leaves a top-level bucket
+            # of more than _SORT_AT pairs, which a read splits again
+            assert table.bucket is not None
+            assert max(selected[1:]) > effdiam._SORT_AT
+
+    def test_building_and_reading_stay_below_four_and_a_half_pair_arrays(self):
+        T = _large_coreset(np.random.default_rng(8), "ball", 1000)
+        m = 1000 * 999 // 2
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            table = pair_masses(T)
+            for alpha in (0.9 / 1.5**2, 0.9):
+                coreset_effective_diameter(table, alpha, T.total_weight())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.bucket is not None
+        assert peak < 4.5 * 8 * m, peak / (8 * m)
 
     def test_estimate_builds_one_table_per_query(self, monkeypatch):
         calls = []
