@@ -23,6 +23,14 @@ Bulk distance passes (the attraction search over ``_VEC_MIN`` or more
 points, the ``d_t`` estimate, qualification and the invariant checks) read
 the metric's block form (``streamkc.core``); a metric without one is
 rejected when a state or ladder is built or restored.
+
+Guesses of one ladder mostly bump equal histograms at the same arrival, so
+every state of a ladder bumps through one ``_BumpMemo``: each distinct
+histogram value is trimmed once per arrival, and the resulting list is
+shared by every guess that held an equal one.  Histograms are therefore
+values that are never changed in place (``streamkc.histogram``).  The memo
+is never serialized, and the memory gauge still counts every guess's
+entries, as the paper does.
 """
 
 from __future__ import annotations
@@ -71,6 +79,29 @@ class WeightedCoreset:
         return len(self.points)
 
 
+class _BumpMemo:
+    """``bump_and_trim`` results for the current arrival, keyed by the
+    histogram's value.  Exact because the trim is a pure function of the
+    histogram, the arrival and ``lam``, and ``lam`` is fixed per memo."""
+
+    __slots__ = ("lam", "t", "results")
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.t = 0
+        self.results: dict[tuple, Histogram] = {}
+
+    def bump(self, hist: Histogram, t: int) -> Histogram:
+        if t != self.t:
+            self.t = t
+            self.results = {}
+        key = tuple(hist)
+        out = self.results.get(key)
+        if out is None:
+            out = self.results[key] = bump_and_trim(hist, t, self.lam)
+        return out
+
+
 class GuessState:
     """Attraction/representative/orphan bookkeeping for one radius guess.
 
@@ -87,6 +118,9 @@ class GuessState:
     exactly.  Orphans are keyed by arrival, and the first (only possibly
     stale) entry of each orphan histogram is indexed by timestamp, making the
     per-step sweep O(1) regardless of how many orphans are held.
+
+    Bumps go through a ``_BumpMemo``: the state's own, unless its ladder
+    points it at the memo all the ladder's states share.
     """
 
     __slots__ = (
@@ -105,6 +139,7 @@ class GuessState:
         "_buf",
         "_lo",
         "_hi",
+        "_bumps",
     )
 
     def __init__(
@@ -134,6 +169,7 @@ class GuessState:
         self._buf: Optional[np.ndarray] = None
         self._lo = 0
         self._hi = 0
+        self._bumps = _BumpMemo(lam)
 
     # -- update ------------------------------------------------------------
 
@@ -151,13 +187,14 @@ class GuessState:
             return None
         a = self.attractions[idx]
         _, hist = self.reps[a.arrival]
-        self.reps[a.arrival] = (p, bump_and_trim(hist, t, self.lam))
+        self.reps[a.arrival] = (p, self._bumps.bump(hist, t))
         return a.arrival
 
     def sweep(self, t: int) -> None:
         """Expiry pass: attraction points first (their representatives become
         orphans), then the orphan expiring now, then the one histogram entry
-        stamped with the expiring timestamp."""
+        stamped with the expiring timestamp.  Histograms may be shared with
+        other states, so the entry is sliced off, never popped."""
         stale = t - self.window_len
         attrs = self.attractions
         while attrs and attrs[0].arrival <= stale:
@@ -171,10 +208,10 @@ class GuessState:
             self._first_ts.pop(gone[1][0][0], None)
         owner = self._first_ts.pop(stale, None)
         if owner is not None:
-            hist = self.orphans[owner][1]
-            hist.pop(0)
-            if hist:
-                self._first_ts[hist[0][0]] = owner
+            r, hist = self.orphans[owner]
+            if len(hist) > 1:
+                self.orphans[owner] = (r, hist[1:])
+                self._first_ts[hist[1][0]] = owner
             else:
                 del self.orphans[owner]
 
@@ -382,6 +419,7 @@ class GuessLadder:
         self.params = params
         self.mode = mode
         self.metric = _block_metric(metric)
+        self._bumps = _BumpMemo(params.lam)  # shared by every state
         self.attr_factor = attr_factor
         self.cap = cap
         self.t = 0
@@ -437,7 +475,7 @@ class GuessLadder:
     def _new_state(self, exponent: int) -> GuessState:
         g = self.guess_value(exponent)
         params = self.params
-        return GuessState(
+        st = GuessState(
             guess=g,
             attr_radius=self.attr_factor * g,
             max_attractions=params.k + params.z + 1 if self.cap is None else self.cap,
@@ -446,6 +484,8 @@ class GuessLadder:
             metric=self.metric,
             orphan_cap=self.cap,
         )
+        st._bumps = self._bumps
+        return st
 
     def exponents(self) -> list[int]:
         return sorted(self.states)

@@ -16,6 +16,11 @@ Invariants maintained by the operations below (for window length N):
   5. the last entry has count 1
 
 With ``lam == 0`` the deletion rule never fires and the histogram stays exact.
+
+Histograms are values: guesses of one ladder share equal histograms (see
+``streamkc.coreset``), so no operation changes a list in place.
+``bump_and_trim`` is pure: it returns a new list and leaves its input as it
+was, so equal inputs at one arrival give equal outputs.
 """
 
 from __future__ import annotations
@@ -89,8 +94,9 @@ def synthetic_full_window(t: int, size: int, lam: float) -> Histogram:
 
 
 def max_entries(window_len: int, lam: float) -> int:
-    """Hard bound on histogram length implied by invariants 1, 3 and 5."""
-    if lam <= 0:
+    """Hard bound on histogram length implied by invariants 1, 3 and 5.  A
+    ``lam`` so small that ``1 + lam`` rounds to 1 trims like ``lam == 0``."""
+    if 1.0 + lam <= 1.0:
         return window_len
     return 2 * math.ceil(math.log(window_len, 1.0 + lam)) + 2
 

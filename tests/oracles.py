@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from streamkc.core import Point, StreamParams, WindowView, _distances, _extremes, dist
-from streamkc.coreset import GuessLadder, WeightedCoreset
+from streamkc.coreset import GuessLadder, WeightedCoreset, _BumpMemo
 from streamkc.histogram import Histogram
 from streamkc.solver import _radius_grid, outliers_cluster
 
@@ -276,6 +276,46 @@ class LadderShadow:
         for q in active:
             w[self.proxy(exponent, q).arrival] += 1
         return w
+
+
+def unshared(ladder: GuessLadder) -> GuessLadder:
+    """The ladder, changed so that each state it holds or later creates
+    bumps through a memo of its own: the twin that shares no histogram
+    between guesses, against which the ladder-wide memo is compared."""
+    make = ladder._new_state
+
+    def new_state(exponent: int):
+        st = make(exponent)
+        st._bumps = _BumpMemo(st.lam)
+        return st
+
+    ladder._new_state = new_state
+    for st in ladder.states.values():
+        st._bumps = _BumpMemo(st.lam)
+    return ladder
+
+
+def adversarial_stream(rng: np.random.Generator, n: int, dim: int) -> list[Point]:
+    """Random stream in segments that stress the update path: each segment
+    sits at a scale that jumps up or down by up to 10^3 from the last
+    (re-anchoring an oblivious grid), and holds runs of one repeated point
+    and bursts of outliers 10^3 scales away."""
+    coords = []
+    scale = 1.0
+    while len(coords) < n:
+        scale *= 10.0 ** rng.uniform(-3.0, 3.0)
+        center = rng.normal(size=dim) * scale * 10.0
+        for _ in range(int(rng.integers(5, 40))):
+            kind = rng.random()
+            if kind < 0.15:  # a run of duplicates
+                q = center + rng.normal(size=dim) * scale
+                coords += [q] * int(rng.integers(2, 12))
+            elif kind < 0.25:  # an outlier burst
+                far = rng.normal(size=(int(rng.integers(1, 6)), dim)) * scale * 1e3
+                coords += list(center + far)
+            else:
+                coords.append(center + rng.normal(size=dim) * scale)
+    return [Point(i + 1, tuple(float(c) for c in row)) for i, row in enumerate(coords[:n])]
 
 
 def make_stream(rng: np.random.Generator, n: int, dim: int, style: str = "blobs"):

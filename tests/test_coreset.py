@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,17 +11,21 @@ import pytest
 from streamkc import coreset
 from streamkc.core import Point, StreamParams, WindowView, dist
 from streamkc.coreset import GuessLadder, GuessState
+from streamkc.effdiam import EffDiameterConfig, FineCoresetState
+from streamkc.experiment import generate_ball_stream, inject_outliers, injection_prob
 from streamkc.histogram import synthetic_full_window
 from streamkc.solver import brute_force_optimum
 from oracles import (
     LadderShadow,
     active_window,
+    adversarial_stream,
     coverage_radius,
     looped,
     make_stream,
     manhattan,
     reference_qualifies,
     stream_extremes,
+    unshared,
 )
 
 
@@ -489,6 +494,15 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="cap policy"):
             GuessLadder.from_snapshot(snap)
 
+    def test_round_trip_with_a_lam_that_rounds_away(self):
+        # 1 + 1e-17 == 1.0: the histogram length bound must not divide by
+        # log(1 + lam) == 0 while the restored ladder is verified
+        lad = GuessLadder(StreamParams(50, 2, 1, lam=1e-17), "oblivious")
+        for p in make_stream(np.random.default_rng(5), 119, 2):
+            lad.process_point(p)
+        snap = json.loads(json.dumps(lad.to_snapshot()))
+        assert GuessLadder.from_snapshot(snap).to_snapshot() == snap
+
     def test_version_check(self):
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
         snap = lad.to_snapshot()
@@ -701,3 +715,151 @@ def test_exp_ceil_matches_the_two_loop_search(beta):
         xs += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, math.inf))]
     for x in xs:
         assert lad._exp_ceil(x) == _parent_exp_ceil(b, x), x
+
+
+def _round_trip(ladder: GuessLadder, metric=dist) -> GuessLadder:
+    return GuessLadder.from_snapshot(json.loads(json.dumps(ladder.to_snapshot())), metric)
+
+
+def _shared_lists(ladder: GuessLadder) -> int:
+    """Histogram list objects held by more than one state of the ladder."""
+    holders: dict[int, set] = {}
+    for e, st in ladder.states.items():
+        for _, h in [*st.reps.values(), *st.orphans.values()]:
+            holders.setdefault(id(h), set()).add(e)
+    return sum(len(es) > 1 for es in holders.values())
+
+
+class TestBumpMemo:
+    """Every state of a ladder bumps through one memo of the current
+    arrival's trims, so equal histograms end up as one shared list."""
+
+    @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("mode", ["oblivious", "fixed"])
+    def test_matches_an_unshared_twin_at_every_step(self, mode, lam, metric):
+        rng = np.random.default_rng(89)
+        stream = make_stream(rng, 160, 2)
+        params = StreamParams(40, 2, 1, lam, 0.5)
+        bounds = stream_extremes(stream, metric) if mode == "fixed" else ()
+        lad = GuessLadder(params, mode, *bounds, metric=metric)
+        twin = unshared(GuessLadder(params, mode, *bounds, metric=metric))
+        shared = 0
+        for p in stream:
+            if p.arrival == 90:
+                lad = _round_trip(lad, metric)  # a restart mid-stream
+                assert _shared_lists(lad) == 0
+            lad.process_point(p)
+            twin.process_point(p)
+            assert lad.to_snapshot() == twin.to_snapshot()
+            shared = max(shared, _shared_lists(lad))
+            assert _shared_lists(twin) == 0
+        memos = {id(st._bumps) for st in twin.states.values()}
+        assert len(memos) == len(twin.states) > 1
+        assert {id(st._bumps) for st in lad.states.values()} == {id(lad._bumps)}
+        assert shared > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
+    def test_fine_coreset_ladders_match_unshared_twins(self, lam):
+        stream = make_stream(np.random.default_rng(97), 140, 2)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=lam)
+        d_min, d_max = stream_extremes(stream)
+        state = FineCoresetState(cfg, 40, "fixed", d_min, d_max)
+        twin = FineCoresetState(cfg, 40, "fixed", d_min, d_max)
+        unshared(twin.validation)
+        unshared(twin.fine)
+        for p in stream:
+            if p.arrival == 70:
+                state.validation = _round_trip(state.validation)
+                state.fine = _round_trip(state.fine)
+            state.process_point(p)
+            twin.process_point(p)
+            assert state.validation.to_snapshot() == twin.validation.to_snapshot()
+            assert state.fine.to_snapshot() == twin.fine.to_snapshot()
+        assert state.estimate() == twin.estimate()
+
+    def test_sweeping_a_shared_orphan_leaves_the_other_holder_alone(self):
+        # a evicts its only attraction point, so the representative's
+        # histogram, shared with b's representative, becomes a's orphan
+        a = GuessState(1.0, 2.0, max_attractions=1, window_len=5, lam=0.5, orphan_cap=4)
+        b = GuessState(1.0, 2.0, max_attractions=4, window_len=5, lam=0.5)
+        b._bumps = a._bumps
+        for p in (pt(1, 0.0), pt(2, 0.1), pt(3, 50.0)):
+            a.process_point(p)
+            b.process_point(p)
+        held = b.reps[1][1]
+        assert a.orphans[2][1] is held == [(1, 2), (2, 1)]
+        a.sweep(6)  # timestamp 1 leaves a's window
+        assert a.orphans[2][1] == [(2, 1)]
+        assert b.reps[1][1] is held == [(1, 2), (2, 1)]
+        a.check_invariants(6)
+
+    def test_most_captures_reuse_a_trim(self, monkeypatch):
+        calls = captures = 0
+        trim, absorb = coreset.bump_and_trim, GuessState.process_point
+
+        def counted_trim(hist, t, lam):
+            nonlocal calls
+            calls += 1
+            return trim(hist, t, lam)
+
+        def counted_absorb(self, p):
+            nonlocal captures
+            got = absorb(self, p)
+            captures += got is not None
+            return got
+
+        monkeypatch.setattr(coreset, "bump_and_trim", counted_trim)
+        monkeypatch.setattr(GuessState, "process_point", counted_absorb)
+        # the sliding benchmark's recipe: 4-d ball data plus z/2 outliers
+        # per window at 100 diameters, which puts many guesses above the
+        # ball's scale, where every guess holds the same histogram
+        ball = generate_ball_stream(3000, 4, seed=1)
+        window = [Point(i + 1, tuple(map(float, row))) for i, row in enumerate(ball)]
+        stream = inject_outliers(window, injection_prob(10, 1000), 100.0, 1, 2.0)
+        lad = GuessLadder(StreamParams(1000, 10, 10, 0.5, 0.5), "oblivious")
+        for p in islice(stream, 3000):
+            lad.process_point(p)
+        assert 0 < 2 * calls <= captures
+
+
+class TestAdversarialSoak:
+    """Seeded streams with duplicate runs, scale jumps both ways and outlier
+    bursts: every step keeps the invariants, and a ladder restored from a
+    snapshot at a random step ends where the original does."""
+
+    @staticmethod
+    def _soak(rng, ladders, stream):
+        restart_at = set(rng.choice(np.arange(2, len(stream)), size=3, replace=False).tolist())
+        restored = []
+        for p in stream:
+            if p.arrival in restart_at:
+                restored += [(i, _round_trip(lad)) for i, lad in enumerate(ladders)]
+            for lad in ladders:
+                lad.process_point(p)
+                lad.check_invariants()
+            for _, lad in restored:
+                lad.process_point(p)
+        for i, lad in restored:
+            assert lad.to_snapshot() == ladders[i].to_snapshot()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oblivious_sliding_ladder(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        k, z = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        lam = (0.0, 0.1, 0.5, 1.0)[seed]
+        params = StreamParams(int(rng.integers(k + z + 1, 60)), k, z, lam, 0.5)
+        stream = adversarial_stream(rng, 300, int(rng.integers(1, 4)))
+        lad = GuessLadder(params, "oblivious")
+        self._soak(rng, [lad], stream)
+        assert lad.bootstrapped
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fixed_fine_coreset_ladders(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        lam = (0.1, 1.0)[seed]
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=lam, fine_cap=64)
+        stream = adversarial_stream(rng, 200, 2)
+        state = FineCoresetState(cfg, int(rng.integers(20, 60)), "fixed", *stream_extremes(stream))
+        self._soak(rng, [state.validation, state.fine], stream)
+        state.estimate()

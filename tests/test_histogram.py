@@ -34,6 +34,29 @@ def test_bump_and_trim_longer_list():
     check_invariants(got, window_len=100, lam=0.5)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_bump_and_trim_is_pure(lam):
+    # guesses share histogram lists, so a bump must leave its input as it was
+    deleted = False
+    for hist in ([(1, 1)], [(1, 10), (2, 9), (3, 8)], [(1, 5), (3, 4), (5, 3), (7, 2), (9, 1)]):
+        before = list(hist)
+        got = bump_and_trim(hist, 11, lam)
+        assert hist == before
+        assert got is not hist
+        deleted |= len(got) <= len(hist)
+    assert deleted == (lam > 0)
+
+
+def test_max_entries_for_a_lam_that_rounds_away():
+    # 1 + 1e-17 == 1.0, so the trim never deletes, as with lam == 0
+    assert max_entries(50, 1e-17) == max_entries(50, 0.0) == 50
+    hist = new_histogram(1)
+    for t in range(2, 51):
+        hist = bump_and_trim(hist, t, 1e-17)
+    assert len(hist) == 50
+    check_invariants(hist, 50, 1e-17)
+
+
 def test_bump_rejects_non_monotone_timestamp():
     with pytest.raises(ValueError):
         bump_and_trim([(5, 1)], 5, 0.5)
