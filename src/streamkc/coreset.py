@@ -19,10 +19,17 @@ the point, whose arrival is the clock.  The same machinery doubles as the
 fine-grained layer used for effective diameter estimation, by shrinking the
 attraction radius and setting ``cap`` (see ``streamkc.effdiam``).
 
-Bulk distance passes (the attraction search over ``_VEC_MIN`` or more
-points, the ``d_t`` estimate, qualification and the invariant checks) read
-the metric's block form (``streamkc.core``); a metric without one is
-rejected when a state or ladder is built or restored.
+Guesses of one ladder mostly hold the same stream points, so a ladder keeps
+one ``_PointStore``: a coordinate row per distinct point that its states
+hold as attraction points or that sits in its recent ring, with a reference
+count per slot.  A state keeps only the slots of its attraction points, in
+arrival order.  Each arrival reads one row of distances from the new point
+to the store through the metric's block form (``streamkc.core``); every
+guess's attraction search gathers its slots from that row, and the row's
+entries at the recent points update each recent point's smallest distance
+to a newer one, the smallest of which is ``d_t``.  A metric without a block
+form is rejected when a state or ladder is built or restored.  The store
+and those distances are never serialized; a restore rebuilds them.
 
 Guesses of one ladder mostly bump equal histograms at the same arrival, so
 every state of a ladder bumps through one ``_BumpMemo``: each distinct
@@ -30,14 +37,16 @@ histogram value is trimmed once per arrival, and the resulting list is
 shared by every guess that held an equal one.  Histograms are therefore
 values that are never changed in place (``streamkc.histogram``).  The memo
 is never serialized, and the memory gauge still counts every guess's
-entries, as the paper does.
+points and entries, as the paper does.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,9 +64,6 @@ from .histogram import (
 
 SNAPSHOT_FORMAT = "streamkc-ladder"
 SNAPSHOT_VERSION = 1
-
-# below this many attraction points a plain python scan beats numpy
-_VEC_MIN = 48
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +108,123 @@ class _BumpMemo:
         return out
 
 
+class _PointStore:
+    """One coordinate row per distinct point held, with a reference count.
+
+    ``points[s]`` is the point in slot s (None once the slot is free) and
+    ``coords[s]`` its coordinates.  ``slot_of`` finds a slot by arrival: a
+    stream has one point per arrival, and acquiring a different point under
+    a held arrival (only a corrupt snapshot can) raises InvariantError.
+
+    ``row(p)`` reads p's distances to every slot in one block-form call the
+    first time it is asked for an arrival, and again only if a slot was
+    filled since.
+    """
+
+    __slots__ = (
+        "metric",
+        "coords",
+        "points",
+        "refs",
+        "slot_of",
+        "free",
+        "_row",
+        "_row_point",
+    )
+
+    def __init__(self, metric: Metric):
+        self.metric = metric
+        self.coords = np.empty((0, 0))
+        self.points: list[Optional[Point]] = []
+        self.refs: list[int] = []
+        self.slot_of: dict[int, int] = {}
+        self.free: list[int] = []
+        self._row = np.empty(0)
+        self._row_point: Optional[Point] = None  # whose distances _row holds
+
+    def acquire(self, p: Point) -> int:
+        """p's slot, filled if p is not held yet; one more reference to it."""
+        s = self.slot_of.get(p.arrival)
+        if s is None:
+            return self._fill(p)
+        if self.points[s] is not p and self.points[s] != p:
+            raise InvariantError(f"two different points arrive at {p.arrival}")
+        self.refs[s] += 1
+        return s
+
+    def _fill(self, p: Point) -> int:
+        if self.free:
+            s = self.free.pop()
+        else:
+            s = len(self.points)
+            if s == len(self.coords):
+                grown = np.empty((max(64, 2 * s), len(p.coords)))
+                if s:
+                    grown[:s] = self.coords
+                self.coords = grown
+            self.points.append(None)
+            self.refs.append(0)
+        self.coords[s] = p.coords
+        self.points[s] = p
+        self.refs[s] = 1
+        self.slot_of[p.arrival] = s
+        self._row_point = None  # the row misses this slot
+        return s
+
+    def release(self, s: int) -> None:
+        """Drop one reference to slot s, freeing it after the last."""
+        self.refs[s] -= 1
+        if self.refs[s]:
+            return
+        del self.slot_of[self.points[s].arrival]
+        self.points[s] = None
+        self.free.append(s)
+
+    def live(self) -> int:
+        return len(self.points) - len(self.free)
+
+    def row(self, p: Point) -> np.ndarray:
+        """metric(p, points[s]) at every filled slot s; a free slot holds
+        the distance to the point it last held."""
+        if self._row_point is not p:
+            self._row = self.rows([p])[0]
+            self._row_point = p
+        return self._row
+
+    def rows(self, points: Sequence[Point]) -> np.ndarray:
+        """The len(points) x slots block of distances to every slot."""
+        xs = np.array([q.coords for q in points], dtype=float)
+        ys = self.coords[: len(self.points)]
+        if not len(ys):
+            return np.empty((len(xs), 0))
+        return self.metric.pairwise(xs, ys)
+
+    def check(self, holders: Counter) -> None:
+        """Raise InvariantError unless every slot's reference count is its
+        number of holders, exactly the unreferenced slots are free, and each
+        filled slot's coordinates and map entry are its point's."""
+        n = len(self.points)
+        if any(not 0 <= s < n for s in holders):
+            raise InvariantError("a holder names a slot outside the store")
+        free = set(self.free)
+        if len(free) != len(self.free):
+            raise InvariantError("a slot is freed twice")
+        for s in range(n):
+            p = self.points[s]
+            if self.refs[s] != holders[s]:
+                raise InvariantError(
+                    f"slot {s} has {self.refs[s]} references and {holders[s]} holders"
+                )
+            if (p is None) != (s in free) or (p is None) != (self.refs[s] == 0):
+                raise InvariantError(f"slot {s} is free but referenced, or the reverse")
+            if p is not None and tuple(self.coords[s]) != p.coords:
+                raise InvariantError(f"slot {s} holds other coordinates than its point")
+        if self.slot_of != {
+            p.arrival: s for s, p in enumerate(self.points) if p is not None
+        }:
+            raise InvariantError("the arrival map does not name every filled slot")
+
+
 class GuessState:
     """Attraction/representative/orphan bookkeeping for one radius guess.
 
@@ -119,8 +242,10 @@ class GuessState:
     stale) entry of each orphan histogram is indexed by timestamp, making the
     per-step sweep O(1) regardless of how many orphans are held.
 
-    Bumps go through a ``_BumpMemo``: the state's own, unless its ladder
-    points it at the memo all the ladder's states share.
+    Attraction points live in a ``_PointStore`` and bumps go through a
+    ``_BumpMemo``: the state's own, unless its ladder points it at the ones
+    all the ladder's states share.  ``slots`` holds the store slots of the
+    attraction points, in arrival order (which is expiry order).
     """
 
     __slots__ = (
@@ -131,14 +256,12 @@ class GuessState:
         "window_len",
         "lam",
         "metric",
-        "attractions",
+        "slots",
         "reps",
         "orphans",
         "evictions",
         "_first_ts",
-        "_buf",
-        "_lo",
-        "_hi",
+        "_store",
         "_bumps",
     )
 
@@ -159,36 +282,55 @@ class GuessState:
         self.window_len = window_len
         self.lam = lam
         self.metric = _block_metric(metric)
-        self.attractions: list[Point] = []  # arrival order == expiry order
+        self.slots = array("q")  # attraction points' store slots, oldest first (int64)
         self.reps: dict[int, tuple[Point, Histogram]] = {}  # attraction arrival -> (rep, hist)
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
         self.evictions = 0
         self._first_ts: dict[int, int] = {}  # orphan hist first timestamp -> arrival
-        # append-only mirror of attraction coordinates for vectorized scans;
-        # rows [_lo:_hi) track the attraction list (front pops, back appends)
-        self._buf: Optional[np.ndarray] = None
-        self._lo = 0
-        self._hi = 0
+        self._store = _PointStore(self.metric)
         self._bumps = _BumpMemo(lam)
+
+    @property
+    def attractions(self) -> list[Point]:
+        """The attraction points, oldest first."""
+        points = self._store.points
+        return [points[s] for s in self.slots]
 
     # -- update ------------------------------------------------------------
 
-    def process_point(self, p: Point) -> Optional[int]:
-        """Expire stale state at time p.arrival, then absorb p.
+    def process_point(self, p: Point, hit: Optional[int] = None) -> Optional[int]:
+        """Absorb p at time p.arrival.
+
+        hit is the position in ``slots`` of the oldest attraction point
+        within the attraction radius of p, or -1 for none, as found by a
+        caller that has already swept the state at p.arrival.  Without it
+        the state sweeps, then searches its store's row for p.
 
         Returns the arrival index of the attraction point that captured p, or
         None when p became a new attraction point.
         """
         t = p.arrival
-        self.sweep(t)
-        idx = self._first_within(p)
-        if idx is None:
+        if hit is None:
+            self.sweep(t)
+            hit = self.first_within(self._store.row(p))
+        if hit < 0:
             self._insert(p)
             return None
-        a = self.attractions[idx]
-        _, hist = self.reps[a.arrival]
-        self.reps[a.arrival] = (p, self._bumps.bump(hist, t))
-        return a.arrival
+        a = self._store.points[self.slots[hit]].arrival
+        _, hist = self.reps[a]
+        self.reps[a] = (p, self._bumps.bump(hist, t))
+        return a
+
+    def first_within(self, row: Sequence[float]) -> int:
+        """Position of the oldest attraction point within the attraction
+        radius, -1 for none, given a point's distances to the store's slots.
+        A scan in arrival order: it serves replays and a state fed on its
+        own, while a ladder searches all its states at once."""
+        r = self.attr_radius
+        for i, s in enumerate(self.slots):
+            if row[s] <= r:
+                return i
+        return -1
 
     def sweep(self, t: int) -> None:
         """Expiry pass: attraction points first (their representatives become
@@ -196,11 +338,9 @@ class GuessState:
         stamped with the expiring timestamp.  Histograms may be shared with
         other states, so the entry is sliced off, never popped."""
         stale = t - self.window_len
-        attrs = self.attractions
-        while attrs and attrs[0].arrival <= stale:
-            a = attrs.pop(0)
-            self._lo += 1
-            rep, hist = self.reps.pop(a.arrival)
+        points = self._store.points
+        while self.slots and points[self.slots[0]].arrival <= stale:
+            rep, hist = self.reps.pop(self._pop_oldest())
             if rep.arrival > stale:
                 self._add_orphan(rep, hist)
         gone = self.orphans.pop(stale, None)
@@ -215,18 +355,22 @@ class GuessState:
             else:
                 del self.orphans[owner]
 
+    def _pop_oldest(self) -> int:
+        """Drop the oldest attraction point from the store; its arrival."""
+        s = self.slots.pop(0)
+        arrival = self._store.points[s].arrival
+        self._store.release(s)
+        return arrival
+
     def _insert(self, p: Point) -> None:
-        self.attractions.append(p)
-        self._buf_append(p.coords)
+        self.slots.append(self._store.acquire(p))
         self.reps[p.arrival] = (p, new_histogram(p.arrival))
-        if len(self.attractions) > self.max_attractions:
-            old = self.attractions.pop(0)
-            self._lo += 1
-            self._add_orphan(*self.reps.pop(old.arrival))
+        if len(self.slots) > self.max_attractions:
+            self._add_orphan(*self.reps.pop(self._pop_oldest()))
             self.evictions += 1
         if self.orphan_cap is None:
-            if len(self.attractions) > self.max_attractions - 1:
-                oldest = self.attractions[0].arrival
+            if len(self.slots) > self.max_attractions - 1:
+                oldest = self._store.points[self.slots[0]].arrival
                 for arrival in [a for a in self.orphans if a < oldest]:
                     _, hist = self.orphans.pop(arrival)
                     self._first_ts.pop(hist[0][0], None)
@@ -243,43 +387,16 @@ class GuessState:
         assert ts not in self._first_ts, "duplicate leading histogram timestamp"
         self._first_ts[ts] = rep.arrival
 
-    def seed(self, anchor: Point, rep: Point, hist: Histogram) -> None:
-        """Initialize an empty state with a single attraction point whose
-        representative carries a prebuilt histogram."""
-        assert not self.attractions and not self.orphans
-        self.attractions.append(anchor)
-        self._buf_append(anchor.coords)
-        self.reps[anchor.arrival] = (rep, hist)
-
-    def _buf_append(self, coords) -> None:
-        dim = len(coords)
-        if self._buf is None or self._hi == self._buf.shape[0]:
-            live = 0 if self._buf is None else self._hi - self._lo
-            cap = max(64, 2 * (live + 1))
-            fresh = np.empty((cap, dim))
-            if live:
-                fresh[:live] = self._buf[self._lo : self._hi]
-            self._buf = fresh
-            self._lo, self._hi = 0, live
-        self._buf[self._hi] = coords
-        self._hi += 1
-
-    def _first_within(self, p: Point) -> Optional[int]:
-        """Index of the oldest attraction point within the attraction radius."""
-        attrs = self.attractions
-        n = len(attrs)
-        if n == 0:
-            return None
-        r = self.attr_radius
-        metric = self.metric
-        if n >= _VEC_MIN:
-            near = metric.pairwise(np.array([p.coords]), self._buf[self._lo : self._hi])
-            hits = np.flatnonzero(near[0] <= r)
-            return int(hits[0]) if hits.size else None
-        for i, a in enumerate(attrs):
-            if metric(p, a) <= r:
-                return i
-        return None
+    def seed(self, anchor: Optional[Point], rep: Point, hist: Histogram) -> None:
+        """Initialize an empty state with rep carrying a prebuilt histogram:
+        as the representative of the anchor, its single attraction point, or
+        without an anchor as an orphan whose attraction point has expired."""
+        assert not self.slots and not self.orphans
+        if anchor is None:
+            self._add_orphan(rep, hist)
+        else:
+            self.slots.append(self._store.acquire(anchor))
+            self.reps[anchor.arrival] = (rep, hist)
 
     # -- inspection ----------------------------------------------------------
 
@@ -296,7 +413,7 @@ class GuessState:
         return out
 
     def stored_points(self) -> int:
-        return len(self.attractions) + len(self.reps) + len(self.orphans)
+        return len(self.slots) + len(self.reps) + len(self.orphans)
 
     def histogram_entries(self) -> int:
         return sum(len(h) for _, h in self.reps.values()) + sum(
@@ -304,7 +421,8 @@ class GuessState:
         )
 
     def check_invariants(self, t: int) -> None:
-        """Raise InvariantError unless the state is consistent at clock t."""
+        """Raise InvariantError unless the state is consistent at clock t.
+        The store's own consistency is checked by the ladder that owns it."""
         window_len, lam = self.window_len, self.lam
         attrs = self.attractions
         n = len(attrs)
@@ -312,13 +430,11 @@ class GuessState:
             raise InvariantError(f"{n} attraction points, cap {self.max_attractions}")
         if len(self.reps) != n:
             raise InvariantError("not one representative per attraction point")
-        if n != len({a.arrival for a in attrs}) or self._hi - self._lo != n:
-            raise InvariantError("attraction points repeat or miss their buffer rows")
+        if any(a is None for a in attrs) or n != len({a.arrival for a in attrs}):
+            raise InvariantError("attraction points repeat or sit in free slots")
         for i in range(n):
             if attrs[i].arrival <= t - window_len:
                 raise InvariantError("stored expired attraction point")
-            if tuple(self._buf[self._lo + i]) != attrs[i].coords:
-                raise InvariantError(f"buffer row {i} is not its attraction point")
             if i and attrs[i - 1].arrival >= attrs[i].arrival:
                 raise InvariantError("attraction points not in arrival order")
         d = _distances(attrs, self.metric)
@@ -366,7 +482,9 @@ class GuessState:
         }
 
     def restore(self, data: dict) -> None:
-        self.attractions = [_point_in(p) for p in data["attractions"]]
+        """Load a fresh state from ``to_jsonable`` output, placing its
+        attraction points in its store."""
+        self.slots = array("q", [self._store.acquire(_point_in(p)) for p in data["attractions"]])
         self.reps = {
             a: (_point_in(rep), [tuple(e) for e in hist])
             for a, rep, hist in data["reps"]
@@ -376,10 +494,6 @@ class GuessState:
         for r, hist in data["orphans"]:
             self._add_orphan(_point_in(r), [tuple(e) for e in hist])
         self.evictions = data["evictions"]
-        self._buf = None
-        self._lo = self._hi = 0
-        for p in self.attractions:
-            self._buf_append(p.coords)
 
 
 def _point_out(p: Point) -> list:
@@ -401,6 +515,12 @@ class GuessLadder:
     points and prunes orphans that can no longer reach a coreset; an integer
     c keeps at most c attraction points and at most c orphans, pruning none
     (the effective-diameter fine ladder).
+
+    The ladder's states keep their attraction points in one ``_PointStore``
+    with the ladder's recent ring.  In oblivious mode each recent point sits
+    at ring position arrival mod (k + z + 1): ``_ring_slots`` holds its store
+    slot (-1 while unfilled) and ``_closest_newer`` the smallest positive
+    distance from it to a newer recent point (inf if there is none).
     """
 
     def __init__(
@@ -420,6 +540,7 @@ class GuessLadder:
         self.mode = mode
         self.metric = _block_metric(metric)
         self._bumps = _BumpMemo(params.lam)  # shared by every state
+        self._store = _PointStore(self.metric)  # likewise
         self.attr_factor = attr_factor
         self.cap = cap
         self.t = 0
@@ -435,7 +556,10 @@ class GuessLadder:
                 self.states[e] = self._new_state(e)
         else:
             self.first_point: Optional[Point] = None
-            self.recent: deque[Point] = deque(maxlen=params.k + params.z + 1)
+            m = params.k + params.z + 1
+            self.recent: deque[Point] = deque(maxlen=m)
+            self._ring_slots = np.full(m, -1, dtype=np.intp)
+            self._closest_newer = np.full(m, math.inf)
             self.d_t = 0.0
             self.D_t = 0.0
             # arrivals are consecutive, so the last N points are the window
@@ -485,6 +609,7 @@ class GuessLadder:
             orphan_cap=self.cap,
         )
         st._bumps = self._bumps
+        st._store = self._store
         return st
 
     def exponents(self) -> list[int]:
@@ -495,7 +620,8 @@ class GuessLadder:
     def process_point(self, p: Point) -> None:
         """Feed the next stream point.  Arrivals must be consecutive from 1
         and every point must have the first point's dimension; a rejected
-        point leaves the ladder untouched."""
+        point leaves the ladder untouched.  Every state is swept first, then
+        handed p with the hit ``_hits`` found for it."""
         t = p.arrival
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
@@ -508,8 +634,40 @@ class GuessLadder:
             if not self.bootstrapped:
                 self.warmup.append(p)
                 return
-        for st in self.states.values():
-            st.process_point(p)
+        states = list(self.states.values())
+        for st in states:
+            st.sweep(t)
+        for st, hit in zip(states, self._hits(p, states)):
+            st.process_point(p, hit)
+
+    def _hits(self, p: Point, states: list[GuessState]) -> list[int]:
+        """Each swept state's position of its oldest attraction point within
+        its radius of p, -1 for none, from one row of p's distances to the
+        store.  A state whose radius is below every distance in the row
+        (free slots included, which only makes this rarer) holds no hit; the slots of the others are gathered from the row into
+        one flat array and compared with each state's radius, and the first
+        hit of each state's segment is found by searchsorted over the
+        segment starts."""
+        row = self._store.row(p)
+        closest = row.min(initial=math.inf)
+        hits = [-1] * len(states)
+        near = [i for i, st in enumerate(states) if st.attr_radius >= closest]
+        if not near:
+            return hits
+        segs = [states[i].slots for i in near]
+        lens = [len(sl) for sl in segs]
+        bounds = list(accumulate(lens, initial=0))  # segment j is [bounds[j], bounds[j+1])
+        flat = np.frombuffer(b"".join(segs), dtype=np.int64)
+        radii = np.array([states[i].attr_radius for i in near]).repeat(lens)
+        within = (row[flat] <= radii).nonzero()[0]
+        if within.size:
+            # the first hit at or after each segment start; "clip" reads the
+            # last hit, which lies before the start, where there is none
+            first = within.take(within.searchsorted(bounds[:-1]), mode="clip").tolist()
+            for i, f, s, e in zip(near, first, bounds, bounds[1:]):
+                if s <= f < e:
+                    hits[i] = f - s
+        return hits
 
     def maintain_oblivious_ladder(self, p: Point) -> None:
         """Refresh the distance estimates and retarget the grid before p is
@@ -522,14 +680,53 @@ class GuessLadder:
             self.D_t = max(self.D_t, self.metric(self.first_point, p))
         prev_recent = list(self.recent)
         self.recent.append(p)
-        d, _ = _extremes(_distances(self.recent, self.metric), len(self.recent))
+        leaving, d = self._ring_add(p)
         if d > 0:
             self.d_t = d
-        if not self.bootstrapped:
-            if t >= self.params.k + self.params.z + 2 and self.d_t > 0:
-                self._bootstrap()
-            return
-        self._retarget(prev_recent, t)
+        if self.bootstrapped:
+            self._retarget(prev_recent, t)
+        elif t >= self.params.k + self.params.z + 2 and self.d_t > 0:
+            self._bootstrap()
+        if leaving >= 0:  # kept in the store for the replays of prev_recent
+            self._store.release(leaving)
+
+    def _ring_add(self, p: Point) -> tuple[int, float]:
+        """Put p in the recent ring in place of the oldest point.  Returns
+        the store slot of the point leaving the ring (-1 if none), which the
+        caller releases, and the smallest positive distance between two
+        recent points (0.0 if there is none).  Every pair is counted at its
+        older point, so p's distances to the others, read from the store's
+        row for p, are all that an arrival adds, and the leaving point takes
+        its pairs along."""
+        slots, closest = self._ring_slots, self._closest_newer
+        pos = p.arrival % len(slots)
+        leaving = int(slots[pos])
+        slots[pos] = self._store.acquire(p)
+        d = self._store.row(p)[slots]
+        d[d <= 0.0] = math.inf
+        if p.arrival < len(slots):
+            d[slots < 0] = math.inf  # positions not filled yet
+        np.minimum(closest, d, out=closest)
+        closest[pos] = math.inf
+        low = float(closest.min())
+        return leaving, (low if low < math.inf else 0.0)
+
+    def _rebuild_ring(self) -> None:
+        """Ring slots and closest-newer distances of the recent points, read
+        afresh in one block."""
+        recent = list(self.recent)
+        pos = [q.arrival % len(self._ring_slots) for q in recent]
+        self._ring_slots[:] = -1
+        self._ring_slots[pos] = [self._store.acquire(q) for q in recent]
+        self._closest_newer[:] = math.inf
+        if recent:
+            everyone = np.arange(len(recent))
+            # d[i, j] = metric(recent[j], recent[i]), the newer point first
+            # for j > i, as the arrival of recent[j] read it
+            d = _distances(recent, self.metric)(everyone, everyone).T
+            d[d <= 0.0] = math.inf
+            d[np.tril_indices(len(recent))] = math.inf  # keep pairs (i, newer j)
+            self._closest_newer[pos] = d.min(axis=1)
 
     def _bootstrap(self) -> None:
         """First grid construction: replay the buffered prefix through empty
@@ -545,7 +742,8 @@ class GuessLadder:
         old_lo = min(self.states)
         old_hi = max(self.states)
         for e in [e for e in self.states if e < lo or e > hi]:
-            del self.states[e]
+            for s in self.states.pop(e).slots:
+                self._store.release(s)
         for e in range(lo, old_lo):
             # the recent points are mutually farther than twice the new
             # guess, so replaying just them is what a fresh run would store
@@ -554,10 +752,20 @@ class GuessLadder:
             self.states[e] = self._high_guess_state(e, prev_recent, t)
 
     def _replayed_state(self, exponent: int, points: Sequence[Point]) -> GuessState:
-        """Fresh state for the guess, fed the given points in order."""
+        """Fresh state for the guess, fed the given points in order.  Their
+        distances to the store are read in blocks of _BLOCK rows; a block's
+        own points hold a slot in the store while the block is read."""
         st = self._new_state(exponent)
-        for q in points:
-            st.process_point(q)
+        points = list(points)
+        store = self._store
+        for r0 in range(0, len(points), _BLOCK):
+            block = points[r0 : r0 + _BLOCK]
+            pinned = [store.acquire(q) for q in block]
+            for q, row in zip(block, store.rows(block).tolist()):
+                st.sweep(q.arrival)
+                st.process_point(q, st.first_within(row))
+            for s in pinned:
+                store.release(s)
         return st
 
     def _high_guess_state(
@@ -567,10 +775,12 @@ class GuessLadder:
 
         All prior points are within twice the new guess of each other, so a
         from-scratch run would hold a single attraction point whose
-        representative is the latest point, standing for the whole window.
-        The anchor is the (about to expire) oldest window point while the
-        window is full, or the very first stream point before that; its
-        histogram is built directly by ``synthetic_full_window``.  That
+        representative is the latest point, standing for the whole window;
+        its histogram is built directly by ``synthetic_full_window``.  The
+        attraction point is the very first stream point while the window is
+        not full yet.  Once it is full, it is the oldest window point, which
+        the sweep at t expires before p is searched, so the state starts as
+        that sweep leaves it: with the representative orphaned.  That
         shortcut is exact only when the attraction radius is at least twice
         the guess; narrower ladders (such as the fine one) replay the
         recent points instead.
@@ -578,14 +788,9 @@ class GuessLadder:
         if self.attr_factor < 2.0:
             return self._replayed_state(exponent, prev_recent)
         st = self._new_state(exponent)
-        N, lam = self.params.window_len, self.params.lam
-        rep = prev_recent[-1]
-        m = min(N, t - 1)
-        if t - 1 >= N:
-            anchor = Point(t - N, rep.coords)
-        else:
-            anchor = self.first_point
-        st.seed(anchor, rep, synthetic_full_window(t, m, lam))
+        N = self.params.window_len
+        hist = synthetic_full_window(t, min(N, t - 1), self.params.lam)
+        st.seed(self.first_point if t - 1 < N else None, prev_recent[-1], hist)
         return st
 
     # -- extraction ----------------------------------------------------------
@@ -597,7 +802,7 @@ class GuessLadder:
         row per point it takes, at most k + z + 1 rows."""
         st = self.states[exponent]
         cap = self.params.k + self.params.z
-        if len(st.attractions) > cap:
+        if len(st.slots) > cap:
             return False
         pts = st.union_points()
         d = _distances(pts, self.metric)
@@ -659,6 +864,18 @@ class GuessLadder:
     def histogram_entries(self) -> int:
         return sum(st.histogram_entries() for st in self.states.values())
 
+    def stats(self) -> dict[str, int]:
+        """What the ladder holds, counted on call: guesses, stored points
+        (as the memory gauge counts them), distinct points in the store,
+        histogram entries, and the evictions of every current guess."""
+        return {
+            "grid_len": len(self.states),
+            "stored_points": self.stored_points(),
+            "distinct_points": self._store.live(),
+            "histogram_entries": self.histogram_entries(),
+            "evictions": sum(st.evictions for st in self.states.values()),
+        }
+
     def memory_floats(self, dim: int) -> int:
         """Structure-size memory gauge: stored points times dimension, plus
         two floats per histogram entry, plus one scalar per guess and two
@@ -668,14 +885,27 @@ class GuessLadder:
 
     def check_invariants(self) -> None:
         """Every state's invariants, plus the ladder-wide ones: the grid is
-        exactly the exponent range its mode implies, and in oblivious mode
-        d_t and D_t agree with the points they are derived from.  The
-        first that fails raises InvariantError.
+        exactly the exponent range its mode implies; in oblivious mode the
+        recent points are the last arrivals, each in its ring slot, and d_t
+        and D_t agree with the points they are derived from; the store holds
+        what the states and the ring reference.  The first that fails raises
+        InvariantError.
 
         d_t is compared with a relative tolerance of 1e-9, since a snapshot
         written before d_t came from the metric's block form holds the
         scalar form's value, which may differ in the last bits."""
+        holders = Counter(s for st in self.states.values() for s in st.slots)
         if self.mode == "oblivious":
+            slots = self._ring_slots.tolist()
+            m, points = len(slots), self._store.points
+            if [q.arrival for q in self.recent] != list(range(max(1, self.t - m + 1), self.t + 1)):
+                raise InvariantError("recent points are not the last arrivals")
+            held = [slots[q.arrival % m] for q in self.recent]
+            if sum(s >= 0 for s in slots) != len(held) or any(
+                not 0 <= s < len(points) or points[s] != q for s, q in zip(held, self.recent)
+            ):
+                raise InvariantError("recent ring slots do not hold the recent points")
+            holders.update(held)
             d, _ = _extremes(_distances(self.recent, self.metric), len(self.recent))
             if not (d == 0 or math.isclose(self.d_t, d, rel_tol=1e-9)):
                 raise InvariantError(
@@ -696,6 +926,7 @@ class GuessLadder:
         grid = self.exponents()
         if grid != list(range(lo, hi + 1)):
             raise InvariantError(f"grid {grid} is not [{lo}, {hi}]")
+        self._store.check(holders)
         for st in self.states.values():
             st.check_invariants(self.t)
 
@@ -793,6 +1024,7 @@ class GuessLadder:
             ladder.D_t = ob["D_t"]
             ladder.bootstrapped = ob["bootstrapped"]
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
+            ladder._rebuild_ring()
             held += ladder.recent
         ladder.dim = held[0].dim if held else None
         return ladder

@@ -295,6 +295,42 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     return ladder
 
 
+def reference_first_within(st, p: Point) -> int:
+    """Per-guess attraction search: the reference for the ladder's one-row
+    search over its point store.  Reads one block-form row from p to this
+    guess's own attraction points, rebuilt from the points themselves, and
+    returns the position of the oldest one within the attraction radius, or
+    -1 for none."""
+    attrs = st.attractions
+    if not attrs:
+        return -1
+    ys = np.array([a.coords for a in attrs], dtype=float)
+    near = st.metric.pairwise(np.array([p.coords], dtype=float), ys)[0]
+    hits = np.flatnonzero(near <= st.attr_radius)
+    return int(hits[0]) if hits.size else -1
+
+
+def per_guess_search(ladder: GuessLadder) -> GuessLadder:
+    """The ladder, changed so that every attraction search it makes, per
+    arrival and in replays, is ``reference_first_within`` on one guess at a
+    time: the twin against which the shared row is compared."""
+    make = ladder._new_state
+
+    def hits(p: Point, states) -> list[int]:
+        return [reference_first_within(st, p) for st in states]
+
+    def replayed_state(exponent: int, points):
+        st = make(exponent)
+        for q in points:
+            st.sweep(q.arrival)
+            st.process_point(q, reference_first_within(st, q))
+        return st
+
+    ladder._hits = hits
+    ladder._replayed_state = replayed_state
+    return ladder
+
+
 def adversarial_stream(rng: np.random.Generator, n: int, dim: int) -> list[Point]:
     """Random stream in segments that stress the update path: each segment
     sits at a scale that jumps up or down by up to 10^3 from the last

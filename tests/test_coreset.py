@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from streamkc import coreset
-from streamkc.core import Point, StreamParams, WindowView, dist
+from streamkc.core import InvariantError, Point, StreamParams, WindowView, dist
+from streamkc.core import _distances, _extremes
 from streamkc.coreset import GuessLadder, GuessState
 from streamkc.effdiam import EffDiameterConfig, FineCoresetState
 from streamkc.experiment import generate_ball_stream, inject_outliers, injection_prob
@@ -23,6 +24,7 @@ from oracles import (
     looped,
     make_stream,
     manhattan,
+    per_guess_search,
     reference_qualifies,
     stream_extremes,
     unshared,
@@ -542,6 +544,12 @@ def _inflate_d_t(snap, t, window_len):
     snap["oblivious"]["d_t"] = 1e6
 
 
+def _split_a_point(snap, t, window_len):
+    # the newest point as a guess holds it, and as the recent points hold it
+    newest = next(a for st in snap["states"] for a in st["attractions"] if a[0] == t)
+    newest[1] = [c + 1.0 for c in newest[1]]
+
+
 def _drop_a_middle_guess(snap, t, window_len):
     states = snap["states"]
     del states[len(states) // 2]
@@ -562,6 +570,7 @@ class TestSnapshotVerification:
             _drop_a_field,
             _rewind_the_clock,
             _inflate_d_t,  # not the recent points' smallest distance
+            _split_a_point,  # two different points with one arrival
             _drop_a_middle_guess,  # a gap in the grid
         ],
         ids=lambda f: "valid" if f is None else f.__name__.strip("_"),
@@ -620,8 +629,9 @@ class TestSnapshotVerification:
         for i in range(1, 24):
             st.process_point(pt(i, float(i)))
         st.check_invariants(23)
-        st.attractions[17] = pt(18, 3.25)  # within 0.5 of the point at 3.0
-        st._buf[st._lo + 17] = (3.25,)
+        slot = st.slots[17]  # the store slot of the point at 18.0
+        st._store.points[slot] = pt(18, 3.25)  # within 0.5 of the point at 3.0
+        st._store.coords[slot] = (3.25,)
         with pytest.raises(AssertionError, match="attraction points 3,18 too close"):
             st.check_invariants(23)
 
@@ -643,9 +653,9 @@ class TestBlockMetric:
         with pytest.raises(TypeError, match="pairwise"):
             GuessLadder.from_snapshot(snap, metric=scalar_only)
 
-    def test_manhattan_block_form_matches_a_looped_twin(self, monkeypatch):
-        # the ladder holds 48 or more attraction points, so its attraction
-        # search runs on Manhattan's block form, not on scalar calls
+    def test_manhattan_block_form_matches_a_looped_twin(self):
+        # the ladder holds 48 or more attraction points per guess, all
+        # searched through one row of Manhattan's block form per arrival
         stream = make_stream(np.random.default_rng(71), 200, 3, "uniform")
         params = StreamParams(120, 2, 1, 0.5, 0.5)
 
@@ -660,8 +670,6 @@ class TestBlockMetric:
         most, snap = run(manhattan)
         assert most >= 48
         assert run(looped(manhattan)) == (most, snap)
-        monkeypatch.setattr(coreset, "_VEC_MIN", 10**9)  # scalar attraction search only
-        assert run(manhattan) == (most, snap)
 
     @pytest.mark.parametrize("metric", [dist, manhattan])
     def test_d_t_is_the_smallest_positive_recent_distance(self, metric):
@@ -803,9 +811,9 @@ class TestBumpMemo:
             calls += 1
             return trim(hist, t, lam)
 
-        def counted_absorb(self, p):
+        def counted_absorb(self, p, hit=None):
             nonlocal captures
-            got = absorb(self, p)
+            got = absorb(self, p, hit)
             captures += got is not None
             return got
 
@@ -862,4 +870,172 @@ class TestAdversarialSoak:
         stream = adversarial_stream(rng, 200, 2)
         state = FineCoresetState(cfg, int(rng.integers(20, 60)), "fixed", *stream_extremes(stream))
         self._soak(rng, [state.validation, state.fine], stream)
+        state.estimate()
+
+
+def _block_tie(rng, radius=None):
+    """Two seeded random 4-d points whose block-form distance r is one ulp
+    below math.dist, and r; with a radius, the second point is drawn on the
+    sphere of that radius around the origin and r equals it."""
+    while True:
+        if radius is None:
+            a, b = (tuple(map(float, x)) for x in rng.normal(size=(2, 4)))
+        else:
+            u = rng.normal(size=4)
+            a, b = (0.0,) * 4, tuple(map(float, u / np.linalg.norm(u) * radius))
+        r = float(dist.pairwise([a], [b])[0, 0])
+        if math.dist(a, b) > r and radius in (None, r):
+            return a, b, r
+
+
+def _add_a_reference(store):
+    store.refs[store.slot_of[max(store.slot_of)]] += 1
+
+
+def _move_a_point(store):
+    store.coords[store.slot_of[max(store.slot_of)]] += 1.0
+
+
+def _free_a_held_slot(store):
+    s = store.slot_of[min(store.slot_of)]  # an attraction point, not a recent one
+    store.points[s] = None
+    store.free.append(s)
+
+
+class TestPointStore:
+    """Every guess of a ladder searches one row of distances from the new
+    point to the ladder's point store."""
+
+    def test_attraction_search_reads_the_block_form(self):
+        # a point at exactly the attraction radius is captured, as the
+        # block-form separation check of check_invariants requires
+        a, b, r = _block_tie(np.random.default_rng(101))
+        st = GuessState(r / 2.0, r, max_attractions=5, window_len=10, lam=0.5)
+        assert st.process_point(Point(1, a)) is None
+        assert st.process_point(Point(2, b)) == 1
+        st.check_invariants(2)
+
+    def test_a_tie_at_a_ladder_radius_survives_a_snapshot(self):
+        a, b, _ = _block_tie(np.random.default_rng(103), radius=2.0)
+        lad = GuessLadder(StreamParams(10, 1, 1, 0.5, 0.5), "fixed", 1.0, 4.0)
+        assert lad.states[0].attr_radius == 2.0
+        lad.process_point(Point(1, a))
+        lad.process_point(Point(2, b))
+        assert len(lad.states[0].slots) == 1
+        restored = _round_trip(lad)
+        assert restored.to_snapshot() == lad.to_snapshot()
+        rng = np.random.default_rng(107)
+        for t in range(3, 30):
+            p = Point(t, tuple(map(float, rng.normal(size=4))))
+            lad.process_point(p)
+            restored.process_point(p)
+        assert restored.to_snapshot() == lad.to_snapshot()
+        restored.check_invariants()
+
+    @pytest.mark.parametrize("mode", ["oblivious", "fixed"])
+    def test_stats_count_the_distinct_points_held(self, mode):
+        rng = np.random.default_rng(109)
+        stream = make_stream(rng, 150, 2)
+        bounds = stream_extremes(stream) if mode == "fixed" else ()
+        lad = GuessLadder(StreamParams(40, 2, 1, 0.5, 0.5), mode, *bounds)
+        for p in stream:
+            lad.process_point(p)
+            stats = lad.stats()
+            held = {q for st in lad.states.values() for q in st.attractions}
+            held.update(lad.recent if mode == "oblivious" else ())
+            assert stats == {
+                "grid_len": len(lad.states),
+                "stored_points": lad.stored_points(),
+                "distinct_points": len(held),
+                "histogram_entries": lad.histogram_entries(),
+                "evictions": sum(st.evictions for st in lad.states.values()),
+            }
+            assert all(type(v) is int for v in stats.values())
+            assert stats["distinct_points"] <= stats["stored_points"]
+        assert stats["distinct_points"] < sum(len(st.slots) for st in lad.states.values())
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            pytest.param(_add_a_reference, "references and", id="add_a_reference"),
+            pytest.param(_move_a_point, "other coordinates", id="move_a_point"),
+            pytest.param(_free_a_held_slot, "free but referenced", id="free_a_held_slot"),
+        ],
+    )
+    def test_a_corrupt_store_fails_the_check(self, corrupt, message):
+        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
+        for p in make_stream(np.random.default_rng(67), 80, 2):
+            lad.process_point(p)
+        lad.check_invariants()
+        corrupt(lad._store)
+        with pytest.raises(InvariantError, match=message):
+            lad.check_invariants()
+
+    @staticmethod
+    def _lockstep(rng, ladders, stream, metric):
+        """Feed each ladder and a per-guess-search twin of it the stream;
+        after every step their snapshots agree and an oblivious ladder's d_t
+        is the recent points' smallest block-form distance.  Each ladder is
+        restored from its JSON snapshot at one random step."""
+        twins = [per_guess_search(_round_trip(lad, metric)) for lad in ladders]
+        restart = int(rng.integers(2, len(stream)))
+        for p in stream:
+            if p.arrival == restart:
+                ladders = [_round_trip(lad, metric) for lad in ladders]
+            for lad, twin in zip(ladders, twins):
+                lad.process_point(p)
+                twin.process_point(p)
+                assert lad.to_snapshot() == twin.to_snapshot()
+                if lad.mode == "oblivious":
+                    recent = list(lad.recent)
+                    low = _extremes(_distances(recent, metric), len(recent))[0]
+                    assert low == 0 or lad.d_t == low
+        for lad in ladders:
+            lad.check_invariants()
+        return ladders
+
+    @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_oblivious_ladder_matches_per_guess_search(self, seed, metric, monkeypatch):
+        full = []  # arrivals at which a guess is added above a full window
+        high = GuessLadder._high_guess_state
+
+        def spy(self, exponent, prev_recent, t):
+            if t - 1 >= self.params.window_len:
+                full.append(t)
+            return high(self, exponent, prev_recent, t)
+
+        monkeypatch.setattr(GuessLadder, "_high_guess_state", spy)
+        rng = np.random.default_rng(3000 + seed)
+        stream = adversarial_stream(rng, 300, 2)
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious", metric=metric)
+        self._lockstep(rng, [lad], stream, metric)
+        assert full
+
+    @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
+    def test_fixed_ladder_matches_per_guess_search(self, metric):
+        rng = np.random.default_rng(3100)
+        stream = adversarial_stream(rng, 250, 3)
+        bounds = stream_extremes(stream, metric)
+        lad = GuessLadder(StreamParams(30, 3, 2, 0.5, 0.5), "fixed", *bounds, metric=metric)
+        self._lockstep(rng, [lad], stream, metric)
+
+    @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
+    @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
+    def test_fine_coreset_ladders_match_per_guess_search(self, mode, metric):
+        rng = np.random.default_rng(3200)
+        stream = adversarial_stream(rng, 200, 2)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=0.5, fine_cap=64)
+        bounds = stream_extremes(stream, metric) if mode == "fixed" else ()
+        state = FineCoresetState(cfg, 40, mode, *bounds)
+        # the same two ladders, in the metric under test
+        state.validation, state.fine = (
+            GuessLadder(lad.params, mode, *bounds, metric=metric,
+                        attr_factor=lad.attr_factor, cap=lad.cap)
+            for lad in (state.validation, state.fine)
+        )
+        assert state.validation._store is not state.fine._store
+        state.validation, state.fine = self._lockstep(
+            rng, [state.validation, state.fine], stream, metric
+        )
         state.estimate()

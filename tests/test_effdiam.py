@@ -327,7 +327,7 @@ class TestFineState:
             state.estimate()
 
     def test_wrong_dimension_leaves_both_ladders_untouched(self):
-        # the fine ladder holds enough attractions for its vectorized search
+        # the fine ladder holds dozens of attraction points per guess
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1)
         state = FineCoresetState(cfg, window_len=100, mode="fixed", d_min=0.01, d_max=100.0)
         pts = stream_points(generate_ball_stream(60, dim=4, seed=2))
