@@ -644,10 +644,11 @@ class GuessLadder:
         """Each swept state's position of its oldest attraction point within
         its radius of p, -1 for none, from one row of p's distances to the
         store.  A state whose radius is below every distance in the row
-        (free slots included, which only makes this rarer) holds no hit; the slots of the others are gathered from the row into
-        one flat array and compared with each state's radius, and the first
-        hit of each state's segment is found by searchsorted over the
-        segment starts."""
+        (free slots included, which only makes this rarer) holds no hit;
+        the slots of the others are gathered from the row into one flat
+        array and compared with each state's radius, and the first hit of
+        each state's segment is found by searchsorted over the segment
+        starts."""
         row = self._store.row(p)
         closest = row.min(initial=math.inf)
         hits = [-1] * len(states)

@@ -9,7 +9,9 @@ everything inside a larger ball around it.  ``compute_solution`` and the
 (``_radius_grid``), scanning radii upward from zero and stopping at the first
 one whose run leaves at most z uncovered weight.  Distances are read in
 blocks of at most ``_BLOCK`` rows through ``core._distances``, in the
-metric's own block form, so no full pairwise matrix is built.
+metric's own block form, so no full pairwise matrix is built.  A scan
+builds that reader once and runs the greedy's kernel, ``_greedy``, on it at
+every radius it tries.
 
 Before a scan, a farthest-first traversal (Gonzalez, TCS 1985; also the
 ``gonzalez`` baseline) picks k + z + 1 points and measures their smallest
@@ -85,15 +87,30 @@ def outliers_cluster(
     the non-empty index array candidates(round) when given.  Returns the
     chosen centers and the uncovered points with their weights.
     """
-    if rho < 0 or eps < 0:
-        raise ValueError("rho and eps must be non-negative")
-    n = len(points)
-    cover_r = (1.0 + 2.0 * eps) * rho
-    removal_r = (3.0 + 4.0 * eps) * rho
     d = _distances(points, metric)
     w = np.asarray(weights, dtype=float)
+    centers, uncovered = _greedy(d, w, k, rho, eps, candidates)
+    return [points[i] for i in centers], [(points[j], weights[j]) for j in uncovered]
+
+
+def _greedy(
+    d: Distances,
+    w: np.ndarray,
+    k: int,
+    rho: float,
+    eps: float,
+    candidates: Optional[Callable[[int], np.ndarray]] = None,
+) -> tuple[list[int], np.ndarray]:
+    """``outliers_cluster`` on the points d reads, whose weights are w:
+    the indices of the chosen centers and of the uncovered points.  The
+    radius scans call it with the one reader d of their query."""
+    if rho < 0 or eps < 0:
+        raise ValueError("rho and eps must be non-negative")
+    n = w.size
+    cover_r = (1.0 + 2.0 * eps) * rho
+    removal_r = (3.0 + 4.0 * eps) * rho
     uncovered = np.arange(n)
-    centers: list[Point] = []
+    centers: list[int] = []
     for r in range(k):
         if not uncovered.size:
             break
@@ -106,9 +123,9 @@ def outliers_cluster(
             j = int(scores.argmax())
             if scores[j] > best_w:
                 best_i, best_w = int(rows[j]), scores[j]
-        centers.append(points[best_i])
+        centers.append(best_i)
         uncovered = uncovered[d([best_i], uncovered)[0] > removal_r]
-    return centers, [(points[j], weights[j]) for j in uncovered]
+    return centers, uncovered
 
 
 def _farthest_first(d: Distances, n: int, m: int) -> tuple[list[int], float]:
@@ -136,7 +153,6 @@ def _first_covering(
     k: int,
     z: int,
     eps: float,
-    metric: Metric,
     candidates: Optional[Callable[[int], np.ndarray]] = None,
 ) -> tuple[float, list[Point], int]:
     """(rho, centers, uncovered weight) of the first grid radius whose
@@ -151,6 +167,7 @@ def _first_covering(
     candidate sets the run would have drawn.
     """
     n = len(pts)
+    w = np.asarray(wts, dtype=float)
     sep = 0.0 if n < k + z + 1 else _farthest_first(d, n, k + z + 1)[1]
     for rho in grid:
         # the relative margin absorbs rounding in the distances the bound
@@ -160,10 +177,10 @@ def _first_covering(
                 for r in range(k):
                     candidates(r)
             continue
-        centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric, candidates)
-        uw = sum(w for _, w in uncovered)
+        centers, uncovered = _greedy(d, w, k, rho, eps, candidates)
+        uw = sum(wts[j] for j in uncovered)
         if uw <= z:
-            return rho, centers, uw
+            return rho, [pts[i] for i in centers], uw
     raise RuntimeError("radius grid exhausted without covering enough weight")
 
 
@@ -201,7 +218,7 @@ def compute_solution(
         cap = 4.0 * hi
 
     grid = _radius_grid(lo, cap, 1.0 + params.beta)
-    rho, centers, uw = _first_covering(grid, pts, wts, d, k, z, eps, metric)
+    rho, centers, uw = _first_covering(grid, pts, wts, d, k, z, eps)
     achieved = None if window is None else radius_excluding(centers, window, z, metric)
     return SolveOutcome(
         centers=tuple(centers),
@@ -283,9 +300,7 @@ def _whole_window(
     d = _distances(pts, metric)
     lo, hi = _extremes(d, n)
     grid = _radius_grid(lo, hi, 1.0 + step)
-    rho, centers, uw = _first_covering(
-        grid, pts, [1] * n, d, k, z, 0.0, metric, candidates
-    )
+    rho, centers, uw = _first_covering(grid, pts, [1] * n, d, k, z, 0.0, candidates)
     achieved = 0.0 if z >= n else radius_excluding(centers, window, z, metric)
     return SolveOutcome(
         centers=tuple(centers),

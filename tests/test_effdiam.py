@@ -70,6 +70,23 @@ class TestExactOracle:
                 levels["rank <= n" if rank <= n else "alpha = 1" if alpha == 1 else "pairs"] += 1
         assert min(levels.values()) > 0, levels
 
+    def test_partitions_its_own_distances_in_place(self):
+        coords = np.random.default_rng(4).normal(size=(1000, 4))
+        window = WindowView.from_coords(coords)
+        d = pdist(coords)
+        m = d.size
+        for alpha in (0.9, 0.5, 1.0):
+            j = math.ceil((math.ceil(alpha * 1000 * 1000) - 1000) / 2)
+            want = float(np.partition(d, j - 1)[j - 1])
+            tracemalloc.start()
+            try:
+                got = exact_effective_diameter(window, alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 1.3 * 8 * m, peak / (8 * m)
+
 
 class TestCoresetEstimate:
     def _coreset(self, pairs):
@@ -191,7 +208,15 @@ class TestPairMassTable:
         assert table.cum[-1] == sum(w) ** 2
         assert np.all(np.diff(table.cum) >= 0)
         # 190 pairs are sorted outright, 44,850 are bucketed
-        assert (table.bucket is None) == (n == 20)
+        assert (table.shift is None) == (n == 20)
+        keys = np.sort(table.dists).view(np.int64)
+        if table.shift is None:
+            assert np.array_equal(table.dists.view(np.int64), keys)
+            assert table.cum.size == table.dists.size
+        else:
+            assert table.lo == keys[0]
+            assert table.cum.size == ((keys[-1] - table.lo) >> table.shift) + 1
+            assert table.cum.size <= 2**effdiam._BUCKET_BITS
 
     @pytest.mark.parametrize(
         "style, n",
@@ -212,15 +237,20 @@ class TestPairMassTable:
         rng = np.random.default_rng(n)
         T = _large_coreset(rng, style, n)
         table = pair_masses(T)
+        # the same table built into a reused buffer that held larger distances
+        m = n * (n - 1) // 2
+        used = np.full(m + 7, 1e300)
+        reused = pair_masses(T, out=used[:m])
         total = T.total_weight()
         for window_size in (total, total + int(rng.integers(1, total + 1))):
             for alpha in (0.9 / 1.5**2, 0.9, float(rng.uniform(0.01, 1.0)), 1.0):
-                got = coreset_effective_diameter(table, alpha, window_size)
-                assert got == reference_coreset_effective_diameter(T, alpha, window_size)
+                want = reference_coreset_effective_diameter(T, alpha, window_size)
+                assert coreset_effective_diameter(table, alpha, window_size) == want
+                assert coreset_effective_diameter(reused, alpha, window_size) == want
         if style in ("lattice", "one_duplicate"):
             # a zero or heavily repeated distance leaves a top-level bucket
             # of more than _SORT_AT pairs, which a read splits again
-            assert table.bucket is not None
+            assert table.shift is not None
             assert max(selected[1:]) > effdiam._SORT_AT
 
     def test_building_and_reading_stay_below_four_and_a_half_pair_arrays(self):
@@ -235,19 +265,93 @@ class TestPairMassTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.bucket is not None
+        assert table.shift is not None
         assert peak < 4.5 * 8 * m, peak / (8 * m)
 
     def test_estimate_builds_one_table_per_query(self, monkeypatch):
         calls = []
         real = effdiam.pair_masses
-        monkeypatch.setattr(effdiam, "pair_masses", lambda c: calls.append(c) or real(c))
+        monkeypatch.setattr(
+            effdiam, "pair_masses", lambda c, out=None: calls.append(c) or real(c, out)
+        )
         cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.1)
         state = FineCoresetState(cfg, window_len=40, mode="fixed", d_min=0.01, d_max=100.0)
         for p in stream_points(generate_ball_stream(30, dim=2, seed=5)):
             state.process_point(p)
         state.estimate()
         assert len(calls) == 1
+
+    def test_a_second_estimate_reuses_the_pair_buffer(self, monkeypatch):
+        T = _large_coreset(np.random.default_rng(8), "ball", 1000)
+        m = 1000 * 999 // 2
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1)
+        state = FineCoresetState(cfg, 10_000, "fixed", d_min=0.01, d_max=100.0)
+        state.process_point(Point(1, (0.0,) * 4))
+        monkeypatch.setattr(state, "fine_coreset", lambda: (T, False))
+        first = state.estimate()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            second = state.estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak < 0.25 * 8 * m, peak / (8 * m)
+
+    def test_estimates_match_the_reference_as_the_buffer_grows_and_shrinks(self):
+        # 300 spread points grow the fine coreset past _SORT_AT pairs; then
+        # the window fills with three locations and the coreset shrinks
+        rng = np.random.default_rng(12)
+        spots = rng.random((3, 2))
+        coords = np.vstack([rng.random((300, 2)) * 4, spots[rng.integers(0, 3, 450)]])
+        pts = stream_points(coords)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        state = FineCoresetState(cfg, 150, "fixed", *stream_extremes(pts))
+        shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
+        sizes = []
+        for p in pts:
+            state.process_point(p)
+            if p.arrival % 25:
+                continue
+            got = state.estimate()
+            coreset, overflowed = state.fine_coreset()
+            wsize = min(state.t, 150)
+            ref = reference_coreset_effective_diameter
+            low, short_lower = ref(coreset, shrunk, wsize)
+            up, short_upper = ref(coreset, cfg.alpha, wsize)
+            assert got == effdiam.EffDiameterEstimate(
+                low / (1.0 + cfg.eps), up / (1.0 - cfg.eps), len(coreset),
+                overflowed, short_lower, short_upper,
+            )
+            sizes.append((len(coreset), state._pair_buf.size))
+        pairs = [n * (n - 1) // 2 for n, _ in sizes]
+        bufs = [b for _, b in sizes]
+        assert max(pairs) > effdiam._SORT_AT
+        assert any(b > a for a, b in zip(bufs, bufs[1:]))  # grown
+        assert any(b < a for a, b in zip(bufs, bufs[1:]))  # reallocated smaller
+        assert all(m <= b <= 4 * m for m, b in zip(pairs, bufs))
+
+    def test_estimate_leaves_an_unbuffered_table_alone(self):
+        rng = np.random.default_rng(5)
+        pts = stream_points(rng.random((400, 2)) * 4)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        state = FineCoresetState(cfg, 200, "fixed", *stream_extremes(pts))
+        for p in pts[:300]:
+            state.process_point(p)
+        state.estimate()
+        coreset, _ = state.fine_coreset()
+        table = pair_masses(coreset)
+        assert table.shift is not None
+        kept = [np.copy(a) for a in (table.dists, table.weights, table.cum)]
+        want = coreset_effective_diameter(table, cfg.alpha, 200)
+        for p in pts[300:]:
+            state.process_point(p)
+            state.estimate()
+        assert not np.shares_memory(table.dists, state._pair_buf)
+        for a, b in zip(kept, (table.dists, table.weights, table.cum)):
+            assert np.array_equal(a, b)
+        assert coreset_effective_diameter(table, cfg.alpha, 200) == want
 
     def test_window_len_bound_keeps_pair_masses_exact(self, monkeypatch):
         assert MAX_WINDOW_LEN**2 < 2**53 <= (MAX_WINDOW_LEN + 1) ** 2

@@ -72,8 +72,9 @@ def test_rows_match_the_golden_file(tmp_path):
 
 
 def test_eff_sliding_runs_the_fine_ladders_block_scan(tmp_path):
-    # the stream must take a fine guess past 48 attraction points, where the
-    # attraction search reads the metric's block form
+    # the golden eff-sliding row must cover a fine ladder whose guesses hold
+    # many attraction points, so that its attraction search compares long
+    # rows of store distances; the stream takes a fine guess past 48 of them
     cfg = _config("eff-sliding", _stream(tmp_path), tmp_path / "unused.csv")
     state = FineCoresetState(
         EffDiameterConfig(cfg.alpha, cfg.eps, cfg.eta, cfg.lam, cfg.beta, cfg.fine_cap),

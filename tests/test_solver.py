@@ -437,13 +437,13 @@ def _ladder_for(case):
 
 def _recording(monkeypatch):
     """Radii at which the solver runs the greedy, in call order."""
-    run, kernel = [], solver.outliers_cluster
+    run, kernel = [], solver._greedy
 
-    def recorded(points, weights, k, rho, *args, **kw):
+    def recorded(d, w, k, rho, *args, **kw):
         run.append(rho)
-        return kernel(points, weights, k, rho, *args, **kw)
+        return kernel(d, w, k, rho, *args, **kw)
 
-    monkeypatch.setattr(solver, "outliers_cluster", recorded)
+    monkeypatch.setattr(solver, "_greedy", recorded)
     return run
 
 
@@ -485,6 +485,16 @@ class TestSeparationSkip:
         assert [c.arrival for c in out.centers] == [c.arrival for c in centers]
         assert out.uncovered_weight == uw
         assert out.rho_min == rho
+
+    def test_a_query_builds_one_distance_reader(self, monkeypatch):
+        built, real = [], solver._distances
+        monkeypatch.setattr(solver, "_distances", lambda *a: built.append(a) or real(*a))
+        run = _recording(monkeypatch)
+        lad = _ladder_for(LADDER_CASES[0])
+        compute_solution(lad)
+        _, coords, k, z, _ = WINDOW_CASES[0]
+        charikar(WindowView(points=tuple(_points(coords)), t=len(coords)), k, z)
+        assert len(run) > 2 and len(built) == 2
 
     def test_every_skipped_radius_fails(self, monkeypatch):
         run = _recording(monkeypatch)

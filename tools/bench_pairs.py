@@ -4,11 +4,24 @@ Runs ``perfbench/run.py --trace 0`` for every workload of ``BENCHMARK.json``
 and every seed, once in a checkout of the base commit and once in this
 checkout, alternating which of the two runs first.  Writes, per workload,
 the median and quartiles of every end-to-end metric on each side, each
-pair's values, how many pairs the change won, and whether the output
-digests agreed, together with the seeds and the command::
+pair's values, how many pairs the change won, a verdict, and whether the
+output digests agreed, together with the seeds and the command, and prints
+one summary line per workload::
 
     python3 tools/bench_pairs.py --base ../base-checkout --seeds 3-12 \\
-        --seconds 15 --out BENCH_9.json
+        --seconds 15 --out BENCH_10.json
+
+A metric's verdict, with its bound from ``BENCHMARK.json`` read as a
+fraction of the base median:
+
+- ``gain``: the change won at least nine tenths of the pairs (ties count
+  for neither side) and its median is better by more than the distance
+  between the base's quartiles;
+- ``regression``: the change's median is worse by more than the bound;
+- ``unresolved``: either side's quartile distance is wider than the bound
+  and the runs do not separate (not every change run is better than every
+  base run);
+- ``unchanged``: none of these.
 
 Runs are serial: two at once would share the cores they are timed on.
 """
@@ -55,6 +68,42 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def pairs_won(base: list[float], change: list[float], better: str) -> int:
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (c - b) > 0 for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """gain, regression, unresolved or unchanged (see the module docstring)."""
+    sign = 1.0 if better == "higher" else -1.0
+    b, c = spread(base), spread(change)
+    gap = sign * (c["median"] - b["median"])  # > 0: the change is better
+    limit = bound * (abs(b["median"]) or 1.0)
+    if pairs_won(base, change, better) >= 0.9 * len(base) and gap > b["q3"] - b["q1"]:
+        return "gain"
+    if -gap > limit:
+        return "regression"
+    wide = max(b["q3"] - b["q1"], c["q3"] - c["q1"]) > limit
+    if better == "higher":
+        separate = min(change) > max(base)
+    else:
+        separate = max(change) < min(base)
+    return "unresolved" if wide and not separate else "unchanged"
+
+
+def summary_line(name: str, workload: dict) -> str:
+    """One line: each metric's verdict with both medians and the pairs won."""
+    parts = []
+    for metric, m in workload["metrics"].items():
+        b, c = m["base"]["median"], m["change"]["median"]
+        rel = f"{(c - b) / b:+.1%}" if b else "n/a"
+        parts.append(f"{metric} {m['verdict']} ({b:.4g} -> {c:.4g}, {rel}, "
+                     f"{m['change_better_pairs']}/{workload['pairs']})")
+    checks = ("digests equal" if workload["digests_equal"] else "DIGESTS DIFFER") + (
+        ", all correct" if workload["all_correct"] else ", SOME INCORRECT")
+    return f"{name}: " + "; ".join(parts) + f"; {checks}"
+
+
 def seed_list(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -96,16 +145,13 @@ def main(argv=None) -> int:
         for name, meta in metrics.items():
             base = [r["metrics"][name] for r in runs["base"]]
             change = [r["metrics"][name] for r in runs["change"]]
-            if meta["better"] == "higher":
-                won = sum(c > b for b, c in zip(base, change))
-            else:
-                won = sum(c < b for b, c in zip(base, change))
             summary[name] = {
                 "unit": meta["unit"],
                 "better": meta["better"],
                 "base": spread(base),
                 "change": spread(change),
-                "change_better_pairs": won,
+                "change_better_pairs": pairs_won(base, change, meta["better"]),
+                "verdict": verdict(base, change, meta["better"], meta["bound"]),
             }
         result["workloads"][wl] = {
             "metrics": summary,
@@ -116,6 +162,8 @@ def main(argv=None) -> int:
             ),
         }
         args.out.write_text(json.dumps(result, indent=2) + "\n")
+    for wl, summary in result["workloads"].items():
+        print(summary_line(wl, summary))
     return 0
 
 
