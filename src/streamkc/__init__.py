@@ -23,6 +23,7 @@ from .effdiam import (
     EffDiameterConfig,
     EffDiameterEstimate,
     FineCoresetState,
+    PairMassTable,
     coreset_effective_diameter,
     eff_sequential,
     exact_effective_diameter,
@@ -55,6 +56,7 @@ __all__ = [
     "EffDiameterConfig",
     "EffDiameterEstimate",
     "FineCoresetState",
+    "PairMassTable",
     "exact_effective_diameter",
     "pair_masses",
     "coreset_effective_diameter",

@@ -7,22 +7,25 @@ are within d.  The streaming estimator runs two guess ladders side by side:
 a coarse *validation* ladder (one center, no outliers) that picks the right
 guess, and a *fine* ladder with a much smaller attraction radius whose
 representatives and orphans form the weighted coreset the estimate is
-computed on.  A query builds one table of that coreset's pairs
-(``pair_masses``), its distances written into a buffer the estimator keeps
-between queries, and reads both of its levels from it by exact bucketed
-selection, sorting only the few pairs around each level
-(``coreset_effective_diameter``).  Distances are Euclidean throughout, like
-the exact oracle.
+computed on.  The estimator keeps one table of that coreset's pairs
+between queries (``PairMassTable``): their distances, a 16-bit distance
+bucket per pair and the pair mass per bucket.  A query updates it by the
+coreset entries that entered, left or changed weight since the last one,
+refilling it from empty only when over a third of them changed, and reads
+both levels from it by exact bucketed selection, sorting only the few pairs
+around each level (``coreset_effective_diameter``).  Distances are
+Euclidean throughout, like the exact oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import asdict, dataclass
+from itertools import repeat
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .core import Point, StreamParams, WindowView
 from .coreset import GuessLadder, WeightedCoreset
@@ -30,6 +33,9 @@ from .coreset import GuessLadder, WeightedCoreset
 # largest window whose squared size, the total ordered-pair mass, is below
 # 2^53, so that every cumulative pair mass is an exact integer
 MAX_WINDOW_LEN = math.isqrt(2**53 - 1)
+
+SNAPSHOT_FORMAT = "streamkc-effdiam"
+SNAPSHOT_VERSION = 1
 
 
 def exact_effective_diameter(window: WindowView, alpha: float) -> float:
@@ -48,52 +54,28 @@ def exact_effective_diameter(window: WindowView, alpha: float) -> float:
     return float(d[j - 1])
 
 
-# A level read selects by bucketing: one pass splits the pairs into
-# 2^_BUCKET_BITS buckets by distance, and a bucket of at most _SORT_AT pairs
-# is sorted outright instead of split again.  A table's bucket masses are
-# summed over row-aligned chunks of about _CHUNK pairs, so that no array
-# other than the distances has one entry per pair.
+# A pair's bucket id: its distance's bit pattern >> _SHIFT (256 ids a binade)
+# minus a base set by a refill, _HEADROOM ids above the largest distance it
+# can see; ids 1 and _IDS-1 also catch keys below and above, 0 marks no pair.
+# Cumulative masses are kept per _GROUP ids, pairs change in blocks of about
+# _CHUNK, and a read splits a bucket of over _SORT_AT distinct pairs again.
+_SHIFT = 44
+_IDS = 1 << 16
+_HEADROOM = 8 << 8
+_GROUP = 1 << 8
+_CHUNK = 1 << 16
 _BUCKET_BITS = 12
 _SORT_AT = 8192
-_CHUNK = 1 << 15
-
-
-class PairMassTable(NamedTuple):
-    """A coreset's pairs, built once per query by ``pair_masses``.
-
-    Each pair i < j stands for two ordered pairs of mass 2 * w_i * w_j.
-    When shift is None the table holds at most _SORT_AT pairs, dists is
-    sorted and cum[i] is self_mass plus the mass of pairs 0..i.  Otherwise
-    dists is in condensed (row-major i < j) order, a pair's bucket is
-    (key - lo) >> shift, key being its distance's bit pattern as an int64
-    (``_select``), and cum[b] is self_mass plus the mass of buckets 0..b;
-    a pair's mass is recomputed from weights when its bucket is read.
-    """
-
-    self_mass: float  # sum of w^2: the self-pairs, at distance 0
-    dists: np.ndarray
-    weights: np.ndarray
-    lo: int
-    shift: Optional[int]
-    cum: np.ndarray
 
 
 def _select(
     dists: np.ndarray, masses: np.ndarray, below: float
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """dists, masses, bucket and cum of the given pairs, whose cumulative
-    masses start from below: sorted like a ``PairMassTable`` when bucket is
-    None, and otherwise bucketed, with bucket holding each pair's bucket.
-
-    At most _SORT_AT pairs, or one distance, come back sorted (one distance
-    needs no argsort).  More are bucketed by the bits of their distances: a
-    non-negative double orders as its bit pattern read as an int64 (+0.0,
-    subnormals and inf included), so bucket = (key - min key) >> shift is
-    exact integer arithmetic that never puts a larger distance in a smaller
-    bucket, and equal distances share a bucket.  shift leaves at most
-    2^_BUCKET_BITS buckets, so each pass narrows the key span by that factor
-    and a read takes at most ceil(63 / _BUCKET_BITS) passes.
-    """
+    """dists, masses, bucket and cum of the pairs, cum starting at below:
+    sorted, with bucket None and cum per pair, for at most _SORT_AT pairs or
+    one distance; else bucket = (key - min key) >> shift, key the distance's
+    bits as an int64 (in order, +0.0, subnormals and inf included), with cum
+    per bucket, at most 2^_BUCKET_BITS of them."""
     keys = dists.view(np.int64)
     lo, hi = (int(keys.min()), int(keys.max())) if dists.size else (0, 0)
     if dists.size <= _SORT_AT or lo == hi:
@@ -103,7 +85,7 @@ def _select(
         cum = np.cumsum(masses)
         cum += below
         return dists, masses, None, cum
-    shift = _shift(lo, hi)
+    shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
     bucket = keys - lo
     bucket >>= shift
     cum = np.bincount(bucket, weights=masses)
@@ -112,149 +94,173 @@ def _select(
     return dists, masses, bucket, cum
 
 
-def _shift(lo: int, hi: int) -> int:
-    """The shift that splits keys lo..hi into at most 2^_BUCKET_BITS buckets."""
-    return max(0, (hi - lo).bit_length() - _BUCKET_BITS)
+class PairMassTable:
+    """A weighted coreset's pairs with their ordered-pair masses summed per
+    distance bucket, kept so that ``update`` touches only changed entries.
+
+    Each (point, weight) entry holds a row keyed by the Point object, which
+    the table keeps alive, so no other object takes the key.  Pair i > j sits
+    at position i * (i - 1) // 2 + j of ``dists`` (float64) and ``ids``
+    (16-bit bucket ids, 0 while a row is free): 10 bytes per pair of row
+    capacity.  ``masses[b]`` sums 2 * w_i * w_j over bucket b; ``cum[g]`` is
+    ``self_mass`` (sum of w^2) plus the masses of buckets below (g+1)*_GROUP."""
+
+    def __init__(self):
+        self._alloc(0, 0)
+        self.added = self.removed = self.refills = 0  # rows, at the last update
+
+    def _alloc(self, cap: int, dim: int) -> None:
+        m = cap * (cap - 1) // 2
+        self.dists = self.ids = None  # the old arrays go first
+        self.dists, self.ids = np.empty(m), np.zeros(m, dtype=np.uint16)
+        self.weights, self._live = np.zeros(cap), np.zeros(cap, dtype=bool)
+        self._coords = np.empty((cap, dim))
+        self._rows: dict[int, int] = {}  # id(point) -> row
+        self._points: list[Optional[Point]] = [None] * cap  # row -> point
+        self._free = list(range(cap - 1, -1, -1))
+        self._starts = np.arange(cap) * np.arange(-1, cap - 1) // 2  # row i's pair (i, 0)
+        self.masses, self.cum = np.zeros(_IDS), np.zeros(_IDS // _GROUP)
+        self.self_mass = 0.0
+
+    def update(self, coreset: WeightedCoreset) -> "PairMassTable":
+        """Make the table hold coreset's pairs, and return it: rows that left
+        or changed weight first subtract their pairs, then entering entries
+        take free rows and add theirs, read by ``cdist``.  Over a third of
+        the rows changing, outgrowing the capacity or a distance above the
+        ids refills the table from empty.  Masses are integers below 2^53
+        (``MAX_WINDOW_LEN``), so every sum is exact."""
+        if not coreset.points:
+            raise ValueError("empty coreset")
+        points, weights = zip(*coreset.points)
+        keys = list(map(id, points))
+        if len(set(keys)) < len(keys):  # a Point object repeats: rows for fresh copies
+            points = [Point(p.arrival, p.coords) for p in points]
+            keys = list(map(id, points))
+        w = np.array(weights, dtype=float)
+        rows = np.fromiter(map(self._rows.get, keys, repeat(-1)), np.intp, len(keys))
+        same = rows >= 0
+        same[same] = self.weights[rows[same]] == w[same]
+        stay = np.zeros(len(self._points), dtype=bool)
+        stay[rows[same]] = True
+        leave, enter = np.flatnonzero(self._live & ~stay), np.flatnonzero(~same)
+        held = len(self._rows)
+        few = 3 * (leave.size + enter.size) <= len(keys) <= len(self._points)
+        if few:
+            self._remove(leave)
+        new = [points[i] for i in enter]
+        if few and self._add(new, w[enter], np.array([p.coords for p in new], dtype=float)):
+            self.added, self.removed = enter.size, leave.size
+        else:
+            x = np.array([p.coords for p in points], dtype=float)
+            self._alloc(len(keys) + len(keys) // 16 + 8, x.shape[1])
+            # no pair is farther apart than twice the farthest from entry 0
+            far = cdist(x[:1], x).max()
+            self._base = (int(far.view(np.int64)) >> _SHIFT) - (_IDS - 1 - _HEADROOM)
+            self._add(points, w, x)  # fits: no distance exceeds 2 * far
+            self.added, self.removed, self.refills = len(keys), held, self.refills + 1
+        np.cumsum(self.masses.reshape(-1, _GROUP).sum(axis=1), out=self.cum)
+        self.cum += self.self_mass
+        return self
+
+    def _add(self, points: Sequence[Point], w: np.ndarray, x: np.ndarray) -> bool:
+        """Give each point (weights w, coordinates x) a free row and add its
+        pairs; False, for a refill, when a distance lies above the ids."""
+        if not points:
+            return True
+        rows = np.array([self._free.pop() for _ in points], dtype=np.intp)
+        for r, p in zip(rows.tolist(), points):
+            self._rows[id(p)] = r
+            self._points[r] = p
+        self._coords[rows] = x
+        self.weights[rows] = w
+        self._live[rows] = True
+        self.self_mass += float(w @ w)
+        for r, cols, keep, pos, mass in self._blocks(rows):
+            d = cdist(self._coords[r], self._coords[cols]).ravel()[keep]
+            b = d.view(np.int64) >> _SHIFT
+            b -= self._base
+            if b.max(initial=0) >= _IDS:
+                return False
+            np.maximum(b, 1, out=b)
+            self.dists[pos] = d
+            self.ids[pos] = b.astype(np.uint16)
+            np.add.at(self.masses, b, mass)
+        return True
+
+    def _remove(self, rows: np.ndarray) -> None:
+        """Free the rows, subtracting their pairs' masses."""
+        for _, _, _, pos, mass in self._blocks(rows):
+            np.subtract.at(self.masses, self.ids[pos], mass)
+            self.ids[pos] = 0
+        self.self_mass -= float(self.weights[rows] @ self.weights[rows])
+        self.weights[rows] = 0.0
+        self._live[rows] = False
+        for r in rows.tolist():
+            del self._rows[id(self._points[r])]
+            self._points[r] = None
+        self._free += rows.tolist()
+
+    def _blocks(self, rows: np.ndarray):
+        """The changing rows' pairs with the live ones, each once, in blocks
+        of about _CHUNK: (rows r, columns, the pairs taken of the raveled
+        block, their positions, their masses 2 * w_i * w_j).  Rows pair with
+        the live rows not changing or below them, then among themselves."""
+        changing = np.zeros(len(self._points), dtype=bool)
+        changing[rows] = True
+        live = np.flatnonzero(self._live)
+        rows = np.sort(rows)
+        step = max(1, _CHUNK // max(1, live.size))
+        w, starts = self.weights, self._starts
+        for i in range(0, rows.size, step):
+            r = rows[i : i + step]
+            rc = r[:, None]
+            cols = live[~changing[live] | (live < r[0])]
+            pos = np.where(cols < rc, starts[rc] + cols, starts[cols] + rc)
+            yield r, cols, slice(None), pos.ravel(), np.outer(2.0 * w[r], w[cols]).ravel()
+            keep = (r < rc).ravel()
+            pos = (starts[rc] + r).ravel()[keep]
+            yield r, r, keep, pos, np.outer(2.0 * w[r], w[r]).ravel()[keep]
+
+    def locate(self, need: float) -> tuple[int, float]:
+        """The first bucket at which the cumulative mass reaches need, in
+        (self_mass, cum[-1]], and the mass below that bucket."""
+        g = int(np.searchsorted(self.cum, need, side="left"))
+        below = float(self.cum[g - 1]) if g else self.self_mass
+        inner = np.cumsum(self.masses[g * _GROUP : (g + 1) * _GROUP]) + below
+        i = int(np.searchsorted(inner, need, side="left"))
+        return g * _GROUP + i, float(inner[i - 1]) if i else below
+
+    def pairs_in(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and masses of bucket b's pairs, found by one scan of the ids."""
+        pos = np.flatnonzero(self.ids == b)
+        i = self._starts.searchsorted(pos, side="right") - 1
+        return self.dists[pos], 2.0 * self.weights[i] * self.weights[pos - self._starts[i]]
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """Condensed position of each row i's first pair (i, i + 1); the last
-    entry, for the empty row n - 1, is the number of pairs."""
-    return np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-
-
-def _pair_weights(
-    w: np.ndarray, starts: np.ndarray, pos: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """2 * w_i * w_j of the pairs (i, j) at condensed positions pos, whose
-    rows i are rows (``_row_starts`` gives starts)."""
-    cols = pos - starts.take(rows) + rows + 1
-    masses = w.take(rows)
-    masses *= 2.0
-    masses *= w.take(cols)
-    return masses
-
-
-def pair_masses(
-    coreset: WeightedCoreset, out: Optional[np.ndarray] = None
-) -> PairMassTable:
-    """The coreset's pair-mass table (``PairMassTable``): its self-pair
-    mass, and its pair distances, sorted with their cumulative masses when
-    there are at most _SORT_AT pairs and bucketed by distance otherwise.
-    Built once per query and read by ``coreset_effective_diameter`` at any
-    number of levels.
-
-    out, a float64 array with one entry per pair, receives the distances;
-    without it a new array is allocated.  A bucketed table reads its
-    distances there and holds no other pair-sized array: its bucket masses
-    are summed over row-aligned chunks of about _CHUNK pairs, each chunk's
-    pair masses built in chunk scratch.  Reading a level gathers the
-    selected bucket's pairs (``coreset_effective_diameter``).
-    """
-    pts = coreset.points
-    n = len(pts)
-    if n == 0:
-        raise ValueError("empty coreset")
-    w = np.array([wt for _, wt in pts], dtype=float)
-    dists = pdist(np.array([p.coords for p, _ in pts], dtype=float), out=out)
-    self_mass = float((w * w).sum())
-    starts = _row_starts(n)
-    if dists.size <= _SORT_AT:
-        pos = np.arange(dists.size)
-        rows = starts.searchsorted(pos, side="right") - 1
-        masses = _pair_weights(w, starts, pos, rows)
-        dists, _, _, cum = _select(dists, masses, self_mass)
-        return PairMassTable(self_mass, dists, w, 0, None, cum)
-    keys = dists.view(np.int64)
-    lo, hi = int(keys.min()), int(keys.max())
-    shift = _shift(lo, hi)
-    cum = np.zeros(((hi - lo) >> shift) + 1)
-    size = max(min(_CHUNK, dists.size), n - 1)
-    masses, bucket = np.empty(size), np.empty(size, dtype=np.int64)
-    r0 = 0
-    while r0 < n - 1:
-        # rows r0..r1-1: at most _CHUNK pairs, or the one row r0
-        r1 = int(starts.searchsorted(starts[r0] + _CHUNK, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), n - 1)
-        p0, p1 = int(starts[r0]), int(starts[r1])
-        m = masses[: p1 - p0]
-        np.concatenate([w[i + 1 :] for i in range(r0, r1)], out=m)
-        m *= np.repeat(2.0 * w[r0:r1], np.diff(starts[r0 : r1 + 1]))
-        b = np.subtract(keys[p0:p1], lo, out=bucket[: p1 - p0])
-        b >>= shift
-        cum += np.bincount(b, weights=m, minlength=cum.size)
-        r0 = r1
-    np.cumsum(cum, out=cum)
-    cum += self_mass
-    return PairMassTable(self_mass, dists, w, lo, shift, cum)
-
-
-def _bucket_pairs(table: PairMassTable, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and masses of the pairs in top-level bucket b of a bucketed
-    table: the pairs whose keys lie in [first, first + 2^shift), first being
-    the smallest key of bucket b, compared in chunks of _CHUNK pairs.  With
-    finite coordinates a distance is at most inf, whose key plus 2^shift
-    stays below 2^63."""
-    dists, w = table.dists, table.weights
-    keys = dists.view(np.int64)
-    first = table.lo + (b << table.shift)
-    end = first + (1 << table.shift)
-    inside, below_end = np.empty(_CHUNK, dtype=bool), np.empty(_CHUNK, dtype=bool)
-    found = []
-    for c in range(0, keys.size, _CHUNK):
-        part = keys[c : c + _CHUNK]
-        hit, less = inside[: part.size], below_end[: part.size]
-        np.greater_equal(part, first, out=hit)
-        np.less(part, end, out=less)
-        hit &= less
-        found.append(np.flatnonzero(hit) + c)
-    pos = np.concatenate(found)
-    starts = _row_starts(w.size)
-    rows = starts.searchsorted(pos, side="right") - 1
-    return dists.take(pos), _pair_weights(w, starts, pos, rows)
+def pair_masses(coreset: WeightedCoreset) -> PairMassTable:
+    """A new ``PairMassTable`` of the coreset, through the one add path."""
+    return PairMassTable().update(coreset)
 
 
 def coreset_effective_diameter(
     table: PairMassTable, alpha: float, window_size: int
 ) -> tuple[float, bool]:
-    """Smallest pair distance in a coreset's pair-mass table
-    (``pair_masses``) at which the cumulative ordered-pair weight mass,
-    self-pairs included, reaches alpha * window_size^2.  The self-pairs
-    answer 0.0 when they alone reach it, as they do for a one-point coreset
-    of full weight.
-
-    Because stored weights underestimate true counts, the threshold can be
-    unreachable; in that case the largest coreset distance (0.0 for a single
-    point) is returned with the saturation flag set.
-
-    The read is an exact selection.  A binary search over the cumulative
-    bucket masses finds the first bucket that reaches the threshold and the
-    mass below it; that bucket's pairs are gathered, with their masses
-    recomputed from the weights (``_bucket_pairs``), and bucketed again, or
-    sorted (``_select``), until they are sorted, and a last binary search
-    picks the pair.  A top-level bucket of one key (shift 0) answers with
-    that key's distance without a gather.  This gives the value a full sort
-    would: bucket order never contradicts distance order, so the mass below
-    a bucket is the mass of every nearer pair.  Weights are integer counts
-    and (sum of w)^2 <= window_size^2 < 2^53 (``MAX_WINDOW_LEN``), so every
-    mass and every partial sum is an exact integer in any summation order.
-    """
+    """Smallest pair distance in a ``PairMassTable`` at which the cumulative
+    ordered-pair weight mass, self-pairs included, reaches
+    alpha * window_size^2 (0.0 if the self-pairs do).  If weights fall short
+    of it, the largest coreset distance (0.0 for one point) is returned with
+    the saturation flag set.  Exact: the first bucket reaching it is gathered
+    by one scan of the ids, then split or sorted (``_select``)."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     need = alpha * window_size * window_size
-    below, dists, cum = table.self_mass, table.dists, table.cum
-    if below >= need:
+    if table.self_mass >= need:
         return 0.0, False
-    if not cum.size or cum[-1] < need:
-        return float(dists.max(initial=0.0)), True
-    if table.shift is None:
-        return float(dists[np.searchsorted(cum, need, side="left")]), False
-    b = int(np.searchsorted(cum, need, side="left"))
-    if table.shift == 0:
-        return float(np.int64(table.lo + b).view(np.float64)), False
-    if b:
-        below = float(cum[b - 1])
-    dists, masses, bucket, cum = _select(*_bucket_pairs(table, b), below)
+    if table.cum[-1] < need:
+        top = int(table.ids.max(initial=0))  # the farthest pairs' bucket
+        return (float(table.pairs_in(top)[0].max()) if top else 0.0), True
+    b, below = table.locate(need)
+    dists, masses, bucket, cum = _select(*table.pairs_in(b), below)
     while bucket is not None:
         b = int(np.searchsorted(cum, need, side="left"))
         if b:
@@ -366,11 +372,12 @@ class FineCoresetState:
     proxy error at most fine_precision * guess.  Single-writer, like
     GuessLadder.
 
-    Queries keep one float64 buffer of pair distances as scratch: about 8
-    bytes per coreset pair of the last query.  It grows when a query needs
-    more pairs and is reallocated smaller when one needs fewer than a
-    quarter of it; it is not part of the state, so ``memory_floats`` does
-    not count it.
+    Between queries the state keeps one ``PairMassTable`` of the last
+    query's fine coreset, and the next query updates it by the entries that
+    changed.  It is query scratch, outside the state: 10 bytes per pair of
+    its row capacity (the coreset size at its last refill, plus 1/16 and 8
+    rows), a coordinate row per row and 2^16 bucket masses.
+    ``memory_floats`` does not count it, and snapshots do not hold it.
     """
 
     def __init__(
@@ -397,7 +404,8 @@ class FineCoresetState:
             attr_factor=cfg.fine_precision / 2.0,
             cap=cfg.fine_cap,
         )
-        self._pair_buf = np.empty(0)
+        self._pairs = PairMassTable()
+        self._last_coreset: Optional[tuple[int, float]] = None  # (size, guess)
 
     @property
     def t(self) -> int:
@@ -419,9 +427,10 @@ class FineCoresetState:
         return self.fine.coreset_at(e), self.fine.states[e].evictions > 0
 
     def estimate(self) -> EffDiameterEstimate:
-        """Lower and upper estimates for the current window: one pair-mass
-        table of the fine coreset, read at the shrunk level alpha/(1+lam)^2
-        for the lower estimate and at alpha for the upper one."""
+        """Lower and upper estimates for the current window: the kept pair
+        table, updated to the fine coreset, read at the shrunk level
+        alpha/(1+lam)^2 for the lower estimate and at alpha for the upper
+        one."""
         cfg = self.cfg
         if cfg.eps >= 1:
             raise ValueError("estimates require eps < 1")
@@ -429,7 +438,8 @@ class FineCoresetState:
         if wsize < 1:
             raise RuntimeError("no points processed yet")
         coreset, overflowed = self.fine_coreset()
-        table = pair_masses(coreset, self._pair_scratch(len(coreset)))
+        table = self._pairs.update(coreset)
+        self._last_coreset = (len(coreset), coreset.guess)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
         low_raw, short_lower = coreset_effective_diameter(table, shrunk, wsize)
         up_raw, short_upper = coreset_effective_diameter(table, cfg.alpha, wsize)
@@ -442,16 +452,71 @@ class FineCoresetState:
             short_upper=short_upper,
         )
 
-    def _pair_scratch(self, n: int) -> np.ndarray:
-        """The query buffer's first n * (n - 1) / 2 entries, reallocated
-        when it is too small or more than four times too large."""
-        m = n * (n - 1) // 2
-        if not m <= self._pair_buf.size <= 4 * m:
-            self._pair_buf = np.empty(m)
-        return self._pair_buf[:m]
+    def stats(self) -> dict:
+        """Plain integers, counted on call or kept by the queries: each
+        ladder's ``GuessLadder.stats()``; the last query's coreset size and
+        selected guess exponent (None before the first query, and for the
+        exact coreset of the oblivious warm-up); the pair table's rows added
+        and removed by the last query; and its refills so far."""
+        size, guess = self._last_coreset or (0, 0.0)
+        pairs = self._pairs
+        return {
+            "validation": self.validation.stats(),
+            "fine": self.fine.stats(),
+            "coreset_size": size,
+            "exponent": self.fine._exp_floor(guess) if guess > 0 else None,
+            "rows_added": pairs.added,
+            "rows_removed": pairs.removed,
+            "refills": pairs.refills,
+        }
 
     def saturation_events(self) -> int:
         return sum(st.evictions for st in self.fine.states.values())
 
     def memory_floats(self, dim: int) -> int:
         return self.validation.memory_floats(dim) + self.fine.memory_floats(dim)
+
+    # -- snapshots -------------------------------------------------------------
+
+    def to_snapshot(self) -> dict:
+        """JSON-serializable dump of cfg and both ladders' snapshots; the
+        pair table is scratch, so a restored state starts with an empty one."""
+        return {
+            "format": SNAPSHOT_FORMAT,
+            "version": SNAPSHOT_VERSION,
+            "config": asdict(self.cfg),
+            "validation": self.validation.to_snapshot(),
+            "fine": self.fine.to_snapshot(),
+        }
+
+    @classmethod
+    def from_snapshot(cls, snap: dict) -> "FineCoresetState":
+        """Inverse of to_snapshot.  Each ladder is verified by
+        ``GuessLadder.from_snapshot``; then both must be the ladders cfg
+        builds (window length at most MAX_WINDOW_LEN, parameters, mode,
+        bounds, and the fine ladder's attr_factor and cap from cfg), on the
+        same clock.  Anything else raises ValueError."""
+        if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
+            raise ValueError("not an effective-diameter snapshot")
+        if snap.get("version") != SNAPSHOT_VERSION:
+            raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
+        try:
+            cfg = EffDiameterConfig(**snap["config"])
+            val = GuessLadder.from_snapshot(snap["validation"])
+            fine = GuessLadder.from_snapshot(snap["fine"])
+            state = cls(cfg, val.params.window_len, val.mode, val.d_min, val.d_max)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt effective-diameter snapshot: {exc!r}") from exc
+        for name, got, want in (("validation", val, state.validation), ("fine", fine, state.fine)):
+            for attr in ("params", "mode", "d_min", "d_max", "attr_factor", "cap"):
+                if getattr(got, attr) != getattr(want, attr):
+                    raise ValueError(
+                        f"corrupt effective-diameter snapshot: the {name} ladder's "
+                        f"{attr} {getattr(got, attr)!r} is not cfg's {getattr(want, attr)!r}"
+                    )
+        if val.t != fine.t:
+            raise ValueError(
+                f"corrupt effective-diameter snapshot: clocks {val.t} and {fine.t} differ"
+            )
+        state.validation, state.fine = val, fine
+        return state

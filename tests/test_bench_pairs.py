@@ -1,0 +1,112 @@
+"""tools/bench_pairs.py: the same-benchmark guard, the verdicts and the
+seed ranges."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def checkout(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+BENCH = {"BENCHMARK.json": "{}", "perfbench/run.py": "print(1)\n",
+         "perfbench/data/recipe.txt": "a\n"}
+
+
+class TestGuard:
+    def test_equal_benchmarks_pass(self, tmp_path):
+        base = checkout(tmp_path / "base", BENCH)
+        change = checkout(tmp_path / "change", {**BENCH, "src/lib.py": "x = 2\n"})
+        checkout(tmp_path / "base", {"src/lib.py": "x = 1\n"})  # code may differ
+        assert bench_pairs.benchmark_difference(base, change) is None
+
+    def test_generated_files_are_ignored(self, tmp_path):
+        base = checkout(tmp_path / "base", BENCH)
+        change = checkout(tmp_path / "change", {
+            **BENCH, "perfbench/_work/data.csv": "1\n",
+            "perfbench/__pycache__/run.cpython-311.pyc": "x",
+        })
+        assert bench_pairs.benchmark_difference(base, change) is None
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            ({"perfbench/run.py": "print(2)\n"}, "perfbench/run.py"),
+            ({"perfbench/data/recipe.txt": "b\n"}, "perfbench/data/recipe.txt"),
+            ({"perfbench/extra.py": ""}, "perfbench/extra.py"),
+            ({"BENCHMARK.json": "{ }"}, "BENCHMARK.json"),
+        ],
+    )
+    def test_a_differing_or_extra_file_is_named(self, tmp_path, edit, name):
+        base = checkout(tmp_path / "base", BENCH)
+        change = checkout(tmp_path / "change", {**BENCH, **edit})
+        assert bench_pairs.benchmark_difference(base, change) == name
+        assert bench_pairs.benchmark_difference(change, base) == name
+
+    def test_a_missing_benchmark_file_is_named(self, tmp_path):
+        base = checkout(tmp_path / "base", {k: v for k, v in BENCH.items() if k != "BENCHMARK.json"})
+        change = checkout(tmp_path / "change", BENCH)
+        assert bench_pairs.benchmark_difference(base, change) == "BENCHMARK.json"
+
+    def test_main_refuses_to_run_and_names_the_file(self, tmp_path, monkeypatch, capsys):
+        # a base checkout whose benchmark differs from this checkout's
+        base = checkout(tmp_path / "base", BENCH)
+        monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran"))
+        out = tmp_path / "BENCH.json"
+        status = bench_pairs.main(["--base", str(base), "--seeds", "1", "--out", str(out)])
+        assert status != 0
+        assert not out.exists()
+        name = bench_pairs.benchmark_difference(base, bench_pairs.ROOT)
+        assert name is not None and name in capsys.readouterr().err
+
+
+class TestVerdicts:
+    def test_pairs_won_counts_strict_wins_in_the_better_direction(self):
+        base, change = [10, 10, 10, 10], [11, 10, 9, 12]
+        assert bench_pairs.pairs_won(base, change, "higher") == 2
+        assert bench_pairs.pairs_won(base, change, "lower") == 1
+
+    def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_quartiles(self):
+        base = [100.0 + i for i in range(10)]  # quartile distance 4.5
+        assert bench_pairs.verdict(base, [b + 10 for b in base], "higher", 0.25) == "gain"
+        assert bench_pairs.verdict(base, [b - 10 for b in base], "lower", 0.25) == "gain"
+        # 8 of 10 pairs won: not a gain
+        eight = [b + 10 for b in base[:8]] + base[8:]
+        assert bench_pairs.verdict(base, eight, "higher", 0.25) == "unchanged"
+        # every pair won, by less than the quartile distance
+        assert bench_pairs.verdict(base, [b + 1 for b in base], "higher", 0.25) == "unchanged"
+
+    def test_regression_is_a_median_worse_than_the_bound(self):
+        base = [100.0 + i for i in range(10)]
+        assert bench_pairs.verdict(base, [b - 30 for b in base], "higher", 0.25) == "regression"
+        assert bench_pairs.verdict(base, [b + 30 for b in base], "lower", 0.25) == "regression"
+        assert bench_pairs.verdict(base, [b - 20 for b in base], "higher", 0.25) == "unchanged"
+
+    def test_wide_runs_that_do_not_separate_are_unresolved(self):
+        base = [100.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0]
+        change = [b + 5 for b in base[1:]] + [base[0] - 5]
+        assert bench_pairs.verdict(base, change, "higher", 0.1) == "unresolved"
+        # wide runs that separate completely are not unresolved
+        apart = [b + 100 for b in base]
+        assert bench_pairs.verdict(base, apart, "higher", 0.1) == "gain"
+
+
+class TestSeedList:
+    @pytest.mark.parametrize("text, seeds", [("3-12", list(range(3, 13))), ("5", [5]), ("0-0", [0])])
+    def test_ranges_and_single_seeds(self, text, seeds):
+        assert bench_pairs.seed_list(text) == seeds
+
+    def test_a_malformed_range_raises(self):
+        with pytest.raises(ValueError):
+            bench_pairs.seed_list("a-b")

@@ -1,9 +1,10 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from streamkc import effdiam
 from streamkc.core import Point, WindowView
@@ -180,6 +181,58 @@ def _large_coreset(rng, style, n):
     return WeightedCoreset(points=pts, guess=1.0, t=n)
 
 
+def _coreset_walk(rng, style, steps, n=150):
+    """Seeded coresets, one per step: each drops, reweights and adds about a
+    twelfth of its entries (growing for the first half of the walk and
+    shrinking after), and every fifth replaces more than a third.  Styles:
+    "ball", "lattice" (heavy ties), "repeats" (points at five spots: zero
+    distances), "subnormal_squares" and "tiny" (coordinates scaled by 1e-160
+    and 1e-300), "partly_huge" (a third scaled by 1e155: infinite
+    distances)."""
+    spots = rng.normal(size=(5, 3))
+    arrival = 0
+
+    def point():
+        nonlocal arrival
+        arrival += 1
+        if style == "lattice":
+            coords = rng.integers(0, 4, size=3).astype(float)
+        elif style == "repeats":
+            coords = spots[rng.integers(0, 5)]
+        else:
+            coords = rng.normal(size=3)
+            coords *= {"subnormal_squares": 1e-160, "tiny": 1e-300}.get(style, 1.0)
+            if style == "partly_huge" and rng.random() < 1 / 3:
+                coords *= 1e155
+        return Point(arrival, tuple(float(c) for c in coords))
+
+    entries = [(point(), int(rng.integers(1, 6))) for _ in range(n)]
+    for step in range(steps):
+        yield WeightedCoreset(tuple(entries), 1.0, arrival)
+        k = len(entries) // 2 if step % 5 == 4 else len(entries) // 12
+        rng.shuffle(entries)
+        entries = entries[k:]
+        for i in range(k // 2):
+            p, w = entries[i]
+            entries[i] = (p, w + 1)
+        grow = k + len(entries) // 10 if step < steps // 2 else k // 2
+        entries += [(point(), int(rng.integers(1, 6))) for _ in range(grow)]
+
+
+def _reference_estimate(state, coreset, overflowed):
+    """The estimate the state's query should return for coreset, read by
+    the reference at both levels."""
+    cfg = state.cfg
+    wsize = min(state.t, state.validation.params.window_len)
+    shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
+    low, short_lower = reference_coreset_effective_diameter(coreset, shrunk, wsize)
+    up, short_upper = reference_coreset_effective_diameter(coreset, cfg.alpha, wsize)
+    return effdiam.EffDiameterEstimate(
+        low / (1.0 + cfg.eps), up / (1.0 - cfg.eps), len(coreset),
+        overflowed, short_lower, short_upper,
+    )
+
+
 class TestPairMassTable:
     def test_lookup_matches_the_two_pass_reference(self):
         rng = np.random.default_rng(71)
@@ -206,17 +259,17 @@ class TestPairMassTable:
         w = [wt for _, wt in T.points]
         assert table.self_mass == sum(x * x for x in w)
         assert table.cum[-1] == sum(w) ** 2
+        assert table.masses.sum() == sum(w) ** 2 - table.self_mass
+        assert table.masses[0] == 0  # id 0 marks slots without a live pair
         assert np.all(np.diff(table.cum) >= 0)
-        # 190 pairs are sorted outright, 44,850 are bucketed
-        assert (table.shift is None) == (n == 20)
-        keys = np.sort(table.dists).view(np.int64)
-        if table.shift is None:
-            assert np.array_equal(table.dists.view(np.int64), keys)
-            assert table.cum.size == table.dists.size
-        else:
-            assert table.lo == keys[0]
-            assert table.cum.size == ((keys[-1] - table.lo) >> table.shift) + 1
-            assert table.cum.size <= 2**effdiam._BUCKET_BITS
+        # every pair once, with pdist's distance, and ids in distance order
+        live = table.ids > 0
+        assert np.count_nonzero(live) == n * (n - 1) // 2
+        dists = table.dists[live]
+        want = np.sort(pdist(np.array([p.coords for p, _ in T.points])))
+        assert np.array_equal(np.sort(dists).view(np.int64), want.view(np.int64))
+        ids = table.ids[live][np.argsort(dists, kind="stable")]
+        assert np.all(np.diff(ids.astype(np.int64)) >= 0)
 
     @pytest.mark.parametrize(
         "style, n",
@@ -230,28 +283,36 @@ class TestPairMassTable:
     ):
         selected = []
         real = effdiam._select
-        monkeypatch.setattr(
-            effdiam, "_select",
-            lambda d, m, below: selected.append(d.size) or real(d, m, below),
-        )
+
+        def select(d, m, below):
+            out = real(d, m, below)
+            selected.append((d.size, out[2] is not None))
+            return out
+
+        monkeypatch.setattr(effdiam, "_select", select)
         rng = np.random.default_rng(n)
         T = _large_coreset(rng, style, n)
         table = pair_masses(T)
-        # the same table built into a reused buffer that held larger distances
-        m = n * (n - 1) // 2
-        used = np.full(m + 7, 1e300)
-        reused = pair_masses(T, out=used[:m])
+        # the same coreset in a kept table that held a tenth other entries,
+        # reached without a refill from 300 entries up
+        other = list(T.points)
+        for i in range(0, n, 10):
+            other[i] = (Point(n + 1 + i, tuple(2.0 * c for c in other[i][0].coords)), 3)
+        kept = pair_masses(WeightedCoreset(tuple(other), 1.0, 2 * n)).update(T)
+        assert kept.refills == (1 if n >= 300 else 2)
         total = T.total_weight()
         for window_size in (total, total + int(rng.integers(1, total + 1))):
             for alpha in (0.9 / 1.5**2, 0.9, float(rng.uniform(0.01, 1.0)), 1.0):
                 want = reference_coreset_effective_diameter(T, alpha, window_size)
                 assert coreset_effective_diameter(table, alpha, window_size) == want
-                assert coreset_effective_diameter(reused, alpha, window_size) == want
-        if style in ("lattice", "one_duplicate"):
-            # a zero or heavily repeated distance leaves a top-level bucket
-            # of more than _SORT_AT pairs, which a read splits again
-            assert table.shift is not None
-            assert max(selected[1:]) > effdiam._SORT_AT
+                assert coreset_effective_diameter(kept, alpha, window_size) == want
+        if style in ("lattice", "partly_huge"):
+            # a heavily repeated distance, or the finite distances that fall
+            # below the ids of the infinite ones, fill a bucket of more than
+            # _SORT_AT pairs; only the second has different distances in it,
+            # which a read splits again
+            assert max(size for size, _ in selected) > effdiam._SORT_AT
+            assert any(split for _, split in selected) == (style == "partly_huge")
 
     def test_building_and_reading_stay_below_four_and_a_half_pair_arrays(self):
         T = _large_coreset(np.random.default_rng(8), "ball", 1000)
@@ -265,23 +326,37 @@ class TestPairMassTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.shift is not None
+        assert (table.refills, table.added) == (1, 1000)
         assert peak < 4.5 * 8 * m, peak / (8 * m)
 
     def test_estimate_builds_one_table_per_query(self, monkeypatch):
-        calls = []
-        real = effdiam.pair_masses
+        # the state keeps one table and updates it once per query; no query
+        # builds a fresh one
+        updates = []
+        real = effdiam.PairMassTable.update
         monkeypatch.setattr(
-            effdiam, "pair_masses", lambda c, out=None: calls.append(c) or real(c, out)
+            effdiam.PairMassTable, "update",
+            lambda table, c: updates.append((table, c)) or real(table, c),
         )
+        monkeypatch.setattr(effdiam, "pair_masses", None)
         cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.1)
         state = FineCoresetState(cfg, window_len=40, mode="fixed", d_min=0.01, d_max=100.0)
-        for p in stream_points(generate_ball_stream(30, dim=2, seed=5)):
+        pts = stream_points(generate_ball_stream(60, dim=2, seed=5))
+        for p in pts[:30]:
             state.process_point(p)
-        state.estimate()
-        assert len(calls) == 1
+        for p in [None, *pts[30:]]:
+            if p is not None:
+                state.process_point(p)
+            before = len(updates)
+            got = state.estimate()
+            assert len(updates) == before + 1
+            coreset, overflowed = state.fine_coreset()
+            assert got == _reference_estimate(state, coreset, overflowed)
+        assert {id(table) for table, _ in updates} == {id(state._pairs)}
 
     def test_a_second_estimate_reuses_the_pair_buffer(self, monkeypatch):
+        # an unchanged coreset leaves the kept table's rows alone: no pair is
+        # added or removed and no pair-sized array is allocated
         T = _large_coreset(np.random.default_rng(8), "ball", 1000)
         m = 1000 * 999 // 2
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1)
@@ -289,6 +364,8 @@ class TestPairMassTable:
         state.process_point(Point(1, (0.0,) * 4))
         monkeypatch.setattr(state, "fine_coreset", lambda: (T, False))
         first = state.estimate()
+        table = state._pairs
+        dists, ids = table.dists, table.ids
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -296,7 +373,10 @@ class TestPairMassTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert second == first
+        assert second == first == _reference_estimate(state, T, False)
+        assert state._pairs is table and table.dists is dists and table.ids is ids
+        stats = state.stats()
+        assert (stats["rows_added"], stats["rows_removed"], stats["refills"]) == (0, 0, 1)
         assert peak < 0.25 * 8 * m, peak / (8 * m)
 
     def test_estimates_match_the_reference_as_the_buffer_grows_and_shrinks(self):
@@ -308,7 +388,6 @@ class TestPairMassTable:
         pts = stream_points(coords)
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
         state = FineCoresetState(cfg, 150, "fixed", *stream_extremes(pts))
-        shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
         sizes = []
         for p in pts:
             state.process_point(p)
@@ -316,21 +395,21 @@ class TestPairMassTable:
                 continue
             got = state.estimate()
             coreset, overflowed = state.fine_coreset()
-            wsize = min(state.t, 150)
-            ref = reference_coreset_effective_diameter
-            low, short_lower = ref(coreset, shrunk, wsize)
-            up, short_upper = ref(coreset, cfg.alpha, wsize)
-            assert got == effdiam.EffDiameterEstimate(
-                low / (1.0 + cfg.eps), up / (1.0 - cfg.eps), len(coreset),
-                overflowed, short_lower, short_upper,
-            )
-            sizes.append((len(coreset), state._pair_buf.size))
-        pairs = [n * (n - 1) // 2 for n, _ in sizes]
-        bufs = [b for _, b in sizes]
+            assert got == _reference_estimate(state, coreset, overflowed)
+            rows = len(state._pairs.weights)
+            assert state._pairs.dists.size == state._pairs.ids.size == rows * (rows - 1) // 2
+            sizes.append((len(coreset), rows, state._pairs.refills))
+        pairs = [n * (n - 1) // 2 for n, _, _ in sizes]
+        rows = [r for _, r, _ in sizes]
         assert max(pairs) > effdiam._SORT_AT
-        assert any(b > a for a, b in zip(bufs, bufs[1:]))  # grown
-        assert any(b < a for a, b in zip(bufs, bufs[1:]))  # reallocated smaller
-        assert all(m <= b <= 4 * m for m, b in zip(pairs, bufs))
+        assert any(b > a for a, b in zip(rows, rows[1:]))  # grown
+        assert any(b < a for a, b in zip(rows, rows[1:]))  # reallocated smaller
+        assert all(n <= r for (n, _, _), r in zip(sizes, rows))
+        # the window's turnover updated the kept rows in place; growing past
+        # the capacity, and changing more than a third of the rows, refilled
+        refills = [f for _, _, f in sizes]
+        assert sum(a == b for a, b in zip(refills, refills[1:])) >= 5
+        assert refills[-1] > 2
 
     def test_estimate_leaves_an_unbuffered_table_alone(self):
         rng = np.random.default_rng(5)
@@ -342,16 +421,157 @@ class TestPairMassTable:
         state.estimate()
         coreset, _ = state.fine_coreset()
         table = pair_masses(coreset)
-        assert table.shift is not None
-        kept = [np.copy(a) for a in (table.dists, table.weights, table.cum)]
+        assert table is not state._pairs
+        fields = ("dists", "ids", "weights", "masses", "cum")
+        kept = [np.copy(getattr(table, f)) for f in fields]
         want = coreset_effective_diameter(table, cfg.alpha, 200)
+        assert want == reference_coreset_effective_diameter(coreset, cfg.alpha, 200)
         for p in pts[300:]:
             state.process_point(p)
             state.estimate()
-        assert not np.shares_memory(table.dists, state._pair_buf)
-        for a, b in zip(kept, (table.dists, table.weights, table.cum)):
-            assert np.array_equal(a, b)
+        assert state._pairs.added + state._pairs.removed > 0
+        for f, a in zip(fields, kept):
+            assert not np.shares_memory(getattr(table, f), getattr(state._pairs, f))
+            assert np.array_equal(a, getattr(table, f))
         assert coreset_effective_diameter(table, cfg.alpha, 200) == want
+
+    @pytest.mark.parametrize(
+        "style", ["ball", "lattice", "repeats", "subnormal_squares", "partly_huge", "tiny"]
+    )
+    def test_a_kept_table_equals_a_fresh_one_and_the_reference(self, style):
+        # a walk of coresets that grow, shrink, change weights, repeat points
+        # and, every fifth step, replace more than a third of their entries
+        rng = np.random.default_rng(len(style))
+        kept = effdiam.PairMassTable()
+        for T in _coreset_walk(rng, style, steps=15):
+            kept.update(T)
+            total = T.total_weight()
+            fresh = pair_masses(T)
+            # the two may place their ids differently (each refill takes its
+            # base from its own entries), but hold the same pairs
+            assert fresh.self_mass == kept.self_mass
+            assert fresh.cum[-1] == kept.cum[-1] == total**2
+            live = kept.ids > 0
+            assert np.count_nonzero(live) == len(T) * (len(T) - 1) // 2
+            assert np.array_equal(
+                np.sort(kept.dists[live]).view(np.int64),
+                np.sort(fresh.dists[fresh.ids > 0]).view(np.int64),
+            )
+            for window_size in (total, total + int(rng.integers(1, total + 1))):
+                alphas = [0.9 / 1.5**2, 0.9, 1.0, *rng.uniform(0.01, 1.0, 4)]
+                for alpha in map(float, alphas):
+                    want = reference_coreset_effective_diameter(T, alpha, window_size)
+                    assert coreset_effective_diameter(kept, alpha, window_size) == want
+                    assert coreset_effective_diameter(fresh, alpha, window_size) == want
+        assert 1 < kept.refills < 15
+
+    def test_a_point_repeated_in_the_coreset_counts_each_time(self):
+        rng = np.random.default_rng(6)
+        T = _random_coreset(rng, "uniform")
+        (p, w), rest = T.points[0], T.points[1:]
+        twice = WeightedCoreset((*T.points, (p, w), (p, w + 1), rest[0]), 1.0, T.t)
+        kept = pair_masses(T).update(twice)
+        for table in (pair_masses(twice), kept):
+            assert table.self_mass + table.masses.sum() == twice.total_weight() ** 2
+            for alpha in (0.05, 0.4, 0.9, 1.0):
+                want = reference_coreset_effective_diameter(twice, alpha, 3 * T.t)
+                assert coreset_effective_diameter(table, alpha, 3 * T.t) == want
+
+    def test_a_distance_above_the_ids_rebases_through_a_refill(self):
+        T = _large_coreset(np.random.default_rng(2), "ball", 200)
+        far = WeightedCoreset((*T.points, (Point(201, (1e6, 0.0, 0.0, 0.0)), 1)), 1.0, 201)
+        table = pair_masses(T).update(far)
+        assert (table.refills, table.added, table.removed) == (2, 201, 200)
+        total = far.total_weight()
+        for alpha in (0.5, 0.9, 0.999, 1.0):
+            want = reference_coreset_effective_diameter(far, alpha, total)
+            assert coreset_effective_diameter(table, alpha, total) == want
+        # a near point is added in place, with no refill
+        near = WeightedCoreset((*far.points, (Point(202, (0.5, 0.5, 0.5, 0.5)), 2)), 1.0, 202)
+        table.update(near)
+        assert (table.refills, table.added, table.removed) == (2, 1, 0)
+        for alpha in (0.5, 0.9, 0.999, 1.0):
+            want = reference_coreset_effective_diameter(near, alpha, total + 2)
+            assert coreset_effective_diameter(table, alpha, total + 2) == want
+
+    def test_cdist_rows_equal_the_matching_pdist_entries(self):
+        rng = np.random.default_rng(13)
+        for scale in (1.0, 1e-160, 1e-300, 1e155, 1e200):
+            for dim in (1, 2, 4, 7):
+                x = rng.normal(size=(60, dim)) * scale
+                x[7] = x[3]  # one zero distance
+                condensed = pdist(x)
+                starts = np.concatenate(([0], np.cumsum(np.arange(59, 0, -1))))
+                for i in range(59):
+                    row = cdist(x[i : i + 1], x[i + 1 :])[0]
+                    want = condensed[starts[i] : starts[i + 1]]
+                    assert np.array_equal(row.view(np.int64), want.view(np.int64))
+                    # and the other way round: the block from the later rows
+                    back = cdist(x[i + 1 :], x[i : i + 1])[:, 0]
+                    assert np.array_equal(back.view(np.int64), want.view(np.int64))
+
+    def test_a_forced_refill_takes_the_one_add_path(self, monkeypatch):
+        added = []
+        real = effdiam.PairMassTable._add
+        monkeypatch.setattr(
+            effdiam.PairMassTable, "_add",
+            lambda table, pts, w, x: added.append(len(pts)) or real(table, pts, w, x),
+        )
+        rng = np.random.default_rng(9)
+        T = _large_coreset(rng, "ball", 120)
+        table = pair_masses(T)  # a fresh table: one refill of every entry
+        assert (added, table.refills) == ([120], 1)
+        # replace half the entries: more than a third changes, so a refill
+        half = [(Point(200 + i, tuple(rng.normal(size=4))), 2) for i in range(60)]
+        U = WeightedCoreset((*T.points[60:], *half), 1.0, 300)
+        table.update(U)
+        assert (added, table.refills) == ([120, 120], 2)
+        assert (table.added, table.removed) == (120, 120)
+        # a tenth changes: removed and added in place
+        V = WeightedCoreset((*U.points[12:], *T.points[:12]), 1.0, 300)
+        table.update(V)
+        assert (added, table.refills) == ([120, 120, 12], 2)
+        assert (table.added, table.removed) == (12, 12)
+        for alpha in (0.3, 0.9, 1.0):
+            want = reference_coreset_effective_diameter(V, alpha, 500)
+            assert coreset_effective_diameter(table, alpha, 500) == want
+
+    @pytest.mark.parametrize(
+        "style", ["repeats", "lattice", "subnormal_squares", "huge", "scale_jump"]
+    )
+    def test_estimates_match_the_reference_after_every_query(self, style):
+        # the window's coreset holds repeated points (zero distances), lattice
+        # ties, distances whose squares are subnormal or near overflow, or
+        # jumps a hundredfold in scale, which moves the selected guess
+        rng = np.random.default_rng(31)
+        coords = rng.random((240, 2))
+        if style == "repeats":
+            coords = coords[rng.integers(0, 12, 240)]
+        elif style == "lattice":
+            coords = rng.integers(0, 5, size=(240, 2)).astype(float)
+        elif style == "subnormal_squares":
+            coords *= 1e-160
+        elif style == "huge":
+            coords *= 1e150
+        else:
+            coords[120:] *= 100.0
+        pts = stream_points(coords)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        if style == "scale_jump":
+            state = FineCoresetState(cfg, 60)
+        else:
+            state = FineCoresetState(cfg, 60, "fixed", *stream_extremes(pts))
+        exponents = set()
+        for p in pts:
+            state.process_point(p)
+            if p.arrival % 4:
+                continue
+            got = state.estimate()
+            coreset, overflowed = state.fine_coreset()
+            assert got == _reference_estimate(state, coreset, overflowed)
+            exponents.add(state.stats()["exponent"])
+        if style == "scale_jump":
+            assert len(exponents - {None}) > 1
 
     def test_window_len_bound_keeps_pair_masses_exact(self, monkeypatch):
         assert MAX_WINDOW_LEN**2 < 2**53 <= (MAX_WINDOW_LEN + 1) ** 2
@@ -591,3 +811,131 @@ class TestFineState:
         mid_exact, _ = coreset_effective_diameter(pair_masses(exact_coreset), cfg.alpha, wsize)
         hi_est, _ = coreset_effective_diameter(pairs, cfg.alpha, wsize)
         assert lo_est <= mid_exact <= hi_est
+
+
+class TestRestart:
+    @staticmethod
+    def _stream(seed):
+        return stream_points(generate_ball_stream(400, dim=3, outlier_rate=1 / 100,
+                                                  outlier_norm=10.0, seed=seed))
+
+    @staticmethod
+    def _state(mode, pts):
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05, fine_cap=256)
+        if mode == "fixed":
+            return FineCoresetState(cfg, 100, "fixed", *stream_extremes(pts))
+        return FineCoresetState(cfg, 100)
+
+    @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
+    def test_a_restart_mid_stream_gives_every_later_estimate(self, mode):
+        pts = self._stream(4)
+        state = self._state(mode, pts)
+        for p in pts[:230]:
+            state.process_point(p)
+            if p.arrival % 10 == 0:
+                state.estimate()  # the uninterrupted state's table is warm
+        snap = json.loads(json.dumps(state.to_snapshot()))
+        restored = FineCoresetState.from_snapshot(snap)
+        assert restored.to_snapshot() == state.to_snapshot()
+        assert restored._pairs.refills == 0  # an empty table
+        for p in pts[230:]:
+            state.process_point(p)
+            restored.process_point(p)
+            if p.arrival % 10 == 0:
+                assert restored.estimate() == state.estimate()
+        assert restored.to_snapshot() == state.to_snapshot()
+        assert state._pairs.refills < restored._pairs.refills + 17
+
+    def _snapshot(self, mode="fixed"):
+        pts = self._stream(5)
+        state = self._state(mode, pts)
+        for p in pts[:150]:
+            state.process_point(p)
+        return state, json.loads(json.dumps(state.to_snapshot()))
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda s: s.update(format="streamkc-ladder"), "not an effective-diameter"),
+            (lambda s: s.update(version=2), "unsupported snapshot version"),
+            (lambda s: s.pop("fine"), "corrupt effective-diameter snapshot"),
+            (lambda s: s["config"].update(delta=1), "corrupt effective-diameter snapshot"),
+            (lambda s: s["config"].update(alpha=1.5), "alpha"),
+            (lambda s: s["config"].update(fine_cap=255), "fine ladder's cap"),
+            (lambda s: s["config"].update(eta=0.1), "fine ladder's attr_factor"),
+            (lambda s: s["config"].update(lam=0.25), "ladder's params"),
+            (lambda s: s["fine"]["states"].pop(), "corrupt ladder snapshot"),
+            (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
+        ],
+        ids=["format", "version", "no_fine", "unknown_config", "bad_config", "cap",
+             "attr_factor", "lam", "broken_ladder", "validation_twice"],
+    )
+    def test_a_corrupt_or_mismatched_snapshot_raises(self, corrupt, match):
+        _, snap = self._snapshot()
+        corrupt(snap)
+        with pytest.raises(ValueError, match=match):
+            FineCoresetState.from_snapshot(snap)
+
+    def test_ladders_on_different_clocks_or_bounds_are_rejected(self):
+        state, snap = self._snapshot()
+        state.process_point(Point(151, (0.1, 0.2, 0.3)))
+        snap["fine"] = json.loads(json.dumps(state.fine.to_snapshot()))
+        with pytest.raises(ValueError, match="clocks 150 and 151 differ"):
+            FineCoresetState.from_snapshot(snap)
+        # a fine ladder, sound on its own, over other fixed bounds
+        _, snap = self._snapshot()
+        cfg = EffDiameterConfig(**snap["config"])
+        other = FineCoresetState(cfg, 100, "fixed", 0.001, 1e3)
+        for p in self._stream(5)[:150]:
+            other.process_point(p)
+        snap["fine"] = json.loads(json.dumps(other.fine.to_snapshot()))
+        with pytest.raises(ValueError, match="fine ladder's d_min"):
+            FineCoresetState.from_snapshot(snap)
+
+    def test_a_window_beyond_the_exact_masses_is_rejected(self):
+        _, snap = self._snapshot("oblivious")
+        for side in ("validation", "fine"):
+            snap[side]["params"]["window_len"] = MAX_WINDOW_LEN + 1
+        with pytest.raises(ValueError, match="window_len must be at most"):
+            FineCoresetState.from_snapshot(snap)
+
+
+class TestStats:
+    def test_stats_report_the_ladders_and_the_last_query(self):
+        pts = stream_points(generate_ball_stream(300, dim=2, seed=8))
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        state = FineCoresetState(cfg, 100, "fixed", *stream_extremes(pts))
+        stats = state.stats()
+        assert (stats["coreset_size"], stats["exponent"], stats["refills"]) == (0, None, 0)
+        before = None
+        for p in pts:
+            state.process_point(p)
+            if p.arrival % 10:
+                continue
+            state.estimate()
+            coreset, _ = state.fine_coreset()
+            stats = state.stats()
+            assert stats["validation"] == state.validation.stats()
+            assert stats["fine"] == state.fine.stats()
+            assert stats["coreset_size"] == len(coreset)
+            assert stats["exponent"] == state.validation.selected_exponent()
+            now = set(coreset.points)
+            if before is not None and stats["refills"] == refills:
+                assert stats["rows_added"] == len(now - before)
+                assert stats["rows_removed"] == len(before - now)
+            before, refills = now, stats["refills"]
+        assert 1 <= refills < 15
+        flat = [v for v in stats.values() if not isinstance(v, dict)]
+        flat += [v for side in ("validation", "fine") for v in stats[side].values()]
+        assert all(type(v) is int for v in flat)
+
+    def test_the_warm_up_coreset_has_no_exponent(self):
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        state = FineCoresetState(cfg, 100)
+        for i in range(2):
+            state.process_point(Point(i + 1, (float(i),)))
+        state.estimate()
+        stats = state.stats()
+        assert not state.validation.bootstrapped
+        assert (stats["coreset_size"], stats["exponent"]) == (2, None)
+        assert (stats["rows_added"], stats["rows_removed"], stats["refills"]) == (2, 0, 1)

@@ -24,6 +24,11 @@ fraction of the base median:
 - ``unchanged``: none of these.
 
 Runs are serial: two at once would share the cores they are timed on.
+
+Both sides must measure with the same benchmark code: the tool refuses to
+run, exiting with status 2 and naming the file, when ``BENCHMARK.json`` or
+any file under ``perfbench/`` (its generated ``_work`` and ``__pycache__``
+directories aside) differs between the two checkouts.
 """
 
 from __future__ import annotations
@@ -34,8 +39,30 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_files(checkout: Path) -> set[str]:
+    """BENCHMARK.json and the files under perfbench/, relative to checkout,
+    without what runs generate there."""
+    bench = checkout / "perfbench"
+    files = {"BENCHMARK.json"}
+    for path in bench.rglob("*"):
+        if path.is_file() and not {"_work", "__pycache__"} & set(path.relative_to(bench).parts):
+            files.add(path.relative_to(checkout).as_posix())
+    return files
+
+
+def benchmark_difference(base: Path, change: Path) -> Optional[str]:
+    """The first benchmark file (``benchmark_files``) that is missing from
+    either checkout or differs between them, or None."""
+    for name in sorted(benchmark_files(base) | benchmark_files(change)):
+        a, b = base / name, change / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -117,6 +144,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    differs = benchmark_difference(args.base.resolve(), ROOT)
+    if differs is not None:
+        print(f"bench_pairs: {differs} differs between the base checkout and this one; "
+              "both sides must run the same benchmark code", file=sys.stderr)
+        return 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
