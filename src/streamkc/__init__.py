@@ -23,7 +23,6 @@ from .effdiam import (
     EffDiameterConfig,
     EffDiameterEstimate,
     FineCoresetState,
-    PairMassTable,
     coreset_effective_diameter,
     eff_sequential,
     exact_effective_diameter,
@@ -56,7 +55,6 @@ __all__ = [
     "EffDiameterConfig",
     "EffDiameterEstimate",
     "FineCoresetState",
-    "PairMassTable",
     "exact_effective_diameter",
     "pair_masses",
     "coreset_effective_diameter",

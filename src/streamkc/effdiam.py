@@ -11,9 +11,10 @@ computed on.  The estimator keeps one table of that coreset's pairs
 between queries (``PairMassTable``): their distances, a 16-bit distance
 bucket per pair and the pair mass per bucket.  A query updates it by the
 coreset entries that entered, left or changed weight since the last one,
-refilling it from empty only when over a third of them changed, and reads
-both levels from it by exact bucketed selection, sorting only the few pairs
-around each level (``coreset_effective_diameter``).  Distances are
+refilling it from empty when over a third of them changed or the coreset
+no longer fits the table's row capacity (at most twice the coreset), and
+reads both levels from it by exact bucketed selection, sorting only the few
+pairs around each level (``coreset_effective_diameter``).  Distances are
 Euclidean throughout, like the exact oracle.
 """
 
@@ -71,11 +72,20 @@ _SORT_AT = 8192
 def _select(
     dists: np.ndarray, masses: np.ndarray, below: float
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """dists, masses, bucket and cum of the pairs, cum starting at below:
-    sorted, with bucket None and cum per pair, for at most _SORT_AT pairs or
-    one distance; else bucket = (key - min key) >> shift, key the distance's
-    bits as an int64 (in order, +0.0, subnormals and inf included), with cum
-    per bucket, at most 2^_BUCKET_BITS of them."""
+    """dists, masses, bucket and cum of the given pairs, whose cumulative
+    masses start from below: sorted, with cum per pair, when bucket is None,
+    and otherwise bucketed, with bucket holding each pair's bucket and cum
+    per bucket.
+
+    At most _SORT_AT pairs, or one distance, come back sorted (one distance
+    needs no argsort).  More are bucketed by the bits of their distances: a
+    non-negative double orders as its bit pattern read as an int64 (+0.0,
+    subnormals and inf included), so bucket = (key - min key) >> shift is
+    exact integer arithmetic that never puts a larger distance in a smaller
+    bucket, and equal distances share a bucket.  shift leaves at most
+    2^_BUCKET_BITS buckets, so each pass narrows the key span by that factor
+    and a read takes at most ceil(63 / _BUCKET_BITS) passes.
+    """
     keys = dists.view(np.int64)
     lo, hi = (int(keys.min()), int(keys.max())) if dists.size else (0, 0)
     if dists.size <= _SORT_AT or lo == hi:
@@ -99,17 +109,19 @@ class PairMassTable:
     distance bucket, kept so that ``update`` touches only changed entries.
 
     Each (point, weight) entry holds a row keyed by the Point object, which
-    the table keeps alive, so no other object takes the key.  Pair i > j sits
-    at position i * (i - 1) // 2 + j of ``dists`` (float64) and ``ids``
-    (16-bit bucket ids, 0 while a row is free): 10 bytes per pair of row
-    capacity.  ``masses[b]`` sums 2 * w_i * w_j over bucket b; ``cum[g]`` is
+    the table keeps alive, so no other object takes the key.  The pair of
+    rows i < j sits at position starts[i] + j of ``dists`` (float64) and
+    ``ids`` (16-bit bucket ids, 0 while a row is free), the upper triangle
+    row by row: 10 bytes per pair of row capacity.  A refill gives its
+    entries the top rows, so its pairs are the tail of both arrays, in
+    ``pdist`` order.  ``masses[b]`` sums 2 * w_i * w_j over bucket b; ``cum[g]`` is
     ``self_mass`` (sum of w^2) plus the masses of buckets below (g+1)*_GROUP."""
 
     def __init__(self):
-        self._alloc(0, 0)
+        self._clear(0, 0)
         self.added = self.removed = self.refills = 0  # rows, at the last update
 
-    def _alloc(self, cap: int, dim: int) -> None:
+    def _clear(self, cap: int, dim: int) -> None:
         m = cap * (cap - 1) // 2
         self.dists = self.ids = None  # the old arrays go first
         self.dists, self.ids = np.empty(m), np.zeros(m, dtype=np.uint16)
@@ -117,18 +129,19 @@ class PairMassTable:
         self._coords = np.empty((cap, dim))
         self._rows: dict[int, int] = {}  # id(point) -> row
         self._points: list[Optional[Point]] = [None] * cap  # row -> point
-        self._free = list(range(cap - 1, -1, -1))
-        self._starts = np.arange(cap) * np.arange(-1, cap - 1) // 2  # row i's pair (i, 0)
+        self._free = list(range(cap))  # taken from the end
+        self._firsts = np.arange(cap) * np.arange(2 * cap - 1, cap - 1, -1) // 2  # pair (i, i+1)
+        self._starts = self._firsts - np.arange(1, cap + 1)
         self.masses, self.cum = np.zeros(_IDS), np.zeros(_IDS // _GROUP)
         self.self_mass = 0.0
 
     def update(self, coreset: WeightedCoreset) -> "PairMassTable":
         """Make the table hold coreset's pairs, and return it: rows that left
         or changed weight first subtract their pairs, then entering entries
-        take free rows and add theirs, read by ``cdist``.  Over a third of
-        the rows changing, outgrowing the capacity or a distance above the
-        ids refills the table from empty.  Masses are integers below 2^53
-        (``MAX_WINDOW_LEN``), so every sum is exact."""
+        take free rows and add theirs.  Over a third of the rows changing, a
+        coreset above the row capacity or below half of it, or a distance
+        above the ids refills the table from empty.  Masses are integers
+        below 2^53 (``MAX_WINDOW_LEN``), so every sum is exact."""
         if not coreset.points:
             raise ValueError("empty coreset")
         points, weights = zip(*coreset.points)
@@ -143,97 +156,119 @@ class PairMassTable:
         stay = np.zeros(len(self._points), dtype=bool)
         stay[rows[same]] = True
         leave, enter = np.flatnonzero(self._live & ~stay), np.flatnonzero(~same)
-        held = len(self._rows)
-        few = 3 * (leave.size + enter.size) <= len(keys) <= len(self._points)
+        held, n = len(self._rows), len(keys)
+        few = 3 * (leave.size + enter.size) <= n <= len(self._points) <= 2 * n + 8
         if few:
             self._remove(leave)
         new = [points[i] for i in enter]
         if few and self._add(new, w[enter], np.array([p.coords for p in new], dtype=float)):
             self.added, self.removed = enter.size, leave.size
         else:
+            # heaviest first, so that past the first rows the pairs among the
+            # rest have one mass, which _blocks gives as one number
+            order = np.argsort(-w, kind="stable")
+            points, w = [points[i] for i in order], w[order]
             x = np.array([p.coords for p in points], dtype=float)
-            self._alloc(len(keys) + len(keys) // 16 + 8, x.shape[1])
+            self._clear(n + n // 16 + 8, x.shape[1])
             # no pair is farther apart than twice the farthest from entry 0
             far = cdist(x[:1], x).max()
             self._base = (int(far.view(np.int64)) >> _SHIFT) - (_IDS - 1 - _HEADROOM)
             self._add(points, w, x)  # fits: no distance exceeds 2 * far
-            self.added, self.removed, self.refills = len(keys), held, self.refills + 1
+            self.added, self.removed, self.refills = n, held, self.refills + 1
         np.cumsum(self.masses.reshape(-1, _GROUP).sum(axis=1), out=self.cum)
         self.cum += self.self_mass
         return self
 
     def _add(self, points: Sequence[Point], w: np.ndarray, x: np.ndarray) -> bool:
-        """Give each point (weights w, coordinates x) a free row and add its
-        pairs; False, for a refill, when a distance lies above the ids."""
-        if not points:
+        """Give the points (weights w, coordinates x) the rows freed last,
+        the top rows in a refill, in order, and add their pairs: with the
+        other live rows by ``cdist`` blocks, among themselves by one
+        ``pdist``, which writes them into the table's tail when the points
+        took the top rows.  False, for a refill, when a distance lies above
+        the ids."""
+        k, cap = len(points), len(self._points)
+        if not k:
             return True
-        rows = np.array([self._free.pop() for _ in points], dtype=np.intp)
+        rows = np.sort(self._free[-k:])
+        del self._free[-k:]
         for r, p in zip(rows.tolist(), points):
             self._rows[id(p)] = r
             self._points[r] = p
-        self._coords[rows] = x
-        self.weights[rows] = w
-        self._live[rows] = True
+        self._coords[rows], self.weights[rows], self._live[rows] = x, w, True
         self.self_mass += float(w @ w)
-        for r, cols, keep, pos, mass in self._blocks(rows):
-            d = cdist(self._coords[r], self._coords[cols]).ravel()[keep]
-            b = d.view(np.int64) >> _SHIFT
+        tail = int(self._firsts[rows[0]]) if rows[0] == cap - k else None
+        among = pdist(x, out=None if tail is None else self.dists[tail:])
+        keys = np.empty(min(max(_CHUNK, cap), k * cap), dtype=np.int64)
+        for pos, mass, src in self._blocks(rows, tail):
+            if isinstance(src, slice):
+                d = among[src]
+            else:
+                d = cdist(self._coords[src[0]], self._coords[src[1]], out=src[2]).ravel()
+            if tail is None or not isinstance(src, slice):
+                self.dists[pos] = d
+            b = np.right_shift(d.view(np.int64), _SHIFT, out=keys[: d.size])
             b -= self._base
-            if b.max(initial=0) >= _IDS:
+            if b.max() >= _IDS:
                 return False
-            np.maximum(b, 1, out=b)
-            self.dists[pos] = d
-            self.ids[pos] = b.astype(np.uint16)
+            if b.min() < 1:
+                np.maximum(b, 1, out=b)
+            self.ids[pos] = b
             np.add.at(self.masses, b, mass)
         return True
 
     def _remove(self, rows: np.ndarray) -> None:
         """Free the rows, subtracting their pairs' masses."""
-        for _, _, _, pos, mass in self._blocks(rows):
+        for pos, mass, _ in self._blocks(rows, None):
             np.subtract.at(self.masses, self.ids[pos], mass)
             self.ids[pos] = 0
         self.self_mass -= float(self.weights[rows] @ self.weights[rows])
-        self.weights[rows] = 0.0
-        self._live[rows] = False
+        self.weights[rows], self._live[rows] = 0.0, False
         for r in rows.tolist():
             del self._rows[id(self._points[r])]
             self._points[r] = None
         self._free += rows.tolist()
 
-    def _blocks(self, rows: np.ndarray):
-        """The changing rows' pairs with the live ones, each once, in blocks
-        of about _CHUNK: (rows r, columns, the pairs taken of the raveled
-        block, their positions, their masses 2 * w_i * w_j).  Rows pair with
-        the live rows not changing or below them, then among themselves."""
-        changing = np.zeros(len(self._points), dtype=bool)
-        changing[rows] = True
-        live = np.flatnonzero(self._live)
-        rows = np.sort(rows)
-        step = max(1, _CHUNK // max(1, live.size))
-        w, starts = self.weights, self._starts
-        for i in range(0, rows.size, step):
-            r = rows[i : i + step]
-            rc = r[:, None]
-            cols = live[~changing[live] | (live < r[0])]
-            pos = np.where(cols < rc, starts[rc] + cols, starts[cols] + rc)
-            yield r, cols, slice(None), pos.ravel(), np.outer(2.0 * w[r], w[cols]).ravel()
-            keep = (r < rc).ravel()
-            pos = (starts[rc] + r).ravel()[keep]
-            yield r, r, keep, pos, np.outer(2.0 * w[r], w[r]).ravel()[keep]
-
-    def locate(self, need: float) -> tuple[int, float]:
-        """The first bucket at which the cumulative mass reaches need, in
-        (self_mass, cum[-1]], and the mass below that bucket."""
-        g = int(np.searchsorted(self.cum, need, side="left"))
-        below = float(self.cum[g - 1]) if g else self.self_mass
-        inner = np.cumsum(self.masses[g * _GROUP : (g + 1) * _GROUP]) + below
-        i = int(np.searchsorted(inner, need, side="left"))
-        return g * _GROUP + i, float(inner[i - 1]) if i else below
+    def _blocks(self, rows: np.ndarray, tail: Optional[int]):
+        """The pairs of the sorted rows, each once, in blocks of about
+        _CHUNK: (positions, masses 2 * w_i * w_j or their one value, source).
+        Pairs with the other live rows come first, with source (rows,
+        columns, scratch for their ``cdist`` block); then pairs among the
+        rows, with source their span of ``pdist`` over the rows, positioned
+        from tail if given (the rows are then the top ones)."""
+        w, starts, k = self.weights, self._starts, rows.size
+        others = self._live.copy()
+        others[rows] = False
+        others = np.flatnonzero(others)
+        buf = np.empty((2, min(max(_CHUNK, w.size), k * w.size)))  # holds any block
+        step = max(1, _CHUNK // max(1, others.size))
+        for i in range(0, k if others.size else 0, step):
+            r = rows[i : i + step, None]
+            out, mass = buf[:, : r.size * others.size].reshape(2, r.size, others.size)
+            np.multiply(2.0 * w[r], w[others], out=mass)
+            pos = np.where(r < others, starts[r] + others, starts[others] + r)
+            yield pos.ravel(), mass.ravel(), (r.ravel(), others, out)
+        first = np.arange(k + 1) * np.arange(2 * k - 1, k - 2, -1) // 2  # pdist's (a, a+1)
+        a0 = 0
+        while a0 < k - 1:
+            a1 = min(k - 1, a0 + max(1, _CHUNK // (k - 1 - a0)))
+            ra, rb, wr = rows[a0:a1, None], rows[a0 + 1 :], w[rows[a0:]]
+            span, one = slice(int(first[a0]), int(first[a1])), wr.min() == wr.max()
+            keep = None if one and tail is not None else ra < rb
+            if tail is None:
+                pos = (starts[ra] + rb)[keep]
+            else:
+                pos = slice(tail + span.start, tail + span.stop)
+            if one:
+                yield pos, 2.0 * wr[0] ** 2, span
+            else:
+                mass = buf[1, : keep.size].reshape(keep.shape)
+                yield pos, np.multiply(2.0 * w[ra], w[rb], out=mass)[keep], span
+            a0 = a1
 
     def pairs_in(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Distances and masses of bucket b's pairs, found by one scan of the ids."""
         pos = np.flatnonzero(self.ids == b)
-        i = self._starts.searchsorted(pos, side="right") - 1
+        i = self._firsts.searchsorted(pos, side="right") - 1
         return self.dists[pos], 2.0 * self.weights[i] * self.weights[pos - self._starts[i]]
 
 
@@ -247,10 +282,27 @@ def coreset_effective_diameter(
 ) -> tuple[float, bool]:
     """Smallest pair distance in a ``PairMassTable`` at which the cumulative
     ordered-pair weight mass, self-pairs included, reaches
-    alpha * window_size^2 (0.0 if the self-pairs do).  If weights fall short
-    of it, the largest coreset distance (0.0 for one point) is returned with
-    the saturation flag set.  Exact: the first bucket reaching it is gathered
-    by one scan of the ids, then split or sorted (``_select``)."""
+    alpha * window_size^2.  The self-pairs answer 0.0 when they alone reach
+    it, as they do for a one-point coreset of full weight.
+
+    Because stored weights underestimate true counts, the threshold can be
+    unreachable; in that case the largest coreset distance (0.0 for a single
+    point) is returned with the saturation flag set.
+
+    The read is an exact selection.  The table's cumulative masses give the
+    first bucket id that reaches the threshold and the mass below it; that
+    bucket's pairs are gathered by one scan of the ids, with their masses
+    recomputed from the weights (``pairs_in``), and bucketed again, or
+    sorted (``_select``), until they are sorted, and a last binary search
+    picks the pair.  This gives the value a full sort
+    would: bucket order never contradicts distance order (an id is a fixed
+    shift of the distance's bit pattern, clamped to the id range), so the
+    mass below a bucket is the mass of every nearer pair.  Weights are
+    integer counts and (sum of w)^2 <= window_size^2 < 2^53
+    (``MAX_WINDOW_LEN``), so every mass and every partial sum is an exact
+    integer in any summation order, and so is every bucket mass between
+    queries: removing rows only takes away terms it holds.
+    """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     need = alpha * window_size * window_size
@@ -259,8 +311,13 @@ def coreset_effective_diameter(
     if table.cum[-1] < need:
         top = int(table.ids.max(initial=0))  # the farthest pairs' bucket
         return (float(table.pairs_in(top)[0].max()) if top else 0.0), True
-    b, below = table.locate(need)
-    dists, masses, bucket, cum = _select(*table.pairs_in(b), below)
+    # the first id reaching need, found per group of _GROUP ids, then in it
+    g = int(np.searchsorted(table.cum, need, side="left"))
+    below = float(table.cum[g - 1]) if g else table.self_mass
+    inner = np.cumsum(table.masses[g * _GROUP : (g + 1) * _GROUP]) + below
+    b = int(np.searchsorted(inner, need, side="left"))
+    below = float(inner[b - 1]) if b else below
+    dists, masses, bucket, cum = _select(*table.pairs_in(g * _GROUP + b), below)
     while bucket is not None:
         b = int(np.searchsorted(cum, need, side="left"))
         if b:
@@ -375,8 +432,8 @@ class FineCoresetState:
     Between queries the state keeps one ``PairMassTable`` of the last
     query's fine coreset, and the next query updates it by the entries that
     changed.  It is query scratch, outside the state: 10 bytes per pair of
-    its row capacity (the coreset size at its last refill, plus 1/16 and 8
-    rows), a coordinate row per row and 2^16 bucket masses.
+    its row capacity (at least the coreset size and at most twice it plus
+    8 rows), a coordinate row per row and 2^16 bucket masses.
     ``memory_floats`` does not count it, and snapshots do not hold it.
     """
 

@@ -404,7 +404,8 @@ class TestPairMassTable:
         assert max(pairs) > effdiam._SORT_AT
         assert any(b > a for a, b in zip(rows, rows[1:]))  # grown
         assert any(b < a for a, b in zip(rows, rows[1:]))  # reallocated smaller
-        assert all(n <= r for (n, _, _), r in zip(sizes, rows))
+        # the row capacity holds the coreset and stays within about twice it
+        assert all(n <= r <= 2 * n + 8 for (n, _, _), r in zip(sizes, rows))
         # the window's turnover updated the kept rows in place; growing past
         # the capacity, and changing more than a third of the rows, refilled
         refills = [f for _, _, f in sizes]
@@ -509,6 +510,56 @@ class TestPairMassTable:
                     # and the other way round: the block from the later rows
                     back = cdist(x[i + 1 :], x[i : i + 1])[:, 0]
                     assert np.array_equal(back.view(np.int64), want.view(np.int64))
+
+    def test_a_shrinking_coreset_gives_back_its_rows(self):
+        # each step drops under a third of the entries, so no step refills
+        # for turnover; the capacity refills once it exceeds about twice
+        # the coreset, so the table stays within four times its pairs
+        T = _large_coreset(np.random.default_rng(4), "ball", 1000)
+        table = pair_masses(T)
+        caps = []
+        for n in (760, 580, 440, 330):
+            U = WeightedCoreset(T.points[:n], 1.0, 2000)
+            table.update(U)
+            cap = len(table.weights)
+            assert n <= cap <= 2 * n + 8
+            assert table.dists.size == table.ids.size == cap * (cap - 1) // 2
+            caps.append((cap, table.refills))
+            for alpha in (0.9 / 1.5**2, 0.9):
+                want = reference_coreset_effective_diameter(U, alpha, 2000)
+                assert coreset_effective_diameter(table, alpha, 2000) == want
+        assert [f for _, f in caps] == [1, 1, 2, 2]
+        assert caps[0][0] == caps[1][0] > caps[2][0] == caps[3][0]
+
+    def test_entries_taking_the_top_rows_add_their_pairs_in_place(self, monkeypatch):
+        # a refill puts its entries in the top rows, in order for equal
+        # weights; replacing the last ten frees the top ten rows, which the
+        # ten new entries take, so pdist writes their pairs among themselves
+        # straight into the table's tail, next to cdist blocks for the rest
+        rng = np.random.default_rng(17)
+        T = WeightedCoreset(
+            tuple((Point(i + 1, tuple(rng.normal(size=3))), 1) for i in range(200)), 1.0, 400
+        )
+        table = pair_masses(T)
+        cap = len(table.weights)
+        new = [(Point(300 + i, tuple(rng.normal(size=3))), 1) for i in range(10)]
+        U = WeightedCoreset((*T.points[:190], *new), 1.0, 400)
+        outs = []
+        real = effdiam.pdist
+        monkeypatch.setattr(
+            effdiam, "pdist", lambda x, out=None: outs.append(out) or real(x, out=out)
+        )
+        table.update(U)
+        assert (table.refills, table.added, table.removed) == (1, 10, 10)
+        assert sorted(table._rows[id(p)] for p, _ in new) == list(range(cap - 10, cap))
+        assert len(outs) == 1 and np.shares_memory(outs[0], table.dists)
+        assert np.array_equal(
+            np.sort(table.dists[table.ids > 0]).view(np.int64),
+            np.sort(pdist(np.array([p.coords for p, _ in U.points]))).view(np.int64),
+        )
+        for alpha in (0.2, 0.9 / 1.5**2, 0.9, 1.0):
+            want = reference_coreset_effective_diameter(U, alpha, 400)
+            assert coreset_effective_diameter(table, alpha, 400) == want
 
     def test_a_forced_refill_takes_the_one_add_path(self, monkeypatch):
         added = []
