@@ -31,13 +31,24 @@ to a newer one, the smallest of which is ``d_t``.  A metric without a block
 form is rejected when a state or ladder is built or restored.  The store
 and those distances are never serialized; a restore rebuilds them.
 
-Guesses of one ladder mostly bump equal histograms at the same arrival, so
-every state of a ladder bumps through one ``_BumpMemo``: each distinct
-histogram value is trimmed once per arrival, and the resulting list is
-shared by every guess that held an equal one.  Histograms are therefore
-values that are never changed in place (``streamkc.histogram``).  The memo
-is never serialized, and the memory gauge still counts every guess's
-points and entries, as the paper does.
+Most guesses of one ladder hold equal states, so a run of adjacent guesses
+whose states are equal shares one content: the attraction slots, the
+representatives, the orphans and their timestamp index.  Each guess keeps
+its own ``GuessState`` for its guess, its radius and its evictions.  Per
+arrival the ladder sweeps each run once, probes its hit at its lowest and
+its highest radius, splits it only where the two differ, steps it once
+through ``GuessState`` and merges adjacent runs whose contents became
+equal.  Sharing is exact: the sweep reads the content alone, a hit
+position never grows with the radius, so equal probes mean the whole run
+agrees, and equal contents that get equal hits take equal steps.  The
+store counts one reference per slot of each distinct content.
+
+Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
+histogram list: each distinct list is trimmed once per arrival, and the
+result is shared by every run that held it.  Histograms are therefore
+values that are never changed in place (``streamkc.histogram``).  Runs,
+memo and store are never serialized, and the memory gauge still counts
+every guess's points and entries, as the paper does.
 """
 
 from __future__ import annotations
@@ -87,25 +98,34 @@ class WeightedCoreset:
 
 class _BumpMemo:
     """``bump_and_trim`` results for the current arrival, keyed by the
-    histogram's value.  Exact because the trim is a pure function of the
-    histogram, the arrival and ``lam``, and ``lam`` is fixed per memo."""
+    histogram list's identity.  Exact because the trim is a pure function of
+    the histogram, the arrival and ``lam``, and ``lam`` is fixed per memo.
+    Each entry holds its input list until the arrival changes, so no other
+    list can take its id meanwhile.  Equal histograms are nearly always one
+    list, since they come from one earlier bump or from ``new``."""
 
-    __slots__ = ("lam", "t", "results")
+    __slots__ = ("lam", "t", "results", "fresh")
 
     def __init__(self, lam: float):
         self.lam = lam
         self.t = 0
-        self.results: dict[tuple, Histogram] = {}
+        self.results: dict[int, tuple[Histogram, Histogram]] = {}  # id -> (input, output)
+        self.fresh = new_histogram(0)  # no point arrives at 0
+
+    def new(self, t: int) -> Histogram:
+        """The histogram of a point inserted at t: one list per arrival."""
+        if self.fresh[0][0] != t:
+            self.fresh = new_histogram(t)
+        return self.fresh
 
     def bump(self, hist: Histogram, t: int) -> Histogram:
         if t != self.t:
             self.t = t
             self.results = {}
-        key = tuple(hist)
-        out = self.results.get(key)
-        if out is None:
-            out = self.results[key] = bump_and_trim(hist, t, self.lam)
-        return out
+        got = self.results.get(id(hist))
+        if got is None:
+            got = self.results[id(hist)] = (hist, bump_and_trim(hist, t, self.lam))
+        return got[1]
 
 
 class _PointStore:
@@ -180,6 +200,13 @@ class _PointStore:
         self.points[s] = None
         self.free.append(s)
 
+    def share(self, slots: Sequence[int], n: int) -> None:
+        """n more references to each of slots, or -n fewer, where every slot
+        is held before and after."""
+        refs = self.refs
+        for s in slots:
+            refs[s] += n
+
     def live(self) -> int:
         return len(self.points) - len(self.free)
 
@@ -245,7 +272,10 @@ class GuessState:
     Attraction points live in a ``_PointStore`` and bumps go through a
     ``_BumpMemo``: the state's own, unless its ladder points it at the ones
     all the ladder's states share.  ``slots`` holds the store slots of the
-    attraction points, in arrival order (which is expiry order).
+    attraction points, in arrival order (which is expiry order).  A ladder
+    may let adjacent guesses hold one content (``content``, ``adopt``) and
+    step it once for all of them; ``guess``, ``attr_radius`` and
+    ``evictions`` are always the state's own.
     """
 
     __slots__ = (
@@ -364,7 +394,7 @@ class GuessState:
 
     def _insert(self, p: Point) -> None:
         self.slots.append(self._store.acquire(p))
-        self.reps[p.arrival] = (p, new_histogram(p.arrival))
+        self.reps[p.arrival] = (p, self._bumps.new(p.arrival))
         if len(self.slots) > self.max_attractions:
             self._add_orphan(*self.reps.pop(self._pop_oldest()))
             self.evictions += 1
@@ -386,6 +416,23 @@ class GuessState:
         ts = hist[0][0]
         assert ts not in self._first_ts, "duplicate leading histogram timestamp"
         self._first_ts[ts] = rep.arrival
+
+    def content(self) -> tuple:
+        """What a ladder may share between guesses: the attraction slots,
+        the representatives, the orphans and their timestamp index."""
+        return self.slots, self.reps, self.orphans, self._first_ts
+
+    def adopt(self, other: "GuessState", copy: bool = False) -> None:
+        """Hold other's content, or a copy of it.  Histograms and points
+        are values, so a copy shares them.  Store references are the
+        caller's to take or drop, one per slot of each distinct content."""
+        if copy:
+            self.slots = other.slots[:]
+            self.reps = dict(other.reps)
+            self.orphans = dict(other.orphans)
+            self._first_ts = dict(other._first_ts)
+        else:
+            self.slots, self.reps, self.orphans, self._first_ts = other.content()
 
     def seed(self, anchor: Optional[Point], rep: Point, hist: Histogram) -> None:
         """Initialize an empty state with rep carrying a prebuilt histogram:
@@ -428,10 +475,10 @@ class GuessState:
         n = len(attrs)
         if n > self.max_attractions:
             raise InvariantError(f"{n} attraction points, cap {self.max_attractions}")
-        if len(self.reps) != n:
-            raise InvariantError("not one representative per attraction point")
         if any(a is None for a in attrs) or n != len({a.arrival for a in attrs}):
             raise InvariantError("attraction points repeat or sit in free slots")
+        if list(self.reps) != [a.arrival for a in attrs]:
+            raise InvariantError("not one representative per attraction point, in its order")
         for i in range(n):
             if attrs[i].arrival <= t - window_len:
                 raise InvariantError("stored expired attraction point")
@@ -521,6 +568,11 @@ class GuessLadder:
     at ring position arrival mod (k + z + 1): ``_ring_slots`` holds its store
     slot (-1 while unfilled) and ``_closest_newer`` the smallest positive
     distance from it to a newer recent point (inf if there is none).
+
+    ``_runs`` lists the guesses in exponent order, cut into runs of adjacent
+    guesses that hold one content (``GuessState.content``); the store counts
+    one reference per slot of each distinct content.  Only ``process_point``
+    splits and merges runs; a grid change adds or drops singleton runs.
     """
 
     def __init__(
@@ -546,6 +598,9 @@ class GuessLadder:
         self.t = 0
         self.dim: Optional[int] = None  # fixed by the first point
         self.states: dict[int, GuessState] = {}
+        self._runs: list[list[GuessState]] = []
+        self._captures = 0  # per guess, on arrivals
+        self._inserts = 0
         self.d_min = d_min
         self.d_max = d_max
         if mode == "fixed":
@@ -554,6 +609,7 @@ class GuessLadder:
             lo, hi = self._grid_bounds()
             for e in range(lo, hi + 1):
                 self.states[e] = self._new_state(e)
+                self._runs.append([self.states[e]])
         else:
             self.first_point: Optional[Point] = None
             m = params.k + params.z + 1
@@ -620,8 +676,15 @@ class GuessLadder:
     def process_point(self, p: Point) -> None:
         """Feed the next stream point.  Arrivals must be consecutive from 1
         and every point must have the first point's dimension; a rejected
-        point leaves the ladder untouched.  Every state is swept first, then
-        handed p with the hit ``_hits`` found for it."""
+        point leaves the ladder untouched.
+
+        Each run of guesses that share one content is swept once and probed
+        for its hit (``_hits``); a run whose guesses disagree is split
+        (``_split_runs``).  Each run is then handed p once, its eviction
+        count carried to every guess of the run, and adjacent runs whose
+        contents became equal are merged (``_merge_runs``).  This is exact:
+        the sweep depends on the content alone, and equal contents that get
+        equal hits take equal steps."""
         t = p.arrival
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
@@ -634,41 +697,109 @@ class GuessLadder:
             if not self.bootstrapped:
                 self.warmup.append(p)
                 return
-        states = list(self.states.values())
-        for st in states:
-            st.sweep(t)
-        for st, hit in zip(states, self._hits(p, states)):
-            st.process_point(p, hit)
+        runs = self._runs
+        for run in runs:
+            run[0].sweep(t)
+        hits = self._hits(p, runs)
+        if None in hits:
+            runs, hits = self._split_runs(p, hits)
+        captures = inserts = 0
+        for run, hit in zip(runs, hits):
+            st = run[0]
+            before = st.evictions
+            if st.process_point(p, hit) is None:
+                inserts += len(run)
+            else:
+                captures += len(run)
+            if st.evictions != before:
+                for other in run[1:]:
+                    other.evictions += st.evictions - before
+        self._captures += captures
+        self._inserts += inserts
+        self._merge_runs()
 
-    def _hits(self, p: Point, states: list[GuessState]) -> list[int]:
-        """Each swept state's position of its oldest attraction point within
-        its radius of p, -1 for none, from one row of p's distances to the
-        store.  A state whose radius is below every distance in the row
-        (free slots included, which only makes this rarer) holds no hit;
-        the slots of the others are gathered from the row into one flat
-        array and compared with each state's radius, and the first hit of
-        each state's segment is found by searchsorted over the segment
-        starts."""
+    def _hits(self, p: Point, runs: list[list[GuessState]]) -> list[Optional[int]]:
+        """Each swept run's hit, the position in its slots of the oldest
+        attraction point within the radius of p (-1 for none), or None when
+        the run's lowest and highest guesses disagree, from one row of p's
+        distances to the store.
+
+        A run whose highest radius is below every distance in the row (free
+        slots included, which only makes this rarer) holds no hit.  The
+        slots of the others are gathered from the row into one flat array
+        and compared with each run's highest radius, and the first hit of
+        each run's segment is found by searchsorted over the segment starts.
+        A hit position never grows with the radius, so the lowest guess
+        agrees exactly when that hit lies within its radius too; then every
+        guess between them agrees."""
         row = self._store.row(p)
         closest = row.min(initial=math.inf)
-        hits = [-1] * len(states)
-        near = [i for i, st in enumerate(states) if st.attr_radius >= closest]
+        hits: list[Optional[int]] = [-1] * len(runs)
+        near = [j for j, run in enumerate(runs) if run[-1].attr_radius >= closest]
         if not near:
             return hits
-        segs = [states[i].slots for i in near]
+        segs = [runs[j][0].slots for j in near]
         lens = [len(sl) for sl in segs]
-        bounds = list(accumulate(lens, initial=0))  # segment j is [bounds[j], bounds[j+1])
+        bounds = list(accumulate(lens, initial=0))  # segment i is [bounds[i], bounds[i+1])
         flat = np.frombuffer(b"".join(segs), dtype=np.int64)
-        radii = np.array([states[i].attr_radius for i in near]).repeat(lens)
-        within = (row[flat] <= radii).nonzero()[0]
+        near_row = row[flat]
+        radii = np.array([runs[j][-1].attr_radius for j in near])
+        within = (near_row <= radii.repeat(lens)).nonzero()[0]
         if within.size:
             # the first hit at or after each segment start; "clip" reads the
             # last hit, which lies before the start, where there is none
-            first = within.take(within.searchsorted(bounds[:-1]), mode="clip").tolist()
-            for i, f, s, e in zip(near, first, bounds, bounds[1:]):
+            first = within.take(within.searchsorted(bounds[:-1]), mode="clip")
+            lowest = np.array([runs[j][0].attr_radius for j in near])
+            agree = (near_row[first] <= lowest).tolist()
+            for j, f, s, e, a in zip(near, first.tolist(), bounds, bounds[1:], agree):
                 if s <= f < e:
-                    hits[i] = f - s
+                    hits[j] = f - s if a else None
         return hits
+
+    def _split_runs(
+        self, p: Point, hits: list[Optional[int]]
+    ) -> tuple[list[list[GuessState]], list[int]]:
+        """Cut each run whose guesses disagree (hit None) into runs of
+        guesses with equal hits, and return the runs with their hits.  The
+        lowest part keeps the content; every other part holds a copy, with
+        one more store reference per slot."""
+        runs: list[list[GuessState]] = []
+        out: list[int] = []
+        for run, hit in zip(self._runs, hits):
+            if hit is not None:
+                runs.append(run)
+                out.append(hit)
+                continue
+            own = self._hits(p, [[st] for st in run])
+            start = 0
+            for end in range(1, len(run) + 1):
+                if end < len(run) and own[end] == own[start]:
+                    continue
+                part = run[start:end]
+                if start:
+                    part[0].adopt(run[0], copy=True)
+                    self._store.share(part[0].slots, 1)
+                    for st in part[1:]:
+                        st.adopt(part[0])
+                runs.append(part)
+                out.append(own[start])
+                start = end
+        self._runs = runs
+        return runs, out
+
+    def _merge_runs(self) -> None:
+        """Join each pair of adjacent runs whose contents are equal: the
+        higher run's guesses take the lower's content, and the higher
+        content's store references are dropped."""
+        runs = self._runs
+        for i in range(len(runs) - 1, 0, -1):
+            low, high = runs[i - 1], runs[i]
+            if _same_content(low[0], high[0]):
+                self._store.share(high[0].slots, -1)
+                for st in high:
+                    st.adopt(low[0])
+                low += high
+                del runs[i]
 
     def maintain_oblivious_ladder(self, p: Point) -> None:
         """Refresh the distance estimates and retarget the grid before p is
@@ -735,6 +866,7 @@ class GuessLadder:
         lo, hi = self._grid_bounds()
         for e in range(lo, hi + 1):
             self.states[e] = self._replayed_state(e, self.warmup)
+            self._runs.append([self.states[e]])
         self.bootstrapped = True
         self.warmup.clear()
 
@@ -742,15 +874,35 @@ class GuessLadder:
         lo, hi = self._grid_bounds()
         old_lo = min(self.states)
         old_hi = max(self.states)
-        for e in [e for e in self.states if e < lo or e > hi]:
-            for s in self.states.pop(e).slots:
-                self._store.release(s)
+        # D_t never falls, so neither does hi: guesses leave from the bottom
+        dropped = range(old_lo, min(lo, old_hi + 1))
+        for e in dropped:
+            del self.states[e]
+        self._drop_lowest(len(dropped))
+        added = []
         for e in range(lo, old_lo):
             # the recent points are mutually farther than twice the new
             # guess, so replaying just them is what a fresh run would store
             self.states[e] = self._replayed_state(e, prev_recent)
+            added.append([self.states[e]])
+        self._runs[:0] = added
         for e in range(max(old_hi + 1, lo), hi + 1):
             self.states[e] = self._high_guess_state(e, prev_recent, t)
+            self._runs.append([self.states[e]])
+
+    def _drop_lowest(self, n: int) -> None:
+        """Take the n lowest guesses out of the runs; a run left empty drops
+        its store references."""
+        runs = self._runs
+        while n:
+            run = runs[0]
+            if len(run) > n:
+                del run[:n]
+                return
+            n -= len(run)
+            for s in run[0].slots:
+                self._store.release(s)
+            del runs[0]
 
     def _replayed_state(self, exponent: int, points: Sequence[Point]) -> GuessState:
         """Fresh state for the guess, fed the given points in order.  Their
@@ -868,13 +1020,19 @@ class GuessLadder:
     def stats(self) -> dict[str, int]:
         """What the ladder holds, counted on call: guesses, stored points
         (as the memory gauge counts them), distinct points in the store,
-        histogram entries, and the evictions of every current guess."""
+        histogram entries, the evictions of every current guess, and the
+        runs of guesses sharing one content.  Then what arrivals did since
+        the ladder was built or restored: captures and inserts, counted
+        once per guess (replays that build a new guess are not counted)."""
         return {
             "grid_len": len(self.states),
             "stored_points": self.stored_points(),
             "distinct_points": self._store.live(),
             "histogram_entries": self.histogram_entries(),
             "evictions": sum(st.evictions for st in self.states.values()),
+            "runs": len(self._runs),
+            "captures": self._captures,
+            "inserts": self._inserts,
         }
 
     def memory_floats(self, dim: int) -> int:
@@ -888,14 +1046,15 @@ class GuessLadder:
         """Every state's invariants, plus the ladder-wide ones: the grid is
         exactly the exponent range its mode implies; in oblivious mode the
         recent points are the last arrivals, each in its ring slot, and d_t
-        and D_t agree with the points they are derived from; the store holds
-        what the states and the ring reference.  The first that fails raises
-        InvariantError.
+        and D_t agree with the points they are derived from; the runs hold
+        the grid's guesses in order, each run one content of its own; the
+        store holds what the runs' contents and the ring reference.  The
+        first that fails raises InvariantError.
 
         d_t is compared with a relative tolerance of 1e-9, since a snapshot
         written before d_t came from the metric's block form holds the
         scalar form's value, which may differ in the last bits."""
-        holders = Counter(s for st in self.states.values() for s in st.slots)
+        holders: Counter = Counter()
         if self.mode == "oblivious":
             slots = self._ring_slots.tolist()
             m, points = len(slots), self._store.points
@@ -927,6 +1086,16 @@ class GuessLadder:
         grid = self.exponents()
         if grid != list(range(lo, hi + 1)):
             raise InvariantError(f"grid {grid} is not [{lo}, {hi}]")
+        runs = self._runs
+        if not all(runs) or [st for run in runs for st in run] != [self.states[e] for e in grid]:
+            raise InvariantError("the runs do not hold the grid's guesses in order")
+        for run in runs:
+            held = run[0].content()
+            if any(a is not b for st in run[1:] for a, b in zip(st.content(), held)):
+                raise InvariantError("the guesses of a run do not share one content")
+            holders.update(run[0].slots)
+        if len({id(c) for run in runs for c in run[0].content()}) != 4 * len(runs):
+            raise InvariantError("two runs share a content")
         self._store.check(holders)
         for st in self.states.values():
             st.check_invariants(self.t)
@@ -1012,6 +1181,7 @@ class GuessLadder:
             st.restore(entry)
             ladder.states[entry["exponent"]] = st
             held += st.attractions[:1]
+        ladder._runs = [[ladder.states[e]] for e in ladder.exponents()]
         if ladder.mode == "oblivious":
             ob = snap["oblivious"]
             ladder.first_point = (
@@ -1029,6 +1199,19 @@ class GuessLadder:
             held += ladder.recent
         ladder.dim = held[0].dim if held else None
         return ladder
+
+
+def _same_content(a: GuessState, b: GuessState) -> bool:
+    """Whether two states hold equal contents, the cheapest checks first.
+    Representatives follow their attraction points' order, so equal slots
+    and equal dicts mean equal snapshots; orphans are compared in order."""
+    return (
+        a.slots == b.slots
+        and len(a.orphans) == len(b.orphans)
+        and a.reps == b.reps
+        and a.orphans == b.orphans
+        and list(a.orphans) == list(b.orphans)
+    )
 
 
 def _block_metric(metric: Metric) -> Metric:

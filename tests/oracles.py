@@ -280,8 +280,12 @@ class LadderShadow:
 
 def unshared(ladder: GuessLadder) -> GuessLadder:
     """The ladder, changed so that each state it holds or later creates
-    bumps through a memo of its own: the twin that shares no histogram
-    between guesses, against which the ladder-wide memo is compared."""
+    bumps through a memo of its own, and no two guesses ever share one
+    content: the twin that steps every guess on its own and shares no
+    histogram between guesses, against which the ladder-wide memo and the
+    shared contents are compared.  Attach it while every guess holds a
+    content of its own (before streaming, or right after a restore)."""
+    assert all(len(run) == 1 for run in ladder._runs), "guesses already share"
     make = ladder._new_state
 
     def new_state(exponent: int):
@@ -290,6 +294,7 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
         return st
 
     ladder._new_state = new_state
+    ladder._merge_runs = lambda: None
     for st in ladder.states.values():
         st._bumps = _BumpMemo(st.lam)
     return ladder
@@ -313,11 +318,17 @@ def reference_first_within(st, p: Point) -> int:
 def per_guess_search(ladder: GuessLadder) -> GuessLadder:
     """The ladder, changed so that every attraction search it makes, per
     arrival and in replays, is ``reference_first_within`` on one guess at a
-    time: the twin against which the shared row is compared."""
+    time: the twin against which the shared row is compared.  Per arrival
+    that is each run's lowest and highest guess, as the ladder probes them,
+    and each guess of a run whose two probes differ."""
     make = ladder._new_state
 
-    def hits(p: Point, states) -> list[int]:
-        return [reference_first_within(st, p) for st in states]
+    def hits(p: Point, runs) -> list:
+        out = []
+        for run in runs:
+            low, high = (reference_first_within(st, p) for st in (run[0], run[-1]))
+            out.append(low if low == high else None)
+        return out
 
     def replayed_state(exponent: int, points):
         st = make(exponent)

@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py: the same-benchmark guard, the verdicts and the
-seed ranges."""
+"""tools/bench_pairs.py: the same-benchmark guard, the verdicts, the
+report-line metrics kept for information and the seed ranges."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -110,3 +111,60 @@ class TestSeedList:
     def test_a_malformed_range_raises(self):
         with pytest.raises(ValueError):
             bench_pairs.seed_list("a-b")
+
+
+class TestReported:
+    @staticmethod
+    def fake_run(values):
+        """run_once stand-in: every gated metric 1.0, the report line's
+        metrics taken in turn from values (a dict of lists)."""
+        calls = iter(range(10**6))
+
+        def run_once(checkout, workload, seed, seconds):
+            i = next(calls)
+            reported = {k: v[i] for k, v in values.items()}
+            return {
+                "correct": True,
+                "digest": "d",
+                "metrics": {"setup_s": 1.0, "throughput_pts_s": 1.0,
+                            "memory_floats_max": 1.0, "peak_rss_mb": 1.0},
+                "reported": {k: reported.get(k) for k in bench_pairs.REPORTED},
+            }
+
+        return run_once
+
+    def test_each_side_keeps_median_and_quartiles_without_a_verdict(
+        self, tmp_path, monkeypatch
+    ):
+        # seeds 1-4 alternate the order: base, change, change, base, ...
+        values = {
+            "update_p50_us": [10.0, 20.0, 21.0, 11.0, 12.0, 22.0, 23.0, 13.0],
+            "query_p50_ms": [1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0, 1.0],
+            "failed_share": [0.0] * 8,
+            # reported by one side's runs only
+            "update_p99_us": [50.0, None, None, 51.0, 52.0, None, None, 53.0],
+        }
+        monkeypatch.setattr(bench_pairs, "benchmark_difference", lambda a, b: None)
+        monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "base")
+        monkeypatch.setattr(bench_pairs, "run_once", self.fake_run(values))
+        out = tmp_path / "BENCH.json"
+        argv = ["--base", str(tmp_path), "--seeds", "1-4", "--workloads", "w",
+                "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        reported = json.loads(out.read_text())["workloads"]["w"]["reported"]
+        assert set(reported) == {"update_p50_us", "update_p99_us", "query_p50_ms",
+                                 "failed_share"}
+        p50 = reported["update_p50_us"]
+        assert p50["base"]["values"] == [10.0, 11.0, 12.0, 13.0]
+        assert p50["change"]["values"] == [20.0, 21.0, 22.0, 23.0]
+        assert (p50["base"]["q1"], p50["base"]["median"], p50["base"]["q3"]) == (
+            10.75, 11.5, 12.25)
+        assert p50["change"]["median"] == 21.5
+        assert set(reported["update_p99_us"]) == {"base"}
+        assert reported["failed_share"]["change"]["median"] == 0.0
+        assert not any("verdict" in side for m in reported.values() for side in m.values())
+
+    def test_a_metric_no_run_reports_is_left_out(self):
+        runs = {"base": [{"reported": {"query_p50_ms": None}}],
+                "change": [{"reported": {"query_p50_ms": None}}]}
+        assert bench_pairs.reported_spreads(runs) == {}

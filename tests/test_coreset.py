@@ -14,7 +14,7 @@ from streamkc.core import _distances, _extremes
 from streamkc.coreset import GuessLadder, GuessState
 from streamkc.effdiam import EffDiameterConfig, FineCoresetState
 from streamkc.experiment import generate_ball_stream, inject_outliers, injection_prob
-from streamkc.histogram import synthetic_full_window
+from streamkc.histogram import new_histogram, synthetic_full_window
 from streamkc.solver import brute_force_optimum
 from oracles import (
     LadderShadow,
@@ -729,6 +729,17 @@ def _round_trip(ladder: GuessLadder, metric=dist) -> GuessLadder:
     return GuessLadder.from_snapshot(json.loads(json.dumps(ladder.to_snapshot())), metric)
 
 
+def _equal_content_groups(ladder: GuessLadder) -> int:
+    """Maximal groups of adjacent guesses whose snapshots agree but for
+    their evictions."""
+    views = []
+    for e in ladder.exponents():
+        view = ladder.states[e].to_jsonable()
+        del view["evictions"]
+        views.append(view)
+    return sum(i == 0 or v != views[i - 1] for i, v in enumerate(views))
+
+
 def _shared_lists(ladder: GuessLadder) -> int:
     """Histogram list objects held by more than one state of the ladder."""
     holders: dict[int, set] = {}
@@ -788,11 +799,16 @@ class TestBumpMemo:
 
     def test_sweeping_a_shared_orphan_leaves_the_other_holder_alone(self):
         # a evicts its only attraction point, so the representative's
-        # histogram, shared with b's representative, becomes a's orphan
+        # histogram, shared with b's representative, becomes a's orphan;
+        # the memo shares the bump of one list, so both start from one
         a = GuessState(1.0, 2.0, max_attractions=1, window_len=5, lam=0.5, orphan_cap=4)
         b = GuessState(1.0, 2.0, max_attractions=4, window_len=5, lam=0.5)
         b._bumps = a._bumps
-        for p in (pt(1, 0.0), pt(2, 0.1), pt(3, 50.0)):
+        first = pt(1, 0.0)
+        hist = new_histogram(1)
+        a.seed(first, first, hist)
+        b.seed(first, first, hist)
+        for p in (pt(2, 0.1), pt(3, 50.0)):
             a.process_point(p)
             b.process_point(p)
         held = b.reps[1][1]
@@ -803,22 +819,15 @@ class TestBumpMemo:
         a.check_invariants(6)
 
     def test_most_captures_reuse_a_trim(self, monkeypatch):
-        calls = captures = 0
-        trim, absorb = coreset.bump_and_trim, GuessState.process_point
+        calls = 0
+        trim = coreset.bump_and_trim
 
         def counted_trim(hist, t, lam):
             nonlocal calls
             calls += 1
             return trim(hist, t, lam)
 
-        def counted_absorb(self, p, hit=None):
-            nonlocal captures
-            got = absorb(self, p, hit)
-            captures += got is not None
-            return got
-
         monkeypatch.setattr(coreset, "bump_and_trim", counted_trim)
-        monkeypatch.setattr(GuessState, "process_point", counted_absorb)
         # the sliding benchmark's recipe: 4-d ball data plus z/2 outliers
         # per window at 100 diameters, which puts many guesses above the
         # ball's scale, where every guess holds the same histogram
@@ -828,7 +837,28 @@ class TestBumpMemo:
         lad = GuessLadder(StreamParams(1000, 10, 10, 0.5, 0.5), "oblivious")
         for p in islice(stream, 3000):
             lad.process_point(p)
+        captures = lad.stats()["captures"]  # one per guess that captured
         assert 0 < 2 * calls <= captures
+
+
+def _sliding_soak_case(seed):
+    """(rng, params, stream) of TestAdversarialSoak's oblivious sliding case."""
+    rng = np.random.default_rng(1000 + seed)
+    k, z = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    lam = (0.0, 0.1, 0.5, 1.0)[seed]
+    params = StreamParams(int(rng.integers(k + z + 1, 60)), k, z, lam, 0.5)
+    return rng, params, adversarial_stream(rng, 300, int(rng.integers(1, 4)))
+
+
+def _fine_soak_case(seed):
+    """(rng, state, stream) of TestAdversarialSoak's fixed-mode
+    FineCoresetState case."""
+    rng = np.random.default_rng(2000 + seed)
+    lam = (0.1, 1.0)[seed]
+    cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=lam, fine_cap=64)
+    stream = adversarial_stream(rng, 200, 2)
+    state = FineCoresetState(cfg, int(rng.integers(20, 60)), "fixed", *stream_extremes(stream))
+    return rng, state, stream
 
 
 class TestAdversarialSoak:
@@ -853,24 +883,113 @@ class TestAdversarialSoak:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oblivious_sliding_ladder(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-        k, z = int(rng.integers(1, 4)), int(rng.integers(0, 4))
-        lam = (0.0, 0.1, 0.5, 1.0)[seed]
-        params = StreamParams(int(rng.integers(k + z + 1, 60)), k, z, lam, 0.5)
-        stream = adversarial_stream(rng, 300, int(rng.integers(1, 4)))
+        rng, params, stream = _sliding_soak_case(seed)
         lad = GuessLadder(params, "oblivious")
         self._soak(rng, [lad], stream)
         assert lad.bootstrapped
 
     @pytest.mark.parametrize("seed", range(2))
     def test_fixed_fine_coreset_ladders(self, seed):
-        rng = np.random.default_rng(2000 + seed)
-        lam = (0.1, 1.0)[seed]
-        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=lam, fine_cap=64)
-        stream = adversarial_stream(rng, 200, 2)
-        state = FineCoresetState(cfg, int(rng.integers(20, 60)), "fixed", *stream_extremes(stream))
+        rng, state, stream = _fine_soak_case(seed)
         self._soak(rng, [state.validation, state.fine], stream)
         state.estimate()
+
+
+def _one_content(a: GuessState, b: GuessState) -> bool:
+    return all(x is y for x, y in zip(a.content(), b.content()))
+
+
+class TestSharedStates:
+    """Adjacent guesses whose states are equal hold one content, swept,
+    probed and stepped once per arrival: at every step the ladder equals a
+    twin that steps each guess on its own."""
+
+    @staticmethod
+    def _lockstep(rng, ladders, stream):
+        """Feed each ladder and an unshared twin of it the stream; after
+        every step their snapshots agree and the ladder's invariants hold.
+        Each ladder is restarted from its JSON snapshot at one random step.
+        Returns how many steps split a run and how many merged two, with
+        the grid unchanged."""
+        twins = [unshared(_round_trip(lad)) for lad in ladders]
+        restart = int(rng.integers(2, len(stream)))
+        splits = merges = 0
+        for p in stream:
+            if p.arrival == restart:
+                ladders = [_round_trip(lad) for lad in ladders]
+            for lad, twin in zip(ladders, twins):
+                before = lad.stats()
+                lad.process_point(p)
+                twin.process_point(p)
+                assert lad.to_snapshot() == twin.to_snapshot()
+                lad.check_invariants()
+                after = lad.stats()
+                if after["grid_len"] == before["grid_len"]:
+                    splits += after["runs"] > before["runs"]
+                    merges += after["runs"] < before["runs"]
+                assert twin.stats()["runs"] == twin.stats()["grid_len"]
+        return splits, merges
+
+    @pytest.mark.parametrize("mode", ["oblivious", "fixed"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sliding_ladder_matches_an_unshared_twin(self, seed, mode):
+        rng, params, stream = _sliding_soak_case(seed)
+        bounds = stream_extremes(stream) if mode == "fixed" else ()
+        lad = GuessLadder(params, mode, *bounds)
+        splits, merges = self._lockstep(rng, [lad], stream)
+        assert splits > 0 and merges > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fixed_fine_coreset_ladders_match_unshared_twins(self, seed):
+        rng, state, stream = _fine_soak_case(seed)
+        splits, merges = self._lockstep(rng, [state.validation, state.fine], stream)
+        assert splits > 0 and merges > 0
+
+    def test_a_point_between_two_radii_splits_a_run_until_it_expires(self):
+        # two guesses, radii 2 and 4; window 3, at most 2 attraction points
+        params = StreamParams(3, 1, 0, 0.5, 1.0)
+        lad = GuessLadder(params, "fixed", 2.0, 2.0)
+        twin = unshared(GuessLadder(params, "fixed", 2.0, 2.0))
+        low, high = lad.states[0], lad.states[1]
+        assert (low.attr_radius, high.attr_radius) == (2.0, 4.0)
+        store = lad._store
+        runs = []
+        for t, x in enumerate([0.0, 3.0, 0.0, 0.0, 0.0], start=1):
+            lad.process_point(pt(t, x))
+            twin.process_point(pt(t, x))
+            assert lad.to_snapshot() == twin.to_snapshot()
+            lad.check_invariants()
+            runs.append(lad.stats()["runs"])
+            if t == 1:  # both inserted the first point: one content
+                assert _one_content(low, high)
+                assert store.refs[store.slot_of[1]] == 1
+            if t == 2:  # 3.0 is within 4 of 0.0, not within 2
+                assert [a.arrival for a in low.attractions] == [1, 2]
+                assert [a.arrival for a in high.attractions] == [1]
+                assert not _one_content(low, high)
+                assert store.refs[store.slot_of[1]] == 2
+        # the point at 3.0 leaves the window at t=5, and the two agree again
+        assert runs == [1, 2, 2, 2, 1]
+        assert _one_content(low, high)
+        assert store.refs[store.slot_of[4]] == 1
+        assert (low.evictions, high.evictions) == (0, 0)
+
+    def test_the_validation_ladder_shares_states_on_the_benchmark_recipe(self):
+        # the eff-fixed-n1k benchmark recipe up to the end of its window
+        # fill: 4-d ball data, far points at rate 0.001 and norm 10 (placed
+        # by the benchmark's fixed generator; none falls in the fill)
+        n = 1000
+        coords = generate_ball_stream(n, 4, seed=1)
+        far = np.random.default_rng(20_220_107).random(n) < 0.001
+        coords[far] *= 10.0 / np.linalg.norm(coords[far], axis=1, keepdims=True)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.05, lam=0.5, beta=0.5)
+        state = FineCoresetState(cfg, n, "fixed", 0.01, 1e4)
+        for i, row in enumerate(coords.tolist()):
+            state.process_point(Point(i + 1, tuple(row)))
+        validation, fine = state.validation.stats(), state.fine.stats()
+        assert validation["grid_len"] == 38 and validation["runs"] <= 10
+        assert fine["runs"] < fine["grid_len"]
+        assert validation["captures"] + validation["inserts"] == 38 * n
 
 
 def _block_tie(rng, radius=None):
@@ -938,17 +1057,25 @@ class TestPointStore:
         stream = make_stream(rng, 150, 2)
         bounds = stream_extremes(stream) if mode == "fixed" else ()
         lad = GuessLadder(StreamParams(40, 2, 1, 0.5, 0.5), mode, *bounds)
+        captures = inserts = 0
         for p in stream:
             lad.process_point(p)
             stats = lad.stats()
             held = {q for st in lad.states.values() for q in st.attractions}
             held.update(lad.recent if mode == "oblivious" else ())
+            # p is now each guess's newest attraction point or representative
+            new = sum(p.arrival in st.reps for st in lad.states.values())
+            inserts += new
+            captures += len(lad.states) - new
             assert stats == {
                 "grid_len": len(lad.states),
                 "stored_points": lad.stored_points(),
                 "distinct_points": len(held),
                 "histogram_entries": lad.histogram_entries(),
                 "evictions": sum(st.evictions for st in lad.states.values()),
+                "runs": _equal_content_groups(lad),
+                "captures": captures,
+                "inserts": inserts,
             }
             assert all(type(v) is int for v in stats.values())
             assert stats["distinct_points"] <= stats["stored_points"]

@@ -6,7 +6,10 @@ checkout, alternating which of the two runs first.  Writes, per workload,
 the median and quartiles of every end-to-end metric on each side, each
 pair's values, how many pairs the change won, a verdict, and whether the
 output digests agreed, together with the seeds and the command, and prints
-one summary line per workload::
+one summary line per workload.  Under ``reported`` it also keeps, for
+information only and with no verdict, the median and quartiles on each side
+of the report line's ``update_p50_us``, ``update_p99_us``, ``query_p50_ms``
+and ``failed_share``, where every run of that side reports them::
 
     python3 tools/bench_pairs.py --base ../base-checkout --seeds 3-12 \\
         --seconds 15 --out BENCH_10.json
@@ -42,6 +45,8 @@ from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+# report-line metrics kept for information, beside the gated ones
+REPORTED = ("update_p50_us", "update_p99_us", "query_p50_ms", "failed_share")
 
 
 def benchmark_files(checkout: Path) -> set[str]:
@@ -78,6 +83,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": summary["correct"],
         "digest": report["digest"],
         "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
+        "reported": {k: report["metrics"].get(k) for k in REPORTED},
     }
 
 
@@ -93,6 +99,21 @@ def spread(values: list[float]) -> dict:
     else:
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "values": values}
+
+
+def reported_spreads(runs: dict[str, list[dict]]) -> dict:
+    """Each ``REPORTED`` metric's spread per side, for the sides on which
+    every run reports it; a metric no side reports is left out."""
+    out = {}
+    for name in REPORTED:
+        sides = {}
+        for side, side_runs in runs.items():
+            values = [r["reported"].get(name) for r in side_runs]
+            if values and None not in values:
+                sides[side] = spread(values)
+        if sides:
+            out[name] = sides
+    return out
 
 
 def pairs_won(base: list[float], change: list[float], better: str) -> int:
@@ -187,6 +208,7 @@ def main(argv=None) -> int:
             }
         result["workloads"][wl] = {
             "metrics": summary,
+            "reported": reported_spreads(runs),
             "pairs": len(args.seeds),
             "all_correct": all(r["correct"] for side in runs.values() for r in side),
             "digests_equal": all(
