@@ -26,7 +26,6 @@ from .effdiam import (
     coreset_effective_diameter,
     eff_sequential,
     exact_effective_diameter,
-    pair_masses,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "EffDiameterEstimate",
     "FineCoresetState",
     "exact_effective_diameter",
-    "pair_masses",
     "coreset_effective_diameter",
     "eff_sequential",
     "__version__",

@@ -13,9 +13,9 @@ bucket per pair and the pair mass per bucket.  A query updates it by the
 coreset entries that entered, left or changed weight since the last one,
 refilling it from empty when over a third of them changed or the coreset
 no longer fits the table's row capacity (at most twice the coreset), and
-reads both levels from it by exact bucketed selection, sorting only the few
-pairs around each level (``coreset_effective_diameter``).  Distances are
-Euclidean throughout, like the exact oracle.
+reads each level from it by sorting only the pairs of the one bucket that
+holds the level (``coreset_effective_diameter``).  Distances are Euclidean
+throughout, like the exact oracle.
 """
 
 from __future__ import annotations
@@ -58,50 +58,13 @@ def exact_effective_diameter(window: WindowView, alpha: float) -> float:
 # A pair's bucket id: its distance's bit pattern >> _SHIFT (256 ids a binade)
 # minus a base set by a refill, _HEADROOM ids above the largest distance it
 # can see; ids 1 and _IDS-1 also catch keys below and above, 0 marks no pair.
-# Cumulative masses are kept per _GROUP ids, pairs change in blocks of about
-# _CHUNK, and a read splits a bucket of over _SORT_AT distinct pairs again.
+# Cumulative masses are kept per _GROUP ids, and pairs change in blocks of
+# about _CHUNK.
 _SHIFT = 44
 _IDS = 1 << 16
 _HEADROOM = 8 << 8
 _GROUP = 1 << 8
 _CHUNK = 1 << 16
-_BUCKET_BITS = 12
-_SORT_AT = 8192
-
-
-def _select(
-    dists: np.ndarray, masses: np.ndarray, below: float
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """dists, masses, bucket and cum of the given pairs, whose cumulative
-    masses start from below: sorted, with cum per pair, when bucket is None,
-    and otherwise bucketed, with bucket holding each pair's bucket and cum
-    per bucket.
-
-    At most _SORT_AT pairs, or one distance, come back sorted (one distance
-    needs no argsort).  More are bucketed by the bits of their distances: a
-    non-negative double orders as its bit pattern read as an int64 (+0.0,
-    subnormals and inf included), so bucket = (key - min key) >> shift is
-    exact integer arithmetic that never puts a larger distance in a smaller
-    bucket, and equal distances share a bucket.  shift leaves at most
-    2^_BUCKET_BITS buckets, so each pass narrows the key span by that factor
-    and a read takes at most ceil(63 / _BUCKET_BITS) passes.
-    """
-    keys = dists.view(np.int64)
-    lo, hi = (int(keys.min()), int(keys.max())) if dists.size else (0, 0)
-    if dists.size <= _SORT_AT or lo == hi:
-        if lo < hi:
-            order = np.argsort(dists)
-            dists, masses = dists[order], masses[order]
-        cum = np.cumsum(masses)
-        cum += below
-        return dists, masses, None, cum
-    shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
-    bucket = keys - lo
-    bucket >>= shift
-    cum = np.bincount(bucket, weights=masses)
-    np.cumsum(cum, out=cum)
-    cum += below
-    return dists, masses, bucket, cum
 
 
 class PairMassTable:
@@ -272,11 +235,6 @@ class PairMassTable:
         return self.dists[pos], 2.0 * self.weights[i] * self.weights[pos - self._starts[i]]
 
 
-def pair_masses(coreset: WeightedCoreset) -> PairMassTable:
-    """A new ``PairMassTable`` of the coreset, through the one add path."""
-    return PairMassTable().update(coreset)
-
-
 def coreset_effective_diameter(
     table: PairMassTable, alpha: float, window_size: int
 ) -> tuple[float, bool]:
@@ -289,19 +247,20 @@ def coreset_effective_diameter(
     unreachable; in that case the largest coreset distance (0.0 for a single
     point) is returned with the saturation flag set.
 
-    The read is an exact selection.  The table's cumulative masses give the
-    first bucket id that reaches the threshold and the mass below it; that
-    bucket's pairs are gathered by one scan of the ids, with their masses
-    recomputed from the weights (``pairs_in``), and bucketed again, or
-    sorted (``_select``), until they are sorted, and a last binary search
-    picks the pair.  This gives the value a full sort
-    would: bucket order never contradicts distance order (an id is a fixed
-    shift of the distance's bit pattern, clamped to the id range), so the
-    mass below a bucket is the mass of every nearer pair.  Weights are
-    integer counts and (sum of w)^2 <= window_size^2 < 2^53
-    (``MAX_WINDOW_LEN``), so every mass and every partial sum is an exact
-    integer in any summation order, and so is every bucket mass between
-    queries: removing rows only takes away terms it holds.
+    The read is an exact selection over one bucketing, the table's ids.
+    The cumulative bucket masses give the first id that reaches the
+    threshold and the mass below it; one scan of the ids gathers that
+    bucket's pairs, with masses from the weights (``pairs_in``), and a sort
+    of just those pairs and a binary search over their cumulative masses
+    pick the pair.  This is the value of a full sort.  An id never orders
+    two pairs against their distances (it is a fixed shift of the
+    distance's bit pattern, clamped to the id range), so the mass below the
+    bucket is that of every nearer pair, and equal distances give one value
+    in any order.  Masses stay exact: weights are integer counts and
+    (sum of w)^2 <= window_size^2 < 2^53 (``MAX_WINDOW_LEN``), so every mass
+    and partial sum is an exact integer in any summation order, and so is
+    every bucket mass between queries, as removing rows only takes away
+    terms it holds.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
@@ -317,14 +276,11 @@ def coreset_effective_diameter(
     inner = np.cumsum(table.masses[g * _GROUP : (g + 1) * _GROUP]) + below
     b = int(np.searchsorted(inner, need, side="left"))
     below = float(inner[b - 1]) if b else below
-    dists, masses, bucket, cum = _select(*table.pairs_in(g * _GROUP + b), below)
-    while bucket is not None:
-        b = int(np.searchsorted(cum, need, side="left"))
-        if b:
-            below = float(cum[b - 1])
-        inside = np.flatnonzero(bucket == b)  # faster than a boolean mask
-        dists, masses, bucket, cum = _select(dists.take(inside), masses.take(inside), below)
-    return float(dists[np.searchsorted(cum, need, side="left")]), False
+    dists, masses = table.pairs_in(g * _GROUP + b)
+    order = np.argsort(dists)
+    cum = np.cumsum(masses[order])
+    cum += below
+    return float(dists[order[np.searchsorted(cum, need, side="left")]]), False
 
 
 def eff_sequential(window: WindowView, alpha: float, bucket_step: float = 0.01) -> float:
@@ -527,9 +483,6 @@ class FineCoresetState:
             "refills": pairs.refills,
         }
 
-    def saturation_events(self) -> int:
-        return sum(st.evictions for st in self.fine.states.values())
-
     def memory_floats(self, dim: int) -> int:
         return self.validation.memory_floats(dim) + self.fine.memory_floats(dim)
 
@@ -552,7 +505,10 @@ class FineCoresetState:
         ``GuessLadder.from_snapshot``; then both must be the ladders cfg
         builds (window length at most MAX_WINDOW_LEN, parameters, mode,
         bounds, and the fine ladder's attr_factor and cap from cfg), on the
-        same clock.  Anything else raises ValueError."""
+        same clock, and must have been fed one stream: in oblivious mode
+        their distance estimates and warm-up are equal, and both hold the
+        same point with the clock's arrival (``_newest``).  Anything else
+        raises ValueError."""
         if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not an effective-diameter snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
@@ -575,5 +531,21 @@ class FineCoresetState:
             raise ValueError(
                 f"corrupt effective-diameter snapshot: clocks {val.t} and {fine.t} differ"
             )
+        newest = _newest(val) | _newest(fine)
+        if snap["validation"].get("oblivious") != snap["fine"].get("oblivious") or (
+            val.t and (len(newest) != 1 or None in newest)
+        ):
+            raise ValueError("corrupt effective-diameter snapshot: ladders fed different streams")
         state.validation, state.fine = val, fine
         return state
+
+
+def _newest(ladder: GuessLadder) -> set:
+    """The points with arrival t that the ladder holds: the last warm-up
+    point before the bootstrap, else each guess's representative with that
+    arrival (None for a guess without one)."""
+    if ladder.mode == "oblivious" and not ladder.bootstrapped:
+        held = [list(ladder.warmup)[-1:]]
+    else:
+        held = [[r for r, _ in st.reps.values()] for st in ladder.states.values()]
+    return {next((q for q in h if q.arrival == ladder.t), None) for h in held}

@@ -201,8 +201,10 @@ def reference_window_scan(window: WindowView, k, z, step=0.5, metric=dist,
 def reference_coreset_effective_diameter(
     coreset: WeightedCoreset, alpha: float, window_size: int
 ) -> tuple[float, bool]:
-    """Two-branch, stable-sort pair-mass search: the reference for
-    ``streamkc.effdiam.coreset_effective_diameter`` over ``pair_masses``.
+    """Two-branch, stable-sort pair-mass search over every pair at once:
+    the reference for ``streamkc.effdiam.coreset_effective_diameter`` read
+    from ``PairMassTable().update(coreset)``, which sorts only the pairs of
+    the one distance bucket that holds the level.
 
     Smallest coreset pair distance whose cumulative ordered-pair weight mass
     reaches alpha * window_size^2, or the largest coreset distance with the

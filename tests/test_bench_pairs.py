@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the same-benchmark guard, the verdicts, the
-report-line metrics kept for information and the seed ranges."""
+report-line metrics kept for information, the seed ranges and the source
+line counts."""
 
 import importlib.util
 import json
@@ -168,3 +169,28 @@ class TestReported:
         runs = {"base": [{"reported": {"query_p50_ms": None}}],
                 "change": [{"reported": {"query_p50_ms": None}}]}
         assert bench_pairs.reported_spreads(runs) == {}
+
+
+class TestSrcLines:
+    def test_counts_the_library_modules_as_wc_does(self, tmp_path):
+        root = checkout(tmp_path, {
+            "src/streamkc/a.py": "x = 1\ny = 2\n",
+            "src/streamkc/b.py": "z = 3",  # no final newline: wc -l reads 0
+            "src/streamkc/sub/c.py": "w = 4\n",  # not a module of the package
+            "src/streamkc/notes.txt": "n\n",
+            "tools/d.py": "v = 5\n",
+        })
+        assert bench_pairs.src_lines(root) == 2
+
+    def test_main_records_both_sides_and_prints_them(self, tmp_path, monkeypatch, capsys):
+        base = checkout(tmp_path / "base", {"src/streamkc/a.py": "x = 1\n" * 5})
+        monkeypatch.setattr(bench_pairs, "benchmark_difference", lambda a, b: None)
+        monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "base")
+        monkeypatch.setattr(bench_pairs, "run_once", TestReported.fake_run({}))
+        out = tmp_path / "BENCH.json"
+        argv = ["--base", str(base), "--seeds", "1", "--workloads", "w", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        want = bench_pairs.src_lines(bench_pairs.ROOT)
+        assert json.loads(out.read_text())["src_lines"] == {"base": 5, "change": want}
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == f"src_lines: 5 -> {want} ({want - 5:+d})"

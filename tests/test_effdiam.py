@@ -13,10 +13,10 @@ from streamkc.effdiam import (
     MAX_WINDOW_LEN,
     EffDiameterConfig,
     FineCoresetState,
+    PairMassTable,
     coreset_effective_diameter,
     eff_sequential,
     exact_effective_diameter,
-    pair_masses,
 )
 from streamkc.experiment import generate_ball_stream
 from oracles import LadderShadow, reference_coreset_effective_diameter, stream_extremes
@@ -98,23 +98,23 @@ class TestCoresetEstimate:
 
     def test_self_pairs_reach_threshold(self):
         T = self._coreset([(0, 2), (10, 1)])
-        value, saturated = coreset_effective_diameter(pair_masses(T), 0.5, 3)
+        value, saturated = coreset_effective_diameter(PairMassTable().update(T), 0.5, 3)
         assert value == 0.0 and not saturated
 
     def test_cross_pairs_needed(self):
         T = self._coreset([(0, 2), (10, 1)])
-        value, saturated = coreset_effective_diameter(pair_masses(T), 0.9, 3)
+        value, saturated = coreset_effective_diameter(PairMassTable().update(T), 0.9, 3)
         assert value == 10.0 and not saturated
 
     def test_single_point_full_weight(self):
         for alpha in (0.1, 0.5, 0.99):
             T = self._coreset([(5, 7)])
-            value, saturated = coreset_effective_diameter(pair_masses(T), alpha, 7)
+            value, saturated = coreset_effective_diameter(PairMassTable().update(T), alpha, 7)
             assert value == 0.0 and not saturated
 
     def test_saturation_when_weights_insufficient(self):
         T = self._coreset([(0, 1), (3, 1)])
-        value, saturated = coreset_effective_diameter(pair_masses(T), 0.9, 100)
+        value, saturated = coreset_effective_diameter(PairMassTable().update(T), 0.9, 100)
         assert saturated and value == 3.0
 
     def test_monotone_in_alpha(self):
@@ -124,7 +124,8 @@ class TestCoresetEstimate:
         total = sum(w for _, w in pairs)
         prev = -1.0
         for alpha in np.linspace(0.05, 0.999, 17):
-            value, _ = coreset_effective_diameter(pair_masses(T), float(alpha), total)
+            table = PairMassTable().update(T)
+            value, _ = coreset_effective_diameter(table, float(alpha), total)
             assert value >= prev
             prev = value
 
@@ -241,7 +242,7 @@ class TestPairMassTable:
             T = _random_coreset(rng, ("uniform", "lattice", "duplicates")[trial % 3])
             total = T.total_weight()
             window_size = total + int(rng.integers(0, total + 1))
-            pairs = pair_masses(T)
+            pairs = PairMassTable().update(T)
             d = pdist(np.array([p.coords for p, _ in T.points]))
             seen["n1"] += len(T) == 1
             seen["ties"] += len(np.unique(d)) < len(d)
@@ -255,7 +256,7 @@ class TestPairMassTable:
     @pytest.mark.parametrize("style, n", [("lattice", 20), ("ball", 300)])
     def test_table_holds_the_self_and_total_mass(self, style, n):
         T = _large_coreset(np.random.default_rng(3), style, n)
-        table = pair_masses(T)
+        table = PairMassTable().update(T)
         w = [wt for _, wt in T.points]
         assert table.self_mass == sum(x * x for x in w)
         assert table.cum[-1] == sum(w) ** 2
@@ -281,24 +282,24 @@ class TestPairMassTable:
     def test_selection_matches_the_sorted_reference_at_real_sizes(
         self, monkeypatch, style, n
     ):
-        selected = []
-        real = effdiam._select
+        gathered = []
+        real = effdiam.PairMassTable.pairs_in
 
-        def select(d, m, below):
-            out = real(d, m, below)
-            selected.append((d.size, out[2] is not None))
+        def pairs_in(table, b):
+            out = real(table, b)
+            gathered.append(out[0].size)
             return out
 
-        monkeypatch.setattr(effdiam, "_select", select)
+        monkeypatch.setattr(effdiam.PairMassTable, "pairs_in", pairs_in)
         rng = np.random.default_rng(n)
         T = _large_coreset(rng, style, n)
-        table = pair_masses(T)
+        table = PairMassTable().update(T)
         # the same coreset in a kept table that held a tenth other entries,
         # reached without a refill from 300 entries up
         other = list(T.points)
         for i in range(0, n, 10):
             other[i] = (Point(n + 1 + i, tuple(2.0 * c for c in other[i][0].coords)), 3)
-        kept = pair_masses(WeightedCoreset(tuple(other), 1.0, 2 * n)).update(T)
+        kept = PairMassTable().update(WeightedCoreset(tuple(other), 1.0, 2 * n)).update(T)
         assert kept.refills == (1 if n >= 300 else 2)
         total = T.total_weight()
         for window_size in (total, total + int(rng.integers(1, total + 1))):
@@ -309,10 +310,8 @@ class TestPairMassTable:
         if style in ("lattice", "partly_huge"):
             # a heavily repeated distance, or the finite distances that fall
             # below the ids of the infinite ones, fill a bucket of more than
-            # _SORT_AT pairs; only the second has different distances in it,
-            # which a read splits again
-            assert max(size for size, _ in selected) > effdiam._SORT_AT
-            assert any(split for _, split in selected) == (style == "partly_huge")
+            # 8,192 pairs, which a read gathers and sorts whole
+            assert max(gathered) > 8192
 
     def test_building_and_reading_stay_below_four_and_a_half_pair_arrays(self):
         T = _large_coreset(np.random.default_rng(8), "ball", 1000)
@@ -320,7 +319,7 @@ class TestPairMassTable:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            table = pair_masses(T)
+            table = PairMassTable().update(T)
             for alpha in (0.9 / 1.5**2, 0.9):
                 coreset_effective_diameter(table, alpha, T.total_weight())
             peak = tracemalloc.get_traced_memory()[1]
@@ -338,7 +337,6 @@ class TestPairMassTable:
             effdiam.PairMassTable, "update",
             lambda table, c: updates.append((table, c)) or real(table, c),
         )
-        monkeypatch.setattr(effdiam, "pair_masses", None)
         cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.1)
         state = FineCoresetState(cfg, window_len=40, mode="fixed", d_min=0.01, d_max=100.0)
         pts = stream_points(generate_ball_stream(60, dim=2, seed=5))
@@ -380,7 +378,7 @@ class TestPairMassTable:
         assert peak < 0.25 * 8 * m, peak / (8 * m)
 
     def test_estimates_match_the_reference_as_the_buffer_grows_and_shrinks(self):
-        # 300 spread points grow the fine coreset past _SORT_AT pairs; then
+        # 300 spread points grow the fine coreset past 8,192 pairs; then
         # the window fills with three locations and the coreset shrinks
         rng = np.random.default_rng(12)
         spots = rng.random((3, 2))
@@ -401,7 +399,7 @@ class TestPairMassTable:
             sizes.append((len(coreset), rows, state._pairs.refills))
         pairs = [n * (n - 1) // 2 for n, _, _ in sizes]
         rows = [r for _, r, _ in sizes]
-        assert max(pairs) > effdiam._SORT_AT
+        assert max(pairs) > 8192
         assert any(b > a for a, b in zip(rows, rows[1:]))  # grown
         assert any(b < a for a, b in zip(rows, rows[1:]))  # reallocated smaller
         # the row capacity holds the coreset and stays within about twice it
@@ -421,7 +419,7 @@ class TestPairMassTable:
             state.process_point(p)
         state.estimate()
         coreset, _ = state.fine_coreset()
-        table = pair_masses(coreset)
+        table = PairMassTable().update(coreset)
         assert table is not state._pairs
         fields = ("dists", "ids", "weights", "masses", "cum")
         kept = [np.copy(getattr(table, f)) for f in fields]
@@ -447,7 +445,7 @@ class TestPairMassTable:
         for T in _coreset_walk(rng, style, steps=15):
             kept.update(T)
             total = T.total_weight()
-            fresh = pair_masses(T)
+            fresh = PairMassTable().update(T)
             # the two may place their ids differently (each refill takes its
             # base from its own entries), but hold the same pairs
             assert fresh.self_mass == kept.self_mass
@@ -471,8 +469,8 @@ class TestPairMassTable:
         T = _random_coreset(rng, "uniform")
         (p, w), rest = T.points[0], T.points[1:]
         twice = WeightedCoreset((*T.points, (p, w), (p, w + 1), rest[0]), 1.0, T.t)
-        kept = pair_masses(T).update(twice)
-        for table in (pair_masses(twice), kept):
+        kept = PairMassTable().update(T).update(twice)
+        for table in (PairMassTable().update(twice), kept):
             assert table.self_mass + table.masses.sum() == twice.total_weight() ** 2
             for alpha in (0.05, 0.4, 0.9, 1.0):
                 want = reference_coreset_effective_diameter(twice, alpha, 3 * T.t)
@@ -481,7 +479,7 @@ class TestPairMassTable:
     def test_a_distance_above_the_ids_rebases_through_a_refill(self):
         T = _large_coreset(np.random.default_rng(2), "ball", 200)
         far = WeightedCoreset((*T.points, (Point(201, (1e6, 0.0, 0.0, 0.0)), 1)), 1.0, 201)
-        table = pair_masses(T).update(far)
+        table = PairMassTable().update(T).update(far)
         assert (table.refills, table.added, table.removed) == (2, 201, 200)
         total = far.total_weight()
         for alpha in (0.5, 0.9, 0.999, 1.0):
@@ -516,7 +514,7 @@ class TestPairMassTable:
         # for turnover; the capacity refills once it exceeds about twice
         # the coreset, so the table stays within four times its pairs
         T = _large_coreset(np.random.default_rng(4), "ball", 1000)
-        table = pair_masses(T)
+        table = PairMassTable().update(T)
         caps = []
         for n in (760, 580, 440, 330):
             U = WeightedCoreset(T.points[:n], 1.0, 2000)
@@ -540,7 +538,7 @@ class TestPairMassTable:
         T = WeightedCoreset(
             tuple((Point(i + 1, tuple(rng.normal(size=3))), 1) for i in range(200)), 1.0, 400
         )
-        table = pair_masses(T)
+        table = PairMassTable().update(T)
         cap = len(table.weights)
         new = [(Point(300 + i, tuple(rng.normal(size=3))), 1) for i in range(10)]
         U = WeightedCoreset((*T.points[:190], *new), 1.0, 400)
@@ -570,7 +568,7 @@ class TestPairMassTable:
         )
         rng = np.random.default_rng(9)
         T = _large_coreset(rng, "ball", 120)
-        table = pair_masses(T)  # a fresh table: one refill of every entry
+        table = PairMassTable().update(T)  # a fresh table: one refill of every entry
         assert (added, table.refills) == ([120], 1)
         # replace half the entries: more than a third changes, so a refill
         half = [(Point(200 + i, tuple(rng.normal(size=4))), 2) for i in range(60)]
@@ -723,7 +721,7 @@ class TestFineState:
         rng = np.random.default_rng(0)
         for i in range(40):
             state.process_point(Point(i + 1, tuple(rng.random(2) * 10)))
-        assert state.saturation_events() > 0
+        assert state.stats()["fine"]["evictions"] > 0
         est = state.estimate()
         assert est.saturated and est.overflowed
 
@@ -826,7 +824,7 @@ class TestFineState:
                                      d_min=0.01, d_max=1e4)
             for p in stream_points(coords):
                 state.process_point(p)
-            assert state.saturation_events() == 0
+            assert state.stats()["fine"]["evictions"] == 0
             coreset, overflowed = state.fine_coreset()
             assert not overflowed
             sizes[eta] = len(coreset)
@@ -857,9 +855,10 @@ class TestFineState:
         )
         wsize = len(active)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
-        pairs = pair_masses(coreset)
+        pairs = PairMassTable().update(coreset)
         lo_est, _ = coreset_effective_diameter(pairs, shrunk, wsize)
-        mid_exact, _ = coreset_effective_diameter(pair_masses(exact_coreset), cfg.alpha, wsize)
+        exact_pairs = PairMassTable().update(exact_coreset)
+        mid_exact, _ = coreset_effective_diameter(exact_pairs, cfg.alpha, wsize)
         hi_est, _ = coreset_effective_diameter(pairs, cfg.alpha, wsize)
         assert lo_est <= mid_exact <= hi_est
 
@@ -904,6 +903,24 @@ class TestRestart:
             state.process_point(p)
         return state, json.loads(json.dumps(state.to_snapshot()))
 
+    @staticmethod
+    def _splice(snap, mode):
+        """Put in snap the ladders of two estimators of its cfg (window 40,
+        120 points each) fed different streams: the validation ladder of a
+        seed-1 stream and the fine ladder of a seed-2 one scaled by 1000."""
+        cfg = EffDiameterConfig(**snap["config"])
+        one = TestRestart._stream(1)[:120]
+        two = stream_points(1000 * np.array([p.coords for p in TestRestart._stream(2)[:120]]))
+        bounds = stream_extremes(one) if mode == "fixed" else ()
+        states = [FineCoresetState(cfg, 40, mode, *bounds) for _ in range(2)]
+        for state, pts in zip(states, (one, two)):
+            for p in pts:
+                state.process_point(p)
+        snap["validation"] = states[0].validation.to_snapshot()
+        snap["fine"] = states[1].fine.to_snapshot()
+        for state in states:  # each estimator alone restores
+            FineCoresetState.from_snapshot(json.loads(json.dumps(state.to_snapshot())))
+
     @pytest.mark.parametrize(
         "corrupt, match",
         [
@@ -917,9 +934,12 @@ class TestRestart:
             (lambda s: s["config"].update(lam=0.25), "ladder's params"),
             (lambda s: s["fine"]["states"].pop(), "corrupt ladder snapshot"),
             (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
+            (lambda s: TestRestart._splice(s, "fixed"), "ladders fed different streams"),
+            (lambda s: TestRestart._splice(s, "oblivious"), "ladders fed different streams"),
         ],
         ids=["format", "version", "no_fine", "unknown_config", "bad_config", "cap",
-             "attr_factor", "lam", "broken_ladder", "validation_twice"],
+             "attr_factor", "lam", "broken_ladder", "validation_twice", "spliced_fixed",
+             "spliced_oblivious"],
     )
     def test_a_corrupt_or_mismatched_snapshot_raises(self, corrupt, match):
         _, snap = self._snapshot()
@@ -941,6 +961,24 @@ class TestRestart:
             other.process_point(p)
         snap["fine"] = json.loads(json.dumps(other.fine.to_snapshot()))
         with pytest.raises(ValueError, match="fine ladder's d_min"):
+            FineCoresetState.from_snapshot(snap)
+
+    @pytest.mark.parametrize("n", [2, 30], ids=["warm_up", "bootstrapped"])
+    def test_oblivious_ladders_must_have_seen_one_stream(self, n):
+        # two streams of n points that differ at one arrival: the last in the
+        # warm-up; the first after the bootstrap, where both ladders hold the
+        # same newest point but not the same distance estimates
+        odd = n if n == 2 else 1
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        states = [FineCoresetState(cfg, 100) for _ in range(2)]
+        for state, shift in zip(states, (0.0, 50.0)):
+            for i in range(1, n + 1):
+                state.process_point(Point(i, (i + (shift if i == odd else 0.0),)))
+        assert states[0].validation.bootstrapped == (n > 2)
+        snap = json.loads(json.dumps(states[0].to_snapshot()))
+        assert FineCoresetState.from_snapshot(snap).to_snapshot() == snap
+        snap["fine"] = json.loads(json.dumps(states[1].fine.to_snapshot()))
+        with pytest.raises(ValueError, match="ladders fed different streams"):
             FineCoresetState.from_snapshot(snap)
 
     def test_a_window_beyond_the_exact_masses_is_rejected(self):

@@ -6,7 +6,10 @@ checkout, alternating which of the two runs first.  Writes, per workload,
 the median and quartiles of every end-to-end metric on each side, each
 pair's values, how many pairs the change won, a verdict, and whether the
 output digests agreed, together with the seeds and the command, and prints
-one summary line per workload.  Under ``reported`` it also keeps, for
+one summary line per workload.  Under ``src_lines`` it records, and prints
+on a last summary line, the line count of each side's library source
+(``src/streamkc/*.py``), the measure of size the roadmap's design aim reads.
+Under ``reported`` it also keeps, for
 information only and with no verdict, the median and quartiles on each side
 of the report line's ``update_p50_us``, ``update_p99_us``, ``query_p50_ms``
 and ``failed_share``, where every run of that side reports them::
@@ -68,6 +71,11 @@ def benchmark_difference(base: Path, change: Path) -> Optional[str]:
         if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
             return name
     return None
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of checkout's ``src/streamkc/*.py``, counted as ``wc -l`` does."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "streamkc").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -185,6 +193,7 @@ def main(argv=None) -> int:
         "change": "the commit this file is checked in with",
         "seeds": args.seeds,
         "seconds": args.seconds,
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "workloads": {},
     }
     for wl in workloads:
@@ -218,6 +227,8 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     for wl, summary in result["workloads"].items():
         print(summary_line(wl, summary))
+    base, change = result["src_lines"]["base"], result["src_lines"]["change"]
+    print(f"src_lines: {base} -> {change} ({change - base:+d})")
     return 0
 
 
