@@ -9,7 +9,7 @@ from .histogram import (
     synthetic_full_window,
     weight_estimate,
 )
-from .coreset import GuessLadder, GuessState, WeightedCoreset
+from .coreset import GuessLadder, WeightedCoreset
 from .solver import (
     SolveOutcome,
     brute_force_optimum,
@@ -41,7 +41,6 @@ __all__ = [
     "bump_and_trim",
     "weight_estimate",
     "synthetic_full_window",
-    "GuessState",
     "GuessLadder",
     "WeightedCoreset",
     "SolveOutcome",

@@ -114,10 +114,10 @@ class StreamParams:
             raise ValueError("z must satisfy 0 <= z < window_len")
         if self.k + self.z + 1 > self.window_len:
             raise ValueError("window_len must be at least k + z + 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0 < self.beta <= 1 or 1.0 + self.beta == 1.0:
+            raise ValueError("beta must be in (0, 1], with 1 + beta above 1")
 
 
 @dataclass(frozen=True, slots=True)

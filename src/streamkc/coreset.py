@@ -28,8 +28,9 @@ to the store through the metric's block form (``streamkc.core``); every
 guess's attraction search gathers its slots from that row, and the row's
 entries at the recent points update each recent point's smallest distance
 to a newer one, the smallest of which is ``d_t``.  A metric without a block
-form is rejected when a state or ladder is built or restored.  The store
-and those distances are never serialized; a restore rebuilds them.
+form is rejected when a ladder is built or restored.  The store and those
+distances are never serialized; a restore replays the recent points into
+them.
 
 Most guesses of one ladder hold equal states, so a run of adjacent guesses
 whose states are equal shares one content: the attraction slots, the
@@ -269,13 +270,12 @@ class GuessState:
     stale) entry of each orphan histogram is indexed by timestamp, making the
     per-step sweep O(1) regardless of how many orphans are held.
 
-    Attraction points live in a ``_PointStore`` and bumps go through a
-    ``_BumpMemo``: the state's own, unless its ladder points it at the ones
-    all the ladder's states share.  ``slots`` holds the store slots of the
-    attraction points, in arrival order (which is expiry order).  A ladder
-    may let adjacent guesses hold one content (``content``, ``adopt``) and
-    step it once for all of them; ``guess``, ``attr_radius`` and
-    ``evictions`` are always the state's own.
+    Attraction points live in the ``_PointStore`` and bumps go through the
+    ``_BumpMemo`` that every state of one ladder shares.  ``slots`` holds
+    the store slots of the attraction points, in arrival order (which is
+    expiry order).  A ladder may let adjacent guesses hold one content
+    (``content``, ``adopt``) and step it once for all of them; ``guess``,
+    ``attr_radius`` and ``evictions`` are always the state's own.
     """
 
     __slots__ = (
@@ -285,7 +285,6 @@ class GuessState:
         "orphan_cap",
         "window_len",
         "lam",
-        "metric",
         "slots",
         "reps",
         "orphans",
@@ -302,7 +301,8 @@ class GuessState:
         max_attractions: int,
         window_len: int,
         lam: float,
-        metric: Metric = dist,
+        store: _PointStore,
+        bumps: _BumpMemo,
         orphan_cap: Optional[int] = None,
     ):
         self.guess = guess
@@ -311,14 +311,13 @@ class GuessState:
         self.orphan_cap = orphan_cap
         self.window_len = window_len
         self.lam = lam
-        self.metric = _block_metric(metric)
         self.slots = array("q")  # attraction points' store slots, oldest first (int64)
         self.reps: dict[int, tuple[Point, Histogram]] = {}  # attraction arrival -> (rep, hist)
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
         self.evictions = 0
         self._first_ts: dict[int, int] = {}  # orphan hist first timestamp -> arrival
-        self._store = _PointStore(self.metric)
-        self._bumps = _BumpMemo(lam)
+        self._store = store
+        self._bumps = bumps
 
     @property
     def attractions(self) -> list[Point]:
@@ -328,39 +327,22 @@ class GuessState:
 
     # -- update ------------------------------------------------------------
 
-    def process_point(self, p: Point, hit: Optional[int] = None) -> Optional[int]:
-        """Absorb p at time p.arrival.
+    def process_point(self, p: Point, hit: int) -> Optional[int]:
+        """Absorb p at time p.arrival, once the state is swept at p.arrival.
 
         hit is the position in ``slots`` of the oldest attraction point
-        within the attraction radius of p, or -1 for none, as found by a
-        caller that has already swept the state at p.arrival.  Without it
-        the state sweeps, then searches its store's row for p.
+        within the attraction radius of p, or -1 for none.
 
         Returns the arrival index of the attraction point that captured p, or
         None when p became a new attraction point.
         """
-        t = p.arrival
-        if hit is None:
-            self.sweep(t)
-            hit = self.first_within(self._store.row(p))
         if hit < 0:
             self._insert(p)
             return None
         a = self._store.points[self.slots[hit]].arrival
         _, hist = self.reps[a]
-        self.reps[a] = (p, self._bumps.bump(hist, t))
+        self.reps[a] = (p, self._bumps.bump(hist, p.arrival))
         return a
-
-    def first_within(self, row: Sequence[float]) -> int:
-        """Position of the oldest attraction point within the attraction
-        radius, -1 for none, given a point's distances to the store's slots.
-        A scan in arrival order: it serves replays and a state fed on its
-        own, while a ladder searches all its states at once."""
-        r = self.attr_radius
-        for i, s in enumerate(self.slots):
-            if row[s] <= r:
-                return i
-        return -1
 
     def sweep(self, t: int) -> None:
         """Expiry pass: attraction points first (their representatives become
@@ -484,7 +466,7 @@ class GuessState:
                 raise InvariantError("stored expired attraction point")
             if i and attrs[i - 1].arrival >= attrs[i].arrival:
                 raise InvariantError("attraction points not in arrival order")
-        d = _distances(attrs, self.metric)
+        d = _distances(attrs, self._store.metric)
         for r0 in range(0, n - 1, _BLOCK):
             rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
             # pairs (i, j) with i < j: the strict upper triangle from column r0
@@ -567,7 +549,8 @@ class GuessLadder:
     with the ladder's recent ring.  In oblivious mode each recent point sits
     at ring position arrival mod (k + z + 1): ``_ring_slots`` holds its store
     slot (-1 while unfilled) and ``_closest_newer`` the smallest positive
-    distance from it to a newer recent point (inf if there is none).
+    distance from it to a newer recent point (inf if there is none).  Only
+    ``_ring_add`` changes them, on arrivals and in a restore's replay.
 
     ``_runs`` lists the guesses in exponent order, cut into runs of adjacent
     guesses that hold one content (``GuessState.content``); the store counts
@@ -604,8 +587,8 @@ class GuessLadder:
         self.d_min = d_min
         self.d_max = d_max
         if mode == "fixed":
-            if d_min is None or d_max is None or not 0 < d_min <= d_max:
-                raise ValueError("fixed mode requires 0 < d_min <= d_max")
+            if d_min is None or d_max is None or not 0 < d_min <= d_max < math.inf:
+                raise ValueError("fixed mode requires 0 < d_min <= d_max < inf")
             lo, hi = self._grid_bounds()
             for e in range(lo, hi + 1):
                 self.states[e] = self._new_state(e)
@@ -655,18 +638,16 @@ class GuessLadder:
     def _new_state(self, exponent: int) -> GuessState:
         g = self.guess_value(exponent)
         params = self.params
-        st = GuessState(
+        return GuessState(
             guess=g,
             attr_radius=self.attr_factor * g,
             max_attractions=params.k + params.z + 1 if self.cap is None else self.cap,
             window_len=params.window_len,
             lam=params.lam,
-            metric=self.metric,
+            store=self._store,
+            bumps=self._bumps,
             orphan_cap=self.cap,
         )
-        st._bumps = self._bumps
-        st._store = self._store
-        return st
 
     def exponents(self) -> list[int]:
         return sorted(self.states)
@@ -843,23 +824,6 @@ class GuessLadder:
         low = float(closest.min())
         return leaving, (low if low < math.inf else 0.0)
 
-    def _rebuild_ring(self) -> None:
-        """Ring slots and closest-newer distances of the recent points, read
-        afresh in one block."""
-        recent = list(self.recent)
-        pos = [q.arrival % len(self._ring_slots) for q in recent]
-        self._ring_slots[:] = -1
-        self._ring_slots[pos] = [self._store.acquire(q) for q in recent]
-        self._closest_newer[:] = math.inf
-        if recent:
-            everyone = np.arange(len(recent))
-            # d[i, j] = metric(recent[j], recent[i]), the newer point first
-            # for j > i, as the arrival of recent[j] read it
-            d = _distances(recent, self.metric)(everyone, everyone).T
-            d[d <= 0.0] = math.inf
-            d[np.tril_indices(len(recent))] = math.inf  # keep pairs (i, newer j)
-            self._closest_newer[pos] = d.min(axis=1)
-
     def _bootstrap(self) -> None:
         """First grid construction: replay the buffered prefix through empty
         states, which reproduces exactly what a from-scratch run would hold."""
@@ -907,16 +871,19 @@ class GuessLadder:
     def _replayed_state(self, exponent: int, points: Sequence[Point]) -> GuessState:
         """Fresh state for the guess, fed the given points in order.  Their
         distances to the store are read in blocks of _BLOCK rows; a block's
-        own points hold a slot in the store while the block is read."""
+        own points hold a slot in the store while the block is read.  Each
+        point's hit is a scan of the state's slots in arrival order."""
         st = self._new_state(exponent)
         points = list(points)
         store = self._store
+        r = st.attr_radius
         for r0 in range(0, len(points), _BLOCK):
             block = points[r0 : r0 + _BLOCK]
             pinned = [store.acquire(q) for q in block]
             for q, row in zip(block, store.rows(block).tolist()):
                 st.sweep(q.arrival)
-                st.process_point(q, st.first_within(row))
+                hit = next((i for i, s in enumerate(st.slots) if row[s] <= r), -1)
+                st.process_point(q, hit)
             for s in pinned:
                 store.release(s)
         return st
@@ -1195,7 +1162,8 @@ class GuessLadder:
             ladder.D_t = ob["D_t"]
             ladder.bootstrapped = ob["bootstrapped"]
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
-            ladder._rebuild_ring()
+            for q in ladder.recent:  # the snapshot's d_t stands
+                ladder._ring_add(q)
             held += ladder.recent
         ladder.dim = held[0].dim if held else None
         return ladder

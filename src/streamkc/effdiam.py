@@ -291,8 +291,8 @@ def eff_sequential(window: WindowView, alpha: float, bucket_step: float = 0.01) 
         raise ValueError("window must hold at least two points")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    if bucket_step <= 0:
-        raise ValueError("bucket_step must be positive")
+    if not 0 < bucket_step < math.inf:
+        raise ValueError("bucket_step must be finite and positive")
     rank = math.ceil(alpha * n * n)
     d = pdist(np.array([p.coords for p in window.points]))
     pos = d[d > 0]
@@ -330,14 +330,14 @@ class EffDiameterConfig:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
         if not 0 < self.eta < 1:
             raise ValueError("eta must be in (0, 1)")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0 < self.beta <= 1 or 1.0 + self.beta == 1.0:
+            raise ValueError("beta must be in (0, 1], with 1 + beta above 1")
         if self.fine_cap < 1:
             raise ValueError("fine_cap must be >= 1")
 

@@ -25,6 +25,7 @@ ones.  The gauge never reads process-level allocation counters.
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 import time
@@ -38,7 +39,7 @@ import numpy as np
 from .core import Point, StreamParams, WindowView, radius_excluding
 from .coreset import GuessLadder
 from .effdiam import EffDiameterConfig, FineCoresetState, eff_sequential
-from .solver import charikar, compute_solution, gonzalez, samp_charikar
+from .solver import _check_step, charikar, compute_solution, gonzalez, samp_charikar
 
 ALGORITHMS = (
     "sliding",
@@ -103,8 +104,9 @@ class ExperimentConfig:
         if self.mode not in ("fixed", "oblivious"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "fixed" and self.algorithm in ("sliding", "eff-sliding"):
-            if self.d_min is None or self.d_max is None or not 0 < self.d_min <= self.d_max:
-                raise ValueError("fixed mode requires 0 < d_min <= d_max")
+            d_min, d_max = self.d_min, self.d_max
+            if d_min is None or d_max is None or not 0 < d_min <= d_max < math.inf:
+                raise ValueError("fixed mode requires 0 < d_min <= d_max < inf")
         if self.algorithm in ("sliding", "charikar", "samp-charikar", "gon"):
             # surfaces bad k/z combinations before streaming starts
             StreamParams(self.window_len, self.k, self.z, self.lam, self.beta)
@@ -112,6 +114,12 @@ class ExperimentConfig:
             EffDiameterConfig(
                 self.alpha, self.eps, self.eta, self.lam, self.beta, self.fine_cap
             )
+        if self.step is not None:
+            _check_step(self.step)
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be >= 1")
+        if not 0 < self.bucket_step < math.inf:
+            raise ValueError("bucket_step must be finite and positive")
 
 
 def ingest(path: str | Path) -> Iterator[Point]:

@@ -69,6 +69,13 @@ def _radius_grid(lo: float, cap: float, ratio: float) -> list[float]:
     return grid
 
 
+def _check_step(step: float) -> None:
+    """Reject a radius-grid step unless its ratio 1 + step is a finite
+    number above 1: at a ratio of 1 or below the grid never ends."""
+    if not 1.0 < 1.0 + step < math.inf:
+        raise ValueError(f"step must be finite with 1 + step above 1, got {step!r}")
+
+
 def outliers_cluster(
     points: Sequence[Point],
     weights: Sequence[int],
@@ -295,6 +302,7 @@ def _whole_window(
     """Smallest rho on a geometric grid (ratio 1 + step, spanning the
     window's positive pairwise distances) for which the unit-weight greedy
     run leaves at most z uncovered points."""
+    _check_step(step)
     pts = list(window.points)
     n = len(pts)
     d = _distances(pts, metric)
@@ -333,6 +341,8 @@ def samp_charikar(
     """charikar with each center-selection scan restricted to a Bernoulli
     sample of the window of expected size sample_size (all points when a
     draw comes out empty).  Euclidean only."""
+    if sample_size < 1:
+        raise ValueError("sample_size must be >= 1")
     n = len(window.points)
     rng = np.random.default_rng(seed)
     prob = min(1.0, sample_size / n)

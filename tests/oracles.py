@@ -241,9 +241,12 @@ def reference_coreset_effective_diameter(
 
 
 class LadderShadow:
-    """Drives a fixed-mode ladder point by point while recording, for every
-    guess, which attraction point captured each arrival.  From that full
-    history it can answer exact proxies and exact per-proxy weights."""
+    """Feeds a fixed-mode ladder through its own ``process_point`` while
+    recording, for every guess, which attraction point captured each
+    arrival: after the step, the one whose representative is the arrival.
+    From that full history it can answer exact proxies and exact per-proxy
+    weights.  ``inserts`` and ``captures`` count the last arrival's, summed
+    over guesses."""
 
     def __init__(self, ladder: GuessLadder):
         assert ladder.mode == "fixed", "the shadow only replays fixed grids"
@@ -253,21 +256,25 @@ class LadderShadow:
             e: {} for e in self.ladder.states
         }
         self.last_rep: dict[int, dict[int, Point]] = {e: {} for e in self.ladder.states}
+        self.inserts = self.captures = 0
 
     @classmethod
     def standard(cls, params: StreamParams, d_min: float, d_max: float):
         return cls(GuessLadder(params, "fixed", d_min, d_max))
 
     def feed(self, p: Point) -> None:
-        lad = self.ladder
-        assert p.arrival == lad.t + 1
-        lad.t = p.arrival
-        for e, st in lad.states.items():
-            attr = st.process_point(p)
+        self.ladder.process_point(p)
+        found: dict[int, int] = {}  # id of a content's reps -> p's attractor
+        self.inserts = 0
+        for e, st in self.ladder.states.items():
+            attr = found.get(id(st.reps))
             if attr is None:
-                attr = p.arrival
+                attr = next(a for a, (rep, _) in st.reps.items() if rep is p)
+                found[id(st.reps)] = attr
+            self.inserts += attr == p.arrival
             self.attractor_of[e][p.arrival] = attr
             self.last_rep[e][attr] = p
+        self.captures = len(self.ladder.states) - self.inserts
 
     def proxy(self, exponent: int, q: Point) -> Point:
         return self.last_rep[exponent][self.attractor_of[exponent][q.arrival]]
@@ -312,7 +319,7 @@ def reference_first_within(st, p: Point) -> int:
     if not attrs:
         return -1
     ys = np.array([a.coords for a in attrs], dtype=float)
-    near = st.metric.pairwise(np.array([p.coords], dtype=float), ys)[0]
+    near = st._store.metric.pairwise(np.array([p.coords], dtype=float), ys)[0]
     hits = np.flatnonzero(near <= st.attr_radius)
     return int(hits[0]) if hits.size else -1
 

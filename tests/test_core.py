@@ -99,6 +99,16 @@ def test_stream_params_validation():
         StreamParams(window_len=10, k=2, z=2, beta=1.5)
 
 
+@pytest.mark.parametrize("lam, beta", [
+    (math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan), (0.5, 1e-17),
+])
+def test_stream_params_reject_settings_a_stream_would_trip_on(lam, beta):
+    # an infinite lam never finishes a synthetic histogram, a nan one fails
+    # its first trim, and a beta that vanishes beside 1 divides by log(1)
+    with pytest.raises(ValueError):
+        StreamParams(window_len=10, k=2, z=2, lam=lam, beta=beta)
+
+
 def test_window_from_coords_assigns_arrivals():
     w = WindowView.from_coords([[0.0, 1.0], [2.0, 3.0]])
     assert [p.arrival for p in w.points] == [1, 2]

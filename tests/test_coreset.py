@@ -11,7 +11,7 @@ import pytest
 from streamkc import coreset
 from streamkc.core import InvariantError, Point, StreamParams, WindowView, dist
 from streamkc.core import _distances, _extremes
-from streamkc.coreset import GuessLadder, GuessState
+from streamkc.coreset import GuessLadder, GuessState, _BumpMemo, _PointStore
 from streamkc.effdiam import EffDiameterConfig, FineCoresetState
 from streamkc.experiment import generate_ball_stream, inject_outliers, injection_prob
 from streamkc.histogram import new_histogram, synthetic_full_window
@@ -25,6 +25,7 @@ from oracles import (
     make_stream,
     manhattan,
     per_guess_search,
+    reference_first_within,
     reference_qualifies,
     stream_extremes,
     unshared,
@@ -35,20 +36,32 @@ def pt(arrival, *coords):
     return Point(arrival, tuple(float(c) for c in coords))
 
 
+def lone_state(guess, attr_radius, max_attractions, window_len, orphan_cap=None):
+    """A state outside any ladder, with a point store and a memo of its own."""
+    return GuessState(guess, attr_radius, max_attractions, window_len, 0.5,
+                      _PointStore(dist), _BumpMemo(0.5), orphan_cap)
+
+
+def step(st, p):
+    """Feed p to a lone state as a ladder would: sweep, search, absorb."""
+    st.sweep(p.arrival)
+    return st.process_point(p, reference_first_within(st, p))
+
+
 class TestGuessState:
     def test_two_far_points_both_attract(self):
-        st = GuessState(1.0, 2.0, max_attractions=5, window_len=100, lam=0.5)
-        st.process_point(pt(1, 0))
-        st.process_point(pt(2, 5))
+        st = lone_state(1.0, 2.0, max_attractions=5, window_len=100)
+        step(st, pt(1, 0))
+        step(st, pt(2, 5))
         assert [a.coords for a in st.attractions] == [(0.0,), (5.0,)]
         for a in st.attractions:
             rep, hist = st.reps[a.arrival]
             assert rep is a and hist == [(a.arrival, 1)]
 
     def test_close_point_becomes_representative(self):
-        st = GuessState(1.0, 2.0, max_attractions=5, window_len=100, lam=0.5)
-        st.process_point(pt(1, 0))
-        captured = st.process_point(pt(2, 1))
+        st = lone_state(1.0, 2.0, max_attractions=5, window_len=100)
+        step(st, pt(1, 0))
+        captured = step(st, pt(2, 1))
         assert captured == 1
         assert [a.coords for a in st.attractions] == [(0.0,)]
         rep, hist = st.reps[1]
@@ -56,19 +69,19 @@ class TestGuessState:
         assert hist == [(1, 2), (2, 1)]
 
     def test_capture_prefers_oldest_attraction(self):
-        st = GuessState(1.0, 2.0, max_attractions=5, window_len=100, lam=0.5)
-        st.process_point(pt(1, 0))
-        st.process_point(pt(2, 3))
+        st = lone_state(1.0, 2.0, max_attractions=5, window_len=100)
+        step(st, pt(1, 0))
+        step(st, pt(2, 3))
         # within 2.0 of both attraction points; the older one wins
-        assert st.process_point(pt(3, 1.5)) == 1
+        assert step(st, pt(3, 1.5)) == 1
 
     def test_eviction_at_capacity(self):
         cap = 4
-        st = GuessState(0.1, 0.2, max_attractions=cap, window_len=100, lam=0.5)
+        st = lone_state(0.1, 0.2, max_attractions=cap, window_len=100)
         for i in range(cap):
-            st.process_point(pt(i + 1, i))
+            step(st, pt(i + 1, i))
         assert len(st.attractions) == cap and not st.orphans
-        st.process_point(pt(cap + 1, cap))
+        step(st, pt(cap + 1, cap))
         assert len(st.attractions) == cap
         assert st.evictions == 1
         # the evicted point's representative became an orphan, then was
@@ -76,25 +89,25 @@ class TestGuessState:
         assert st.orphans == {}
 
     def test_orphans_kept_when_below_prune_threshold(self):
-        st = GuessState(0.1, 0.2, max_attractions=10, window_len=10, lam=0.5)
-        st.process_point(pt(1, 0))
+        st = lone_state(0.1, 0.2, max_attractions=10, window_len=10)
+        step(st, pt(1, 0))
         for t in range(2, 10):
-            st.process_point(pt(t, 100.0 + 300 * t))
-        st.process_point(pt(10, 0.05))  # representative of point 1
+            step(st, pt(t, 100.0 + 300 * t))
+        step(st, pt(10, 0.05))  # representative of point 1
         # point 1 expires at t=11; its live representative becomes an orphan
-        st.process_point(pt(11, 20))
+        step(st, pt(11, 20))
         assert list(st.orphans) == [10]
         # a new attraction point without capacity pressure keeps the orphan
-        st.process_point(pt(12, 30))
+        step(st, pt(12, 30))
         assert list(st.orphans) == [10]
 
     def test_expiry_order_attractions_then_orphans(self):
-        st = GuessState(1.0, 2.0, max_attractions=5, window_len=3, lam=0.5)
-        st.process_point(pt(1, 0))
-        st.process_point(pt(2, 1))
+        st = lone_state(1.0, 2.0, max_attractions=5, window_len=3)
+        step(st, pt(1, 0))
+        step(st, pt(2, 1))
         # at t=4 the attraction point (arrival 1) expires; its representative
         # (arrival 2) survives as an orphan with the stale entry removed
-        st.process_point(pt(4, 10))
+        step(st, pt(4, 10))
         assert st.attractions[0].arrival == 4
         assert list(st.orphans) == [2]
         assert st.orphans[2][1] == [(2, 1)]
@@ -105,16 +118,50 @@ class TestGuessState:
             k_z = int(rng.integers(1, 6))
             n = int(rng.integers(10, 80))
             window_len = int(rng.integers(k_z + 2, 40))
-            st = GuessState(
-                0.5, 1.0, max_attractions=k_z + 1, window_len=window_len, lam=0.5
-            )
+            st = lone_state(0.5, 1.0, max_attractions=k_z + 1, window_len=window_len)
             for i in range(n):
                 p = pt(i + 1, *rng.random(2) * 8)
-                st.process_point(p)
+                step(st, p)
                 st.check_invariants(i + 1)
                 assert len(st.attractions) <= k_z + 1
                 assert len(st.reps) <= k_z + 1
                 assert len(st.orphans) <= k_z + 1, "orphans exceeded bound"
+
+
+def _check_proxies(shadow, stream):
+    """Whenever a guess holds at most k + z attraction points, every active
+    point sits within 4 guess of its shadow proxy, which the guess stores."""
+    lad = shadow.ladder
+    k_z = lad.params.k + lad.params.z
+    window = active_window(stream, lad.t, lad.params.window_len)
+    for e, st in lad.states.items():
+        if len(st.attractions) <= k_z:
+            stored = {q.arrival for q, _ in st.coreset_points()}
+            for q in window.points:
+                proxy = shadow.proxy(e, q)
+                assert dist(q, proxy) <= 4.0 * st.guess + 1e-9
+                assert proxy.arrival in stored, (
+                    "proxy of an active point missing from the stored sets"
+                )
+
+
+def _check_weight_sandwich(shadow, stream):
+    """The extracted coreset's weights are within a factor 1 + lam below the
+    exact counts of the active points each one is the shadow proxy of."""
+    lad = shadow.ladder
+    lam = lad.params.lam
+    window = active_window(stream, lad.t, lad.params.window_len)
+    coreset = lad.extract_coreset()
+    e = lad.selected_exponent()
+    exact = shadow.exact_weights(e, list(window.points))
+    total = 0
+    for p, w in coreset.points:
+        true_w = exact[p.arrival]
+        assert true_w / (1.0 + lam) <= w <= true_w
+        total += w
+    assert total <= len(window)
+    assert len(window) <= (1.0 + lam) * total
+    assert sum(exact.values()) == len(window)
 
 
 class TestFixedLadder:
@@ -132,18 +179,7 @@ class TestFixedLadder:
         for trial in range(10):
             stream, shadow = self._run(rng, n=int(rng.integers(30, 80)),
                                        window_len=int(rng.integers(10, 40)))
-            lad = shadow.ladder
-            k_z = lad.params.k + lad.params.z
-            window = active_window(stream, lad.t, lad.params.window_len)
-            for e, st in lad.states.items():
-                if len(st.attractions) <= k_z:
-                    stored = {q.arrival for q, _ in st.coreset_points()}
-                    for q in window.points:
-                        proxy = shadow.proxy(e, q)
-                        assert dist(q, proxy) <= 4.0 * st.guess + 1e-9
-                        assert proxy.arrival in stored, (
-                            "proxy of an active point missing from the stored sets"
-                        )
+            _check_proxies(shadow, stream)
 
     def test_weight_sandwich_against_shadow(self):
         rng = np.random.default_rng(17)
@@ -151,20 +187,7 @@ class TestFixedLadder:
             stream, shadow = self._run(
                 rng, n=int(rng.integers(25, 60)), lam=float(rng.choice([0.1, 0.5, 1.0]))
             )
-            lad = shadow.ladder
-            lam = lad.params.lam
-            window = active_window(stream, lad.t, lad.params.window_len)
-            coreset = lad.extract_coreset()
-            e = lad.selected_exponent()
-            exact = shadow.exact_weights(e, list(window.points))
-            total = 0
-            for p, w in coreset.points:
-                true_w = exact[p.arrival]
-                assert true_w / (1.0 + lam) <= w <= true_w
-                total += w
-            assert total <= len(window)
-            assert len(window) <= (1.0 + lam) * total
-            assert sum(exact.values()) == len(window)
+            _check_weight_sandwich(shadow, stream)
 
     def test_coreset_quality_vs_oracle(self):
         rng = np.random.default_rng(23)
@@ -247,6 +270,12 @@ class TestFixedLadder:
             lad.process_point(p)
         with pytest.raises(RuntimeError, match="no qualifying guess"):
             lad.extract_coreset()
+
+    @pytest.mark.parametrize("d_min, d_max", [(1.0, math.inf), (math.inf, math.inf),
+                                              (math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_bounds_rejected(self, d_min, d_max):
+        with pytest.raises(ValueError, match="d_max < inf"):
+            GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", d_min, d_max)
 
     def test_out_of_order_arrival_rejected(self):
         lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.1, 10.0)
@@ -625,9 +654,9 @@ class TestSnapshotVerification:
     def test_separation_check_reads_row_blocks(self, monkeypatch):
         # a fine-style state with more attraction points than one block
         monkeypatch.setattr(coreset, "_BLOCK", 5)
-        st = GuessState(1.0, 0.5, max_attractions=64, window_len=100, lam=0.5)
+        st = lone_state(1.0, 0.5, max_attractions=64, window_len=100)
         for i in range(1, 24):
-            st.process_point(pt(i, float(i)))
+            step(st, pt(i, float(i)))
         st.check_invariants(23)
         slot = st.slots[17]  # the store slot of the point at 18.0
         st._store.points[slot] = pt(18, 3.25)  # within 0.5 of the point at 3.0
@@ -647,8 +676,6 @@ class TestBlockMetric:
 
         with pytest.raises(TypeError, match="pairwise"):
             GuessLadder(params, "oblivious", metric=scalar_only)
-        with pytest.raises(TypeError, match="pairwise"):
-            GuessState(1.0, 2.0, max_attractions=64, window_len=20, lam=0.5, metric=scalar_only)
         snap = GuessLadder(params, "oblivious").to_snapshot()
         with pytest.raises(TypeError, match="pairwise"):
             GuessLadder.from_snapshot(snap, metric=scalar_only)
@@ -681,6 +708,21 @@ class TestBlockMetric:
             lad.process_point(p)
             want = stream_extremes(list(lad.recent), metric)[0]
             assert math.isclose(lad.d_t, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("metric", [dist, manhattan])
+    def test_a_restore_replays_the_ring_bit_for_bit(self, metric):
+        # restored at every step: while the ring fills (t < k + z + 1),
+        # and with duplicate points, whose zero distances count as none
+        stream = adversarial_stream(np.random.default_rng(75), 120, 2)
+        lad = GuessLadder(StreamParams(30, 3, 2, 0.5, 0.5), "oblivious", metric=metric)
+        filling = duplicates = 0
+        for p in stream:
+            lad.process_point(p)
+            restored = _round_trip(lad, metric)
+            assert restored._closest_newer.tobytes() == lad._closest_newer.tobytes()
+            filling += lad.t < len(lad._ring_slots)
+            duplicates += len({q.coords for q in lad.recent}) < len(lad.recent)
+        assert filling and duplicates
 
     @pytest.mark.parametrize("metric", [dist, manhattan])
     def test_qualifies_matches_the_scalar_reference(self, metric):
@@ -801,16 +843,16 @@ class TestBumpMemo:
         # a evicts its only attraction point, so the representative's
         # histogram, shared with b's representative, becomes a's orphan;
         # the memo shares the bump of one list, so both start from one
-        a = GuessState(1.0, 2.0, max_attractions=1, window_len=5, lam=0.5, orphan_cap=4)
-        b = GuessState(1.0, 2.0, max_attractions=4, window_len=5, lam=0.5)
+        a = lone_state(1.0, 2.0, max_attractions=1, window_len=5, orphan_cap=4)
+        b = lone_state(1.0, 2.0, max_attractions=4, window_len=5)
         b._bumps = a._bumps
         first = pt(1, 0.0)
         hist = new_histogram(1)
         a.seed(first, first, hist)
         b.seed(first, first, hist)
         for p in (pt(2, 0.1), pt(3, 50.0)):
-            a.process_point(p)
-            b.process_point(p)
+            step(a, p)
+            step(b, p)
         held = b.reps[1][1]
         assert a.orphans[2][1] is held == [(1, 2), (2, 1)]
         a.sweep(6)  # timestamp 1 leaves a's window
@@ -864,22 +906,45 @@ def _fine_soak_case(seed):
 class TestAdversarialSoak:
     """Seeded streams with duplicate runs, scale jumps both ways and outlier
     bursts: every step keeps the invariants, and a ladder restored from a
-    snapshot at a random step ends where the original does."""
+    snapshot at a random step ends where the original does.  A fixed-grid
+    ladder can also be fed through a shadow, against whose exact proxies
+    and weights it is checked at every step."""
 
     @staticmethod
-    def _soak(rng, ladders, stream):
+    def _soak(rng, ladders, stream, shadow=None):
+        """Returns how many steps ended with the shadowed ladder holding
+        fewer runs than guesses."""
         restart_at = set(rng.choice(np.arange(2, len(stream)), size=3, replace=False).tolist())
         restored = []
+        shared = 0
         for p in stream:
             if p.arrival in restart_at:
                 restored += [(i, _round_trip(lad)) for i, lad in enumerate(ladders)]
             for lad in ladders:
-                lad.process_point(p)
+                if shadow is not None and lad is shadow.ladder:
+                    shared += TestAdversarialSoak._shadow_step(shadow, stream, p)
+                else:
+                    lad.process_point(p)
                 lad.check_invariants()
             for _, lad in restored:
                 lad.process_point(p)
         for i, lad in restored:
             assert lad.to_snapshot() == ladders[i].to_snapshot()
+        return shared
+
+    @staticmethod
+    def _shadow_step(shadow, stream, p) -> bool:
+        """Feed p through the shadow and check the ladder against it: the
+        proxies, the weight sandwich, and the step's inserts and captures
+        over all guesses.  Whether the ladder holds fewer runs than guesses."""
+        before = shadow.ladder.stats()
+        shadow.feed(p)
+        after = shadow.ladder.stats()
+        assert shadow.inserts == after["inserts"] - before["inserts"]
+        assert shadow.captures == after["captures"] - before["captures"]
+        _check_proxies(shadow, stream)
+        _check_weight_sandwich(shadow, stream)
+        return after["runs"] < after["grid_len"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oblivious_sliding_ladder(self, seed):
@@ -888,10 +953,18 @@ class TestAdversarialSoak:
         self._soak(rng, [lad], stream)
         assert lad.bootstrapped
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixed_sliding_ladder_against_the_shadow(self, seed):
+        _, params, stream = _sliding_soak_case(seed)
+        shadow = LadderShadow.standard(params, *stream_extremes(stream))
+        rng = np.random.default_rng(3000 + seed)
+        assert self._soak(rng, [shadow.ladder], stream, shadow) > 0
+
     @pytest.mark.parametrize("seed", range(2))
     def test_fixed_fine_coreset_ladders(self, seed):
         rng, state, stream = _fine_soak_case(seed)
-        self._soak(rng, [state.validation, state.fine], stream)
+        shadow = LadderShadow(state.validation)
+        assert self._soak(rng, [state.validation, state.fine], stream, shadow) > 0
         state.estimate()
 
 
@@ -1029,10 +1102,14 @@ class TestPointStore:
         # a point at exactly the attraction radius is captured, as the
         # block-form separation check of check_invariants requires
         a, b, r = _block_tie(np.random.default_rng(101))
-        st = GuessState(r / 2.0, r, max_attractions=5, window_len=10, lam=0.5)
-        assert st.process_point(Point(1, a)) is None
-        assert st.process_point(Point(2, b)) == 1
-        st.check_invariants(2)
+        params = StreamParams(10, 2, 2, 0.5, 0.5)
+        shadow = LadderShadow(GuessLadder(params, "fixed", 1.0, 1.0, attr_factor=r))
+        assert shadow.ladder.states[0].attr_radius == r
+        shadow.feed(Point(1, a))
+        shadow.feed(Point(2, b))
+        # the first point is inserted, the second captured by it
+        assert shadow.attractor_of[0] == {1: 1, 2: 1}
+        shadow.ladder.check_invariants()
 
     def test_a_tie_at_a_ladder_radius_survives_a_snapshot(self):
         a, b, _ = _block_tie(np.random.default_rng(103), radius=2.0)

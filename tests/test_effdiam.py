@@ -671,6 +671,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1, fine_cap=0)
 
+    @pytest.mark.parametrize("eps, lam, beta", [
+        (math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5), (0.5, math.inf, 0.5),
+        (0.5, math.nan, 0.5), (0.5, 0.5, 1e-17),
+    ])
+    def test_non_finite_settings_are_rejected(self, eps, lam, beta):
+        with pytest.raises(ValueError):
+            EffDiameterConfig(alpha=0.9, eps=eps, eta=0.1, lam=lam, beta=beta)
+
 
 class TestFineState:
     def test_identical_points_share_one_fine_attraction(self):

@@ -188,6 +188,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(mode="fixed", d_min=1.0, d_max=math.inf), "d_max < inf"),
+        (dict(lam=math.inf), "lam"),
+        (dict(algorithm="charikar", step=0.0), "step"),
+        (dict(algorithm="samp-charikar", step=-1.0), "step"),
+        (dict(algorithm="samp-charikar", sample_size=0), "sample_size"),
+        (dict(algorithm="eff-sequential", bucket_step=0.0), "bucket_step"),
+    ])
+    def test_settings_a_run_would_trip_on_are_rejected_up_front(self, tmp_path, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self._cfg(tmp_path, **bad).validate()
+
     @pytest.mark.parametrize("algorithm", ["sliding", "eff-sliding"])
     def test_fixed_mode_accepts_equal_distance_bounds(self, tmp_path, algorithm):
         # the ladder's own rule is 0 < d_min <= d_max; two alternating
@@ -224,6 +236,15 @@ class TestCli:
         ]) == 0
         rows = read_metrics(metrics)
         assert rows and all(r["radius"] for r in rows)
+
+    def test_an_infinite_distance_bound_exits_nonzero(self, tmp_path, capsys):
+        rc = main([
+            "run", "--input", str(tmp_path / "missing.csv"), "--output",
+            str(tmp_path / "m.csv"), "--algorithm", "sliding", "--window", "20",
+            "--mode", "fixed", "--d-min", "1", "--d-max", "inf",
+        ])
+        assert rc == 1
+        assert "d_max < inf" in capsys.readouterr().err
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         rc = main([

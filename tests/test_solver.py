@@ -199,6 +199,18 @@ class TestCharikar:
         out = charikar(w, 1, 0)
         assert out.achieved_radius == 0.0 and out.rho_min == 0.0
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, 1e-17, math.nan, math.inf])
+    def test_a_step_whose_grid_never_ends_is_rejected(self, step):
+        w = wv(0, 1, 2, 100)
+        with pytest.raises(ValueError, match="step"):
+            charikar(w, 1, 1, step=step)
+        with pytest.raises(ValueError, match="step"):
+            samp_charikar(w, 1, 1, step=step, sample_size=2)
+
+    def test_samp_charikar_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="sample_size"):
+            samp_charikar(wv(0, 1, 2, 100), 1, 1, sample_size=0)
+
     def test_grid_anchored_at_smallest_pair_distance(self):
         # far points make the squared-norm expansion of a point's distance to
         # itself leave a positive residue; the grid must still start at the
