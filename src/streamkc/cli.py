@@ -2,7 +2,8 @@
 
 ``streamkc run`` streams a dataset file through one algorithm and writes a
 metrics file; ``streamkc synth`` generates the synthetic ball-with-outliers
-datasets used in the experiments.
+datasets used in the experiments.  Neither declares a default of its own:
+``ExperimentConfig`` and ``generate_ball_stream`` supply every flag not given.
 """
 
 from __future__ import annotations
@@ -23,86 +24,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streamkc")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one algorithm over a dataset stream")
-    run.add_argument("--input", required=True, help="dataset file, one point per line")
-    run.add_argument("--output", required=True, help="metrics file to write")
+    # flags left out of argv stay off the namespace: the callee's defaults apply
+    keep_defaults = dict(argument_default=argparse.SUPPRESS)
+    run = sub.add_parser("run", help="run one algorithm over a dataset stream", **keep_defaults)
+    run.add_argument("--input", dest="input_path", required=True,
+                     help="dataset file, one point per line")
+    run.add_argument("--output", dest="output_path", required=True, help="metrics file to write")
     run.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    run.add_argument("--window", type=int, required=True, help="window length N")
-    run.add_argument("--k", type=int, default=10)
-    run.add_argument("--z", type=int, default=10)
-    run.add_argument("--lam", type=float, default=0.5, help="weight estimate slack")
-    run.add_argument("--beta", type=float, default=0.5, help="radius grid granularity")
-    run.add_argument("--alpha", type=float, default=0.9, help="effective diameter level")
-    run.add_argument("--eps", type=float, default=0.9, help="effective diameter accuracy")
-    run.add_argument("--eta", type=float, default=0.05,
-                     help="lower bound on effective/full diameter ratio")
-    run.add_argument("--fine-cap", type=int, default=4096)
-    run.add_argument("--query-every", type=int, default=10_000)
-    run.add_argument("--inject-prob", type=float, default=0.0,
+    run.add_argument("--window", dest="window_len", type=int, required=True, help="window length N")
+    run.add_argument("--k", type=int)
+    run.add_argument("--z", type=int)
+    run.add_argument("--lam", type=float, help="weight estimate slack")
+    run.add_argument("--beta", type=float, help="radius grid granularity")
+    run.add_argument("--alpha", type=float, help="effective diameter level")
+    run.add_argument("--eps", type=float, help="effective diameter accuracy")
+    run.add_argument("--eta", type=float, help="lower bound on effective/full diameter ratio")
+    run.add_argument("--fine-cap", type=int)
+    run.add_argument("--query-every", type=int)
+    run.add_argument("--inject-prob", type=float,
                      help="probability of emitting an injected outlier after each point")
-    run.add_argument("--outlier-scale", type=float, default=100.0,
+    run.add_argument("--outlier-scale", type=float,
                      help="injected outlier norm as a multiple of the dataset diameter")
-    run.add_argument("--diameter", type=float, default=None,
+    run.add_argument("--diameter", dest="dataset_diameter", type=float,
                      help="dataset diameter (skips the pre-scan)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--mode", choices=("fixed", "oblivious"), default="oblivious")
-    run.add_argument("--d-min", type=float, default=None)
-    run.add_argument("--d-max", type=float, default=None)
-    run.add_argument("--step", type=float, default=None,
-                     help="baseline radius grid step (default: beta)")
-    run.add_argument("--sample-size", type=int, default=1000)
-    run.add_argument("--bucket-step", type=float, default=0.01)
-    run.add_argument("--raw-timings", default=None,
+    run.add_argument("--seed", type=int)
+    run.add_argument("--mode", choices=("fixed", "oblivious"))
+    run.add_argument("--d-min", type=float)
+    run.add_argument("--d-max", type=float)
+    run.add_argument("--step", type=float, help="baseline radius grid step (default: beta)")
+    run.add_argument("--sample-size", type=int)
+    run.add_argument("--bucket-step", type=float)
+    run.add_argument("--raw-timings", dest="raw_timings_path",
                      help="also dump raw per-point update times to this file")
 
-    synth = sub.add_parser("synth", help="generate a synthetic ball dataset")
+    synth = sub.add_parser("synth", help="generate a synthetic ball dataset", **keep_defaults)
     synth.add_argument("--output", required=True)
     synth.add_argument("--n", type=int, required=True)
-    synth.add_argument("--dim", type=int, default=4)
-    synth.add_argument("--outlier-rate", type=float, default=0.0,
+    synth.add_argument("--dim", type=int)
+    synth.add_argument("--outlier-rate", type=float,
                        help="fraction of points placed on the outlier sphere")
-    synth.add_argument("--outlier-norm", type=float, default=10.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--outlier-norm", type=float)
+    synth.add_argument("--seed", type=int)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        if args.command == "synth":
-            coords = generate_ball_stream(
-                args.n, args.dim, args.outlier_rate, args.outlier_norm, args.seed
-            )
-            write_points(coords, args.output)
-            print(f"wrote {args.n} points to {args.output}")
+        if args.pop("command") == "synth":
+            output = args.pop("output")
+            write_points(generate_ball_stream(**args), output)
+            print(f"wrote {args['n']} points to {output}")
             return 0
-        cfg = ExperimentConfig(
-            input_path=args.input,
-            output_path=args.output,
-            algorithm=args.algorithm,
-            window_len=args.window,
-            k=args.k,
-            z=args.z,
-            lam=args.lam,
-            beta=args.beta,
-            alpha=args.alpha,
-            eps=args.eps,
-            eta=args.eta,
-            fine_cap=args.fine_cap,
-            query_every=args.query_every,
-            inject_prob=args.inject_prob,
-            outlier_scale=args.outlier_scale,
-            dataset_diameter=args.diameter,
-            seed=args.seed,
-            mode=args.mode,
-            d_min=args.d_min,
-            d_max=args.d_max,
-            step=args.step,
-            sample_size=args.sample_size,
-            bucket_step=args.bucket_step,
-            raw_timings_path=args.raw_timings,
-        )
-        out = run_experiment(cfg)
+        out = run_experiment(ExperimentConfig(**args))
         print(f"wrote metrics to {out}")
         return 0
     except (ValueError, RuntimeError, OSError) as exc:

@@ -1116,14 +1116,14 @@ class GuessLadder:
         ("corrupt ladder snapshot: ...").
         """
         _block_metric(metric)
-        if snap.get("format") != SNAPSHOT_FORMAT:
+        if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a ladder snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
         try:
             ladder = cls._restore(snap, metric)
             ladder.check_invariants()
-        except (AssertionError, KeyError, TypeError, IndexError) as exc:
+        except (AssertionError, KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"corrupt ladder snapshot: {exc!r}") from exc
         return ladder
 

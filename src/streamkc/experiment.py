@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ValueError("query_every must be >= 1")
         if not 0.0 <= self.inject_prob <= 1.0:
             raise ValueError("inject_prob must be in [0, 1]")
+        # an injected outlier has norm outlier_scale * dataset_diameter, which
+        # is non-finite whenever either factor is
+        diameter = 1.0 if self.dataset_diameter is None else self.dataset_diameter
+        if not math.isfinite(self.outlier_scale * diameter):
+            raise ValueError("outlier_scale, dataset_diameter and their product must be finite")
         if self.mode not in ("fixed", "oblivious"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "fixed" and self.algorithm in ("sliding", "eff-sliding"):
@@ -114,6 +119,8 @@ class ExperimentConfig:
             EffDiameterConfig(
                 self.alpha, self.eps, self.eta, self.lam, self.beta, self.fine_cap
             )
+        if self.algorithm == "eff-sliding" and self.eps >= 1:
+            raise ValueError("eff-sliding estimates require eps < 1")
         if self.step is not None:
             _check_step(self.step)
         if self.sample_size < 1:
@@ -244,15 +251,15 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     alg = cfg.algorithm
     step = cfg.beta if cfg.step is None else cfg.step
 
-    ladder = fine_state = None
+    engine: GuessLadder | FineCoresetState | None = None
     if alg == "sliding":
         params = StreamParams(N, cfg.k, cfg.z, cfg.lam, cfg.beta)
-        ladder = GuessLadder(params, cfg.mode, cfg.d_min, cfg.d_max)
+        engine = GuessLadder(params, cfg.mode, cfg.d_min, cfg.d_max)
     elif alg == "eff-sliding":
         ecfg = EffDiameterConfig(
             cfg.alpha, cfg.eps, cfg.eta, cfg.lam, cfg.beta, cfg.fine_cap
         )
-        fine_state = FineCoresetState(ecfg, N, cfg.mode, cfg.d_min, cfg.d_max)
+        engine = FineCoresetState(ecfg, N, cfg.mode, cfg.d_min, cfg.d_max)
     # every algorithm keeps the window for scoring; only the streaming
     # structures count toward the memory gauge of sliding/eff-sliding
     window: deque[Point] = deque(maxlen=N)
@@ -266,16 +273,12 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         t = p.arrival
         dim = len(p.coords)
         t0 = time.perf_counter_ns()
-        if ladder is not None:
-            ladder.process_point(p)
-        elif fine_state is not None:
-            fine_state.process_point(p)
+        if engine is not None:
+            engine.process_point(p)
         window.append(p)
         update_ns.append(time.perf_counter_ns() - t0)
         if t >= N + cfg.query_every and (t - N) % cfg.query_every == 0:
-            rows.append(
-                _query(cfg, alg, step, ladder, fine_state, window, t, dim, update_ns)
-            )
+            rows.append(_query(cfg, alg, step, engine, window, t, dim, update_ns))
             if cfg.raw_timings_path is not None:
                 raw_timings.append(list(update_ns))
             update_ns.clear()
@@ -288,13 +291,13 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     return cfg.output_path
 
 
-def _query(cfg, alg, step, ladder, fine_state, window, t, dim, update_ns) -> dict:
+def _query(cfg, alg, step, engine, window, t, dim, update_ns) -> dict:
     view = WindowView(points=tuple(window), t=t)
     med_update = int(statistics.median(update_ns)) if update_ns else 0
     q0 = time.perf_counter_ns()
     if alg in ("sliding", "charikar", "samp-charikar"):
         if alg == "sliding":
-            out = compute_solution(ladder, window=view)
+            out = compute_solution(engine, window=view)
         elif alg == "charikar":
             out = charikar(view, cfg.k, cfg.z, step)
         else:
@@ -303,13 +306,12 @@ def _query(cfg, alg, step, ladder, fine_state, window, t, dim, update_ns) -> dic
     elif alg == "gon":
         vals = dict(radius=radius_excluding(gonzalez(view, cfg.k), view, cfg.z))
     elif alg == "eff-sliding":
-        est = fine_state.estimate()
+        est = engine.estimate()
         vals = dict(eff_lower=est.lower, eff_upper=est.upper, saturated=int(est.saturated))
     else:
         value = eff_sequential(view, cfg.alpha, cfg.bucket_step)
         vals = dict(eff_lower=value, eff_upper=value)
     q_ns = time.perf_counter_ns() - q0
-    engine = ladder if ladder is not None else fine_state
     mem = len(window) * dim if engine is None else engine.memory_floats(dim)
     return _row(t, memory_floats=mem, update_ns=med_update, query_ns=q_ns, **vals)
 

@@ -584,6 +584,10 @@ def _drop_a_middle_guess(snap, t, window_len):
     del states[len(states) // 2]
 
 
+def _overflow_an_exponent(snap, t, window_len):
+    snap["states"][0]["exponent"] = 10**6  # (1 + beta) ** e overflows a float
+
+
 class TestSnapshotVerification:
     """from_snapshot verifies what it restored: a JSON round-trip of a
     corrupted snapshot fails loudly instead of yielding a broken ladder."""
@@ -601,6 +605,7 @@ class TestSnapshotVerification:
             _inflate_d_t,  # not the recent points' smallest distance
             _split_a_point,  # two different points with one arrival
             _drop_a_middle_guess,  # a gap in the grid
+            _overflow_an_exponent,
         ],
         ids=lambda f: "valid" if f is None else f.__name__.strip("_"),
     )
@@ -616,6 +621,11 @@ class TestSnapshotVerification:
         corrupt(snap, lad.t, lad.params.window_len)
         with pytest.raises(ValueError, match="corrupt ladder snapshot"):
             GuessLadder.from_snapshot(json.loads(json.dumps(snap)))
+
+    @pytest.mark.parametrize("snap", [None, [], "snapshot"], ids=["none", "list", "str"])
+    def test_a_snapshot_that_is_not_a_dict_is_rejected(self, snap):
+        with pytest.raises(ValueError, match="not a ladder snapshot"):
+            GuessLadder.from_snapshot(snap)
 
     def test_checks_survive_optimized_mode(self):
         # python -O strips assert statements; the checks raise explicitly

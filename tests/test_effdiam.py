@@ -941,12 +941,16 @@ class TestRestart:
             (lambda s: s["config"].update(eta=0.1), "fine ladder's attr_factor"),
             (lambda s: s["config"].update(lam=0.25), "ladder's params"),
             (lambda s: s["fine"]["states"].pop(), "corrupt ladder snapshot"),
+            (lambda s: s["fine"]["states"][0].update(exponent=10**6), "corrupt ladder snapshot"),
+            (lambda s: s.update(validation=None), "not a ladder snapshot"),
+            (lambda s: s.update(fine=[]), "not a ladder snapshot"),
             (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
             (lambda s: TestRestart._splice(s, "fixed"), "ladders fed different streams"),
             (lambda s: TestRestart._splice(s, "oblivious"), "ladders fed different streams"),
         ],
         ids=["format", "version", "no_fine", "unknown_config", "bad_config", "cap",
-             "attr_factor", "lam", "broken_ladder", "validation_twice", "spliced_fixed",
+             "attr_factor", "lam", "broken_ladder", "overflowing_fine_exponent",
+             "validation_none", "fine_list", "validation_twice", "spliced_fixed",
              "spliced_oblivious"],
     )
     def test_a_corrupt_or_mismatched_snapshot_raises(self, corrupt, match):

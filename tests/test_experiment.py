@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from streamkc.cli import main
+from streamkc import cli
+from streamkc.cli import build_parser, main
 from streamkc.experiment import (
     ExperimentConfig,
     estimate_diameter,
@@ -195,6 +199,14 @@ class TestRunExperiment:
         (dict(algorithm="samp-charikar", step=-1.0), "step"),
         (dict(algorithm="samp-charikar", sample_size=0), "sample_size"),
         (dict(algorithm="eff-sequential", bucket_step=0.0), "bucket_step"),
+        # a query needs eps < 1: the run would fail at its first query
+        (dict(algorithm="eff-sliding", eps=1.0), "eps < 1"),
+        # the run would fail at its first injected outlier
+        (dict(inject_prob=0.5, outlier_scale=math.inf), "must be finite"),
+        (dict(inject_prob=0.5, outlier_scale=math.nan), "must be finite"),
+        (dict(inject_prob=0.5, dataset_diameter=math.nan), "must be finite"),
+        (dict(inject_prob=0.5, dataset_diameter=-math.inf), "must be finite"),
+        (dict(inject_prob=0.5, outlier_scale=1e200, dataset_diameter=1e200), "must be finite"),
     ])
     def test_settings_a_run_would_trip_on_are_rejected_up_front(self, tmp_path, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -253,3 +265,45 @@ class TestCli:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_an_omitted_run_flag_takes_the_config_default(self, monkeypatch):
+        given = dict(input_path="in.csv", output_path="m.csv", algorithm="sliding",
+                     window_len=20)
+        built, ran = [], []
+        monkeypatch.setattr(cli, "ExperimentConfig",
+                            lambda **kw: built.append(kw) or ExperimentConfig(**kw))
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: ran.append(cfg) or "m.csv")
+        assert main(["run", "--input", "in.csv", "--output", "m.csv",
+                     "--algorithm", "sliding", "--window", "20"]) == 0
+        assert built == [given]
+        assert ran == [ExperimentConfig(**given)]
+
+    def test_an_omitted_synth_flag_takes_the_generator_default(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generate_ball_stream",
+                            lambda *a, **kw: calls.append((a, kw)) or np.zeros((5, 4)))
+        assert main(["synth", "--output", str(tmp_path / "b.csv"), "--n", "5"]) == 0
+        assert calls == [((), {"n": 5})]
+
+    def test_every_flag_names_a_field_of_its_callee(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        dests = {name: {a.dest for a in p._actions if a.dest != "help"}
+                 for name, p in subs.items()}
+        assert dests["run"] == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert dests["synth"] - {"output"} == set(
+            inspect.signature(generate_ball_stream).parameters)
+
+    def test_raw_timings_hold_one_line_per_query(self, tmp_path):
+        data, metrics, raw = (tmp_path / name for name in ("d.csv", "m.csv", "raw.txt"))
+        write_points(generate_ball_stream(60, dim=2, seed=1), data)
+        assert main([
+            "run", "--input", str(data), "--output", str(metrics),
+            "--algorithm", "sliding", "--window", "20", "--k", "2", "--z", "1",
+            "--query-every", "10", "--raw-timings", str(raw),
+        ]) == 0
+        lines = raw.read_text().splitlines()
+        assert len(lines) == len(read_metrics(metrics)) == 4  # at 30, 40, 50 and 60
+        samples = [[int(v) for v in line.split(",")] for line in lines]
+        assert [len(s) for s in samples] == [20 + 10, 10, 10, 10]
+        assert all(v >= 0 for s in samples for v in s)
