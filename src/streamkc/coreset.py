@@ -1,6 +1,7 @@
 """Sliding-window weighted coreset maintenance.
 
-One ``GuessState`` per radius guess keeps three small sets of active points:
+Each radius guess keeps three small sets of active points, in a
+``GuessState`` that it shares with the adjacent guesses of its run:
 
 * attraction points, pairwise farther apart than the attraction radius;
 * one representative per attraction point (the newest point it attracted),
@@ -25,31 +26,29 @@ hold as attraction points or that sits in its recent ring, with a reference
 count per slot.  A state keeps only the slots of its attraction points, in
 arrival order.  Each arrival reads one row of distances from the new point
 to the store through the metric's block form (``streamkc.core``); every
-guess's attraction search gathers its slots from that row, and the row's
-entries at the recent points update each recent point's smallest distance
-to a newer one, the smallest of which is ``d_t``.  A metric without a block
-form is rejected when a ladder is built or restored.  The store and those
-distances are never serialized; a restore replays the recent points into
-them.
+attraction search gathers its slots from that row, and the row's entries at
+the recent points update each recent point's smallest distance to a newer
+one, the smallest of which is ``d_t``.  A metric without a block form is
+rejected when a ladder is built or restored.  The store and those distances
+are never serialized; a restore replays the recent points into them.
 
-Most guesses of one ladder hold equal states, so a run of adjacent guesses
-whose states are equal shares one content: the attraction slots, the
-representatives, the orphans and their timestamp index.  Each guess keeps
-its own ``GuessState`` for its guess, its radius and its evictions.  Per
-arrival the ladder sweeps each run once, probes its hit at its lowest and
-its highest radius, splits it only where the two differ, steps it once
-through ``GuessState`` and merges adjacent runs whose contents became
-equal.  Sharing is exact: the sweep reads the content alone, a hit
-position never grows with the radius, so equal probes mean the whole run
-agrees, and equal contents that get equal hits take equal steps.  The
-store counts one reference per slot of each distinct content.
+Most guesses of one ladder hold equal states, so its unit of state is the
+run: adjacent guesses, exponents ``lo..hi``, that share one ``GuessState``.
+A guess's value and radius come from its exponent, and its evictions from a
+ladder-level mapping.  Per arrival the ladder sweeps each run once, probes
+its hit at its lowest and its highest radius, splits it only where the two
+differ, steps it once and merges adjacent runs whose contents became equal.
+Sharing is exact: the sweep reads the content alone, a hit position never
+grows with the radius, so equal probes mean the whole run agrees, and equal
+contents that get equal hits take equal steps.  ``ladder.states`` maps each
+exponent to a read view of its guess.
 
 Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
 histogram list: each distinct list is trimmed once per arrival, and the
 result is shared by every run that held it.  Histograms are therefore
 values that are never changed in place (``streamkc.histogram``).  Runs,
-memo and store are never serialized, and the memory gauge still counts
-every guess's points and entries, as the paper does.
+memo and store are never serialized: a snapshot lists every guess, and the
+memory gauge counts every guess's points and entries, as the paper does.
 """
 
 from __future__ import annotations
@@ -76,6 +75,7 @@ from .histogram import (
 
 SNAPSHOT_FORMAT = "streamkc-ladder"
 SNAPSHOT_VERSION = 1
+MAX_GRID_LEN = 100_000  # the most guesses a fixed grid may hold
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,8 +202,7 @@ class _PointStore:
         self.free.append(s)
 
     def share(self, slots: Sequence[int], n: int) -> None:
-        """n more references to each of slots, or -n fewer, where every slot
-        is held before and after."""
+        """n more references to each of slots (or -n fewer); all stay held."""
         refs = self.refs
         for s in slots:
             refs[s] += n
@@ -254,15 +253,17 @@ class _PointStore:
 
 
 class GuessState:
-    """Attraction/representative/orphan bookkeeping for one radius guess.
+    """Attraction/representative/orphan bookkeeping for one run of adjacent
+    radius guesses, the exponents ``lo..hi`` of a ladder.
 
     max_attractions caps the attraction set; inserting beyond it evicts the
     oldest attraction point (its representative becomes an orphan) and bumps
-    ``evictions``.  Without an orphan_cap, any orphan older than the oldest
+    ``evicted``.  Without an orphan_cap, any orphan older than the oldest
     attraction point is discarded whenever the attraction set exceeds
     ``max_attractions - 1`` (such orphans can never reach a usable coreset).
     With one, orphans are never pruned, and an insertion that leaves more
-    than orphan_cap of them evicts the oldest and bumps ``evictions``.
+    than orphan_cap of them evicts the oldest and bumps ``evicted``, the
+    count of this content's evictions, which a split's copy inherits.
 
     Must see every time step: the expiry sweep relies on consecutive calls,
     so that anything stale matches the current step's expiring timestamp
@@ -273,40 +274,15 @@ class GuessState:
     Attraction points live in the ``_PointStore`` and bumps go through the
     ``_BumpMemo`` that every state of one ladder shares.  ``slots`` holds
     the store slots of the attraction points, in arrival order (which is
-    expiry order).  A ladder may let adjacent guesses hold one content
-    (``content``, ``adopt``) and step it once for all of them; ``guess``,
-    ``attr_radius`` and ``evictions`` are always the state's own.
+    expiry order).
     """
 
-    __slots__ = (
-        "guess",
-        "attr_radius",
-        "max_attractions",
-        "orphan_cap",
-        "window_len",
-        "lam",
-        "slots",
-        "reps",
-        "orphans",
-        "evictions",
-        "_first_ts",
-        "_store",
-        "_bumps",
-    )
+    __slots__ = ("lo", "hi", "max_attractions", "orphan_cap", "window_len", "lam", "slots",
+                 "reps", "orphans", "evicted", "_first_ts", "_store", "_bumps")
 
-    def __init__(
-        self,
-        guess: float,
-        attr_radius: float,
-        max_attractions: int,
-        window_len: int,
-        lam: float,
-        store: _PointStore,
-        bumps: _BumpMemo,
-        orphan_cap: Optional[int] = None,
-    ):
-        self.guess = guess
-        self.attr_radius = attr_radius
+    def __init__(self, lo: int, hi: int, max_attractions: int, window_len: int, lam: float,
+                 store: _PointStore, bumps: _BumpMemo, orphan_cap: Optional[int] = None):
+        self.lo, self.hi = lo, hi
         self.max_attractions = max_attractions
         self.orphan_cap = orphan_cap
         self.window_len = window_len
@@ -314,7 +290,7 @@ class GuessState:
         self.slots = array("q")  # attraction points' store slots, oldest first (int64)
         self.reps: dict[int, tuple[Point, Histogram]] = {}  # attraction arrival -> (rep, hist)
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
-        self.evictions = 0
+        self.evicted = 0
         self._first_ts: dict[int, int] = {}  # orphan hist first timestamp -> arrival
         self._store = store
         self._bumps = bumps
@@ -379,7 +355,7 @@ class GuessState:
         self.reps[p.arrival] = (p, self._bumps.new(p.arrival))
         if len(self.slots) > self.max_attractions:
             self._add_orphan(*self.reps.pop(self._pop_oldest()))
-            self.evictions += 1
+            self.evicted += 1
         if self.orphan_cap is None:
             if len(self.slots) > self.max_attractions - 1:
                 oldest = self._store.points[self.slots[0]].arrival
@@ -390,7 +366,7 @@ class GuessState:
             victim = min(self.orphans)
             _, hist = self.orphans.pop(victim)
             self._first_ts.pop(hist[0][0], None)
-            self.evictions += 1
+            self.evicted += 1
 
     def _add_orphan(self, rep: Point, hist: Histogram) -> None:
         assert rep.arrival not in self.orphans
@@ -399,22 +375,19 @@ class GuessState:
         assert ts not in self._first_ts, "duplicate leading histogram timestamp"
         self._first_ts[ts] = rep.arrival
 
-    def content(self) -> tuple:
-        """What a ladder may share between guesses: the attraction slots,
-        the representatives, the orphans and their timestamp index."""
-        return self.slots, self.reps, self.orphans, self._first_ts
-
-    def adopt(self, other: "GuessState", copy: bool = False) -> None:
-        """Hold other's content, or a copy of it.  Histograms and points
-        are values, so a copy shares them.  Store references are the
-        caller's to take or drop, one per slot of each distinct content."""
-        if copy:
-            self.slots = other.slots[:]
-            self.reps = dict(other.reps)
-            self.orphans = dict(other.orphans)
-            self._first_ts = dict(other._first_ts)
-        else:
-            self.slots, self.reps, self.orphans, self._first_ts = other.content()
+    def split(self, e: int) -> "GuessState":
+        """Cut the run below exponent e: this state keeps lo..e-1, and the
+        returned one holds e..hi with a copy of the content, which takes
+        one more store reference per slot.  Points and histograms are
+        values, so the copy shares them."""
+        upper = GuessState(e, self.hi, self.max_attractions, self.window_len, self.lam,
+                           self._store, self._bumps, self.orphan_cap)
+        self.hi = e - 1
+        upper.slots = self.slots[:]
+        self._store.share(upper.slots, 1)
+        upper.reps, upper.orphans = dict(self.reps), dict(self.orphans)
+        upper._first_ts, upper.evicted = dict(self._first_ts), self.evicted
+        return upper
 
     def seed(self, anchor: Optional[Point], rep: Point, hist: Histogram) -> None:
         """Initialize an empty state with rep carrying a prebuilt histogram:
@@ -449,9 +422,10 @@ class GuessState:
             len(h) for _, h in self.orphans.values()
         )
 
-    def check_invariants(self, t: int) -> None:
-        """Raise InvariantError unless the state is consistent at clock t.
-        The store's own consistency is checked by the ladder that owns it."""
+    def check_invariants(self, t: int, radius: float) -> None:
+        """Raise InvariantError unless the state is consistent at clock t,
+        with attraction points pairwise farther apart than radius (the run's
+        highest); the ladder that owns the store checks the store."""
         window_len, lam = self.window_len, self.lam
         attrs = self.attractions
         n = len(attrs)
@@ -470,7 +444,7 @@ class GuessState:
         for r0 in range(0, n - 1, _BLOCK):
             rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
             # pairs (i, j) with i < j: the strict upper triangle from column r0
-            close = np.argwhere(np.triu(d(rows, np.arange(r0, n)) <= self.attr_radius, 1))
+            close = np.argwhere(np.triu(d(rows, np.arange(r0, n)) <= radius, 1))
             if close.size:
                 i, j = r0 + close[0]
                 raise InvariantError(
@@ -507,22 +481,18 @@ class GuessState:
                 [_point_out(r), [list(e) for e in hist]]
                 for r, hist in self.orphans.values()
             ],
-            "evictions": self.evictions,
         }
 
     def restore(self, data: dict) -> None:
-        """Load a fresh state from ``to_jsonable`` output, placing its
-        attraction points in its store."""
+        """Load a fresh state from a snapshot entry, placing its attraction
+        points in its store."""
         self.slots = array("q", [self._store.acquire(_point_in(p)) for p in data["attractions"]])
         self.reps = {
             a: (_point_in(rep), [tuple(e) for e in hist])
             for a, rep, hist in data["reps"]
         }
-        self.orphans = {}
-        self._first_ts = {}
         for r, hist in data["orphans"]:
             self._add_orphan(_point_in(r), [tuple(e) for e in hist])
-        self.evictions = data["evictions"]
 
 
 def _point_out(p: Point) -> list:
@@ -537,8 +507,9 @@ class GuessLadder:
     """All guess states over the geometric radius grid, plus the stream clock.
 
     mode "fixed" requires d_min and d_max bracketing the stream's pairwise
-    distances; mode "oblivious" discovers the needed grid on the fly.  A
-    single instance is single-writer; reads are safe once no update runs.
+    distances, and a grid of at most MAX_GRID_LEN guesses; mode "oblivious"
+    discovers the needed grid on the fly.  A single instance is
+    single-writer; reads are safe once no update runs.
 
     cap sets each state's capacity policy.  None keeps k + z + 1 attraction
     points and prunes orphans that can no longer reach a coreset; an integer
@@ -552,10 +523,11 @@ class GuessLadder:
     distance from it to a newer recent point (inf if there is none).  Only
     ``_ring_add`` changes them, on arrivals and in a restore's replay.
 
-    ``_runs`` lists the guesses in exponent order, cut into runs of adjacent
-    guesses that hold one content (``GuessState.content``); the store counts
-    one reference per slot of each distinct content.  Only ``process_point``
-    splits and merges runs; a grid change adds or drops singleton runs.
+    ``_runs`` cuts the grid, in exponent order, into runs; the store counts
+    one reference per slot of each.  Guess e took ``_evictions[e]`` plus its
+    run's ``evicted`` evictions, so a step that evicts touches no per-guess
+    entry.  Only ``process_point`` splits and merges runs; the bootstrap, a
+    retarget and a restore add one run per guess, for the next merge.
     """
 
     def __init__(
@@ -580,8 +552,9 @@ class GuessLadder:
         self.cap = cap
         self.t = 0
         self.dim: Optional[int] = None  # fixed by the first point
-        self.states: dict[int, GuessState] = {}
-        self._runs: list[list[GuessState]] = []
+        self._runs: list[GuessState] = []
+        self._evictions: Counter = Counter()  # exponent -> evictions less its run's
+        self._radii: dict[int, float] = {}  # exponent -> attraction radius, on the grid
         self._captures = 0  # per guess, on arrivals
         self._inserts = 0
         self.d_min = d_min
@@ -590,9 +563,10 @@ class GuessLadder:
             if d_min is None or d_max is None or not 0 < d_min <= d_max < math.inf:
                 raise ValueError("fixed mode requires 0 < d_min <= d_max < inf")
             lo, hi = self._grid_bounds()
-            for e in range(lo, hi + 1):
-                self.states[e] = self._new_state(e)
-                self._runs.append([self.states[e]])
+            if hi - lo + 1 > MAX_GRID_LEN:
+                raise ValueError(f"the fixed grid would hold {hi - lo + 1} guesses, more than "
+                                 f"{MAX_GRID_LEN}: raise beta or narrow [d_min, d_max]")
+            self._runs = [self._new_state(e) for e in range(lo, hi + 1)]
         else:
             self.first_point: Optional[Point] = None
             m = params.k + params.z + 1
@@ -636,74 +610,90 @@ class GuessLadder:
         return self._exp_floor(self.d_t / 2.0), self._exp_ceil(2.0 * self.D_t)
 
     def _new_state(self, exponent: int) -> GuessState:
-        g = self.guess_value(exponent)
-        params = self.params
-        return GuessState(
-            guess=g,
-            attr_radius=self.attr_factor * g,
-            max_attractions=params.k + params.z + 1 if self.cap is None else self.cap,
-            window_len=params.window_len,
-            lam=params.lam,
-            store=self._store,
-            bumps=self._bumps,
-            orphan_cap=self.cap,
-        )
+        """An empty run of the one guess."""
+        self._radii[exponent] = self.attr_factor * self.guess_value(exponent)
+        p = self.params
+        m = p.k + p.z + 1 if self.cap is None else self.cap
+        return GuessState(exponent, exponent, m, p.window_len, p.lam, self._store, self._bumps,
+                          orphan_cap=self.cap)
+
+    @property
+    def states(self) -> dict[int, "_GuessView"]:
+        """Exponent -> a read view of its guess, in exponent order."""
+        return {e: _GuessView(self, e) for e in self.exponents()}
 
     def exponents(self) -> list[int]:
-        return sorted(self.states)
+        runs = self._runs
+        return list(range(runs[0].lo, runs[-1].hi + 1)) if runs else []
+
+    def _run_of(self, exponent: int) -> GuessState:
+        """The run that holds the guess; KeyError if it is off the grid."""
+        for st in self._runs:
+            if st.lo <= exponent <= st.hi:
+                return st
+        raise KeyError(exponent)
 
     # -- updates -------------------------------------------------------------
 
     def process_point(self, p: Point) -> None:
-        """Feed the next stream point.  Arrivals must be consecutive from 1
-        and every point must have the first point's dimension; a rejected
-        point leaves the ladder untouched.
+        """Feed the next stream point.  Arrivals must be consecutive from 1,
+        every point must have the first point's dimension, and in oblivious
+        mode the grid its D_t implies must fit a float (``_next_D_t``); a
+        rejected point leaves the ladder untouched.
 
-        Each run of guesses that share one content is swept once and probed
-        for its hit (``_hits``); a run whose guesses disagree is split
-        (``_split_runs``).  Each run is then handed p once, its eviction
-        count carried to every guess of the run, and adjacent runs whose
-        contents became equal are merged (``_merge_runs``).  This is exact:
-        the sweep depends on the content alone, and equal contents that get
-        equal hits take equal steps."""
+        Each run is swept once and probed for its hit (``_hits``); a run
+        whose guesses disagree is split (``_split_runs``).  Each run is then
+        handed p once, and adjacent runs whose contents became equal are
+        merged (``_merge_runs``)."""
         t = p.arrival
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
         if self.dim is not None and p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
+        oblivious = self.mode == "oblivious"
+        D_t = self._next_D_t(p) if oblivious else 0.0
         self.dim = p.dim
         self.t = t
-        if self.mode == "oblivious":
-            self.maintain_oblivious_ladder(p)
+        if oblivious:
+            self.maintain_oblivious_ladder(p, D_t)
             if not self.bootstrapped:
                 self.warmup.append(p)
                 return
         runs = self._runs
-        for run in runs:
-            run[0].sweep(t)
+        for st in runs:
+            st.sweep(t)
         hits = self._hits(p, runs)
         if None in hits:
             runs, hits = self._split_runs(p, hits)
         captures = inserts = 0
-        for run, hit in zip(runs, hits):
-            st = run[0]
-            before = st.evictions
+        for st, hit in zip(runs, hits):
             if st.process_point(p, hit) is None:
-                inserts += len(run)
+                inserts += st.hi - st.lo + 1
             else:
-                captures += len(run)
-            if st.evictions != before:
-                for other in run[1:]:
-                    other.evictions += st.evictions - before
+                captures += st.hi - st.lo + 1
         self._captures += captures
         self._inserts += inserts
         self._merge_runs()
 
-    def _hits(self, p: Point, runs: list[list[GuessState]]) -> list[Optional[int]]:
+    def _next_D_t(self, p: Point) -> float:
+        """D_t once p has arrived.  Raises ValueError, before anything
+        changes, when it or the top grid exponent ceil(2 D_t) overflows."""
+        if self.first_point is None:
+            return self.D_t
+        D_t = max(self.D_t, self.metric(self.first_point, p))
+        try:
+            if D_t > self.D_t:
+                self._exp_ceil(2.0 * D_t)
+        except OverflowError:
+            raise ValueError(f"arrival {p.arrival} lies {D_t!r} from the first point, "
+                             "beyond the largest radius guess a float holds") from None
+        return D_t
+
+    def _hits(self, p: Point, runs: list[GuessState], exps=None) -> list[Optional[int]]:
         """Each swept run's hit, the position in its slots of the oldest
         attraction point within the radius of p (-1 for none), or None when
         the run's lowest and highest guesses disagree, from one row of p's
-        distances to the store.
+        distances to the store; given exps, runs[i] is probed at exps[i].
 
         A run whose highest radius is below every distance in the row (free
         slots included, which only makes this rarer) holds no hit.  The
@@ -715,82 +705,76 @@ class GuessLadder:
         guess between them agrees."""
         row = self._store.row(p)
         closest = row.min(initial=math.inf)
+        rad = self._radii
+        highs = [rad[st.hi] for st in runs] if exps is None else [rad[e] for e in exps]
         hits: list[Optional[int]] = [-1] * len(runs)
-        near = [j for j, run in enumerate(runs) if run[-1].attr_radius >= closest]
+        near = [j for j, r in enumerate(highs) if r >= closest]
         if not near:
             return hits
-        segs = [runs[j][0].slots for j in near]
+        segs = [runs[j].slots for j in near]
         lens = [len(sl) for sl in segs]
         bounds = list(accumulate(lens, initial=0))  # segment i is [bounds[i], bounds[i+1])
         flat = np.frombuffer(b"".join(segs), dtype=np.int64)
         near_row = row[flat]
-        radii = np.array([runs[j][-1].attr_radius for j in near])
+        radii = np.array([highs[j] for j in near])
         within = (near_row <= radii.repeat(lens)).nonzero()[0]
         if within.size:
             # the first hit at or after each segment start; "clip" reads the
             # last hit, which lies before the start, where there is none
             first = within.take(within.searchsorted(bounds[:-1]), mode="clip")
-            lowest = np.array([runs[j][0].attr_radius for j in near])
+            lowest = radii if exps else np.array([rad[runs[j].lo] for j in near])
             agree = (near_row[first] <= lowest).tolist()
             for j, f, s, e, a in zip(near, first.tolist(), bounds, bounds[1:], agree):
                 if s <= f < e:
                     hits[j] = f - s if a else None
         return hits
 
-    def _split_runs(
-        self, p: Point, hits: list[Optional[int]]
-    ) -> tuple[list[list[GuessState]], list[int]]:
+    def _split_runs(self, p: Point, hits: list) -> tuple[list[GuessState], list[int]]:
         """Cut each run whose guesses disagree (hit None) into runs of
         guesses with equal hits, and return the runs with their hits.  The
-        lowest part keeps the content; every other part holds a copy, with
-        one more store reference per slot."""
-        runs: list[list[GuessState]] = []
+        lowest part keeps the content; every other part holds a copy."""
+        runs: list[GuessState] = []
         out: list[int] = []
-        for run, hit in zip(self._runs, hits):
+        for st, hit in zip(self._runs, hits):
             if hit is not None:
-                runs.append(run)
+                runs.append(st)
                 out.append(hit)
                 continue
-            own = self._hits(p, [[st] for st in run])
-            start = 0
-            for end in range(1, len(run) + 1):
-                if end < len(run) and own[end] == own[start]:
-                    continue
-                part = run[start:end]
-                if start:
-                    part[0].adopt(run[0], copy=True)
-                    self._store.share(part[0].slots, 1)
-                    for st in part[1:]:
-                        st.adopt(part[0])
-                runs.append(part)
-                out.append(own[start])
-                start = end
+            lo = st.lo
+            own = self._hits(p, [st] * (st.hi - lo + 1), range(lo, st.hi + 1))
+            parts = [st]
+            for i in range(1, len(own)):
+                if own[i] != own[i - 1]:
+                    parts.append(parts[-1].split(lo + i))
+            runs += parts
+            out += [own[part.lo - lo] for part in parts]
         self._runs = runs
         return runs, out
 
     def _merge_runs(self) -> None:
         """Join each pair of adjacent runs whose contents are equal: the
-        higher run's guesses take the lower's content, and the higher
-        content's store references are dropped."""
+        lower content stays and widens to the higher run's guesses, and the
+        higher content's store references are dropped."""
         runs = self._runs
         for i in range(len(runs) - 1, 0, -1):
             low, high = runs[i - 1], runs[i]
-            if _same_content(low[0], high[0]):
-                self._store.share(high[0].slots, -1)
-                for st in high:
-                    st.adopt(low[0])
-                low += high
+            if _same_content(low, high):
+                self._store.share(high.slots, -1)
+                if high.evicted != low.evicted:
+                    for e in range(high.lo, high.hi + 1):
+                        self._evictions[e] += high.evicted - low.evicted
+                low.hi = high.hi
                 del runs[i]
 
-    def maintain_oblivious_ladder(self, p: Point) -> None:
-        """Refresh the distance estimates and retarget the grid before p is
-        handed to the per-guess states.  Called by process_point exactly once
-        per arrival; do not invoke separately when feeding through it."""
+    def maintain_oblivious_ladder(self, p: Point, D_t: float) -> None:
+        """Refresh the distance estimates, D_t to the value ``_next_D_t``
+        checked, and retarget the grid before p is handed to the runs.
+        Called by process_point exactly once per arrival; do not invoke
+        separately when feeding through it."""
         t = p.arrival
         if self.first_point is None:
             self.first_point = p
-        else:
-            self.D_t = max(self.D_t, self.metric(self.first_point, p))
+        self.D_t = D_t
         prev_recent = list(self.recent)
         self.recent.append(p)
         leaving, d = self._ring_add(p)
@@ -826,57 +810,41 @@ class GuessLadder:
 
     def _bootstrap(self) -> None:
         """First grid construction: replay the buffered prefix through empty
-        states, which reproduces exactly what a from-scratch run would hold."""
+        runs, which reproduces exactly what a from-scratch run would hold."""
         lo, hi = self._grid_bounds()
-        for e in range(lo, hi + 1):
-            self.states[e] = self._replayed_state(e, self.warmup)
-            self._runs.append([self.states[e]])
+        self._runs = [self._replayed_state(e, self.warmup) for e in range(lo, hi + 1)]
         self.bootstrapped = True
         self.warmup.clear()
 
     def _retarget(self, prev_recent: list[Point], t: int) -> None:
         lo, hi = self._grid_bounds()
-        old_lo = min(self.states)
-        old_hi = max(self.states)
-        # D_t never falls, so neither does hi: guesses leave from the bottom
-        dropped = range(old_lo, min(lo, old_hi + 1))
-        for e in dropped:
-            del self.states[e]
-        self._drop_lowest(len(dropped))
-        added = []
-        for e in range(lo, old_lo):
-            # the recent points are mutually farther than twice the new
-            # guess, so replaying just them is what a fresh run would store
-            self.states[e] = self._replayed_state(e, prev_recent)
-            added.append([self.states[e]])
-        self._runs[:0] = added
-        for e in range(max(old_hi + 1, lo), hi + 1):
-            self.states[e] = self._high_guess_state(e, prev_recent, t)
-            self._runs.append([self.states[e]])
-
-    def _drop_lowest(self, n: int) -> None:
-        """Take the n lowest guesses out of the runs; a run left empty drops
-        its store references."""
         runs = self._runs
-        while n:
-            run = runs[0]
-            if len(run) > n:
-                del run[:n]
-                return
-            n -= len(run)
-            for s in run[0].slots:
+        old_lo, old_hi = runs[0].lo, runs[-1].hi
+        # D_t never falls, so neither does hi: guesses leave from the bottom,
+        # and a run left empty drops its store references
+        for e in range(old_lo, min(lo, old_hi + 1)):
+            self._evictions.pop(e, None)
+            del self._radii[e]
+        while runs and runs[0].hi < lo:
+            for s in runs.pop(0).slots:
                 self._store.release(s)
-            del runs[0]
+        if runs:
+            runs[0].lo = max(runs[0].lo, lo)
+        # the recent points are mutually farther than twice each guess added
+        # below, so replaying just them is what a fresh run would store
+        runs[:0] = [self._replayed_state(e, prev_recent) for e in range(lo, old_lo)]
+        for e in range(max(old_hi + 1, lo), hi + 1):
+            runs.append(self._high_guess_state(e, prev_recent, t))
 
     def _replayed_state(self, exponent: int, points: Sequence[Point]) -> GuessState:
-        """Fresh state for the guess, fed the given points in order.  Their
+        """Fresh run of the guess, fed the given points in order.  Their
         distances to the store are read in blocks of _BLOCK rows; a block's
         own points hold a slot in the store while the block is read.  Each
         point's hit is a scan of the state's slots in arrival order."""
         st = self._new_state(exponent)
         points = list(points)
         store = self._store
-        r = st.attr_radius
+        r = self._radii[exponent]
         for r0 in range(0, len(points), _BLOCK):
             block = points[r0 : r0 + _BLOCK]
             pinned = [store.acquire(q) for q in block]
@@ -891,7 +859,7 @@ class GuessLadder:
     def _high_guess_state(
         self, exponent: int, prev_recent: list[Point], t: int
     ) -> GuessState:
-        """State for a guess above the previous grid.
+        """Run of a guess above the previous grid.
 
         All prior points are within twice the new guess of each other, so a
         from-scratch run would hold a single attraction point whose
@@ -920,7 +888,7 @@ class GuessLadder:
         greedy separation pass over all its stored points selects at most
         k + z points at twice the guess radius.  The pass reads one distance
         row per point it takes, at most k + z + 1 rows."""
-        st = self.states[exponent]
+        st = self._run_of(exponent)
         cap = self.params.k + self.params.z
         if len(st.slots) > cap:
             return False
@@ -928,13 +896,14 @@ class GuessLadder:
         d = _distances(pts, self.metric)
         cols = np.arange(len(pts))
         free = np.ones(len(pts), dtype=bool)  # not within twice the guess of a pick
+        separation = 2.0 * self.guess_value(exponent)
         taken = 0
         for i in range(len(pts)):
             if free[i]:
                 taken += 1
                 if taken > cap:
                     return False
-                free &= d([i], cols)[0] > 2.0 * st.guess
+                free &= d([i], cols)[0] > separation
         return True
 
     def selected_exponent(self) -> int:
@@ -966,15 +935,16 @@ class GuessLadder:
         return WeightedCoreset(points=pts, guess=0.0, t=self.t)
 
     def coreset_at(self, exponent: int) -> WeightedCoreset:
-        st = self.states[exponent]
         return WeightedCoreset(
-            points=tuple(st.coreset_points()), guess=st.guess, t=self.t
+            points=tuple(self._run_of(exponent).coreset_points()),
+            guess=self.guess_value(exponent),
+            t=self.t,
         )
 
     # -- accounting ----------------------------------------------------------
 
     def stored_points(self) -> int:
-        n = sum(st.stored_points() for st in self.states.values())
+        n = sum(st.stored_points() * (st.hi - st.lo + 1) for st in self._runs)
         if self.mode == "oblivious":
             n += (0 if self.first_point is None else 1) + len(self.recent)
             if not self.bootstrapped:
@@ -982,21 +952,21 @@ class GuessLadder:
         return n
 
     def histogram_entries(self) -> int:
-        return sum(st.histogram_entries() for st in self.states.values())
+        return sum(st.histogram_entries() * (st.hi - st.lo + 1) for st in self._runs)
 
     def stats(self) -> dict[str, int]:
         """What the ladder holds, counted on call: guesses, stored points
         (as the memory gauge counts them), distinct points in the store,
         histogram entries, the evictions of every current guess, and the
-        runs of guesses sharing one content.  Then what arrivals did since
-        the ladder was built or restored: captures and inserts, counted
-        once per guess (replays that build a new guess are not counted)."""
+        runs.  Then what arrivals did since the ladder was built or
+        restored: captures and inserts, counted once per guess (replays
+        that build a new guess are not counted)."""
         return {
-            "grid_len": len(self.states),
+            "grid_len": len(self.exponents()),
             "stored_points": self.stored_points(),
             "distinct_points": self._store.live(),
             "histogram_entries": self.histogram_entries(),
-            "evictions": sum(st.evictions for st in self.states.values()),
+            "evictions": sum(v.evictions for v in self.states.values()),
             "runs": len(self._runs),
             "captures": self._captures,
             "inserts": self._inserts,
@@ -1006,17 +976,17 @@ class GuessLadder:
         """Structure-size memory gauge: stored points times dimension, plus
         two floats per histogram entry, plus one scalar per guess and two
         mode scalars (d_min/d_max or the running distance estimates)."""
-        scalars = len(self.states) + 2
+        scalars = len(self.exponents()) + 2
         return self.stored_points() * dim + 2 * self.histogram_entries() + scalars
 
     def check_invariants(self) -> None:
-        """Every state's invariants, plus the ladder-wide ones: the grid is
-        exactly the exponent range its mode implies; in oblivious mode the
-        recent points are the last arrivals, each in its ring slot, and d_t
-        and D_t agree with the points they are derived from; the runs hold
-        the grid's guesses in order, each run one content of its own; the
-        store holds what the runs' contents and the ring reference.  The
-        first that fails raises InvariantError.
+        """Every run's invariants, at its highest radius, plus the
+        ladder-wide ones: the runs cut exactly the exponent range the mode
+        implies, and evictions are kept for its guesses alone; in oblivious
+        mode the recent points are the last arrivals, each in its ring slot,
+        and d_t and D_t agree with the points they are derived from; the
+        store holds what the runs and the ring reference.  The first that
+        fails raises InvariantError.
 
         d_t is compared with a relative tolerance of 1e-9, since a snapshot
         written before d_t came from the metric's block form holds the
@@ -1050,22 +1020,17 @@ class GuessLadder:
         # no oblivious grid exists before the bootstrap
         built = self.mode == "fixed" or self.bootstrapped
         lo, hi = self._grid_bounds() if built else (0, -1)
-        grid = self.exponents()
-        if grid != list(range(lo, hi + 1)):
-            raise InvariantError(f"grid {grid} is not [{lo}, {hi}]")
         runs = self._runs
-        if not all(runs) or [st for run in runs for st in run] != [self.states[e] for e in grid]:
-            raise InvariantError("the runs do not hold the grid's guesses in order")
-        for run in runs:
-            held = run[0].content()
-            if any(a is not b for st in run[1:] for a, b in zip(st.content(), held)):
-                raise InvariantError("the guesses of a run do not share one content")
-            holders.update(run[0].slots)
-        if len({id(c) for run in runs for c in run[0].content()}) != 4 * len(runs):
-            raise InvariantError("two runs share a content")
+        grid = [e for st in runs for e in range(st.lo, st.hi + 1)]
+        if any(st.lo > st.hi for st in runs) or grid != list(range(lo, hi + 1)):
+            raise InvariantError(f"runs {[(st.lo, st.hi) for st in runs]} do not cut [{lo}, {hi}]")
+        if not self._evictions.keys() <= set(grid) or self._radii.keys() != set(grid):
+            raise InvariantError("evictions or radii are kept for a guess off the grid")
+        for st in runs:
+            holders.update(st.slots)
         self._store.check(holders)
-        for st in self.states.values():
-            st.check_invariants(self.t)
+        for st in runs:
+            st.check_invariants(self.t, self._radii[st.hi])
 
     # -- snapshots -------------------------------------------------------------
 
@@ -1086,10 +1051,7 @@ class GuessLadder:
             "t": self.t,
             "d_min": self.d_min,
             "d_max": self.d_max,
-            "states": [
-                {"exponent": e, **self.states[e].to_jsonable()}
-                for e in self.exponents()
-            ],
+            "states": [{"exponent": e, **v.to_jsonable()} for e, v in self.states.items()],
         }
         if self.mode == "oblivious":
             snap["oblivious"] = {
@@ -1141,14 +1103,14 @@ class GuessLadder:
             cap=cfg["cap"] if "cap" in cfg else _legacy_cap(cfg, params),
         )
         ladder.t = snap["t"]
-        ladder.states = {}
+        ladder._runs, ladder._radii = [], {}
         held: list[Point] = []  # any stored point fixes the stream's dimension
         for entry in snap["states"]:
             st = ladder._new_state(entry["exponent"])
             st.restore(entry)
-            ladder.states[entry["exponent"]] = st
+            ladder._runs.append(st)
+            ladder._evictions[st.lo] = entry["evictions"]
             held += st.attractions[:1]
-        ladder._runs = [[ladder.states[e]] for e in ladder.exponents()]
         if ladder.mode == "oblivious":
             ob = snap["oblivious"]
             ladder.first_point = (
@@ -1167,6 +1129,40 @@ class GuessLadder:
             held += ladder.recent
         ladder.dim = held[0].dim if held else None
         return ladder
+
+
+class _GuessView:
+    """One guess of a ladder: its value and radius from its exponent, its
+    evictions from the ladder, and the rest from the run that holds it,
+    looked up on every read, so a view follows its guess across arrivals."""
+
+    __slots__ = ("_ladder", "exponent")
+    _FROM_RUN = frozenset({"slots", "attractions", "reps", "orphans", "union_points",
+                           "coreset_points", "stored_points", "histogram_entries"})
+
+    def __init__(self, ladder: GuessLadder, exponent: int):
+        self._ladder, self.exponent = ladder, exponent
+
+    def __getattr__(self, name: str):
+        if name not in _GuessView._FROM_RUN:
+            raise AttributeError(name)
+        return getattr(self._ladder._run_of(self.exponent), name)
+
+    @property
+    def guess(self) -> float:
+        return self._ladder.guess_value(self.exponent)
+
+    @property
+    def attr_radius(self) -> float:
+        return self._ladder._radii[self.exponent]
+
+    @property
+    def evictions(self) -> int:
+        ladder = self._ladder
+        return ladder._evictions[self.exponent] + ladder._run_of(self.exponent).evicted
+
+    def to_jsonable(self) -> dict:
+        return {**self._ladder._run_of(self.exponent).to_jsonable(), "evictions": self.evictions}
 
 
 def _same_content(a: GuessState, b: GuessState) -> bool:

@@ -435,7 +435,7 @@ class FineCoresetState:
         if val.mode == "oblivious" and not val.bootstrapped:
             return val.warmup_coreset(), False
         e = val.selected_exponent()
-        if e not in self.fine.states:
+        if e not in self.fine.exponents():
             raise RuntimeError(f"fine ladder lost guess exponent {e}")
         return self.fine.coreset_at(e), self.fine.states[e].evictions > 0
 

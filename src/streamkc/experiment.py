@@ -243,6 +243,9 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         diameter = cfg.dataset_diameter
         if diameter is None:
             diameter = estimate_diameter(ingest(cfg.input_path))
+            if not math.isfinite(cfg.outlier_scale * diameter):
+                raise ValueError(f"outlier_scale times the estimated dataset diameter "
+                                 f"{diameter!r} must be finite")
         stream = inject_outliers(
             stream, cfg.inject_prob, cfg.outlier_scale, cfg.seed, diameter
         )

@@ -288,13 +288,13 @@ class LadderShadow:
 
 
 def unshared(ladder: GuessLadder) -> GuessLadder:
-    """The ladder, changed so that each state it holds or later creates
-    bumps through a memo of its own, and no two guesses ever share one
-    content: the twin that steps every guess on its own and shares no
-    histogram between guesses, against which the ladder-wide memo and the
-    shared contents are compared.  Attach it while every guess holds a
-    content of its own (before streaming, or right after a restore)."""
-    assert all(len(run) == 1 for run in ladder._runs), "guesses already share"
+    """The ladder, changed so that every guess is its own run and memo,
+    never merged: each run it holds or later creates covers one guess and
+    bumps through a memo of its own.  This is the twin that steps every
+    guess on its own and shares no histogram between guesses, against which
+    the ladder-wide memo and the runs are compared.  Attach it while every
+    run holds one guess (before streaming, or right after a restore)."""
+    assert all(st.lo == st.hi for st in ladder._runs), "guesses already share"
     make = ladder._new_state
 
     def new_state(exponent: int):
@@ -304,38 +304,42 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
 
     ladder._new_state = new_state
     ladder._merge_runs = lambda: None
-    for st in ladder.states.values():
+    for st in ladder._runs:
         st._bumps = _BumpMemo(st.lam)
     return ladder
 
 
-def reference_first_within(st, p: Point) -> int:
+def reference_first_within(st, p: Point, radius: float) -> int:
     """Per-guess attraction search: the reference for the ladder's one-row
-    search over its point store.  Reads one block-form row from p to this
-    guess's own attraction points, rebuilt from the points themselves, and
-    returns the position of the oldest one within the attraction radius, or
-    -1 for none."""
+    search over its point store.  Reads one block-form row from p to the
+    state's own attraction points, rebuilt from the points themselves, and
+    returns the position of the oldest one within radius, or -1 for none."""
     attrs = st.attractions
     if not attrs:
         return -1
     ys = np.array([a.coords for a in attrs], dtype=float)
     near = st._store.metric.pairwise(np.array([p.coords], dtype=float), ys)[0]
-    hits = np.flatnonzero(near <= st.attr_radius)
+    hits = np.flatnonzero(near <= radius)
     return int(hits[0]) if hits.size else -1
 
 
 def per_guess_search(ladder: GuessLadder) -> GuessLadder:
     """The ladder, changed so that every attraction search it makes, per
-    arrival and in replays, is ``reference_first_within`` on one guess at a
-    time: the twin against which the shared row is compared.  Per arrival
-    that is each run's lowest and highest guess, as the ladder probes them,
-    and each guess of a run whose two probes differ."""
+    arrival and in replays, is ``reference_first_within`` at one exponent's
+    radius at a time: the twin against which the shared row is compared.
+    Per arrival that is each run's lowest and highest exponent, as the
+    ladder probes them, and each exponent of a run whose two probes
+    differ."""
     make = ladder._new_state
 
-    def hits(p: Point, runs) -> list:
+    def radius(e: int) -> float:
+        return ladder._radii[e]
+
+    def hits(p: Point, runs, exps=None) -> list:
         out = []
-        for run in runs:
-            low, high = (reference_first_within(st, p) for st in (run[0], run[-1]))
+        for i, st in enumerate(runs):
+            lo, hi = (st.lo, st.hi) if exps is None else (exps[i], exps[i])
+            low, high = (reference_first_within(st, p, radius(e)) for e in (lo, hi))
             out.append(low if low == high else None)
         return out
 
@@ -343,7 +347,7 @@ def per_guess_search(ladder: GuessLadder) -> GuessLadder:
         st = make(exponent)
         for q in points:
             st.sweep(q.arrival)
-            st.process_point(q, reference_first_within(st, q))
+            st.process_point(q, reference_first_within(st, q, radius(exponent)))
         return st
 
     ladder._hits = hits

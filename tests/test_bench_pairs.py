@@ -4,6 +4,7 @@ line counts."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,40 @@ class TestGuard:
         assert not out.exists()
         name = bench_pairs.benchmark_difference(base, bench_pairs.ROOT)
         assert name is not None and name in capsys.readouterr().err
+
+
+class TestBaseCommit:
+    @staticmethod
+    def git(cwd: Path, *args: str) -> str:
+        out = subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                             cwd=cwd, capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    def test_a_clone_names_its_commit_and_a_plain_directory_none(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        repo = checkout(tmp_path / "repo", {**BENCH, "src/sub/x.py": "x = 1\n"})
+        self.git(repo, "init", "-q")
+        self.git(repo, "add", "-A")
+        self.git(repo, "commit", "-q", "-m", "base")
+        head = self.git(repo, "rev-parse", "HEAD")
+        clone = tmp_path / "clone"
+        self.git(tmp_path, "clone", "-q", str(repo), str(clone))
+        assert bench_pairs.commit_of(repo) == bench_pairs.commit_of(clone) == head
+        assert bench_pairs.commit_of(repo / "src" / "sub") is None  # inside another tree
+        assert bench_pairs.commit_of(checkout(tmp_path / "plain", BENCH)) is None
+        assert bench_pairs.commit_of(tmp_path / "missing") is None
+
+    def test_main_refuses_a_base_without_a_commit_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        base = checkout(tmp_path / "base", BENCH)
+        monkeypatch.setattr(bench_pairs, "benchmark_difference", lambda a, b: None)
+        monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran"))
+        out = tmp_path / "BENCH.json"
+        assert bench_pairs.main(["--base", str(base), "--seeds", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "names no commit" in capsys.readouterr().err
 
 
 class TestVerdicts:

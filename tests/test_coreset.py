@@ -36,32 +36,34 @@ def pt(arrival, *coords):
     return Point(arrival, tuple(float(c) for c in coords))
 
 
-def lone_state(guess, attr_radius, max_attractions, window_len, orphan_cap=None):
-    """A state outside any ladder, with a point store and a memo of its own."""
-    return GuessState(guess, attr_radius, max_attractions, window_len, 0.5,
+def lone_state(max_attractions, window_len, orphan_cap=None):
+    """A run of one guess outside any ladder, with a point store and a memo
+    of its own."""
+    return GuessState(0, 0, max_attractions, window_len, 0.5,
                       _PointStore(dist), _BumpMemo(0.5), orphan_cap)
 
 
-def step(st, p):
-    """Feed p to a lone state as a ladder would: sweep, search, absorb."""
+def step(st, p, radius):
+    """Feed p to a lone state as a ladder would at the attraction radius:
+    sweep, search, absorb."""
     st.sweep(p.arrival)
-    return st.process_point(p, reference_first_within(st, p))
+    return st.process_point(p, reference_first_within(st, p, radius))
 
 
 class TestGuessState:
     def test_two_far_points_both_attract(self):
-        st = lone_state(1.0, 2.0, max_attractions=5, window_len=100)
-        step(st, pt(1, 0))
-        step(st, pt(2, 5))
+        st = lone_state(max_attractions=5, window_len=100)
+        step(st, pt(1, 0), 2.0)
+        step(st, pt(2, 5), 2.0)
         assert [a.coords for a in st.attractions] == [(0.0,), (5.0,)]
         for a in st.attractions:
             rep, hist = st.reps[a.arrival]
             assert rep is a and hist == [(a.arrival, 1)]
 
     def test_close_point_becomes_representative(self):
-        st = lone_state(1.0, 2.0, max_attractions=5, window_len=100)
-        step(st, pt(1, 0))
-        captured = step(st, pt(2, 1))
+        st = lone_state(max_attractions=5, window_len=100)
+        step(st, pt(1, 0), 2.0)
+        captured = step(st, pt(2, 1), 2.0)
         assert captured == 1
         assert [a.coords for a in st.attractions] == [(0.0,)]
         rep, hist = st.reps[1]
@@ -69,45 +71,45 @@ class TestGuessState:
         assert hist == [(1, 2), (2, 1)]
 
     def test_capture_prefers_oldest_attraction(self):
-        st = lone_state(1.0, 2.0, max_attractions=5, window_len=100)
-        step(st, pt(1, 0))
-        step(st, pt(2, 3))
+        st = lone_state(max_attractions=5, window_len=100)
+        step(st, pt(1, 0), 2.0)
+        step(st, pt(2, 3), 2.0)
         # within 2.0 of both attraction points; the older one wins
-        assert step(st, pt(3, 1.5)) == 1
+        assert step(st, pt(3, 1.5), 2.0) == 1
 
     def test_eviction_at_capacity(self):
         cap = 4
-        st = lone_state(0.1, 0.2, max_attractions=cap, window_len=100)
+        st = lone_state(max_attractions=cap, window_len=100)
         for i in range(cap):
-            step(st, pt(i + 1, i))
+            step(st, pt(i + 1, i), 0.2)
         assert len(st.attractions) == cap and not st.orphans
-        step(st, pt(cap + 1, cap))
+        step(st, pt(cap + 1, cap), 0.2)
         assert len(st.attractions) == cap
-        assert st.evictions == 1
+        assert st.evicted == 1
         # the evicted point's representative became an orphan, then was
         # discarded for being older than the new oldest attraction point
         assert st.orphans == {}
 
     def test_orphans_kept_when_below_prune_threshold(self):
-        st = lone_state(0.1, 0.2, max_attractions=10, window_len=10)
-        step(st, pt(1, 0))
+        st = lone_state(max_attractions=10, window_len=10)
+        step(st, pt(1, 0), 0.2)
         for t in range(2, 10):
-            step(st, pt(t, 100.0 + 300 * t))
-        step(st, pt(10, 0.05))  # representative of point 1
+            step(st, pt(t, 100.0 + 300 * t), 0.2)
+        step(st, pt(10, 0.05), 0.2)  # representative of point 1
         # point 1 expires at t=11; its live representative becomes an orphan
-        step(st, pt(11, 20))
+        step(st, pt(11, 20), 0.2)
         assert list(st.orphans) == [10]
         # a new attraction point without capacity pressure keeps the orphan
-        step(st, pt(12, 30))
+        step(st, pt(12, 30), 0.2)
         assert list(st.orphans) == [10]
 
     def test_expiry_order_attractions_then_orphans(self):
-        st = lone_state(1.0, 2.0, max_attractions=5, window_len=3)
-        step(st, pt(1, 0))
-        step(st, pt(2, 1))
+        st = lone_state(max_attractions=5, window_len=3)
+        step(st, pt(1, 0), 2.0)
+        step(st, pt(2, 1), 2.0)
         # at t=4 the attraction point (arrival 1) expires; its representative
         # (arrival 2) survives as an orphan with the stale entry removed
-        step(st, pt(4, 10))
+        step(st, pt(4, 10), 2.0)
         assert st.attractions[0].arrival == 4
         assert list(st.orphans) == [2]
         assert st.orphans[2][1] == [(2, 1)]
@@ -118,11 +120,11 @@ class TestGuessState:
             k_z = int(rng.integers(1, 6))
             n = int(rng.integers(10, 80))
             window_len = int(rng.integers(k_z + 2, 40))
-            st = lone_state(0.5, 1.0, max_attractions=k_z + 1, window_len=window_len)
+            st = lone_state(max_attractions=k_z + 1, window_len=window_len)
             for i in range(n):
                 p = pt(i + 1, *rng.random(2) * 8)
-                step(st, p)
-                st.check_invariants(i + 1)
+                step(st, p, 1.0)
+                st.check_invariants(i + 1, 1.0)
                 assert len(st.attractions) <= k_z + 1
                 assert len(st.reps) <= k_z + 1
                 assert len(st.orphans) <= k_z + 1, "orphans exceeded bound"
@@ -277,6 +279,22 @@ class TestFixedLadder:
         with pytest.raises(ValueError, match="d_max < inf"):
             GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", d_min, d_max)
 
+    def test_a_grid_beyond_the_bound_is_rejected_before_any_run_is_built(self, monkeypatch):
+        # beta = 1e-12 over [1, 10] spells about 3.0e12 guesses
+        with pytest.raises(ValueError, match="fixed grid would hold"):
+            GuessLadder(StreamParams(10, 1, 0, 0.5, 1e-12), "fixed", 1.0, 10.0)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, beta=1e-12)
+        with pytest.raises(ValueError, match="fixed grid would hold"):
+            FineCoresetState(cfg, 10, "fixed", 1.0, 10.0)
+        # a grid of exactly the bound is built
+        params = StreamParams(10, 1, 0, 0.5, 0.5)
+        n = len(GuessLadder(params, "fixed", 1.0, 10.0).exponents())
+        monkeypatch.setattr(coreset, "MAX_GRID_LEN", n)
+        assert len(GuessLadder(params, "fixed", 1.0, 10.0).states) == n
+        monkeypatch.setattr(coreset, "MAX_GRID_LEN", n - 1)
+        with pytest.raises(ValueError, match=f"would hold {n} guesses, more than {n - 1}"):
+            GuessLadder(params, "fixed", 1.0, 10.0)
+
     def test_out_of_order_arrival_rejected(self):
         lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.1, 10.0)
         lad.process_point(pt(1, 0))
@@ -296,6 +314,24 @@ class TestFixedLadder:
 
 
 class TestObliviousLadder:
+    @pytest.mark.parametrize("far", [(-1.7e308, 1.7e308), (9e307, 0.0)],
+                             ids=["D_t_overflows", "twice_D_t_overflows"])
+    @pytest.mark.parametrize("n", [3, 10], ids=["warm_up", "bootstrapped"])
+    def test_a_point_beyond_the_grid_is_rejected_before_any_change(self, n, far):
+        lad = GuessLadder(StreamParams(50, 2, 2, 0.5, 0.5), "oblivious")
+        rng = np.random.default_rng(7)
+        for t in range(1, n + 1):
+            lad.process_point(pt(t, *rng.random(2)))
+        assert lad.bootstrapped == (n == 10)
+        before = lad.to_snapshot()
+        with pytest.raises(ValueError, match="from the first point"):
+            lad.process_point(pt(n + 1, *far))
+        assert lad.to_snapshot() == before
+        lad.check_invariants()
+        lad.process_point(pt(n + 1, *rng.random(2)))
+        lad.check_invariants()
+        assert lad.t == n + 1
+
     def test_warmup_answers_by_buffer(self):
         lad = GuessLadder(StreamParams(100, 2, 2, 0.5, 0.5), "oblivious")
         lad.process_point(pt(1, 0.0))
@@ -314,17 +350,21 @@ class TestObliviousLadder:
         assert i == k + z + 2
         lad.check_invariants()
 
-    def test_stationary_stream_keeps_ladder(self):
-        # same recent distances step after step: the guess range is stable
+    def test_stationary_stream_keeps_ladder(self, monkeypatch):
+        # same recent distances step after step: the guess range is stable,
+        # and no guess is rebuilt
         lad = GuessLadder(StreamParams(60, 1, 1, 0.5, 0.5), "oblivious")
         for i in range(1, 30):
             lad.process_point(pt(i, i % 2))  # alternating 0, 1
         assert lad.bootstrapped
         exps = lad.exponents()
-        before = {e: lad.states[e] for e in exps}
+
+        def rebuilt(exponent):
+            raise AssertionError(f"guess {exponent} was rebuilt")
+
+        monkeypatch.setattr(lad, "_new_state", rebuilt)
         lad.process_point(pt(30, 0))
         assert lad.exponents() == exps
-        assert all(lad.states[e] is before[e] for e in exps)
 
     def test_far_point_creates_high_guess_with_synthetic_histogram(self):
         N = 10
@@ -664,15 +704,15 @@ class TestSnapshotVerification:
     def test_separation_check_reads_row_blocks(self, monkeypatch):
         # a fine-style state with more attraction points than one block
         monkeypatch.setattr(coreset, "_BLOCK", 5)
-        st = lone_state(1.0, 0.5, max_attractions=64, window_len=100)
+        st = lone_state(max_attractions=64, window_len=100)
         for i in range(1, 24):
-            step(st, pt(i, float(i)))
-        st.check_invariants(23)
+            step(st, pt(i, float(i)), 0.5)
+        st.check_invariants(23, 0.5)
         slot = st.slots[17]  # the store slot of the point at 18.0
         st._store.points[slot] = pt(18, 3.25)  # within 0.5 of the point at 3.0
         st._store.coords[slot] = (3.25,)
         with pytest.raises(AssertionError, match="attraction points 3,18 too close"):
-            st.check_invariants(23)
+            st.check_invariants(23, 0.5)
 
 
 class TestBlockMetric:
@@ -825,9 +865,9 @@ class TestBumpMemo:
             assert lad.to_snapshot() == twin.to_snapshot()
             shared = max(shared, _shared_lists(lad))
             assert _shared_lists(twin) == 0
-        memos = {id(st._bumps) for st in twin.states.values()}
-        assert len(memos) == len(twin.states) > 1
-        assert {id(st._bumps) for st in lad.states.values()} == {id(lad._bumps)}
+        memos = {id(st._bumps) for st in twin._runs}
+        assert len(memos) == len(twin._runs) == len(twin.states) > 1
+        assert {id(st._bumps) for st in lad._runs} == {id(lad._bumps)}
         assert shared > 0
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
@@ -853,22 +893,22 @@ class TestBumpMemo:
         # a evicts its only attraction point, so the representative's
         # histogram, shared with b's representative, becomes a's orphan;
         # the memo shares the bump of one list, so both start from one
-        a = lone_state(1.0, 2.0, max_attractions=1, window_len=5, orphan_cap=4)
-        b = lone_state(1.0, 2.0, max_attractions=4, window_len=5)
+        a = lone_state(max_attractions=1, window_len=5, orphan_cap=4)
+        b = lone_state(max_attractions=4, window_len=5)
         b._bumps = a._bumps
         first = pt(1, 0.0)
         hist = new_histogram(1)
         a.seed(first, first, hist)
         b.seed(first, first, hist)
         for p in (pt(2, 0.1), pt(3, 50.0)):
-            step(a, p)
-            step(b, p)
+            step(a, p, 2.0)
+            step(b, p, 2.0)
         held = b.reps[1][1]
         assert a.orphans[2][1] is held == [(1, 2), (2, 1)]
         a.sweep(6)  # timestamp 1 leaves a's window
         assert a.orphans[2][1] == [(2, 1)]
         assert b.reps[1][1] is held == [(1, 2), (2, 1)]
-        a.check_invariants(6)
+        a.check_invariants(6, 2.0)
 
     def test_most_captures_reuse_a_trim(self, monkeypatch):
         calls = 0
@@ -978,8 +1018,9 @@ class TestAdversarialSoak:
         state.estimate()
 
 
-def _one_content(a: GuessState, b: GuessState) -> bool:
-    return all(x is y for x, y in zip(a.content(), b.content()))
+def _spans(ladder: GuessLadder) -> list[tuple[int, int]]:
+    """Each run's exponent range."""
+    return [(st.lo, st.hi) for st in ladder._runs]
 
 
 class TestSharedStates:
@@ -1043,17 +1084,17 @@ class TestSharedStates:
             assert lad.to_snapshot() == twin.to_snapshot()
             lad.check_invariants()
             runs.append(lad.stats()["runs"])
-            if t == 1:  # both inserted the first point: one content
-                assert _one_content(low, high)
+            if t == 1:  # both inserted the first point: one run
+                assert _spans(lad) == [(0, 1)]
                 assert store.refs[store.slot_of[1]] == 1
             if t == 2:  # 3.0 is within 4 of 0.0, not within 2
                 assert [a.arrival for a in low.attractions] == [1, 2]
                 assert [a.arrival for a in high.attractions] == [1]
-                assert not _one_content(low, high)
+                assert _spans(lad) == [(0, 0), (1, 1)]
                 assert store.refs[store.slot_of[1]] == 2
         # the point at 3.0 leaves the window at t=5, and the two agree again
         assert runs == [1, 2, 2, 2, 1]
-        assert _one_content(low, high)
+        assert _spans(lad) == [(0, 1)]
         assert store.refs[store.slot_of[4]] == 1
         assert (low.evictions, high.evictions) == (0, 0)
 

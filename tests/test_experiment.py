@@ -8,6 +8,7 @@ import pytest
 
 from streamkc import cli
 from streamkc.cli import build_parser, main
+from streamkc.coreset import GuessLadder
 from streamkc.experiment import (
     ExperimentConfig,
     estimate_diameter,
@@ -225,6 +226,23 @@ class TestRunExperiment:
         assert [int(r["timestep"]) for r in rows] == [30, 40, 50, 60]
         with pytest.raises(ValueError, match="0 < d_min <= d_max"):
             self._cfg(tmp_path, mode="fixed", d_min=0.6, d_max=0.5).validate()
+
+    def test_an_outlier_norm_past_the_estimated_diameter_is_rejected_before_streaming(
+        self, tmp_path, monkeypatch
+    ):
+        # points of norm up to 1e10 estimate the diameter near 2e10, and 1e300
+        # times that overflows: every injected outlier would be infinite
+        data = tmp_path / "far.csv"
+        write_points(generate_ball_stream(200, 2, 0.1, 1e10, seed=1), data)
+        cfg = self._cfg(tmp_path, input_path=data, window_len=50, inject_prob=0.5,
+                        outlier_scale=1e300)
+        cfg.validate()  # the diameter is unknown before the scan
+        fed = []
+        monkeypatch.setattr(GuessLadder, "process_point", lambda self, p: fed.append(p))
+        with pytest.raises(ValueError, match="estimated dataset diameter") as err:
+            run_experiment(cfg)
+        assert "non-finite coordinate" not in str(err.value)
+        assert fed == []
 
     def test_injection_in_pipeline(self, tmp_path):
         cfg = self._cfg(tmp_path, inject_prob=1.0, outlier_scale=10.0)

@@ -34,7 +34,9 @@ Runs are serial: two at once would share the cores they are timed on.
 Both sides must measure with the same benchmark code: the tool refuses to
 run, exiting with status 2 and naming the file, when ``BENCHMARK.json`` or
 any file under ``perfbench/`` (its generated ``_work`` and ``__pycache__``
-directories aside) differs between the two checkouts.
+directories aside) differs between the two checkouts.  It also exits with
+status 2, before any run, when git names no commit checked out at the base
+checkout, so that every BENCH file records its base commit.
 """
 
 from __future__ import annotations
@@ -95,10 +97,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def commit_of(checkout: Path) -> str:
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                         capture_output=True, text=True, check=False)
-    return out.stdout.strip() or "unknown"
+def commit_of(checkout: Path) -> Optional[str]:
+    """The commit checked out at checkout, or None when git names none there:
+    not a directory, not in a git tree, or below the top of another one."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                             capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    lines = out.stdout.split("\n")
+    if out.returncode or len(lines) < 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
 
 
 def spread(values: list[float]) -> dict:
@@ -178,6 +188,11 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {differs} differs between the base checkout and this one; "
               "both sides must run the same benchmark code", file=sys.stderr)
         return 2
+    base_commit = commit_of(args.base.resolve())
+    if base_commit is None:
+        print(f"bench_pairs: git names no commit checked out at {args.base}; "
+              "give a clone or worktree of the base commit", file=sys.stderr)
+        return 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
@@ -189,7 +204,7 @@ def main(argv=None) -> int:
     result = {
         "command": " ".join(["python3", "tools/bench_pairs.py", *shown]),
         "runner": "perfbench/run.py --trace 0, one run per side and seed",
-        "base_commit": commit_of(sides["base"]),
+        "base_commit": base_commit,
         "change": "the commit this file is checked in with",
         "seeds": args.seeds,
         "seconds": args.seconds,
