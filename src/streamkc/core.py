@@ -3,8 +3,12 @@
 Everything here is a plain value type or a pure function; instances can be
 shared freely between threads.  A metric is a scalar call ``metric(p, q)``
 plus a block form ``metric.pairwise(xs, ys)``, the len(xs) x len(ys) matrix
-between the rows of two coordinate arrays; every bulk distance pass of the
-engine reads blocks through ``_distances``.
+between the rows of two coordinate arrays.  The engine reads only the block
+form; the call scores centers (``radius_excluding``).  ``dist``'s block form
+``cdist`` squares coordinate differences: an oblivious ladder's domain is
+``coreset.MAX_DISTANCE`` (2^500) from its first point, about coordinates
+below 1e150; distinct points closer than about 1.6e-162 read as duplicates,
+and distances below about 1e-154 lose precision.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def dist(p: Point, q: Point) -> float:
 
     Any other metric must be symmetric, non-negative, zero only on equal
     coordinates, satisfy the triangle inequality, and carry a ``pairwise``
-    block form that agrees with it.
+    block form for the engine.
     """
     return math.dist(p.coords, q.coords)
 

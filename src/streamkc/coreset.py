@@ -24,13 +24,15 @@ Guesses of one ladder mostly hold the same stream points, so a ladder keeps
 one ``_PointStore``: a coordinate row per distinct point that its states
 hold as attraction points or that sits in its recent ring, with a reference
 count per slot.  A state keeps only the slots of its attraction points, in
-arrival order.  Each arrival reads one row of distances from the new point
-to the store through the metric's block form (``streamkc.core``); every
-attraction search gathers its slots from that row, and the row's entries at
-the recent points update each recent point's smallest distance to a newer
-one, the smallest of which is ``d_t``.  A metric without a block form is
-rejected when a ladder is built or restored.  The store and those distances
-are never serialized; a restore replays the recent points into them.
+arrival order.  The ladder reads only the metric's block form, within the
+domain and resolution ``streamkc.core`` states: each arrival reads one row
+from the new point to the store before the point takes a slot.  Every
+attraction search gathers its slots from that row, its entries at the
+recent points update each one's smallest distance to a newer one (the
+smallest is ``d_t``), and its entry at the first point, which holds a slot
+for good, updates ``D_t``.  A metric without a block form is rejected when
+a ladder is built or restored.  The store and those distances are never
+serialized; a restore replays the recent points into them.
 
 Most guesses of one ladder hold equal states, so its unit of state is the
 run: adjacent guesses, exponents ``lo..hi``, that share one ``GuessState``.
@@ -75,7 +77,8 @@ from .histogram import (
 
 SNAPSHOT_FORMAT = "streamkc-ladder"
 SNAPSHOT_VERSION = 1
-MAX_GRID_LEN = 100_000  # the most guesses a fixed grid may hold
+MAX_GRID_LEN = 100_000  # the most guesses a grid may hold
+MAX_DISTANCE = 2.0**500  # oblivious mode's domain: the farthest from the first point
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +141,8 @@ class _PointStore:
     a held arrival (only a corrupt snapshot can) raises InvariantError.
 
     ``row(p)`` reads p's distances to every slot in one block-form call the
-    first time it is asked for an arrival, and again only if a slot was
-    filled since.
+    first time it is asked for an arrival, and again only if another point
+    was filled since; filling p itself keeps the row, with 0.0 at p's slot.
     """
 
     __slots__ = (
@@ -189,7 +192,11 @@ class _PointStore:
         self.points[s] = p
         self.refs[s] = 1
         self.slot_of[p.arrival] = s
-        self._row_point = None  # the row misses this slot
+        if self._row_point is p:  # the row's own point, at distance 0
+            self._row = np.append(self._row, 0.0) if s == len(self._row) else self._row
+            self._row[s] = 0.0
+        else:
+            self._row_point = None  # the row misses this slot
         return s
 
     def release(self, s: int) -> None:
@@ -507,8 +514,8 @@ class GuessLadder:
     """All guess states over the geometric radius grid, plus the stream clock.
 
     mode "fixed" requires d_min and d_max bracketing the stream's pairwise
-    distances, and a grid of at most MAX_GRID_LEN guesses; mode "oblivious"
-    discovers the needed grid on the fly.  A single instance is
+    distances; mode "oblivious" discovers the needed grid on the fly.  Both
+    build their grid by one rule (``_grid_bounds``).  A single instance is
     single-writer; reads are safe once no update runs.
 
     cap sets each state's capacity policy.  None keeps k + z + 1 attraction
@@ -517,17 +524,16 @@ class GuessLadder:
     (the effective-diameter fine ladder).
 
     The ladder's states keep their attraction points in one ``_PointStore``
-    with the ladder's recent ring.  In oblivious mode each recent point sits
-    at ring position arrival mod (k + z + 1): ``_ring_slots`` holds its store
-    slot (-1 while unfilled) and ``_closest_newer`` the smallest positive
-    distance from it to a newer recent point (inf if there is none).  Only
-    ``_ring_add`` changes them, on arrivals and in a restore's replay.
+    with its recent ring and first point (``_first_slot``).  Each recent
+    point sits at ring position arrival mod (k + z + 1): ``_ring_slots``
+    holds its store slot (-1 while unfilled) and ``_closest_newer`` the
+    smallest positive distance from it to a newer recent point (inf if none).
 
     ``_runs`` cuts the grid, in exponent order, into runs; the store counts
     one reference per slot of each.  Guess e took ``_evictions[e]`` plus its
     run's ``evicted`` evictions, so a step that evicts touches no per-guess
-    entry.  Only ``process_point`` splits and merges runs; the bootstrap, a
-    retarget and a restore add one run per guess, for the next merge.
+    entry.  Only ``process_point`` splits runs; it and a restore merge them.
+    The bootstrap and a retarget add one run per guess, for the next merge.
     """
 
     def __init__(
@@ -562,13 +568,11 @@ class GuessLadder:
         if mode == "fixed":
             if d_min is None or d_max is None or not 0 < d_min <= d_max < math.inf:
                 raise ValueError("fixed mode requires 0 < d_min <= d_max < inf")
-            lo, hi = self._grid_bounds()
-            if hi - lo + 1 > MAX_GRID_LEN:
-                raise ValueError(f"the fixed grid would hold {hi - lo + 1} guesses, more than "
-                                 f"{MAX_GRID_LEN}: raise beta or narrow [d_min, d_max]")
+            lo, hi = self._grid_bounds(d_min / 2.0, d_max)
             self._runs = [self._new_state(e) for e in range(lo, hi + 1)]
         else:
             self.first_point: Optional[Point] = None
+            self._first_slot = -1  # held from the first arrival on
             m = params.k + params.z + 1
             self.recent: deque[Point] = deque(maxlen=m)
             self._ring_slots = np.full(m, -1, dtype=np.intp)
@@ -599,15 +603,19 @@ class GuessLadder:
         f = self._exp_floor(x)
         return f if (1.0 + self.params.beta) ** f == x else f + 1
 
-    def _grid_bounds(self) -> tuple[int, int]:
-        """Lowest and highest exponent of the grid: floor(d_min/2) and
-        ceil(d_max) in fixed mode, floor(d_t/2) and ceil(2 D_t) from the
-        running estimates in oblivious mode.  The fixed grid reaches down to
-        d_min/2 so that points at the minimum scale can still sit in
-        separate attraction sets, mirroring the oblivious grid's lower end."""
-        if self.mode == "fixed":
-            return self._exp_floor(self.d_min / 2.0), self._exp_ceil(self.d_max)
-        return self._exp_floor(self.d_t / 2.0), self._exp_ceil(2.0 * self.D_t)
+    def _grid_bounds(self, low: float, high: float, error=ValueError) -> tuple[int, int]:
+        """Ends floor(low), ceil(high) of a grid of at most MAX_GRID_LEN
+        guesses that fit a float, or error: low, high are d_min/2, d_max in
+        fixed mode (so that points at the minimum scale can sit apart, as in
+        the oblivious grid) and d_t/2, 2 D_t in oblivious mode."""
+        try:
+            lo, hi = self._exp_floor(low), self._exp_ceil(high)
+        except (OverflowError, ValueError):  # a guess past the float range, or log(low) fails
+            raise error(f"a grid from {low!r} to {high!r} leaves the float range") from None
+        if hi - lo + 1 > MAX_GRID_LEN:
+            raise error(f"the {self.mode} grid would hold {hi - lo + 1} guesses, more than "
+                        f"{MAX_GRID_LEN}: raise beta or narrow the distance range")
+        return lo, hi
 
     def _new_state(self, exponent: int) -> GuessState:
         """An empty run of the one guess."""
@@ -633,13 +641,17 @@ class GuessLadder:
                 return st
         raise KeyError(exponent)
 
+    def _evictions_of(self, exponent: int, run: Optional[GuessState] = None) -> int:
+        """The guess's evictions: its offset plus those of its run (run)."""
+        return self._evictions[exponent] + (run or self._run_of(exponent)).evicted
+
     # -- updates -------------------------------------------------------------
 
     def process_point(self, p: Point) -> None:
         """Feed the next stream point.  Arrivals must be consecutive from 1,
         every point must have the first point's dimension, and in oblivious
-        mode the grid its D_t implies must fit a float (``_next_D_t``); a
-        rejected point leaves the ladder untouched.
+        mode lie within MAX_DISTANCE of it and keep the grid rule
+        (``_estimates``); a rejected point leaves the ladder untouched.
 
         Each run is swept once and probed for its hit (``_hits``); a run
         whose guesses disagree is split (``_split_runs``).  Each run is then
@@ -651,11 +663,11 @@ class GuessLadder:
         if self.dim is not None and p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
         oblivious = self.mode == "oblivious"
-        D_t = self._next_D_t(p) if oblivious else 0.0
+        estimates = self._estimates(p) if oblivious else None
         self.dim = p.dim
         self.t = t
         if oblivious:
-            self.maintain_oblivious_ladder(p, D_t)
+            self.maintain_oblivious_ladder(p, estimates)
             if not self.bootstrapped:
                 self.warmup.append(p)
                 return
@@ -675,19 +687,23 @@ class GuessLadder:
         self._inserts += inserts
         self._merge_runs()
 
-    def _next_D_t(self, p: Point) -> float:
-        """D_t once p has arrived.  Raises ValueError, before anything
-        changes, when it or the top grid exponent ceil(2 D_t) overflows."""
+    def _estimates(self, p: Point) -> tuple:
+        """The ring's closest-newer distances, d_t, D_t and the grid's ends
+        (None without a grid) after p, from p's store row, with nothing
+        changed; ValueError when p lies beyond MAX_DISTANCE or the grid
+        breaks the rule of ``_grid_bounds``."""
         if self.first_point is None:
-            return self.D_t
-        D_t = max(self.D_t, self.metric(self.first_point, p))
-        try:
-            if D_t > self.D_t:
-                self._exp_ceil(2.0 * D_t)
-        except OverflowError:
-            raise ValueError(f"arrival {p.arrival} lies {D_t!r} from the first point, "
-                             "beyond the largest radius guess a float holds") from None
-        return D_t
+            return self._closest_newer, 0.0, 0.0, None
+        row = self._store.row(p)
+        far = float(row[self._first_slot])
+        if not far <= MAX_DISTANCE:
+            raise ValueError(f"arrival {p.arrival} lies {far!r} from the first point, "
+                             f"beyond MAX_DISTANCE = {MAX_DISTANCE!r}")
+        closest, d = self._ring_closest(row, p.arrival)
+        d_t = d if d > 0 else self.d_t
+        D_t = max(self.D_t, far)
+        grid = self.bootstrapped or (p.arrival >= self.params.k + self.params.z + 2 and d_t > 0)
+        return closest, d_t, D_t, self._grid_bounds(d_t / 2.0, 2.0 * D_t) if grid else None
 
     def _hits(self, p: Point, runs: list[GuessState], exps=None) -> list[Optional[int]]:
         """Each swept run's hit, the position in its slots of the oldest
@@ -754,11 +770,12 @@ class GuessLadder:
     def _merge_runs(self) -> None:
         """Join each pair of adjacent runs whose contents are equal: the
         lower content stays and widens to the higher run's guesses, and the
-        higher content's store references are dropped."""
+        higher content's store references are dropped.  Runs with a gap
+        between them (only a corrupt snapshot holds one) stay apart."""
         runs = self._runs
         for i in range(len(runs) - 1, 0, -1):
             low, high = runs[i - 1], runs[i]
-            if _same_content(low, high):
+            if low.hi + 1 == high.lo and _same_content(low, high):
                 self._store.share(high.slots, -1)
                 if high.evicted != low.evicted:
                     for e in range(high.lo, high.hi + 1):
@@ -766,58 +783,50 @@ class GuessLadder:
                 low.hi = high.hi
                 del runs[i]
 
-    def maintain_oblivious_ladder(self, p: Point, D_t: float) -> None:
-        """Refresh the distance estimates, D_t to the value ``_next_D_t``
+    def maintain_oblivious_ladder(self, p: Point, estimates: tuple) -> None:
+        """Take on the distance estimates and grid bounds ``_estimates``
         checked, and retarget the grid before p is handed to the runs.
         Called by process_point exactly once per arrival; do not invoke
         separately when feeding through it."""
-        t = p.arrival
+        self._closest_newer, self.d_t, self.D_t, bounds = estimates
         if self.first_point is None:
             self.first_point = p
-        self.D_t = D_t
+            self._first_slot = self._store.acquire(p)
         prev_recent = list(self.recent)
         self.recent.append(p)
-        leaving, d = self._ring_add(p)
-        if d > 0:
-            self.d_t = d
+        pos = p.arrival % len(self._ring_slots)
+        leaving = int(self._ring_slots[pos])
+        self._ring_slots[pos] = self._store.acquire(p)
         if self.bootstrapped:
-            self._retarget(prev_recent, t)
-        elif t >= self.params.k + self.params.z + 2 and self.d_t > 0:
-            self._bootstrap()
+            self._retarget(prev_recent, p.arrival, *bounds)
+        elif bounds is not None:
+            self._bootstrap(*bounds)
         if leaving >= 0:  # kept in the store for the replays of prev_recent
             self._store.release(leaving)
 
-    def _ring_add(self, p: Point) -> tuple[int, float]:
-        """Put p in the recent ring in place of the oldest point.  Returns
-        the store slot of the point leaving the ring (-1 if none), which the
-        caller releases, and the smallest positive distance between two
-        recent points (0.0 if there is none).  Every pair is counted at its
-        older point, so p's distances to the others, read from the store's
-        row for p, are all that an arrival adds, and the leaving point takes
-        its pairs along."""
-        slots, closest = self._ring_slots, self._closest_newer
-        pos = p.arrival % len(slots)
-        leaving = int(slots[pos])
-        slots[pos] = self._store.acquire(p)
-        d = self._store.row(p)[slots]
+    def _ring_closest(self, row: np.ndarray, t: int) -> tuple[np.ndarray, float]:
+        """The ring's closest-newer distances once the point arriving at t
+        (store row row) replaces the oldest, counting each pair at its older
+        point, and their smallest (0.0 if none is finite)."""
+        slots = self._ring_slots
+        pos = t % len(slots)
+        d = row[slots]
         d[d <= 0.0] = math.inf
-        if p.arrival < len(slots):
+        if t < len(slots):
             d[slots < 0] = math.inf  # positions not filled yet
-        np.minimum(closest, d, out=closest)
+        closest = np.minimum(self._closest_newer, d)
         closest[pos] = math.inf
         low = float(closest.min())
-        return leaving, (low if low < math.inf else 0.0)
+        return closest, (low if low < math.inf else 0.0)
 
-    def _bootstrap(self) -> None:
+    def _bootstrap(self, lo: int, hi: int) -> None:
         """First grid construction: replay the buffered prefix through empty
         runs, which reproduces exactly what a from-scratch run would hold."""
-        lo, hi = self._grid_bounds()
         self._runs = [self._replayed_state(e, self.warmup) for e in range(lo, hi + 1)]
         self.bootstrapped = True
         self.warmup.clear()
 
-    def _retarget(self, prev_recent: list[Point], t: int) -> None:
-        lo, hi = self._grid_bounds()
+    def _retarget(self, prev_recent: list[Point], t: int, lo: int, hi: int) -> None:
         runs = self._runs
         old_lo, old_hi = runs[0].lo, runs[-1].hi
         # D_t never falls, so neither does hi: guesses leave from the bottom,
@@ -966,7 +975,8 @@ class GuessLadder:
             "stored_points": self.stored_points(),
             "distinct_points": self._store.live(),
             "histogram_entries": self.histogram_entries(),
-            "evictions": sum(v.evictions for v in self.states.values()),
+            "evictions": sum(self._evictions_of(e, st) for st in self._runs
+                             for e in range(st.lo, st.hi + 1)),
             "runs": len(self._runs),
             "captures": self._captures,
             "inserts": self._inserts,
@@ -988,9 +998,9 @@ class GuessLadder:
         store holds what the runs and the ring reference.  The first that
         fails raises InvariantError.
 
-        d_t is compared with a relative tolerance of 1e-9, since a snapshot
-        written before d_t came from the metric's block form holds the
-        scalar form's value, which may differ in the last bits."""
+        d_t and D_t are compared with a relative tolerance of 1e-9, since a
+        snapshot written before they came from the metric's block form holds
+        the scalar form's value, which may differ in the last bits."""
         holders: Counter = Counter()
         if self.mode == "oblivious":
             slots = self._ring_slots.tolist()
@@ -1009,17 +1019,19 @@ class GuessLadder:
                     f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
                 )
             if self.first_point is not None:
-                first = self.first_point
-                far = max((self.metric(first, q) for q in self.recent), default=0.0)
-                if not far <= self.D_t:
+                if self._store.slot_of.get(self.first_point.arrival) != self._first_slot:
+                    raise InvariantError("the first point does not hold its store slot")
+                holders[self._first_slot] += 1
+                far = float(self._store.rows([self.first_point])[0, held].max(initial=0.0))
+                if far > self.D_t and not math.isclose(far, self.D_t, rel_tol=1e-9):
                     raise InvariantError(f"D_t {self.D_t!r} is below {far!r}")
-            if self.bootstrapped and not (
-                0 < self.d_t < math.inf and 0 < self.D_t < math.inf
-            ):
-                raise InvariantError(f"d_t {self.d_t!r}, D_t {self.D_t!r} not in (0, inf)")
-        # no oblivious grid exists before the bootstrap
-        built = self.mode == "fixed" or self.bootstrapped
-        lo, hi = self._grid_bounds() if built else (0, -1)
+            if not 0 <= self.D_t <= MAX_DISTANCE:
+                raise InvariantError(f"D_t {self.D_t!r} lies outside [0, MAX_DISTANCE]")
+        # no oblivious grid exists before the bootstrap, which needs positive d_t and D_t
+        fixed = self.mode == "fixed"
+        low, high = (self.d_min / 2.0, self.d_max) if fixed else (self.d_t / 2.0, 2.0 * self.D_t)
+        built = fixed or self.bootstrapped
+        lo, hi = self._grid_bounds(low, high, InvariantError) if built else (0, -1)
         runs = self._runs
         grid = [e for st in runs for e in range(st.lo, st.hi + 1)]
         if any(st.lo > st.hi for st in runs) or grid != list(range(lo, hi + 1)):
@@ -1104,13 +1116,11 @@ class GuessLadder:
         )
         ladder.t = snap["t"]
         ladder._runs, ladder._radii = [], {}
-        held: list[Point] = []  # any stored point fixes the stream's dimension
         for entry in snap["states"]:
             st = ladder._new_state(entry["exponent"])
             st.restore(entry)
             ladder._runs.append(st)
             ladder._evictions[st.lo] = entry["evictions"]
-            held += st.attractions[:1]
         if ladder.mode == "oblivious":
             ob = snap["oblivious"]
             ladder.first_point = (
@@ -1124,10 +1134,14 @@ class GuessLadder:
             ladder.D_t = ob["D_t"]
             ladder.bootstrapped = ob["bootstrapped"]
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
-            for q in ladder.recent:  # the snapshot's d_t stands
-                ladder._ring_add(q)
-            held += ladder.recent
-        ladder.dim = held[0].dim if held else None
+            if ladder.first_point is not None:
+                ladder._first_slot = ladder._store.acquire(ladder.first_point)
+            for q in ladder.recent:  # the snapshot's d_t and D_t stand
+                ladder._closest_newer, _ = ladder._ring_closest(ladder._store.row(q), q.arrival)
+                ladder._ring_slots[q.arrival % len(ladder._ring_slots)] = ladder._store.acquire(q)
+        store = ladder._store  # any point it holds fixes the stream's dimension
+        ladder.dim = store.coords.shape[1] if store.live() else None
+        ladder._merge_runs()
         return ladder
 
 
@@ -1158,8 +1172,7 @@ class _GuessView:
 
     @property
     def evictions(self) -> int:
-        ladder = self._ladder
-        return ladder._evictions[self.exponent] + ladder._run_of(self.exponent).evicted
+        return self._ladder._evictions_of(self.exponent)
 
     def to_jsonable(self) -> dict:
         return {**self._ladder._run_of(self.exponent).to_jsonable(), "evictions": self.evictions}

@@ -437,7 +437,7 @@ class FineCoresetState:
         e = val.selected_exponent()
         if e not in self.fine.exponents():
             raise RuntimeError(f"fine ladder lost guess exponent {e}")
-        return self.fine.coreset_at(e), self.fine.states[e].evictions > 0
+        return self.fine.coreset_at(e), self.fine._evictions_of(e) > 0
 
     def estimate(self) -> EffDiameterEstimate:
         """Lower and upper estimates for the current window: the kept pair

@@ -58,7 +58,10 @@ class SolveOutcome:
 
 def _radius_grid(lo: float, cap: float, ratio: float) -> list[float]:
     """0, then lo * ratio**i up to cap, then one step past cap so that
-    success at the bound is reachable.  Just [0] when lo is not positive."""
+    success at the bound is reachable.  Just [0] when lo is not positive;
+    ValueError when cap is not finite, where the grid would never end."""
+    if not cap < math.inf:
+        raise ValueError(f"radius grid cap {cap!r} is not finite: a distance overflows")
     grid = [0.0]
     if lo > 0:
         rho = lo

@@ -292,9 +292,9 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     never merged: each run it holds or later creates covers one guess and
     bumps through a memo of its own.  This is the twin that steps every
     guess on its own and shares no histogram between guesses, against which
-    the ladder-wide memo and the runs are compared.  Attach it while every
-    run holds one guess (before streaming, or right after a restore)."""
-    assert all(st.lo == st.hi for st in ladder._runs), "guesses already share"
+    the ladder-wide memo and the runs are compared.  The runs it holds are
+    first rebuilt, one per guess, each from its guess's snapshot entry, not
+    through the ladder's own split."""
     make = ladder._new_state
 
     def new_state(exponent: int):
@@ -302,10 +302,18 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
         st._bumps = _BumpMemo(st.lam)
         return st
 
+    entries = [(e, view.to_jsonable()) for e, view in ladder.states.items()]
+    old, ladder._runs = ladder._runs, []
+    for e, entry in entries:
+        st = new_state(e)
+        st.restore(entry)  # its attraction points take store references
+        ladder._runs.append(st)
+        ladder._evictions[e] = entry["evictions"]
+    for st in old:
+        for s in st.slots:
+            ladder._store.release(s)
     ladder._new_state = new_state
     ladder._merge_runs = lambda: None
-    for st in ladder._runs:
-        st._bumps = _BumpMemo(st.lam)
     return ladder
 
 

@@ -15,7 +15,7 @@ from streamkc.coreset import GuessLadder, GuessState, _BumpMemo, _PointStore
 from streamkc.effdiam import EffDiameterConfig, FineCoresetState
 from streamkc.experiment import generate_ball_stream, inject_outliers, injection_prob
 from streamkc.histogram import new_histogram, synthetic_full_window
-from streamkc.solver import brute_force_optimum
+from streamkc.solver import brute_force_optimum, compute_solution
 from oracles import (
     LadderShadow,
     active_window,
@@ -455,6 +455,90 @@ class TestObliviousLadder:
         assert lad.extract_coreset().total_weight() <= N
 
 
+def _counted(metric):
+    """A twin of metric that counts its scalar and its block-form calls."""
+    calls = {"scalar": 0, "pairwise": 0}
+
+    def scalar(p, q):
+        calls["scalar"] += 1
+        return metric(p, q)
+
+    def pairwise(xs, ys):
+        calls["pairwise"] += 1
+        return metric.pairwise(xs, ys)
+
+    scalar.pairwise = pairwise
+    return scalar, calls
+
+
+class TestDistanceDomain:
+    """The oblivious ladder reads every distance, D_t included, from the
+    metric's block form, and checks an arrival against the domain and the
+    grid rule before it changes anything."""
+
+    def test_a_stream_alternating_far_scales_answers_on_the_accepted_points(self):
+        # the block form reads the pairs near 1e-300 as duplicates and the
+        # pairs that reach 1e300 as inf: the far points are refused, and the
+        # warm-up answers at radius 0 on the accepted ones
+        rng = np.random.default_rng(113)
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
+        accepted = []
+        for i in range(20):
+            scale = 1e-300 if i % 2 == 0 else 1e300
+            p = Point(lad.t + 1, tuple(map(float, scale * (1.0 + rng.random(2)))))
+            before = lad.to_snapshot()
+            try:
+                lad.process_point(p)
+            except ValueError as exc:
+                assert "from the first point" in str(exc)
+                assert lad.to_snapshot() == before
+            else:
+                accepted.append(p)
+            lad.check_invariants()
+        assert len(accepted) == 10 and all(max(p.coords) < 1e-299 for p in accepted)
+        out = compute_solution(lad)
+        assert out.rho_min == 0.0 and out.uncovered_weight == 0
+        assert set(out.centers) <= set(accepted)
+
+    def test_a_point_whose_block_distance_overflows_is_rejected(self):
+        lad = GuessLadder(StreamParams(10, 1, 1, 0.5, 0.5), "oblivious")
+        lad.process_point(pt(1, 0, 0))
+        lad.process_point(pt(2, 1, 0))
+        before = lad.to_snapshot()
+        with pytest.raises(ValueError, match="from the first point"):
+            lad.process_point(pt(3, 1e200, 0))
+        assert lad.to_snapshot() == before
+        lad.process_point(pt(3, 2, 0))
+        assert compute_solution(lad).uncovered_weight <= 1
+
+    def test_a_grid_beyond_the_bound_is_rejected_at_the_bootstrap(self):
+        # beta = 1e-12 over d_t/2 = 0.05 to 2 D_t = 9.8 spells about 5.3e12
+        # guesses: the arrival that would build them is refused
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 1e-12), "oblivious")
+        for t in range(1, 6):
+            lad.process_point(pt(t, t / 10.0, 0))
+        before = lad.to_snapshot()
+        with pytest.raises(ValueError, match="oblivious grid would hold 52"):
+            lad.process_point(pt(6, 5.0, 0))
+        assert lad.to_snapshot() == before and not lad.bootstrapped
+        lad.check_invariants()
+
+    @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
+    def test_an_arrival_reads_one_block_row_and_no_scalar_distance(self, metric):
+        counted, calls = _counted(metric)
+        lad = GuessLadder(StreamParams(40, 2, 1, 0.5, 0.5), "oblivious", metric=counted)
+        steady = 0  # arrivals after the bootstrap that left the grid as it was
+        for p in make_stream(np.random.default_rng(127), 200, 2):
+            grid = lad.exponents()
+            calls.update(scalar=0, pairwise=0)
+            lad.process_point(p)
+            assert calls["scalar"] == 0
+            if lad.bootstrapped and lad.exponents() == grid:
+                assert calls["pairwise"] == 1
+                steady += 1
+        assert steady > 50
+
+
 class TestLadderSoak:
     def test_every_step_invariants_both_modes(self):
         rng = np.random.default_rng(53)
@@ -833,11 +917,12 @@ def _equal_content_groups(ladder: GuessLadder) -> int:
 
 
 def _shared_lists(ladder: GuessLadder) -> int:
-    """Histogram list objects held by more than one state of the ladder."""
+    """Histogram list objects held by more than one state (run) of the
+    ladder; the guesses of one run hold its lists once."""
     holders: dict[int, set] = {}
-    for e, st in ladder.states.items():
+    for st in ladder._runs:
         for _, h in [*st.reps.values(), *st.orphans.values()]:
-            holders.setdefault(id(h), set()).add(e)
+            holders.setdefault(id(h), set()).add(st.lo)
     return sum(len(es) > 1 for es in holders.values())
 
 
@@ -1162,6 +1247,21 @@ class TestPointStore:
         assert shadow.attractor_of[0] == {1: 1, 2: 1}
         shadow.ladder.check_invariants()
 
+    def test_filing_the_rows_own_point_keeps_the_row(self):
+        # an arrival's row is read before the point takes a slot; filing
+        # the point then keeps the row, which reads 0.0 at the new slot
+        counted, calls = _counted(dist)
+        store = _PointStore(counted)
+        for t in (1, 2):
+            store.acquire(pt(t, t, 0))
+        store.release(store.slot_of[1])
+        for p in (pt(3, 3, 4), pt(4, 0, 1)):  # into the free slot, then a new one
+            store.row(p)
+            store.acquire(p)
+            reads = calls["pairwise"]
+            assert store.row(p).tolist() == store.rows([p])[0].tolist()
+            assert calls["pairwise"] == reads + 1  # the fresh block read alone
+
     def test_a_tie_at_a_ladder_radius_survives_a_snapshot(self):
         a, b, _ = _block_tie(np.random.default_rng(103), radius=2.0)
         lad = GuessLadder(StreamParams(10, 1, 1, 0.5, 0.5), "fixed", 1.0, 4.0)
@@ -1190,7 +1290,8 @@ class TestPointStore:
             lad.process_point(p)
             stats = lad.stats()
             held = {q for st in lad.states.values() for q in st.attractions}
-            held.update(lad.recent if mode == "oblivious" else ())
+            if mode == "oblivious":  # the first point holds a slot for good
+                held.update([lad.first_point, *lad.recent])
             # p is now each guess's newest attraction point or representative
             new = sum(p.arrival in st.reps for st in lad.states.values())
             inserts += new

@@ -76,11 +76,21 @@ def test_snapshots_match_the_golden_file():
     assert engines["fine"][0].stats()["fine"]["evictions"] > 0
 
 
+def _runs(engine) -> list[int]:
+    """How many runs each ladder of the engine holds."""
+    stats = engine.stats()
+    return [stats[k]["runs"] for k in ("validation", "fine")] if "fine" in stats else [stats["runs"]]
+
+
 def test_golden_snapshots_restore_to_themselves():
+    # a restored ladder holds the runs its writer held, not one per guess
     golden = json.loads(GOLDEN.read_text())
+    engines = golden_engines()
     for name, text in golden.items():
         cls = FineCoresetState if name == "fine" else GuessLadder
-        assert json.dumps(cls.from_snapshot(json.loads(text)).to_snapshot()) == text, name
+        restored = cls.from_snapshot(json.loads(text))
+        assert json.dumps(restored.to_snapshot()) == text, name
+        assert _runs(restored) == _runs(engines[name][0]), name
 
 
 if __name__ == "__main__":

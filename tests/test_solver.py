@@ -207,6 +207,17 @@ class TestCharikar:
         with pytest.raises(ValueError, match="step"):
             samp_charikar(w, 1, 1, step=step, sample_size=2)
 
+    def test_a_window_whose_block_distances_overflow_is_rejected(self):
+        # the block form reads the pairs with (1e200, 0) as inf, and a radius
+        # grid up to an infinite cap would never end
+        w = WindowView.from_coords([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            charikar(w, 1, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            samp_charikar(w, 1, 1, sample_size=2)
+        with pytest.raises(ValueError, match="not finite"):
+            solver._radius_grid(1.0, math.inf, 1.5)
+
     def test_samp_charikar_rejects_an_empty_sample(self):
         with pytest.raises(ValueError, match="sample_size"):
             samp_charikar(wv(0, 1, 2, 100), 1, 1, sample_size=0)
