@@ -37,13 +37,15 @@ serialized; a restore replays the recent points into them.
 Most guesses of one ladder hold equal states, so its unit of state is the
 run: adjacent guesses, exponents ``lo..hi``, that share one ``GuessState``.
 A guess's value and radius come from its exponent, and its evictions from a
-ladder-level mapping.  Per arrival the ladder sweeps each run once, probes
-its hit at its lowest and its highest radius, splits it only where the two
-differ, steps it once and merges adjacent runs whose contents became equal.
-Sharing is exact: the sweep reads the content alone, a hit position never
-grows with the radius, so equal probes mean the whole run agrees, and equal
-contents that get equal hits take equal steps.  ``ladder.states`` maps each
-exponent to a read view of its guess.
+ladder-level mapping.  Arrivals and replays change runs by one step: the
+ladder sweeps each run once, probes its hit at its lowest and its highest
+radius, splits it only where the two differ, steps it once and merges
+adjacent runs whose contents became equal.  A replay (the bootstrap's
+warm-up, a retarget's recent points) starts from one empty run of all the
+guesses it builds.  Sharing is exact: the sweep reads the content alone, a
+hit position never grows with the radius, so equal probes mean the whole
+run agrees, and equal contents that get equal hits take equal steps.
+``ladder.states`` maps each exponent to a read view of its guess.
 
 Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
 histogram list: each distinct list is trimmed once per arrival, and the
@@ -532,8 +534,8 @@ class GuessLadder:
     ``_runs`` cuts the grid, in exponent order, into runs; the store counts
     one reference per slot of each.  Guess e took ``_evictions[e]`` plus its
     run's ``evicted`` evictions, so a step that evicts touches no per-guess
-    entry.  Only ``process_point`` splits runs; it and a restore merge them.
-    The bootstrap and a retarget add one run per guess, for the next merge.
+    entry.  Only ``_step`` splits runs, for an arrival or a replayed point
+    (``_replayed_runs``); both, and a restore, then merge them.
     """
 
     def __init__(
@@ -568,9 +570,9 @@ class GuessLadder:
         if mode == "fixed":
             if d_min is None or d_max is None or not 0 < d_min <= d_max < math.inf:
                 raise ValueError("fixed mode requires 0 < d_min <= d_max < inf")
-            lo, hi = self._grid_bounds(d_min / 2.0, d_max)
-            self._runs = [self._new_state(e) for e in range(lo, hi + 1)]
+            self._runs = [self._new_state(*self._grid_bounds(d_min / 2.0, d_max))]
         else:
+            self._grid_bounds(1.0, 2.0)  # every grid spans a factor 2 at least (d_t <= 2 D_t)
             self.first_point: Optional[Point] = None
             self._first_slot = -1  # held from the first arrival on
             m = params.k + params.z + 1
@@ -617,12 +619,13 @@ class GuessLadder:
                         f"{MAX_GRID_LEN}: raise beta or narrow the distance range")
         return lo, hi
 
-    def _new_state(self, exponent: int) -> GuessState:
-        """An empty run of the one guess."""
-        self._radii[exponent] = self.attr_factor * self.guess_value(exponent)
+    def _new_state(self, lo: int, hi: int) -> GuessState:
+        """An empty run of the guesses lo..hi."""
+        for e in range(lo, hi + 1):
+            self._radii[e] = self.attr_factor * self.guess_value(e)
         p = self.params
         m = p.k + p.z + 1 if self.cap is None else self.cap
-        return GuessState(exponent, exponent, m, p.window_len, p.lam, self._store, self._bumps,
+        return GuessState(lo, hi, m, p.window_len, p.lam, self._store, self._bumps,
                           orphan_cap=self.cap)
 
     @property
@@ -653,10 +656,9 @@ class GuessLadder:
         mode lie within MAX_DISTANCE of it and keep the grid rule
         (``_estimates``); a rejected point leaves the ladder untouched.
 
-        Each run is swept once and probed for its hit (``_hits``); a run
-        whose guesses disagree is split (``_split_runs``).  Each run is then
-        handed p once, and adjacent runs whose contents became equal are
-        merged (``_merge_runs``)."""
+        The runs take p in one step (``_step``), read from p's store row,
+        and adjacent runs whose contents became equal are merged
+        (``_merge_runs``)."""
         t = p.arrival
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
@@ -672,20 +674,11 @@ class GuessLadder:
                 self.warmup.append(p)
                 return
         runs = self._runs
-        for st in runs:
-            st.sweep(t)
-        hits = self._hits(p, runs)
-        if None in hits:
-            runs, hits = self._split_runs(p, hits)
-        captures = inserts = 0
-        for st, hit in zip(runs, hits):
-            if st.process_point(p, hit) is None:
-                inserts += st.hi - st.lo + 1
-            else:
-                captures += st.hi - st.lo + 1
-        self._captures += captures
+        got = self._step(runs, p, self._store.row(p))
+        inserts = sum(st.hi - st.lo + 1 for st, a in zip(runs, got) if a is None)
         self._inserts += inserts
-        self._merge_runs()
+        self._captures += runs[-1].hi - runs[0].lo + 1 - inserts
+        self._merge_runs(runs)
 
     def _estimates(self, p: Point) -> tuple:
         """The ring's closest-newer distances, d_t, D_t and the grid's ends
@@ -705,21 +698,37 @@ class GuessLadder:
         grid = self.bootstrapped or (p.arrival >= self.params.k + self.params.z + 2 and d_t > 0)
         return closest, d_t, D_t, self._grid_bounds(d_t / 2.0, 2.0 * D_t) if grid else None
 
-    def _hits(self, p: Point, runs: list[GuessState], exps=None) -> list[Optional[int]]:
+    def _step(self, runs: list[GuessState], p: Point, row: np.ndarray) -> list[Optional[int]]:
+        """Hand p to runs, adjacent runs changed in place, the one way a run
+        changes: sweep each at p.arrival, probe each from row, p's distances
+        to the store (``_hits``), split those whose guesses disagree
+        (``_split_runs``) and step each once.  Returns what each run's
+        ``process_point`` returned, in the order of the runs after the split."""
+        t = p.arrival
+        for st in runs:
+            st.sweep(t)
+        hits = self._hits(row, runs)
+        if None in hits:
+            hits = self._split_runs(runs, row, hits)
+        return [st.process_point(p, hit) for st, hit in zip(runs, hits)]
+
+    def _hits(self, row: np.ndarray, runs: list[GuessState], exps=None) -> list[Optional[int]]:
         """Each swept run's hit, the position in its slots of the oldest
-        attraction point within the radius of p (-1 for none), or None when
-        the run's lowest and highest guesses disagree, from one row of p's
-        distances to the store; given exps, runs[i] is probed at exps[i].
+        attraction point within the radius of the probed point (-1 for
+        none), or None when the run's lowest and highest guesses disagree,
+        from row, the point's distances to the store; given exps, runs[i] is
+        probed at exps[i].
 
         A run whose highest radius is below every distance in the row (free
-        slots included, which only makes this rarer) holds no hit.  The
-        slots of the others are gathered from the row into one flat array
-        and compared with each run's highest radius, and the first hit of
-        each run's segment is found by searchsorted over the segment starts.
-        A hit position never grows with the radius, so the lowest guess
-        agrees exactly when that hit lies within its radius too; then every
-        guess between them agrees."""
-        row = self._store.row(p)
+        slots included, which only makes this rarer) holds no hit.  This
+        skips only on fixed-mode arrivals: an oblivious arrival or a
+        replayed point holds a slot, where its row reads 0.0.  The slots of
+        the other runs are gathered from the row into one flat array and
+        compared with each run's highest radius, and the first hit of each
+        run's segment is found by searchsorted over the segment starts.  A
+        hit position never grows with the radius, so the lowest guess agrees
+        exactly when that hit lies within its radius too; then every guess
+        between them agrees."""
         closest = row.min(initial=math.inf)
         rad = self._radii
         highs = [rad[st.hi] for st in runs] if exps is None else [rad[e] for e in exps]
@@ -745,34 +754,33 @@ class GuessLadder:
                     hits[j] = f - s if a else None
         return hits
 
-    def _split_runs(self, p: Point, hits: list) -> tuple[list[GuessState], list[int]]:
-        """Cut each run whose guesses disagree (hit None) into runs of
-        guesses with equal hits, and return the runs with their hits.  The
-        lowest part keeps the content; every other part holds a copy."""
-        runs: list[GuessState] = []
+    def _split_runs(self, runs: list[GuessState], row: np.ndarray, hits: list) -> list[int]:
+        """Cut each run whose guesses disagree (hit None) in place into runs
+        of equal hits, probed from row, and return those hits.  The lowest
+        part keeps the content; every other part holds a copy."""
+        cut: list[GuessState] = []
         out: list[int] = []
-        for st, hit in zip(self._runs, hits):
+        for st, hit in zip(runs, hits):
             if hit is not None:
-                runs.append(st)
+                cut.append(st)
                 out.append(hit)
                 continue
             lo = st.lo
-            own = self._hits(p, [st] * (st.hi - lo + 1), range(lo, st.hi + 1))
+            own = self._hits(row, [st] * (st.hi - lo + 1), range(lo, st.hi + 1))
             parts = [st]
             for i in range(1, len(own)):
                 if own[i] != own[i - 1]:
                     parts.append(parts[-1].split(lo + i))
-            runs += parts
+            cut += parts
             out += [own[part.lo - lo] for part in parts]
-        self._runs = runs
-        return runs, out
+        runs[:] = cut
+        return out
 
-    def _merge_runs(self) -> None:
-        """Join each pair of adjacent runs whose contents are equal: the
-        lower content stays and widens to the higher run's guesses, and the
-        higher content's store references are dropped.  Runs with a gap
+    def _merge_runs(self, runs: list[GuessState]) -> None:
+        """Join each pair of adjacent runs whose contents are equal, in place:
+        the lower content stays and widens to the higher run's guesses, and
+        the higher content's store references are dropped.  Runs with a gap
         between them (only a corrupt snapshot holds one) stay apart."""
-        runs = self._runs
         for i in range(len(runs) - 1, 0, -1):
             low, high = runs[i - 1], runs[i]
             if low.hi + 1 == high.lo and _same_content(low, high):
@@ -820,9 +828,8 @@ class GuessLadder:
         return closest, (low if low < math.inf else 0.0)
 
     def _bootstrap(self, lo: int, hi: int) -> None:
-        """First grid construction: replay the buffered prefix through empty
-        runs, which reproduces exactly what a from-scratch run would hold."""
-        self._runs = [self._replayed_state(e, self.warmup) for e in range(lo, hi + 1)]
+        """First grid construction: one replay of the buffered prefix."""
+        self._runs = self._replayed_runs(lo, hi, self.warmup)
         self.bootstrapped = True
         self.warmup.clear()
 
@@ -841,54 +848,46 @@ class GuessLadder:
             runs[0].lo = max(runs[0].lo, lo)
         # the recent points are mutually farther than twice each guess added
         # below, so replaying just them is what a fresh run would store
-        runs[:0] = [self._replayed_state(e, prev_recent) for e in range(lo, old_lo)]
-        for e in range(max(old_hi + 1, lo), hi + 1):
-            runs.append(self._high_guess_state(e, prev_recent, t))
-
-    def _replayed_state(self, exponent: int, points: Sequence[Point]) -> GuessState:
-        """Fresh run of the guess, fed the given points in order.  Their
-        distances to the store are read in blocks of _BLOCK rows; a block's
-        own points hold a slot in the store while the block is read.  Each
-        point's hit is a scan of the state's slots in arrival order."""
-        st = self._new_state(exponent)
-        points = list(points)
-        store = self._store
-        r = self._radii[exponent]
-        for r0 in range(0, len(points), _BLOCK):
-            block = points[r0 : r0 + _BLOCK]
-            pinned = [store.acquire(q) for q in block]
-            for q, row in zip(block, store.rows(block).tolist()):
-                st.sweep(q.arrival)
-                hit = next((i for i, s in enumerate(st.slots) if row[s] <= r), -1)
-                st.process_point(q, hit)
-            for s in pinned:
-                store.release(s)
-        return st
-
-    def _high_guess_state(
-        self, exponent: int, prev_recent: list[Point], t: int
-    ) -> GuessState:
-        """Run of a guess above the previous grid.
-
-        All prior points are within twice the new guess of each other, so a
-        from-scratch run would hold a single attraction point whose
-        representative is the latest point, standing for the whole window;
-        its histogram is built directly by ``synthetic_full_window``.  The
-        attraction point is the very first stream point while the window is
-        not full yet.  Once it is full, it is the oldest window point, which
-        the sweep at t expires before p is searched, so the state starts as
-        that sweep leaves it: with the representative orphaned.  That
-        shortcut is exact only when the attraction radius is at least twice
-        the guess; narrower ladders (such as the fine one) replay the
-        recent points instead.
-        """
+        if lo < old_lo:
+            runs[:0] = self._replayed_runs(lo, old_lo - 1, prev_recent)
+        top = max(old_hi + 1, lo)  # the lowest guess above the previous grid
+        if top > hi:
+            return
         if self.attr_factor < 2.0:
-            return self._replayed_state(exponent, prev_recent)
-        st = self._new_state(exponent)
+            runs += self._replayed_runs(top, hi, prev_recent)
+            return
+        # Above the grid, all prior points lie within twice each new guess of
+        # each other, so a from-scratch run holds one attraction point whose
+        # representative, the latest point, stands for the whole window (a
+        # synthetic_full_window histogram): the first point while the window
+        # is not full, else the oldest window point, which the sweep at t
+        # expires before p is searched, leaving the representative orphaned.
+        # Exact only when the attraction radius is at least twice the guess;
+        # narrower ladders (such as the fine one) replay the recent points.
+        st = self._new_state(top, hi)
         N = self.params.window_len
         hist = synthetic_full_window(t, min(N, t - 1), self.params.lam)
         st.seed(self.first_point if t - 1 < N else None, prev_recent[-1], hist)
-        return st
+        runs.append(st)
+
+    def _replayed_runs(self, lo: int, hi: int, points: Sequence[Point]) -> list[GuessState]:
+        """The runs of the guesses lo..hi fed the given points in order from
+        one empty run: exactly what a from-scratch run of each guess holds.
+        The points' rows are read in blocks of _BLOCK, with the block's own
+        points holding a store slot meanwhile; each point takes one step
+        (``_step``), and the runs are merged after it, as on an arrival."""
+        runs = [self._new_state(lo, hi)]
+        points = list(points)
+        store = self._store
+        for r0 in range(0, len(points), _BLOCK):
+            block = points[r0 : r0 + _BLOCK]
+            pinned = [store.acquire(q) for q in block]
+            for q, row in zip(block, store.rows(block)):
+                self._step(runs, q, row)
+                self._merge_runs(runs)
+            for s in pinned:
+                store.release(s)
+        return runs
 
     # -- extraction ----------------------------------------------------------
 
@@ -1117,7 +1116,7 @@ class GuessLadder:
         ladder.t = snap["t"]
         ladder._runs, ladder._radii = [], {}
         for entry in snap["states"]:
-            st = ladder._new_state(entry["exponent"])
+            st = ladder._new_state(entry["exponent"], entry["exponent"])
             st.restore(entry)
             ladder._runs.append(st)
             ladder._evictions[st.lo] = entry["evictions"]
@@ -1141,7 +1140,7 @@ class GuessLadder:
                 ladder._ring_slots[q.arrival % len(ladder._ring_slots)] = ladder._store.acquire(q)
         store = ladder._store  # any point it holds fixes the stream's dimension
         ladder.dim = store.coords.shape[1] if store.live() else None
-        ladder._merge_runs()
+        ladder._merge_runs(ladder._runs)
         return ladder
 
 

@@ -238,6 +238,21 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     query_every steps once the window has filled, and write the metrics file.
     Returns the output path."""
     cfg.validate()
+    N = cfg.window_len
+    alg = cfg.algorithm
+    step = cfg.beta if cfg.step is None else cfg.step
+
+    # built before the diameter scan reads a point: a ladder setting is refused first
+    engine: GuessLadder | FineCoresetState | None = None
+    if alg == "sliding":
+        params = StreamParams(N, cfg.k, cfg.z, cfg.lam, cfg.beta)
+        engine = GuessLadder(params, cfg.mode, cfg.d_min, cfg.d_max)
+    elif alg == "eff-sliding":
+        ecfg = EffDiameterConfig(
+            cfg.alpha, cfg.eps, cfg.eta, cfg.lam, cfg.beta, cfg.fine_cap
+        )
+        engine = FineCoresetState(ecfg, N, cfg.mode, cfg.d_min, cfg.d_max)
+
     stream: Iterable[Point] = ingest(cfg.input_path)
     if cfg.inject_prob > 0.0:
         diameter = cfg.dataset_diameter
@@ -249,20 +264,6 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         stream = inject_outliers(
             stream, cfg.inject_prob, cfg.outlier_scale, cfg.seed, diameter
         )
-
-    N = cfg.window_len
-    alg = cfg.algorithm
-    step = cfg.beta if cfg.step is None else cfg.step
-
-    engine: GuessLadder | FineCoresetState | None = None
-    if alg == "sliding":
-        params = StreamParams(N, cfg.k, cfg.z, cfg.lam, cfg.beta)
-        engine = GuessLadder(params, cfg.mode, cfg.d_min, cfg.d_max)
-    elif alg == "eff-sliding":
-        ecfg = EffDiameterConfig(
-            cfg.alpha, cfg.eps, cfg.eta, cfg.lam, cfg.beta, cfg.fine_cap
-        )
-        engine = FineCoresetState(ecfg, N, cfg.mode, cfg.d_min, cfg.d_max)
     # every algorithm keeps the window for scoring; only the streaming
     # structures count toward the memory gauge of sliding/eff-sliding
     window: deque[Point] = deque(maxlen=N)

@@ -194,24 +194,20 @@ def _first_covering(
     raise RuntimeError("radius grid exhausted without covering enough weight")
 
 
-def compute_solution(
-    ladder: GuessLadder,
-    eps: Optional[float] = None,
-    window: Optional[WindowView] = None,
-) -> SolveOutcome:
+def compute_solution(ladder: GuessLadder, window: Optional[WindowView] = None) -> SolveOutcome:
     """Extract a coreset and find the smallest grid radius whose greedy run
     leaves at most the ladder's z uncovered weight with its k centers.
 
     The radius grid starts at zero (degenerate exact covers), then walks
     geometrically with step (1 + beta) from the ladder's lower distance bound;
     radii below the separation bound are skipped (``_first_covering``).
-    eps defaults to 4*(1 + beta), matching the coreset's dilation.  Distances,
-    including the scoring against window when one is given, are the ladder's
-    metric.
+    The greedy's eps is 4*(1 + beta), matching the coreset's dilation.
+    Distances, including the scoring against window when one is given, are
+    the ladder's metric.
     """
     params, metric = ladder.params, ladder.metric
     k, z = params.k, params.z
-    eps = 4.0 * (1.0 + params.beta) if eps is None else eps
+    eps = 4.0 * (1.0 + params.beta)
     coreset = ladder.extract_coreset()
     pts = [p for p, _ in coreset.points]
     wts = [w for _, w in coreset.points]

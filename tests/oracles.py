@@ -292,28 +292,48 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     never merged: each run it holds or later creates covers one guess and
     bumps through a memo of its own.  This is the twin that steps every
     guess on its own and shares no histogram between guesses, against which
-    the ladder-wide memo and the runs are compared.  The runs it holds are
-    first rebuilt, one per guess, each from its guess's snapshot entry, not
+    the ladder-wide memo and the runs are compared.  A replay (the bootstrap
+    or a retarget's) is one replay per guess, each through the ladder's own
+    step.  The runs it holds, and the run a retarget seeds above the grid,
+    are rebuilt one per guess, each from its guess's snapshot entry, not
     through the ladder's own split."""
-    make = ladder._new_state
+    make, replay, retarget = ladder._new_state, ladder._replayed_runs, ladder._retarget
 
-    def new_state(exponent: int):
-        st = make(exponent)
+    def new_state(lo: int, hi: int):
+        st = make(lo, hi)
         st._bumps = _BumpMemo(st.lam)
         return st
 
-    entries = [(e, view.to_jsonable()) for e, view in ladder.states.items()]
-    old, ladder._runs = ladder._runs, []
-    for e, entry in entries:
-        st = new_state(e)
-        st.restore(entry)  # its attraction points take store references
-        ladder._runs.append(st)
-        ladder._evictions[e] = entry["evictions"]
-    for st in old:
-        for s in st.slots:
-            ladder._store.release(s)
+    def apart(runs: list) -> list:
+        """runs, each not yet a run of one guess with its own memo rebuilt as
+        one per guess; a rebuilt run drops its store references."""
+        out = []
+        for st in runs:
+            if st.lo == st.hi and st._bumps is not ladder._bumps:
+                out.append(st)
+                continue
+            entry = st.to_jsonable()
+            for e in range(st.lo, st.hi + 1):
+                one = new_state(e, e)
+                one.restore(entry)  # its attraction points take store references
+                ladder._evictions[e] += st.evicted
+                out.append(one)
+            for s in st.slots:
+                ladder._store.release(s)
+        return out
+
+    def replayed_runs(lo: int, hi: int, points) -> list:
+        return [run for e in range(lo, hi + 1) for run in replay(e, e, points)]
+
+    def retargeted(prev_recent, t: int, lo: int, hi: int) -> None:
+        retarget(prev_recent, t, lo, hi)
+        ladder._runs = apart(ladder._runs)
+
+    ladder._runs = apart(ladder._runs)
     ladder._new_state = new_state
-    ladder._merge_runs = lambda: None
+    ladder._replayed_runs = replayed_runs
+    ladder._retarget = retargeted
+    ladder._merge_runs = lambda runs: None
     return ladder
 
 
@@ -335,31 +355,25 @@ def per_guess_search(ladder: GuessLadder) -> GuessLadder:
     """The ladder, changed so that every attraction search it makes, per
     arrival and in replays, is ``reference_first_within`` at one exponent's
     radius at a time: the twin against which the shared row is compared.
-    Per arrival that is each run's lowest and highest exponent, as the
-    ladder probes them, and each exponent of a run whose two probes
-    differ."""
-    make = ladder._new_state
+    Per step that is each run's lowest and highest exponent, as the ladder
+    probes them, and each exponent of a run whose two probes differ."""
+    step = ladder._step
+    stepping = []  # the point the current step hands the runs
 
-    def radius(e: int) -> float:
-        return ladder._radii[e]
+    def stepped(runs, p: Point, row):
+        stepping[:] = [p]
+        return step(runs, p, row)
 
-    def hits(p: Point, runs, exps=None) -> list:
-        out = []
+    def hits(row, runs, exps=None) -> list:
+        p, out = stepping[0], []
         for i, st in enumerate(runs):
             lo, hi = (st.lo, st.hi) if exps is None else (exps[i], exps[i])
-            low, high = (reference_first_within(st, p, radius(e)) for e in (lo, hi))
+            low, high = (reference_first_within(st, p, ladder._radii[e]) for e in (lo, hi))
             out.append(low if low == high else None)
         return out
 
-    def replayed_state(exponent: int, points):
-        st = make(exponent)
-        for q in points:
-            st.sweep(q.arrival)
-            st.process_point(q, reference_first_within(st, q, radius(exponent)))
-        return st
-
+    ladder._step = stepped
     ladder._hits = hits
-    ladder._replayed_state = replayed_state
     return ladder
 
 

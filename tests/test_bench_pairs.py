@@ -170,7 +170,7 @@ class TestReported:
         return run_once
 
     def test_each_side_keeps_median_and_quartiles_without_a_verdict(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, capsys
     ):
         # seeds 1-4 alternate the order: base, change, change, base, ...
         values = {
@@ -199,6 +199,20 @@ class TestReported:
         assert set(reported["update_p99_us"]) == {"base"}
         assert reported["failed_share"]["change"]["median"] == 0.0
         assert not any("verdict" in side for m in reported.values() for side in m.values())
+        # the summary line shows both sides' medians, failed_share aside
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("w: setup_s unchanged")
+        assert ("; update_p50_us 11.5 -> 21.5; update_p99_us 51.5 -> n/a; "
+                "query_p50_ms 1 -> 2; digests equal, all correct") in line
+        assert "failed_share" not in line
+
+    def test_the_summary_line_leaves_out_a_metric_no_side_reports(self):
+        m = {"base": {"median": 1.0}, "change": {"median": 1.0}, "verdict": "unchanged",
+             "change_better_pairs": 0}
+        workload = {"metrics": {"setup_s": m}, "pairs": 1, "digests_equal": True,
+                    "all_correct": True, "reported": {}}
+        assert bench_pairs.summary_line("w", workload) == (
+            "w: setup_s unchanged (1 -> 1, +0.0%, 0/1); digests equal, all correct")
 
     def test_a_metric_no_run_reports_is_left_out(self):
         runs = {"base": [{"reported": {"query_p50_ms": None}}],

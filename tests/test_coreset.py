@@ -359,8 +359,8 @@ class TestObliviousLadder:
         assert lad.bootstrapped
         exps = lad.exponents()
 
-        def rebuilt(exponent):
-            raise AssertionError(f"guess {exponent} was rebuilt")
+        def rebuilt(lo, hi):
+            raise AssertionError(f"guesses {lo}..{hi} were rebuilt")
 
         monkeypatch.setattr(lad, "_new_state", rebuilt)
         lad.process_point(pt(30, 0))
@@ -511,14 +511,29 @@ class TestDistanceDomain:
         lad.process_point(pt(3, 2, 0))
         assert compute_solution(lad).uncovered_weight <= 1
 
+    @pytest.mark.parametrize("beta", [1e-12, 5e-6, 6.9e-6])
+    def test_a_beta_no_grid_can_fit_is_rejected_by_the_constructor(self, beta):
+        # every oblivious grid spans a factor 2 at least (d_t <= 2 D_t), which
+        # takes more than MAX_GRID_LEN guesses below beta = 7e-6
+        with pytest.raises(ValueError, match="oblivious grid would hold"):
+            GuessLadder(StreamParams(20, 2, 2, 0.5, beta), "oblivious")
+
+    def test_the_smallest_beta_a_grid_can_fit_is_accepted(self):
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 7e-6), "oblivious")
+        lad.process_point(pt(1, 0, 0))
+        for t in range(2, 7):  # d_t = 2 D_t = 2: a grid from 1 to 2
+            lad.process_point(pt(t, (-1) ** t, 0))
+        assert lad.bootstrapped and len(lad.exponents()) == 99023
+        lad.check_invariants()
+
     def test_a_grid_beyond_the_bound_is_rejected_at_the_bootstrap(self):
-        # beta = 1e-12 over d_t/2 = 0.05 to 2 D_t = 9.8 spells about 5.3e12
+        # beta = 1e-5 over d_t/2 = 0.05 to 2 D_t = 9.8 spells 527,816
         # guesses: the arrival that would build them is refused
-        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 1e-12), "oblivious")
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 1e-5), "oblivious")
         for t in range(1, 6):
             lad.process_point(pt(t, t / 10.0, 0))
         before = lad.to_snapshot()
-        with pytest.raises(ValueError, match="oblivious grid would hold 52"):
+        with pytest.raises(ValueError, match="oblivious grid would hold 527816 guesses"):
             lad.process_point(pt(6, 5.0, 0))
         assert lad.to_snapshot() == before and not lad.bootstrapped
         lad.check_invariants()
@@ -1327,6 +1342,46 @@ class TestPointStore:
         with pytest.raises(InvariantError, match=message):
             lad.check_invariants()
 
+    def test_a_retarget_replays_the_guesses_it_adds_below_from_one_block(self):
+        # however many guesses a retarget adds below the grid, one replay of
+        # the recent points builds them all, from one block of their rows
+        counted, calls = _counted(dist)
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious", metric=counted)
+        retarget, added = lad._retarget, []
+
+        def spy(prev_recent, t, lo, hi):
+            below, reads = lad._runs[0].lo - lo, calls["pairwise"]
+            retarget(prev_recent, t, lo, hi)
+            if below > 0:
+                assert calls["pairwise"] == reads + 1
+                added.append(below)
+
+        lad._retarget = spy
+        for p in adversarial_stream(np.random.default_rng(131), 300, 2):
+            lad.process_point(p)
+        lad.check_invariants()
+        assert sum(n >= 2 for n in added) > 5
+
+    @pytest.mark.parametrize("beta", [0.5, 0.01])
+    def test_a_bootstrap_replays_the_warmup_once_for_the_whole_grid(self, beta, monkeypatch):
+        # 17 buffered points in blocks of 5: 4 block reads, whatever the grid
+        monkeypatch.setattr(coreset, "_BLOCK", 5)
+        counted, calls = _counted(dist)
+        lad = GuessLadder(StreamParams(40, 8, 8, 0.5, beta), "oblivious", metric=counted)
+        bootstrap, reads = lad._bootstrap, []
+
+        def spy(lo, hi):
+            before = calls["pairwise"]
+            bootstrap(lo, hi)
+            reads.append(calls["pairwise"] - before)
+
+        lad._bootstrap = spy
+        for p in make_stream(np.random.default_rng(137), 18, 2):
+            lad.process_point(p)
+        assert lad.bootstrapped and reads == [4]
+        assert len(lad.exponents()) > (100 if beta < 0.1 else 4)
+        lad.check_invariants()
+
     @staticmethod
     def _lockstep(rng, ladders, stream, metric):
         """Feed each ladder and a per-guess-search twin of it the stream;
@@ -1353,15 +1408,15 @@ class TestPointStore:
     @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
     @pytest.mark.parametrize("seed", range(2))
     def test_oblivious_ladder_matches_per_guess_search(self, seed, metric, monkeypatch):
-        full = []  # arrivals at which a guess is added above a full window
-        high = GuessLadder._high_guess_state
+        full = []  # arrivals at which guesses are added above a full window
+        retarget = GuessLadder._retarget
 
-        def spy(self, exponent, prev_recent, t):
-            if t - 1 >= self.params.window_len:
+        def spy(self, prev_recent, t, lo, hi):
+            if hi > self._runs[-1].hi and t - 1 >= self.params.window_len:
                 full.append(t)
-            return high(self, exponent, prev_recent, t)
+            return retarget(self, prev_recent, t, lo, hi)
 
-        monkeypatch.setattr(GuessLadder, "_high_guess_state", spy)
+        monkeypatch.setattr(GuessLadder, "_retarget", spy)
         rng = np.random.default_rng(3000 + seed)
         stream = adversarial_stream(rng, 300, 2)
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious", metric=metric)

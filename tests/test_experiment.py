@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from streamkc import cli
+from streamkc import cli, experiment
 from streamkc.cli import build_parser, main
 from streamkc.coreset import GuessLadder
 from streamkc.experiment import (
@@ -243,6 +243,17 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert "non-finite coordinate" not in str(err.value)
         assert fed == []
+
+    def test_a_ladder_setting_is_refused_before_the_diameter_scan(self, tmp_path, monkeypatch):
+        # no oblivious grid fits beta 5e-6 (MAX_GRID_LEN): the engine refuses
+        # it before the outlier injection scans the file for its diameter
+        scans = []
+        monkeypatch.setattr(experiment, "estimate_diameter", lambda pts: scans.append(1) or 1.0)
+        cfg = self._cfg(tmp_path, beta=5e-6, inject_prob=0.5)
+        cfg.validate()
+        with pytest.raises(ValueError, match="oblivious grid would hold"):
+            run_experiment(cfg)
+        assert scans == []
 
     def test_injection_in_pipeline(self, tmp_path):
         cfg = self._cfg(tmp_path, inject_prob=1.0, outlier_scale=10.0)

@@ -390,12 +390,6 @@ class TestComputeSolution:
             assert out.uncovered_weight == uw
             assert out.achieved_radius == radius_excluding(centers, window, z, manhattan)
 
-    def test_eps_override(self):
-        stream = [Point(1, (0.0,)), Point(2, (1.0,)), Point(3, (9.0,))]
-        lad = self._ladder(stream, 1, 1)
-        out = compute_solution(lad, eps=0.0)
-        assert out.uncovered_weight <= 1
-
 
 def _points(coords):
     return [Point(i + 1, tuple(float(c) for c in row)) for i, row in enumerate(coords)]

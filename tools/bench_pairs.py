@@ -6,7 +6,8 @@ checkout, alternating which of the two runs first.  Writes, per workload,
 the median and quartiles of every end-to-end metric on each side, each
 pair's values, how many pairs the change won, a verdict, and whether the
 output digests agreed, together with the seeds and the command, and prints
-one summary line per workload.  Under ``src_lines`` it records, and prints
+one summary line per workload, which also shows each side's median of the
+``SHOWN`` report-line metrics, so an update-path cost reads without the file.  Under ``src_lines`` it records, and prints
 on a last summary line, the line count of each side's library source
 (``src/streamkc/*.py``), the measure of size the roadmap's design aim reads.
 Under ``reported`` it also keeps, for
@@ -52,6 +53,7 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 # report-line metrics kept for information, beside the gated ones
 REPORTED = ("update_p50_us", "update_p99_us", "query_p50_ms", "failed_share")
+SHOWN = ("update_p50_us", "update_p99_us", "query_p50_ms")  # on the summary line
 
 
 def benchmark_files(checkout: Path) -> set[str]:
@@ -158,13 +160,21 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
 
 
 def summary_line(name: str, workload: dict) -> str:
-    """One line: each metric's verdict with both medians and the pairs won."""
+    """One line: each metric's verdict with both medians and the pairs won,
+    then both medians of each ``SHOWN`` metric that a side reports ("n/a"
+    for a side that does not)."""
     parts = []
     for metric, m in workload["metrics"].items():
         b, c = m["base"]["median"], m["change"]["median"]
         rel = f"{(c - b) / b:+.1%}" if b else "n/a"
         parts.append(f"{metric} {m['verdict']} ({b:.4g} -> {c:.4g}, {rel}, "
                      f"{m['change_better_pairs']}/{workload['pairs']})")
+    for metric in SHOWN:
+        sides = workload["reported"].get(metric)
+        if sides:
+            b, c = (f"{sides[s]['median']:.4g}" if s in sides else "n/a"
+                    for s in ("base", "change"))
+            parts.append(f"{metric} {b} -> {c}")
     checks = ("digests equal" if workload["digests_equal"] else "DIGESTS DIFFER") + (
         ", all correct" if workload["all_correct"] else ", SOME INCORRECT")
     return f"{name}: " + "; ".join(parts) + f"; {checks}"
