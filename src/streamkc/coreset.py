@@ -14,25 +14,27 @@ distance bounds; in *oblivious* mode it tracks running estimates derived
 from the first stream point and the most recent ``k + z + 1`` points, so no
 prior knowledge of the data's distance scale is needed.
 
-Each setting is bound once: the ladder hands the window length, ``lam``, the
-metric and its ``cap`` policy to every state it creates, so updates take only
-the point, whose arrival is the clock.  The same machinery doubles as the
-fine-grained layer used for effective diameter estimation, by shrinking the
-attraction radius and setting ``cap`` (see ``streamkc.effdiam``).
+Each setting is bound once: the ladder hands the window length and its
+``cap`` policy to every state it creates, and ``lam`` and the metric reach
+it through the bump memo and the point store they share, so updates take
+only the point, whose arrival is the clock.  The same machinery doubles as
+the fine-grained layer used for effective diameter estimation, by shrinking
+the attraction radius and setting ``cap`` (see ``streamkc.effdiam``).
 
 Guesses of one ladder mostly hold the same stream points, so a ladder keeps
 one ``_PointStore``: a coordinate row per distinct point that its states
 hold as attraction points or that sits in its recent ring, with a reference
 count per slot.  A state keeps only the slots of its attraction points, in
-arrival order.  The ladder reads only the metric's block form, within the
-domain and resolution ``streamkc.core`` states: each arrival reads one row
-from the new point to the store before the point takes a slot.  Every
-attraction search gathers its slots from that row, its entries at the
-recent points update each one's smallest distance to a newer one (the
-smallest is ``d_t``), and its entry at the first point, which holds a slot
-for good, updates ``D_t``.  A metric without a block form is rejected when
-a ladder is built or restored.  The store and those distances are never
-serialized; a restore replays the recent points into them.
+arrival order, each beside its representative.  The ladder reads only the
+metric's block form, within the domain and resolution ``streamkc.core``
+states: each arrival reads one row from the new point to the store, once
+and before anything changes, and hands it down.  Every attraction search
+gathers its slots from that row, its entries at the recent points update
+each one's smallest distance to a newer one (the smallest is ``d_t``), and
+its entry at the first point, which holds a slot for good, updates
+``D_t``.  A metric without a block form is rejected when a ladder is built
+or restored.  The store and those distances are never serialized; a
+restore replays the recent points into them.
 
 Most guesses of one ladder hold equal states, so its unit of state is the
 run: adjacent guesses, exponents ``lo..hi``, that share one ``GuessState``.
@@ -142,21 +144,11 @@ class _PointStore:
     stream has one point per arrival, and acquiring a different point under
     a held arrival (only a corrupt snapshot can) raises InvariantError.
 
-    ``row(p)`` reads p's distances to every slot in one block-form call the
-    first time it is asked for an arrival, and again only if another point
-    was filled since; filling p itself keeps the row, with 0.0 at p's slot.
+    ``rows(points)`` reads their distances to every slot in one block-form
+    call; the store keeps no distances.
     """
 
-    __slots__ = (
-        "metric",
-        "coords",
-        "points",
-        "refs",
-        "slot_of",
-        "free",
-        "_row",
-        "_row_point",
-    )
+    __slots__ = ("metric", "coords", "points", "refs", "slot_of", "free")
 
     def __init__(self, metric: Metric):
         self.metric = metric
@@ -165,8 +157,6 @@ class _PointStore:
         self.refs: list[int] = []
         self.slot_of: dict[int, int] = {}
         self.free: list[int] = []
-        self._row = np.empty(0)
-        self._row_point: Optional[Point] = None  # whose distances _row holds
 
     def acquire(self, p: Point) -> int:
         """p's slot, filled if p is not held yet; one more reference to it."""
@@ -194,11 +184,6 @@ class _PointStore:
         self.points[s] = p
         self.refs[s] = 1
         self.slot_of[p.arrival] = s
-        if self._row_point is p:  # the row's own point, at distance 0
-            self._row = np.append(self._row, 0.0) if s == len(self._row) else self._row
-            self._row[s] = 0.0
-        else:
-            self._row_point = None  # the row misses this slot
         return s
 
     def release(self, s: int) -> None:
@@ -219,16 +204,9 @@ class _PointStore:
     def live(self) -> int:
         return len(self.points) - len(self.free)
 
-    def row(self, p: Point) -> np.ndarray:
-        """metric(p, points[s]) at every filled slot s; a free slot holds
-        the distance to the point it last held."""
-        if self._row_point is not p:
-            self._row = self.rows([p])[0]
-            self._row_point = p
-        return self._row
-
     def rows(self, points: Sequence[Point]) -> np.ndarray:
-        """The len(points) x slots block of distances to every slot."""
+        """The len(points) x slots block of distances to every slot; a free
+        slot holds the distance to the point it last held."""
         xs = np.array([q.coords for q in points], dtype=float)
         ys = self.coords[: len(self.points)]
         if not len(ys):
@@ -281,23 +259,24 @@ class GuessState:
     per-step sweep O(1) regardless of how many orphans are held.
 
     Attraction points live in the ``_PointStore`` and bumps go through the
-    ``_BumpMemo`` that every state of one ladder shares.  ``slots`` holds
-    the store slots of the attraction points, in arrival order (which is
-    expiry order).
+    ``_BumpMemo`` that every state of one ladder shares (and that holds
+    ``lam``).  ``slots`` holds the store slots of the attraction points, in
+    arrival order (which is expiry order), and ``reps[i]`` the
+    representative of ``slots[i]`` with its histogram: the two are kept in
+    step, entry by entry.
     """
 
-    __slots__ = ("lo", "hi", "max_attractions", "orphan_cap", "window_len", "lam", "slots",
+    __slots__ = ("lo", "hi", "max_attractions", "orphan_cap", "window_len", "slots",
                  "reps", "orphans", "evicted", "_first_ts", "_store", "_bumps")
 
-    def __init__(self, lo: int, hi: int, max_attractions: int, window_len: int, lam: float,
+    def __init__(self, lo: int, hi: int, max_attractions: int, window_len: int,
                  store: _PointStore, bumps: _BumpMemo, orphan_cap: Optional[int] = None):
         self.lo, self.hi = lo, hi
         self.max_attractions = max_attractions
         self.orphan_cap = orphan_cap
         self.window_len = window_len
-        self.lam = lam
         self.slots = array("q")  # attraction points' store slots, oldest first (int64)
-        self.reps: dict[int, tuple[Point, Histogram]] = {}  # attraction arrival -> (rep, hist)
+        self.reps: list[tuple[Point, Histogram]] = []  # (rep, hist) of slots[i]
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
         self.evicted = 0
         self._first_ts: dict[int, int] = {}  # orphan hist first timestamp -> arrival
@@ -324,10 +303,9 @@ class GuessState:
         if hit < 0:
             self._insert(p)
             return None
-        a = self._store.points[self.slots[hit]].arrival
-        _, hist = self.reps[a]
-        self.reps[a] = (p, self._bumps.bump(hist, p.arrival))
-        return a
+        _, hist = self.reps[hit]
+        self.reps[hit] = (p, self._bumps.bump(hist, p.arrival))
+        return self._store.points[self.slots[hit]].arrival
 
     def sweep(self, t: int) -> None:
         """Expiry pass: attraction points first (their representatives become
@@ -337,7 +315,7 @@ class GuessState:
         stale = t - self.window_len
         points = self._store.points
         while self.slots and points[self.slots[0]].arrival <= stale:
-            rep, hist = self.reps.pop(self._pop_oldest())
+            rep, hist = self._pop_oldest()
             if rep.arrival > stale:
                 self._add_orphan(rep, hist)
         gone = self.orphans.pop(stale, None)
@@ -352,18 +330,17 @@ class GuessState:
             else:
                 del self.orphans[owner]
 
-    def _pop_oldest(self) -> int:
-        """Drop the oldest attraction point from the store; its arrival."""
-        s = self.slots.pop(0)
-        arrival = self._store.points[s].arrival
-        self._store.release(s)
-        return arrival
+    def _pop_oldest(self) -> tuple[Point, Histogram]:
+        """Drop the oldest attraction point, releasing its store slot; its
+        representative and histogram."""
+        self._store.release(self.slots.pop(0))
+        return self.reps.pop(0)
 
     def _insert(self, p: Point) -> None:
         self.slots.append(self._store.acquire(p))
-        self.reps[p.arrival] = (p, self._bumps.new(p.arrival))
+        self.reps.append((p, self._bumps.new(p.arrival)))
         if len(self.slots) > self.max_attractions:
-            self._add_orphan(*self.reps.pop(self._pop_oldest()))
+            self._add_orphan(*self._pop_oldest())
             self.evicted += 1
         if self.orphan_cap is None:
             if len(self.slots) > self.max_attractions - 1:
@@ -389,12 +366,12 @@ class GuessState:
         returned one holds e..hi with a copy of the content, which takes
         one more store reference per slot.  Points and histograms are
         values, so the copy shares them."""
-        upper = GuessState(e, self.hi, self.max_attractions, self.window_len, self.lam,
+        upper = GuessState(e, self.hi, self.max_attractions, self.window_len,
                            self._store, self._bumps, self.orphan_cap)
         self.hi = e - 1
         upper.slots = self.slots[:]
         self._store.share(upper.slots, 1)
-        upper.reps, upper.orphans = dict(self.reps), dict(self.orphans)
+        upper.reps, upper.orphans = self.reps[:], dict(self.orphans)
         upper._first_ts, upper.evicted = dict(self._first_ts), self.evicted
         return upper
 
@@ -407,19 +384,19 @@ class GuessState:
             self._add_orphan(rep, hist)
         else:
             self.slots.append(self._store.acquire(anchor))
-            self.reps[anchor.arrival] = (rep, hist)
+            self.reps.append((rep, hist))
 
     # -- inspection ----------------------------------------------------------
 
     def union_points(self) -> list[Point]:
         """Attractions, orphans and representatives, deduplicated, in storage order."""
         held = self.attractions + [q for q, _ in self.orphans.values()]
-        held += [q for q, _ in self.reps.values()]
+        held += [q for q, _ in self.reps]
         return list({q.arrival: q for q in held}.values())
 
     def coreset_points(self) -> list[tuple[Point, int]]:
         """Representatives and orphans with their estimated window counts."""
-        out = [(rep, weight_estimate(h)) for rep, h in self.reps.values()]
+        out = [(rep, weight_estimate(h)) for rep, h in self.reps]
         out.extend((r, weight_estimate(h)) for r, h in self.orphans.values())
         return out
 
@@ -427,7 +404,7 @@ class GuessState:
         return len(self.slots) + len(self.reps) + len(self.orphans)
 
     def histogram_entries(self) -> int:
-        return sum(len(h) for _, h in self.reps.values()) + sum(
+        return sum(len(h) for _, h in self.reps) + sum(
             len(h) for _, h in self.orphans.values()
         )
 
@@ -435,15 +412,15 @@ class GuessState:
         """Raise InvariantError unless the state is consistent at clock t,
         with attraction points pairwise farther apart than radius (the run's
         highest); the ladder that owns the store checks the store."""
-        window_len, lam = self.window_len, self.lam
+        window_len, lam = self.window_len, self._bumps.lam
         attrs = self.attractions
         n = len(attrs)
         if n > self.max_attractions:
             raise InvariantError(f"{n} attraction points, cap {self.max_attractions}")
         if any(a is None for a in attrs) or n != len({a.arrival for a in attrs}):
             raise InvariantError("attraction points repeat or sit in free slots")
-        if list(self.reps) != [a.arrival for a in attrs]:
-            raise InvariantError("not one representative per attraction point, in its order")
+        if len(self.reps) != n:
+            raise InvariantError(f"{len(self.reps)} representatives for {n} attraction points")
         for i in range(n):
             if attrs[i].arrival <= t - window_len:
                 raise InvariantError("stored expired attraction point")
@@ -459,8 +436,7 @@ class GuessState:
                 raise InvariantError(
                     f"attraction points {attrs[i].arrival},{attrs[j].arrival} too close"
                 )
-        for a in attrs:
-            rep, hist = self.reps[a.arrival]
+        for a, (rep, hist) in zip(attrs, self.reps):
             if not a.arrival <= rep.arrival <= t or rep.arrival <= t - window_len:
                 raise InvariantError(f"representative {rep.arrival} out of range")
             check_histogram(hist, window_len, lam)
@@ -483,8 +459,8 @@ class GuessState:
         return {
             "attractions": [_point_out(p) for p in self.attractions],
             "reps": [
-                [a, _point_out(rep), [list(e) for e in hist]]
-                for a, (rep, hist) in self.reps.items()
+                [a.arrival, _point_out(rep), [list(e) for e in hist]]
+                for a, (rep, hist) in zip(self.attractions, self.reps)
             ],
             "orphans": [
                 [_point_out(r), [list(e) for e in hist]]
@@ -494,12 +470,13 @@ class GuessState:
 
     def restore(self, data: dict) -> None:
         """Load a fresh state from a snapshot entry, placing its attraction
-        points in its store."""
-        self.slots = array("q", [self._store.acquire(_point_in(p)) for p in data["attractions"]])
-        self.reps = {
-            a: (_point_in(rep), [tuple(e) for e in hist])
-            for a, rep, hist in data["reps"]
-        }
+        points in its store.  Each reps entry names its attraction point's
+        arrival; InvariantError unless they name them all, in order."""
+        attrs = [_point_in(p) for p in data["attractions"]]
+        if [a for a, _, _ in data["reps"]] != [a.arrival for a in attrs]:
+            raise InvariantError("not one representative per attraction point, in its order")
+        self.slots = array("q", [self._store.acquire(a) for a in attrs])
+        self.reps = [(_point_in(rep), [tuple(e) for e in hist]) for _, rep, hist in data["reps"]]
         for r, hist in data["orphans"]:
             self._add_orphan(_point_in(r), [tuple(e) for e in hist])
 
@@ -625,8 +602,7 @@ class GuessLadder:
             self._radii[e] = self.attr_factor * self.guess_value(e)
         p = self.params
         m = p.k + p.z + 1 if self.cap is None else self.cap
-        return GuessState(lo, hi, m, p.window_len, p.lam, self._store, self._bumps,
-                          orphan_cap=self.cap)
+        return GuessState(lo, hi, m, p.window_len, self._store, self._bumps, orphan_cap=self.cap)
 
     @property
     def states(self) -> dict[int, "_GuessView"]:
@@ -656,38 +632,45 @@ class GuessLadder:
         mode lie within MAX_DISTANCE of it and keep the grid rule
         (``_estimates``); a rejected point leaves the ladder untouched.
 
-        The runs take p in one step (``_step``), read from p's store row,
-        and adjacent runs whose contents became equal are merged
-        (``_merge_runs``)."""
+        p's distances to the store are read once, in one row, before
+        anything changes; the runs take p in one step (``_step``) from that
+        row, and adjacent runs whose contents became equal are merged
+        (``_merge_runs``).  Until then only p itself takes a slot, in no
+        run, so the row serves every run, except on the arrival that
+        bootstraps: its replay may file warm-up points that have left the
+        recent ring, which the row misses, so the row is read again."""
         t = p.arrival
         if t != self.t + 1:
             raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
         if self.dim is not None and p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
+        row = self._store.rows([p])[0]
         oblivious = self.mode == "oblivious"
-        estimates = self._estimates(p) if oblivious else None
+        estimates = self._estimates(p, row) if oblivious else None
         self.dim = p.dim
         self.t = t
         if oblivious:
+            bootstrap = not self.bootstrapped
             self.maintain_oblivious_ladder(p, estimates)
             if not self.bootstrapped:
                 self.warmup.append(p)
                 return
+            if bootstrap:
+                row = self._store.rows([p])[0]
         runs = self._runs
-        got = self._step(runs, p, self._store.row(p))
+        got = self._step(runs, p, row)
         inserts = sum(st.hi - st.lo + 1 for st, a in zip(runs, got) if a is None)
         self._inserts += inserts
         self._captures += runs[-1].hi - runs[0].lo + 1 - inserts
         self._merge_runs(runs)
 
-    def _estimates(self, p: Point) -> tuple:
+    def _estimates(self, p: Point, row: np.ndarray) -> tuple:
         """The ring's closest-newer distances, d_t, D_t and the grid's ends
-        (None without a grid) after p, from p's store row, with nothing
-        changed; ValueError when p lies beyond MAX_DISTANCE or the grid
-        breaks the rule of ``_grid_bounds``."""
+        (None without a grid) after p, from row, p's distances to the store,
+        with nothing changed; ValueError when p lies beyond MAX_DISTANCE or
+        the grid breaks the rule of ``_grid_bounds``."""
         if self.first_point is None:
             return self._closest_newer, 0.0, 0.0, None
-        row = self._store.row(p)
         far = float(row[self._first_slot])
         if not far <= MAX_DISTANCE:
             raise ValueError(f"arrival {p.arrival} lies {far!r} from the first point, "
@@ -721,14 +704,14 @@ class GuessLadder:
 
         A run whose highest radius is below every distance in the row (free
         slots included, which only makes this rarer) holds no hit.  This
-        skips only on fixed-mode arrivals: an oblivious arrival or a
-        replayed point holds a slot, where its row reads 0.0.  The slots of
-        the other runs are gathered from the row into one flat array and
-        compared with each run's highest radius, and the first hit of each
-        run's segment is found by searchsorted over the segment starts.  A
-        hit position never grows with the radius, so the lowest guess agrees
-        exactly when that hit lies within its radius too; then every guess
-        between them agrees."""
+        skips on arrivals in both modes, whose row is read before they take
+        a slot, and never on a replayed point, which holds a slot where its
+        row reads 0.0.  The slots of the other runs are gathered from the
+        row into one flat array and compared with each run's highest radius,
+        and the first hit of each run's segment is found by searchsorted
+        over the segment starts.  A hit position never grows with the
+        radius, so the lowest guess agrees exactly when that hit lies within
+        its radius too; then every guess between them agrees."""
         closest = row.min(initial=math.inf)
         rad = self._radii
         highs = [rad[st.hi] for st in runs] if exps is None else [rad[e] for e in exps]
@@ -1085,8 +1068,9 @@ class GuessLadder:
         the cap policy it spells, or rejected if it spells neither.
 
         The restored ladder is verified with check_invariants; a snapshot
-        that is malformed or restores a broken state raises ValueError
-        ("corrupt ladder snapshot: ...").
+        that is malformed, holds settings the constructor refuses or
+        restores a broken state raises ValueError ("corrupt ladder
+        snapshot: ...").
         """
         _block_metric(metric)
         if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
@@ -1096,7 +1080,7 @@ class GuessLadder:
         try:
             ladder = cls._restore(snap, metric)
             ladder.check_invariants()
-        except (AssertionError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        except (AssertionError, KeyError, TypeError, IndexError, OverflowError, ValueError) as exc:
             raise ValueError(f"corrupt ladder snapshot: {exc!r}") from exc
         return ladder
 
@@ -1136,7 +1120,8 @@ class GuessLadder:
             if ladder.first_point is not None:
                 ladder._first_slot = ladder._store.acquire(ladder.first_point)
             for q in ladder.recent:  # the snapshot's d_t and D_t stand
-                ladder._closest_newer, _ = ladder._ring_closest(ladder._store.row(q), q.arrival)
+                row = ladder._store.rows([q])[0]
+                ladder._closest_newer, _ = ladder._ring_closest(row, q.arrival)
                 ladder._ring_slots[q.arrival % len(ladder._ring_slots)] = ladder._store.acquire(q)
         store = ladder._store  # any point it holds fixes the stream's dimension
         ladder.dim = store.coords.shape[1] if store.live() else None
@@ -1179,8 +1164,8 @@ class _GuessView:
 
 def _same_content(a: GuessState, b: GuessState) -> bool:
     """Whether two states hold equal contents, the cheapest checks first.
-    Representatives follow their attraction points' order, so equal slots
-    and equal dicts mean equal snapshots; orphans are compared in order."""
+    Representatives sit beside their slots, so equal slots and equal reps
+    mean equal snapshots; orphans are compared in order."""
     return (
         a.slots == b.slots
         and len(a.orphans) == len(b.orphans)

@@ -508,7 +508,9 @@ class FineCoresetState:
         same clock, and must have been fed one stream: in oblivious mode
         their distance estimates and warm-up are equal, and both hold the
         same point with the clock's arrival (``_newest``).  Anything else
-        raises ValueError."""
+        raises ValueError; a cfg, a ladder or a window length that is
+        refused on its own is reported as "corrupt effective-diameter
+        snapshot: ...", with the refusal."""
         if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not an effective-diameter snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
@@ -518,7 +520,7 @@ class FineCoresetState:
             val = GuessLadder.from_snapshot(snap["validation"])
             fine = GuessLadder.from_snapshot(snap["fine"])
             state = cls(cfg, val.params.window_len, val.mode, val.d_min, val.d_max)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt effective-diameter snapshot: {exc!r}") from exc
         for name, got, want in (("validation", val, state.validation), ("fine", fine, state.fine)):
             for attr in ("params", "mode", "d_min", "d_max", "attr_factor", "cap"):
@@ -547,5 +549,5 @@ def _newest(ladder: GuessLadder) -> set:
     if ladder.mode == "oblivious" and not ladder.bootstrapped:
         held = [list(ladder.warmup)[-1:]]
     else:
-        held = [[r for r, _ in st.reps.values()] for st in ladder.states.values()]
+        held = [[r for r, _ in st.reps] for st in ladder.states.values()]
     return {next((q for q in h if q.arrival == ladder.t), None) for h in held}

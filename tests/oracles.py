@@ -7,6 +7,7 @@ as possible with the structures under test.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -269,7 +270,8 @@ class LadderShadow:
         for e, st in self.ladder.states.items():
             attr = found.get(id(st.reps))
             if attr is None:
-                attr = next(a for a, (rep, _) in st.reps.items() if rep is p)
+                attr = next(a.arrival for a, (rep, _) in zip(st.attractions, st.reps)
+                            if rep is p)
                 found[id(st.reps)] = attr
             self.inserts += attr == p.arrival
             self.attractor_of[e][p.arrival] = attr
@@ -301,7 +303,7 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
 
     def new_state(lo: int, hi: int):
         st = make(lo, hi)
-        st._bumps = _BumpMemo(st.lam)
+        st._bumps = _BumpMemo(st._bumps.lam)
         return st
 
     def apart(runs: list) -> list:
@@ -335,6 +337,21 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     ladder._retarget = retargeted
     ladder._merge_runs = lambda runs: None
     return ladder
+
+
+def store_fields(ladder: GuessLadder) -> dict:
+    """Every field of the ladder's point store (``_PointStore.__slots__``),
+    as values that compare equal exactly when the fields are unchanged: an
+    array by shape, dtype and bytes, unfilled rows included; any other field
+    by a shallow copy (its points are immutable)."""
+    store = ladder._store
+    out = {}
+    for name in type(store).__slots__:
+        v = getattr(store, name)
+        if isinstance(v, np.ndarray):
+            v = (v.shape, v.dtype.str, v.tobytes())
+        out[name] = copy.copy(v)
+    return out
 
 
 def reference_first_within(st, p: Point, radius: float) -> int:

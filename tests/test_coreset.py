@@ -27,6 +27,7 @@ from oracles import (
     per_guess_search,
     reference_first_within,
     reference_qualifies,
+    store_fields,
     stream_extremes,
     unshared,
 )
@@ -39,7 +40,7 @@ def pt(arrival, *coords):
 def lone_state(max_attractions, window_len, orphan_cap=None):
     """A run of one guess outside any ladder, with a point store and a memo
     of its own."""
-    return GuessState(0, 0, max_attractions, window_len, 0.5,
+    return GuessState(0, 0, max_attractions, window_len,
                       _PointStore(dist), _BumpMemo(0.5), orphan_cap)
 
 
@@ -56,8 +57,8 @@ class TestGuessState:
         step(st, pt(1, 0), 2.0)
         step(st, pt(2, 5), 2.0)
         assert [a.coords for a in st.attractions] == [(0.0,), (5.0,)]
-        for a in st.attractions:
-            rep, hist = st.reps[a.arrival]
+        assert len(st.reps) == len(st.attractions)
+        for a, (rep, hist) in zip(st.attractions, st.reps):
             assert rep is a and hist == [(a.arrival, 1)]
 
     def test_close_point_becomes_representative(self):
@@ -66,7 +67,7 @@ class TestGuessState:
         captured = step(st, pt(2, 1), 2.0)
         assert captured == 1
         assert [a.coords for a in st.attractions] == [(0.0,)]
-        rep, hist = st.reps[1]
+        rep, hist = st.reps[0]  # the representative of the attraction point at 1
         assert rep.coords == (1.0,)
         assert hist == [(1, 2), (2, 1)]
 
@@ -486,12 +487,12 @@ class TestDistanceDomain:
         for i in range(20):
             scale = 1e-300 if i % 2 == 0 else 1e300
             p = Point(lad.t + 1, tuple(map(float, scale * (1.0 + rng.random(2)))))
-            before = lad.to_snapshot()
+            before, store = lad.to_snapshot(), store_fields(lad)
             try:
                 lad.process_point(p)
             except ValueError as exc:
                 assert "from the first point" in str(exc)
-                assert lad.to_snapshot() == before
+                assert lad.to_snapshot() == before and store_fields(lad) == store
             else:
                 accepted.append(p)
             lad.check_invariants()
@@ -504,10 +505,14 @@ class TestDistanceDomain:
         lad = GuessLadder(StreamParams(10, 1, 1, 0.5, 0.5), "oblivious")
         lad.process_point(pt(1, 0, 0))
         lad.process_point(pt(2, 1, 0))
-        before = lad.to_snapshot()
-        with pytest.raises(ValueError, match="from the first point"):
-            lad.process_point(pt(3, 1e200, 0))
-        assert lad.to_snapshot() == before
+        before, store = lad.to_snapshot(), store_fields(lad)
+        # and the two refusals made before any distance is read; none
+        # leaves a trace, in the snapshot or in any field of the store
+        for p, match in ((pt(3, 1e200, 0), "from the first point"),
+                         (pt(4, 2, 0), "out-of-order"), (pt(3, 2, 0, 0), "dimension")):
+            with pytest.raises(ValueError, match=match):
+                lad.process_point(p)
+            assert lad.to_snapshot() == before and store_fields(lad) == store
         lad.process_point(pt(3, 2, 0))
         assert compute_solution(lad).uncovered_weight <= 1
 
@@ -532,23 +537,29 @@ class TestDistanceDomain:
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 1e-5), "oblivious")
         for t in range(1, 6):
             lad.process_point(pt(t, t / 10.0, 0))
-        before = lad.to_snapshot()
+        before, store = lad.to_snapshot(), store_fields(lad)
         with pytest.raises(ValueError, match="oblivious grid would hold 527816 guesses"):
             lad.process_point(pt(6, 5.0, 0))
         assert lad.to_snapshot() == before and not lad.bootstrapped
+        assert store_fields(lad) == store
         lad.check_invariants()
 
+    @pytest.mark.parametrize("mode", ["oblivious", "fixed"])
     @pytest.mark.parametrize("metric", [dist, manhattan], ids=["dist", "manhattan"])
-    def test_an_arrival_reads_one_block_row_and_no_scalar_distance(self, metric):
+    def test_an_arrival_reads_one_block_row_and_no_scalar_distance(self, metric, mode):
         counted, calls = _counted(metric)
-        lad = GuessLadder(StreamParams(40, 2, 1, 0.5, 0.5), "oblivious", metric=counted)
+        stream = make_stream(np.random.default_rng(127), 200, 2)
+        bounds = stream_extremes(stream, metric) if mode == "fixed" else ()
+        lad = GuessLadder(StreamParams(40, 2, 1, 0.5, 0.5), mode, *bounds, metric=counted)
         steady = 0  # arrivals after the bootstrap that left the grid as it was
-        for p in make_stream(np.random.default_rng(127), 200, 2):
+        for p in stream:
             grid = lad.exponents()
             calls.update(scalar=0, pairwise=0)
             lad.process_point(p)
             assert calls["scalar"] == 0
-            if lad.bootstrapped and lad.exponents() == grid:
+            # the first arrival finds an empty store and reads no distance
+            built = mode == "fixed" or lad.bootstrapped
+            if built and p.arrival > 1 and lad.exponents() == grid:
                 assert calls["pairwise"] == 1
                 steady += 1
         assert steady > 50
@@ -727,6 +738,19 @@ def _overflow_an_exponent(snap, t, window_len):
     snap["states"][0]["exponent"] = 10**6  # (1 + beta) ** e overflows a float
 
 
+def _shrink_beta(snap, t, window_len):
+    snap["params"]["beta"] = 5e-6  # no oblivious grid fits MAX_GRID_LEN
+
+
+def _zero_k(snap, t, window_len):
+    snap["params"]["k"] = 0
+
+
+def _spell_no_cap_policy(snap, t, window_len):
+    snap["config"] = {"attr_factor": 2.0, "max_attractions": 5, "prune_orphans": False,
+                      "orphan_cap": None}
+
+
 class TestSnapshotVerification:
     """from_snapshot verifies what it restored: a JSON round-trip of a
     corrupted snapshot fails loudly instead of yielding a broken ladder."""
@@ -745,6 +769,9 @@ class TestSnapshotVerification:
             _split_a_point,  # two different points with one arrival
             _drop_a_middle_guess,  # a gap in the grid
             _overflow_an_exponent,
+            _shrink_beta,  # settings the constructor refuses
+            _zero_k,  # settings StreamParams refuses
+            _spell_no_cap_policy,  # older capacity fields that spell no cap
         ],
         ids=lambda f: "valid" if f is None else f.__name__.strip("_"),
     )
@@ -936,7 +963,7 @@ def _shared_lists(ladder: GuessLadder) -> int:
     ladder; the guesses of one run hold its lists once."""
     holders: dict[int, set] = {}
     for st in ladder._runs:
-        for _, h in [*st.reps.values(), *st.orphans.values()]:
+        for _, h in [*st.reps, *st.orphans.values()]:
             holders.setdefault(id(h), set()).add(st.lo)
     return sum(len(es) > 1 for es in holders.values())
 
@@ -1003,11 +1030,11 @@ class TestBumpMemo:
         for p in (pt(2, 0.1), pt(3, 50.0)):
             step(a, p, 2.0)
             step(b, p, 2.0)
-        held = b.reps[1][1]
+        held = b.reps[0][1]  # the histogram of b's attraction point at 1
         assert a.orphans[2][1] is held == [(1, 2), (2, 1)]
         a.sweep(6)  # timestamp 1 leaves a's window
         assert a.orphans[2][1] == [(2, 1)]
-        assert b.reps[1][1] is held == [(1, 2), (2, 1)]
+        assert b.reps[0][1] is held == [(1, 2), (2, 1)]
         a.check_invariants(6, 2.0)
 
     def test_most_captures_reuse_a_trim(self, monkeypatch):
@@ -1262,21 +1289,6 @@ class TestPointStore:
         assert shadow.attractor_of[0] == {1: 1, 2: 1}
         shadow.ladder.check_invariants()
 
-    def test_filing_the_rows_own_point_keeps_the_row(self):
-        # an arrival's row is read before the point takes a slot; filing
-        # the point then keeps the row, which reads 0.0 at the new slot
-        counted, calls = _counted(dist)
-        store = _PointStore(counted)
-        for t in (1, 2):
-            store.acquire(pt(t, t, 0))
-        store.release(store.slot_of[1])
-        for p in (pt(3, 3, 4), pt(4, 0, 1)):  # into the free slot, then a new one
-            store.row(p)
-            store.acquire(p)
-            reads = calls["pairwise"]
-            assert store.row(p).tolist() == store.rows([p])[0].tolist()
-            assert calls["pairwise"] == reads + 1  # the fresh block read alone
-
     def test_a_tie_at_a_ladder_radius_survives_a_snapshot(self):
         a, b, _ = _block_tie(np.random.default_rng(103), radius=2.0)
         lad = GuessLadder(StreamParams(10, 1, 1, 0.5, 0.5), "fixed", 1.0, 4.0)
@@ -1308,7 +1320,8 @@ class TestPointStore:
             if mode == "oblivious":  # the first point holds a slot for good
                 held.update([lad.first_point, *lad.recent])
             # p is now each guess's newest attraction point or representative
-            new = sum(p.arrival in st.reps for st in lad.states.values())
+            new = sum(p.arrival in [a.arrival for a in st.attractions]
+                      for st in lad.states.values())
             inserts += new
             captures += len(lad.states) - new
             assert stats == {
@@ -1450,3 +1463,17 @@ class TestPointStore:
             rng, [state.validation, state.fine], stream, metric
         )
         state.estimate()
+
+    def test_a_late_bootstrap_matches_per_guess_search(self):
+        # consecutive points 1e-162 apart read as duplicates in the block
+        # form, so d_t stays 0 and the warm-up outlasts the window, while
+        # points two apart read apart: the bootstrap's replay keeps attraction
+        # points that were not in the store when the arrival's row was read
+        rng = np.random.default_rng(3300)
+        lad = GuessLadder(StreamParams(20, 1, 0, 0.5, 0.5), "oblivious")
+        for t in range(1, 31):
+            lad.process_point(pt(t, t * 1e-162))
+        assert not lad.bootstrapped and lad.d_t == 0.0
+        stream = [pt(31, 33e-162)]
+        stream += [pt(t, 40e-162 * rng.normal()) for t in range(32, 60)]
+        self._lockstep(rng, [lad], stream, dist)

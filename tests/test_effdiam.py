@@ -687,8 +687,8 @@ class TestFineState:
         state.process_point(Point(1, (2.0, 2.0)))
         state.process_point(Point(2, (2.0, 2.0)))
         for st in state.fine.states.values():
-            assert len(st.attractions) == 1
-            rep, hist = st.reps[1]
+            assert [a.arrival for a in st.attractions] == [1]
+            rep, hist = st.reps[0]
             assert rep.arrival == 2
             assert hist == [(1, 2), (2, 1)]
 
@@ -937,21 +937,28 @@ class TestRestart:
             (lambda s: s.pop("fine"), "corrupt effective-diameter snapshot"),
             (lambda s: s["config"].update(delta=1), "corrupt effective-diameter snapshot"),
             (lambda s: s["config"].update(alpha=1.5), "alpha"),
+            (lambda s: s["config"].update(alpha=2.0), "corrupt effective-diameter snapshot"),
             (lambda s: s["config"].update(fine_cap=255), "fine ladder's cap"),
             (lambda s: s["config"].update(eta=0.1), "fine ladder's attr_factor"),
             (lambda s: s["config"].update(lam=0.25), "ladder's params"),
             (lambda s: s["fine"]["states"].pop(), "corrupt ladder snapshot"),
             (lambda s: s["fine"]["states"][0].update(exponent=10**6), "corrupt ladder snapshot"),
+            (lambda s: s["fine"]["params"].update(k=0), "corrupt ladder snapshot"),
+            (lambda s: s["validation"]["params"].update(beta=5e-6), "corrupt ladder snapshot"),
+            (lambda s: [s[side]["params"].update(window_len=MAX_WINDOW_LEN + 1)
+                        for side in ("validation", "fine")],
+             "corrupt effective-diameter snapshot"),
             (lambda s: s.update(validation=None), "not a ladder snapshot"),
             (lambda s: s.update(fine=[]), "not a ladder snapshot"),
             (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
             (lambda s: TestRestart._splice(s, "fixed"), "ladders fed different streams"),
             (lambda s: TestRestart._splice(s, "oblivious"), "ladders fed different streams"),
         ],
-        ids=["format", "version", "no_fine", "unknown_config", "bad_config", "cap",
-             "attr_factor", "lam", "broken_ladder", "overflowing_fine_exponent",
-             "validation_none", "fine_list", "validation_twice", "spliced_fixed",
-             "spliced_oblivious"],
+        ids=["format", "version", "no_fine", "unknown_config", "bad_config",
+             "config_refused", "cap", "attr_factor", "lam", "broken_ladder",
+             "overflowing_fine_exponent", "params_refused", "grid_refused",
+             "window_refused", "validation_none", "fine_list", "validation_twice",
+             "spliced_fixed", "spliced_oblivious"],
     )
     def test_a_corrupt_or_mismatched_snapshot_raises(self, corrupt, match):
         _, snap = self._snapshot()

@@ -9,7 +9,8 @@ ladders step every guess on their own (``oracles.unshared``), and is
 restarted from its JSON snapshot at a few random steps.  After every step:
 
 * a rejected point raises ValueError in both and leaves ``to_snapshot()``
-  as it was;
+  and every field of each ladder's point store as they were, and so does
+  the point offered out of order before each step;
 * the engine's snapshot equals the twin's;
 * every ladder's ``check_invariants`` holds;
 * a restart keeps the runs the writer held.
@@ -28,7 +29,7 @@ from streamkc.coreset import MAX_DISTANCE, GuessLadder
 from streamkc.effdiam import EffDiameterConfig, FineCoresetState
 from streamkc.solver import compute_solution
 
-from oracles import unshared
+from oracles import store_fields, unshared
 
 
 def edge_rows(rng: np.random.Generator, n: int, dim: int, beta: float) -> list[tuple]:
@@ -95,11 +96,16 @@ def _fuzz(rng, engine, twin, rows) -> tuple[object, int]:
             assert [lad.stats()["runs"] for lad in _ladders(engine)] == runs
             assert engine.to_snapshot() == before
         p = Point(engine.t + 1, row)
+        stores = [store_fields(lad) for lad in _ladders(engine)]
+        with pytest.raises(ValueError, match="out-of-order"):
+            engine.process_point(Point(p.arrival + 1, row))
+        assert [store_fields(lad) for lad in _ladders(engine)] == stores
         try:
             engine.process_point(p)
         except ValueError:
             rejected += 1
             assert engine.to_snapshot() == before
+            assert [store_fields(lad) for lad in _ladders(engine)] == stores
             with pytest.raises(ValueError):
                 twin.process_point(p)
         else:
