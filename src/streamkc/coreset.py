@@ -9,10 +9,11 @@ Each radius guess keeps three small sets of active points, in a
 * orphans: representatives whose attraction point expired or was evicted.
 
 A ``GuessLadder`` maintains these states over a geometric grid of guesses
-``(1 + beta) ** i``.  In *fixed* mode the grid is pinned to user-supplied
-distance bounds; in *oblivious* mode it tracks running estimates derived
-from the first stream point and the most recent ``k + z + 1`` points, so no
-prior knowledge of the data's distance scale is needed.
+``(1 + beta) ** i``, built and moved by one path, a retarget.  In *fixed*
+mode the grid is pinned to user-supplied distance bounds; in *oblivious*
+mode it tracks running estimates derived from the first stream point and
+the most recent ``k + z + 1`` points, so no prior knowledge of the data's
+distance scale is needed: the first grid is a retarget from none.
 
 Each setting is bound once: the ladder hands the window length and its
 ``cap`` policy to every state it creates, and ``lam`` and the metric reach
@@ -42,11 +43,12 @@ A guess's value and radius come from its exponent, and its evictions from a
 ladder-level mapping.  Arrivals and replays change runs by one step: the
 ladder sweeps each run once, probes its hit at its lowest and its highest
 radius, splits it only where the two differ, steps it once and merges
-adjacent runs whose contents became equal.  A replay (the bootstrap's
-warm-up, a retarget's recent points) starts from one empty run of all the
-guesses it builds.  Sharing is exact: the sweep reads the content alone, a
-hit position never grows with the radius, so equal probes mean the whole
-run agrees, and equal contents that get equal hits take equal steps.
+adjacent runs whose contents became equal.  A retarget's replay (of the
+warm-up from no grid, else of the recent points) starts from one empty run
+of all the guesses it builds.  Sharing is exact: the sweep reads the
+content alone, a hit position never grows with the radius, so equal probes
+mean the whole run agrees, and equal contents that get equal hits take
+equal steps.
 ``ladder.states`` maps each exponent to a read view of its guess.
 
 Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
@@ -355,10 +357,10 @@ class GuessState:
             self.evicted += 1
 
     def _add_orphan(self, rep: Point, hist: Histogram) -> None:
-        assert rep.arrival not in self.orphans
-        self.orphans[rep.arrival] = (rep, hist)
         ts = hist[0][0]
-        assert ts not in self._first_ts, "duplicate leading histogram timestamp"
+        if rep.arrival in self.orphans or ts in self._first_ts:
+            raise InvariantError(f"orphan {rep.arrival} or its timestamp {ts} is filed twice")
+        self.orphans[rep.arrival] = (rep, hist)
         self._first_ts[ts] = rep.arrival
 
     def split(self, e: int) -> "GuessState":
@@ -494,8 +496,9 @@ class GuessLadder:
 
     mode "fixed" requires d_min and d_max bracketing the stream's pairwise
     distances; mode "oblivious" discovers the needed grid on the fly.  Both
-    build their grid by one rule (``_grid_bounds``).  A single instance is
-    single-writer; reads are safe once no update runs.
+    build their grid by one rule (``_grid_bounds``) and one path
+    (``_retarget``), and read from it whether it exists (``bootstrapped``).
+    A single instance is single-writer; reads are safe once no update runs.
 
     cap sets each state's capacity policy.  None keeps k + z + 1 attraction
     points and prunes orphans that can no longer reach a coreset; an integer
@@ -539,7 +542,6 @@ class GuessLadder:
         self.dim: Optional[int] = None  # fixed by the first point
         self._runs: list[GuessState] = []
         self._evictions: Counter = Counter()  # exponent -> evictions less its run's
-        self._radii: dict[int, float] = {}  # exponent -> attraction radius, on the grid
         self._captures = 0  # per guess, on arrivals
         self._inserts = 0
         self.d_min = d_min
@@ -547,7 +549,7 @@ class GuessLadder:
         if mode == "fixed":
             if d_min is None or d_max is None or not 0 < d_min <= d_max < math.inf:
                 raise ValueError("fixed mode requires 0 < d_min <= d_max < inf")
-            self._runs = [self._new_state(*self._grid_bounds(d_min / 2.0, d_max))]
+            self._retarget([], 0, *self._grid_bounds(d_min / 2.0, d_max))
         else:
             self._grid_bounds(1.0, 2.0)  # every grid spans a factor 2 at least (d_t <= 2 D_t)
             self.first_point: Optional[Point] = None
@@ -560,12 +562,19 @@ class GuessLadder:
             self.D_t = 0.0
             # arrivals are consecutive, so the last N points are the window
             self.warmup: deque[Point] = deque(maxlen=params.window_len)
-            self.bootstrapped = False
+
+    @property
+    def bootstrapped(self) -> bool:
+        """Whether the grid exists, read from the runs in oblivious mode."""
+        return self.mode == "fixed" or bool(self._runs)
 
     # -- grid helpers --------------------------------------------------------
 
     def guess_value(self, exponent: int) -> float:
         return (1.0 + self.params.beta) ** exponent
+
+    def _radius(self, exponent: int) -> float:
+        return self.attr_factor * self.guess_value(exponent)
 
     def _exp_floor(self, x: float) -> int:
         """Largest e with (1+beta)^e <= x, robust to log rounding."""
@@ -598,8 +607,6 @@ class GuessLadder:
 
     def _new_state(self, lo: int, hi: int) -> GuessState:
         """An empty run of the guesses lo..hi."""
-        for e in range(lo, hi + 1):
-            self._radii[e] = self.attr_factor * self.guess_value(e)
         p = self.params
         m = p.k + p.z + 1 if self.cap is None else self.cap
         return GuessState(lo, hi, m, p.window_len, self._store, self._bumps, orphan_cap=self.cap)
@@ -713,8 +720,8 @@ class GuessLadder:
         radius, so the lowest guess agrees exactly when that hit lies within
         its radius too; then every guess between them agrees."""
         closest = row.min(initial=math.inf)
-        rad = self._radii
-        highs = [rad[st.hi] for st in runs] if exps is None else [rad[e] for e in exps]
+        rad = self._radius
+        highs = [rad(st.hi) for st in runs] if exps is None else [rad(e) for e in exps]
         hits: list[Optional[int]] = [-1] * len(runs)
         near = [j for j, r in enumerate(highs) if r >= closest]
         if not near:
@@ -730,7 +737,7 @@ class GuessLadder:
             # the first hit at or after each segment start; "clip" reads the
             # last hit, which lies before the start, where there is none
             first = within.take(within.searchsorted(bounds[:-1]), mode="clip")
-            lowest = radii if exps else np.array([rad[runs[j].lo] for j in near])
+            lowest = radii if exps else np.array([rad(runs[j].lo) for j in near])
             agree = (near_row[first] <= lowest).tolist()
             for j, f, s, e, a in zip(near, first.tolist(), bounds, bounds[1:], agree):
                 if s <= f < e:
@@ -776,23 +783,22 @@ class GuessLadder:
 
     def maintain_oblivious_ladder(self, p: Point, estimates: tuple) -> None:
         """Take on the distance estimates and grid bounds ``_estimates``
-        checked, and retarget the grid before p is handed to the runs.
-        Called by process_point exactly once per arrival; do not invoke
-        separately when feeding through it."""
+        checked, and retarget the grid, replaying the warm-up (then cleared)
+        or the recent points, before p is handed to the runs.  Called by
+        process_point once per arrival; never call it on its own."""
         self._closest_newer, self.d_t, self.D_t, bounds = estimates
         if self.first_point is None:
             self.first_point = p
             self._first_slot = self._store.acquire(p)
-        prev_recent = list(self.recent)
+        replay = list(self.recent) if self.bootstrapped else self.warmup
         self.recent.append(p)
         pos = p.arrival % len(self._ring_slots)
         leaving = int(self._ring_slots[pos])
         self._ring_slots[pos] = self._store.acquire(p)
-        if self.bootstrapped:
-            self._retarget(prev_recent, p.arrival, *bounds)
-        elif bounds is not None:
-            self._bootstrap(*bounds)
-        if leaving >= 0:  # kept in the store for the replays of prev_recent
+        if bounds is not None:
+            self._retarget(replay, p.arrival, *bounds)
+            self.warmup.clear()
+        if leaving >= 0:  # kept in the store for the replays of the recent points
             self._store.release(leaving)
 
     def _ring_closest(self, row: np.ndarray, t: int) -> tuple[np.ndarray, float]:
@@ -810,34 +816,30 @@ class GuessLadder:
         low = float(closest.min())
         return closest, (low if low < math.inf else 0.0)
 
-    def _bootstrap(self, lo: int, hi: int) -> None:
-        """First grid construction: one replay of the buffered prefix."""
-        self._runs = self._replayed_runs(lo, hi, self.warmup)
-        self.bootstrapped = True
-        self.warmup.clear()
-
-    def _retarget(self, prev_recent: list[Point], t: int, lo: int, hi: int) -> None:
+    def _retarget(self, points: Sequence[Point], t: int, lo: int, hi: int) -> None:
+        """Move the grid to lo..hi before arrival t, building guesses added
+        below it by one replay of points.  No runs read as the empty grid
+        (hi + 1)..hi: the fixed grid replays no points, the bootstrap the warm-up."""
         runs = self._runs
-        old_lo, old_hi = runs[0].lo, runs[-1].hi
+        old_lo, old_hi = (runs[0].lo, runs[-1].hi) if runs else (hi + 1, hi)
         # D_t never falls, so neither does hi: guesses leave from the bottom,
         # and a run left empty drops its store references
         for e in range(old_lo, min(lo, old_hi + 1)):
             self._evictions.pop(e, None)
-            del self._radii[e]
         while runs and runs[0].hi < lo:
             for s in runs.pop(0).slots:
                 self._store.release(s)
         if runs:
             runs[0].lo = max(runs[0].lo, lo)
-        # the recent points are mutually farther than twice each guess added
-        # below, so replaying just them is what a fresh run would store
+        # the warm-up, or the recent points, mutually farther than twice each
+        # guess added below: replaying them is what a fresh run would store
         if lo < old_lo:
-            runs[:0] = self._replayed_runs(lo, old_lo - 1, prev_recent)
+            runs[:0] = self._replayed_runs(lo, old_lo - 1, points)
         top = max(old_hi + 1, lo)  # the lowest guess above the previous grid
         if top > hi:
             return
         if self.attr_factor < 2.0:
-            runs += self._replayed_runs(top, hi, prev_recent)
+            runs += self._replayed_runs(top, hi, points)
             return
         # Above the grid, all prior points lie within twice each new guess of
         # each other, so a from-scratch run holds one attraction point whose
@@ -850,7 +852,7 @@ class GuessLadder:
         st = self._new_state(top, hi)
         N = self.params.window_len
         hist = synthetic_full_window(t, min(N, t - 1), self.params.lam)
-        st.seed(self.first_point if t - 1 < N else None, prev_recent[-1], hist)
+        st.seed(self.first_point if t - 1 < N else None, points[-1], hist)
         runs.append(st)
 
     def _replayed_runs(self, lo: int, hi: int, points: Sequence[Point]) -> list[GuessState]:
@@ -913,7 +915,7 @@ class GuessLadder:
     def extract_coreset(self) -> WeightedCoreset:
         """Weighted coreset for the current window: representatives and
         orphans of the smallest qualifying guess."""
-        if self.mode == "oblivious" and not self.bootstrapped:
+        if not self.bootstrapped:
             return self.warmup_coreset()
         return self.coreset_at(self.selected_exponent())
 
@@ -937,9 +939,7 @@ class GuessLadder:
     def stored_points(self) -> int:
         n = sum(st.stored_points() * (st.hi - st.lo + 1) for st in self._runs)
         if self.mode == "oblivious":
-            n += (0 if self.first_point is None else 1) + len(self.recent)
-            if not self.bootstrapped:
-                n += len(self.warmup)
+            n += (0 if self.first_point is None else 1) + len(self.recent) + len(self.warmup)
         return n
 
     def histogram_entries(self) -> int:
@@ -973,22 +973,34 @@ class GuessLadder:
 
     def check_invariants(self) -> None:
         """Every run's invariants, at its highest radius, plus the
-        ladder-wide ones: the runs cut exactly the exponent range the mode
-        implies, and evictions are kept for its guesses alone; in oblivious
-        mode the recent points are the last arrivals, each in its ring slot,
-        and d_t and D_t agree with the points they are derived from; the
-        store holds what the runs and the ring reference.  The first that
+        ladder-wide ones: the clock is an arrival count; the runs cut
+        exactly the exponent range the mode implies, and evictions are kept
+        for its guesses alone; in oblivious mode the recent points are the
+        last arrivals, each in its ring slot, the warm-up holds the window's
+        points, ending with the recent ones, until the bootstrap and none
+        after it, and d_t and D_t agree with the points they are derived
+        from; the store holds what the runs and the ring reference; and one
+        point stands for the clock's arrival (``newest``).  The first that
         fails raises InvariantError.
 
         d_t and D_t are compared with a relative tolerance of 1e-9, since a
         snapshot written before they came from the metric's block form holds
         the scalar form's value, which may differ in the last bits."""
+        t = self.t
+        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+            raise InvariantError(f"the clock {t!r} is not a count of arrivals")
         holders: Counter = Counter()
         if self.mode == "oblivious":
             slots = self._ring_slots.tolist()
             m, points = len(slots), self._store.points
-            if [q.arrival for q in self.recent] != list(range(max(1, self.t - m + 1), self.t + 1)):
+            if [q.arrival for q in self.recent] != list(range(max(1, t - m + 1), t + 1)):
                 raise InvariantError("recent points are not the last arrivals")
+            N, ring = self.params.window_len, {q.arrival: q for q in self.recent}
+            if [q.arrival for q in self.warmup] != (
+                [] if self.bootstrapped else list(range(max(1, t - N + 1), t + 1))
+            ) or any(ring.get(q.arrival, q) != q for q in self.warmup):
+                raise InvariantError("the warm-up is not the window ending with the recent "
+                                     "points before the bootstrap, or not empty after it")
             held = [slots[q.arrival % m] for q in self.recent]
             if sum(s >= 0 for s in slots) != len(held) or any(
                 not 0 <= s < len(points) or points[s] != q for s, q in zip(held, self.recent)
@@ -1012,19 +1024,34 @@ class GuessLadder:
         # no oblivious grid exists before the bootstrap, which needs positive d_t and D_t
         fixed = self.mode == "fixed"
         low, high = (self.d_min / 2.0, self.d_max) if fixed else (self.d_t / 2.0, 2.0 * self.D_t)
-        built = fixed or self.bootstrapped
-        lo, hi = self._grid_bounds(low, high, InvariantError) if built else (0, -1)
+        lo, hi = self._grid_bounds(low, high, InvariantError) if self.bootstrapped else (0, -1)
         runs = self._runs
         grid = [e for st in runs for e in range(st.lo, st.hi + 1)]
         if any(st.lo > st.hi for st in runs) or grid != list(range(lo, hi + 1)):
             raise InvariantError(f"runs {[(st.lo, st.hi) for st in runs]} do not cut [{lo}, {hi}]")
-        if not self._evictions.keys() <= set(grid) or self._radii.keys() != set(grid):
-            raise InvariantError("evictions or radii are kept for a guess off the grid")
+        if not self._evictions.keys() <= set(grid):
+            raise InvariantError("evictions are kept for a guess off the grid")
         for st in runs:
             holders.update(st.slots)
         self._store.check(holders)
         for st in runs:
-            st.check_invariants(self.t, self._radii[st.hi])
+            st.check_invariants(t, self._radius(st.hi))
+        self.newest()
+
+    def newest(self) -> Optional[Point]:
+        """The point that arrived at t, which every guess holds as a
+        representative (before the bootstrap, the warm-up's last point), or
+        None at t = 0; InvariantError unless exactly one such point is held."""
+        if not self.t:
+            return None
+        if self.bootstrapped:
+            held = [[r for r, _ in st.reps] for st in self._runs]
+        else:
+            held = [[self.warmup[-1]] if self.warmup else []]
+        found = {next((q for q in h if q.arrival == self.t), None) for h in held}
+        if len(found) != 1 or None in found:
+            raise InvariantError(f"not one point of arrival {self.t} stands for every guess")
+        return found.pop()
 
     # -- snapshots -------------------------------------------------------------
 
@@ -1098,7 +1125,7 @@ class GuessLadder:
             cap=cfg["cap"] if "cap" in cfg else _legacy_cap(cfg, params),
         )
         ladder.t = snap["t"]
-        ladder._runs, ladder._radii = [], {}
+        ladder._runs = []
         for entry in snap["states"]:
             st = ladder._new_state(entry["exponent"], entry["exponent"])
             st.restore(entry)
@@ -1115,7 +1142,8 @@ class GuessLadder:
             )
             ladder.d_t = ob["d_t"]
             ladder.D_t = ob["D_t"]
-            ladder.bootstrapped = ob["bootstrapped"]
+            if ob["bootstrapped"] is not ladder.bootstrapped:
+                raise InvariantError("the bootstrapped field disagrees with the states")
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
             if ladder.first_point is not None:
                 ladder._first_slot = ladder._store.acquire(ladder.first_point)
@@ -1152,7 +1180,7 @@ class _GuessView:
 
     @property
     def attr_radius(self) -> float:
-        return self._ladder._radii[self.exponent]
+        return self._ladder._radius(self.exponent)
 
     @property
     def evictions(self) -> int:

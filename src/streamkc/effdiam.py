@@ -432,7 +432,7 @@ class FineCoresetState:
         """Fine coreset at the validation-selected guess, plus whether that
         fine state ever overflowed its cap."""
         val = self.validation
-        if val.mode == "oblivious" and not val.bootstrapped:
+        if not val.bootstrapped:
             return val.warmup_coreset(), False
         e = val.selected_exponent()
         if e not in self.fine.exponents():
@@ -507,10 +507,10 @@ class FineCoresetState:
         bounds, and the fine ladder's attr_factor and cap from cfg), on the
         same clock, and must have been fed one stream: in oblivious mode
         their distance estimates and warm-up are equal, and both hold the
-        same point with the clock's arrival (``_newest``).  Anything else
-        raises ValueError; a cfg, a ladder or a window length that is
-        refused on its own is reported as "corrupt effective-diameter
-        snapshot: ...", with the refusal."""
+        same newest point (``GuessLadder.newest``).  Anything else raises
+        ValueError; a cfg, a ladder or a window length that is refused on
+        its own is reported as "corrupt effective-diameter snapshot: ...",
+        with the refusal."""
         if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not an effective-diameter snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
@@ -533,21 +533,9 @@ class FineCoresetState:
             raise ValueError(
                 f"corrupt effective-diameter snapshot: clocks {val.t} and {fine.t} differ"
             )
-        newest = _newest(val) | _newest(fine)
         if snap["validation"].get("oblivious") != snap["fine"].get("oblivious") or (
-            val.t and (len(newest) != 1 or None in newest)
+            val.newest() != fine.newest()
         ):
             raise ValueError("corrupt effective-diameter snapshot: ladders fed different streams")
         state.validation, state.fine = val, fine
         return state
-
-
-def _newest(ladder: GuessLadder) -> set:
-    """The points with arrival t that the ladder holds: the last warm-up
-    point before the bootstrap, else each guess's representative with that
-    arrival (None for a guess without one)."""
-    if ladder.mode == "oblivious" and not ladder.bootstrapped:
-        held = [list(ladder.warmup)[-1:]]
-    else:
-        held = [[r for r, _ in st.reps] for st in ladder.states.values()]
-    return {next((q for q in h if q.arrival == ladder.t), None) for h in held}

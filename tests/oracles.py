@@ -8,11 +8,16 @@ as possible with the structures under test.
 from __future__ import annotations
 
 import copy
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+import streamkc
 from streamkc.core import Point, StreamParams, WindowView, _distances, _extremes, dist
 from streamkc.coreset import GuessLadder, WeightedCoreset, _BumpMemo
 from streamkc.histogram import Histogram
@@ -327,8 +332,8 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     def replayed_runs(lo: int, hi: int, points) -> list:
         return [run for e in range(lo, hi + 1) for run in replay(e, e, points)]
 
-    def retargeted(prev_recent, t: int, lo: int, hi: int) -> None:
-        retarget(prev_recent, t, lo, hi)
+    def retargeted(points, t: int, lo: int, hi: int) -> None:
+        retarget(points, t, lo, hi)
         ladder._runs = apart(ladder._runs)
 
     ladder._runs = apart(ladder._runs)
@@ -352,6 +357,48 @@ def store_fields(ladder: GuessLadder) -> dict:
             v = (v.shape, v.dtype.str, v.tobytes())
         out[name] = copy.copy(v)
     return out
+
+
+_REFUSALS_CHILD = """\
+import importlib, json, sys
+module, name = sys.argv[1].rsplit(".", 1)
+load = getattr(importlib.import_module(module), name).from_snapshot
+assert False, "asserts are on"
+out = []
+for snap in json.load(sys.stdin):
+    try:
+        load(snap)
+        out.append("loaded")
+    except ValueError as exc:
+        out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def refusals(cls, snaps: list, optimized: bool = False) -> list[str]:
+    """What ``cls.from_snapshot`` says of each JSON snapshot: "loaded", or
+    the text of the ValueError it raises.  With optimized, the snapshots are
+    loaded in a ``python -O`` child, which strips assert statements (the
+    child fails unless they are stripped)."""
+    if not optimized:
+        out = []
+        for snap in snaps:
+            try:
+                cls.from_snapshot(copy.deepcopy(snap))
+                out.append("loaded")
+            except ValueError as exc:
+                out.append(str(exc))
+        return out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streamkc.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _REFUSALS_CHILD, f"{cls.__module__}.{cls.__name__}"],
+        input=json.dumps(snaps),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return json.loads(child.stdout)
 
 
 def reference_first_within(st, p: Point, radius: float) -> int:
@@ -385,7 +432,7 @@ def per_guess_search(ladder: GuessLadder) -> GuessLadder:
         p, out = stepping[0], []
         for i, st in enumerate(runs):
             lo, hi = (st.lo, st.hi) if exps is None else (exps[i], exps[i])
-            low, high = (reference_first_within(st, p, ladder._radii[e]) for e in (lo, hi))
+            low, high = (reference_first_within(st, p, ladder._radius(e)) for e in (lo, hi))
             out.append(low if low == high else None)
         return out
 

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from itertools import islice
 
 import numpy as np
@@ -27,6 +24,7 @@ from oracles import (
     per_guess_search,
     reference_first_within,
     reference_qualifies,
+    refusals,
     store_fields,
     stream_extremes,
     unshared,
@@ -751,42 +749,143 @@ def _spell_no_cap_policy(snap, t, window_len):
                       "orphan_cap": None}
 
 
+def _repeat_an_orphan(snap, t, window_len):
+    orphans = next(s["orphans"] for s in snap["states"] if s["orphans"])
+    orphans.append(orphans[0])
+
+
+def _leave_a_warmup(snap, t, window_len):
+    snap["oblivious"]["warmup"] = list(snap["oblivious"]["recent"])
+
+
+def _deny_the_bootstrap(snap, t, window_len):
+    snap["oblivious"]["bootstrapped"] = False
+
+
+def _reverse_the_warmup(snap, t, window_len):
+    snap["oblivious"]["warmup"].reverse()
+
+
+def _drop_the_first_warmup_point(snap, t, window_len):
+    del snap["oblivious"]["warmup"][0]
+
+
+def _move_a_ring_point(snap, t, window_len):
+    # 1.0, 2.0, 0.0 keep d_t = 1 and D_t = 2, while the warm-up holds 3.0
+    snap["oblivious"]["recent"][-1][1] = [0.0]
+
+
+def _claim_the_bootstrap(snap, t, window_len):
+    snap["oblivious"]["bootstrapped"] = True
+
+
+def _clock_below_zero(snap, t, window_len):
+    snap["t"] = -3
+
+
+def _clock_past_every_guess(snap, t, window_len):
+    snap["t"] = 7  # no guess holds a point of arrival 7
+
+
+def _clock_as_a_bool(snap, t, window_len):
+    snap["t"] = True
+
+
+def _mid_stream_ladder() -> GuessLadder:
+    lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
+    for p in make_stream(np.random.default_rng(67), 80, 2):
+        lad.process_point(p)
+    return lad
+
+
+def _warmup_ladder() -> GuessLadder:
+    lad = GuessLadder(StreamParams(30, 2, 2, 0.5, 0.5), "oblivious")
+    for t in range(1, 4):
+        lad.process_point(pt(t, float(t)))
+    return lad
+
+
+def _fresh_fixed_ladder() -> GuessLadder:
+    return GuessLadder(StreamParams(30, 2, 2, 0.5, 0.5), "fixed", 0.1, 10.0)
+
+
+def _corrupted(lad: GuessLadder, corrupt) -> dict:
+    snap = json.loads(json.dumps(lad.to_snapshot()))
+    corrupt(snap, lad.t, lad.params.window_len)
+    return json.loads(json.dumps(snap))
+
+
+_MID_STREAM_CORRUPTIONS = [
+    _crowd_attractions,  # two attraction points within the radius
+    _flatten_counts,  # histogram counts that do not decrease
+    _age_an_orphan,  # an orphan older than the window
+    _orphan_a_representative,  # a reps entry with no attraction point
+    _drop_a_field,
+    _rewind_the_clock,
+    _inflate_d_t,  # not the recent points' smallest distance
+    _split_a_point,  # two different points with one arrival
+    _drop_a_middle_guess,  # a gap in the grid
+    _overflow_an_exponent,
+    _shrink_beta,  # settings the constructor refuses
+    _zero_k,  # settings StreamParams refuses
+    _spell_no_cap_policy,  # older capacity fields that spell no cap
+    _repeat_an_orphan,  # one orphan listed twice
+    _leave_a_warmup,  # a warm-up kept past the bootstrap
+    _deny_the_bootstrap,  # a bootstrapped field its states contradict
+]
+_WARMUP_CORRUPTIONS = [
+    _reverse_the_warmup,
+    _drop_the_first_warmup_point,  # a window point missing
+    _move_a_ring_point,  # a recent point that is not the warm-up's
+    _claim_the_bootstrap,
+]
+_CLOCK_CORRUPTIONS = [_clock_below_zero, _clock_past_every_guess, _clock_as_a_bool]
+
+
+def _name(corrupt) -> str:
+    return "valid" if corrupt is None else corrupt.__name__.strip("_")
+
+
 class TestSnapshotVerification:
     """from_snapshot verifies what it restored: a JSON round-trip of a
     corrupted snapshot fails loudly instead of yielding a broken ladder."""
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            None,
-            _crowd_attractions,  # two attraction points within the radius
-            _flatten_counts,  # histogram counts that do not decrease
-            _age_an_orphan,  # an orphan older than the window
-            _orphan_a_representative,  # a reps entry with no attraction point
-            _drop_a_field,
-            _rewind_the_clock,
-            _inflate_d_t,  # not the recent points' smallest distance
-            _split_a_point,  # two different points with one arrival
-            _drop_a_middle_guess,  # a gap in the grid
-            _overflow_an_exponent,
-            _shrink_beta,  # settings the constructor refuses
-            _zero_k,  # settings StreamParams refuses
-            _spell_no_cap_policy,  # older capacity fields that spell no cap
-        ],
-        ids=lambda f: "valid" if f is None else f.__name__.strip("_"),
-    )
+    @pytest.mark.parametrize("corrupt", [None, *_MID_STREAM_CORRUPTIONS], ids=_name)
     def test_round_trip(self, corrupt):
-        rng = np.random.default_rng(67)
-        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
-        for p in make_stream(rng, 80, 2):
-            lad.process_point(p)
+        lad = _mid_stream_ladder()
         snap = json.loads(json.dumps(lad.to_snapshot()))
         if corrupt is None:
             assert GuessLadder.from_snapshot(snap).to_snapshot() == lad.to_snapshot()
             return
-        corrupt(snap, lad.t, lad.params.window_len)
         with pytest.raises(ValueError, match="corrupt ladder snapshot"):
-            GuessLadder.from_snapshot(json.loads(json.dumps(snap)))
+            GuessLadder.from_snapshot(_corrupted(lad, corrupt))
+
+    @pytest.mark.parametrize("corrupt", [None, *_WARMUP_CORRUPTIONS], ids=_name)
+    def test_round_trip_of_a_warmup(self, corrupt):
+        # before the bootstrap the warm-up is the window, arrivals 1..3 in
+        # order, and ends with the recent points; a restore checks all three
+        lad = _warmup_ladder()
+        assert not lad.bootstrapped
+        if corrupt is None:
+            snap = json.loads(json.dumps(lad.to_snapshot()))
+            assert GuessLadder.from_snapshot(snap).to_snapshot() == lad.to_snapshot()
+            return
+        with pytest.raises(ValueError, match="corrupt ladder snapshot"):
+            GuessLadder.from_snapshot(_corrupted(lad, corrupt))
+
+    @pytest.mark.parametrize("corrupt", [None, *_CLOCK_CORRUPTIONS], ids=_name)
+    def test_a_clock_that_is_no_arrival_count_is_refused(self, corrupt):
+        # a fixed ladder has no recent points to check the clock by: a clock
+        # below zero wedged it for good, and one no guess holds restored
+        lad = _fresh_fixed_ladder()
+        if corrupt is None:
+            restored = GuessLadder.from_snapshot(json.loads(json.dumps(lad.to_snapshot())))
+            assert restored.newest() is None
+            restored.process_point(pt(1, 1.0))
+            assert restored.newest() == pt(1, 1.0)
+            return
+        with pytest.raises(ValueError, match="corrupt ladder snapshot"):
+            GuessLadder.from_snapshot(_corrupted(lad, corrupt))
 
     @pytest.mark.parametrize("snap", [None, [], "snapshot"], ids=["none", "list", "str"])
     def test_a_snapshot_that_is_not_a_dict_is_rejected(self, snap):
@@ -794,38 +893,18 @@ class TestSnapshotVerification:
             GuessLadder.from_snapshot(snap)
 
     def test_checks_survive_optimized_mode(self):
-        # python -O strips assert statements; the checks raise explicitly
-        rng = np.random.default_rng(67)
-        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
-        for p in make_stream(rng, 80, 2):
-            lad.process_point(p)
-        snaps = []
-        for corrupt in (_inflate_d_t, _drop_a_middle_guess):
-            snap = json.loads(json.dumps(lad.to_snapshot()))
-            corrupt(snap, lad.t, lad.params.window_len)
-            snaps.append(snap)
-        child = (
-            "import json, sys\n"
-            "from streamkc.coreset import GuessLadder\n"
-            "assert False, 'asserts are on'\n"
-            "for snap in json.load(sys.stdin):\n"
-            "    try:\n"
-            "        GuessLadder.from_snapshot(snap)\n"
-            "        print('loaded')\n"
-            "    except ValueError as exc:\n"
-            "        print(str(exc).split(':')[0])\n"
-        )
-        src = os.path.join(os.path.dirname(coreset.__file__), os.pardir)
-        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", child],
-            input=json.dumps(snaps),
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.splitlines() == ["corrupt ladder snapshot"] * 2
+        # python -O strips assert statements; the checks raise explicitly,
+        # so every corruption above is refused there with the same message
+        snaps = [
+            _corrupted(build(), corrupt)
+            for build, corruptions in ((_mid_stream_ladder, _MID_STREAM_CORRUPTIONS),
+                                       (_warmup_ladder, _WARMUP_CORRUPTIONS),
+                                       (_fresh_fixed_ladder, _CLOCK_CORRUPTIONS))
+            for corrupt in corruptions
+        ]
+        said = refusals(GuessLadder, snaps)
+        assert all(s.startswith("corrupt ladder snapshot: ") for s in said)
+        assert refusals(GuessLadder, snaps, optimized=True) == said
 
     def test_separation_check_reads_row_blocks(self, monkeypatch):
         # a fine-style state with more attraction points than one block
@@ -1362,9 +1441,11 @@ class TestPointStore:
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious", metric=counted)
         retarget, added = lad._retarget, []
 
-        def spy(prev_recent, t, lo, hi):
+        def spy(points, t, lo, hi):
+            if not lad._runs:  # the bootstrap
+                return retarget(points, t, lo, hi)
             below, reads = lad._runs[0].lo - lo, calls["pairwise"]
-            retarget(prev_recent, t, lo, hi)
+            retarget(points, t, lo, hi)
             if below > 0:
                 assert calls["pairwise"] == reads + 1
                 added.append(below)
@@ -1381,14 +1462,15 @@ class TestPointStore:
         monkeypatch.setattr(coreset, "_BLOCK", 5)
         counted, calls = _counted(dist)
         lad = GuessLadder(StreamParams(40, 8, 8, 0.5, beta), "oblivious", metric=counted)
-        bootstrap, reads = lad._bootstrap, []
+        retarget, reads = lad._retarget, []
 
-        def spy(lo, hi):
-            before = calls["pairwise"]
-            bootstrap(lo, hi)
-            reads.append(calls["pairwise"] - before)
+        def spy(points, t, lo, hi):
+            before, bootstrap = calls["pairwise"], not lad._runs
+            retarget(points, t, lo, hi)
+            if bootstrap:
+                reads.append(calls["pairwise"] - before)
 
-        lad._bootstrap = spy
+        lad._retarget = spy
         for p in make_stream(np.random.default_rng(137), 18, 2):
             lad.process_point(p)
         assert lad.bootstrapped and reads == [4]
@@ -1424,10 +1506,10 @@ class TestPointStore:
         full = []  # arrivals at which guesses are added above a full window
         retarget = GuessLadder._retarget
 
-        def spy(self, prev_recent, t, lo, hi):
-            if hi > self._runs[-1].hi and t - 1 >= self.params.window_len:
+        def spy(self, points, t, lo, hi):
+            if self._runs and hi > self._runs[-1].hi and t - 1 >= self.params.window_len:
                 full.append(t)
-            return retarget(self, prev_recent, t, lo, hi)
+            return retarget(self, points, t, lo, hi)
 
         monkeypatch.setattr(GuessLadder, "_retarget", spy)
         rng = np.random.default_rng(3000 + seed)

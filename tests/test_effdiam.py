@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,12 @@ from streamkc.effdiam import (
     exact_effective_diameter,
 )
 from streamkc.experiment import generate_ball_stream
-from oracles import LadderShadow, reference_coreset_effective_diameter, stream_extremes
+from oracles import (
+    LadderShadow,
+    reference_coreset_effective_diameter,
+    refusals,
+    stream_extremes,
+)
 
 
 def wv(*coords_1d):
@@ -929,31 +935,33 @@ class TestRestart:
         for state in states:  # each estimator alone restores
             FineCoresetState.from_snapshot(json.loads(json.dumps(state.to_snapshot())))
 
+    CORRUPTIONS = [
+        (lambda s: s.update(format="streamkc-ladder"), "not an effective-diameter"),
+        (lambda s: s.update(version=2), "unsupported snapshot version"),
+        (lambda s: s.pop("fine"), "corrupt effective-diameter snapshot"),
+        (lambda s: s["config"].update(delta=1), "corrupt effective-diameter snapshot"),
+        (lambda s: s["config"].update(alpha=1.5), "alpha"),
+        (lambda s: s["config"].update(alpha=2.0), "corrupt effective-diameter snapshot"),
+        (lambda s: s["config"].update(fine_cap=255), "fine ladder's cap"),
+        (lambda s: s["config"].update(eta=0.1), "fine ladder's attr_factor"),
+        (lambda s: s["config"].update(lam=0.25), "ladder's params"),
+        (lambda s: s["fine"]["states"].pop(), "corrupt ladder snapshot"),
+        (lambda s: s["fine"]["states"][0].update(exponent=10**6), "corrupt ladder snapshot"),
+        (lambda s: s["fine"]["params"].update(k=0), "corrupt ladder snapshot"),
+        (lambda s: s["validation"]["params"].update(beta=5e-6), "corrupt ladder snapshot"),
+        (lambda s: [s[side]["params"].update(window_len=MAX_WINDOW_LEN + 1)
+                    for side in ("validation", "fine")],
+         "corrupt effective-diameter snapshot"),
+        (lambda s: s.update(validation=None), "not a ladder snapshot"),
+        (lambda s: s.update(fine=[]), "not a ladder snapshot"),
+        (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
+        (lambda s: TestRestart._splice(s, "fixed"), "ladders fed different streams"),
+        (lambda s: TestRestart._splice(s, "oblivious"), "ladders fed different streams"),
+    ]
+
     @pytest.mark.parametrize(
         "corrupt, match",
-        [
-            (lambda s: s.update(format="streamkc-ladder"), "not an effective-diameter"),
-            (lambda s: s.update(version=2), "unsupported snapshot version"),
-            (lambda s: s.pop("fine"), "corrupt effective-diameter snapshot"),
-            (lambda s: s["config"].update(delta=1), "corrupt effective-diameter snapshot"),
-            (lambda s: s["config"].update(alpha=1.5), "alpha"),
-            (lambda s: s["config"].update(alpha=2.0), "corrupt effective-diameter snapshot"),
-            (lambda s: s["config"].update(fine_cap=255), "fine ladder's cap"),
-            (lambda s: s["config"].update(eta=0.1), "fine ladder's attr_factor"),
-            (lambda s: s["config"].update(lam=0.25), "ladder's params"),
-            (lambda s: s["fine"]["states"].pop(), "corrupt ladder snapshot"),
-            (lambda s: s["fine"]["states"][0].update(exponent=10**6), "corrupt ladder snapshot"),
-            (lambda s: s["fine"]["params"].update(k=0), "corrupt ladder snapshot"),
-            (lambda s: s["validation"]["params"].update(beta=5e-6), "corrupt ladder snapshot"),
-            (lambda s: [s[side]["params"].update(window_len=MAX_WINDOW_LEN + 1)
-                        for side in ("validation", "fine")],
-             "corrupt effective-diameter snapshot"),
-            (lambda s: s.update(validation=None), "not a ladder snapshot"),
-            (lambda s: s.update(fine=[]), "not a ladder snapshot"),
-            (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
-            (lambda s: TestRestart._splice(s, "fixed"), "ladders fed different streams"),
-            (lambda s: TestRestart._splice(s, "oblivious"), "ladders fed different streams"),
-        ],
+        CORRUPTIONS,
         ids=["format", "version", "no_fine", "unknown_config", "bad_config",
              "config_refused", "cap", "attr_factor", "lam", "broken_ladder",
              "overflowing_fine_exponent", "params_refused", "grid_refused",
@@ -965,6 +973,19 @@ class TestRestart:
         corrupt(snap)
         with pytest.raises(ValueError, match=match):
             FineCoresetState.from_snapshot(snap)
+
+    def test_refusals_survive_optimized_mode(self):
+        # python -O strips assert statements; each snapshot above is refused
+        # there as it is here
+        _, base = self._snapshot()
+        snaps = []
+        for corrupt, _ in self.CORRUPTIONS:
+            snap = json.loads(json.dumps(base))
+            corrupt(snap)
+            snaps.append(json.loads(json.dumps(snap)))
+        said = refusals(FineCoresetState, snaps)
+        assert all(re.search(match, s) for (_, match), s in zip(self.CORRUPTIONS, said))
+        assert refusals(FineCoresetState, snaps, optimized=True) == said
 
     def test_ladders_on_different_clocks_or_bounds_are_rejected(self):
         state, snap = self._snapshot()
