@@ -3,8 +3,9 @@
 Everything here is a plain value type or a pure function; instances can be
 shared freely between threads.  A metric is a scalar call ``metric(p, q)``
 plus a block form ``metric.pairwise(xs, ys)``, the len(xs) x len(ys) matrix
-between the rows of two coordinate arrays.  The engine reads only the block
-form; the call scores centers (``radius_excluding``).  ``dist``'s block form
+between the rows of two coordinate arrays.  The library reads only the block
+form, center scoring (``radius_excluding``) included; the call is left to
+the exhaustive oracle (``solver.brute_force_optimum``).  ``dist``'s block form
 ``cdist`` squares coordinate differences: an oblivious ladder's domain is
 ``coreset.MAX_DISTANCE`` (2^500) from its first point, about coordinates
 below 1e150; distinct points closer than about 1.6e-162 read as duplicates,
@@ -151,6 +152,8 @@ def radius_excluding(
 ) -> float:
     """Max distance from the window to its nearest center, after dropping the
     z largest such distances.  With z == 0 this is the plain clustering radius.
+    The distances are read in the metric's block form, ``_BLOCK`` window
+    points at a time.
     """
     if not centers:
         raise ValueError("centers must be non-empty")
@@ -158,5 +161,10 @@ def radius_excluding(
         raise ValueError("z must be >= 0")
     if len(window.points) <= z:
         raise ValueError("window must contain more than z points")
-    dists = sorted(min(metric(p, c) for c in centers) for p in window.points)
-    return dists[len(dists) - 1 - z]
+    xs = np.array([p.coords for p in window.points], dtype=float)
+    cs = np.array([c.coords for c in centers], dtype=float)
+    near = np.empty(len(xs))
+    for r0 in range(0, len(xs), _BLOCK):
+        near[r0 : r0 + _BLOCK] = metric.pairwise(xs[r0 : r0 + _BLOCK], cs).min(axis=1)
+    keep = len(near) - 1 - z
+    return float(np.partition(near, keep)[keep])

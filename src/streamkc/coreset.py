@@ -975,13 +975,14 @@ class GuessLadder:
         """Every run's invariants, at its highest radius, plus the
         ladder-wide ones: the clock is an arrival count; the runs cut
         exactly the exponent range the mode implies, and evictions are kept
-        for its guesses alone; in oblivious mode the recent points are the
-        last arrivals, each in its ring slot, the warm-up holds the window's
-        points, ending with the recent ones, until the bootstrap and none
-        after it, and d_t and D_t agree with the points they are derived
-        from; the store holds what the runs and the ring reference; and one
-        point stands for the clock's arrival (``newest``).  The first that
-        fails raises InvariantError.
+        for its guesses alone; in oblivious mode the first point is arrival
+        1 (none at t = 0), the recent points are the last arrivals, each in
+        its ring slot, the warm-up holds the window's points, ending with the
+        recent ones, until the bootstrap and none after it, and d_t and D_t
+        agree with the points they are derived from; the store holds what
+        the runs and the ring reference; and one point stands for the
+        clock's arrival (``newest``).  The first that fails raises
+        InvariantError.
 
         d_t and D_t are compared with a relative tolerance of 1e-9, since a
         snapshot written before they came from the metric's block form holds
@@ -1012,6 +1013,10 @@ class GuessLadder:
                 raise InvariantError(
                     f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
                 )
+            first = None if self.first_point is None else self.first_point.arrival
+            if first != (1 if t else None) or ring.get(1, self.first_point) != self.first_point:
+                raise InvariantError(f"the first point, of arrival {first!r} at t = {t}, "
+                                     "is not the stream's first arrival")
             if self.first_point is not None:
                 if self._store.slot_of.get(self.first_point.arrival) != self._first_slot:
                     raise InvariantError("the first point does not hold its store slot")

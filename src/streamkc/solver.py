@@ -11,7 +11,10 @@ one whose run leaves at most z uncovered weight.  Distances are read in
 blocks of at most ``_BLOCK`` rows through ``core._distances``, in the
 metric's own block form, so no full pairwise matrix is built.  A scan
 builds that reader once and runs the greedy's kernel, ``_greedy``, on it at
-every radius it tries.
+every radius it tries.  A run reads one scoring pass of its candidates,
+then each round's removal row and the removed points' rows, from which it
+subtracts what each round removed from the scores; this is exact while the
+weights are integers below 2^53.
 
 Before a scan, a farthest-first traversal (Gonzalez, TCS 1985; also the
 ``gonzalez`` baseline) picks k + z + 1 points and measures their smallest
@@ -94,8 +97,9 @@ def outliers_cluster(
     weight of uncovered points within (1 + 2*eps)*rho, picks the first best
     in candidate order, and covers (removes) all uncovered points within
     (3 + 4*eps)*rho of it.  Candidates are all points in storage order, or
-    the non-empty index array candidates(round) when given.  Returns the
-    chosen centers and the uncovered points with their weights.
+    the non-empty index array candidates(round) when given.  The weights are
+    integers below 2^53, which keeps the scores exact (``_greedy``).  Returns
+    the chosen centers and the uncovered points with their weights.
     """
     d = _distances(points, metric)
     w = np.asarray(weights, dtype=float)
@@ -113,28 +117,45 @@ def _greedy(
 ) -> tuple[list[int], np.ndarray]:
     """``outliers_cluster`` on the points d reads, whose weights are w:
     the indices of the chosen centers and of the uncovered points.  The
-    radius scans call it with the one reader d of their query."""
+    radius scans call it with the one reader d of their query.
+
+    A candidate is scored once, against the points still uncovered, in the
+    first round that draws it; after each round but the last, every scored
+    candidate loses the weight the round removed within its small ball,
+    read from the removed points' rows.  So a run reads one scoring pass,
+    the k removal rows and each removed point's row once.  The scores are
+    sums of the weights, exact while the weights are integers below 2^53,
+    and the block form is symmetric, so they equal a full rescoring."""
     if rho < 0 or eps < 0:
         raise ValueError("rho and eps must be non-negative")
     n = w.size
     cover_r = (1.0 + 2.0 * eps) * rho
     removal_r = (3.0 + 4.0 * eps) * rho
-    uncovered = np.arange(n)
+    everyone = uncovered = np.arange(n)
+    scores = np.zeros(n)
+    known = np.zeros(n, dtype=bool)
+    scored = everyone[known]
     centers: list[int] = []
     for r in range(k):
         if not uncovered.size:
             break
-        cand = np.arange(n) if candidates is None else candidates(r)
-        w_unc = w[uncovered]
-        best_i, best_w = -1, -1.0
-        for c0 in range(0, cand.size, _BLOCK):
-            rows = cand[c0 : c0 + _BLOCK]
-            scores = (d(rows, uncovered) <= cover_r) @ w_unc
-            j = int(scores.argmax())
-            if scores[j] > best_w:
-                best_i, best_w = int(rows[j]), scores[j]
-        centers.append(best_i)
-        uncovered = uncovered[d([best_i], uncovered)[0] > removal_r]
+        cand = everyone if candidates is None else candidates(r)
+        new = cand[~known[cand]]
+        if new.size:
+            w_unc = w[uncovered]
+            for c0 in range(0, new.size, _BLOCK):
+                rows = new[c0 : c0 + _BLOCK]
+                scores[rows] = (d(rows, uncovered) <= cover_r) @ w_unc
+            known[new] = True
+            scored = everyone[known]
+        best = int(cand[scores[cand].argmax()])
+        centers.append(best)
+        far = d([best], uncovered)[0] > removal_r
+        gone, uncovered = uncovered[~far], uncovered[far]
+        if r + 1 < k and uncovered.size:
+            for g0 in range(0, gone.size, _BLOCK):
+                rows = gone[g0 : g0 + _BLOCK]
+                scores[scored] -= w[rows] @ (d(rows, scored) <= cover_r)
     return centers, uncovered
 
 

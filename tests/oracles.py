@@ -76,27 +76,28 @@ def expire_entry(hist: Histogram, t: int, window_len: int) -> Histogram:
     return [(ts, c) for ts, c in hist if ts != stale]
 
 
-def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist):
+def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist, candidates=None):
     """Scalar greedy of Charikar, Khuller, Mount & Narasimhan: the reference
     for ``streamkc.solver.outliers_cluster``.
 
-    Runs at most k rounds.  Each round scans all points, scoring each by the
-    total weight of uncovered points within (1 + 2*eps)*rho, picks the first
-    best in storage order, and covers (removes) all uncovered points within
-    (3 + 4*eps)*rho of it.  Returns the chosen centers and the uncovered
-    points with their weights.
+    Runs at most k rounds.  Each round scans all points, or the indices
+    candidates(round) when given, scoring each afresh by the total weight of
+    uncovered points within (1 + 2*eps)*rho, picks the first best in scan
+    order, and covers (removes) all uncovered points within (3 + 4*eps)*rho
+    of it.  Returns the chosen centers and the uncovered points with their
+    weights.
     """
     n = len(points)
     cover_r = (1.0 + 2.0 * eps) * rho
     removal_r = (3.0 + 4.0 * eps) * rho
     uncovered = list(range(n))
     centers = []
-    for _ in range(k):
+    for r in range(k):
         if not uncovered:
             break
         best_i = -1
         best_w = -1
-        for i in range(n):
+        for i in range(n) if candidates is None else [int(c) for c in candidates(r)]:
             w = 0
             pi = points[i]
             for j in uncovered:
@@ -108,6 +109,15 @@ def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist):
         centers.append(x)
         uncovered = [j for j in uncovered if metric(x, points[j]) > removal_r]
     return centers, [(points[j], weights[j]) for j in uncovered]
+
+
+def reference_radius_excluding(centers, window: WindowView, z: int, metric=dist) -> float:
+    """Scalar center scoring: the reference for ``streamkc.core.radius_excluding``.
+
+    Each window point's smallest scalar distance to a center, sorted; the
+    largest after dropping the z largest."""
+    dists = sorted(min(metric(p, c) for c in centers) for p in window.points)
+    return dists[len(dists) - 1 - z]
 
 
 def reference_qualifies(ladder: GuessLadder, exponent: int) -> bool:

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py: the same-benchmark guard, the verdicts, the
-report-line metrics kept for information, the seed ranges and the source
-line counts."""
+report-line metrics kept for information, the seed ranges, the workload
+list and the source line counts."""
 
+import argparse
 import importlib.util
 import json
 import subprocess
@@ -184,10 +185,10 @@ class TestReported:
         monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "base")
         monkeypatch.setattr(bench_pairs, "run_once", self.fake_run(values))
         out = tmp_path / "BENCH.json"
-        argv = ["--base", str(tmp_path), "--seeds", "1-4", "--workloads", "w",
+        argv = ["--base", str(tmp_path), "--seeds", "1-4", "--workloads", "sliding-k40-n2k",
                 "--out", str(out)]
         assert bench_pairs.main(argv) == 0
-        reported = json.loads(out.read_text())["workloads"]["w"]["reported"]
+        reported = json.loads(out.read_text())["workloads"]["sliding-k40-n2k"]["reported"]
         assert set(reported) == {"update_p50_us", "update_p99_us", "query_p50_ms",
                                  "failed_share"}
         p50 = reported["update_p50_us"]
@@ -201,7 +202,7 @@ class TestReported:
         assert not any("verdict" in side for m in reported.values() for side in m.values())
         # the summary line shows both sides' medians, failed_share aside
         line = capsys.readouterr().out.splitlines()[0]
-        assert line.startswith("w: setup_s unchanged")
+        assert line.startswith("sliding-k40-n2k: setup_s unchanged")
         assert ("; update_p50_us 11.5 -> 21.5; update_p99_us 51.5 -> n/a; "
                 "query_p50_ms 1 -> 2; digests equal, all correct") in line
         assert "failed_share" not in line
@@ -237,9 +238,68 @@ class TestSrcLines:
         monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "base")
         monkeypatch.setattr(bench_pairs, "run_once", TestReported.fake_run({}))
         out = tmp_path / "BENCH.json"
-        argv = ["--base", str(base), "--seeds", "1", "--workloads", "w", "--out", str(out)]
+        argv = ["--base", str(base), "--seeds", "1", "--workloads", "charikar-n500",
+                "--out", str(out)]
         assert bench_pairs.main(argv) == 0
         want = bench_pairs.src_lines(bench_pairs.ROOT)
         assert json.loads(out.read_text())["src_lines"] == {"base": 5, "change": want}
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last == f"src_lines: 5 -> {want} ({want - 5:+d})"
+
+
+class TestWorkloads:
+    BENCHMARK = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+
+    def test_a_list_of_known_names_is_read_in_order(self):
+        assert bench_pairs.workload_list("sliding-k40-n2k,charikar-n500") == [
+            "sliding-k40-n2k", "charikar-n500"]
+        assert bench_pairs.known_workloads() >= {
+            w["name"] for w in self.BENCHMARK["workloads"]} | {"sliding-k40-n2k"}
+
+    @pytest.mark.parametrize("text", ["w", "charikar-n500,nope", "", ","])
+    def test_an_unknown_or_empty_name_is_refused(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="unknown workload"):
+            bench_pairs.workload_list(text)
+
+    def test_main_refuses_an_unknown_workload_before_any_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran"))
+        out = tmp_path / "BENCH.json"
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--base", str(tmp_path), "--workloads", "w", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @staticmethod
+    def slower_change(checkout, workload, seed, seconds):
+        """run_once stand-in: the change runs at 70% of the base's throughput."""
+        change = checkout == bench_pairs.ROOT
+        return {
+            "correct": True,
+            "digest": "d",
+            "metrics": {"setup_s": 1.0, "throughput_pts_s": (70.0 if change else 100.0) + seed,
+                        "memory_floats_max": 1.0, "peak_rss_mb": 1.0},
+            "reported": dict.fromkeys(bench_pairs.REPORTED),
+        }
+
+    @pytest.mark.parametrize("flag", [None, "sliding-k40-n2k,charikar-n500"])
+    def test_every_workload_run_gets_the_same_verdicts_and_bounds(
+        self, tmp_path, monkeypatch, flag
+    ):
+        # by default the workloads of BENCHMARK.json; an extra one named by
+        # the flag is judged exactly as a gated one
+        monkeypatch.setattr(bench_pairs, "benchmark_difference", lambda a, b: None)
+        monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "base")
+        monkeypatch.setattr(bench_pairs, "run_once", self.slower_change)
+        out = tmp_path / "BENCH.json"
+        argv = ["--base", str(tmp_path), "--seeds", "1-4", "--out", str(out)]
+        assert bench_pairs.main(argv + (["--workloads", flag] if flag else [])) == 0
+        got = json.loads(out.read_text())["workloads"]
+        want = flag.split(",") if flag else [w["name"] for w in self.BENCHMARK["workloads"]]
+        assert list(got) == want
+        for workload in got.values():
+            metrics = workload["metrics"]
+            assert list(metrics) == [m["name"] for m in self.BENCHMARK["end_to_end"]]
+            assert metrics["throughput_pts_s"]["verdict"] == "regression"
+            assert metrics["throughput_pts_s"]["base"]["values"] == [101.0, 102.0, 103.0, 104.0]
+            assert metrics["setup_s"]["verdict"] == "unchanged"
+            assert workload["pairs"] == 4

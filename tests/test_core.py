@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from streamkc import core
 from streamkc.core import Point, StreamParams, WindowView, dist, radius_excluding
+from oracles import looped, manhattan, reference_radius_excluding
 
 
 def test_dist_pythagorean():
@@ -81,6 +83,33 @@ def test_radius_excluding_monotone():
         assert r <= prev  # non-increasing in z
         prev = r
         assert radius_excluding(c2, w, z) <= r  # non-increasing under superset
+
+
+@pytest.mark.parametrize("metric", [dist, manhattan, looped(dist)],
+                         ids=["euclidean", "manhattan", "looped"])
+def test_radius_excluding_matches_the_scalar_reference(metric, monkeypatch):
+    # block-form reads, a few window rows at a time, against scalar calls:
+    # equal up to rounding on random windows, exactly on integer lattices
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    rng = np.random.default_rng(17)
+    for trial in range(24):
+        n = int(rng.integers(1, 60))
+        lattice = trial % 2 == 0
+        if lattice:
+            coords = rng.integers(-5, 6, size=(n, 2)).astype(float)
+        else:
+            coords = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3)
+        w = WindowView.from_coords(coords)
+        picks = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+        centers = [w.points[i] for i in picks]
+        for z in {0, n // 3, n - 1}:
+            got = radius_excluding(centers, w, z, metric)
+            want = reference_radius_excluding(centers, w, z, metric)
+            assert type(got) is float
+            if lattice:
+                assert got == want, (trial, z)
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12), (trial, z)
 
 
 def test_stream_params_validation():

@@ -779,6 +779,23 @@ def _claim_the_bootstrap(snap, t, window_len):
     snap["oblivious"]["bootstrapped"] = True
 
 
+def _move_the_first_point_onto_the_newest(snap, t, window_len):
+    snap["oblivious"]["first_point"] = snap["oblivious"]["recent"][-1]
+
+
+def _renumber_the_first_point(snap, t, window_len):
+    snap["oblivious"]["first_point"][0] = 5
+
+
+def _drop_the_first_point(snap, t, window_len):
+    snap["oblivious"]["first_point"] = None
+
+
+def _shift_the_first_point(snap, t, window_len):
+    # arrival 1 kept, but not at the ring's arrival-1 point
+    snap["oblivious"]["first_point"][1] = [0.5]
+
+
 def _clock_below_zero(snap, t, window_len):
     snap["t"] = -3
 
@@ -832,12 +849,16 @@ _MID_STREAM_CORRUPTIONS = [
     _repeat_an_orphan,  # one orphan listed twice
     _leave_a_warmup,  # a warm-up kept past the bootstrap
     _deny_the_bootstrap,  # a bootstrapped field its states contradict
+    _move_the_first_point_onto_the_newest,  # a first point of arrival t
+    _renumber_the_first_point,  # a first point of arrival 5
 ]
 _WARMUP_CORRUPTIONS = [
     _reverse_the_warmup,
     _drop_the_first_warmup_point,  # a window point missing
     _move_a_ring_point,  # a recent point that is not the warm-up's
     _claim_the_bootstrap,
+    _drop_the_first_point,  # no first point after arrivals
+    _shift_the_first_point,
 ]
 _CLOCK_CORRUPTIONS = [_clock_below_zero, _clock_past_every_guess, _clock_as_a_bool]
 

@@ -86,6 +86,36 @@ class TestOutliersCluster:
                         want = reference_outliers_cluster(pts, weights, k, rho, eps, metric)
                         assert got == want, (trial, k, rho, eps)
 
+    @pytest.mark.parametrize("metric", [dist, manhattan])
+    def test_sampled_rounds_match_the_scalar_reference(self, metric, monkeypatch):
+        # samp_charikar's rounds draw their own candidates: a candidate drawn
+        # again keeps the score it was given when first drawn, less what
+        # each round since removed, and must still pick what a full
+        # rescoring of the round's candidates picks, ties included
+        monkeypatch.setattr(solver, "_BLOCK", 7)
+        rng = np.random.default_rng(67)
+        for trial in range(12):
+            n = int(rng.integers(2, 40))
+            if trial % 2 == 0:
+                coords = rng.integers(0, 6, size=(n, 2))
+                weights = [1] * n
+            else:
+                coords = rng.random((n, 3)) * 5.0
+                weights = [int(w) for w in rng.integers(1, 6, size=n)]
+            pts = [Point(i + 1, tuple(float(c) for c in row)) for i, row in enumerate(coords)]
+            for k in (1, 3, 5):
+                subsets = []
+                for _ in range(k):
+                    picked = np.flatnonzero(rng.random(n) < 0.4)
+                    subsets.append(picked if picked.size else np.arange(n))
+                for rho in (0.0, 0.9, 1.3, 2.1):
+                    for eps in (0.0, 0.25):
+                        got = outliers_cluster(pts, weights, k, rho, eps, metric,
+                                               subsets.__getitem__)
+                        want = reference_outliers_cluster(pts, weights, k, rho, eps, metric,
+                                                          subsets.__getitem__)
+                        assert got == want, (trial, k, rho, eps)
+
     def test_candidates_restrict_the_centers(self):
         w = wv(0, 1, 2, 50)
         pts = list(w.points)
@@ -562,17 +592,50 @@ class TestSeparationSkip:
             assert run == grid[: grid.index(rho) + 1]
 
     def test_charikar_on_500_points_skips_radii(self, monkeypatch):
-        coords = np.vstack(
-            [
-                generate_ball_stream(490, dim=4, seed=21),
-                generate_ball_stream(10, dim=4, outlier_rate=1.0, outlier_norm=50.0,
-                                     seed=22),
-            ]
-        )
-        w = WindowView(points=tuple(_points(coords)), t=len(coords))
+        w = _window_of_500()
         grid, (rho, _, _) = reference_window_scan(w, 10, 10)
         unpruned = grid.index(rho) + 1
         run = _recording(monkeypatch)
         out = charikar(w, 10, 10)
         assert out.rho_min == rho
         assert len(run) * 2 <= unpruned, (len(run), unpruned)
+
+
+def _window_of_500() -> WindowView:
+    coords = np.vstack(
+        [
+            generate_ball_stream(490, dim=4, seed=21),
+            generate_ball_stream(10, dim=4, outlier_rate=1.0, outlier_norm=50.0, seed=22),
+        ]
+    )
+    return WindowView(points=tuple(_points(coords)), t=len(coords))
+
+
+def test_a_greedy_run_reads_at_most_two_squares_of_distances(monkeypatch):
+    # a run scores each candidate once, then reads only the removal rows and
+    # the removed points' rows: at most n^2 + k*n + n^2 entries, where
+    # rescoring every candidate each round reads about k*n*|uncovered|
+    reads, runs = [0], []
+    reader, kernel = solver._distances, solver._greedy
+
+    def counting(points, metric):
+        d = reader(points, metric)
+
+        def read(rows, cols):
+            block = d(rows, cols)
+            reads[0] += block.size
+            return block
+
+        return read
+
+    def run(*args, **kw):
+        reads[0] = 0
+        out = kernel(*args, **kw)
+        runs.append(reads[0])
+        return out
+
+    monkeypatch.setattr(solver, "_distances", counting)
+    monkeypatch.setattr(solver, "_greedy", run)
+    n, k = 500, 10
+    charikar(_window_of_500(), k, 10)
+    assert runs and max(runs) <= 2 * n * n + k * n, runs

@@ -1,15 +1,19 @@
 """Paired benchmark runs of two checkouts, summarized in a BENCH file.
 
 Runs ``perfbench/run.py --trace 0`` for every workload of ``BENCHMARK.json``
-and every seed, once in a checkout of the base commit and once in this
-checkout, alternating which of the two runs first.  Writes, per workload,
-the median and quartiles of every end-to-end metric on each side, each
-pair's values, how many pairs the change won, a verdict, and whether the
-output digests agreed, together with the seeds and the command, and prints
-one summary line per workload, which also shows each side's median of the
-``SHOWN`` report-line metrics, so an update-path cost reads without the file.  Under ``src_lines`` it records, and prints
-on a last summary line, the line count of each side's library source
-(``src/streamkc/*.py``), the measure of size the roadmap's design aim reads.
+(or those named by ``--workloads NAME,...``, any of
+``perfbench/workloads.WORKLOADS``) and every seed, once in a checkout of
+the base commit and once in this checkout, alternating which of the two
+runs first.  A workload outside ``BENCHMARK.json`` gets the same medians,
+pairs and verdicts, under the same bounds.  Writes, per workload, the
+median and quartiles of every end-to-end metric on each side, each pair's
+values, how many pairs the change won, a verdict, and whether the output
+digests agreed, together with the seeds and the command, and prints one
+summary line per workload, which also shows each side's median of the
+``SHOWN`` report-line metrics, so an update-path cost reads without the
+file.  Under ``src_lines`` it records, and prints on a last summary line,
+the line count of each side's library source (``src/streamkc/*.py``), the
+measure of size the roadmap's design aim reads.
 Under ``reported`` it also keeps, for
 information only and with no verdict, the median and quartiles on each side
 of the report line's ``update_p50_us``, ``update_p99_us``, ``query_p50_ms``
@@ -43,6 +47,8 @@ checkout, so that every BENCH file records its base commit.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -185,12 +191,35 @@ def seed_list(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+@functools.cache
+def known_workloads() -> frozenset[str]:
+    """The workload names of this checkout's ``perfbench/workloads.py``,
+    which imports nothing from the library."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look their module up
+    return frozenset(module.WORKLOADS)
+
+
+def workload_list(text: str) -> list[str]:
+    """NAME,... of workloads ``perfbench/run.py`` knows, in the order given."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known_workloads()]
+    if not names or unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload(s) {unknown or [text]}; known: {sorted(known_workloads())}")
+    return names
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout of the base commit")
     ap.add_argument("--seeds", type=seed_list, default=seed_list("3-12"), help="e.g. 3-12")
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
+    ap.add_argument("--workloads", type=workload_list, metavar="NAME,...",
+                    help="any of perfbench/workloads.WORKLOADS; "
+                    "default: every workload of BENCHMARK.json")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     differs = benchmark_difference(args.base.resolve(), ROOT)
