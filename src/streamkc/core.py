@@ -15,6 +15,7 @@ and distances below about 1e-154 lose precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -91,6 +92,13 @@ def _extremes(d: Distances, n: int) -> tuple[float, float]:
     return (lo if lo < math.inf else 0.0), hi
 
 
+def _require_count(name: str, value) -> None:
+    """ValueError unless value is an integer: a Python or numpy int, not a
+    bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class StreamParams:
     """Knobs shared by the streaming structures.
@@ -111,6 +119,8 @@ class StreamParams:
     beta: float = 0.5
 
     def __post_init__(self):
+        for name in ("window_len", "k", "z"):
+            _require_count(name, getattr(self, name))
         if self.window_len < 1:
             raise ValueError("window_len must be positive")
         if not 1 <= self.k < self.window_len:

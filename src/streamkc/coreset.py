@@ -922,6 +922,8 @@ class GuessLadder:
     def warmup_coreset(self) -> WeightedCoreset:
         """Before the grid exists every window point is kept verbatim: the
         active buffer itself is an exact (radius zero) coreset."""
+        if self.bootstrapped:
+            raise RuntimeError("the grid exists and holds the window: extract_coreset() reads it")
         pts = tuple((q, 1) for q in self.warmup)
         if not pts:
             raise RuntimeError("no points processed yet")

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import Point, StreamParams, WindowView
+from .core import Point, StreamParams, WindowView, _require_count
 from .coreset import GuessLadder, WeightedCoreset
 
 # largest window whose squared size, the total ordered-pair mass, is below
@@ -338,6 +338,7 @@ class EffDiameterConfig:
             raise ValueError("lam must be finite and >= 0")
         if not 0 < self.beta <= 1 or 1.0 + self.beta == 1.0:
             raise ValueError("beta must be in (0, 1], with 1 + beta above 1")
+        _require_count("fine_cap", self.fine_cap)
         if self.fine_cap < 1:
             raise ValueError("fine_cap must be >= 1")
 

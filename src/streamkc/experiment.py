@@ -7,6 +7,7 @@ row per query.  Columns:
 
     timestep      query time step
     radius        clustering radius vs the full window, z largest excluded
+                  (``radius_excluding`` of the query's centers, Euclidean)
     uncovered     weight/count left uncovered by the returned solution
     eff_lower     lower effective-diameter estimate
     eff_upper     upper effective-diameter estimate (for eff-sequential both
@@ -16,7 +17,9 @@ row per query.  Columns:
                   per ladder rung plus two distance scalars); baselines count
                   their stored window as points * dimension
     update_ns     median per-point update time since the previous query, ns
-    query_ns      wall-clock time of this query, ns
+    query_ns      wall-clock time of this query, ns: the engine's or
+                  baseline's call alone; the run scores its centers
+                  (the radius column) after the timer stops
     saturated     1 if an effective-diameter estimate lost its guarantee
 
 Identical configs and seeds reproduce every column except the two timing
@@ -36,7 +39,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Point, StreamParams, WindowView, radius_excluding
+from .core import Point, StreamParams, WindowView, _require_count, radius_excluding
 from .coreset import GuessLadder
 from .effdiam import EffDiameterConfig, FineCoresetState, eff_sequential
 from .solver import _check_step, charikar, compute_solution, gonzalez, samp_charikar
@@ -95,6 +98,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("window_len", "query_every", "sample_size"):
+            _require_count(name, getattr(self, name))
         if self.window_len < 2:
             raise ValueError("window_len must be >= 2")
         if self.query_every < 1:
@@ -298,17 +303,18 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 def _query(cfg, alg, step, engine, window, t, dim, update_ns) -> dict:
     view = WindowView(points=tuple(window), t=t)
     med_update = int(statistics.median(update_ns)) if update_ns else 0
+    centers = None
     q0 = time.perf_counter_ns()
     if alg in ("sliding", "charikar", "samp-charikar"):
         if alg == "sliding":
-            out = compute_solution(engine, window=view)
+            out = compute_solution(engine)
         elif alg == "charikar":
             out = charikar(view, cfg.k, cfg.z, step)
         else:
             out = samp_charikar(view, cfg.k, cfg.z, step, cfg.sample_size, cfg.seed)
-        vals = dict(radius=out.achieved_radius, uncovered=out.uncovered_weight)
+        centers, vals = out.centers, dict(uncovered=out.uncovered_weight)
     elif alg == "gon":
-        vals = dict(radius=radius_excluding(gonzalez(view, cfg.k), view, cfg.z))
+        centers, vals = gonzalez(view, cfg.k), {}
     elif alg == "eff-sliding":
         est = engine.estimate()
         vals = dict(eff_lower=est.lower, eff_upper=est.upper, saturated=int(est.saturated))
@@ -316,6 +322,8 @@ def _query(cfg, alg, step, engine, window, t, dim, update_ns) -> dict:
         value = eff_sequential(view, cfg.alpha, cfg.bucket_step)
         vals = dict(eff_lower=value, eff_upper=value)
     q_ns = time.perf_counter_ns() - q0
+    if centers is not None:  # scoring against the true window is evaluation, not query time
+        vals["radius"] = radius_excluding(centers, view, cfg.z)
     mem = len(window) * dim if engine is None else engine.memory_floats(dim)
     return _row(t, memory_floats=mem, update_ns=med_update, query_ns=q_ns, **vals)
 

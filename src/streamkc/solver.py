@@ -37,8 +37,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# radius_excluding is imported, not called (callers score the centers they get):
+# perfbench's tracer patches solver.radius_excluding, which tests/test_tracer.py checks
 from .core import _BLOCK, Distances, Metric, Point, WindowView, dist, radius_excluding
-from .core import _distances, _extremes
+from .core import _distances, _extremes, _require_count
 from .coreset import GuessLadder
 
 
@@ -47,14 +49,13 @@ class SolveOutcome:
     """Result of a clustering run.
 
     uncovered_weight is the aggregate (estimated) weight left uncovered at
-    the returned radius rho_min; achieved_radius scores the centers against
-    the true window (z largest distances excluded) when one was supplied.
+    the returned radius rho_min.  Scoring the centers against the true
+    window is the caller's: ``core.radius_excluding``.
     """
 
     centers: tuple[Point, ...]
     uncovered_weight: int
     rho_min: float
-    achieved_radius: Optional[float] = None
     guess: Optional[float] = None
     coreset_size: Optional[int] = None
 
@@ -215,7 +216,7 @@ def _first_covering(
     raise RuntimeError("radius grid exhausted without covering enough weight")
 
 
-def compute_solution(ladder: GuessLadder, window: Optional[WindowView] = None) -> SolveOutcome:
+def compute_solution(ladder: GuessLadder) -> SolveOutcome:
     """Extract a coreset and find the smallest grid radius whose greedy run
     leaves at most the ladder's z uncovered weight with its k centers.
 
@@ -223,8 +224,7 @@ def compute_solution(ladder: GuessLadder, window: Optional[WindowView] = None) -
     geometrically with step (1 + beta) from the ladder's lower distance bound;
     radii below the separation bound are skipped (``_first_covering``).
     The greedy's eps is 4*(1 + beta), matching the coreset's dilation.
-    Distances, including the scoring against window when one is given, are
-    the ladder's metric.
+    Distances are the ladder's metric.
     """
     params, metric = ladder.params, ladder.metric
     k, z = params.k, params.z
@@ -246,12 +246,10 @@ def compute_solution(ladder: GuessLadder, window: Optional[WindowView] = None) -
 
     grid = _radius_grid(lo, cap, 1.0 + params.beta)
     rho, centers, uw = _first_covering(grid, pts, wts, d, k, z, eps)
-    achieved = None if window is None else radius_excluding(centers, window, z, metric)
     return SolveOutcome(
         centers=tuple(centers),
         uncovered_weight=uw,
         rho_min=rho,
-        achieved_radius=achieved,
         guess=coreset.guess,
         coreset_size=len(coreset),
     )
@@ -304,6 +302,7 @@ def brute_force_optimum(
 
 def gonzalez(window: WindowView, k: int, metric: Metric = dist) -> list[Point]:
     """Farthest-first traversal, seeded at the first window point."""
+    _require_count("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     pts = window.points
@@ -329,13 +328,7 @@ def _whole_window(
     lo, hi = _extremes(d, n)
     grid = _radius_grid(lo, hi, 1.0 + step)
     rho, centers, uw = _first_covering(grid, pts, [1] * n, d, k, z, 0.0, candidates)
-    achieved = 0.0 if z >= n else radius_excluding(centers, window, z, metric)
-    return SolveOutcome(
-        centers=tuple(centers),
-        uncovered_weight=uw,
-        rho_min=rho,
-        achieved_radius=achieved,
-    )
+    return SolveOutcome(centers=tuple(centers), uncovered_weight=uw, rho_min=rho)
 
 
 def charikar(

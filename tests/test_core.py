@@ -128,6 +128,20 @@ def test_stream_params_validation():
         StreamParams(window_len=10, k=2, z=2, beta=1.5)
 
 
+@pytest.mark.parametrize("counts", [
+    dict(window_len=100.5), dict(k=2.5), dict(z=1.5), dict(k=True), dict(z="1"),
+])
+def test_stream_params_refuse_counts_that_are_not_integers(counts):
+    # a fractional k would pass every range check and fail at a query
+    with pytest.raises(ValueError, match="must be an integer"):
+        StreamParams(**{**dict(window_len=100, k=2, z=1), **counts})
+
+
+def test_stream_params_accept_numpy_integer_counts():
+    params = StreamParams(np.int64(100), np.int32(2), np.int64(1))
+    assert (params.window_len, params.k, params.z) == (100, 2, 1)
+
+
 @pytest.mark.parametrize("lam, beta", [
     (math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan), (0.5, 1e-17),
 ])

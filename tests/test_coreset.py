@@ -230,6 +230,17 @@ class TestFixedLadder:
             coreset = lad.extract_coreset()
             assert coreset.guess <= (1.0 + beta) * r_relaxed + 1e-9
 
+    def test_a_point_exactly_twice_the_guess_from_a_pick_is_covered(self):
+        # exponent 0 (guess 1) keeps its picks more than 2 apart: the point at
+        # distance exactly 2 is covered by the pick at 0, so one pick
+        # (k + z = 1) qualifies it
+        lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 1.0), "fixed", 2.0, 2.0)
+        lad.process_point(pt(1, 0.0))
+        lad.process_point(pt(2, 2.0))
+        assert lad.exponents() == [0, 1]
+        assert lad.qualifies(0)
+        assert lad.selected_exponent() == 0
+
     def test_single_point_window_extraction(self):
         lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.5, 8.0)
         lad.process_point(pt(1, 2.5))
@@ -337,6 +348,19 @@ class TestObliviousLadder:
         coreset = lad.extract_coreset()
         assert coreset.points == ((pt(1, 0.0), 1),)
         assert coreset.guess == 0.0
+
+    @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
+    def test_the_warmup_coreset_after_the_bootstrap_names_the_grid(self, mode):
+        rng = np.random.default_rng(29)
+        if mode == "fixed":
+            lad = GuessLadder(StreamParams(20, 2, 1), "fixed", 0.01, 2.0)
+        else:
+            lad = GuessLadder(StreamParams(20, 2, 1), "oblivious")
+        for i in range(1, 30):
+            lad.process_point(pt(i, *rng.random(2)))
+        assert lad.bootstrapped
+        with pytest.raises(RuntimeError, match=r"grid exists.*extract_coreset\(\) reads it"):
+            lad.warmup_coreset()
 
     def test_bootstrap_happens_after_buffering(self):
         k, z = 2, 1

@@ -677,6 +677,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1, fine_cap=0)
 
+    @pytest.mark.parametrize("fine_cap", [2.5, True, 4096.0])
+    def test_a_fine_cap_that_is_not_an_integer_is_refused(self, fine_cap):
+        # 2.5 would run as a cap of 2
+        with pytest.raises(ValueError, match="fine_cap must be an integer"):
+            EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1, fine_cap=fine_cap)
+        assert EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1, fine_cap=np.int64(3)).fine_cap == 3
+
     @pytest.mark.parametrize("eps, lam, beta", [
         (math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5), (0.5, math.inf, 0.5),
         (0.5, math.nan, 0.5), (0.5, 0.5, 1e-17),
@@ -974,6 +981,7 @@ class TestRestart:
         with pytest.raises(ValueError, match=match):
             FineCoresetState.from_snapshot(snap)
 
+    @pytest.mark.slow
     def test_refusals_survive_optimized_mode(self):
         # python -O strips assert statements; each snapshot above is refused
         # there as it is here

@@ -2,11 +2,12 @@ import argparse
 import dataclasses
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
 
-from streamkc import cli, experiment
+from streamkc import cli, core, experiment, solver
 from streamkc.cli import build_parser, main
 from streamkc.coreset import GuessLadder
 from streamkc.experiment import (
@@ -160,6 +161,27 @@ class TestRunExperiment:
             assert int(r["uncovered"]) <= cfg.z
             assert int(r["memory_floats"]) > 0
 
+    def test_query_ns_times_the_query_and_the_run_scores_after_it(self, tmp_path, monkeypatch):
+        # a scorer that sleeps 50 ms first: were it called inside the timed
+        # query, in experiment or in solver, query_ns would exceed 50 ms
+        scored = []
+
+        def slow_radius_excluding(*args, **kwargs):
+            time.sleep(0.05)
+            scored.append(core.radius_excluding(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(experiment, "radius_excluding", slow_radius_excluding)
+        monkeypatch.setattr(solver, "radius_excluding", slow_radius_excluding)
+        for algorithm in ("sliding", "charikar", "gon"):
+            scored.clear()
+            cfg = self._cfg(tmp_path, algorithm=algorithm, output_name=f"{algorithm}.csv")
+            rows = read_metrics(run_experiment(cfg))
+            assert len(rows) == 4
+            assert all(int(r["query_ns"]) < 50_000_000 for r in rows), algorithm
+            # one score per row, the one the row carries
+            assert [float(r["radius"]) for r in rows] == scored
+
     def test_eff_sliding_and_sequential_agree_roughly(self, tmp_path):
         data = self._dataset(tmp_path, n=80, dim=2, seed=5)
         rows_sl = read_metrics(
@@ -199,6 +221,15 @@ class TestRunExperiment:
         (dict(algorithm="charikar", step=0.0), "step"),
         (dict(algorithm="samp-charikar", step=-1.0), "step"),
         (dict(algorithm="samp-charikar", sample_size=0), "sample_size"),
+        # a count that is not an integer would fail only at the first query,
+        # or run as its floor
+        (dict(algorithm="samp-charikar", sample_size=2.5), "sample_size must be an integer"),
+        (dict(query_every=10.5), "query_every must be an integer"),
+        (dict(query_every=True), "query_every must be an integer"),
+        (dict(algorithm="eff-sequential", window_len=20.5), "window_len must be an integer"),
+        (dict(algorithm="charikar", k=2.5), "k must be an integer"),
+        (dict(algorithm="gon", z=1.5), "z must be an integer"),
+        (dict(algorithm="eff-sliding", eps=0.5, fine_cap=2.5), "fine_cap must be an integer"),
         (dict(algorithm="eff-sequential", bucket_step=0.0), "bucket_step"),
         # a query needs eps < 1: the run would fail at its first query
         (dict(algorithm="eff-sliding", eps=1.0), "eps < 1"),
@@ -212,6 +243,13 @@ class TestRunExperiment:
     def test_settings_a_run_would_trip_on_are_rejected_up_front(self, tmp_path, bad, match):
         with pytest.raises(ValueError, match=match):
             self._cfg(tmp_path, **bad).validate()
+
+    def test_a_fractional_k_is_refused_before_streaming(self, tmp_path, monkeypatch):
+        read = []
+        monkeypatch.setattr(experiment, "ingest", lambda path: read.append(path) or iter(()))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            run_experiment(self._cfg(tmp_path, algorithm="charikar", k=2.5))
+        assert read == []
 
     @pytest.mark.parametrize("algorithm", ["sliding", "eff-sliding"])
     def test_fixed_mode_accepts_equal_distance_bounds(self, tmp_path, algorithm):

@@ -18,7 +18,6 @@ from streamkc.solver import (
     samp_charikar,
 )
 from oracles import (
-    active_window,
     make_stream,
     manhattan,
     reference_gonzalez,
@@ -162,6 +161,13 @@ class TestGonzalez:
         w = wv(4, 7)
         assert {c.coords[0] for c in gonzalez(w, 5)} == {4.0, 7.0}
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_a_k_that_is_not_an_integer_is_refused(self, k):
+        # 2.5 would return three centers
+        with pytest.raises(ValueError, match="k must be an integer"):
+            gonzalez(wv(0, 1, 9, 10), k)
+        assert len(gonzalez(wv(0, 1, 9, 10), np.int64(2))) == 2
+
     def test_two_approximation(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -201,7 +207,7 @@ class TestCharikar:
         w = wv(0, 1, 2, 100)
         out = charikar(w, 1, 1, step=0.5)
         _, r_star = brute_force_optimum(w, 1, 1)
-        assert out.achieved_radius <= 3.0 * (1.0 + 0.5) * r_star + 1e-9
+        assert radius_excluding(out.centers, w, 1) <= 3.0 * (1.0 + 0.5) * r_star + 1e-9
 
     def test_all_outliers_succeeds_immediately(self):
         w = wv(0, 50, 100)
@@ -222,12 +228,12 @@ class TestCharikar:
             out = charikar(w, k, z, step=step)
             _, r_star = brute_force_optimum(w, k, z)
             assert out.uncovered_weight <= z
-            assert out.achieved_radius <= 3.0 * (1.0 + step) * r_star + 1e-9
+            assert radius_excluding(out.centers, w, z) <= 3.0 * (1.0 + step) * r_star + 1e-9
 
     def test_identical_points_radius_zero(self):
         w = WindowView.from_coords([[2.0, 2.0]] * 5)
         out = charikar(w, 1, 0)
-        assert out.achieved_radius == 0.0 and out.rho_min == 0.0
+        assert radius_excluding(out.centers, w, 0) == 0.0 and out.rho_min == 0.0
 
     @pytest.mark.parametrize("step", [0.0, -0.5, 1e-17, math.nan, math.inf])
     def test_a_step_whose_grid_never_ends_is_rejected(self, step):
@@ -323,8 +329,8 @@ class TestComputeSolution:
         coords = [[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 4
         stream = [Point(i + 1, tuple(c)) for i, c in enumerate(coords)]
         lad = self._ladder(stream, k=2, z=0)
-        out = compute_solution(lad, window=WindowView(points=tuple(stream), t=8))
-        assert out.achieved_radius == 0.0
+        out = compute_solution(lad)
+        assert radius_excluding(out.centers, WindowView(points=tuple(stream), t=8), 0) == 0.0
         assert out.rho_min == 0.0
         assert out.uncovered_weight == 0
 
@@ -341,7 +347,7 @@ class TestComputeSolution:
             stream = make_stream(rng, n, 2)
             lad = self._ladder(stream, k, z, lam, beta, mode)
             window = WindowView(points=tuple(stream), t=n)
-            out = compute_solution(lad, window=window)
+            out = compute_solution(lad)
             assert out.uncovered_weight <= z
             assert len(out.centers) <= k
             _, r_star = brute_force_optimum(window, k, z)
@@ -392,8 +398,8 @@ class TestComputeSolution:
         assert out.centers[0].coords == (3.0, 4.0)
 
     def test_solves_in_the_ladders_metric(self):
-        # a Manhattan ladder's coreset is clustered, and the centers scored,
-        # in Manhattan distance: the same grid scan done by hand must agree
+        # a Manhattan ladder's coreset is clustered in Manhattan distance:
+        # the same grid scan done by hand must agree
         rng = np.random.default_rng(59)
         k, z, beta = 2, 1, 0.5
         eps = 4.0 * (1.0 + beta)
@@ -405,8 +411,7 @@ class TestComputeSolution:
             for p in stream:
                 lad.process_point(p)
             assert lad.bootstrapped
-            window = active_window(stream, lad.t, n)
-            out = compute_solution(lad, window=window)
+            out = compute_solution(lad)
             coreset = lad.extract_coreset()
             pts = [p for p, _ in coreset.points]
             wts = [w for _, w in coreset.points]
@@ -418,7 +423,6 @@ class TestComputeSolution:
             assert out.centers == tuple(centers)
             assert out.rho_min == rho
             assert out.uncovered_weight == uw
-            assert out.achieved_radius == radius_excluding(centers, window, z, manhattan)
 
 
 def _points(coords):
@@ -577,6 +581,22 @@ class TestSeparationSkip:
                     _, uncovered = outliers_cluster(pts, wts, k, rho, eps, metric)
                     assert sum(w for _, w in uncovered) > z
         assert skipped > 0
+
+    def test_a_radius_at_the_bound_within_rounding_is_run(self):
+        # m sits on the segment from p to q, and the block form rounds the
+        # two halves down and the whole up: 2 * 3 * rho reads below the
+        # separation |pq| although the removal ball 3 * rho around m holds
+        # both.  The run at rho covers everything, so it must not be skipped.
+        pts = _points([[7.054855021227487, 0.24149657770626942],
+                       [5.888932567562967, 3.4922604615822728],
+                       [6.471893794395227, 1.866878519644271]])
+        d = solver._distances(pts, dist)
+        rho = 0.5755876464939427
+        sep = d([0], [1])[0, 0]
+        assert 2.0 * 3.0 * rho < sep and d([2], [0, 1]).max() <= 3.0 * rho
+        # weight 2 on m makes it the greedy's first pick
+        got = solver._first_covering([rho], pts, [1, 1, 2], d, 1, 0, 0.0)
+        assert got == (rho, [pts[2]], 0)
 
     def test_nothing_is_skipped_below_k_plus_z_plus_one_distinct_points(
         self, monkeypatch
