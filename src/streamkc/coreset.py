@@ -8,6 +8,10 @@ Each radius guess keeps three small sets of active points, in a
   each carrying a histogram that counts the window points it stands for;
 * orphans: representatives whose attraction point expired or was evicted.
 
+Histogram stamps are arrivals, and they alone decide expiry: at arrival t
+the stamp t - N leaves the one histogram it begins, with the oldest
+attraction point or an orphan's oldest entry (``GuessState.sweep``).
+
 A ``GuessLadder`` maintains these states over a geometric grid of guesses
 ``(1 + beta) ** i``, built and moved by one path, a retarget.  In *fixed*
 mode the grid is pinned to user-supplied distance bounds; in *oblivious*
@@ -254,11 +258,13 @@ class GuessState:
     than orphan_cap of them evicts the oldest and bumps ``evicted``, the
     count of this content's evictions, which a split's copy inherits.
 
-    Must see every time step: the expiry sweep relies on consecutive calls,
-    so that anything stale matches the current step's expiring timestamp
-    exactly.  Orphans are keyed by arrival, and the first (only possibly
-    stale) entry of each orphan histogram is indexed by timestamp, making the
-    per-step sweep O(1) regardless of how many orphans are held.
+    At arrival t the stamp t - N expires, the first entry of at most one
+    histogram, by three facts ``check_invariants`` checks: a state's stamps
+    are distinct arrivals, every histogram ends at its representative's
+    arrival, and an attraction point's representative histogram begins at
+    its arrival.  So the sweep reads the oldest attraction point's arrival
+    and the orphans' first stamps, indexed in ``_first_ts`` (orphans are
+    keyed by arrival), in O(1); it must see every time step.
 
     Attraction points live in the ``_PointStore`` and bumps go through the
     ``_BumpMemo`` that every state of one ladder shares (and that holds
@@ -310,19 +316,17 @@ class GuessState:
         return self._store.points[self.slots[hit]].arrival
 
     def sweep(self, t: int) -> None:
-        """Expiry pass: attraction points first (their representatives become
-        orphans), then the orphan expiring now, then the one histogram entry
-        stamped with the expiring timestamp.  Histograms may be shared with
-        other states, so the entry is sliced off, never popped."""
+        """Expiry pass at arrival t: the stamp t - N leaves the oldest
+        attraction point, whose representative stays an orphan with the
+        entries left, or an orphan, which loses the entry or leaves with its
+        last one.  Histograms may be shared with other states, so the entry
+        is sliced off, never popped."""
         stale = t - self.window_len
-        points = self._store.points
-        while self.slots and points[self.slots[0]].arrival <= stale:
+        if self.reps and self.reps[0][1][0][0] == stale:
             rep, hist = self._pop_oldest()
-            if rep.arrival > stale:
-                self._add_orphan(rep, hist)
-        gone = self.orphans.pop(stale, None)
-        if gone is not None:
-            self._first_ts.pop(gone[1][0][0], None)
+            if len(hist) > 1:
+                self._add_orphan(rep, hist[1:])
+            return
         owner = self._first_ts.pop(stale, None)
         if owner is not None:
             r, hist = self.orphans[owner]
@@ -413,21 +417,20 @@ class GuessState:
     def check_invariants(self, t: int, radius: float) -> None:
         """Raise InvariantError unless the state is consistent at clock t,
         with attraction points pairwise farther apart than radius (the run's
-        highest); the ladder that owns the store checks the store."""
+        highest); the ladder that owns the store checks the store.  Stamps
+        lie in (t - N, t] and keep the sweep's three facts, which place every
+        point held in the window."""
         window_len, lam = self.window_len, self._bumps.lam
         attrs = self.attractions
         n = len(attrs)
         if n > self.max_attractions:
             raise InvariantError(f"{n} attraction points, cap {self.max_attractions}")
-        if any(a is None for a in attrs) or n != len({a.arrival for a in attrs}):
-            raise InvariantError("attraction points repeat or sit in free slots")
+        if None in attrs:
+            raise InvariantError("an attraction point sits in a free slot")
         if len(self.reps) != n:
             raise InvariantError(f"{len(self.reps)} representatives for {n} attraction points")
-        for i in range(n):
-            if attrs[i].arrival <= t - window_len:
-                raise InvariantError("stored expired attraction point")
-            if i and attrs[i - 1].arrival >= attrs[i].arrival:
-                raise InvariantError("attraction points not in arrival order")
+        if any(attrs[i - 1].arrival >= attrs[i].arrival for i in range(1, n)):
+            raise InvariantError("attraction points not in arrival order")
         d = _distances(attrs, self._store.metric)
         for r0 in range(0, n - 1, _BLOCK):
             rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
@@ -438,20 +441,26 @@ class GuessState:
                 raise InvariantError(
                     f"attraction points {attrs[i].arrival},{attrs[j].arrival} too close"
                 )
-        for a, (rep, hist) in zip(attrs, self.reps):
-            if not a.arrival <= rep.arrival <= t or rep.arrival <= t - window_len:
-                raise InvariantError(f"representative {rep.arrival} out of range")
-            check_histogram(hist, window_len, lam)
         if self.orphan_cap is not None and len(self.orphans) > self.orphan_cap:
             raise InvariantError(f"{len(self.orphans)} orphans, cap {self.orphan_cap}")
+        held = [*zip(attrs, self.reps), *((None, o) for o in self.orphans.values())]
+        for a, (rep, hist) in held:
+            check_histogram(hist, window_len, lam)
+            if hist[-1][0] != rep.arrival:
+                raise InvariantError(f"the histogram of {rep.arrival} ends at {hist[-1][0]}")
+            if a is not None and hist[0][0] != a.arrival:
+                raise InvariantError(f"the representative histogram of attraction point "
+                                     f"{a.arrival} begins at {hist[0][0]}")
+        stamps = [ts for _, (_, hist) in held for ts, _ in hist]
+        if any(type(ts) is not int or not t - window_len < ts <= t for ts in stamps):
+            raise InvariantError(f"a stamp is no arrival in ({t - window_len}, {t}]")
+        if len(set(stamps)) != len(stamps):
+            raise InvariantError("two histograms of one state share a stamp")
         for arrival, (r, hist) in self.orphans.items():
-            if not arrival == r.arrival <= t:
-                raise InvariantError(f"orphan {arrival} misfiled or after the clock")
-            if r.arrival <= t - window_len:
-                raise InvariantError("stored expired orphan")
+            if arrival != r.arrival:
+                raise InvariantError(f"orphan {r.arrival} filed under {arrival}")
             if self._first_ts.get(hist[0][0]) != arrival:
                 raise InvariantError(f"orphan {arrival} not in the timestamp index")
-            check_histogram(hist, window_len, lam)
         if len(self._first_ts) != len(self.orphans):
             raise InvariantError("timestamp index out of step with the orphans")
 
@@ -634,8 +643,8 @@ class GuessLadder:
     # -- updates -------------------------------------------------------------
 
     def process_point(self, p: Point) -> None:
-        """Feed the next stream point.  Arrivals must be consecutive from 1,
-        every point must have the first point's dimension, and in oblivious
+        """Feed the next stream point.  Arrivals must be consecutive ints
+        from 1, every point must have the first point's dimension, and in oblivious
         mode lie within MAX_DISTANCE of it and keep the grid rule
         (``_estimates``); a rejected point leaves the ladder untouched.
 
@@ -647,8 +656,8 @@ class GuessLadder:
         bootstraps: its replay may file warm-up points that have left the
         recent ring, which the row misses, so the row is read again."""
         t = p.arrival
-        if t != self.t + 1:
-            raise ValueError(f"out-of-order arrival {t}, expected {self.t + 1}")
+        if type(t) is not int or t != self.t + 1:  # stamps are int arrivals
+            raise ValueError(f"out-of-order arrival {t!r}, expected {self.t + 1}")
         if self.dim is not None and p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
         row = self._store.rows([p])[0]
@@ -977,7 +986,8 @@ class GuessLadder:
         """Every run's invariants, at its highest radius, plus the
         ladder-wide ones: the clock is an arrival count; the runs cut
         exactly the exponent range the mode implies, and evictions are kept
-        for its guesses alone; in oblivious mode the first point is arrival
+        for its guesses alone, each counting a non-negative integer of them
+        (``_evictions_of``); in oblivious mode the first point is arrival
         1 (none at t = 0), the recent points are the last arrivals, each in
         its ring slot, the warm-up holds the window's points, ending with the
         recent ones, until the bootstrap and none after it, and d_t and D_t
@@ -1040,6 +1050,10 @@ class GuessLadder:
             raise InvariantError("evictions are kept for a guess off the grid")
         for st in runs:
             holders.update(st.slots)
+            for e in range(st.lo, st.hi + 1):  # an offset may be negative, a total not
+                off = self._evictions[e]
+                if isinstance(off, bool) or not isinstance(off, int) or off + st.evicted < 0:
+                    raise InvariantError(f"guess {e} counts {off!r} + {st.evicted} evictions")
         self._store.check(holders)
         for st in runs:
             st.check_invariants(t, self._radius(st.hi))

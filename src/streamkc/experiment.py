@@ -28,6 +28,7 @@ ones.  The gauge never reads process-level allocation counters.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 import statistics
@@ -230,14 +231,6 @@ def write_points(coords: np.ndarray, path: str | Path) -> None:
     np.savetxt(path, coords, delimiter=",", fmt="%.17g")
 
 
-def _row(timestep: int, **vals) -> dict:
-    row = {c: "" for c in COLUMNS}
-    row["timestep"] = timestep
-    for key, v in vals.items():
-        row[key] = v
-    return row
-
-
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Feed the stream point by point, querying the selected algorithm every
     query_every steps once the window has filled, and write the metrics file.
@@ -325,33 +318,21 @@ def _query(cfg, alg, step, engine, window, t, dim, update_ns) -> dict:
     if centers is not None:  # scoring against the true window is evaluation, not query time
         vals["radius"] = radius_excluding(centers, view, cfg.z)
     mem = len(window) * dim if engine is None else engine.memory_floats(dim)
-    return _row(t, memory_floats=mem, update_ns=med_update, query_ns=q_ns, **vals)
+    return dict(timestep=t, memory_floats=mem, update_ns=med_update, query_ns=q_ns, **vals)
 
 
 def _write_metrics(cfg: ExperimentConfig, rows: list[dict]) -> None:
-    with open(cfg.output_path, "w") as fh:
+    """The schema line, then the rows as CSV, a column a row lacks left empty."""
+    with open(cfg.output_path, "w", newline="") as fh:
         fh.write(f"# {METRICS_SCHEMA} algorithm={cfg.algorithm}\n")
-        fh.write(",".join(COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in COLUMNS) + "\n")
-
-
-def _fmt(v) -> str:
-    if v == "":
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        writer = csv.DictWriter(fh, COLUMNS, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_metrics(path: str | Path) -> list[dict]:
     """Parse a metrics file back into a list of column -> string dicts."""
-    rows = []
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith(f"# {METRICS_SCHEMA}"):
+    with open(path, newline="") as fh:
+        if not fh.readline().startswith(f"# {METRICS_SCHEMA}"):
             raise ValueError(f"{path}: unknown metrics schema")
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            rows.append(dict(zip(header, line.strip().split(","))))
-    return rows
+        return list(csv.DictReader(fh))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import islice
 
 import numpy as np
@@ -310,6 +311,18 @@ class TestFixedLadder:
         lad.process_point(pt(1, 0))
         with pytest.raises(ValueError):
             lad.process_point(pt(3, 1))
+
+    @pytest.mark.parametrize("arrival", [2.0, np.int64(2)], ids=["float", "numpy_int"])
+    def test_an_arrival_that_is_no_int_is_rejected_before_any_change(self, arrival):
+        # it would become a histogram stamp, which the state check refuses
+        lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.1, 10.0)
+        lad.process_point(pt(1, 0))
+        before = lad.to_snapshot()
+        with pytest.raises(ValueError, match="out-of-order arrival"):
+            lad.process_point(Point(arrival, (1.0,)))
+        assert lad.to_snapshot() == before
+        lad.process_point(pt(2, 1))
+        lad.check_invariants()
 
     def test_wrong_dimension_rejected_before_any_change(self):
         lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.1, 10.0)
@@ -832,6 +845,18 @@ def _clock_as_a_bool(snap, t, window_len):
     snap["t"] = True
 
 
+def _evictions_as(value, name):
+    def corrupt(snap, t, window_len):
+        snap["states"][0]["evictions"] = value
+
+    corrupt.__name__ = f"_evictions_as_{name}"
+    return corrupt
+
+
+_EVICTION_COUNTS = [(-1, "minus_one"), (1.5, "one_and_a_half"), (True, "true"),
+                    ("x", "a_string"), (None, "none")]
+
+
 def _mid_stream_ladder() -> GuessLadder:
     lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
     for p in make_stream(np.random.default_rng(67), 80, 2):
@@ -875,6 +900,7 @@ _MID_STREAM_CORRUPTIONS = [
     _deny_the_bootstrap,  # a bootstrapped field its states contradict
     _move_the_first_point_onto_the_newest,  # a first point of arrival t
     _renumber_the_first_point,  # a first point of arrival 5
+    *(_evictions_as(v, name) for v, name in _EVICTION_COUNTS),  # no count of evictions
 ]
 _WARMUP_CORRUPTIONS = [
     _reverse_the_warmup,
@@ -946,7 +972,7 @@ class TestSnapshotVerification:
                                        (_warmup_ladder, _WARMUP_CORRUPTIONS),
                                        (_fresh_fixed_ladder, _CLOCK_CORRUPTIONS))
             for corrupt in corruptions
-        ]
+        ] + [_corrupted(build(), corrupt) for build, corrupt, _ in _PINNED_SNAPSHOTS]
         said = refusals(GuessLadder, snaps)
         assert all(s.startswith("corrupt ladder snapshot: ") for s in said)
         assert refusals(GuessLadder, snaps, optimized=True) == said
@@ -963,6 +989,202 @@ class TestSnapshotVerification:
         st._store.coords[slot] = (3.25,)
         with pytest.raises(AssertionError, match="attraction points 3,18 too close"):
             st.check_invariants(23, 0.5)
+
+
+def _ball_ladder(cap=None) -> GuessLadder:
+    """A fixed ladder fed 300 points of a seeded 2-d ball: at t = 300 its
+    guesses hold up to six attraction points, long histograms and, in the
+    middle of the grid (at its cap with one), orphans."""
+    lad = GuessLadder(StreamParams(100, 3, 2), "fixed", 1e-3, 4.0, cap=cap)
+    for i, row in enumerate(generate_ball_stream(300, dim=2, seed=3)):
+        lad.process_point(Point(i + 1, tuple(map(float, row))))
+    return lad
+
+
+_SELECTED = -2  # the ball ladder's selected guess
+
+
+def _histograms(snap):
+    """Every histogram of a snapshot, each with the stamps of its state."""
+    for st in snap["states"]:
+        hists = [h for _, _, h in st["reps"]] + [h for _, h in st["orphans"]]
+        for h in hists:
+            yield h, {e[0] for other in hists if other is not h for e in other}
+
+
+def _end_a_histogram_after_the_clock(snap, t, window_len):
+    # the wedge: the next capture at this guess bumps at t + 1 < 305
+    entry = next(s for s in snap["states"] if s["exponent"] == _SELECTED)
+    entry["reps"][0][2][-1][0] = t + 5
+
+
+def _stamp_an_orphan_before_the_window(snap, t, window_len):
+    orphan = next(o for s in snap["states"] for o in s["orphans"] if len(o[1]) >= 2)
+    orphan[1][0][0] = t - window_len  # no sweep would ever trim it
+
+
+def _begin_a_histogram_before_its_attraction_point(snap, t, window_len):
+    hist = next(h for s in snap["states"] for _, _, h in s["reps"] if len(h) >= 2)
+    hist[0][0] -= 1
+
+
+def _stamp_between_arrivals(snap, t, window_len):
+    hist = next(h for h, _ in _histograms(snap) if len(h) >= 3)
+    hist[1][0] += 0.5
+
+
+def _share_a_stamp(snap, t, window_len):
+    # an inner stamp of one histogram moved onto a stamp of another that
+    # lies between its neighbours: each histogram stays valid on its own
+    for hist, others in _histograms(snap):
+        for i in range(1, len(hist) - 1):
+            shared = [ts for ts in others if hist[i - 1][0] < ts < hist[i + 1][0]]
+            if shared:
+                hist[i][0] = shared[0]
+                return
+    raise AssertionError("no stamp to share")
+
+
+def _swap_two_attraction_points(snap, t, window_len):
+    st = next(s for s in snap["states"] if len(s["attractions"]) >= 2)
+    for key in ("attractions", "reps"):
+        st[key][:2] = st[key][1::-1]
+
+
+def _lower_k(snap, t, window_len):
+    snap["params"]["k"] = 1  # a cap of 1 + 2 + 1 attraction points
+
+
+def _add_an_orphan_past_the_cap(snap, t, window_len):
+    # a representative of the state filed as an orphan too: a new arrival
+    # and first stamp, so only the orphan count gives it away
+    st = next(s for s in snap["states"] if len(s["orphans"]) == snap["config"]["cap"])
+    _, rep, hist = st["reps"][0]
+    st["orphans"].append([rep, [hist[-1]]])
+
+
+def _zero_D_t(snap, t, window_len):
+    snap["oblivious"]["D_t"] = 0.0
+
+
+def _push_D_t_past_the_domain(snap, t, window_len):
+    snap["oblivious"]["D_t"] = 1e200
+
+
+_PINNED_SNAPSHOTS = [
+    (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
+    (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
+    (_ball_ladder, _begin_a_histogram_before_its_attraction_point,
+     "histogram of attraction point"),
+    (_ball_ladder, _stamp_between_arrivals, "a stamp is no arrival in (200, 300]"),
+    (_ball_ladder, _share_a_stamp, "two histograms of one state share a stamp"),
+    (_ball_ladder, _swap_two_attraction_points, "attraction points not in arrival order"),
+    (_ball_ladder, _lower_k, "6 attraction points, cap 4"),
+    (lambda: _ball_ladder(cap=4), _add_an_orphan_past_the_cap, "5 orphans, cap 4"),
+    (_mid_stream_ladder, _zero_D_t, "D_t 0.0 is below"),
+    (_mid_stream_ladder, _push_D_t_past_the_domain, "D_t 1e+200 lies outside [0, MAX_DISTANCE]"),
+]
+
+
+def _name_a_slot_outside_the_store(lad):
+    lad._runs[0].slots.append(len(lad._store.points))
+
+
+def _swap_two_ring_slots(lad):
+    lad._ring_slots[:2] = lad._ring_slots[1::-1].copy()
+
+
+def _move_the_first_slot(lad):
+    lad._first_slot = int(lad._ring_slots[lad.t % len(lad._ring_slots)])
+
+
+def _count_evictions_off_the_grid(lad):
+    lad._evictions[lad._runs[0].lo - 1] = 1
+
+
+def _drop_a_representative(lad):
+    next(st for st in lad._runs if st.reps).reps.pop()
+
+
+def _orphaned_run(lad):
+    return next(st for st in lad._runs if st.orphans)
+
+
+def _refile_an_orphan(lad):
+    orphans = _orphaned_run(lad).orphans
+    arrival = next(iter(orphans))
+    orphans[arrival + 10**6] = orphans.pop(arrival)
+
+
+def _unindex_an_orphan(lad):
+    st = _orphaned_run(lad)
+    arrival, (_, hist) = next(iter(st.orphans.items()))
+    st._first_ts[hist[0][0]] = arrival + 1
+
+
+def _index_a_stray_stamp(lad):
+    _orphaned_run(lad)._first_ts[-1] = -1
+
+
+_PINNED_MUTATIONS = [
+    (_ball_ladder, _name_a_slot_outside_the_store, "a holder names a slot outside the store"),
+    (_mid_stream_ladder, _swap_two_ring_slots, "recent ring slots do not hold the recent points"),
+    (_mid_stream_ladder, _move_the_first_slot, "the first point does not hold its store slot"),
+    (_ball_ladder, _count_evictions_off_the_grid, "evictions are kept for a guess off the grid"),
+    (_ball_ladder, _drop_a_representative, "5 representatives for 6 attraction points"),
+    (_ball_ladder, _refile_an_orphan, "filed under"),
+    (_ball_ladder, _unindex_an_orphan, "not in the timestamp index"),
+    (_ball_ladder, _index_a_stray_stamp, "timestamp index out of step with the orphans"),
+]
+
+
+def _pinned_name(case) -> str:
+    return case[1].__name__.strip("_")
+
+
+class TestPinnedRefusals:
+    """Each invariant refusal, reached by an input that fails at that check
+    and at no earlier one: a snapshot where one can reach it, else a live
+    ladder or state changed in place."""
+
+    @pytest.mark.parametrize("case", _PINNED_SNAPSHOTS, ids=_pinned_name)
+    def test_a_snapshot_is_refused_at_its_check(self, case):
+        build, corrupt, message = case
+        lad = build()
+        lad.check_invariants()
+        with pytest.raises(ValueError, match=re.escape(message)) as refused:
+            GuessLadder.from_snapshot(_corrupted(lad, corrupt))
+        assert str(refused.value).startswith("corrupt ladder snapshot: InvariantError(")
+
+    @pytest.mark.parametrize("case", _PINNED_MUTATIONS, ids=_pinned_name)
+    def test_a_changed_ladder_fails_at_its_check(self, case):
+        build, mutate, message = case
+        lad = build()
+        lad.check_invariants()
+        mutate(lad)
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            lad.check_invariants()
+
+    def test_the_wedge_corrupts_the_selected_guess(self):
+        assert _ball_ladder().selected_exponent() == _SELECTED
+
+    def test_an_attraction_point_in_a_free_slot_fails_the_state_check(self):
+        # a ladder's store check refuses a freed slot first, so a lone state
+        st = lone_state(max_attractions=5, window_len=100)
+        for i in range(1, 4):
+            step(st, pt(i, 10.0 * i), 2.0)
+        st.check_invariants(3, 2.0)
+        st._store.points[st.slots[1]] = None
+        with pytest.raises(InvariantError, match="an attraction point sits in a free slot"):
+            st.check_invariants(3, 2.0)
+
+    @pytest.mark.parametrize("value, name", _EVICTION_COUNTS, ids=[n for _, n in _EVICTION_COUNTS])
+    def test_an_eviction_count_that_is_no_count_is_refused(self, value, name):
+        # these loaded and skewed stats()["evictions"], or made it raise
+        lad = _mid_stream_ladder()
+        lo = lad._runs[0].lo
+        with pytest.raises(ValueError, match=re.escape(f"guess {lo} counts {value!r} + 0")):
+            GuessLadder.from_snapshot(_corrupted(lad, _evictions_as(value, name)))
 
 
 class TestBlockMetric:
@@ -1396,6 +1618,14 @@ def _free_a_held_slot(store):
     store.free.append(s)
 
 
+def _free_a_slot_twice(store):
+    store.free.append(store.free[0])
+
+
+def _file_a_stray_arrival(store):
+    store.slot_of[10**6] = 0
+
+
 class TestPointStore:
     """Every guess of a ladder searches one row of distances from the new
     point to the ladder's point store."""
@@ -1468,6 +1698,8 @@ class TestPointStore:
             pytest.param(_add_a_reference, "references and", id="add_a_reference"),
             pytest.param(_move_a_point, "other coordinates", id="move_a_point"),
             pytest.param(_free_a_held_slot, "free but referenced", id="free_a_held_slot"),
+            pytest.param(_free_a_slot_twice, "freed twice", id="free_a_slot_twice"),
+            pytest.param(_file_a_stray_arrival, "arrival map", id="file_a_stray_arrival"),
         ],
     )
     def test_a_corrupt_store_fails_the_check(self, corrupt, message):

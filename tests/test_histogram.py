@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamkc.core import InvariantError
 from streamkc.histogram import (
     bump_and_trim,
     check_invariants,
@@ -55,6 +56,44 @@ def test_max_entries_for_a_lam_that_rounds_away():
         hist = bump_and_trim(hist, t, 1e-17)
     assert len(hist) == 50
     check_invariants(hist, 50, 1e-17)
+
+
+@pytest.mark.parametrize(
+    "hist, lam, message",
+    [
+        pytest.param([], 0.5, "histogram is empty", id="empty"),
+        pytest.param([(1, 0)], 0.5, "count 0 outside [1, 100]", id="count_zero"),
+        pytest.param([(1, 101)], 0.5, "count 101 outside [1, 100]", id="count_past_window"),
+        pytest.param([(2, 2), (1, 1)], 0.5, "timestamps not strictly increasing",
+                     id="stamps_backwards"),
+        pytest.param([(1, 10), (2, 1)], 0.5, "adjacent gap at 0: 10 vs 1", id="adjacent_gap"),
+        # 3 <= 3 * 2 and 2 <= 3 * 1 hold, but 3 > 3 * 1 does not
+        pytest.param([(1, 3), (2, 2), (3, 1)], 2.0, "two-apart overlap at 0", id="overlap"),
+        pytest.param([(1, 2)], 0.5, "last entry count must be 1", id="last_count"),
+    ],
+)
+def test_each_refusal_is_reached_at_its_own_check(hist, lam, message):
+    # "histogram too long" is not here: no histogram that passes every check
+    # before it is longer than max_entries (the next test)
+    with pytest.raises(InvariantError) as refused:
+        check_invariants(hist, 100, lam)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 3.0])
+def test_the_longest_histogram_the_other_checks_allow_fits_max_entries(lam):
+    # built from the last entry back, each count the smallest the checks
+    # allow, so no valid histogram with counts up to n is longer
+    for n in range(1, 400):
+        counts = [1]
+        while True:
+            c = counts[-1] + 1
+            while len(counts) >= 2 and not c > (1.0 + lam) * counts[-2]:
+                c += 1
+            if c > n:
+                break
+            counts.append(c)
+        check_invariants([(t, c) for t, c in enumerate(reversed(counts), 1)], n, lam)
 
 
 def test_bump_rejects_non_monotone_timestamp():

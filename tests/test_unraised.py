@@ -1,0 +1,77 @@
+"""tools/unraised.py: the finder of ``raise`` lines and the tracer that
+records which lines ran."""
+
+import importlib.util
+import textwrap
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "unraised.py"
+spec = importlib.util.spec_from_file_location("unraised", TOOL)
+unraised = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(unraised)
+
+FIXTURE = textwrap.dedent(
+    '''\
+    """raise in a docstring is no statement"""
+    import sys
+
+    if sys.argv is None:
+        raise SystemExit(1)
+
+
+    class Box:
+        def check(self, x):
+            if x < 0:
+                raise ValueError(
+                    f"negative {x}"
+                )
+
+            def inner():
+                raise KeyError(x)  # raise KeyError in a comment
+
+            try:
+                inner()
+            except KeyError:
+                raise
+            return x
+
+
+    async def fetch():
+        raise RuntimeError("never awaited")
+    '''
+)
+
+
+def test_the_finder_names_every_raise_statement_and_its_function():
+    assert unraised.raise_lines(FIXTURE) == [
+        (5, "<module>"),
+        (11, "Box.check"),
+        (16, "Box.check.inner"),
+        (21, "Box.check"),
+        (26, "fetch"),
+    ]
+
+
+def test_the_tracer_records_the_first_line_of_a_raise_that_ran(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    path = package / "fixture.py"
+    path.write_text(FIXTURE)
+    code = compile(FIXTURE, str(path), "exec")
+    namespace: dict = {}
+    exec(code, namespace)
+    box = namespace["Box"]()
+
+    def run():
+        try:
+            box.check(-1)
+        except ValueError:
+            return "refused"
+
+    result, executed = unraised.traced(run, package)
+    ran = executed[str(path.resolve())]
+    assert result == "refused"
+    # the message's own line ran too, but only the statement's first line counts
+    assert 12 in ran
+    assert [line for line, _ in unraised.raise_lines(FIXTURE) if line in ran] == [11]
+    assert unraised.traced(run, tmp_path / "elsewhere")[1] == {}
