@@ -515,7 +515,7 @@ class GuessLadder:
     (the effective-diameter fine ladder).
 
     The ladder's states keep their attraction points in one ``_PointStore``
-    with its recent ring and first point (``_first_slot``).  Each recent
+    with its recent ring and first point, held under arrival 1.  Each recent
     point sits at ring position arrival mod (k + z + 1): ``_ring_slots``
     holds its store slot (-1 while unfilled) and ``_closest_newer`` the
     smallest positive distance from it to a newer recent point (inf if none).
@@ -548,7 +548,6 @@ class GuessLadder:
         self.attr_factor = attr_factor
         self.cap = cap
         self.t = 0
-        self.dim: Optional[int] = None  # fixed by the first point
         self._runs: list[GuessState] = []
         self._evictions: Counter = Counter()  # exponent -> evictions less its run's
         self._captures = 0  # per guess, on arrivals
@@ -561,8 +560,7 @@ class GuessLadder:
             self._retarget([], 0, *self._grid_bounds(d_min / 2.0, d_max))
         else:
             self._grid_bounds(1.0, 2.0)  # every grid spans a factor 2 at least (d_t <= 2 D_t)
-            self.first_point: Optional[Point] = None
-            self._first_slot = -1  # held from the first arrival on
+            self.first_point: Optional[Point] = None  # holds a slot from the first arrival on
             m = params.k + params.z + 1
             self.recent: deque[Point] = deque(maxlen=m)
             self._ring_slots = np.full(m, -1, dtype=np.intp)
@@ -658,12 +656,12 @@ class GuessLadder:
         t = p.arrival
         if type(t) is not int or t != self.t + 1:  # stamps are int arrivals
             raise ValueError(f"out-of-order arrival {t!r}, expected {self.t + 1}")
-        if self.dim is not None and p.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {self.dim}")
+        coords = self._store.coords  # rows of the stream's dimension once one is filled
+        if len(coords) and p.dim != coords.shape[1]:
+            raise ValueError(f"dimension mismatch: {p.dim} vs the stream's {coords.shape[1]}")
         row = self._store.rows([p])[0]
         oblivious = self.mode == "oblivious"
         estimates = self._estimates(p, row) if oblivious else None
-        self.dim = p.dim
         self.t = t
         if oblivious:
             bootstrap = not self.bootstrapped
@@ -687,7 +685,7 @@ class GuessLadder:
         the grid breaks the rule of ``_grid_bounds``."""
         if self.first_point is None:
             return self._closest_newer, 0.0, 0.0, None
-        far = float(row[self._first_slot])
+        far = float(row[self._store.slot_of[1]])
         if not far <= MAX_DISTANCE:
             raise ValueError(f"arrival {p.arrival} lies {far!r} from the first point, "
                              f"beyond MAX_DISTANCE = {MAX_DISTANCE!r}")
@@ -798,7 +796,7 @@ class GuessLadder:
         self._closest_newer, self.d_t, self.D_t, bounds = estimates
         if self.first_point is None:
             self.first_point = p
-            self._first_slot = self._store.acquire(p)
+            self._store.acquire(p)
         replay = list(self.recent) if self.bootstrapped else self.warmup
         self.recent.append(p)
         pos = p.arrival % len(self._ring_slots)
@@ -930,10 +928,13 @@ class GuessLadder:
 
     def warmup_coreset(self) -> WeightedCoreset:
         """Before the grid exists every window point is kept verbatim: the
-        active buffer itself is an exact (radius zero) coreset."""
+        active buffer, one entry per location (its first point, weighted by
+        its copies), is an exact (radius zero) coreset."""
         if self.bootstrapped:
             raise RuntimeError("the grid exists and holds the window: extract_coreset() reads it")
-        pts = tuple((q, 1) for q in self.warmup)
+        copies = Counter(q.coords for q in self.warmup)  # in order of first arrival
+        first = {q.coords: q for q in reversed(self.warmup)}
+        pts = tuple((first[c], n) for c, n in copies.items())
         if not pts:
             raise RuntimeError("no points processed yet")
         return WeightedCoreset(points=pts, guess=0.0, t=self.t)
@@ -992,7 +993,7 @@ class GuessLadder:
         its ring slot, the warm-up holds the window's points, ending with the
         recent ones, until the bootstrap and none after it, and d_t and D_t
         agree with the points they are derived from; the store holds what
-        the runs and the ring reference; and one point stands for the
+        the runs, the ring and the first point reference; and one point stands for the
         clock's arrival (``newest``).  The first that fails raises
         InvariantError.
 
@@ -1030,9 +1031,7 @@ class GuessLadder:
                 raise InvariantError(f"the first point, of arrival {first!r} at t = {t}, "
                                      "is not the stream's first arrival")
             if self.first_point is not None:
-                if self._store.slot_of.get(self.first_point.arrival) != self._first_slot:
-                    raise InvariantError("the first point does not hold its store slot")
-                holders[self._first_slot] += 1
+                holders[self._store.slot_of.get(1, -1)] += 1
                 far = float(self._store.rows([self.first_point])[0, held].max(initial=0.0))
                 if far > self.D_t and not math.isclose(far, self.D_t, rel_tol=1e-9):
                     raise InvariantError(f"D_t {self.D_t!r} is below {far!r}")
@@ -1167,13 +1166,11 @@ class GuessLadder:
                 raise InvariantError("the bootstrapped field disagrees with the states")
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
             if ladder.first_point is not None:
-                ladder._first_slot = ladder._store.acquire(ladder.first_point)
+                ladder._store.acquire(ladder.first_point)
             for q in ladder.recent:  # the snapshot's d_t and D_t stand
                 row = ladder._store.rows([q])[0]
                 ladder._closest_newer, _ = ladder._ring_closest(row, q.arrival)
                 ladder._ring_slots[q.arrival % len(ladder._ring_slots)] = ladder._store.acquire(q)
-        store = ladder._store  # any point it holds fixes the stream's dimension
-        ladder.dim = store.coords.shape[1] if store.live() else None
         ladder._merge_runs(ladder._runs)
         return ladder
 

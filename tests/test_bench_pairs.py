@@ -247,6 +247,44 @@ class TestSrcLines:
         assert last == f"src_lines: 5 -> {want} ({want - 5:+d})"
 
 
+class TestSrcFiles:
+    def test_counts_each_library_module_as_wc_does(self, tmp_path):
+        root = checkout(tmp_path, {
+            "src/streamkc/b.py": "x = 1\ny = 2\n",
+            "src/streamkc/a.py": "z = 3",  # no final newline: wc -l reads 0
+            "src/streamkc/sub/c.py": "w = 4\n",
+            "src/streamkc/notes.txt": "n\n",
+        })
+        assert list(bench_pairs.src_files(root).items()) == [("a.py", 0), ("b.py", 2)]
+
+    def test_the_changed_files_line_names_each_file_whose_count_moved(self):
+        files = {"base": {"a.py": 3, "b.py": 5, "gone.py": 2},
+                 "change": {"a.py": 3, "b.py": 4, "new.py": 1}}
+        assert bench_pairs.changed_files(files) == (
+            "src_files: b.py 5 -> 4; gone.py 2 -> 0; new.py 0 -> 1")
+        same = {"base": {"a.py": 3}, "change": {"a.py": 3}}
+        assert bench_pairs.changed_files(same) == "src_files: no file changed"
+
+    def test_main_records_each_side_per_file_and_prints_the_changes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        base = checkout(tmp_path / "base", {"src/streamkc/a.py": "x = 1\n" * 5})
+        monkeypatch.setattr(bench_pairs, "benchmark_difference", lambda a, b: None)
+        monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "base")
+        monkeypatch.setattr(bench_pairs, "run_once", TestReported.fake_run({}))
+        out = tmp_path / "BENCH.json"
+        argv = ["--base", str(base), "--seeds", "1", "--workloads", "charikar-n500",
+                "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        files = json.loads(out.read_text())["src_files"]
+        assert files == {"base": {"a.py": 5},
+                         "change": bench_pairs.src_files(bench_pairs.ROOT)}
+        assert sum(files["change"].values()) == bench_pairs.src_lines(bench_pairs.ROOT)
+        printed = capsys.readouterr().out.strip().splitlines()
+        assert printed[-2] == bench_pairs.changed_files(files)
+        assert printed[-1].startswith("src_lines: 5 -> ")
+
+
 class TestWorkloads:
     BENCHMARK = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,3 +171,17 @@ def test_dist_block_form_agrees_with_the_scalar_call():
             assert math.isclose(block[i, j], want, rel_tol=1e-12)
     # a wrapped metric keeps its block form
     assert functools.wraps(dist)(lambda p, q: dist(p, q)).pairwise is dist.pairwise
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Point(0, (1.0,)), "arrival must be >= 1, got 0", id="arrival-0"),
+    pytest.param(lambda: StreamParams(0, 1), "window_len must be positive", id="window_len-0"),
+    pytest.param(lambda: StreamParams(5, 1, -1), "z must satisfy 0 <= z < window_len",
+                 id="z-negative"),
+    pytest.param(lambda: radius_excluding([Point(1, (0.0,))],
+                                          WindowView.from_coords([[0.0], [1.0]]), -1),
+                 "z must be >= 0", id="radius_excluding-z-negative"),
+])
+def test_each_refusal_of_an_argument_is_raised(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

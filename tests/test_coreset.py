@@ -490,6 +490,34 @@ class TestObliviousLadder:
         lad.check_invariants()
         assert lad.extract_coreset().total_weight() <= N
 
+    def test_constant_stream_queries_read_one_weighted_location(self):
+        # no positive distance, so no bootstrap: the warm-up coreset holds
+        # the location once, at the window's weight, and so does every query
+        N, k, z = 2000, 10, 10
+        lad = GuessLadder(StreamParams(N, k, z, 0.5, 0.5), "oblivious")
+        fine = FineCoresetState(EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.1), N)
+        for t in range(1, 2 * N + 1):
+            p = Point(t, (1.0, 2.0, 3.0, 4.0))
+            lad.process_point(p)
+            fine.process_point(p)
+        assert not lad.bootstrapped and not fine.validation.bootstrapped
+        coreset = lad.extract_coreset()
+        assert [(q.arrival, w) for q, w in coreset.points] == [(N + 1, N)]
+        est = fine.estimate()
+        assert est.coreset_size == 1
+        assert est.lower == est.upper == 0.0
+        sol = compute_solution(lad)
+        assert sol.coreset_size == 1
+        assert sol.rho_min == 0.0 and sol.uncovered_weight == 0
+
+    def test_the_warmup_coreset_weights_each_location_by_its_copies(self):
+        lad = GuessLadder(StreamParams(8, 3, 3, 0.5, 0.5), "oblivious")  # bootstraps at t >= 8
+        for t, x in enumerate([3.0, 5.0, 3.0, 3.0, 7.0, 5.0, 3.0], start=1):
+            lad.process_point(pt(t, x))
+        assert not lad.bootstrapped
+        got = [(q.arrival, q.coords, w) for q, w in lad.warmup_coreset().points]
+        assert got == [(1, (3.0,), 4), (2, (5.0,), 2), (5, (7.0,), 1)]
+
 
 def _counted(metric):
     """A twin of metric that counts its scalar and its block-form calls."""
@@ -1094,8 +1122,8 @@ def _swap_two_ring_slots(lad):
     lad._ring_slots[:2] = lad._ring_slots[1::-1].copy()
 
 
-def _move_the_first_slot(lad):
-    lad._first_slot = int(lad._ring_slots[lad.t % len(lad._ring_slots)])
+def _unmap_the_first_point(lad):
+    del lad._store.slot_of[1]  # the first point's holder names no slot
 
 
 def _count_evictions_off_the_grid(lad):
@@ -1129,7 +1157,7 @@ def _index_a_stray_stamp(lad):
 _PINNED_MUTATIONS = [
     (_ball_ladder, _name_a_slot_outside_the_store, "a holder names a slot outside the store"),
     (_mid_stream_ladder, _swap_two_ring_slots, "recent ring slots do not hold the recent points"),
-    (_mid_stream_ladder, _move_the_first_slot, "the first point does not hold its store slot"),
+    (_mid_stream_ladder, _unmap_the_first_point, "a holder names a slot outside the store"),
     (_ball_ladder, _count_evictions_off_the_grid, "evictions are kept for a guess off the grid"),
     (_ball_ladder, _drop_a_representative, "5 representatives for 6 attraction points"),
     (_ball_ladder, _refile_an_orphan, "filed under"),
@@ -1185,6 +1213,29 @@ class TestPinnedRefusals:
         lo = lad._runs[0].lo
         with pytest.raises(ValueError, match=re.escape(f"guess {lo} counts {value!r} + 0")):
             GuessLadder.from_snapshot(_corrupted(lad, _evictions_as(value, name)))
+
+
+def _fixed_ladder() -> GuessLadder:
+    return GuessLadder(StreamParams(10, 1, 1), "fixed", 1.0, 4.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1), "adaptive"), ValueError,
+                 "unknown mode 'adaptive'", id="unknown-mode"),
+    # half the smallest subnormal rounds to 0.0, whose logarithm fails
+    pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1), "fixed", 5e-324, 1.0), ValueError,
+                 "a grid from 0.0 to 1.0 leaves the float range", id="subnormal-d_min"),
+    pytest.param(lambda: _fixed_ladder().coreset_at(100), KeyError, "100", id="off-the-grid"),
+    pytest.param(lambda: next(iter(_fixed_ladder().states.values())).hist, AttributeError,
+                 "hist", id="unknown-view-attribute"),
+    pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1)).selected_exponent(), RuntimeError,
+                 "ladder holds no guesses yet", id="no-guesses"),
+    pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1)).warmup_coreset(), RuntimeError,
+                 "no points processed yet", id="empty-warmup"),
+])
+def test_each_refusal_of_an_argument_or_call_is_raised(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestBlockMetric:

@@ -1076,3 +1076,30 @@ class TestStats:
         assert not state.validation.bootstrapped
         assert (stats["coreset_size"], stats["exponent"]) == (2, None)
         assert (stats["rows_added"], stats["rows_removed"], stats["refills"]) == (2, 0, 1)
+
+
+def _table_of_one_point():
+    return PairMassTable().update(WeightedCoreset(((Point(1, (0.0,)), 1),), 0.0, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: exact_effective_diameter(wv(), 0.5), ValueError,
+                 "window must be non-empty", id="exact-empty"),
+    pytest.param(lambda: exact_effective_diameter(wv(0.0), 0.0), ValueError,
+                 "alpha must be in (0, 1]", id="exact-alpha"),
+    pytest.param(lambda: PairMassTable().update(WeightedCoreset((), 0.0, 0)), ValueError,
+                 "empty coreset", id="table-empty-coreset"),
+    pytest.param(lambda: coreset_effective_diameter(_table_of_one_point(), 0.0, 1), ValueError,
+                 "alpha must be in (0, 1]", id="coreset-alpha"),
+    pytest.param(lambda: eff_sequential(wv(0.0), 0.5), ValueError,
+                 "window must hold at least two points", id="sequential-one-point"),
+    pytest.param(lambda: eff_sequential(wv(0.0, 1.0), 1.5), ValueError,
+                 "alpha must be in (0, 1]", id="sequential-alpha"),
+    pytest.param(lambda: eff_sequential(wv(0.0, 1.0), 0.5, bucket_step=0.0), ValueError,
+                 "bucket_step must be finite and positive", id="sequential-bucket_step"),
+    pytest.param(lambda: FineCoresetState(EffDiameterConfig(0.9, 0.5, 0.1), 10).estimate(),
+                 RuntimeError, "no points processed yet", id="estimate-no-points"),
+])
+def test_each_refusal_of_an_argument_or_call_is_raised(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import math
+import re
 import time
 
 import numpy as np
@@ -216,6 +217,10 @@ class TestRunExperiment:
             cfg.validate()
 
     @pytest.mark.parametrize("bad, match", [
+        (dict(window_len=1), "window_len must be >= 2"),
+        (dict(query_every=0), "query_every must be >= 1"),
+        (dict(inject_prob=1.5), r"inject_prob must be in \[0, 1\]"),
+        (dict(mode="adaptive"), "unknown mode 'adaptive'"),
         (dict(mode="fixed", d_min=1.0, d_max=math.inf), "d_max < inf"),
         (dict(lam=math.inf), "lam"),
         (dict(algorithm="charikar", step=0.0), "step"),
@@ -374,3 +379,15 @@ class TestCli:
         samples = [[int(v) for v in line.split(",")] for line in lines]
         assert [len(s) for s in samples] == [20 + 10, 10, 10, 10]
         assert all(v >= 0 for s in samples for v in s)
+
+
+def test_an_empty_dataset_has_no_diameter_estimate():
+    with pytest.raises(ValueError, match="cannot estimate the diameter of an empty dataset"):
+        estimate_diameter([])
+
+
+def test_a_metrics_file_of_another_schema_is_refused(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("# streamkc-metrics-v0 algorithm=sliding\nt\n1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown metrics schema")):
+        read_metrics(path)

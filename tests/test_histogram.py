@@ -187,3 +187,8 @@ def test_max_entries_bound_is_respected():
             hist = bump_and_trim(hist, t, lam)
         assert len(hist) <= max_entries(window_len, lam)
         check_invariants(hist, window_len, lam)
+
+
+def test_a_synthetic_window_of_no_points_is_refused():
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        synthetic_full_window(10, 0, 0.5)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,17 @@ class TestComputeSolution:
         assert out.rho_min == 0.0
         assert out.uncovered_weight == 0
 
+    def test_a_fixed_grid_below_the_streams_scale_exhausts_the_radius_grid(self):
+        # two far clusters of weight 50 each, k = z = 1 and d_max far below
+        # their distance: the guess qualifies, but no radius of the grid
+        # lets one center leave at most one uncovered
+        lad = GuessLadder(StreamParams(100, 1, 1), "fixed", 0.01, 0.01)
+        for t in range(1, 101):
+            lad.process_point(Point(t, ((0.0 if t % 2 else 100.0) + 1e-4 * (t % 3),)))
+        assert [w for _, w in lad.extract_coreset().points] == [50, 50]
+        with pytest.raises(RuntimeError, match="radius grid exhausted without covering enough"):
+            compute_solution(lad)
+
     @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
     def test_bicriteria_bounds_random(self, mode):
         rng = np.random.default_rng(37)
@@ -659,3 +671,15 @@ def test_a_greedy_run_reads_at_most_two_squares_of_distances(monkeypatch):
     n, k = 500, 10
     charikar(_window_of_500(), k, 10)
     assert runs and max(runs) <= 2 * n * n + k * n, runs
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: brute_force_optimum(wv(0.0, 1.0, 2.0), 0, 0), "k must be >= 1",
+                 id="brute_force-k-0"),
+    pytest.param(lambda: brute_force_optimum(wv(0.0, 1.0, 2.0), 1, 3),
+                 "z must satisfy 0 <= z < window size", id="brute_force-z-window"),
+    pytest.param(lambda: gonzalez(wv(0.0, 1.0), 0), "k must be >= 1", id="gonzalez-k-0"),
+])
+def test_each_refusal_of_an_argument_is_raised(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -13,7 +13,9 @@ summary line per workload, which also shows each side's median of the
 ``SHOWN`` report-line metrics, so an update-path cost reads without the
 file.  Under ``src_lines`` it records, and prints on a last summary line,
 the line count of each side's library source (``src/streamkc/*.py``), the
-measure of size the roadmap's design aim reads.
+measure of size the roadmap's design aim reads; under ``src_files``, each
+side's count per file, and the line before the last names the files whose
+count changed.
 Under ``reported`` it also keeps, for
 information only and with no verdict, the median and quartiles on each side
 of the report line's ``update_p50_us``, ``update_p99_us``, ``query_p50_ms``
@@ -83,9 +85,26 @@ def benchmark_difference(base: Path, change: Path) -> Optional[str]:
     return None
 
 
+def src_files(checkout: Path) -> dict[str, int]:
+    """Lines of each of checkout's ``src/streamkc/*.py``, counted as ``wc -l``
+    does, by file name in name order."""
+    paths = sorted((checkout / "src" / "streamkc").glob("*.py"))
+    return {p.name: p.read_bytes().count(b"\n") for p in paths}
+
+
 def src_lines(checkout: Path) -> int:
     """Lines of checkout's ``src/streamkc/*.py``, counted as ``wc -l`` does."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "streamkc").glob("*.py"))
+    return sum(src_files(checkout).values())
+
+
+def changed_files(files: dict[str, dict[str, int]]) -> str:
+    """The summary line of the files whose count differs between the sides
+    of ``src_files`` (0 for a file a side lacks)."""
+    base, change = files["base"], files["change"]
+    changed = [f"{name} {base.get(name, 0)} -> {change.get(name, 0)}"
+               for name in sorted(base.keys() | change.keys())
+               if base.get(name, 0) != change.get(name, 0)]
+    return "src_files: " + ("; ".join(changed) or "no file changed")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -248,6 +267,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": args.seconds,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
+        "src_files": {side: src_files(path) for side, path in sides.items()},
         "workloads": {},
     }
     for wl in workloads:
@@ -281,6 +301,7 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     for wl, summary in result["workloads"].items():
         print(summary_line(wl, summary))
+    print(changed_files(result["src_files"]))
     base, change = result["src_lines"]["base"], result["src_lines"]["change"]
     print(f"src_lines: {base} -> {change} ({change - base:+d})")
     return 0
