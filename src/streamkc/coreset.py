@@ -36,10 +36,10 @@ states: each arrival reads one row from the new point to the store, once
 and before anything changes, and hands it down.  Every attraction search
 gathers its slots from that row, its entries at the recent points update
 each one's smallest distance to a newer one (the smallest is ``d_t``), and
-its entry at the first point, which holds a slot for good, updates
-``D_t``.  A metric without a block form is rejected when a ladder is built
-or restored.  The store and those distances are never serialized; a
-restore replays the recent points into them.
+its entry at the first point, whose row of arrival 1 is its one record,
+updates ``D_t``.  A metric without a block form is rejected when a ladder
+is built or restored.  The store and those distances are never serialized;
+a restore replays the recent points into them.
 
 Most guesses of one ladder hold equal states, so its unit of state is the
 run: adjacent guesses, exponents ``lo..hi``, that share one ``GuessState``.
@@ -515,7 +515,7 @@ class GuessLadder:
     (the effective-diameter fine ladder).
 
     The ladder's states keep their attraction points in one ``_PointStore``
-    with its recent ring and first point, held under arrival 1.  Each recent
+    with its recent ring and first point, held only under arrival 1.  Each recent
     point sits at ring position arrival mod (k + z + 1): ``_ring_slots``
     holds its store slot (-1 while unfilled) and ``_closest_newer`` the
     smallest positive distance from it to a newer recent point (inf if none).
@@ -560,7 +560,6 @@ class GuessLadder:
             self._retarget([], 0, *self._grid_bounds(d_min / 2.0, d_max))
         else:
             self._grid_bounds(1.0, 2.0)  # every grid spans a factor 2 at least (d_t <= 2 D_t)
-            self.first_point: Optional[Point] = None  # holds a slot from the first arrival on
             m = params.k + params.z + 1
             self.recent: deque[Point] = deque(maxlen=m)
             self._ring_slots = np.full(m, -1, dtype=np.intp)
@@ -683,7 +682,7 @@ class GuessLadder:
         (None without a grid) after p, from row, p's distances to the store,
         with nothing changed; ValueError when p lies beyond MAX_DISTANCE or
         the grid breaks the rule of ``_grid_bounds``."""
-        if self.first_point is None:
+        if not self.t:
             return self._closest_newer, 0.0, 0.0, None
         far = float(row[self._store.slot_of[1]])
         if not far <= MAX_DISTANCE:
@@ -794,8 +793,7 @@ class GuessLadder:
         or the recent points, before p is handed to the runs.  Called by
         process_point once per arrival; never call it on its own."""
         self._closest_newer, self.d_t, self.D_t, bounds = estimates
-        if self.first_point is None:
-            self.first_point = p
+        if p.arrival == 1:  # the first point holds a slot for good
             self._store.acquire(p)
         replay = list(self.recent) if self.bootstrapped else self.warmup
         self.recent.append(p)
@@ -859,7 +857,8 @@ class GuessLadder:
         st = self._new_state(top, hi)
         N = self.params.window_len
         hist = synthetic_full_window(t, min(N, t - 1), self.params.lam)
-        st.seed(self.first_point if t - 1 < N else None, points[-1], hist)
+        store = self._store
+        st.seed(store.points[store.slot_of[1]] if t - 1 < N else None, points[-1], hist)
         runs.append(st)
 
     def _replayed_runs(self, lo: int, hi: int, points: Sequence[Point]) -> list[GuessState]:
@@ -951,7 +950,7 @@ class GuessLadder:
     def stored_points(self) -> int:
         n = sum(st.stored_points() * (st.hi - st.lo + 1) for st in self._runs)
         if self.mode == "oblivious":
-            n += (0 if self.first_point is None else 1) + len(self.recent) + len(self.warmup)
+            n += min(self.t, 1) + len(self.recent) + len(self.warmup)
         return n
 
     def histogram_entries(self) -> int:
@@ -988,14 +987,14 @@ class GuessLadder:
         ladder-wide ones: the clock is an arrival count; the runs cut
         exactly the exponent range the mode implies, and evictions are kept
         for its guesses alone, each counting a non-negative integer of them
-        (``_evictions_of``); in oblivious mode the first point is arrival
-        1 (none at t = 0), the recent points are the last arrivals, each in
-        its ring slot, the warm-up holds the window's points, ending with the
-        recent ones, until the bootstrap and none after it, and d_t and D_t
-        agree with the points they are derived from; the store holds what
-        the runs, the ring and the first point reference; and one point stands for the
-        clock's arrival (``newest``).  The first that fails raises
-        InvariantError.
+        (``_evictions_of``); in oblivious mode the recent points are the last
+        arrivals, each in its ring slot, the warm-up holds the window's
+        points, ending with the recent ones, until the bootstrap and none
+        after it, and d_t and D_t agree with the points they are derived
+        from; the store holds what the runs, the ring and, after the first
+        arrival, the first point (the row of arrival 1) reference; and one
+        point stands for the clock's arrival (``newest``).  The first that
+        fails raises InvariantError.
 
         d_t and D_t are compared with a relative tolerance of 1e-9, since a
         snapshot written before they came from the metric's block form holds
@@ -1026,13 +1025,12 @@ class GuessLadder:
                 raise InvariantError(
                     f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
                 )
-            first = None if self.first_point is None else self.first_point.arrival
-            if first != (1 if t else None) or ring.get(1, self.first_point) != self.first_point:
-                raise InvariantError(f"the first point, of arrival {first!r} at t = {t}, "
-                                     "is not the stream's first arrival")
-            if self.first_point is not None:
-                holders[self._store.slot_of.get(1, -1)] += 1
-                far = float(self._store.rows([self.first_point])[0, held].max(initial=0.0))
+            if t:  # the first point's row, read from the coordinates a freed slot keeps
+                first = self._store.slot_of.get(1, -1)
+                holders[first] += 1
+                coords = self._store.coords
+                far = float(self.metric.pairwise(coords[first : first + 1], coords[held])
+                            .max(initial=0.0))
                 if far > self.D_t and not math.isclose(far, self.D_t, rel_tol=1e-9):
                     raise InvariantError(f"D_t {self.D_t!r} is below {far!r}")
             if not 0 <= self.D_t <= MAX_DISTANCE:
@@ -1092,13 +1090,13 @@ class GuessLadder:
             "t": self.t,
             "d_min": self.d_min,
             "d_max": self.d_max,
-            "states": [{"exponent": e, **v.to_jsonable()} for e, v in self.states.items()],
+            "states": [{"exponent": e, **st.to_jsonable(), "evictions": self._evictions_of(e, st)}
+                       for st in self._runs for e in range(st.lo, st.hi + 1)],
         }
         if self.mode == "oblivious":
+            store = self._store
             snap["oblivious"] = {
-                "first_point": None
-                if self.first_point is None
-                else _point_out(self.first_point),
+                "first_point": _point_out(store.points[store.slot_of[1]]) if self.t else None,
                 "recent": [_point_out(q) for q in self.recent],
                 "d_t": self.d_t,
                 "D_t": self.D_t,
@@ -1153,20 +1151,18 @@ class GuessLadder:
             ladder._evictions[st.lo] = entry["evictions"]
         if ladder.mode == "oblivious":
             ob = snap["oblivious"]
-            ladder.first_point = (
-                None if ob["first_point"] is None else _point_in(ob["first_point"])
-            )
-            ladder.recent = deque(
-                (_point_in(q) for q in ob["recent"]),
-                maxlen=params.k + params.z + 1,
-            )
+            for key, most in (("recent", len(ladder._ring_slots)), ("warmup", params.window_len)):
+                if len(ob[key]) > most:  # a deque would drop the extra points unseen
+                    raise InvariantError(f"the {key} list holds {len(ob[key])} points, "
+                                         f"more than {most}")
+            ladder.recent.extend(_point_in(q) for q in ob["recent"])
             ladder.d_t = ob["d_t"]
             ladder.D_t = ob["D_t"]
             if ob["bootstrapped"] is not ladder.bootstrapped:
                 raise InvariantError("the bootstrapped field disagrees with the states")
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
-            if ladder.first_point is not None:
-                ladder._store.acquire(ladder.first_point)
+            if ob["first_point"] is not None:
+                ladder._store.acquire(_point_in(ob["first_point"]))
             for q in ladder.recent:  # the snapshot's d_t and D_t stand
                 row = ladder._store.rows([q])[0]
                 ladder._closest_newer, _ = ladder._ring_closest(row, q.arrival)
@@ -1203,9 +1199,6 @@ class _GuessView:
     @property
     def evictions(self) -> int:
         return self._ladder._evictions_of(self.exponent)
-
-    def to_jsonable(self) -> dict:
-        return {**self._ladder._run_of(self.exponent).to_jsonable(), "evictions": self.evictions}
 
 
 def _same_content(a: GuessState, b: GuessState) -> bool:

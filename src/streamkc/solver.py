@@ -213,7 +213,9 @@ def _first_covering(
         uw = sum(wts[j] for j in uncovered)
         if uw <= z:
             return rho, [pts[i] for i in centers], uw
-    raise RuntimeError("radius grid exhausted without covering enough weight")
+    # a whole-window or oblivious grid ends past a radius that covers every point
+    raise RuntimeError("radius grid exhausted without covering enough weight: a fixed "
+                       "ladder's d_max lies below the data's scale (check d_min/d_max)")
 
 
 def compute_solution(ladder: GuessLadder) -> SolveOutcome:

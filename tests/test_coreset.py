@@ -1099,6 +1099,24 @@ def _push_D_t_past_the_domain(snap, t, window_len):
     snap["oblivious"]["D_t"] = 1e200
 
 
+def _pad_the_recent_points(snap, t, window_len):
+    # a deque of k + z + 1 points would drop the two leading entries unseen
+    snap["oblivious"]["recent"][:0] = [[999, [5, 5]], [1000, [7, 7]]]
+
+
+def _constant_warmup_ladder() -> GuessLadder:
+    # no positive distance, so the ladder never bootstraps: a full warm-up
+    lad = GuessLadder(StreamParams(30, 2, 2, 0.5, 0.5), "oblivious")
+    for t in range(1, 41):
+        lad.process_point(pt(t, 1.0))
+    assert not lad.bootstrapped and len(lad.warmup) == 30
+    return lad
+
+
+def _pad_the_warmup(snap, t, window_len):
+    snap["oblivious"]["warmup"][:0] = [[5, [123.0]], [2, [-4.0]]]
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
@@ -1111,6 +1129,9 @@ _PINNED_SNAPSHOTS = [
     (lambda: _ball_ladder(cap=4), _add_an_orphan_past_the_cap, "5 orphans, cap 4"),
     (_mid_stream_ladder, _zero_D_t, "D_t 0.0 is below"),
     (_mid_stream_ladder, _push_D_t_past_the_domain, "D_t 1e+200 lies outside [0, MAX_DISTANCE]"),
+    (_mid_stream_ladder, _renumber_the_first_point, "a holder names a slot outside the store"),
+    (_mid_stream_ladder, _pad_the_recent_points, "the recent list holds 6 points, more than 4"),
+    (_constant_warmup_ladder, _pad_the_warmup, "the warmup list holds 32 points, more than 30"),
 ]
 
 
@@ -1347,11 +1368,9 @@ def _round_trip(ladder: GuessLadder, metric=dist) -> GuessLadder:
 def _equal_content_groups(ladder: GuessLadder) -> int:
     """Maximal groups of adjacent guesses whose snapshots agree but for
     their evictions."""
-    views = []
-    for e in ladder.exponents():
-        view = ladder.states[e].to_jsonable()
-        del view["evictions"]
-        views.append(view)
+    views = ladder.to_snapshot()["states"]
+    for view in views:
+        del view["exponent"], view["evictions"]
     return sum(i == 0 or v != views[i - 1] for i, v in enumerate(views))
 
 
@@ -1723,7 +1742,7 @@ class TestPointStore:
             stats = lad.stats()
             held = {q for st in lad.states.values() for q in st.attractions}
             if mode == "oblivious":  # the first point holds a slot for good
-                held.update([lad.first_point, *lad.recent])
+                held.update([lad._store.points[lad._store.slot_of[1]], *lad.recent])
             # p is now each guess's newest attraction point or representative
             new = sum(p.arrival in [a.arrival for a in st.attractions]
                       for st in lad.states.values())

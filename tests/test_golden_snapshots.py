@@ -1,9 +1,12 @@
-"""Snapshots of three engines after small seeded streams, checked against
+"""Snapshots of four engines after small seeded streams, checked against
 ``tests/data/golden_snapshots.json`` byte for byte: an oblivious sliding
-ladder, a fixed ladder, and a fixed ``FineCoresetState`` whose fine cap
-evicts.  Each stream splits and merges runs of guesses, so the file pins
-what the ladder writes per guess (attraction points, the insertion order of
-``reps`` and ``orphans``, evictions) however it shares state between them.
+ladder, a fixed ladder, and a fixed and an oblivious ``FineCoresetState``,
+each with a fine cap that evicts.  Each stream splits and merges runs of
+guesses, so the file pins what the ladder writes per guess (attraction
+points, the insertion order of ``reps`` and ``orphans``, evictions) however
+it shares state between them.  The oblivious ``FineCoresetState`` also pins
+the fine ladder's replay retargets (``attr_factor < 2``) and the
+``oblivious`` block of both its ladders.
 
 A change that alters these snapshots on purpose regenerates the file with
 
@@ -59,6 +62,10 @@ def golden_engines() -> dict[str, tuple[object, int, int]]:
     cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, lam=0.5, fine_cap=6)
     state = FineCoresetState(cfg, 40, "fixed", *stream_extremes(stream))
     out["fine"] = (state, *_feed(state, [state.validation, state.fine], stream))
+
+    stream = adversarial_stream(np.random.default_rng(4004), 140, 2)
+    state = FineCoresetState(cfg, 40, "oblivious")
+    out["fine_oblivious"] = (state, *_feed(state, [state.validation, state.fine], stream))
     return out
 
 
@@ -73,7 +80,8 @@ def test_snapshots_match_the_golden_file():
     for name, (engine, splits, merges) in engines.items():
         assert splits > 0 and merges > 0, name
         assert json.dumps(engine.to_snapshot()) == golden[name], name
-    assert engines["fine"][0].stats()["fine"]["evictions"] > 0
+    for name in ("fine", "fine_oblivious"):
+        assert engines[name][0].stats()["fine"]["evictions"] > 0, name
 
 
 def _runs(engine) -> list[int]:
@@ -87,7 +95,7 @@ def test_golden_snapshots_restore_to_themselves():
     golden = json.loads(GOLDEN.read_text())
     engines = golden_engines()
     for name, text in golden.items():
-        cls = FineCoresetState if name == "fine" else GuessLadder
+        cls = FineCoresetState if name.startswith("fine") else GuessLadder
         restored = cls.from_snapshot(json.loads(text))
         assert json.dumps(restored.to_snapshot()) == text, name
         assert _runs(restored) == _runs(engines[name][0]), name

@@ -343,7 +343,9 @@ class TestComputeSolution:
         for t in range(1, 101):
             lad.process_point(Point(t, ((0.0 if t % 2 else 100.0) + 1e-4 * (t % 3),)))
         assert [w for _, w in lad.extract_coreset().points] == [50, 50]
-        with pytest.raises(RuntimeError, match="radius grid exhausted without covering enough"):
+        hint = "a fixed ladder's d_max lies below the data's scale (check d_min/d_max)"
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"radius grid exhausted without covering enough weight: {hint}")):
             compute_solution(lad)
 
     @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
