@@ -1161,8 +1161,13 @@ class GuessLadder:
             if ob["bootstrapped"] is not ladder.bootstrapped:
                 raise InvariantError("the bootstrapped field disagrees with the states")
             ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
-            if ob["first_point"] is not None:
-                ladder._store.acquire(_point_in(ob["first_point"]))
+            first = ob["first_point"]  # named here: the row reads below would fail unnamed
+            got, want = None if first is None else first[0], 1 if ladder.t else None
+            if got != want or type(got) is not type(want):  # True == 1.0 == 1
+                raise InvariantError(f"the first point's arrival is {got!r} at clock {ladder.t!r}: "
+                                     "1 after any arrival, None before")
+            if first is not None:
+                ladder._store.acquire(_point_in(first))
             for q in ladder.recent:  # the snapshot's d_t and D_t stand
                 row = ladder._store.rows([q])[0]
                 ladder._closest_newer, _ = ladder._ring_closest(row, q.arrival)

@@ -21,7 +21,7 @@ throughout, like the exact oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -315,7 +315,7 @@ class EffDiameterConfig:
     alpha: pair-fraction level of the effective diameter.
     eps: target relative accuracy of the estimates (must be < 1 to query).
     eta: known lower bound on effective diameter / full diameter.
-    lam / beta: histogram accuracy and guess grid granularity, as elsewhere.
+    lam / beta: fine-ladder histogram accuracy and grid granularity, as elsewhere.
     fine_cap: hard cap on fine-layer attraction points per guess; overflow
         evicts the oldest and marks the estimate as saturated.
     """
@@ -380,11 +380,12 @@ class EffDiameterEstimate:
 class FineCoresetState:
     """Two-ladder streaming state for effective diameter estimation.
 
-    The validation ladder is the plain one-center machinery and only picks
-    the guess; the fine ladder stores, per guess, attraction points that are
-    pairwise farther than (fine_precision / 2) * guess, so its coreset has
-    proxy error at most fine_precision * guess.  Single-writer, like
-    GuessLadder.
+    The validation ladder is the one-center machinery at lam = window_len:
+    it only picks the guess, which reads the points a guess holds, never a
+    weight, so it keeps each histogram's first and last entries alone
+    (``streamkc.histogram``).  The fine ladder stores, per guess, attraction
+    points pairwise farther than (fine_precision / 2) * guess, so its
+    coreset has proxy error at most fine_precision * guess.  Single-writer.
 
     Between queries the state keeps one ``PairMassTable`` of the last
     query's fine coreset, and the next query updates it by the entries that
@@ -409,7 +410,7 @@ class FineCoresetState:
             )
         self.cfg = cfg
         params = StreamParams(window_len, k=1, z=0, lam=cfg.lam, beta=cfg.beta)
-        self.validation = GuessLadder(params, mode, d_min, d_max)
+        self.validation = GuessLadder(replace(params, lam=float(window_len)), mode, d_min, d_max)
         self.fine = GuessLadder(
             params,
             mode,
@@ -436,8 +437,6 @@ class FineCoresetState:
         if not val.bootstrapped:
             return val.warmup_coreset(), False
         e = val.selected_exponent()
-        if e not in self.fine.exponents():
-            raise RuntimeError(f"fine ladder lost guess exponent {e}")
         return self.fine.coreset_at(e), self.fine._evictions_of(e) > 0
 
     def estimate(self) -> EffDiameterEstimate:

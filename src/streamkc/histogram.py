@@ -15,7 +15,8 @@ Invariants maintained by the operations below (for window length N):
   4. length <= 2 * ceil(log_{1+lam} N) + 2   (for lam > 0)
   5. the last entry has count 1
 
-With ``lam == 0`` the deletion rule never fires and the histogram stays exact.
+With ``lam == 0`` the deletion rule never fires and the histogram stays exact;
+with ``1 + lam >= N`` it drops every interior entry, as no count exceeds N.
 
 Histograms are values: guesses of one ladder share equal histograms (see
 ``streamkc.coreset``), so no operation changes a list in place.

@@ -856,6 +856,14 @@ def _drop_the_first_point(snap, t, window_len):
     snap["oblivious"]["first_point"] = None
 
 
+def _make_the_first_arrival_a_bool(snap, t, window_len):
+    snap["oblivious"]["first_point"][0] = True  # equal to 1, and loaded as it
+
+
+def _give_a_first_point_before_any_arrival(snap, t, window_len):
+    snap["oblivious"]["first_point"] = [1, [1.0]]
+
+
 def _shift_the_first_point(snap, t, window_len):
     # arrival 1 kept, but not at the ring's arrival-1 point
     snap["oblivious"]["first_point"][1] = [0.5]
@@ -1129,7 +1137,12 @@ _PINNED_SNAPSHOTS = [
     (lambda: _ball_ladder(cap=4), _add_an_orphan_past_the_cap, "5 orphans, cap 4"),
     (_mid_stream_ladder, _zero_D_t, "D_t 0.0 is below"),
     (_mid_stream_ladder, _push_D_t_past_the_domain, "D_t 1e+200 lies outside [0, MAX_DISTANCE]"),
-    (_mid_stream_ladder, _renumber_the_first_point, "a holder names a slot outside the store"),
+    (_mid_stream_ladder, _renumber_the_first_point, "the first point's arrival is 5 at clock 80"),
+    (_mid_stream_ladder, _make_the_first_arrival_a_bool,
+     "the first point's arrival is True at clock 80"),
+    (_warmup_ladder, _drop_the_first_point, "the first point's arrival is None at clock 3"),
+    (lambda: GuessLadder(StreamParams(30, 2, 2, 0.5, 0.5), "oblivious"),
+     _give_a_first_point_before_any_arrival, "the first point's arrival is 1 at clock 0"),
     (_mid_stream_ladder, _pad_the_recent_points, "the recent list holds 6 points, more than 4"),
     (_constant_warmup_ladder, _pad_the_warmup, "the warmup list holds 32 points, more than 30"),
 ]

@@ -2,14 +2,15 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from streamkc import effdiam
-from streamkc.core import Point, WindowView
-from streamkc.coreset import WeightedCoreset
+from streamkc.core import Point, StreamParams, WindowView
+from streamkc.coreset import GuessLadder, WeightedCoreset
 from streamkc.effdiam import (
     MAX_WINDOW_LEN,
     EffDiameterConfig,
@@ -884,6 +885,36 @@ class TestFineState:
         assert lo_est <= mid_exact <= hi_est
 
 
+def _held(ladder):
+    """Each guess's attraction, representative and orphan arrivals."""
+    return {e: ([a.arrival for a in st.attractions], [r.arrival for r, _ in st.reps],
+                list(st.orphans))
+            for st in ladder._runs for e in range(st.lo, st.hi + 1)}
+
+
+@pytest.mark.parametrize("mode", ["fixed", "oblivious"])
+def test_the_validation_ladder_keeps_no_weights_yet_picks_as_at_cfg_lam(mode):
+    # built at lam = window_len, the validation ladder keeps at most two
+    # entries a histogram, yet holds the points, selects the guess and gives
+    # the estimates of a twin whose validation ladder is built at cfg.lam
+    pts = TestRestart._stream(6)[:300]
+    state, twin = TestRestart._state(mode, pts), TestRestart._state(mode, pts)
+    val = state.validation
+    assert val.params == replace(state.fine.params, lam=100.0)
+    twin.validation = GuessLadder(state.fine.params, mode, val.d_min, val.d_max)
+    for p in pts:
+        state.process_point(p)
+        twin.process_point(p)
+        if p.arrival % 10 == 0:
+            assert _held(val) == _held(twin.validation)
+            if val.bootstrapped:
+                assert val.selected_exponent() == twin.validation.selected_exponent()
+            assert state.estimate() == twin.estimate()
+    val.check_invariants()
+    assert max(len(h) for st in val._runs for _, h in [*st.reps, *st.orphans.values()]) == 2
+    assert twin.validation.histogram_entries() > 2 * val.histogram_entries()
+
+
 class TestRestart:
     @staticmethod
     def _stream(seed):
@@ -942,6 +973,17 @@ class TestRestart:
         for state in states:  # each estimator alone restores
             FineCoresetState.from_snapshot(json.loads(json.dumps(state.to_snapshot())))
 
+    @staticmethod
+    def _validation_at_cfg_lam(snap):
+        """Put in snap the validation ladder of a snapshot written when that
+        ladder kept histograms at cfg.lam: one fed _snapshot's points."""
+        val = snap["validation"]
+        params = StreamParams(**{**val["params"], "lam": snap["config"]["lam"]})
+        lad = GuessLadder(params, val["mode"], val["d_min"], val["d_max"])
+        for p in TestRestart._stream(5)[:150]:
+            lad.process_point(p)
+        snap["validation"] = lad.to_snapshot()
+
     CORRUPTIONS = [
         (lambda s: s.update(format="streamkc-ladder"), "not an effective-diameter"),
         (lambda s: s.update(version=2), "unsupported snapshot version"),
@@ -961,7 +1003,8 @@ class TestRestart:
          "corrupt effective-diameter snapshot"),
         (lambda s: s.update(validation=None), "not a ladder snapshot"),
         (lambda s: s.update(fine=[]), "not a ladder snapshot"),
-        (lambda s: s.update(fine=s["validation"]), "fine ladder's attr_factor"),
+        (lambda s: s.update(fine=s["validation"]), "fine ladder's params"),
+        (lambda s: TestRestart._validation_at_cfg_lam(s), "validation ladder's params"),
         (lambda s: TestRestart._splice(s, "fixed"), "ladders fed different streams"),
         (lambda s: TestRestart._splice(s, "oblivious"), "ladders fed different streams"),
     ]
@@ -973,7 +1016,7 @@ class TestRestart:
              "config_refused", "cap", "attr_factor", "lam", "broken_ladder",
              "overflowing_fine_exponent", "params_refused", "grid_refused",
              "window_refused", "validation_none", "fine_list", "validation_twice",
-             "spliced_fixed", "spliced_oblivious"],
+             "validation_at_cfg_lam", "spliced_fixed", "spliced_oblivious"],
     )
     def test_a_corrupt_or_mismatched_snapshot_raises(self, corrupt, match):
         _, snap = self._snapshot()
