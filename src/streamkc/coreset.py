@@ -47,12 +47,14 @@ A guess's value and radius come from its exponent, and its evictions from a
 ladder-level mapping.  Arrivals and replays change runs by one step: the
 ladder sweeps each run once, probes its hit at its lowest and its highest
 radius, splits it only where the two differ, steps it once and merges
-adjacent runs whose contents became equal.  A retarget's replay (of the
-warm-up from no grid, else of the recent points) starts from one empty run
-of all the guesses it builds.  Sharing is exact: the sweep reads the
-content alone, a hit position never grows with the radius, so equal probes
-mean the whole run agrees, and equal contents that get equal hits take
-equal steps.
+adjacent runs whose contents became equal.  A probe scans small runs in
+plain Python and larger ones in one numpy pass.  A retarget's replay (of
+the warm-up from no grid, else of the recent points) starts from one empty
+run of all the guesses it builds, and takes no step when no replayed point
+lies within the highest radius of another: each is then its own
+attraction point.  Sharing is exact: the sweep reads the content alone, a
+hit position never grows with the radius, so equal probes mean the whole
+run agrees, and equal contents that get equal hits take equal steps.
 ``ladder.states`` maps each exponent to a read view of its guess.
 
 Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
@@ -89,6 +91,7 @@ SNAPSHOT_FORMAT = "streamkc-ladder"
 SNAPSHOT_VERSION = 1
 MAX_GRID_LEN = 100_000  # the most guesses a grid may hold
 MAX_DISTANCE = 2.0**500  # oblivious mode's domain: the farthest from the first point
+_PROBE_SLOTS = 256  # the most slots an attraction search scans in plain Python
 
 
 @dataclass(frozen=True, slots=True)
@@ -719,12 +722,16 @@ class GuessLadder:
         slots included, which only makes this rarer) holds no hit.  This
         skips on arrivals in both modes, whose row is read before they take
         a slot, and never on a replayed point, which holds a slot where its
-        row reads 0.0.  The slots of the other runs are gathered from the
-        row into one flat array and compared with each run's highest radius,
-        and the first hit of each run's segment is found by searchsorted
-        over the segment starts.  A hit position never grows with the
-        radius, so the lowest guess agrees exactly when that hit lies within
-        its radius too; then every guess between them agrees."""
+        row reads 0.0.  The other runs are probed at their highest radius,
+        in one of two ways that compare the same doubles by the same ``<=``:
+        while they hold at most _PROBE_SLOTS slots in all, a plain-Python
+        scan of each run's slots, reading the row's floats through a
+        memoryview, stops at its first hit (numpy's fixed cost per call is
+        larger there); else their slots are gathered from the row into one
+        flat array and the first hit of each run's segment is found by
+        searchsorted over the segment starts.  A hit position never grows
+        with the radius, so the lowest guess agrees exactly when that hit
+        lies within its radius too; then every guess between them agrees."""
         closest = row.min(initial=math.inf)
         rad = self._radius
         highs = [rad(st.hi) for st in runs] if exps is None else [rad(e) for e in exps]
@@ -734,6 +741,15 @@ class GuessLadder:
             return hits
         segs = [runs[j].slots for j in near]
         lens = [len(sl) for sl in segs]
+        if sum(lens) <= _PROBE_SLOTS:
+            d = memoryview(row)
+            for j, sl in zip(near, segs):
+                high = highs[j]
+                for i, s in enumerate(sl):
+                    if d[s] <= high:
+                        hits[j] = i if exps or d[s] <= rad(runs[j].lo) else None
+                        break
+            return hits
         bounds = list(accumulate(lens, initial=0))  # segment i is [bounds[i], bounds[i+1])
         flat = np.frombuffer(b"".join(segs), dtype=np.int64)
         near_row = row[flat]
@@ -823,8 +839,12 @@ class GuessLadder:
 
     def _retarget(self, points: Sequence[Point], t: int, lo: int, hi: int) -> None:
         """Move the grid to lo..hi before arrival t, building guesses added
-        below it by one replay of points.  No runs read as the empty grid
-        (hi + 1)..hi: the fixed grid replays no points, the bootstrap the warm-up."""
+        below it by one replay of points (``_replayed_runs``, which takes no
+        step when no point lies within the highest added radius of another,
+        as is common there, where the added radii are the grid's smallest)
+        and guesses added above it by one seeded run if attr_factor >= 2,
+        else by a replay too.  No runs read as the empty grid (hi + 1)..hi:
+        the fixed grid replays no points, the bootstrap the warm-up."""
         runs = self._runs
         old_lo, old_hi = (runs[0].lo, runs[-1].hi) if runs else (hi + 1, hi)
         # D_t never falls, so neither does hi: guesses leave from the bottom,
@@ -866,14 +886,32 @@ class GuessLadder:
         one empty run: exactly what a from-scratch run of each guess holds.
         The points' rows are read in blocks of _BLOCK, with the block's own
         points holding a store slot meanwhile; each point takes one step
-        (``_step``), and the runs are merged after it, as on an arrival."""
-        runs = [self._new_state(lo, hi)]
+        (``_step``), and the runs are merged after it, as on an arrival.
+
+        No step is taken when the points fit one block and the run's cap,
+        span fewer than N arrivals (so no sweep of the replay expires one)
+        and lie pairwise farther apart than the highest radius, read from
+        the block with the same doubles the steps would compare: then no
+        point attracts another, and each is its own attraction point and
+        representative, holding the slot it was pinned to."""
+        st = self._new_state(lo, hi)
+        runs = [st]
         points = list(points)
         store = self._store
+        direct = (0 < len(points) <= min(_BLOCK, st.max_attractions)
+                  and points[-1].arrival - points[0].arrival < st.window_len)
         for r0 in range(0, len(points), _BLOCK):
             block = points[r0 : r0 + _BLOCK]
             pinned = [store.acquire(q) for q in block]
-            for q, row in zip(block, store.rows(block)):
+            rows = store.rows(block)
+            if direct:
+                gaps = rows[:, pinned]
+                np.fill_diagonal(gaps, math.inf)
+                if gaps.min() > self._radius(hi):
+                    st.slots.extend(pinned)
+                    st.reps = [(q, st._bumps.new(q.arrival)) for q in block]
+                    return runs
+            for q, row in zip(block, rows):
                 self._step(runs, q, row)
                 self._merge_runs(runs)
             for s in pinned:
@@ -1155,6 +1193,11 @@ class GuessLadder:
                 if len(ob[key]) > most:  # a deque would drop the extra points unseen
                     raise InvariantError(f"the {key} list holds {len(ob[key])} points, "
                                          f"more than {most}")
+                # 80.0 == 80 and True == 1 would pass the later arrival checks
+                odd = [q[0] for q in ob[key] if type(q[0]) is not int]
+                if odd:
+                    raise InvariantError(f"the {key} list holds a point of arrival {odd[0]!r}, "
+                                         "not an int")
             ladder.recent.extend(_point_in(q) for q in ob["recent"])
             ladder.d_t = ob["d_t"]
             ladder.D_t = ob["D_t"]

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 import streamkc
+from streamkc import coreset
 from streamkc.core import Point, StreamParams, WindowView, _distances, _extremes, dist
 from streamkc.coreset import GuessLadder, WeightedCoreset, _BumpMemo
 from streamkc.histogram import Histogram
@@ -352,6 +353,27 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     ladder._retarget = retargeted
     ladder._merge_runs = lambda runs: None
     return ladder
+
+
+def stepped_runs(ladder: GuessLadder, lo: int, hi: int, points) -> list:
+    """The runs of the guesses lo..hi fed points in order from one empty
+    run, each point through the ladder's own ``_step`` and ``_merge_runs``
+    and nothing else: the reference for ``GuessLadder._replayed_runs``,
+    which builds the run without a step when no point attracts another.
+    The points' rows are read in blocks of _BLOCK, as the ladder reads
+    them, with the block's points holding a store slot meanwhile."""
+    runs = [ladder._new_state(lo, hi)]
+    points = list(points)
+    store = ladder._store
+    for r0 in range(0, len(points), coreset._BLOCK):
+        block = points[r0 : r0 + coreset._BLOCK]
+        pinned = [store.acquire(q) for q in block]
+        for q, row in zip(block, store.rows(block)):
+            ladder._step(runs, q, row)
+            ladder._merge_runs(runs)
+        for s in pinned:
+            store.release(s)
+    return runs
 
 
 def store_fields(ladder: GuessLadder) -> dict:

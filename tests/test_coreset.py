@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from oracles import (
     reference_first_within,
     reference_qualifies,
     refusals,
+    stepped_runs,
     store_fields,
     stream_extremes,
     unshared,
@@ -1125,6 +1126,17 @@ def _pad_the_warmup(snap, t, window_len):
     snap["oblivious"]["warmup"][:0] = [[5, [123.0]], [2, [-4.0]]]
 
 
+def _arrive_as(key: str, value):
+    """A corruption that writes the last point of the oblivious list key
+    with the arrival value, an equal number that is not an int."""
+
+    def corrupt(snap, t, window_len):
+        snap["oblivious"][key][-1][0] = value(t)
+
+    corrupt.__name__ = f"_give_the_last_{key}_point_a_{type(value(1)).__name__}_arrival"
+    return corrupt
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
@@ -1145,6 +1157,14 @@ _PINNED_SNAPSHOTS = [
      _give_a_first_point_before_any_arrival, "the first point's arrival is 1 at clock 0"),
     (_mid_stream_ladder, _pad_the_recent_points, "the recent list holds 6 points, more than 4"),
     (_constant_warmup_ladder, _pad_the_warmup, "the warmup list holds 32 points, more than 30"),
+    (_mid_stream_ladder, _arrive_as("recent", float),
+     "the recent list holds a point of arrival 80.0, not an int"),
+    (_mid_stream_ladder, _arrive_as("recent", lambda t: True),
+     "the recent list holds a point of arrival True, not an int"),
+    (_warmup_ladder, _arrive_as("warmup", float),
+     "the warmup list holds a point of arrival 3.0, not an int"),
+    (_warmup_ladder, _arrive_as("warmup", lambda t: True),
+     "the warmup list holds a point of arrival True, not an int"),
 ]
 
 
@@ -1919,3 +1939,207 @@ class TestPointStore:
         stream = [pt(31, 33e-162)]
         stream += [pt(t, 40e-162 * rng.normal()) for t in range(32, 60)]
         self._lockstep(rng, [lad], stream, dist)
+
+
+def _powers_ladder(window_len=20) -> GuessLadder:
+    """A fixed ladder with beta = 1, so each radius 2 * 2**e is a power of
+    two that a 1-d distance can equal exactly, and k = z = 1, so a run
+    holds at most 3 attraction points; its grid is not read."""
+    return GuessLadder(StreamParams(window_len, 1, 1, 0.5, 1.0), "fixed", 1.0, 64.0)
+
+
+def _line(*placed) -> list[Point]:
+    """1-d points from (arrival, position) pairs."""
+    return [pt(a, x) for a, x in placed]
+
+
+def _runs_out(runs) -> list:
+    return [(st.lo, st.hi, st.evicted, st.to_jsonable()) for st in runs]
+
+
+def _held(lad: GuessLadder) -> dict:
+    """The ladder's store as two ladders built alike can compare it: the
+    fields of ``store_fields`` with the coordinates of filled rows only."""
+    fields = store_fields(lad)
+    n = len(lad._store.points)
+    fields["coords"] = lad._store.coords[:n].tobytes()
+    return fields
+
+
+class TestReplayShortcut:
+    """``_replayed_runs`` builds the run without a step exactly when no
+    replayed point attracts another, and then holds what a step-only replay
+    (``oracles.stepped_runs``) holds, store references included."""
+
+    CASES = {
+        # guesses -1..1: radii 1, 2 and 4; a run holds at most 3 points
+        "pairwise_apart": (True, _line((1, 0.0), (2, 10.0), (3, 20.0))),
+        "a_duplicate_in_the_ring": (False, _line((1, 0.0), (2, 10.0), (3, 10.0))),
+        "the_leaving_point_within_the_radius_of_a_kept_one":
+            (False, _line((1, 0.0), (2, 10.0), (3, 3.0))),
+        "a_pair_exactly_at_the_highest_radius": (False, _line((1, 0.0), (2, 4.0), (3, 20.0))),
+        "more_points_than_the_cap":
+            (False, _line((1, 0.0), (2, 10.0), (3, 20.0), (4, 30.0))),
+        "points_a_window_apart": (False, _line((1, 0.0), (21, 10.0))),
+    }
+
+    @staticmethod
+    def _replay_both(build, lo, hi, points):
+        """(runs, store fields, steps taken) of the ladder's replay, and
+        (runs, store fields) of the step-only one, each on a fresh ladder."""
+        lad, ref = build(), build()
+        step, steps = lad._step, []
+
+        def counted(runs, p, row):
+            steps.append(p.arrival)
+            return step(runs, p, row)
+
+        lad._step = counted
+        got = _runs_out(lad._replayed_runs(lo, hi, points))
+        want = _runs_out(stepped_runs(ref, lo, hi, points))
+        return (got, _held(lad), steps), (want, _held(ref))
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_the_replay_matches_a_step_only_replay(self, case):
+        direct, points = self.CASES[case]
+        (got, store, steps), (want, ref_store) = self._replay_both(_powers_ladder, -1, 1, points)
+        assert got == want and store == ref_store
+        assert (steps == []) == direct
+        if direct:
+            assert len(got) == 1 and len(got[0][3]["attractions"]) == len(points)
+
+    @pytest.mark.parametrize("grid", ["below", "bootstrap"])
+    def test_a_warmup_matches_a_step_only_replay(self, grid):
+        # the warm-up of an oblivious ladder (0, 10 and 20 on a line),
+        # replayed over guesses whose radii lie below its distances, and over
+        # the grid its bootstrap builds from d_t = 10 and D_t = 20, whose
+        # highest radius lies above them all
+        def build():
+            lad = GuessLadder(StreamParams(20, 2, 1, 0.5, 1.0), "oblivious")
+            for p in _line((1, 0.0), (2, 10.0), (3, 20.0)):
+                lad.process_point(p)
+            assert not lad.bootstrapped
+            return lad
+
+        lo, hi = (-1, 1) if grid == "below" else build()._grid_bounds(10.0 / 2.0, 2.0 * 20.0)
+        warmup = list(build().warmup)
+        (got, store, steps), (want, ref_store) = self._replay_both(build, lo, hi, warmup)
+        assert got == want and store == ref_store
+        assert (steps == []) == (grid == "below")
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_a_ladder_matches_one_that_replays_step_by_step(self, seed):
+        # both sides of the shortcut, on a stream: after every arrival the
+        # snapshot and the store equal those of a twin whose every replay,
+        # the bootstrap's included, is step-only
+        rng = np.random.default_rng(3400 + seed)
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
+        twin = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
+        twin._replayed_runs = lambda lo, hi, points: stepped_runs(twin, lo, hi, points)
+        step, replay, steps, direct = lad._step, lad._replayed_runs, [], []
+        lad._step = lambda runs, p, row: steps.append(p) or step(runs, p, row)
+
+        def spy(lo, hi, points):
+            before = len(steps)
+            runs = replay(lo, hi, points)
+            direct.append(len(steps) == before)
+            return runs
+
+        lad._replayed_runs = spy
+        for p in adversarial_stream(rng, 300, 2):
+            lad.process_point(p)
+            twin.process_point(p)
+            assert lad.to_snapshot() == twin.to_snapshot()
+            assert _held(lad) == _held(twin)
+        lad.check_invariants()
+        assert True in direct and False in direct
+
+
+def _hand_run(lad: GuessLadder, lo: int, hi: int, placed) -> GuessState:
+    """A run of the guesses lo..hi holding the 1-d points placed, as
+    (arrival, position) pairs, as its attraction points, oldest first."""
+    st = lad._new_state(lo, hi)
+    for q in _line(*placed):
+        st.slots.append(lad._store.acquire(q))
+        st.reps.append((q, new_histogram(q.arrival)))
+    return st
+
+
+class TestProbePaths:
+    """``_hits`` scans runs of at most _PROBE_SLOTS slots in all in plain
+    Python and larger ones in one flat numpy pass; both find the same hits,
+    each run's per-guess reference search at its lowest and highest radius."""
+
+    @staticmethod
+    def _probe(monkeypatch, lad, p, runs, exps=None):
+        """The hits from the plain-Python scan, from the numpy pass, from
+        the module's own choice (and whether it took numpy), and from
+        ``reference_first_within`` at each run's lowest and highest radius."""
+        row = lad._store.rows([p])[0]
+        chosen = coreset._PROBE_SLOTS
+        out = {}
+        for name, most in (("python", math.inf), ("numpy", -1), ("chosen", chosen)):
+            monkeypatch.setattr(coreset, "_PROBE_SLOTS", most)
+            flat = []
+            monkeypatch.setattr(coreset, "accumulate",
+                                lambda *a, **kw: flat.append(1) or accumulate(*a, **kw))
+            out[name] = (lad._hits(row, runs, exps), bool(flat))
+        reference = []
+        for i, st in enumerate(runs):
+            lo, hi = (st.lo, st.hi) if exps is None else (exps[i], exps[i])
+            low, high = (reference_first_within(st, p, lad._radius(e)) for e in (lo, hi))
+            reference.append(low if low == high else None)
+        assert not out["python"][1]
+        assert out["python"][0] == out["numpy"][0] == out["chosen"][0] == reference
+        return out["chosen"]
+
+    def test_at_the_slot_bound_and_one_past_it(self, monkeypatch):
+        lad = _powers_ladder(window_len=2000)
+        n = coreset._PROBE_SLOTS
+        for total, flat in ((n, False), (n + 1, True)):
+            # three runs over guesses -1..1, 0..0 and 1..2, points 10 apart
+            ends = [0, total // 3, 2 * total // 3, total]
+            first = 1 + 1000 * (total - n)
+            runs = [_hand_run(lad, lo, hi, [(first + i, 10.0 * i) for i in range(a, b)])
+                    for (lo, hi), a, b in zip(((-1, 1), (0, 0), (1, 2)), ends, ends[1:])]
+            # 1.5 from the first point of the middle run: every run is near
+            hits, took_numpy = self._probe(monkeypatch, lad, pt(10**6, 10.0 * ends[1] + 1.5), runs)
+            assert hits == [-1, 0, -1] and took_numpy is flat
+            for x in (3.0, 10.0 * (total - 1) + 4.0, -50.0):
+                self._probe(monkeypatch, lad, pt(10**6, x), runs)
+
+    def test_a_split_probe_reads_one_radius_per_run(self, monkeypatch):
+        lad = _powers_ladder()
+        st = _hand_run(lad, -1, 2, [(1, 0.0), (2, 3.0), (3, 20.0)])
+        hits, _ = self._probe(monkeypatch, lad, pt(9, 2.5), [st] * 4, range(-1, 3))
+        assert hits == [1, 1, 0, 0]  # radii 1, 2, 4, 8: 0.5 from 3.0, 2.5 from 0.0
+
+    def test_a_distance_equal_to_a_radius_is_a_hit(self, monkeypatch):
+        lad = _powers_ladder()
+        runs = [_hand_run(lad, 1, 1, [(1, 0.0), (2, 10.0)]),
+                _hand_run(lad, -1, 1, [(3, 30.0)])]
+        hits, _ = self._probe(monkeypatch, lad, pt(9, 4.0), runs)
+        assert hits == [0, -1]
+        hits, _ = self._probe(monkeypatch, lad, pt(9, 34.0), runs)
+        assert hits == [-1, None]  # 4.0 is radius 4 at guess 1, not radius 1 at -1
+
+    def test_a_free_slot_in_the_row(self, monkeypatch):
+        # a freed slot keeps its last point's coordinates, here those of the
+        # probed point, so its entry (0.0) makes every run near
+        lad = _powers_ladder()
+        free = lad._store.acquire(pt(7, 5.0))
+        runs = [_hand_run(lad, -1, 0, [(1, 0.0), (2, 20.0)])]
+        lad._store.release(free)
+        assert lad._store.points[free] is None
+        hits, _ = self._probe(monkeypatch, lad, pt(9, 5.0), runs)
+        assert hits == [-1]
+        hits, _ = self._probe(monkeypatch, lad, pt(9, 19.5), runs)
+        assert hits == [1]
+
+    def test_a_run_whose_lowest_and_highest_guesses_disagree(self, monkeypatch):
+        lad = _powers_ladder()
+        runs = [_hand_run(lad, -1, 1, [(1, 0.0), (2, 3.5)]),
+                _hand_run(lad, 2, 3, [(3, 50.0)])]
+        # 3.0 from 0.0 (within radius 4, not 1); 0.5 from 3.5 (within 1)
+        hits, _ = self._probe(monkeypatch, lad, pt(9, 3.0), runs)
+        assert hits == [None, -1]

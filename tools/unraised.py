@@ -3,17 +3,22 @@
 Runs a pytest selection in this process under ``sys.settrace``, tracing
 line events only in ``src/streamkc``, then prints each ``raise`` statement
 whose first line never ran, as ``path:line: function: text``, and a count.
-Without arguments the selection is the fast subset, ``-m "not slow" tests``;
-arguments replace it and are handed to pytest as they are::
+With ``--lines`` first, it prints every statement none of whose lines ran
+instead, ``raise`` or not: a compound statement (``if``, ``for``, ``def``
+and the like) by its header alone, a docstring not at all.  Without other
+arguments the selection is the fast subset, ``-m "not slow" tests``; they
+replace it and are handed to pytest as they are::
 
     python3 tools/unraised.py
+    python3 tools/unraised.py --lines
     python3 tools/unraised.py tests/test_histogram.py -q
 
 The tracer slows the run down many times over: the fast subset takes
 minutes.  A child process the tests start (such as a ``python -O`` restore)
 is not traced.  A ``raise`` that shares its first line with other code, as
-in ``if x: raise E``, reads as executed whenever that line runs.  The list
-is for reading, not a gate: the exit status is pytest's.
+in ``if x: raise E``, reads as executed whenever that line runs; so does
+any statement under ``--lines``.  The list is for reading, not a gate: the
+exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -30,23 +35,51 @@ LIBRARY = ROOT / "src" / "streamkc"
 FAST_SUBSET = ["-m", "not slow", "tests"]
 
 
-def raise_lines(source: str) -> list[tuple[int, str]]:
-    """(first line, qualified name of the enclosing function or "<module>")
-    of every ``raise`` statement in source, in line order."""
+def statements(source: str) -> list[tuple[int, int, str, ast.stmt]]:
+    """(first line, last line, qualified name of the enclosing function or
+    "<module>", node) of every statement in source but docstrings, in line
+    order.  The lines of a compound statement are its header's: those
+    before its first body statement."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
+        body = getattr(node, "body", None)
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = child.name if scope == "<module>" else f"{scope}.{child.name}"
-                visit(child, name)
+            if not isinstance(child, ast.stmt):
+                visit(child, scope)
                 continue
-            if isinstance(child, ast.Raise):
-                found.append((child.lineno, scope))
-            visit(child, scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            else:
+                inner = scope
+            docstring = (isinstance(child, ast.Expr) and child is (body or [None])[0]
+                         and isinstance(node, (ast.Module, ast.FunctionDef,
+                                               ast.AsyncFunctionDef, ast.ClassDef))
+                         and isinstance(child.value, ast.Constant)
+                         and isinstance(child.value.value, str))
+            if not docstring:
+                inner_body = getattr(child, "body", None)
+                last = (max(child.lineno, inner_body[0].lineno - 1)
+                        if isinstance(inner_body, list) and inner_body else child.end_lineno)
+                found.append((child.lineno, last, scope, child))
+            visit(child, inner)
 
     visit(ast.parse(source), "<module>")
-    return sorted(found)
+    return sorted(found, key=lambda f: (f[0], f[1]))
+
+
+def raise_lines(source: str) -> list[tuple[int, str]]:
+    """(first line, qualified name of the enclosing function or "<module>")
+    of every ``raise`` statement in source, in line order."""
+    return [(first, scope) for first, _, scope, node in statements(source)
+            if isinstance(node, ast.Raise)]
+
+
+def unexecuted(source: str, ran: set[int]) -> list[tuple[int, str]]:
+    """(first line, scope) of every statement of source, as ``statements``
+    reads them, none of whose lines is in ran."""
+    return [(first, scope) for first, last, scope, _ in statements(source)
+            if ran.isdisjoint(range(first, last + 1))]
 
 
 def traced(run, directory: Path) -> tuple[object, dict[str, set[int]]]:
@@ -85,18 +118,24 @@ def traced(run, directory: Path) -> tuple[object, dict[str, set[int]]]:
 def main(argv: list[str]) -> int:
     import pytest
 
+    every = argv[:1] == ["--lines"]
+    argv = argv[1:] if every else argv
     sys.path.insert(0, str(LIBRARY.parent))
     os.chdir(ROOT)
     status, executed = traced(lambda: pytest.main(argv or FAST_SUBSET), LIBRARY)
     missed = 0
     for path in sorted(LIBRARY.glob("*.py")):
         text = path.read_text().splitlines()
+        source = "\n".join(text)
         ran = executed.get(os.path.realpath(path), set())
-        for line, scope in raise_lines("\n".join(text)):
-            if line not in ran:
-                missed += 1
-                print(f"{path.relative_to(ROOT)}:{line}: {scope}: {text[line - 1].strip()}")
-    print(f"{missed} raise statements never executed")
+        if every:
+            lines = unexecuted(source, ran)
+        else:
+            lines = [(line, scope) for line, scope in raise_lines(source) if line not in ran]
+        for line, scope in lines:
+            missed += 1
+            print(f"{path.relative_to(ROOT)}:{line}: {scope}: {text[line - 1].strip()}")
+    print(f"{missed} {'statements' if every else 'raise statements'} never executed")
     return int(status)
 
 
