@@ -887,9 +887,10 @@ class GuessLadder:
         The points' rows are read in blocks of _BLOCK, with the block's own
         points holding a store slot meanwhile; each point takes one step
         (``_step``), and the runs are merged after it, as on an arrival.
+        The points must span fewer than N arrivals, as the warm-up and the
+        recent points do, so that no sweep of the replay expires one.
 
-        No step is taken when the points fit one block and the run's cap,
-        span fewer than N arrivals (so no sweep of the replay expires one)
+        No step is taken when the points fit one block and the run's cap
         and lie pairwise farther apart than the highest radius, read from
         the block with the same doubles the steps would compare: then no
         point attracts another, and each is its own attraction point and
@@ -898,8 +899,7 @@ class GuessLadder:
         runs = [st]
         points = list(points)
         store = self._store
-        direct = (0 < len(points) <= min(_BLOCK, st.max_attractions)
-                  and points[-1].arrival - points[0].arrival < st.window_len)
+        direct = 0 < len(points) <= min(_BLOCK, st.max_attractions)
         for r0 in range(0, len(points), _BLOCK):
             block = points[r0 : r0 + _BLOCK]
             pinned = [store.acquire(q) for q in block]

@@ -92,7 +92,6 @@ class PairMassTable:
         self._coords = np.empty((cap, dim))
         self._rows: dict[int, int] = {}  # id(point) -> row
         self._points: list[Optional[Point]] = [None] * cap  # row -> point
-        self._free = list(range(cap))  # taken from the end
         self._firsts = np.arange(cap) * np.arange(2 * cap - 1, cap - 1, -1) // 2  # pair (i, i+1)
         self._starts = self._firsts - np.arange(1, cap + 1)
         self.masses, self.cum = np.zeros(_IDS), np.zeros(_IDS // _GROUP)
@@ -143,7 +142,7 @@ class PairMassTable:
         return self
 
     def _add(self, points: Sequence[Point], w: np.ndarray, x: np.ndarray) -> bool:
-        """Give the points (weights w, coordinates x) the rows freed last,
+        """Give the points (weights w, coordinates x) the highest free rows,
         the top rows in a refill, in order, and add their pairs: with the
         other live rows by ``cdist`` blocks, among themselves by one
         ``pdist``, which writes them into the table's tail when the points
@@ -152,8 +151,7 @@ class PairMassTable:
         k, cap = len(points), len(self._points)
         if not k:
             return True
-        rows = np.sort(self._free[-k:])
-        del self._free[-k:]
+        rows = np.flatnonzero(~self._live)[-k:]
         for r, p in zip(rows.tolist(), points):
             self._rows[id(p)] = r
             self._points[r] = p
@@ -189,7 +187,6 @@ class PairMassTable:
         for r in rows.tolist():
             del self._rows[id(self._points[r])]
             self._points[r] = None
-        self._free += rows.tolist()
 
     def _blocks(self, rows: np.ndarray, tail: Optional[int]):
         """The pairs of the sorted rows, each once, in blocks of about

@@ -15,6 +15,9 @@ Invariants maintained by the operations below (for window length N):
   4. length <= 2 * ceil(log_{1+lam} N) + 2   (for lam > 0)
   5. the last entry has count 1
 
+Invariant 4 follows from 1, 3 and 5 and needs no check: c[i] > (1 + lam) * c[i+2],
+c[-1] == 1 and c[0] <= N; with lam == 0, strictly decreasing counts in [1, N].
+
 With ``lam == 0`` the deletion rule never fires and the histogram stays exact;
 with ``1 + lam >= N`` it drops every interior entry, as no count exceeds N.
 
@@ -94,14 +97,6 @@ def synthetic_full_window(t: int, size: int, lam: float) -> Histogram:
     return entries
 
 
-def max_entries(window_len: int, lam: float) -> int:
-    """Hard bound on histogram length implied by invariants 1, 3 and 5.  A
-    ``lam`` so small that ``1 + lam`` rounds to 1 trims like ``lam == 0``."""
-    if 1.0 + lam <= 1.0:
-        return window_len
-    return 2 * math.ceil(math.log(window_len, 1.0 + lam)) + 2
-
-
 def check_invariants(hist: Histogram, window_len: int, lam: float) -> None:
     """Raise InvariantError if any histogram invariant is violated."""
     if not hist:
@@ -123,5 +118,3 @@ def check_invariants(hist: Histogram, window_len: int, lam: float) -> None:
             raise InvariantError(f"two-apart overlap at {i}")
     if hist[-1][1] != 1:
         raise InvariantError("last entry count must be 1")
-    if len(hist) > max_entries(window_len, lam):
-        raise InvariantError("histogram too long")

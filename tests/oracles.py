@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +76,15 @@ def expire_entry(hist: Histogram, t: int, window_len: int) -> Histogram:
     """
     stale = t - window_len
     return [(ts, c) for ts, c in hist if ts != stale]
+
+
+def max_entries(window_len: int, lam: float) -> int:
+    """Hard bound on histogram length implied by the histogram invariants 1,
+    3 and 5 (``streamkc.histogram``).  A ``lam`` so small that ``1 + lam``
+    rounds to 1 trims like ``lam == 0``."""
+    if 1.0 + lam <= 1.0:
+        return window_len
+    return 2 * math.ceil(math.log(window_len, 1.0 + lam)) + 2
 
 
 def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist, candidates=None):

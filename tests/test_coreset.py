@@ -22,6 +22,7 @@ from oracles import (
     looped,
     make_stream,
     manhattan,
+    max_entries,
     per_guess_search,
     reference_first_within,
     reference_qualifies,
@@ -269,8 +270,6 @@ class TestFixedLadder:
         k_z1 = lad.params.k + lad.params.z + 1
         n_guesses = len(lad.states)
         assert sum(st.stored_points() for st in lad.states.values()) <= 3 * k_z1 * n_guesses
-        from streamkc.histogram import max_entries
-
         bound = n_guesses * 2 * k_z1 * max_entries(lad.params.window_len, lad.params.lam)
         assert lad.histogram_entries() <= bound
         gauge = lad.memory_floats(2)
@@ -740,8 +739,8 @@ class TestSnapshot:
             GuessLadder.from_snapshot(snap)
 
     def test_round_trip_with_a_lam_that_rounds_away(self):
-        # 1 + 1e-17 == 1.0: the histogram length bound must not divide by
-        # log(1 + lam) == 0 while the restored ladder is verified
+        # 1 + 1e-17 == 1.0: histograms trim as at lam == 0, and the restored
+        # ladder verifies them so
         lad = GuessLadder(StreamParams(50, 2, 1, lam=1e-17), "oblivious")
         for p in make_stream(np.random.default_rng(5), 119, 2):
             lad.process_point(p)
@@ -1980,7 +1979,6 @@ class TestReplayShortcut:
         "a_pair_exactly_at_the_highest_radius": (False, _line((1, 0.0), (2, 4.0), (3, 20.0))),
         "more_points_than_the_cap":
             (False, _line((1, 0.0), (2, 10.0), (3, 20.0), (4, 30.0))),
-        "points_a_window_apart": (False, _line((1, 0.0), (21, 10.0))),
     }
 
     @staticmethod
@@ -2031,15 +2029,18 @@ class TestReplayShortcut:
     def test_a_ladder_matches_one_that_replays_step_by_step(self, seed):
         # both sides of the shortcut, on a stream: after every arrival the
         # snapshot and the store equal those of a twin whose every replay,
-        # the bootstrap's included, is step-only
+        # the bootstrap's included, is step-only; and every replay, of the
+        # warm-up or of the recent points, spans fewer than N arrivals, as
+        # _replayed_runs requires
         rng = np.random.default_rng(3400 + seed)
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
         twin = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
         twin._replayed_runs = lambda lo, hi, points: stepped_runs(twin, lo, hi, points)
-        step, replay, steps, direct = lad._step, lad._replayed_runs, [], []
+        step, replay, steps, direct, spans = lad._step, lad._replayed_runs, [], [], []
         lad._step = lambda runs, p, row: steps.append(p) or step(runs, p, row)
 
         def spy(lo, hi, points):
+            spans.append((lad.bootstrapped, points[-1].arrival - points[0].arrival))
             before = len(steps)
             runs = replay(lo, hi, points)
             direct.append(len(steps) == before)
@@ -2053,6 +2054,8 @@ class TestReplayShortcut:
             assert _held(lad) == _held(twin)
         lad.check_invariants()
         assert True in direct and False in direct
+        assert {bootstrapped for bootstrapped, _ in spans} == {False, True}
+        assert max(span for _, span in spans) < lad.params.window_len
 
 
 def _hand_run(lad: GuessLadder, lo: int, hi: int, placed) -> GuessState:

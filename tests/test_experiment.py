@@ -3,6 +3,8 @@ import dataclasses
 import inspect
 import math
 import re
+import runpy
+import sys
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from streamkc import cli, core, experiment, solver
 from streamkc.cli import build_parser, main
+from streamkc.core import Point
 from streamkc.coreset import GuessLadder
 from streamkc.experiment import (
     ExperimentConfig,
@@ -43,6 +46,13 @@ class TestIngest:
         f.write_text("")
         assert list(ingest(f)) == []
 
+    def test_blank_lines_between_points_are_skipped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1.0,2.0\n\n   \n\t\n3.0,4.0\n\n")
+        pts = list(ingest(f))
+        assert [p.coords for p in pts] == [(1.0, 2.0), (3.0, 4.0)]
+        assert [p.arrival for p in pts] == [1, 2]
+
     def test_header_skipped(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,y\n1.0,2.0\n")
@@ -70,8 +80,6 @@ class TestIngest:
 class TestInjectOutliers:
     def _stream(self, n=50, dim=3, seed=1):
         rng = np.random.default_rng(seed)
-        from streamkc.core import Point
-
         return [
             Point(i + 1, tuple(map(float, rng.random(dim)))) for i in range(n)
         ]
@@ -95,6 +103,25 @@ class TestInjectOutliers:
         for q in injected:
             assert math.hypot(*q.coords) == pytest.approx(100.0 * diameter)
 
+    def test_a_zero_direction_is_drawn_again(self, monkeypatch):
+        # a Gaussian draw is never the zero vector in practice, so a stub
+        # generator gives one first; the second draw sets the direction
+        draws = [np.zeros(2), np.array([3.0, 4.0])]
+
+        class Stub:
+            def random(self):
+                return 0.0
+
+            def normal(self, size):
+                assert size == 2
+                return draws.pop(0)
+
+        pts = self._stream(n=1, dim=2)
+        monkeypatch.setattr(experiment.np.random, "default_rng", lambda seed: Stub())
+        out = list(inject_outliers(pts, 0.5, 2.0, seed=3, diameter=5.0))
+        assert out == [pts[0], Point(2, (6.0, 8.0))]
+        assert draws == []
+
     def test_expected_rate_helper(self):
         assert injection_prob(10, 10_000) == pytest.approx(0.0005)
         assert injection_prob(10**9, 10) == 1.0
@@ -102,8 +129,6 @@ class TestInjectOutliers:
 
 def test_estimate_diameter_symmetric_set():
     pts_coords = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    from streamkc.core import Point
-
     pts = [Point(i + 1, c) for i, c in enumerate(pts_coords)]
     assert estimate_diameter(pts) == pytest.approx(2.0)
 
@@ -329,6 +354,22 @@ class TestCli:
         ])
         assert rc == 1
         assert "d_max < inf" in capsys.readouterr().err
+
+    def test_the_module_runs_as_a_script(self, tmp_path, monkeypatch, capsys):
+        # in this process, so that a tracer sees the __main__ line run
+        data = tmp_path / "ball.csv"
+        monkeypatch.delitem(sys.modules, "streamkc.cli")  # run afresh, no runpy warning
+        for argv, status in [
+            (["synth", "--output", str(data), "--n", "30"], 0),
+            (["run", "--input", str(data), "--output", str(tmp_path / "m.csv"),
+              "--algorithm", "sliding", "--window", "0"], 1),
+        ]:
+            monkeypatch.setattr(sys, "argv", ["streamkc", *argv])
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module("streamkc.cli", run_name="__main__")
+            assert exited.value.code == status
+        assert len(list(ingest(data))) == 30
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         rc = main([

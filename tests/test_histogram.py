@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,11 @@ from streamkc.core import InvariantError
 from streamkc.histogram import (
     bump_and_trim,
     check_invariants,
-    max_entries,
     new_histogram,
     synthetic_full_window,
     weight_estimate,
 )
-from oracles import ExactHistogram, expire_entry
+from oracles import ExactHistogram, expire_entry, max_entries
 
 
 def test_new_histogram():
@@ -73,27 +74,37 @@ def test_max_entries_for_a_lam_that_rounds_away():
     ],
 )
 def test_each_refusal_is_reached_at_its_own_check(hist, lam, message):
-    # "histogram too long" is not here: no histogram that passes every check
-    # before it is longer than max_entries (the next test)
+    # there is no length check: no histogram that passes these is longer than
+    # max_entries (the next test)
     with pytest.raises(InvariantError) as refused:
         check_invariants(hist, 100, lam)
     assert str(refused.value) == message
 
 
+def _longest_counts(n: int, lam: float) -> list[int]:
+    """The counts, last entry first, of the longest histogram the checks allow
+    with counts up to n: each count the smallest above the one before it and
+    above (1 + lam) times the one two back, by the checks' own doubles."""
+    counts = [1]
+    while True:
+        c = counts[-1] + 1
+        if len(counts) >= 2:
+            c = max(c, math.floor((1.0 + lam) * counts[-2]) + 1)
+        if c > n:
+            return counts
+        counts.append(c)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 3.0])
 def test_the_longest_histogram_the_other_checks_allow_fits_max_entries(lam):
-    # built from the last entry back, each count the smallest the checks
-    # allow, so no valid histogram with counts up to n is longer
-    for n in range(1, 400):
-        counts = [1]
-        while True:
-            c = counts[-1] + 1
-            while len(counts) >= 2 and not c > (1.0 + lam) * counts[-2]:
-                c += 1
-            if c > n:
-                break
-            counts.append(c)
+    # each count the smallest the checks allow, so no valid histogram with
+    # counts up to n is longer; the spot checks past 400 are O(log n) long,
+    # but n long at lam == 0, so they are for lam > 0 only
+    sizes = list(range(1, 400)) + ([10**3, 10**5, 10**8] if lam > 0 else [])
+    for n in sizes:
+        counts = _longest_counts(n, lam)
         check_invariants([(t, c) for t, c in enumerate(reversed(counts), 1)], n, lam)
+        assert len(counts) <= max_entries(n, lam)
 
 
 def test_bump_rejects_non_monotone_timestamp():

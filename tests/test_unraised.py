@@ -1,5 +1,5 @@
-"""tools/unraised.py: the finder of ``raise`` lines and the tracer that
-records which lines ran."""
+"""tools/unraised.py: the finder of statements, the tracer that records
+which lines ran, and the list of statements none of whose lines ran."""
 
 import importlib.util
 import textwrap
@@ -42,17 +42,29 @@ FIXTURE = textwrap.dedent(
 )
 
 
-def test_the_finder_names_every_raise_statement_and_its_function():
-    assert unraised.raise_lines(FIXTURE) == [
-        (5, "<module>"),
-        (11, "Box.check"),
-        (16, "Box.check.inner"),
-        (21, "Box.check"),
-        (26, "fetch"),
+def test_the_finder_names_every_statement_and_its_function():
+    # no docstring, no except clause; a statement spans its lines (11-13),
+    # a compound one its header only (8, 9, 10, 18)
+    assert unraised.statements(FIXTURE) == [
+        (2, 2, "<module>"),
+        (4, 4, "<module>"),
+        (5, 5, "<module>"),
+        (8, 8, "<module>"),
+        (9, 9, "Box"),
+        (10, 10, "Box.check"),
+        (11, 13, "Box.check"),
+        (15, 15, "Box.check"),
+        (16, 16, "Box.check.inner"),
+        (18, 18, "Box.check"),
+        (19, 19, "Box.check"),
+        (21, 21, "Box.check"),
+        (22, 22, "Box.check"),
+        (25, 25, "<module>"),
+        (26, 26, "fetch"),
     ]
 
 
-def test_the_tracer_records_the_first_line_of_a_raise_that_ran(tmp_path):
+def test_the_tracer_records_the_lines_that_ran(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     path = package / "fixture.py"
@@ -71,13 +83,13 @@ def test_the_tracer_records_the_first_line_of_a_raise_that_ran(tmp_path):
     result, executed = unraised.traced(run, package)
     ran = executed[str(path.resolve())]
     assert result == "refused"
-    # the message's own line ran too, but only the statement's first line counts
-    assert 12 in ran
-    assert [line for line, _ in unraised.raise_lines(FIXTURE) if line in ran] == [11]
+    # the raise ran, its message's own line too; the module body did not
+    assert {10, 11, 12} <= ran
+    assert ran.isdisjoint({2, 4, 5, 8, 15, 16, 18, 25, 26})
     assert unraised.traced(run, tmp_path / "elsewhere")[1] == {}
 
 
-def test_the_lines_mode_lists_every_statement_that_never_ran(tmp_path):
+def test_the_list_names_every_statement_that_never_ran(tmp_path):
     path = tmp_path / "fixture.py"
     path.write_text(FIXTURE)
     code = compile(FIXTURE, str(path), "exec")
@@ -108,7 +120,7 @@ def test_the_lines_mode_lists_every_statement_that_never_ran(tmp_path):
     assert unraised.unexecuted(FIXTURE, set(range(1, 27))) == []
 
 
-def test_the_lines_flag_selects_the_lines_mode(tmp_path, monkeypatch, capsys):
+def test_main_prints_the_list_and_its_count(tmp_path, monkeypatch, capsys):
     library = tmp_path / "src" / "pkg"
     library.mkdir(parents=True)
     (library / "fixture.py").write_text(FIXTURE)
@@ -118,10 +130,8 @@ def test_the_lines_flag_selects_the_lines_mode(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(unraised, "traced", lambda run, directory: (0, ran))
     monkeypatch.setattr(unraised.sys, "path", list(unraised.sys.path))
     monkeypatch.chdir(tmp_path)
-    assert unraised.main(["--lines", "tests/test_x.py"]) == 0
-    every = capsys.readouterr().out.splitlines()
-    assert every[0] == "src/pkg/fixture.py:5: <module>: raise SystemExit(1)"
-    assert every[-1] == "8 statements never executed"
-    assert unraised.main([]) == 0
-    raises = capsys.readouterr().out.splitlines()
-    assert raises[-1] == "4 raise statements never executed"
+    assert unraised.main(["tests/test_x.py"]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert listed[0] == "src/pkg/fixture.py:5: <module>: raise SystemExit(1)"
+    assert listed[-1] == "8 statements never executed"
+    assert len(listed) == 9

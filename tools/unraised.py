@@ -1,24 +1,22 @@
-"""List the library's ``raise`` statements that a test run never executes.
+"""List the library statements that a test run never executes.
 
 Runs a pytest selection in this process under ``sys.settrace``, tracing
-line events only in ``src/streamkc``, then prints each ``raise`` statement
-whose first line never ran, as ``path:line: function: text``, and a count.
-With ``--lines`` first, it prints every statement none of whose lines ran
-instead, ``raise`` or not: a compound statement (``if``, ``for``, ``def``
-and the like) by its header alone, a docstring not at all.  Without other
-arguments the selection is the fast subset, ``-m "not slow" tests``; they
-replace it and are handed to pytest as they are::
+line events only in ``src/streamkc``, then prints each statement none of
+whose lines ran, as ``path:line: function: text``, and a count: a compound
+statement (``if``, ``for``, ``def`` and the like) by its header alone, a
+docstring not at all.  Without arguments the selection is the fast subset,
+``-m "not slow" tests``; arguments replace it and are handed to pytest as
+they are::
 
     python3 tools/unraised.py
-    python3 tools/unraised.py --lines
     python3 tools/unraised.py tests/test_histogram.py -q
 
-The tracer slows the run down many times over: the fast subset takes
-minutes.  A child process the tests start (such as a ``python -O`` restore)
-is not traced.  A ``raise`` that shares its first line with other code, as
-in ``if x: raise E``, reads as executed whenever that line runs; so does
-any statement under ``--lines``.  The list is for reading, not a gate: the
-exit status is pytest's.
+Over the fast subset the last line should read ``0 statements never
+executed``.  The tracer slows the run down many times over: the fast subset
+takes minutes.  A child process the tests start (such as a ``python -O``
+restore) is not traced.  A statement that shares a line with other code, as
+``raise E`` in ``if x: raise E``, reads as executed whenever that line runs.
+The exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ LIBRARY = ROOT / "src" / "streamkc"
 FAST_SUBSET = ["-m", "not slow", "tests"]
 
 
-def statements(source: str) -> list[tuple[int, int, str, ast.stmt]]:
+def statements(source: str) -> list[tuple[int, int, str]]:
     """(first line, last line, qualified name of the enclosing function or
-    "<module>", node) of every statement in source but docstrings, in line
+    "<module>") of every statement in source but docstrings, in line
     order.  The lines of a compound statement are its header's: those
     before its first body statement."""
     found = []
@@ -61,24 +59,17 @@ def statements(source: str) -> list[tuple[int, int, str, ast.stmt]]:
                 inner_body = getattr(child, "body", None)
                 last = (max(child.lineno, inner_body[0].lineno - 1)
                         if isinstance(inner_body, list) and inner_body else child.end_lineno)
-                found.append((child.lineno, last, scope, child))
+                found.append((child.lineno, last, scope))
             visit(child, inner)
 
     visit(ast.parse(source), "<module>")
-    return sorted(found, key=lambda f: (f[0], f[1]))
-
-
-def raise_lines(source: str) -> list[tuple[int, str]]:
-    """(first line, qualified name of the enclosing function or "<module>")
-    of every ``raise`` statement in source, in line order."""
-    return [(first, scope) for first, _, scope, node in statements(source)
-            if isinstance(node, ast.Raise)]
+    return sorted(found)
 
 
 def unexecuted(source: str, ran: set[int]) -> list[tuple[int, str]]:
     """(first line, scope) of every statement of source, as ``statements``
     reads them, none of whose lines is in ran."""
-    return [(first, scope) for first, last, scope, _ in statements(source)
+    return [(first, scope) for first, last, scope in statements(source)
             if ran.isdisjoint(range(first, last + 1))]
 
 
@@ -118,8 +109,6 @@ def traced(run, directory: Path) -> tuple[object, dict[str, set[int]]]:
 def main(argv: list[str]) -> int:
     import pytest
 
-    every = argv[:1] == ["--lines"]
-    argv = argv[1:] if every else argv
     sys.path.insert(0, str(LIBRARY.parent))
     os.chdir(ROOT)
     status, executed = traced(lambda: pytest.main(argv or FAST_SUBSET), LIBRARY)
@@ -128,14 +117,10 @@ def main(argv: list[str]) -> int:
         text = path.read_text().splitlines()
         source = "\n".join(text)
         ran = executed.get(os.path.realpath(path), set())
-        if every:
-            lines = unexecuted(source, ran)
-        else:
-            lines = [(line, scope) for line, scope in raise_lines(source) if line not in ran]
-        for line, scope in lines:
+        for line, scope in unexecuted(source, ran):
             missed += 1
             print(f"{path.relative_to(ROOT)}:{line}: {scope}: {text[line - 1].strip()}")
-    print(f"{missed} {'statements' if every else 'raise statements'} never executed")
+    print(f"{missed} statements never executed")
     return int(status)
 
 
