@@ -8,22 +8,21 @@ a coarse *validation* ladder (one center, no outliers) that picks the right
 guess, and a *fine* ladder with a much smaller attraction radius whose
 representatives and orphans form the weighted coreset the estimate is
 computed on.  The estimator keeps one table of that coreset's pairs
-between queries (``PairMassTable``): their distances, a 16-bit distance
-bucket per pair and the pair mass per bucket.  A query updates it by the
+between queries (``PairMassTable``): a 16-bit distance bucket per pair and
+the pair mass per bucket, but no distance.  A query updates it by the
 coreset entries that entered, left or changed weight since the last one,
 refilling it from empty when over a third of them changed or the coreset
 no longer fits the table's row capacity (at most twice the coreset), and
-reads each level from it by sorting only the pairs of the one bucket that
-holds the level (``coreset_effective_diameter``).  Distances are Euclidean
-throughout, like the exact oracle.
+reads each level from it by recomputing and sorting only the pairs of the
+one bucket that holds the level (``coreset_effective_diameter``).
+Distances are Euclidean throughout, with the bits of the exact oracle's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -58,8 +57,8 @@ def exact_effective_diameter(window: WindowView, alpha: float) -> float:
 # A pair's bucket id: its distance's bit pattern >> _SHIFT (256 ids a binade)
 # minus a base set by a refill, _HEADROOM ids above the largest distance it
 # can see; ids 1 and _IDS-1 also catch keys below and above, 0 marks no pair.
-# Cumulative masses are kept per _GROUP ids, and pairs change in blocks of
-# about _CHUNK.
+# Cumulative masses are kept per _GROUP ids, and pairs change or are read in
+# blocks of about _CHUNK.
 _SHIFT = 44
 _IDS = 1 << 16
 _HEADROOM = 8 << 8
@@ -67,17 +66,28 @@ _GROUP = 1 << 8
 _CHUNK = 1 << 16
 
 
+def _euclidean(x: np.ndarray, i: np.ndarray, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Distances of the pairs (rows i, rows j) of x, written into out with
+    the bits of scipy's ``cdist`` and ``pdist``: squared differences summed
+    left to right (not numpy's sum order), a square root, and inf unwarned."""
+    out[:] = 0.0
+    with np.errstate(over="ignore"):
+        for col in x.T:
+            out += np.square(col[i] - col[j])
+    return np.sqrt(out, out=out)
+
+
 class PairMassTable:
     """A weighted coreset's pairs with their ordered-pair masses summed per
     distance bucket, kept so that ``update`` touches only changed entries.
 
-    Each (point, weight) entry holds a row keyed by the Point object, which
-    the table keeps alive, so no other object takes the key.  The pair of
-    rows i < j sits at position starts[i] + j of ``dists`` (float64) and
-    ``ids`` (16-bit bucket ids, 0 while a row is free), the upper triangle
-    row by row: 10 bytes per pair of row capacity.  A refill gives its
-    entries the top rows, so its pairs are the tail of both arrays, in
-    ``pdist`` order.  ``masses[b]`` sums 2 * w_i * w_j over bucket b; ``cum[g]`` is
+    Each (point, weight) entry holds a row of ``keys`` (its arrival, 0 while
+    the row is free, so a table follows the coresets of one stream),
+    ``weights`` and coordinates.  The pair of rows i < j sits at position
+    starts[i] + j of ``ids`` (16-bit bucket ids, 0 while a row is free), the
+    upper triangle row by row: 2 bytes per pair of row capacity, and no
+    distance (``pairs_in`` recomputes a bucket's).
+    ``masses[b]`` sums 2 * w_i * w_j over bucket b; ``cum[g]`` is
     ``self_mass`` (sum of w^2) plus the masses of buckets below (g+1)*_GROUP."""
 
     def __init__(self):
@@ -85,13 +95,10 @@ class PairMassTable:
         self.added = self.removed = self.refills = 0  # rows, at the last update
 
     def _clear(self, cap: int, dim: int) -> None:
-        m = cap * (cap - 1) // 2
-        self.dists = self.ids = None  # the old arrays go first
-        self.dists, self.ids = np.empty(m), np.zeros(m, dtype=np.uint16)
-        self.weights, self._live = np.zeros(cap), np.zeros(cap, dtype=bool)
+        self.ids = None  # the old array goes first
+        self.ids = np.zeros(cap * (cap - 1) // 2, dtype=np.uint16)
+        self.keys, self.weights = np.zeros(cap, dtype=np.int64), np.zeros(cap)
         self._coords = np.empty((cap, dim))
-        self._rows: dict[int, int] = {}  # id(point) -> row
-        self._points: list[Optional[Point]] = [None] * cap  # row -> point
         self._firsts = np.arange(cap) * np.arange(2 * cap - 1, cap - 1, -1) // 2  # pair (i, i+1)
         self._starts = self._firsts - np.arange(1, cap + 1)
         self.masses, self.cum = np.zeros(_IDS), np.zeros(_IDS // _GROUP)
@@ -101,135 +108,124 @@ class PairMassTable:
         """Make the table hold coreset's pairs, and return it: rows that left
         or changed weight first subtract their pairs, then entering entries
         take free rows and add theirs.  Over a third of the rows changing, a
-        coreset above the row capacity or below half of it, or a distance
-        above the ids refills the table from empty.  Masses are integers
-        below 2^53 (``MAX_WINDOW_LEN``), so every sum is exact."""
-        if not coreset.points:
+        coreset above the row capacity or below half of it, an arrival
+        repeated within it, or a distance above the ids refills the table
+        from empty.  Masses are integers below 2^53 (``MAX_WINDOW_LEN``), so
+        every sum is exact."""
+        entries = coreset.points
+        if not entries:
             raise ValueError("empty coreset")
-        points, weights = zip(*coreset.points)
-        keys = list(map(id, points))
-        if len(set(keys)) < len(keys):  # a Point object repeats: rows for fresh copies
-            points = [Point(p.arrival, p.coords) for p in points]
-            keys = list(map(id, points))
-        w = np.array(weights, dtype=float)
-        rows = np.fromiter(map(self._rows.get, keys, repeat(-1)), np.intp, len(keys))
-        same = rows >= 0
-        same[same] = self.weights[rows[same]] == w[same]
-        stay = np.zeros(len(self._points), dtype=bool)
-        stay[rows[same]] = True
-        leave, enter = np.flatnonzero(self._live & ~stay), np.flatnonzero(~same)
-        held, n = len(self._rows), len(keys)
-        few = 3 * (leave.size + enter.size) <= n <= len(self._points) <= 2 * n + 8
+        keys = np.array([p.arrival for p, _ in entries], dtype=np.int64)
+        w = np.array([wt for _, wt in entries], dtype=float)
+        n, cap, held = keys.size, self.keys.size, np.count_nonzero(self.keys)
+        ranked = np.sort(keys)
+        few = n <= cap <= 2 * n + 8 and not np.any(ranked[1:] == ranked[:-1])
+        if few:
+            # the row holding each entry's key, where one does
+            order = np.argsort(self.keys)
+            rows = order[np.minimum(np.searchsorted(self.keys, keys, sorter=order), cap - 1)]
+            same = (self.keys[rows] == keys) & (self.weights[rows] == w)
+            stay = np.zeros(cap, dtype=bool)
+            stay[rows[same]] = True
+            leave, enter = np.flatnonzero((self.keys > 0) & ~stay), np.flatnonzero(~same)
+            few = 3 * (leave.size + enter.size) <= n
         if few:
             self._remove(leave)
-        new = [points[i] for i in enter]
-        if few and self._add(new, w[enter], np.array([p.coords for p in new], dtype=float)):
+            x = np.array([entries[i][0].coords for i in enter.tolist()], dtype=float)
+        if few and self._add(keys[enter], w[enter], x):
             self.added, self.removed = enter.size, leave.size
         else:
             # heaviest first, so that past the first rows the pairs among the
             # rest have one mass, which _blocks gives as one number
             order = np.argsort(-w, kind="stable")
-            points, w = [points[i] for i in order], w[order]
-            x = np.array([p.coords for p in points], dtype=float)
+            x = np.array([entries[i][0].coords for i in order.tolist()], dtype=float)
             self._clear(n + n // 16 + 8, x.shape[1])
             # no pair is farther apart than twice the farthest from entry 0
             far = cdist(x[:1], x).max()
             self._base = (int(far.view(np.int64)) >> _SHIFT) - (_IDS - 1 - _HEADROOM)
-            self._add(points, w, x)  # fits: no distance exceeds 2 * far
+            self._add(keys[order], w[order], x)  # fits: no distance exceeds 2 * far
             self.added, self.removed, self.refills = n, held, self.refills + 1
         np.cumsum(self.masses.reshape(-1, _GROUP).sum(axis=1), out=self.cum)
         self.cum += self.self_mass
         return self
 
-    def _add(self, points: Sequence[Point], w: np.ndarray, x: np.ndarray) -> bool:
-        """Give the points (weights w, coordinates x) the highest free rows,
-        the top rows in a refill, in order, and add their pairs: with the
-        other live rows by ``cdist`` blocks, among themselves by one
-        ``pdist``, which writes them into the table's tail when the points
-        took the top rows.  False, for a refill, when a distance lies above
-        the ids."""
-        k, cap = len(points), len(self._points)
+    def _add(self, keys: np.ndarray, w: np.ndarray, x: np.ndarray) -> bool:
+        """Give the entries (keys, weights w, coordinates x) the highest free
+        rows, the top rows in a refill, in order, and add their pairs, with
+        distances by ``cdist`` blocks.  False, for a refill, when a distance
+        lies above the ids."""
+        k = keys.size
         if not k:
             return True
-        rows = np.flatnonzero(~self._live)[-k:]
-        for r, p in zip(rows.tolist(), points):
-            self._rows[id(p)] = r
-            self._points[r] = p
-        self._coords[rows], self.weights[rows], self._live[rows] = x, w, True
+        rows = np.flatnonzero(self.keys == 0)[-k:]
+        self.keys[rows], self.weights[rows], self._coords[rows] = keys, w, x
         self.self_mass += float(w @ w)
-        tail = int(self._firsts[rows[0]]) if rows[0] == cap - k else None
-        among = pdist(x, out=None if tail is None else self.dists[tail:])
-        keys = np.empty(min(max(_CHUNK, cap), k * cap), dtype=np.int64)
-        for pos, mass, src in self._blocks(rows, tail):
-            if isinstance(src, slice):
-                d = among[src]
-            else:
-                d = cdist(self._coords[src[0]], self._coords[src[1]], out=src[2]).ravel()
-            if tail is None or not isinstance(src, slice):
-                self.dists[pos] = d
-            b = np.right_shift(d.view(np.int64), _SHIFT, out=keys[: d.size])
+        for pos, mass, (r, c, keep, out) in self._blocks(rows):
+            b = cdist(self._coords[r], self._coords[c], out=out)[keep].ravel().view(np.int64)
+            b >>= _SHIFT  # the distances' bits, shifted in place
             b -= self._base
             if b.max() >= _IDS:
                 return False
-            if b.min() < 1:
-                np.maximum(b, 1, out=b)
+            np.maximum(b, 1, out=b)
             self.ids[pos] = b
             np.add.at(self.masses, b, mass)
         return True
 
     def _remove(self, rows: np.ndarray) -> None:
         """Free the rows, subtracting their pairs' masses."""
-        for pos, mass, _ in self._blocks(rows, None):
+        for pos, mass, _ in self._blocks(rows):
             np.subtract.at(self.masses, self.ids[pos], mass)
             self.ids[pos] = 0
         self.self_mass -= float(self.weights[rows] @ self.weights[rows])
-        self.weights[rows], self._live[rows] = 0.0, False
-        for r in rows.tolist():
-            del self._rows[id(self._points[r])]
-            self._points[r] = None
+        self.keys[rows], self.weights[rows] = 0, 0.0
 
-    def _blocks(self, rows: np.ndarray, tail: Optional[int]):
+    def _blocks(self, rows: np.ndarray):
         """The pairs of the sorted rows, each once, in blocks of about
-        _CHUNK: (positions, masses 2 * w_i * w_j or their one value, source).
-        Pairs with the other live rows come first, with source (rows,
-        columns, scratch for their ``cdist`` block); then pairs among the
-        rows, with source their span of ``pdist`` over the rows, positioned
-        from tail if given (the rows are then the top ones)."""
+        _CHUNK: (positions, masses 2 * w_i * w_j or their one value, block).
+        A block (r, c, keep, out) holds the pairs of rows r with rows c where
+        the mask keep is True, or all of them for keep ``...``, and out is
+        scratch for their ``cdist``.  Pairs with the other live rows come
+        first; then each run of the rows gives its pairs with the later rows
+        and those among itself."""
         w, starts, k = self.weights, self._starts, rows.size
-        others = self._live.copy()
+        others = self.keys > 0
         others[rows] = False
         others = np.flatnonzero(others)
-        buf = np.empty((2, min(max(_CHUNK, w.size), k * w.size)))  # holds any block
+        buf = np.empty((2, min(max(_CHUNK, 2 * w.size), k * w.size)))  # holds any block
         step = max(1, _CHUNK // max(1, others.size))
         for i in range(0, k if others.size else 0, step):
             r = rows[i : i + step, None]
             out, mass = buf[:, : r.size * others.size].reshape(2, r.size, others.size)
             np.multiply(2.0 * w[r], w[others], out=mass)
             pos = np.where(r < others, starts[r] + others, starts[others] + r)
-            yield pos.ravel(), mass.ravel(), (r.ravel(), others, out)
-        first = np.arange(k + 1) * np.arange(2 * k - 1, k - 2, -1) // 2  # pdist's (a, a+1)
+            yield pos.ravel(), mass.ravel(), (r.ravel(), others, ..., out)
         a0 = 0
         while a0 < k - 1:
-            a1 = min(k - 1, a0 + max(1, _CHUNK // (k - 1 - a0)))
-            ra, rb, wr = rows[a0:a1, None], rows[a0 + 1 :], w[rows[a0:]]
-            span, one = slice(int(first[a0]), int(first[a1])), wr.min() == wr.max()
-            keep = None if one and tail is not None else ra < rb
-            if tail is None:
-                pos = (starts[ra] + rb)[keep]
-            else:
-                pos = slice(tail + span.start, tail + span.stop)
-            if one:
-                yield pos, 2.0 * wr[0] ** 2, span
-            else:
-                mass = buf[1, : keep.size].reshape(keep.shape)
-                yield pos, np.multiply(2.0 * w[ra], w[rb], out=mass)[keep], span
+            a1 = min(k, a0 + max(2, _CHUNK // (k - a0)))
+            ra, wr = rows[a0:a1, None], w[rows[a0:]]
+            for rb, keep in ((rows[a1:], ...), (rows[a0:a1], ra < rows[a0:a1])):
+                out, mass = buf[:, : ra.size * rb.size].reshape(2, ra.size, rb.size)
+                if wr.min() < wr.max():
+                    mass = np.multiply(2.0 * w[ra], w[rb], out=mass)[keep].ravel()
+                else:
+                    mass = 2.0 * wr[0] ** 2
+                if rb.size:
+                    yield (starts[ra] + rb)[keep].ravel(), mass, (ra.ravel(), rb, keep, out)
             a0 = a1
 
     def pairs_in(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and masses of bucket b's pairs, found by one scan of the ids."""
+        """Distances and masses of bucket b's pairs: one scan of the ids
+        finds them, and ``_euclidean`` recomputes their distances from the
+        coordinate rows, _CHUNK pairs at a time."""
         pos = np.flatnonzero(self.ids == b)
-        i = self._firsts.searchsorted(pos, side="right") - 1
-        return self.dists[pos], 2.0 * self.weights[i] * self.weights[pos - self._starts[i]]
+        dists, masses = np.empty(pos.size), np.empty(pos.size)
+        for s in range(0, pos.size, _CHUNK):
+            p = pos[s : s + _CHUNK]
+            i = self._firsts.searchsorted(p, side="right") - 1
+            j = p - self._starts[i]
+            _euclidean(self._coords, i, j, dists[s : s + _CHUNK])
+            np.multiply(2.0 * self.weights[i], self.weights[j], out=masses[s : s + _CHUNK])
+        return dists, masses
 
 
 def coreset_effective_diameter(
@@ -247,17 +243,18 @@ def coreset_effective_diameter(
     The read is an exact selection over one bucketing, the table's ids.
     The cumulative bucket masses give the first id that reaches the
     threshold and the mass below it; one scan of the ids gathers that
-    bucket's pairs, with masses from the weights (``pairs_in``), and a sort
-    of just those pairs and a binary search over their cumulative masses
-    pick the pair.  This is the value of a full sort.  An id never orders
-    two pairs against their distances (it is a fixed shift of the
-    distance's bit pattern, clamped to the id range), so the mass below the
-    bucket is that of every nearer pair, and equal distances give one value
-    in any order.  Masses stay exact: weights are integer counts and
-    (sum of w)^2 <= window_size^2 < 2^53 (``MAX_WINDOW_LEN``), so every mass
-    and partial sum is an exact integer in any summation order, and so is
-    every bucket mass between queries, as removing rows only takes away
-    terms it holds.
+    bucket's pairs, with distances recomputed from the coordinates and
+    masses from the weights (``pairs_in``), and a sort of just those pairs
+    and a binary search over their cumulative masses pick the pair.  This
+    is the value of a full sort.  An id never orders two pairs against their
+    distances (it is a fixed shift of the distance's bit pattern, clamped
+    to the id range, and the recomputed distance has the bits the id was
+    taken from), so the mass below the bucket is that of every nearer pair,
+    and equal distances give one value in any order.  Masses stay exact:
+    weights are integer counts and (sum of w)^2 <= window_size^2 < 2^53
+    (``MAX_WINDOW_LEN``), so every mass and partial sum is an exact integer
+    in any summation order, and so is every bucket mass between queries, as
+    removing rows only takes away terms it holds.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
@@ -275,7 +272,7 @@ def coreset_effective_diameter(
     below = float(inner[b - 1]) if b else below
     dists, masses = table.pairs_in(g * _GROUP + b)
     order = np.argsort(dists)
-    cum = np.cumsum(masses[order])
+    cum = np.cumsum(masses[order], out=masses)  # in distance order, in place
     cum += below
     return float(dists[order[np.searchsorted(cum, need, side="left")]]), False
 
@@ -386,9 +383,9 @@ class FineCoresetState:
 
     Between queries the state keeps one ``PairMassTable`` of the last
     query's fine coreset, and the next query updates it by the entries that
-    changed.  It is query scratch, outside the state: 10 bytes per pair of
+    changed.  It is query scratch, outside the state: 2 bytes per pair of
     its row capacity (at least the coreset size and at most twice it plus
-    8 rows), a coordinate row per row and 2^16 bucket masses.
+    8 rows), a key, weight and coordinate row per row and 2^16 bucket masses.
     ``memory_floats`` does not count it, and snapshots do not hold it.
     """
 
@@ -467,7 +464,7 @@ class FineCoresetState:
         ladder's ``GuessLadder.stats()``; the last query's coreset size and
         selected guess exponent (None before the first query, and for the
         exact coreset of the oblivious warm-up); the pair table's rows added
-        and removed by the last query; and its refills so far."""
+        and removed by the last query, its refills, and its arrays' bytes."""
         size, guess = self._last_coreset or (0, 0.0)
         pairs = self._pairs
         return {
@@ -478,6 +475,7 @@ class FineCoresetState:
             "rows_added": pairs.added,
             "rows_removed": pairs.removed,
             "refills": pairs.refills,
+            "pair_bytes": sum(a.nbytes for a in vars(pairs).values() if isinstance(a, np.ndarray)),
         }
 
     def memory_floats(self, dim: int) -> int:

@@ -241,6 +241,13 @@ def _reference_estimate(state, coreset, overflowed):
     )
 
 
+def _live_dists(table):
+    """The distances of the table's live pairs as ``pairs_in`` reads them:
+    bucket by bucket in id order, each bucket sorted."""
+    buckets = np.unique(table.ids[table.ids > 0])
+    return np.concatenate([np.empty(0), *(np.sort(table.pairs_in(b)[0]) for b in buckets)])
+
+
 class TestPairMassTable:
     def test_lookup_matches_the_two_pass_reference(self):
         rng = np.random.default_rng(71)
@@ -270,14 +277,14 @@ class TestPairMassTable:
         assert table.masses.sum() == sum(w) ** 2 - table.self_mass
         assert table.masses[0] == 0  # id 0 marks slots without a live pair
         assert np.all(np.diff(table.cum) >= 0)
-        # every pair once, with pdist's distance, and ids in distance order
-        live = table.ids > 0
-        assert np.count_nonzero(live) == n * (n - 1) // 2
-        dists = table.dists[live]
+        # every pair once, read back with pdist's distance, and ids in
+        # distance order: the buckets, each sorted, concatenate in order
+        assert np.count_nonzero(table.ids) == n * (n - 1) // 2
+        dists = _live_dists(table)
+        assert dists.size == n * (n - 1) // 2
         want = np.sort(pdist(np.array([p.coords for p, _ in T.points])))
         assert np.array_equal(np.sort(dists).view(np.int64), want.view(np.int64))
-        ids = table.ids[live][np.argsort(dists, kind="stable")]
-        assert np.all(np.diff(ids.astype(np.int64)) >= 0)
+        assert np.all(dists[1:] >= dists[:-1])
 
     @pytest.mark.parametrize(
         "style, n",
@@ -335,6 +342,53 @@ class TestPairMassTable:
         assert (table.refills, table.added) == (1, 1000)
         assert peak < 4.5 * 8 * m, peak / (8 * m)
 
+    def test_the_table_holds_two_bytes_a_pair_and_reads_within_two_pair_arrays(self):
+        # no distance is kept: after a fresh build the table holds its 16-bit
+        # ids, per-row arrays and the bucket masses; building and both reads
+        # peak below two float64 arrays of the coreset's pairs
+        T = _large_coreset(np.random.default_rng(8), "ball", 1000)
+        m = 1000 * 999 // 2
+        tracemalloc.start()
+        try:
+            table = PairMassTable().update(T)
+            held = tracemalloc.get_traced_memory()[0]
+            for alpha in (0.9 / 1.5**2, 0.9):
+                coreset_effective_diameter(table, alpha, T.total_weight())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.5 * 8 * m, held / (8 * m)
+        assert peak < 2 * 8 * m, peak / (8 * m)
+        pair_sized = [(name, a.dtype) for name, a in vars(table).items()
+                      if isinstance(a, np.ndarray) and a.size >= m]
+        assert pair_sized == [("ids", np.uint16)]
+
+    def test_reading_a_bucket_of_most_pairs_recomputes_it_in_chunks(self, monkeypatch):
+        # partly_huge: the upper level's bucket holds the 99,900 infinite
+        # distances of 179,700 pairs, recomputed in blocks of _CHUNK pairs;
+        # the table and both reads peak at most where the kept distances did
+        n = 600
+        T = _large_coreset(np.random.default_rng(n), "partly_huge", n)
+        m = n * (n - 1) // 2
+        chunks = []
+        real = effdiam._euclidean
+        monkeypatch.setattr(
+            effdiam, "_euclidean", lambda x, i, j, out: chunks.append(i.size) or real(x, i, j, out)
+        )
+        tracemalloc.start()
+        try:
+            table = PairMassTable().update(T)
+            tracemalloc.reset_peak()
+            got = [coreset_effective_diameter(table, alpha, T.total_weight())
+                   for alpha in (0.9 / 1.5**2, 0.9)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[1] == (math.inf, False)
+        assert np.count_nonzero(table.ids == table.ids.max()) > effdiam._CHUNK
+        assert max(chunks) == effdiam._CHUNK and sum(chunks) > effdiam._CHUNK
+        assert peak <= 5.21 * 8 * m, peak / (8 * m)
+
     def test_estimate_builds_one_table_per_query(self, monkeypatch):
         # the state keeps one table and updates it once per query; no query
         # builds a fresh one
@@ -370,7 +424,7 @@ class TestPairMassTable:
         monkeypatch.setattr(state, "fine_coreset", lambda: (T, False))
         first = state.estimate()
         table = state._pairs
-        dists, ids = table.dists, table.ids
+        ids = table.ids
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -379,7 +433,7 @@ class TestPairMassTable:
         finally:
             tracemalloc.stop()
         assert second == first == _reference_estimate(state, T, False)
-        assert state._pairs is table and table.dists is dists and table.ids is ids
+        assert state._pairs is table and table.ids is ids
         stats = state.stats()
         assert (stats["rows_added"], stats["rows_removed"], stats["refills"]) == (0, 0, 1)
         assert peak < 0.25 * 8 * m, peak / (8 * m)
@@ -402,7 +456,7 @@ class TestPairMassTable:
             coreset, overflowed = state.fine_coreset()
             assert got == _reference_estimate(state, coreset, overflowed)
             rows = len(state._pairs.weights)
-            assert state._pairs.dists.size == state._pairs.ids.size == rows * (rows - 1) // 2
+            assert state._pairs.ids.size == rows * (rows - 1) // 2
             sizes.append((len(coreset), rows, state._pairs.refills))
         pairs = [n * (n - 1) // 2 for n, _, _ in sizes]
         rows = [r for _, r, _ in sizes]
@@ -428,7 +482,7 @@ class TestPairMassTable:
         coreset, _ = state.fine_coreset()
         table = PairMassTable().update(coreset)
         assert table is not state._pairs
-        fields = ("dists", "ids", "weights", "masses", "cum")
+        fields = ("ids", "keys", "weights", "_coords", "masses", "cum")
         kept = [np.copy(getattr(table, f)) for f in fields]
         want = coreset_effective_diameter(table, cfg.alpha, 200)
         assert want == reference_coreset_effective_diameter(coreset, cfg.alpha, 200)
@@ -457,11 +511,10 @@ class TestPairMassTable:
             # base from its own entries), but hold the same pairs
             assert fresh.self_mass == kept.self_mass
             assert fresh.cum[-1] == kept.cum[-1] == total**2
-            live = kept.ids > 0
-            assert np.count_nonzero(live) == len(T) * (len(T) - 1) // 2
+            assert np.count_nonzero(kept.ids) == len(T) * (len(T) - 1) // 2
             assert np.array_equal(
-                np.sort(kept.dists[live]).view(np.int64),
-                np.sort(fresh.dists[fresh.ids > 0]).view(np.int64),
+                np.sort(_live_dists(kept)).view(np.int64),
+                np.sort(_live_dists(fresh)).view(np.int64),
             )
             for window_size in (total, total + int(rng.integers(1, total + 1))):
                 alphas = [0.9 / 1.5**2, 0.9, 1.0, *rng.uniform(0.01, 1.0, 4)]
@@ -477,6 +530,7 @@ class TestPairMassTable:
         (p, w), rest = T.points[0], T.points[1:]
         twice = WeightedCoreset((*T.points, (p, w), (p, w + 1), rest[0]), 1.0, T.t)
         kept = PairMassTable().update(T).update(twice)
+        assert kept.refills == 2  # a repeated arrival refills the table
         for table in (PairMassTable().update(twice), kept):
             assert table.self_mass + table.masses.sum() == twice.total_weight() ** 2
             for alpha in (0.05, 0.4, 0.9, 1.0):
@@ -516,6 +570,23 @@ class TestPairMassTable:
                     back = cdist(x[i + 1 :], x[i : i + 1])[:, 0]
                     assert np.array_equal(back.view(np.int64), want.view(np.int64))
 
+    def test_the_read_kernel_has_the_bits_of_pdist_and_cdist(self):
+        # per pair: difference, square, a left-to-right sum over the
+        # coordinates and a square root; numpy's own row sum differs from
+        # d = 8 up, and squares past the float range give inf unwarned
+        rng = np.random.default_rng(29)
+        for scale in (1.0, 1e-5, 1e-160, 1e-300, 1e155, 1e200):
+            for dim in (*range(1, 10), 16, 33, 64):
+                x = rng.normal(size=(40, dim)) * scale
+                x[7] = x[3]  # one zero distance
+                i, j = np.triu_indices(40, 1)
+                with np.errstate(over="raise", invalid="raise"):
+                    got = effdiam._euclidean(x, i, j, np.empty(i.size))
+                assert np.array_equal(got.view(np.int64), pdist(x).view(np.int64))
+                want = cdist(x, x)
+                got = effdiam._euclidean(x, *np.indices((40, 40)).reshape(2, -1), np.empty(1600))
+                assert np.array_equal(got.view(np.int64), want.ravel().view(np.int64))
+
     def test_a_shrinking_coreset_gives_back_its_rows(self):
         # each step drops under a third of the entries, so no step refills
         # for turnover; the capacity refills once it exceeds about twice
@@ -528,7 +599,7 @@ class TestPairMassTable:
             table.update(U)
             cap = len(table.weights)
             assert n <= cap <= 2 * n + 8
-            assert table.dists.size == table.ids.size == cap * (cap - 1) // 2
+            assert table.ids.size == cap * (cap - 1) // 2
             caps.append((cap, table.refills))
             for alpha in (0.9 / 1.5**2, 0.9):
                 want = reference_coreset_effective_diameter(U, alpha, 2000)
@@ -536,11 +607,10 @@ class TestPairMassTable:
         assert [f for _, f in caps] == [1, 1, 2, 2]
         assert caps[0][0] == caps[1][0] > caps[2][0] == caps[3][0]
 
-    def test_entries_taking_the_top_rows_add_their_pairs_in_place(self, monkeypatch):
+    def test_entries_taking_the_top_rows_add_their_pairs_in_place(self):
         # a refill puts its entries in the top rows, in order for equal
         # weights; replacing the last ten frees the top ten rows, which the
-        # ten new entries take, so pdist writes their pairs among themselves
-        # straight into the table's tail, next to cdist blocks for the rest
+        # ten new entries take, adding their pairs with no refill
         rng = np.random.default_rng(17)
         T = WeightedCoreset(
             tuple((Point(i + 1, tuple(rng.normal(size=3))), 1) for i in range(200)), 1.0, 400
@@ -549,17 +619,11 @@ class TestPairMassTable:
         cap = len(table.weights)
         new = [(Point(300 + i, tuple(rng.normal(size=3))), 1) for i in range(10)]
         U = WeightedCoreset((*T.points[:190], *new), 1.0, 400)
-        outs = []
-        real = effdiam.pdist
-        monkeypatch.setattr(
-            effdiam, "pdist", lambda x, out=None: outs.append(out) or real(x, out=out)
-        )
         table.update(U)
         assert (table.refills, table.added, table.removed) == (1, 10, 10)
-        assert sorted(table._rows[id(p)] for p, _ in new) == list(range(cap - 10, cap))
-        assert len(outs) == 1 and np.shares_memory(outs[0], table.dists)
+        assert table.keys[cap - 10 :].tolist() == [p.arrival for p, _ in new]
         assert np.array_equal(
-            np.sort(table.dists[table.ids > 0]).view(np.int64),
+            np.sort(_live_dists(table)).view(np.int64),
             np.sort(pdist(np.array([p.coords for p, _ in U.points]))).view(np.int64),
         )
         for alpha in (0.2, 0.9 / 1.5**2, 0.9, 1.0):
@@ -1108,6 +1172,23 @@ class TestStats:
         flat = [v for v in stats.values() if not isinstance(v, dict)]
         flat += [v for side in ("validation", "fine") for v in stats[side].values()]
         assert all(type(v) is int for v in flat)
+
+    def test_pair_bytes_are_the_pair_tables_arrays(self):
+        pts = stream_points(generate_ball_stream(300, dim=3, seed=4))
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
+        state = FineCoresetState(cfg, 100, "fixed", *stream_extremes(pts))
+        sizes = set()
+        for p in pts:
+            state.process_point(p)
+            if p.arrival % 50 == 0:
+                state.estimate()
+                table, stats = state._pairs, state.stats()
+                held = (table.ids, table.keys, table.weights, table._coords,
+                        table._firsts, table._starts, table.masses, table.cum)
+                assert type(stats["pair_bytes"]) is int
+                assert stats["pair_bytes"] == sum(a.nbytes for a in held)
+                sizes.add(stats["pair_bytes"])
+        assert len(sizes) > 1
 
     def test_the_warm_up_coreset_has_no_exponent(self):
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
