@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -26,6 +26,10 @@ Metric = Callable[["Point", "Point"], float]  # plus a .pairwise block form
 
 # rows per distance block: bounds a block to _BLOCK x n floats
 _BLOCK = 256
+# sets up to this size read one whole distance matrix: at most 8 MiB
+_MATRIX_POINTS = 1024
+# a reader's index for every row or column
+_ALL = slice(None)
 
 
 class InvariantError(AssertionError):
@@ -34,7 +38,9 @@ class InvariantError(AssertionError):
     AssertionError it is caught wherever a failed assert would be."""
 
 
-Distances = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# rows or columns of a distance reader: indices, or a slice of them
+Index = Union[np.ndarray, Sequence[int], slice]
+Distances = Callable[[Index, Index], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,11 +77,19 @@ dist.pairwise = cdist
 
 
 def _distances(points: Sequence[Point], metric: Metric) -> Distances:
-    """Block distance reader: d(rows, cols) is the len(rows) x len(cols)
-    matrix of metric(points[i], points[j]), read by the metric's block form
-    from one coordinate array."""
+    """Distance reader: d(rows, cols) is the len(rows) x len(cols) matrix of
+    metric(points[i], points[j]), rows and cols each an index array or a
+    slice.  A set of 1 to ``_MATRIX_POINTS`` points is read once, as the
+    metric's block form of the whole coordinate array, and d reads rows of
+    that read-only matrix: slices give views, and a slice of columns gathers
+    none.  A larger set is read by the block form on each call.  Either way
+    an entry is the block form's value for its one pair, the same bits."""
     coords = np.array([p.coords for p in points], dtype=float)
     pairwise = metric.pairwise
+    if 0 < len(coords) <= _MATRIX_POINTS:
+        matrix = pairwise(coords, coords)
+        matrix.flags.writeable = False
+        return lambda rows, cols: matrix[rows][:, cols]
     return lambda rows, cols: pairwise(coords[rows], coords[cols])
 
 
@@ -84,11 +98,11 @@ def _extremes(d: Distances, n: int) -> tuple[float, float]:
     read one row block at a time; 0.0 stands in for a missing value."""
     lo, hi = math.inf, 0.0
     for r0 in range(0, n - 1, _BLOCK):
-        rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
-        block = d(rows, np.arange(r0, n))
-        block[rows - r0, rows - r0] = 0.0  # a point and itself form no pair
-        hi = max(hi, float(block.max()))
-        lo = min(lo, float(block.min(initial=math.inf, where=block > 0)))
+        r1 = min(r0 + _BLOCK, n - 1)
+        block = d(slice(r0, r1), slice(r0, n))
+        pair = ~np.eye(r1 - r0, n - r0, dtype=bool)  # a point and itself form no pair
+        hi = max(hi, float(block.max(initial=0.0, where=pair)))
+        lo = min(lo, float(block.min(initial=math.inf, where=pair & (block > 0))))
     return (lo if lo < math.inf else 0.0), hi
 
 

@@ -76,7 +76,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import _BLOCK, InvariantError, Metric, Point, StreamParams, dist
+from .core import _ALL, _BLOCK, InvariantError, Metric, Point, StreamParams, dist
 from .core import _distances, _extremes
 from .histogram import (
     Histogram,
@@ -436,9 +436,9 @@ class GuessState:
             raise InvariantError("attraction points not in arrival order")
         d = _distances(attrs, self._store.metric)
         for r0 in range(0, n - 1, _BLOCK):
-            rows = np.arange(r0, min(r0 + _BLOCK, n - 1))
+            rows = slice(r0, min(r0 + _BLOCK, n - 1))
             # pairs (i, j) with i < j: the strict upper triangle from column r0
-            close = np.argwhere(np.triu(d(rows, np.arange(r0, n)) <= radius, 1))
+            close = np.argwhere(np.triu(d(rows, slice(r0, n)) <= radius, 1))
             if close.size:
                 i, j = r0 + close[0]
                 raise InvariantError(
@@ -555,6 +555,7 @@ class GuessLadder:
         self._evictions: Counter = Counter()  # exponent -> evictions less its run's
         self._captures = 0  # per guess, on arrivals
         self._inserts = 0
+        self._selected: Optional[int] = None  # the last selected_exponent()
         self.d_min = d_min
         self.d_max = d_max
         if mode == "fixed":
@@ -924,14 +925,14 @@ class GuessLadder:
         """A guess qualifies when its attraction set is small enough and a
         greedy separation pass over all its stored points selects at most
         k + z points at twice the guess radius.  The pass reads one distance
-        row per point it takes, at most k + z + 1 rows."""
+        row per point it takes, at most k + z + 1 rows, through
+        ``core._distances``."""
         st = self._run_of(exponent)
         cap = self.params.k + self.params.z
         if len(st.slots) > cap:
             return False
         pts = st.union_points()
         d = _distances(pts, self.metric)
-        cols = np.arange(len(pts))
         free = np.ones(len(pts), dtype=bool)  # not within twice the guess of a pick
         separation = 2.0 * self.guess_value(exponent)
         taken = 0
@@ -940,7 +941,7 @@ class GuessLadder:
                 taken += 1
                 if taken > cap:
                     return False
-                free &= d([i], cols)[0] > separation
+                free &= d([i], _ALL)[0] > separation
         return True
 
     def selected_exponent(self) -> int:
@@ -950,6 +951,7 @@ class GuessLadder:
             raise RuntimeError("ladder holds no guesses yet")
         for e in exps:
             if self.qualifies(e):
+                self._selected = e
                 return e
         raise RuntimeError(
             "no qualifying guess: the ladder does not cover the needed radius "
@@ -994,13 +996,15 @@ class GuessLadder:
     def histogram_entries(self) -> int:
         return sum(st.histogram_entries() * (st.hi - st.lo + 1) for st in self._runs)
 
-    def stats(self) -> dict[str, int]:
+    def stats(self) -> dict[str, Optional[int]]:
         """What the ladder holds, counted on call: guesses, stored points
         (as the memory gauge counts them), distinct points in the store,
         histogram entries, the evictions of every current guess, and the
         runs.  Then what arrivals did since the ladder was built or
         restored: captures and inserts, counted once per guess (replays
-        that build a new guess are not counted)."""
+        that build a new guess are not counted).  Last, the exponent the
+        last ``selected_exponent()`` returned, None before any; it is not
+        part of a snapshot."""
         return {
             "grid_len": len(self.exponents()),
             "stored_points": self.stored_points(),
@@ -1011,6 +1015,7 @@ class GuessLadder:
             "runs": len(self._runs),
             "captures": self._captures,
             "inserts": self._inserts,
+            "selected": self._selected,
         }
 
     def memory_floats(self, dim: int) -> int:

@@ -7,14 +7,16 @@ candidate whose small ball captures the most uncovered weight, then discards
 everything inside a larger ball around it.  ``compute_solution`` and the
 ``charikar`` baselines drive it over the same geometric radius grid
 (``_radius_grid``), scanning radii upward from zero and stopping at the first
-one whose run leaves at most z uncovered weight.  Distances are read in
-blocks of at most ``_BLOCK`` rows through ``core._distances``, in the
-metric's own block form, so no full pairwise matrix is built.  A scan
-builds that reader once and runs the greedy's kernel, ``_greedy``, on it at
-every radius it tries.  A run reads one scoring pass of its candidates,
-then each round's removal row and the removed points' rows, from which it
-subtracts what each round removed from the scores; this is exact while the
-weights are integers below 2^53.
+one whose run leaves at most z uncovered weight.  Distances are read
+through ``core._distances``, in the metric's own block form: a set of at
+most ``core._MATRIX_POINTS`` points (1,024, an 8 MiB matrix) is read once
+as its full pairwise matrix, a larger one in blocks of at most ``_BLOCK``
+rows on each read.  A scan builds that reader once and runs the greedy's
+kernel, ``_greedy``, on it at every radius it tries, so on the matrix it
+computes each distance once per query.  A run reads whole rows: one
+scoring pass of its candidates, then each round's removal row and the
+removed points' rows, from which it subtracts what each round removed from
+the scores; this is exact while the weights are integers below 2^53.
 
 Before a scan, a farthest-first traversal (Gonzalez, TCS 1985; also the
 ``gonzalez`` baseline) picks k + z + 1 points and measures their smallest
@@ -39,7 +41,7 @@ import numpy as np
 
 # radius_excluding is imported, not called (callers score the centers they get):
 # perfbench's tracer patches solver.radius_excluding, which tests/test_tracer.py checks
-from .core import _BLOCK, Distances, Metric, Point, WindowView, dist, radius_excluding
+from .core import _ALL, _BLOCK, Distances, Metric, Point, WindowView, dist, radius_excluding
 from .core import _distances, _extremes, _require_count
 from .coreset import GuessLadder
 
@@ -120,44 +122,49 @@ def _greedy(
     the indices of the chosen centers and of the uncovered points.  The
     radius scans call it with the one reader d of their query.
 
-    A candidate is scored once, against the points still uncovered, in the
-    first round that draws it; after each round but the last, every scored
+    Every read takes whole rows, masked by what is still uncovered.  A
+    candidate is scored once, against the weights of the uncovered points,
+    in the first round that draws it; after each round but the last, every
     candidate loses the weight the round removed within its small ball,
-    read from the removed points' rows.  So a run reads one scoring pass,
-    the k removal rows and each removed point's row once.  The scores are
-    sums of the weights, exact while the weights are integers below 2^53,
-    and the block form is symmetric, so they equal a full rescoring."""
+    read from the removed points' rows (a candidate not yet scored is
+    overwritten when it is).  So a run reads one scoring pass, the k
+    removal rows and each removed point's row once: at most 2n^2 + kn
+    entries.  The scores are sums of the weights, exact while the weights
+    are integers below 2^53, and the block form is symmetric, so they equal
+    a full rescoring."""
     if rho < 0 or eps < 0:
         raise ValueError("rho and eps must be non-negative")
     n = w.size
     cover_r = (1.0 + 2.0 * eps) * rho
     removal_r = (3.0 + 4.0 * eps) * rho
-    everyone = uncovered = np.arange(n)
+    everyone = np.arange(n)
+    unc = np.ones(n, dtype=bool)
+    alive = w.copy()  # a point's weight, or 0 once it is covered
     scores = np.zeros(n)
     known = np.zeros(n, dtype=bool)
-    scored = everyone[known]
     centers: list[int] = []
     for r in range(k):
-        if not uncovered.size:
+        if not unc.any():
             break
         cand = everyone if candidates is None else candidates(r)
         new = cand[~known[cand]]
-        if new.size:
-            w_unc = w[uncovered]
-            for c0 in range(0, new.size, _BLOCK):
-                rows = new[c0 : c0 + _BLOCK]
-                scores[rows] = (d(rows, uncovered) <= cover_r) @ w_unc
-            known[new] = True
-            scored = everyone[known]
+        if cand is everyone and new.size == n:  # contiguous row blocks, read as views
+            blocks = [slice(c0, c0 + _BLOCK) for c0 in range(0, n, _BLOCK)]
+        else:
+            blocks = [new[c0 : c0 + _BLOCK] for c0 in range(0, new.size, _BLOCK)]
+        for rows in blocks:
+            scores[rows] = (d(rows, _ALL) <= cover_r) @ alive
+        known[new] = True
         best = int(cand[scores[cand].argmax()])
         centers.append(best)
-        far = d([best], uncovered)[0] > removal_r
-        gone, uncovered = uncovered[~far], uncovered[far]
-        if r + 1 < k and uncovered.size:
+        gone = np.flatnonzero(unc & (d([best], _ALL)[0] <= removal_r))
+        unc[gone] = False
+        alive[gone] = 0.0
+        if r + 1 < k and unc.any():
             for g0 in range(0, gone.size, _BLOCK):
                 rows = gone[g0 : g0 + _BLOCK]
-                scores[scored] -= w[rows] @ (d(rows, scored) <= cover_r)
-    return centers, uncovered
+                scores -= w[rows] @ (d(rows, _ALL) <= cover_r)
+    return centers, np.flatnonzero(unc)
 
 
 def _farthest_first(d: Distances, n: int, m: int) -> tuple[list[int], float]:
@@ -166,14 +173,13 @@ def _farthest_first(d: Distances, n: int, m: int) -> tuple[list[int], float]:
     farthest from the picks before it, read one distance row per pick.
     Also returns the picks' smallest pairwise distance (inf for one pick),
     which is the smallest distance from a pick to the picks before it."""
-    everyone = np.arange(n)
     picks, sep = [0], math.inf
-    near = d([0], everyone)[0]
+    near = d([0], _ALL)[0]
     while len(picks) < min(m, n):
         i = int(np.argmax(near))
         picks.append(i)
         sep = min(sep, float(near[i]))
-        near = np.minimum(near, d([i], everyone)[0])
+        near = np.minimum(near, d([i], _ALL)[0])
     return picks, sep
 
 

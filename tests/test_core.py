@@ -7,6 +7,7 @@ import pytest
 
 from streamkc import core
 from streamkc.core import Point, StreamParams, WindowView, dist, radius_excluding
+from streamkc.coreset import GuessLadder
 from oracles import looped, manhattan, reference_radius_excluding
 
 
@@ -171,6 +172,31 @@ def test_dist_block_form_agrees_with_the_scalar_call():
             assert math.isclose(block[i, j], want, rel_tol=1e-12)
     # a wrapped metric keeps its block form
     assert functools.wraps(dist)(lambda p, q: dist(p, q)).pairwise is dist.pairwise
+
+
+def test_empty_and_one_point_sets_hold_no_pair():
+    # no matrix is built for an empty set; its reader is never read
+    assert core._extremes(core._distances([], dist), 0) == (0.0, 0.0)
+    d = core._distances([Point(1, (2.0, 3.0))], dist)
+    assert d(core._ALL, core._ALL).tolist() == [[0.0]]
+    assert core._extremes(d, 1) == (0.0, 0.0)
+    # a fixed ladder's runs start with no attraction points
+    lad = GuessLadder(StreamParams(5, 1, 1), "fixed", 1.0, 4.0)
+    lad.check_invariants()
+    lad.process_point(Point(1, (0.0,)))
+    lad.check_invariants()
+
+
+def test_a_matrix_reader_reads_rows_of_a_read_only_matrix():
+    pts = [Point(i + 1, (float(i), 2.0 * i)) for i in range(6)]
+    d = core._distances(pts, dist)
+    block = d(slice(1, 4), slice(2, 6))
+    assert block.shape == (3, 4) and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    # index arrays on either side keep the outer product of rows and columns
+    assert d([4, 0], [1, 5]).tolist() == [[dist(pts[4], pts[1]), dist(pts[4], pts[5])],
+                                          [dist(pts[0], pts[1]), dist(pts[0], pts[5])]]
 
 
 @pytest.mark.parametrize("call, message", [

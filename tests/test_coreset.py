@@ -335,6 +335,23 @@ class TestFixedLadder:
         assert lad.t == 2
         lad.check_invariants()
 
+    def test_stats_name_the_last_selected_guess(self):
+        rng = np.random.default_rng(19)
+        stream = make_stream(rng, 40, 2)
+        lad = GuessLadder(StreamParams(20, 2, 1), "fixed", *stream_extremes(stream))
+        assert lad.stats()["selected"] is None
+        for p in stream:
+            lad.process_point(p)
+        assert lad.stats()["selected"] is None  # arrivals select no guess
+        e = lad.selected_exponent()
+        assert type(e) is int and lad.stats()["selected"] == e
+        compute_solution(lad)
+        assert lad.stats()["selected"] == e
+        # the selection is no state: a snapshot leaves it out
+        snap = lad.to_snapshot()
+        assert "selected" not in json.dumps(snap)
+        assert GuessLadder.from_snapshot(snap).stats()["selected"] is None
+
 
 class TestObliviousLadder:
     @pytest.mark.parametrize("far", [(-1.7e308, 1.7e308), (9e307, 0.0)],
@@ -1789,8 +1806,9 @@ class TestPointStore:
                 "runs": _equal_content_groups(lad),
                 "captures": captures,
                 "inserts": inserts,
+                "selected": None,  # arrivals select no guess
             }
-            assert all(type(v) is int for v in stats.values())
+            assert all(type(v) is int for key, v in stats.items() if key != "selected")
             assert stats["distinct_points"] <= stats["stored_points"]
         assert stats["distinct_points"] < sum(len(st.slots) for st in lad.states.values())
 

@@ -1169,8 +1169,12 @@ class TestStats:
                 assert stats["rows_removed"] == len(before - now)
             before, refills = now, stats["refills"]
         assert 1 <= refills < 15
+        # the validation ladder selects the guess; the fine one is read at it
+        assert stats["validation"]["selected"] == stats["exponent"]
+        assert stats["fine"]["selected"] is None
         flat = [v for v in stats.values() if not isinstance(v, dict)]
-        flat += [v for side in ("validation", "fine") for v in stats[side].values()]
+        flat += [v for side in ("validation", "fine") for key, v in stats[side].items()
+                 if (side, key) != ("fine", "selected")]
         assert all(type(v) is int for v in flat)
 
     def test_pair_bytes_are_the_pair_tables_arrays(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from streamkc import solver
+from streamkc import core, solver
 from streamkc.core import Point, StreamParams, WindowView, dist, radius_excluding
 from streamkc.coreset import GuessLadder
 from streamkc.experiment import generate_ball_stream
@@ -673,6 +673,61 @@ def test_a_greedy_run_reads_at_most_two_squares_of_distances(monkeypatch):
     n, k = 500, 10
     charikar(_window_of_500(), k, 10)
     assert runs and max(runs) <= 2 * n * n + k * n, runs
+
+
+def test_a_charikar_query_computes_each_distance_once():
+    calls = []
+
+    def metric(p, q):
+        return dist(p, q)
+
+    def pairwise(xs, ys):
+        calls.append((len(xs), len(ys)))
+        return dist.pairwise(xs, ys)
+
+    metric.pairwise = pairwise
+    w = _window_of_500()
+    out = charikar(w, 10, 10, metric=metric)
+    assert calls == [(500, 500)]
+    assert out == charikar(w, 10, 10)
+
+
+def _reader_outputs(ladders, windows) -> list:
+    """What the scans and the distance helpers return: centers by arrival,
+    rho_min and uncovered weight of each scan, gonzalez's picks, the
+    extremes, and whether each guess of each ladder qualifies."""
+    out = []
+
+    def scanned(s):
+        return [c.arrival for c in s.centers], s.rho_min, s.uncovered_weight
+
+    for lad in ladders:
+        out.append(scanned(compute_solution(lad)))
+        out.append([lad.qualifies(e) for e in lad.exponents()])
+        lad.check_invariants()
+    for _, coords, k, z, metric in windows:
+        w = WindowView(points=tuple(_points(coords)), t=len(coords))
+        out.append(scanned(charikar(w, k, z, metric=metric)))
+        if metric is dist:
+            out += [scanned(samp_charikar(w, k, z, sample_size=m, seed=5)) for m in (3, 20)]
+        out.append([c.arrival for c in gonzalez(w, k + z + 1, metric)])
+        out.append(core._extremes(core._distances(w.points, metric), len(w.points)))
+    return out
+
+
+def test_the_matrix_and_the_block_reader_give_the_same_outputs(monkeypatch):
+    # a matrix entry is the block form's value for its one pair, so reading
+    # a set's whole matrix once returns what reading it block by block
+    # returns: ties, duplicate points and the manhattan metric included
+    ladders = [_ladder_for(case) for case in LADDER_CASES]
+    duplicates = ("duplicates", np.repeat(_lattice(30, 16), 3, axis=0), 2, 3, dist)
+    windows = [*WINDOW_CASES, duplicates]
+    assert max(len(c[1]) for c in windows) <= core._MATRIX_POINTS
+    outputs = []
+    for size in (0, core._MATRIX_POINTS):  # every set above the size, then below it
+        monkeypatch.setattr(core, "_MATRIX_POINTS", size)
+        outputs.append(_reader_outputs(ladders, windows))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("call, message", [
