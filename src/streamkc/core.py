@@ -76,21 +76,29 @@ def dist(p: Point, q: Point) -> float:
 dist.pairwise = cdist
 
 
-def _distances(points: Sequence[Point], metric: Metric) -> Distances:
-    """Distance reader: d(rows, cols) is the len(rows) x len(cols) matrix of
-    metric(points[i], points[j]), rows and cols each an index array or a
-    slice.  A set of 1 to ``_MATRIX_POINTS`` points is read once, as the
-    metric's block form of the whole coordinate array, and d reads rows of
-    that read-only matrix: slices give views, and a slice of columns gathers
-    none.  A larger set is read by the block form on each call.  Either way
-    an entry is the block form's value for its one pair, the same bits."""
+def _block_distances(points: Sequence[Point], metric: Metric) -> Distances:
+    """Block distance reader: d(rows, cols) is the len(rows) x len(cols)
+    matrix of metric(points[i], points[j]), rows and cols each an index
+    array or a slice, computed by the metric's block form on each call.
+    For callers that read each row once."""
     coords = np.array([p.coords for p in points], dtype=float)
     pairwise = metric.pairwise
-    if 0 < len(coords) <= _MATRIX_POINTS:
-        matrix = pairwise(coords, coords)
-        matrix.flags.writeable = False
-        return lambda rows, cols: matrix[rows][:, cols]
     return lambda rows, cols: pairwise(coords[rows], coords[cols])
+
+
+def _distances(points: Sequence[Point], metric: Metric) -> Distances:
+    """Distance reader for callers that read rows again, the radius scans:
+    a set of 1 to ``_MATRIX_POINTS`` points is read once, as the block form
+    of the whole set, and d(rows, cols) reads that read-only matrix (slices
+    give views; a slice of columns gathers none).  A larger set gets the
+    ``_block_distances`` reader.  Either way an entry is the block form's
+    value for its one pair, the same bits."""
+    if not 0 < len(points) <= _MATRIX_POINTS:
+        return _block_distances(points, metric)
+    coords = np.array([p.coords for p in points], dtype=float)
+    matrix = metric.pairwise(coords, coords)
+    matrix.flags.writeable = False
+    return lambda rows, cols: matrix[rows][:, cols]
 
 
 def _extremes(d: Distances, n: int) -> tuple[float, float]:

@@ -77,7 +77,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import _ALL, _BLOCK, InvariantError, Metric, Point, StreamParams, dist
-from .core import _distances, _extremes
+from .core import _block_distances, _extremes
 from .histogram import (
     Histogram,
     bump_and_trim,
@@ -434,7 +434,7 @@ class GuessState:
             raise InvariantError(f"{len(self.reps)} representatives for {n} attraction points")
         if any(attrs[i - 1].arrival >= attrs[i].arrival for i in range(1, n)):
             raise InvariantError("attraction points not in arrival order")
-        d = _distances(attrs, self._store.metric)
+        d = _block_distances(attrs, self._store.metric)
         for r0 in range(0, n - 1, _BLOCK):
             rows = slice(r0, min(r0 + _BLOCK, n - 1))
             # pairs (i, j) with i < j: the strict upper triangle from column r0
@@ -925,14 +925,13 @@ class GuessLadder:
         """A guess qualifies when its attraction set is small enough and a
         greedy separation pass over all its stored points selects at most
         k + z points at twice the guess radius.  The pass reads one distance
-        row per point it takes, at most k + z + 1 rows, through
-        ``core._distances``."""
+        row per point it takes, at most k + z + 1 rows."""
         st = self._run_of(exponent)
         cap = self.params.k + self.params.z
         if len(st.slots) > cap:
             return False
         pts = st.union_points()
-        d = _distances(pts, self.metric)
+        d = _block_distances(pts, self.metric)
         free = np.ones(len(pts), dtype=bool)  # not within twice the guess of a pick
         separation = 2.0 * self.guess_value(exponent)
         taken = 0
@@ -1063,7 +1062,7 @@ class GuessLadder:
             ):
                 raise InvariantError("recent ring slots do not hold the recent points")
             holders.update(held)
-            d, _ = _extremes(_distances(self.recent, self.metric), len(self.recent))
+            d, _ = _extremes(_block_distances(self.recent, self.metric), len(self.recent))
             if not (d == 0 or math.isclose(self.d_t, d, rel_tol=1e-9)):
                 raise InvariantError(
                     f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"

@@ -460,8 +460,9 @@ class FineCoresetState:
         )
 
     def stats(self) -> dict:
-        """Plain integers, counted on call or kept by the queries: each
-        ladder's ``GuessLadder.stats()``; the last query's coreset size and
+        """Plain integers or None, counted on call or kept by the queries:
+        each ladder's ``GuessLadder.stats()`` (the fine ladder selects no
+        guess, so its ``selected`` is None); the last query's coreset size and
         selected guess exponent (None before the first query, and for the
         exact coreset of the oblivious warm-up); the pair table's rows added
         and removed by the last query, its refills, and its arrays' bytes."""

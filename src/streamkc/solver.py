@@ -7,13 +7,14 @@ candidate whose small ball captures the most uncovered weight, then discards
 everything inside a larger ball around it.  ``compute_solution`` and the
 ``charikar`` baselines drive it over the same geometric radius grid
 (``_radius_grid``), scanning radii upward from zero and stopping at the first
-one whose run leaves at most z uncovered weight.  Distances are read
-through ``core._distances``, in the metric's own block form: a set of at
-most ``core._MATRIX_POINTS`` points (1,024, an 8 MiB matrix) is read once
-as its full pairwise matrix, a larger one in blocks of at most ``_BLOCK``
-rows on each read.  A scan builds that reader once and runs the greedy's
-kernel, ``_greedy``, on it at every radius it tries, so on the matrix it
-computes each distance once per query.  A run reads whole rows: one
+one whose run leaves at most z uncovered weight.  Distances are read in
+the metric's own block form.  A scan builds one reader, ``core._distances``,
+and runs the greedy's kernel, ``_greedy``, on it at every radius it tries:
+on a set of at most ``core._MATRIX_POINTS`` points (1,024, an 8 MiB matrix)
+the reader computes the full pairwise matrix once, so the scan computes
+each distance once; a larger set is read in blocks of at most ``_BLOCK``
+rows on each read.  Callers that read each row once (``outliers_cluster``
+and ``gonzalez``) read blocks (``core._block_distances``).  A run reads one
 scoring pass of its candidates, then each round's removal row and the
 removed points' rows, from which it subtracts what each round removed from
 the scores; this is exact while the weights are integers below 2^53.
@@ -41,8 +42,8 @@ import numpy as np
 
 # radius_excluding is imported, not called (callers score the centers they get):
 # perfbench's tracer patches solver.radius_excluding, which tests/test_tracer.py checks
-from .core import _ALL, _BLOCK, Distances, Metric, Point, WindowView, dist, radius_excluding
-from .core import _distances, _extremes, _require_count
+from .core import _ALL, _BLOCK, Distances, Index, Metric, Point, WindowView, dist, radius_excluding
+from .core import _block_distances, _distances, _extremes, _require_count
 from .coreset import GuessLadder
 
 
@@ -104,7 +105,7 @@ def outliers_cluster(
     integers below 2^53, which keeps the scores exact (``_greedy``).  Returns
     the chosen centers and the uncovered points with their weights.
     """
-    d = _distances(points, metric)
+    d = _block_distances(points, metric)
     w = np.asarray(weights, dtype=float)
     centers, uncovered = _greedy(d, w, k, rho, eps, candidates)
     return [points[i] for i in centers], [(points[j], weights[j]) for j in uncovered]
@@ -122,49 +123,53 @@ def _greedy(
     the indices of the chosen centers and of the uncovered points.  The
     radius scans call it with the one reader d of their query.
 
-    Every read takes whole rows, masked by what is still uncovered.  A
-    candidate is scored once, against the weights of the uncovered points,
-    in the first round that draws it; after each round but the last, every
+    A candidate is scored once, against the points still uncovered, in the
+    first round that draws it; after each round but the last, every scored
     candidate loses the weight the round removed within its small ball,
-    read from the removed points' rows (a candidate not yet scored is
-    overwritten when it is).  So a run reads one scoring pass, the k
-    removal rows and each removed point's row once: at most 2n^2 + kn
-    entries.  The scores are sums of the weights, exact while the weights
-    are integers below 2^53, and the block form is symmetric, so they equal
-    a full rescoring."""
+    read from the removed points' rows.  So a run reads one scoring pass,
+    the k removal rows and each removed point's row once: at most
+    2n^2 + kn entries.  A read that takes every row or column asks for a
+    slice, which a matrix reader serves as a view.  The scores are sums of
+    the weights, exact while the weights are integers below 2^53, and the
+    block form is symmetric, so they equal a full rescoring."""
     if rho < 0 or eps < 0:
         raise ValueError("rho and eps must be non-negative")
     n = w.size
     cover_r = (1.0 + 2.0 * eps) * rho
     removal_r = (3.0 + 4.0 * eps) * rho
-    everyone = np.arange(n)
-    unc = np.ones(n, dtype=bool)
-    alive = w.copy()  # a point's weight, or 0 once it is covered
+    everyone = uncovered = np.arange(n)
     scores = np.zeros(n)
     known = np.zeros(n, dtype=bool)
+    scored = everyone[known]
     centers: list[int] = []
     for r in range(k):
-        if not unc.any():
+        if not uncovered.size:
             break
         cand = everyone if candidates is None else candidates(r)
         new = cand[~known[cand]]
-        if cand is everyone and new.size == n:  # contiguous row blocks, read as views
-            blocks = [slice(c0, c0 + _BLOCK) for c0 in range(0, n, _BLOCK)]
-        else:
-            blocks = [new[c0 : c0 + _BLOCK] for c0 in range(0, new.size, _BLOCK)]
-        for rows in blocks:
-            scores[rows] = (d(rows, _ALL) <= cover_r) @ alive
-        known[new] = True
+        if new.size:
+            cols, w_unc = _columns(uncovered, n), w[uncovered]
+            for c0 in range(0, new.size, _BLOCK):
+                rows = slice(c0, c0 + _BLOCK) if new.size == n else new[c0 : c0 + _BLOCK]
+                scores[rows] = (d(rows, cols) <= cover_r) @ w_unc
+            known[new] = True
+            scored = everyone[known]
         best = int(cand[scores[cand].argmax()])
         centers.append(best)
-        gone = np.flatnonzero(unc & (d([best], _ALL)[0] <= removal_r))
-        unc[gone] = False
-        alive[gone] = 0.0
-        if r + 1 < k and unc.any():
+        far = d([best], _columns(uncovered, n))[0] > removal_r
+        gone, uncovered = uncovered[~far], uncovered[far]
+        if r + 1 < k and uncovered.size:
+            cols = _columns(scored, n)
             for g0 in range(0, gone.size, _BLOCK):
                 rows = gone[g0 : g0 + _BLOCK]
-                scores -= w[rows] @ (d(rows, _ALL) <= cover_r)
-    return centers, np.flatnonzero(unc)
+                scores[cols] -= w[rows] @ (d(rows, cols) <= cover_r)
+    return centers, uncovered
+
+
+def _columns(index: np.ndarray, n: int) -> Index:
+    """A sorted subset of range(n) as a reader's index: a slice when it
+    holds all n."""
+    return _ALL if index.size == n else index
 
 
 def _farthest_first(d: Distances, n: int, m: int) -> tuple[list[int], float]:
@@ -314,7 +319,7 @@ def gonzalez(window: WindowView, k: int, metric: Metric = dist) -> list[Point]:
     if k < 1:
         raise ValueError("k must be >= 1")
     pts = window.points
-    picks, _ = _farthest_first(_distances(pts, metric), len(pts), k)
+    picks, _ = _farthest_first(_block_distances(pts, metric), len(pts), k)
     return [pts[i] for i in picks]
 
 

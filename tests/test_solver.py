@@ -692,10 +692,64 @@ def test_a_charikar_query_computes_each_distance_once():
     assert out == charikar(w, 10, 10)
 
 
+def test_a_sampled_run_on_blocks_reads_only_uncovered_or_scored_columns(monkeypatch):
+    # above the matrix size each read computes its distances, so a round
+    # after the first scores against the uncovered points, not all n
+    monkeypatch.setattr(core, "_MATRIX_POINTS", 0)
+    runs, kernel = [], solver._greedy
+
+    def run(d, *args, **kw):
+        reads = []
+
+        def read(rows, cols):
+            block = d(rows, cols)
+            reads.append(block.shape)
+            return block
+
+        out = kernel(read, *args, **kw)
+        runs.append(reads)
+        return out
+
+    monkeypatch.setattr(solver, "_greedy", run)
+    n = 500
+    samp_charikar(_window_of_500(), 10, 10, sample_size=50, seed=5)
+    assert runs
+    for reads in runs:
+        assert sum(r * c for r, c in reads) < sum(r for r, _ in reads) * n
+        assert [c for _, c in reads].count(n) <= 2  # round 0's scoring and removal row
+
+
+def test_single_pass_readers_compute_only_the_rows_they_read():
+    # gonzalez and guess qualification read each row once, so they read
+    # blocks: no whole matrix for the rows they never read
+    calls = []
+
+    def metric(p, q):
+        return dist(p, q)
+
+    def pairwise(xs, ys):
+        calls.append((len(xs), len(ys)))
+        return dist.pairwise(xs, ys)
+
+    metric.pairwise = pairwise
+    w = _window_of_500()
+    assert gonzalez(w, 10, metric) == gonzalez(w, 10)
+    assert calls == [(1, 500)] * 10
+    lad = _ladder_for((*LADDER_CASES[0][:-1], metric))
+    read = 0
+    for e in lad.exponents():
+        calls.clear()
+        lad.qualifies(e)
+        n = len(lad._run_of(e).union_points())
+        assert len(calls) <= lad.params.k + lad.params.z + 1
+        assert set(calls) <= {(1, n)}
+        read += len(calls)
+    assert read
+
+
 def _reader_outputs(ladders, windows) -> list:
-    """What the scans and the distance helpers return: centers by arrival,
-    rho_min and uncovered weight of each scan, gonzalez's picks, the
-    extremes, and whether each guess of each ladder qualifies."""
+    """What the radius scans and the extremes return: centers by arrival,
+    rho_min and uncovered weight of each scan, and the extremes."""
     out = []
 
     def scanned(s):
@@ -703,14 +757,11 @@ def _reader_outputs(ladders, windows) -> list:
 
     for lad in ladders:
         out.append(scanned(compute_solution(lad)))
-        out.append([lad.qualifies(e) for e in lad.exponents()])
-        lad.check_invariants()
     for _, coords, k, z, metric in windows:
         w = WindowView(points=tuple(_points(coords)), t=len(coords))
         out.append(scanned(charikar(w, k, z, metric=metric)))
         if metric is dist:
             out += [scanned(samp_charikar(w, k, z, sample_size=m, seed=5)) for m in (3, 20)]
-        out.append([c.arrival for c in gonzalez(w, k + z + 1, metric)])
         out.append(core._extremes(core._distances(w.points, metric), len(w.points)))
     return out
 
