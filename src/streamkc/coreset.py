@@ -55,7 +55,7 @@ lies within the highest radius of another: each is then its own
 attraction point.  Sharing is exact: the sweep reads the content alone, a
 hit position never grows with the radius, so equal probes mean the whole
 run agrees, and equal contents that get equal hits take equal steps.
-``ladder.states`` maps each exponent to a read view of its guess.
+``ladder.states`` maps each exponent to a plain record of its guess.
 
 Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
 histogram list: each distinct list is trimmed once per arrival, and the
@@ -111,6 +111,15 @@ class WeightedCoreset:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+@dataclass(slots=True)
+class GuessRecord:
+    """One guess of a ladder (``GuessLadder.states``), as it stood when read."""
+
+    guess: float
+    attr_radius: float
+    evictions: int
 
 
 class _BumpMemo:
@@ -486,20 +495,26 @@ class GuessState:
         """Load a fresh state from a snapshot entry, placing its attraction
         points in its store.  Each reps entry names its attraction point's
         arrival; InvariantError unless they name them all, in order."""
-        attrs = [_point_in(p) for p in data["attractions"]]
+        attrs = [_point_in(p, "an attraction point") for p in data["attractions"]]
         if [a for a, _, _ in data["reps"]] != [a.arrival for a in attrs]:
             raise InvariantError("not one representative per attraction point, in its order")
         self.slots = array("q", [self._store.acquire(a) for a in attrs])
-        self.reps = [(_point_in(rep), [tuple(e) for e in hist]) for _, rep, hist in data["reps"]]
+        self.reps = [(_point_in(rep, "a representative"), [tuple(e) for e in hist])
+                     for _, rep, hist in data["reps"]]
         for r, hist in data["orphans"]:
-            self._add_orphan(_point_in(r), [tuple(e) for e in hist])
+            self._add_orphan(_point_in(r, "an orphan"), [tuple(e) for e in hist])
 
 
 def _point_out(p: Point) -> list:
     return [p.arrival, list(p.coords)]
 
 
-def _point_in(data: list) -> Point:
+def _point_in(data: list, what: str) -> Point:
+    """The point of a snapshot entry [arrival, coordinates]; InvariantError
+    naming the entry (what) for any other shape or an arrival that is not an
+    int (80.0 == 80 and True == 1 would pass the later arrival checks)."""
+    if len(data) != 2 or type(data[0]) is not int:
+        raise InvariantError(f"{what} of arrival {data[0]!r} is no [int arrival, coordinates] pair")
     return Point(data[0], tuple(data[1]))
 
 
@@ -622,9 +637,16 @@ class GuessLadder:
         return GuessState(lo, hi, m, p.window_len, self._store, self._bumps, orphan_cap=self.cap)
 
     @property
-    def states(self) -> dict[int, "_GuessView"]:
-        """Exponent -> a read view of its guess, in exponent order."""
-        return {e: _GuessView(self, e) for e in self.exponents()}
+    def states(self) -> dict[int, GuessRecord]:
+        """Exponent -> the record of its guess, in exponent order.  A guess's
+        points are its run's (``_run_of``)."""
+        guess_value, f, off = self.guess_value, self.attr_factor, self._evictions
+        out = {}
+        for st in self._runs:
+            for e in range(st.lo, st.hi + 1):
+                g = guess_value(e)
+                out[e] = GuessRecord(g, f * g, off.get(e, 0) + st.evicted)
+        return out
 
     def exponents(self) -> list[int]:
         runs = self._runs
@@ -1149,15 +1171,10 @@ class GuessLadder:
 
     @classmethod
     def from_snapshot(cls, snap: dict, metric: Metric = dist) -> "GuessLadder":
-        """Inverse of to_snapshot.  Older version-1 snapshots still load: a
-        "high_init" config entry is ignored (it is derived from attr_factor),
-        and a max_attractions/prune_orphans/orphan_cap triple is mapped to
-        the cap policy it spells, or rejected if it spells neither.
-
-        The restored ladder is verified with check_invariants; a snapshot
-        that is malformed, holds settings the constructor refuses or
-        restores a broken state raises ValueError ("corrupt ladder
-        snapshot: ...").
+        """Inverse of to_snapshot.  The restored ladder is verified with
+        check_invariants; a snapshot that is malformed, holds settings the
+        constructor refuses or restores a broken state raises ValueError
+        ("corrupt ladder snapshot: ...").
         """
         _block_metric(metric)
         if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
@@ -1182,7 +1199,7 @@ class GuessLadder:
             d_max=snap["d_max"],
             metric=metric,
             attr_factor=cfg["attr_factor"],
-            cap=cfg["cap"] if "cap" in cfg else _legacy_cap(cfg, params),
+            cap=cfg["cap"],
         )
         ladder.t = snap["t"]
         ladder._runs = []
@@ -1197,60 +1214,25 @@ class GuessLadder:
                 if len(ob[key]) > most:  # a deque would drop the extra points unseen
                     raise InvariantError(f"the {key} list holds {len(ob[key])} points, "
                                          f"more than {most}")
-                # 80.0 == 80 and True == 1 would pass the later arrival checks
-                odd = [q[0] for q in ob[key] if type(q[0]) is not int]
-                if odd:
-                    raise InvariantError(f"the {key} list holds a point of arrival {odd[0]!r}, "
-                                         "not an int")
-            ladder.recent.extend(_point_in(q) for q in ob["recent"])
+            ladder.recent.extend(_point_in(q, "a recent point") for q in ob["recent"])
             ladder.d_t = ob["d_t"]
             ladder.D_t = ob["D_t"]
             if ob["bootstrapped"] is not ladder.bootstrapped:
                 raise InvariantError("the bootstrapped field disagrees with the states")
-            ladder.warmup.extend(_point_in(q) for q in ob["warmup"])
+            ladder.warmup.extend(_point_in(q, "a warmup point") for q in ob["warmup"])
             first = ob["first_point"]  # named here: the row reads below would fail unnamed
             got, want = None if first is None else first[0], 1 if ladder.t else None
             if got != want or type(got) is not type(want):  # True == 1.0 == 1
                 raise InvariantError(f"the first point's arrival is {got!r} at clock {ladder.t!r}: "
                                      "1 after any arrival, None before")
             if first is not None:
-                ladder._store.acquire(_point_in(first))
+                ladder._store.acquire(_point_in(first, "the first point"))
             for q in ladder.recent:  # the snapshot's d_t and D_t stand
                 row = ladder._store.rows([q])[0]
                 ladder._closest_newer, _ = ladder._ring_closest(row, q.arrival)
                 ladder._ring_slots[q.arrival % len(ladder._ring_slots)] = ladder._store.acquire(q)
         ladder._merge_runs(ladder._runs)
         return ladder
-
-
-class _GuessView:
-    """One guess of a ladder: its value and radius from its exponent, its
-    evictions from the ladder, and the rest from the run that holds it,
-    looked up on every read, so a view follows its guess across arrivals."""
-
-    __slots__ = ("_ladder", "exponent")
-    _FROM_RUN = frozenset({"slots", "attractions", "reps", "orphans", "union_points",
-                           "coreset_points", "stored_points", "histogram_entries"})
-
-    def __init__(self, ladder: GuessLadder, exponent: int):
-        self._ladder, self.exponent = ladder, exponent
-
-    def __getattr__(self, name: str):
-        if name not in _GuessView._FROM_RUN:
-            raise AttributeError(name)
-        return getattr(self._ladder._run_of(self.exponent), name)
-
-    @property
-    def guess(self) -> float:
-        return self._ladder.guess_value(self.exponent)
-
-    @property
-    def attr_radius(self) -> float:
-        return self._ladder._radius(self.exponent)
-
-    @property
-    def evictions(self) -> int:
-        return self._ladder._evictions_of(self.exponent)
 
 
 def _same_content(a: GuessState, b: GuessState) -> bool:
@@ -1271,16 +1253,3 @@ def _block_metric(metric: Metric) -> Metric:
     if not callable(getattr(metric, "pairwise", None)):
         raise TypeError(f"metric {metric!r} has no pairwise(xs, ys) block form")
     return metric
-
-
-def _legacy_cap(cfg: dict, params: StreamParams) -> Optional[int]:
-    """cap equivalent of an older snapshot's capacity fields."""
-    m, prune, oc = cfg["max_attractions"], cfg["prune_orphans"], cfg["orphan_cap"]
-    if prune and oc is None and m == params.k + params.z + 1:
-        return None
-    if not prune and oc is not None and m == oc:
-        return oc
-    raise ValueError(
-        f"snapshot capacity max_attractions={m}, prune_orphans={prune}, "
-        f"orphan_cap={oc} matches no cap policy"
-    )

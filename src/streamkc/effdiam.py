@@ -414,7 +414,7 @@ class FineCoresetState:
             cap=cfg.fine_cap,
         )
         self._pairs = PairMassTable()
-        self._last_coreset: Optional[tuple[int, float]] = None  # (size, guess)
+        self._last_size = 0  # the last query's coreset size
 
     @property
     def t(self) -> int:
@@ -446,7 +446,7 @@ class FineCoresetState:
             raise RuntimeError("no points processed yet")
         coreset, overflowed = self.fine_coreset()
         table = self._pairs.update(coreset)
-        self._last_coreset = (len(coreset), coreset.guess)
+        self._last_size = len(coreset)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
         low_raw, short_lower = coreset_effective_diameter(table, shrunk, wsize)
         up_raw, short_upper = coreset_effective_diameter(table, cfg.alpha, wsize)
@@ -461,18 +461,15 @@ class FineCoresetState:
 
     def stats(self) -> dict:
         """Plain integers or None, counted on call or kept by the queries:
-        each ladder's ``GuessLadder.stats()`` (the fine ladder selects no
-        guess, so its ``selected`` is None); the last query's coreset size and
-        selected guess exponent (None before the first query, and for the
-        exact coreset of the oblivious warm-up); the pair table's rows added
-        and removed by the last query, its refills, and its arrays' bytes."""
-        size, guess = self._last_coreset or (0, 0.0)
+        each ladder's ``GuessLadder.stats()`` (a query selects its guess on
+        the validation ladder; the fine ladder's ``selected`` is None); the
+        last query's coreset size; the pair table's rows added and removed by
+        the last query, its refills, and its arrays' bytes."""
         pairs = self._pairs
         return {
             "validation": self.validation.stats(),
             "fine": self.fine.stats(),
-            "coreset_size": size,
-            "exponent": self.fine._exp_floor(guess) if guess > 0 else None,
+            "coreset_size": self._last_size,
             "rows_added": pairs.added,
             "rows_removed": pairs.removed,
             "refills": pairs.refills,

@@ -59,7 +59,6 @@ class SolveOutcome:
     centers: tuple[Point, ...]
     uncovered_weight: int
     rho_min: float
-    guess: Optional[float] = None
     coreset_size: Optional[int] = None
 
 
@@ -263,7 +262,6 @@ def compute_solution(ladder: GuessLadder) -> SolveOutcome:
         centers=tuple(centers),
         uncovered_weight=uw,
         rho_min=rho,
-        guess=coreset.guess,
         coreset_size=len(coreset),
     )
 

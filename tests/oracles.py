@@ -131,6 +131,12 @@ def reference_radius_excluding(centers, window: WindowView, z: int, metric=dist)
     return dists[len(dists) - 1 - z]
 
 
+def runs_by_guess(ladder: GuessLadder) -> dict:
+    """Exponent -> the run (``GuessState``) that holds its guess, in
+    exponent order: where a guess's points are read."""
+    return {e: ladder._run_of(e) for e in ladder.exponents()}
+
+
 def reference_qualifies(ladder: GuessLadder, exponent: int) -> bool:
     """Scalar qualification test: the reference for
     ``streamkc.coreset.GuessLadder.qualifies``.
@@ -140,11 +146,11 @@ def reference_qualifies(ladder: GuessLadder, exponent: int) -> bool:
     farther than twice the guess from every point taken so far, takes at
     most k + z points.
     """
-    st = ladder.states[exponent]
+    st = ladder._run_of(exponent)
     cap = ladder.params.k + ladder.params.z
     if len(st.attractions) > cap:
         return False
-    threshold = 2.0 * st.guess
+    threshold = 2.0 * ladder.guess_value(exponent)
     chosen: list[Point] = []
     for q in st.union_points():
         if all(ladder.metric(q, c) > threshold for c in chosen):
@@ -293,7 +299,7 @@ class LadderShadow:
         self.ladder.process_point(p)
         found: dict[int, int] = {}  # id of a content's reps -> p's attractor
         self.inserts = 0
-        for e, st in self.ladder.states.items():
+        for e, st in runs_by_guess(self.ladder).items():
             attr = found.get(id(st.reps))
             if attr is None:
                 attr = next(a.arrival for a, (rep, _) in zip(st.attractions, st.reps)

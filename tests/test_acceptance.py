@@ -29,7 +29,7 @@ from streamkc.histogram import (
     weight_estimate,
 )
 from streamkc.solver import brute_force_optimum, charikar, compute_solution, gonzalez, samp_charikar
-from oracles import ExactHistogram, LadderShadow, expire_entry, active_window, coverage_radius, make_stream, stream_extremes
+from oracles import ExactHistogram, LadderShadow, expire_entry, active_window, coverage_radius, make_stream, runs_by_guess, stream_extremes
 
 
 def stream_points(coords):
@@ -97,12 +97,12 @@ def test_c2_proxy_distance_shadow():
                 continue
             lad = shadow.ladder
             window = active_window(stream, p.arrival, window_len)
-            for e, st in lad.states.items():
+            for e, st in runs_by_guess(lad).items():
                 assert len(st.attractions) <= k + z + 1
                 assert len(st.reps) <= k + z + 1
                 assert len(st.orphans) <= k + z + 1
                 if len(st.attractions) <= k + z:
-                    bound = 4.0 * st.guess + 1e-9
+                    bound = 4.0 * lad.guess_value(e) + 1e-9
                     for q in window.points:
                         assert dist(q, shadow.proxy(e, q)) <= bound
 
@@ -260,7 +260,7 @@ def test_c6_obliviousness():
             if e[0] != t - window_len_
         ]
         for e in new_high:
-            st = lad.states[e]
+            st = lad._run_of(e)
             assert st.orphans and next(iter(st.orphans.values()))[1] == expected
 
 

@@ -27,6 +27,7 @@ from oracles import (
     reference_first_within,
     reference_qualifies,
     refusals,
+    runs_by_guess,
     stepped_runs,
     store_fields,
     stream_extremes,
@@ -138,12 +139,12 @@ def _check_proxies(shadow, stream):
     lad = shadow.ladder
     k_z = lad.params.k + lad.params.z
     window = active_window(stream, lad.t, lad.params.window_len)
-    for e, st in lad.states.items():
+    for e, st in runs_by_guess(lad).items():
         if len(st.attractions) <= k_z:
             stored = {q.arrival for q, _ in st.coreset_points()}
             for q in window.points:
                 proxy = shadow.proxy(e, q)
-                assert dist(q, proxy) <= 4.0 * st.guess + 1e-9
+                assert dist(q, proxy) <= 4.0 * lad.guess_value(e) + 1e-9
                 assert proxy.arrival in stored, (
                     "proxy of an active point missing from the stored sets"
                 )
@@ -261,7 +262,7 @@ class TestFixedLadder:
         # separate attraction points, although euclidean would merge them
         e0 = [e for e in lad.exponents() if abs(lad.guess_value(e) - 1.0) < 1e-9]
         assert e0, "grid must contain the unit guess"
-        assert len(lad.states[e0[0]].attractions) == 2
+        assert len(lad._run_of(e0[0]).attractions) == 2
 
     def test_memory_instrumentation_bounds(self):
         rng = np.random.default_rng(37)
@@ -269,7 +270,7 @@ class TestFixedLadder:
         lad = shadow.ladder
         k_z1 = lad.params.k + lad.params.z + 1
         n_guesses = len(lad.states)
-        assert sum(st.stored_points() for st in lad.states.values()) <= 3 * k_z1 * n_guesses
+        assert sum(st.stored_points() for st in runs_by_guess(lad).values()) <= 3 * k_z1 * n_guesses
         bound = n_guesses * 2 * k_z1 * max_entries(lad.params.window_len, lad.params.lam)
         assert lad.histogram_entries() <= bound
         gauge = lad.memory_floats(2)
@@ -434,7 +435,7 @@ class TestObliviousLadder:
         lad.process_point(pt(t, far, far))
         new_exps = [e for e in lad.exponents() if e > old_hi]
         assert new_exps, "doubling the max distance must add high guesses"
-        st = lad.states[new_exps[0]]
+        st = lad._run_of(new_exps[0])
         # after the placeholder expired, the synthetic histogram lives on the
         # orphaned representative, minus the entry that expired at creation
         expected = synthetic_full_window(t, min(N, t - 1), lam)
@@ -708,51 +709,16 @@ class TestSnapshot:
         assert restored.to_snapshot() == snap
         restored.process_point(pt(2, 1.0, 1.0))
 
-    def test_loads_snapshot_with_high_init_field(self):
-        # older version-1 snapshots carry the since-derived "high_init" entry
-        rng = np.random.default_rng(47)
-        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
-        for p in make_stream(rng, 30, 2):
-            lad.process_point(p)
-        snap = json.loads(json.dumps(lad.to_snapshot()))
-        snap["config"]["high_init"] = "synthetic"
-        restored = GuessLadder.from_snapshot(snap)
-        assert restored.to_snapshot() == lad.to_snapshot()
-
-    @pytest.mark.parametrize("cap", [None, 7])
-    def test_loads_snapshot_with_the_older_capacity_fields(self, cap):
-        rng = np.random.default_rng(61)
+    def test_refuses_the_older_capacity_fields(self):
+        # the max_attractions/prune_orphans/orphan_cap triple that spelled
+        # cap None before the cap entry: a snapshot holding it is not read
         params = StreamParams(25, 2, 1, 0.5, 0.5)
-        lad = GuessLadder(params, "oblivious", cap=cap)
-        for p in make_stream(rng, 40, 2):
-            lad.process_point(p)
-        snap = json.loads(json.dumps(lad.to_snapshot()))
-        snap["config"] = {
-            "attr_factor": 2.0,
-            "max_attractions": params.k + params.z + 1 if cap is None else cap,
-            "prune_orphans": cap is None,
-            "orphan_cap": cap,
-        }
-        restored = GuessLadder.from_snapshot(snap)
-        assert restored.to_snapshot() == lad.to_snapshot()
-
-    @pytest.mark.parametrize(
-        "max_attractions, prune_orphans, orphan_cap",
-        [(5, True, None), (4, False, None), (4, True, 4), (4, False, 5)],
-    )
-    def test_rejects_older_capacity_fields_matching_no_policy(
-        self, max_attractions, prune_orphans, orphan_cap
-    ):
-        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious")
+        lad = GuessLadder(params, "oblivious")
         lad.process_point(pt(1, 0.5))
         snap = lad.to_snapshot()
-        snap["config"] = {
-            "attr_factor": 2.0,
-            "max_attractions": max_attractions,
-            "prune_orphans": prune_orphans,
-            "orphan_cap": orphan_cap,
-        }
-        with pytest.raises(ValueError, match="cap policy"):
+        snap["config"] = {"attr_factor": 2.0, "max_attractions": params.k + params.z + 1,
+                          "prune_orphans": True, "orphan_cap": None}
+        with pytest.raises(ValueError, match=re.escape("corrupt ladder snapshot: KeyError('cap')")):
             GuessLadder.from_snapshot(snap)
 
     def test_round_trip_with_a_lam_that_rounds_away(self):
@@ -947,7 +913,7 @@ _MID_STREAM_CORRUPTIONS = [
     _overflow_an_exponent,
     _shrink_beta,  # settings the constructor refuses
     _zero_k,  # settings StreamParams refuses
-    _spell_no_cap_policy,  # older capacity fields that spell no cap
+    _spell_no_cap_policy,  # older capacity fields, and no cap entry
     _repeat_an_orphan,  # one orphan listed twice
     _leave_a_warmup,  # a warm-up kept past the bootstrap
     _deny_the_bootstrap,  # a bootstrapped field its states contradict
@@ -1153,6 +1119,17 @@ def _arrive_as(key: str, value):
     return corrupt
 
 
+def _pad(name: str, entry):
+    """A corruption that appends an element to the point entry that
+    entry(snap) finds."""
+
+    def corrupt(snap, t, window_len):
+        entry(snap).append(0)
+
+    corrupt.__name__ = f"_pad_{name}"
+    return corrupt
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
@@ -1174,13 +1151,24 @@ _PINNED_SNAPSHOTS = [
     (_mid_stream_ladder, _pad_the_recent_points, "the recent list holds 6 points, more than 4"),
     (_constant_warmup_ladder, _pad_the_warmup, "the warmup list holds 32 points, more than 30"),
     (_mid_stream_ladder, _arrive_as("recent", float),
-     "the recent list holds a point of arrival 80.0, not an int"),
+     "a recent point of arrival 80.0 is no [int arrival, coordinates] pair"),
     (_mid_stream_ladder, _arrive_as("recent", lambda t: True),
-     "the recent list holds a point of arrival True, not an int"),
+     "a recent point of arrival True is no [int arrival, coordinates] pair"),
     (_warmup_ladder, _arrive_as("warmup", float),
-     "the warmup list holds a point of arrival 3.0, not an int"),
+     "a warmup point of arrival 3.0 is no [int arrival, coordinates] pair"),
     (_warmup_ladder, _arrive_as("warmup", lambda t: True),
-     "the warmup list holds a point of arrival True, not an int"),
+     "a warmup point of arrival True is no [int arrival, coordinates] pair"),
+    (_ball_ladder, _pad("an_attraction_point", lambda snap: snap["states"][0]["attractions"][-1]),
+     "an attraction point of arrival 300 is no [int arrival, coordinates] pair"),
+    (_ball_ladder, _pad("a_representative", lambda snap: snap["states"][0]["reps"][-1][1]),
+     "a representative of arrival 300 is no [int arrival, coordinates] pair"),
+    (_ball_ladder, _pad("an_orphan", lambda snap: next(
+        o for s in snap["states"] for o in s["orphans"])[0]),
+     "an orphan of arrival 290 is no [int arrival, coordinates] pair"),
+    (_mid_stream_ladder, _pad("a_recent_point", lambda snap: snap["oblivious"]["recent"][-1]),
+     "a recent point of arrival 80 is no [int arrival, coordinates] pair"),
+    (_mid_stream_ladder, _pad("the_first_point", lambda snap: snap["oblivious"]["first_point"]),
+     "the first point of arrival 1 is no [int arrival, coordinates] pair"),
 ]
 
 
@@ -1296,8 +1284,6 @@ def _fixed_ladder() -> GuessLadder:
     pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1), "fixed", 5e-324, 1.0), ValueError,
                  "a grid from 0.0 to 1.0 leaves the float range", id="subnormal-d_min"),
     pytest.param(lambda: _fixed_ladder().coreset_at(100), KeyError, "100", id="off-the-grid"),
-    pytest.param(lambda: next(iter(_fixed_ladder().states.values())).hist, AttributeError,
-                 "hist", id="unknown-view-attribute"),
     pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1)).selected_exponent(), RuntimeError,
                  "ladder holds no guesses yet", id="no-guesses"),
     pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1)).warmup_coreset(), RuntimeError,
@@ -1334,7 +1320,7 @@ class TestBlockMetric:
             most = 0
             for p in stream:
                 lad.process_point(p)
-                most = max([most] + [len(st.attractions) for st in lad.states.values()])
+                most = max([most] + [len(st.attractions) for st in lad._runs])
             return most, lad.to_snapshot()
 
         most, snap = run(manhattan)
@@ -1680,15 +1666,15 @@ class TestSharedStates:
                 assert _spans(lad) == [(0, 1)]
                 assert store.refs[store.slot_of[1]] == 1
             if t == 2:  # 3.0 is within 4 of 0.0, not within 2
-                assert [a.arrival for a in low.attractions] == [1, 2]
-                assert [a.arrival for a in high.attractions] == [1]
+                assert [a.arrival for a in lad._run_of(0).attractions] == [1, 2]
+                assert [a.arrival for a in lad._run_of(1).attractions] == [1]
                 assert _spans(lad) == [(0, 0), (1, 1)]
                 assert store.refs[store.slot_of[1]] == 2
         # the point at 3.0 leaves the window at t=5, and the two agree again
         assert runs == [1, 2, 2, 2, 1]
         assert _spans(lad) == [(0, 1)]
         assert store.refs[store.slot_of[4]] == 1
-        assert (low.evictions, high.evictions) == (0, 0)
+        assert [st.evictions for st in lad.states.values()] == [0, 0]
 
     def test_the_validation_ladder_shares_states_on_the_benchmark_recipe(self):
         # the eff-fixed-n1k benchmark recipe up to the end of its window
@@ -1768,7 +1754,7 @@ class TestPointStore:
         assert lad.states[0].attr_radius == 2.0
         lad.process_point(Point(1, a))
         lad.process_point(Point(2, b))
-        assert len(lad.states[0].slots) == 1
+        assert len(lad._run_of(0).slots) == 1
         restored = _round_trip(lad)
         assert restored.to_snapshot() == lad.to_snapshot()
         rng = np.random.default_rng(107)
@@ -1789,12 +1775,12 @@ class TestPointStore:
         for p in stream:
             lad.process_point(p)
             stats = lad.stats()
-            held = {q for st in lad.states.values() for q in st.attractions}
+            held = {q for st in lad._runs for q in st.attractions}
             if mode == "oblivious":  # the first point holds a slot for good
                 held.update([lad._store.points[lad._store.slot_of[1]], *lad.recent])
             # p is now each guess's newest attraction point or representative
             new = sum(p.arrival in [a.arrival for a in st.attractions]
-                      for st in lad.states.values())
+                      for st in runs_by_guess(lad).values())
             inserts += new
             captures += len(lad.states) - new
             assert stats == {
@@ -1810,7 +1796,7 @@ class TestPointStore:
             }
             assert all(type(v) is int for key, v in stats.items() if key != "selected")
             assert stats["distinct_points"] <= stats["stored_points"]
-        assert stats["distinct_points"] < sum(len(st.slots) for st in lad.states.values())
+        assert stats["distinct_points"] < sum(len(st.slots) for st in runs_by_guess(lad).values())
 
     @pytest.mark.parametrize(
         "corrupt, message",

@@ -689,7 +689,7 @@ class TestPairMassTable:
             got = state.estimate()
             coreset, overflowed = state.fine_coreset()
             assert got == _reference_estimate(state, coreset, overflowed)
-            exponents.add(state.stats()["exponent"])
+            exponents.add(state.stats()["validation"]["selected"])
         if style == "scale_jump":
             assert len(exponents - {None}) > 1
 
@@ -764,7 +764,7 @@ class TestFineState:
         state = FineCoresetState(cfg, window_len=50, mode="fixed", d_min=0.1, d_max=10.0)
         state.process_point(Point(1, (2.0, 2.0)))
         state.process_point(Point(2, (2.0, 2.0)))
-        for st in state.fine.states.values():
+        for st in state.fine._runs:
             assert [a.arrival for a in st.attractions] == [1]
             rep, hist = st.reps[0]
             assert rep.arrival == 2
@@ -792,7 +792,7 @@ class TestFineState:
         pts = stream_points(generate_ball_stream(60, dim=4, seed=2))
         for p in pts:
             state.process_point(p)
-        assert max(len(st.attractions) for st in state.fine.states.values()) >= 48
+        assert max(len(st.attractions) for st in state.fine._runs) >= 48
         before = (state.validation.to_snapshot(), state.fine.to_snapshot())
         with pytest.raises(ValueError, match="dimension"):
             state.process_point(Point(61, (0.5,)))
@@ -1150,7 +1150,7 @@ class TestStats:
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.05)
         state = FineCoresetState(cfg, 100, "fixed", *stream_extremes(pts))
         stats = state.stats()
-        assert (stats["coreset_size"], stats["exponent"], stats["refills"]) == (0, None, 0)
+        assert (stats["coreset_size"], stats["validation"]["selected"], stats["refills"]) == (0, None, 0)
         before = None
         for p in pts:
             state.process_point(p)
@@ -1162,7 +1162,7 @@ class TestStats:
             assert stats["validation"] == state.validation.stats()
             assert stats["fine"] == state.fine.stats()
             assert stats["coreset_size"] == len(coreset)
-            assert stats["exponent"] == state.validation.selected_exponent()
+            assert stats["validation"]["selected"] == state.validation.selected_exponent()
             now = set(coreset.points)
             if before is not None and stats["refills"] == refills:
                 assert stats["rows_added"] == len(now - before)
@@ -1170,7 +1170,6 @@ class TestStats:
             before, refills = now, stats["refills"]
         assert 1 <= refills < 15
         # the validation ladder selects the guess; the fine one is read at it
-        assert stats["validation"]["selected"] == stats["exponent"]
         assert stats["fine"]["selected"] is None
         flat = [v for v in stats.values() if not isinstance(v, dict)]
         flat += [v for side in ("validation", "fine") for key, v in stats[side].items()
@@ -1202,7 +1201,7 @@ class TestStats:
         state.estimate()
         stats = state.stats()
         assert not state.validation.bootstrapped
-        assert (stats["coreset_size"], stats["exponent"]) == (2, None)
+        assert (stats["coreset_size"], stats["validation"]["selected"]) == (2, None)
         assert (stats["rows_added"], stats["rows_removed"], stats["refills"]) == (2, 0, 1)
 
 

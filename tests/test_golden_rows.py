@@ -83,7 +83,7 @@ def test_eff_sliding_runs_the_fine_ladders_block_scan(tmp_path):
     most = 0
     for p in ingest(cfg.input_path):
         state.process_point(p)
-        most = max([most] + [len(st.attractions) for st in state.fine.states.values()])
+        most = max([most] + [len(st.attractions) for st in state.fine._runs])
     assert most > 48
 
 
