@@ -709,17 +709,35 @@ class TestSnapshot:
         assert restored.to_snapshot() == snap
         restored.process_point(pt(2, 1.0, 1.0))
 
-    def test_refuses_the_older_capacity_fields(self):
-        # the max_attractions/prune_orphans/orphan_cap triple that spelled
-        # cap None before the cap entry: a snapshot holding it is not read
-        params = StreamParams(25, 2, 1, 0.5, 0.5)
-        lad = GuessLadder(params, "oblivious")
+    @staticmethod
+    def _refuse_older_capacity_fields(cap, max_attractions, prune_orphans, orphan_cap):
+        # a snapshot that spells capacity as the max_attractions/prune_orphans/
+        # orphan_cap triple of before the cap entry is not read, whatever the
+        # triple spells
+        lad = GuessLadder(StreamParams(25, 2, 1, 0.5, 0.5), "oblivious", cap=cap)
         lad.process_point(pt(1, 0.5))
-        snap = lad.to_snapshot()
-        snap["config"] = {"attr_factor": 2.0, "max_attractions": params.k + params.z + 1,
-                          "prune_orphans": True, "orphan_cap": None}
+        snap = json.loads(json.dumps(lad.to_snapshot()))
+        snap["config"] = {"attr_factor": 2.0, "max_attractions": max_attractions,
+                          "prune_orphans": prune_orphans, "orphan_cap": orphan_cap}
         with pytest.raises(ValueError, match=re.escape("corrupt ladder snapshot: KeyError('cap')")):
             GuessLadder.from_snapshot(snap)
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_refuses_the_older_capacity_fields(self, cap):
+        # the triples that spelled cap None and cap 7
+        k_z = 2 + 1
+        self._refuse_older_capacity_fields(
+            cap, k_z + 1 if cap is None else cap, cap is None, cap)
+
+    @pytest.mark.parametrize(
+        "max_attractions, prune_orphans, orphan_cap",
+        [(5, True, None), (4, False, None), (4, True, 4), (4, False, 5)],
+    )
+    def test_rejects_older_capacity_fields_matching_no_policy(
+        self, max_attractions, prune_orphans, orphan_cap
+    ):
+        # triples that spelled no cap policy are refused at the same check
+        self._refuse_older_capacity_fields(None, max_attractions, prune_orphans, orphan_cap)
 
     def test_round_trip_with_a_lam_that_rounds_away(self):
         # 1 + 1e-17 == 1.0: histograms trim as at lam == 0, and the restored
