@@ -77,14 +77,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import _ALL, _BLOCK, InvariantError, Metric, Point, StreamParams, dist
-from .core import _block_distances, _extremes
+from .core import _block_distances, _extremes, _require_count
 from .histogram import (
     Histogram,
     bump_and_trim,
     check_invariants as check_histogram,
     new_histogram,
     synthetic_full_window,
-    weight_estimate,
 )
 
 SNAPSHOT_FORMAT = "streamkc-ladder"
@@ -96,18 +95,16 @@ _PROBE_SLOTS = 256  # the most slots an attraction search scans in plain Python
 
 @dataclass(frozen=True, slots=True)
 class WeightedCoreset:
-    """Extracted coreset: points with approximate window counts.
-
-    guess: the radius guess the coreset was extracted at (0.0 for the exact
-    warm-up coreset).  The sum of weights never exceeds the window size.
+    """Extracted coreset: points and, in step, their approximate window
+    counts as int64 weights.  The sum of weights never exceeds the window
+    size.
     """
 
-    points: tuple[tuple[Point, int], ...]
-    guess: float
-    t: int
+    points: tuple[Point, ...]
+    weights: np.ndarray
 
     def total_weight(self) -> int:
-        return sum(w for _, w in self.points)
+        return int(self.weights.sum())
 
     def __len__(self) -> int:
         return len(self.points)
@@ -412,12 +409,6 @@ class GuessState:
         held += [q for q, _ in self.reps]
         return list({q.arrival: q for q in held}.values())
 
-    def coreset_points(self) -> list[tuple[Point, int]]:
-        """Representatives and orphans with their estimated window counts."""
-        out = [(rep, weight_estimate(h)) for rep, h in self.reps]
-        out.extend((r, weight_estimate(h)) for r, h in self.orphans.values())
-        return out
-
     def stored_points(self) -> int:
         return len(self.slots) + len(self.reps) + len(self.orphans)
 
@@ -511,9 +502,11 @@ def _point_out(p: Point) -> list:
 
 def _point_in(data: list, what: str) -> Point:
     """The point of a snapshot entry [arrival, coordinates]; InvariantError
-    naming the entry (what) for any other shape or an arrival that is not an
-    int (80.0 == 80 and True == 1 would pass the later arrival checks)."""
-    if len(data) != 2 or type(data[0]) is not int:
+    naming the entry (what) for any other shape, such as an arrival that is
+    no int (80.0 == 80 and True == 1 would pass the later arrival checks)."""
+    if type(data) is not list or not data:
+        raise InvariantError(f"{what} {data!r} is no [int arrival, coordinates] pair")
+    if len(data) != 2 or type(data[0]) is not int or type(data[1]) is not list:
         raise InvariantError(f"{what} of arrival {data[0]!r} is no [int arrival, coordinates] pair")
     return Point(data[0], tuple(data[1]))
 
@@ -558,6 +551,12 @@ class GuessLadder:
     ):
         if mode not in ("fixed", "oblivious"):
             raise ValueError(f"unknown mode {mode!r}")
+        if cap is not None:
+            _require_count("cap", cap)
+            if cap < 1:
+                raise ValueError(f"cap must be None or >= 1, got {cap}")
+        if not 0 < attr_factor < math.inf:
+            raise ValueError(f"attr_factor must be finite and positive, got {attr_factor!r}")
         self.params = params
         self.mode = mode
         self.metric = _block_metric(metric)
@@ -993,18 +992,18 @@ class GuessLadder:
         if self.bootstrapped:
             raise RuntimeError("the grid exists and holds the window: extract_coreset() reads it")
         copies = Counter(q.coords for q in self.warmup)  # in order of first arrival
-        first = {q.coords: q for q in reversed(self.warmup)}
-        pts = tuple((first[c], n) for c, n in copies.items())
-        if not pts:
+        if not copies:
             raise RuntimeError("no points processed yet")
-        return WeightedCoreset(points=pts, guess=0.0, t=self.t)
+        first = {q.coords: q for q in reversed(self.warmup)}
+        return WeightedCoreset(tuple(first[c] for c in copies),
+                               np.fromiter(copies.values(), np.int64, len(copies)))
 
     def coreset_at(self, exponent: int) -> WeightedCoreset:
-        return WeightedCoreset(
-            points=tuple(self._run_of(exponent).coreset_points()),
-            guess=self.guess_value(exponent),
-            t=self.t,
-        )
+        """The guess's representatives and orphans, with their estimated counts."""
+        st = self._run_of(exponent)
+        held = [*st.reps, *st.orphans.values()]
+        return WeightedCoreset(tuple(p for p, _ in held),
+                               np.fromiter((h[0][1] for _, h in held), np.int64, len(held)))
 
     # -- accounting ----------------------------------------------------------
 

@@ -81,7 +81,7 @@ class PairMassTable:
     """A weighted coreset's pairs with their ordered-pair masses summed per
     distance bucket, kept so that ``update`` touches only changed entries.
 
-    Each (point, weight) entry holds a row of ``keys`` (its arrival, 0 while
+    Each coreset entry holds a row of ``keys`` (its arrival, 0 while
     the row is free, so a table follows the coresets of one stream),
     ``weights`` and coordinates.  The pair of rows i < j sits at position
     starts[i] + j of ``ids`` (16-bit bucket ids, 0 while a row is free), the
@@ -112,11 +112,10 @@ class PairMassTable:
         repeated within it, or a distance above the ids refills the table
         from empty.  Masses are integers below 2^53 (``MAX_WINDOW_LEN``), so
         every sum is exact."""
-        entries = coreset.points
+        entries, w = coreset.points, coreset.weights
         if not entries:
             raise ValueError("empty coreset")
-        keys = np.array([p.arrival for p, _ in entries], dtype=np.int64)
-        w = np.array([wt for _, wt in entries], dtype=float)
+        keys = np.fromiter((p.arrival for p in entries), np.int64, len(entries))
         n, cap, held = keys.size, self.keys.size, np.count_nonzero(self.keys)
         ranked = np.sort(keys)
         few = n <= cap <= 2 * n + 8 and not np.any(ranked[1:] == ranked[:-1])
@@ -131,14 +130,14 @@ class PairMassTable:
             few = 3 * (leave.size + enter.size) <= n
         if few:
             self._remove(leave)
-            x = np.array([entries[i][0].coords for i in enter.tolist()], dtype=float)
+            x = np.array([entries[i].coords for i in enter.tolist()], dtype=float)
         if few and self._add(keys[enter], w[enter], x):
             self.added, self.removed = enter.size, leave.size
         else:
             # heaviest first, so that past the first rows the pairs among the
             # rest have one mass, which _blocks gives as one number
             order = np.argsort(-w, kind="stable")
-            x = np.array([entries[i][0].coords for i in order.tolist()], dtype=float)
+            x = np.array([entries[i].coords for i in order.tolist()], dtype=float)
             self._clear(n + n // 16 + 8, x.shape[1])
             # no pair is farther apart than twice the farthest from entry 0
             far = cdist(x[:1], x).max()

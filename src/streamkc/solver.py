@@ -220,7 +220,7 @@ def _first_covering(
                     candidates(r)
             continue
         centers, uncovered = _greedy(d, w, k, rho, eps, candidates)
-        uw = sum(wts[j] for j in uncovered)
+        uw = int(w[uncovered].sum())  # exact: integer weights below 2^53
         if uw <= z:
             return rho, [pts[i] for i in centers], uw
     # a whole-window or oblivious grid ends past a radius that covers every point
@@ -242,9 +242,7 @@ def compute_solution(ladder: GuessLadder) -> SolveOutcome:
     k, z = params.k, params.z
     eps = 4.0 * (1.0 + params.beta)
     coreset = ladder.extract_coreset()
-    pts = [p for p, _ in coreset.points]
-    wts = [w for _, w in coreset.points]
-    d = _distances(pts, metric)
+    d = _distances(coreset.points, metric)
 
     if ladder.mode == "fixed":
         lo, cap = ladder.d_min / 2.0, ladder.d_max * (1.0 + params.beta)
@@ -253,11 +251,11 @@ def compute_solution(ladder: GuessLadder) -> SolveOutcome:
     else:
         # warm-up: the coreset is the exact buffer, bound the grid by it;
         # without a positive distance, radius 0 already covers every point
-        lo, hi = _extremes(d, len(pts))
+        lo, hi = _extremes(d, len(coreset))
         cap = 4.0 * hi
 
     grid = _radius_grid(lo, cap, 1.0 + params.beta)
-    rho, centers, uw = _first_covering(grid, pts, wts, d, k, z, eps)
+    rho, centers, uw = _first_covering(grid, coreset.points, coreset.weights, d, k, z, eps)
     return SolveOutcome(
         centers=tuple(centers),
         uncovered_weight=uw,
@@ -333,6 +331,10 @@ def _whole_window(
     window's positive pairwise distances) for which the unit-weight greedy
     run leaves at most z uncovered points."""
     _check_step(step)
+    for name, value, least in (("k", k, 1), ("z", z, 0)):
+        _require_count(name, value)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     pts = list(window.points)
     n = len(pts)
     d = _distances(pts, metric)

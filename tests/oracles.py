@@ -198,8 +198,7 @@ def reference_solution_scan(ladder: GuessLadder, eps=None):
     params, metric = ladder.params, ladder.metric
     eps = 4.0 * (1.0 + params.beta) if eps is None else eps
     coreset = ladder.extract_coreset()
-    pts = [p for p, _ in coreset.points]
-    wts = [w for _, w in coreset.points]
+    pts, wts = list(coreset.points), coreset.weights.tolist()
     if ladder.mode == "fixed":
         lo, cap = ladder.d_min / 2.0, ladder.d_max * (1.0 + params.beta)
     elif ladder.bootstrapped:
@@ -245,18 +244,17 @@ def reference_coreset_effective_diameter(
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    pts = coreset.points
-    n = len(pts)
+    n = len(coreset)
     if n == 0:
         raise ValueError("empty coreset")
-    w = np.array([wt for _, wt in pts], dtype=float)
+    w = coreset.weights.astype(float)
     need = alpha * window_size * window_size
     mass0 = float((w * w).sum())  # self-pairs, distance zero
     if mass0 >= need:
         return 0.0, False
     if n == 1:
         return 0.0, True
-    coords = np.array([p.coords for p, _ in pts])
+    coords = np.array([p.coords for p in coreset.points])
     d = pdist(coords)
     # pair masses in condensed (row-major i<j) order
     masses = np.empty_like(d)
@@ -546,5 +544,17 @@ def active_window(points: list[Point], t: int, window_len: int) -> WindowView:
 def coverage_radius(window: WindowView, coreset_points, metric=dist) -> float:
     """max over window points of the distance to the nearest coreset point."""
     return max(
-        min(metric(p, c) for c, _ in coreset_points) for p in window.points
+        min(metric(p, c) for c in coreset_points) for p in window.points
     )
+
+
+def weighted(entries) -> WeightedCoreset:
+    """The coreset of (point, weight) entries, in their order."""
+    entries = list(entries)
+    return WeightedCoreset(tuple(p for p, _ in entries),
+                           np.array([w for _, w in entries], dtype=np.int64))
+
+
+def entries_of(coreset: WeightedCoreset) -> tuple[tuple[Point, int], ...]:
+    """The coreset's (point, weight) entries, in order, with int weights."""
+    return tuple(zip(coreset.points, coreset.weights.tolist()))

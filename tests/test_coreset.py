@@ -19,6 +19,7 @@ from oracles import (
     active_window,
     adversarial_stream,
     coverage_radius,
+    entries_of,
     looped,
     make_stream,
     manhattan,
@@ -141,7 +142,7 @@ def _check_proxies(shadow, stream):
     window = active_window(stream, lad.t, lad.params.window_len)
     for e, st in runs_by_guess(lad).items():
         if len(st.attractions) <= k_z:
-            stored = {q.arrival for q, _ in st.coreset_points()}
+            stored = {q.arrival for q in lad.coreset_at(e).points}
             for q in window.points:
                 proxy = shadow.proxy(e, q)
                 assert dist(q, proxy) <= 4.0 * lad.guess_value(e) + 1e-9
@@ -160,7 +161,7 @@ def _check_weight_sandwich(shadow, stream):
     e = lad.selected_exponent()
     exact = shadow.exact_weights(e, list(window.points))
     total = 0
-    for p, w in coreset.points:
+    for p, w in entries_of(coreset):
         true_w = exact[p.arrival]
         assert true_w / (1.0 + lam) <= w <= true_w
         total += w
@@ -232,7 +233,7 @@ class TestFixedLadder:
             window = WindowView(points=tuple(stream), t=n)
             _, r_relaxed = brute_force_optimum(window, k + z, 0)
             coreset = lad.extract_coreset()
-            assert coreset.guess <= (1.0 + beta) * r_relaxed + 1e-9
+            assert lad.guess_value(lad.selected_exponent()) <= (1.0 + beta) * r_relaxed + 1e-9
 
     def test_a_point_exactly_twice_the_guess_from_a_pick_is_covered(self):
         # exponent 0 (guess 1) keeps its picks more than 2 apart: the point at
@@ -249,9 +250,10 @@ class TestFixedLadder:
         lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.5, 8.0)
         lad.process_point(pt(1, 2.5))
         coreset = lad.extract_coreset()
-        assert coreset.points == ((pt(1, 2.5), 1),)
+        assert entries_of(coreset) == ((pt(1, 2.5), 1),)
+        assert coreset.weights.dtype == np.int64
         # a lone point qualifies at the lowest rung of the grid
-        assert coreset.guess == lad.states[min(lad.states)].guess
+        assert lad.selected_exponent() == min(lad.states)
 
     def test_pluggable_metric(self):
         params = StreamParams(20, 1, 0, 0.5, 0.5)
@@ -377,8 +379,8 @@ class TestObliviousLadder:
         lad = GuessLadder(StreamParams(100, 2, 2, 0.5, 0.5), "oblivious")
         lad.process_point(pt(1, 0.0))
         coreset = lad.extract_coreset()
-        assert coreset.points == ((pt(1, 0.0), 1),)
-        assert coreset.guess == 0.0
+        assert entries_of(coreset) == ((pt(1, 0.0), 1),)
+        assert coreset.weights.dtype == np.int64
 
     @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
     def test_the_warmup_coreset_after_the_bootstrap_names_the_grid(self, mode):
@@ -520,7 +522,7 @@ class TestObliviousLadder:
             fine.process_point(p)
         assert not lad.bootstrapped and not fine.validation.bootstrapped
         coreset = lad.extract_coreset()
-        assert [(q.arrival, w) for q, w in coreset.points] == [(N + 1, N)]
+        assert [(q.arrival, w) for q, w in entries_of(coreset)] == [(N + 1, N)]
         est = fine.estimate()
         assert est.coreset_size == 1
         assert est.lower == est.upper == 0.0
@@ -533,7 +535,7 @@ class TestObliviousLadder:
         for t, x in enumerate([3.0, 5.0, 3.0, 3.0, 7.0, 5.0, 3.0], start=1):
             lad.process_point(pt(t, x))
         assert not lad.bootstrapped
-        got = [(q.arrival, q.coords, w) for q, w in lad.warmup_coreset().points]
+        got = [(q.arrival, q.coords, w) for q, w in entries_of(lad.warmup_coreset())]
         assert got == [(1, (3.0,), 4), (2, (5.0,), 2), (5, (7.0,), 1)]
 
 
@@ -686,9 +688,7 @@ class TestSnapshot:
             lad.process_point(p)
             restored.process_point(p)
         assert lad.to_snapshot() == restored.to_snapshot()
-        a = lad.extract_coreset()
-        b = restored.extract_coreset()
-        assert a == b
+        assert entries_of(lad.extract_coreset()) == entries_of(restored.extract_coreset())
 
     def test_round_trip_during_warmup(self):
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
@@ -738,6 +738,15 @@ class TestSnapshot:
     ):
         # triples that spelled no cap policy are refused at the same check
         self._refuse_older_capacity_fields(None, max_attractions, prune_orphans, orphan_cap)
+
+    def test_refuses_a_cap_the_constructor_refuses(self):
+        # a restore builds its ladder through the constructor: cap 0 is
+        # refused there, before any state is read
+        snap = json.loads(json.dumps(_mid_stream_ladder().to_snapshot()))
+        snap["config"]["cap"] = 0
+        message = "corrupt ladder snapshot: ValueError('cap must be None or >= 1, got 0')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GuessLadder.from_snapshot(snap)
 
     def test_round_trip_with_a_lam_that_rounds_away(self):
         # 1 + 1e-17 == 1.0: histograms trim as at lam == 0, and the restored
@@ -1148,6 +1157,16 @@ def _pad(name: str, entry):
     return corrupt
 
 
+def _write_the_last_recent_point_as(name: str, entry):
+    """A corruption that writes entry in place of the last recent point."""
+
+    def corrupt(snap, t, window_len):
+        snap["oblivious"]["recent"][-1] = entry
+
+    corrupt.__name__ = f"_write_the_last_recent_point_as_{name}"
+    return corrupt
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
@@ -1187,6 +1206,12 @@ _PINNED_SNAPSHOTS = [
      "a recent point of arrival 80 is no [int arrival, coordinates] pair"),
     (_mid_stream_ladder, _pad("the_first_point", lambda snap: snap["oblivious"]["first_point"]),
      "the first point of arrival 1 is no [int arrival, coordinates] pair"),
+    *((_mid_stream_ladder, _write_the_last_recent_point_as(name, entry),
+       f"a recent point {said} is no [int arrival, coordinates] pair")
+      for name, entry, said in (
+          ("an_empty_list", [], "[]"), ("an_int", 7, "7"), ("null", None, "None"),
+          ("a_dict", {"a": 1}, "{'a': 1}"), ("int_coordinates", [80, 7], "of arrival 80"),
+          ("null_coordinates", [80, None], "of arrival 80"))),
 ]
 
 
@@ -1306,6 +1331,17 @@ def _fixed_ladder() -> GuessLadder:
                  "ladder holds no guesses yet", id="no-guesses"),
     pytest.param(lambda: GuessLadder(StreamParams(10, 1, 1)).warmup_coreset(), RuntimeError,
                  "no points processed yet", id="empty-warmup"),
+    # a cap below 1 let states fail their own checks after arrivals, and a
+    # non-int cap or an attr_factor that is not finite and positive ran
+    *(pytest.param(lambda cap=cap: GuessLadder(StreamParams(10, 1, 1), cap=cap), ValueError,
+                   message, id=f"cap-{cap}")
+      for cap, message in ((0, "cap must be None or >= 1, got 0"),
+                           (-2, "cap must be None or >= 1, got -2"),
+                           (2.5, "cap must be an integer, got 2.5"),
+                           (True, "cap must be an integer, got True"))),
+    *(pytest.param(lambda f=f: GuessLadder(StreamParams(10, 1, 1), attr_factor=f), ValueError,
+                   f"attr_factor must be finite and positive, got {f!r}", id=f"attr_factor-{f}")
+      for f in (0.0, -1.0, math.nan, math.inf)),
 ])
 def test_each_refusal_of_an_argument_or_call_is_raised(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

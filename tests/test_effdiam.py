@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from streamkc import effdiam
 from streamkc.core import Point, StreamParams, WindowView
-from streamkc.coreset import GuessLadder, WeightedCoreset
+from streamkc.coreset import GuessLadder
 from streamkc.effdiam import (
     MAX_WINDOW_LEN,
     EffDiameterConfig,
@@ -23,9 +23,11 @@ from streamkc.effdiam import (
 from streamkc.experiment import generate_ball_stream
 from oracles import (
     LadderShadow,
+    entries_of,
     reference_coreset_effective_diameter,
     refusals,
     stream_extremes,
+    weighted,
 )
 
 
@@ -67,7 +69,7 @@ class TestExactOracle:
         levels = {"rank <= n": 0, "alpha = 1": 0, "pairs": 0}
         for _ in range(30):
             T = _random_coreset(rng, style)
-            coords = [p.coords for p, _ in T.points]
+            coords = [p.coords for p in T.points]
             n = len(coords)
             window = WindowView.from_coords(coords)
             d = np.sort(pdist(np.array(coords)))
@@ -101,7 +103,7 @@ class TestCoresetEstimate:
         pts = tuple(
             (Point(i + 1, (float(c),)), w) for i, (c, w) in enumerate(pairs)
         )
-        return WeightedCoreset(points=pts, guess=1.0, t=len(pairs))
+        return weighted(pts)
 
     def test_self_pairs_reach_threshold(self):
         T = self._coreset([(0, 2), (10, 1)])
@@ -153,7 +155,7 @@ def _random_coreset(rng, style):
         (Point(i + 1, tuple(float(c) for c in row)), int(w))
         for i, (row, w) in enumerate(zip(coords, rng.integers(1, 6, size=n)))
     )
-    return WeightedCoreset(points=pts, guess=1.0, t=n)
+    return weighted(pts)
 
 
 def _large_coreset(rng, style, n):
@@ -186,7 +188,7 @@ def _large_coreset(rng, style, n):
         (Point(i + 1, tuple(float(c) for c in row)), int(w))
         for i, (row, w) in enumerate(zip(coords, rng.integers(1, 6, size=n)))
     )
-    return WeightedCoreset(points=pts, guess=1.0, t=n)
+    return weighted(pts)
 
 
 def _coreset_walk(rng, style, steps, n=150):
@@ -216,7 +218,7 @@ def _coreset_walk(rng, style, steps, n=150):
 
     entries = [(point(), int(rng.integers(1, 6))) for _ in range(n)]
     for step in range(steps):
-        yield WeightedCoreset(tuple(entries), 1.0, arrival)
+        yield weighted(entries)
         k = len(entries) // 2 if step % 5 == 4 else len(entries) // 12
         rng.shuffle(entries)
         entries = entries[k:]
@@ -257,7 +259,7 @@ class TestPairMassTable:
             total = T.total_weight()
             window_size = total + int(rng.integers(0, total + 1))
             pairs = PairMassTable().update(T)
-            d = pdist(np.array([p.coords for p, _ in T.points]))
+            d = pdist(np.array([p.coords for p in T.points]))
             seen["n1"] += len(T) == 1
             seen["ties"] += len(np.unique(d)) < len(d)
             # both levels of a default query, then one random level
@@ -271,7 +273,7 @@ class TestPairMassTable:
     def test_table_holds_the_self_and_total_mass(self, style, n):
         T = _large_coreset(np.random.default_rng(3), style, n)
         table = PairMassTable().update(T)
-        w = [wt for _, wt in T.points]
+        w = T.weights.tolist()
         assert table.self_mass == sum(x * x for x in w)
         assert table.cum[-1] == sum(w) ** 2
         assert table.masses.sum() == sum(w) ** 2 - table.self_mass
@@ -282,7 +284,7 @@ class TestPairMassTable:
         assert np.count_nonzero(table.ids) == n * (n - 1) // 2
         dists = _live_dists(table)
         assert dists.size == n * (n - 1) // 2
-        want = np.sort(pdist(np.array([p.coords for p, _ in T.points])))
+        want = np.sort(pdist(np.array([p.coords for p in T.points])))
         assert np.array_equal(np.sort(dists).view(np.int64), want.view(np.int64))
         assert np.all(dists[1:] >= dists[:-1])
 
@@ -310,10 +312,10 @@ class TestPairMassTable:
         table = PairMassTable().update(T)
         # the same coreset in a kept table that held a tenth other entries,
         # reached without a refill from 300 entries up
-        other = list(T.points)
+        other = list(entries_of(T))
         for i in range(0, n, 10):
             other[i] = (Point(n + 1 + i, tuple(2.0 * c for c in other[i][0].coords)), 3)
-        kept = PairMassTable().update(WeightedCoreset(tuple(other), 1.0, 2 * n)).update(T)
+        kept = PairMassTable().update(weighted(other)).update(T)
         assert kept.refills == (1 if n >= 300 else 2)
         total = T.total_weight()
         for window_size in (total, total + int(rng.integers(1, total + 1))):
@@ -527,19 +529,19 @@ class TestPairMassTable:
     def test_a_point_repeated_in_the_coreset_counts_each_time(self):
         rng = np.random.default_rng(6)
         T = _random_coreset(rng, "uniform")
-        (p, w), rest = T.points[0], T.points[1:]
-        twice = WeightedCoreset((*T.points, (p, w), (p, w + 1), rest[0]), 1.0, T.t)
+        (p, w), *rest = entries = entries_of(T)
+        twice = weighted((*entries, (p, w), (p, w + 1), rest[0]))
         kept = PairMassTable().update(T).update(twice)
         assert kept.refills == 2  # a repeated arrival refills the table
         for table in (PairMassTable().update(twice), kept):
             assert table.self_mass + table.masses.sum() == twice.total_weight() ** 2
             for alpha in (0.05, 0.4, 0.9, 1.0):
-                want = reference_coreset_effective_diameter(twice, alpha, 3 * T.t)
-                assert coreset_effective_diameter(table, alpha, 3 * T.t) == want
+                want = reference_coreset_effective_diameter(twice, alpha, 3 * len(T))
+                assert coreset_effective_diameter(table, alpha, 3 * len(T)) == want
 
     def test_a_distance_above_the_ids_rebases_through_a_refill(self):
         T = _large_coreset(np.random.default_rng(2), "ball", 200)
-        far = WeightedCoreset((*T.points, (Point(201, (1e6, 0.0, 0.0, 0.0)), 1)), 1.0, 201)
+        far = weighted((*entries_of(T), (Point(201, (1e6, 0.0, 0.0, 0.0)), 1)))
         table = PairMassTable().update(T).update(far)
         assert (table.refills, table.added, table.removed) == (2, 201, 200)
         total = far.total_weight()
@@ -547,7 +549,7 @@ class TestPairMassTable:
             want = reference_coreset_effective_diameter(far, alpha, total)
             assert coreset_effective_diameter(table, alpha, total) == want
         # a near point is added in place, with no refill
-        near = WeightedCoreset((*far.points, (Point(202, (0.5, 0.5, 0.5, 0.5)), 2)), 1.0, 202)
+        near = weighted((*entries_of(far), (Point(202, (0.5, 0.5, 0.5, 0.5)), 2)))
         table.update(near)
         assert (table.refills, table.added, table.removed) == (2, 1, 0)
         for alpha in (0.5, 0.9, 0.999, 1.0):
@@ -595,7 +597,7 @@ class TestPairMassTable:
         table = PairMassTable().update(T)
         caps = []
         for n in (760, 580, 440, 330):
-            U = WeightedCoreset(T.points[:n], 1.0, 2000)
+            U = weighted(entries_of(T)[:n])
             table.update(U)
             cap = len(table.weights)
             assert n <= cap <= 2 * n + 8
@@ -612,19 +614,17 @@ class TestPairMassTable:
         # weights; replacing the last ten frees the top ten rows, which the
         # ten new entries take, adding their pairs with no refill
         rng = np.random.default_rng(17)
-        T = WeightedCoreset(
-            tuple((Point(i + 1, tuple(rng.normal(size=3))), 1) for i in range(200)), 1.0, 400
-        )
+        T = weighted((Point(i + 1, tuple(rng.normal(size=3))), 1) for i in range(200))
         table = PairMassTable().update(T)
         cap = len(table.weights)
         new = [(Point(300 + i, tuple(rng.normal(size=3))), 1) for i in range(10)]
-        U = WeightedCoreset((*T.points[:190], *new), 1.0, 400)
+        U = weighted((*entries_of(T)[:190], *new))
         table.update(U)
         assert (table.refills, table.added, table.removed) == (1, 10, 10)
         assert table.keys[cap - 10 :].tolist() == [p.arrival for p, _ in new]
         assert np.array_equal(
             np.sort(_live_dists(table)).view(np.int64),
-            np.sort(pdist(np.array([p.coords for p, _ in U.points]))).view(np.int64),
+            np.sort(pdist(np.array([p.coords for p in U.points]))).view(np.int64),
         )
         for alpha in (0.2, 0.9 / 1.5**2, 0.9, 1.0):
             want = reference_coreset_effective_diameter(U, alpha, 400)
@@ -643,12 +643,12 @@ class TestPairMassTable:
         assert (added, table.refills) == ([120], 1)
         # replace half the entries: more than a third changes, so a refill
         half = [(Point(200 + i, tuple(rng.normal(size=4))), 2) for i in range(60)]
-        U = WeightedCoreset((*T.points[60:], *half), 1.0, 300)
+        U = weighted((*entries_of(T)[60:], *half))
         table.update(U)
         assert (added, table.refills) == ([120, 120], 2)
         assert (table.added, table.removed) == (120, 120)
         # a tenth changes: removed and added in place
-        V = WeightedCoreset((*U.points[12:], *T.points[:12]), 1.0, 300)
+        V = weighted((*entries_of(U)[12:], *entries_of(T)[:12]))
         table.update(V)
         assert (added, table.refills) == ([120, 120, 12], 2)
         assert (table.added, table.removed) == (12, 12)
@@ -834,11 +834,7 @@ class TestFineState:
         state = FineCoresetState(cfg, window_len=10, mode="fixed", d_min=0.05, d_max=30.0)
         for i in range(10):
             state.process_point(Point(i + 1, (float(i % 2),)))
-        light = WeightedCoreset(
-            points=tuple((Point(i + 1, (float(i),)), w) for i, w in enumerate(weights)),
-            guess=1.0,
-            t=10,
-        )
+        light = weighted((Point(i + 1, (float(i),)), w) for i, w in enumerate(weights))
         monkeypatch.setattr(state, "fine_coreset", lambda: (light, False))
         est = state.estimate()
         assert (est.overflowed, est.short_lower, est.short_upper) == flags
@@ -934,11 +930,7 @@ class TestFineState:
         e = state.validation.selected_exponent()
         active = [p for p in pts if p.arrival > state.t - 60]
         exact_w = shadow.exact_weights(e, active)
-        exact_coreset = WeightedCoreset(
-            points=tuple((p, exact_w[p.arrival]) for p, _ in coreset.points),
-            guess=coreset.guess,
-            t=coreset.t,
-        )
+        exact_coreset = weighted((p, exact_w[p.arrival]) for p in coreset.points)
         wsize = len(active)
         shrunk = cfg.alpha / (1.0 + cfg.lam) ** 2
         pairs = PairMassTable().update(coreset)
@@ -1163,7 +1155,7 @@ class TestStats:
             assert stats["fine"] == state.fine.stats()
             assert stats["coreset_size"] == len(coreset)
             assert stats["validation"]["selected"] == state.validation.selected_exponent()
-            now = set(coreset.points)
+            now = set(entries_of(coreset))
             if before is not None and stats["refills"] == refills:
                 assert stats["rows_added"] == len(now - before)
                 assert stats["rows_removed"] == len(before - now)
@@ -1206,7 +1198,7 @@ class TestStats:
 
 
 def _table_of_one_point():
-    return PairMassTable().update(WeightedCoreset(((Point(1, (0.0,)), 1),), 0.0, 1))
+    return PairMassTable().update(weighted([(Point(1, (0.0,)), 1)]))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -1214,7 +1206,7 @@ def _table_of_one_point():
                  "window must be non-empty", id="exact-empty"),
     pytest.param(lambda: exact_effective_diameter(wv(0.0), 0.0), ValueError,
                  "alpha must be in (0, 1]", id="exact-alpha"),
-    pytest.param(lambda: PairMassTable().update(WeightedCoreset((), 0.0, 0)), ValueError,
+    pytest.param(lambda: PairMassTable().update(weighted(())), ValueError,
                  "empty coreset", id="table-empty-coreset"),
     pytest.param(lambda: coreset_effective_diameter(_table_of_one_point(), 0.0, 1), ValueError,
                  "alpha must be in (0, 1]", id="coreset-alpha"),

@@ -342,7 +342,7 @@ class TestComputeSolution:
         lad = GuessLadder(StreamParams(100, 1, 1), "fixed", 0.01, 0.01)
         for t in range(1, 101):
             lad.process_point(Point(t, ((0.0 if t % 2 else 100.0) + 1e-4 * (t % 3),)))
-        assert [w for _, w in lad.extract_coreset().points] == [50, 50]
+        assert lad.extract_coreset().weights.tolist() == [50, 50]
         hint = "a fixed ladder's d_max lies below the data's scale (check d_min/d_max)"
         with pytest.raises(RuntimeError, match=re.escape(
                 f"radius grid exhausted without covering enough weight: {hint}")):
@@ -396,8 +396,7 @@ class TestComputeSolution:
             window = WindowView(points=tuple(stream), t=n)
             _, r_star = brute_force_optimum(window, k, z)
             coreset = lad.extract_coreset()
-            pts = [p for p, _ in coreset.points]
-            wts = [w for _, w in coreset.points]
+            pts, wts = list(coreset.points), coreset.weights.tolist()
             eps = 4.0 * (1.0 + beta)
             for rho in (r_star, 1.5 * r_star + 1e-12, 4.0 * r_star + 1e-12):
                 _, uncovered = outliers_cluster(pts, wts, k, rho, eps)
@@ -427,8 +426,7 @@ class TestComputeSolution:
             assert lad.bootstrapped
             out = compute_solution(lad)
             coreset = lad.extract_coreset()
-            pts = [p for p, _ in coreset.points]
-            wts = [w for _, w in coreset.points]
+            pts, wts = list(coreset.points), coreset.weights.tolist()
             for rho in solver._radius_grid(lad.d_t / 2.0, 4.0 * lad.D_t, 1.0 + beta):
                 centers, uncovered = outliers_cluster(pts, wts, k, rho, eps, manhattan)
                 uw = sum(w for _, w in uncovered)
@@ -570,8 +568,7 @@ class TestSeparationSkip:
             run.clear()
             out = compute_solution(lad)
             coreset = lad.extract_coreset()
-            pts = [p for p, _ in coreset.points]
-            wts = [w for _, w in coreset.points]
+            pts, wts = list(coreset.points), coreset.weights.tolist()
             eps = 4.0 * (1.0 + lad.params.beta)
             k, z = lad.params.k, lad.params.z
             scans.append((grid, out.rho_min, list(run), pts, wts, k, z, eps, lad.metric))
@@ -787,6 +784,15 @@ def test_the_matrix_and_the_block_reader_give_the_same_outputs(monkeypatch):
     pytest.param(lambda: brute_force_optimum(wv(0.0, 1.0, 2.0), 1, 3),
                  "z must satisfy 0 <= z < window size", id="brute_force-z-window"),
     pytest.param(lambda: gonzalez(wv(0.0, 1.0), 0), "k must be >= 1", id="gonzalez-k-0"),
+    # the whole-window baselines check both counts before they scan: a bad
+    # k or z once exhausted the grid, failed raw, or was answered
+    *(pytest.param(lambda solve=solve, k=k, z=z: solve(wv(0.0, 1.0, 9.0, 10.0), k, z), message,
+                   id=f"{solve.__name__}-k-{k}-z-{z}")
+      for solve in (charikar, samp_charikar)
+      for k, z, message in ((0, 1, "k must be >= 1"), (1, -1, "z must be >= 0"),
+                            (2.5, 1, "k must be an integer, got 2.5"),
+                            (1, 1.5, "z must be an integer, got 1.5"),
+                            (True, 1, "k must be an integer, got True"))),
 ])
 def test_each_refusal_of_an_argument_is_raised(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

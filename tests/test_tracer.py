@@ -4,6 +4,7 @@ function or method must fail here, not only in a traced benchmark run."""
 from pathlib import Path
 
 from streamkc import core, coreset, effdiam, experiment, solver
+from oracles import weighted
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,9 +40,7 @@ def test_both_levels_are_traced_and_an_upper_shortfall_is_counted(monkeypatch):
     state = effdiam.FineCoresetState(cfg, window_len=10, mode="fixed", d_min=0.05, d_max=30.0)
     for i in range(10):
         state.process_point(core.Point(i + 1, (float(i % 2),)))
-    light = coreset.WeightedCoreset(
-        points=((core.Point(1, (0.0,)), 4), (core.Point(2, (1.0,)), 4)), guess=1.0, t=10
-    )
+    light = weighted([(core.Point(1, (0.0,)), 4), (core.Point(2, (1.0,)), 4)])
     monkeypatch.setattr(state, "fine_coreset", lambda: (light, False))
     tr = tracer.Tracer(alpha=cfg.alpha)
     try:
