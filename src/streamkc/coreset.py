@@ -17,7 +17,10 @@ A ``GuessLadder`` maintains these states over a geometric grid of guesses
 mode the grid is pinned to user-supplied distance bounds; in *oblivious*
 mode it tracks running estimates derived from the first stream point and
 the most recent ``k + z + 1`` points, so no prior knowledge of the data's
-distance scale is needed: the first grid is a retarget from none.
+distance scale is needed: the first grid is a retarget from none.  The
+grid is a function of the two estimates, so an arrival that leaves both as
+they were reads the grid's ends from its runs and does no grid upkeep; one
+that moves either recomputes the ends and retargets only if they moved.
 
 Each setting is bound once: the ladder hands the window length and its
 ``cap`` policy to every state it creates, and ``lam`` and the metric reach
@@ -44,11 +47,13 @@ a restore replays the recent points into them.
 Most guesses of one ladder hold equal states, so its unit of state is the
 run: adjacent guesses, exponents ``lo..hi``, that share one ``GuessState``.
 A guess's value and radius come from its exponent, and its evictions from a
-ladder-level mapping.  Arrivals and replays change runs by one step: the
-ladder sweeps each run once, probes its hit at its lowest and its highest
-radius, splits it only where the two differ, steps it once and merges
-adjacent runs whose contents became equal.  A probe scans small runs in
-plain Python and larger ones in one numpy pass.  A retarget's replay (of
+ladder-level mapping.  A run keeps the radii of its lowest and highest
+guess, which the ladder sets wherever ``lo`` or ``hi`` changes (a new run,
+a split, a merge, a retarget's trim), for its probes.  Arrivals and
+replays change runs by one step: the ladder sweeps each run once, probes
+its hit at its lowest and its highest radius, splits it only where the two
+differ, steps it once and merges adjacent runs whose contents became equal.
+A probe scans small runs in plain Python and larger ones in one numpy pass.  A retarget's replay (of
 the warm-up from no grid, else of the recent points) starts from one empty
 run of all the guesses it builds, and takes no step when no replayed point
 lies within the highest radius of another: each is then its own
@@ -72,7 +77,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,15 +98,21 @@ MAX_DISTANCE = 2.0**500  # oblivious mode's domain: the farthest from the first 
 _PROBE_SLOTS = 256  # the most slots an attraction search scans in plain Python
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class WeightedCoreset:
     """Extracted coreset: points and, in step, their approximate window
-    counts as int64 weights.  The sum of weights never exceeds the window
-    size.
+    counts as int64 weights, read-only as a ladder builds them.  The sum of
+    weights never exceeds the window size.  Two coresets are equal when
+    their entries, (point, weight) pairs in order, are.
     """
 
     points: tuple[Point, ...]
     weights: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedCoreset):
+            return NotImplemented
+        return self.points == other.points and self.weights.tolist() == other.weights.tolist()
 
     def total_weight(self) -> int:
         return int(self.weights.sum())
@@ -283,12 +294,15 @@ class GuessState:
     step, entry by entry.
     """
 
-    __slots__ = ("lo", "hi", "max_attractions", "orphan_cap", "window_len", "slots",
-                 "reps", "orphans", "evicted", "_first_ts", "_store", "_bumps")
+    __slots__ = ("lo", "hi", "low_radius", "high_radius", "max_attractions", "orphan_cap",
+                 "window_len", "slots", "reps", "orphans", "evicted", "_first_ts", "_store",
+                 "_bumps")
 
     def __init__(self, lo: int, hi: int, max_attractions: int, window_len: int,
                  store: _PointStore, bumps: _BumpMemo, orphan_cap: Optional[int] = None):
         self.lo, self.hi = lo, hi
+        # the radii of guesses lo and hi, kept by the ladder (GuessLadder._span)
+        self.low_radius = self.high_radius = math.nan
         self.max_attractions = max_attractions
         self.orphan_cap = orphan_cap
         self.window_len = window_len
@@ -633,7 +647,15 @@ class GuessLadder:
         """An empty run of the guesses lo..hi."""
         p = self.params
         m = p.k + p.z + 1 if self.cap is None else self.cap
-        return GuessState(lo, hi, m, p.window_len, self._store, self._bumps, orphan_cap=self.cap)
+        st = GuessState(lo, hi, m, p.window_len, self._store, self._bumps, orphan_cap=self.cap)
+        return self._span(st, lo, hi)
+
+    def _span(self, st: GuessState, lo: int, hi: int) -> GuessState:
+        """st, given the guesses lo..hi and their lowest and highest radius,
+        which a run keeps for its probes wherever lo or hi changes."""
+        st.lo, st.hi = lo, hi
+        st.low_radius, st.high_radius = self._radius(lo), self._radius(hi)
+        return st
 
     @property
     def states(self) -> dict[int, GuessRecord]:
@@ -706,7 +728,8 @@ class GuessLadder:
         """The ring's closest-newer distances, d_t, D_t and the grid's ends
         (None without a grid) after p, from row, p's distances to the store,
         with nothing changed; ValueError when p lies beyond MAX_DISTANCE or
-        the grid breaks the rule of ``_grid_bounds``."""
+        the grid breaks the rule of ``_grid_bounds``.  While d_t and D_t
+        stay as they are, so does the grid: its ends are read from the runs."""
         if not self.t:
             return self._closest_newer, 0.0, 0.0, None
         far = float(row[self._store.slot_of[1]])
@@ -716,6 +739,9 @@ class GuessLadder:
         closest, d = self._ring_closest(row, p.arrival)
         d_t = d if d > 0 else self.d_t
         D_t = max(self.D_t, far)
+        runs = self._runs
+        if runs and d_t == self.d_t and D_t == self.D_t:
+            return closest, d_t, D_t, (runs[0].lo, runs[-1].hi)
         grid = self.bootstrapped or (p.arrival >= self.params.k + self.params.z + 2 and d_t > 0)
         return closest, d_t, D_t, self._grid_bounds(d_t / 2.0, 2.0 * D_t) if grid else None
 
@@ -744,19 +770,20 @@ class GuessLadder:
         slots included, which only makes this rarer) holds no hit.  This
         skips on arrivals in both modes, whose row is read before they take
         a slot, and never on a replayed point, which holds a slot where its
-        row reads 0.0.  The other runs are probed at their highest radius,
-        in one of two ways that compare the same doubles by the same ``<=``:
-        while they hold at most _PROBE_SLOTS slots in all, a plain-Python
-        scan of each run's slots, reading the row's floats through a
-        memoryview, stops at its first hit (numpy's fixed cost per call is
+        row reads 0.0.  The other runs are probed at their highest radius
+        (a run keeps its lowest and highest; a split's probe computes each
+        exponent's), in one of two ways that compare the same doubles by the
+        same ``<=``: while they hold at most _PROBE_SLOTS slots in all, a
+        plain-Python scan of each run's slots over the row read once as
+        Python floats stops at its first hit (numpy's fixed cost per call is
         larger there); else their slots are gathered from the row into one
         flat array and the first hit of each run's segment is found by
         searchsorted over the segment starts.  A hit position never grows
         with the radius, so the lowest guess agrees exactly when that hit
         lies within its radius too; then every guess between them agrees."""
-        closest = row.min(initial=math.inf)
+        closest = float(row.min(initial=math.inf))
         rad = self._radius
-        highs = [rad(st.hi) for st in runs] if exps is None else [rad(e) for e in exps]
+        highs = [st.high_radius for st in runs] if exps is None else [rad(e) for e in exps]
         hits: list[Optional[int]] = [-1] * len(runs)
         near = [j for j, r in enumerate(highs) if r >= closest]
         if not near:
@@ -764,12 +791,13 @@ class GuessLadder:
         segs = [runs[j].slots for j in near]
         lens = [len(sl) for sl in segs]
         if sum(lens) <= _PROBE_SLOTS:
-            d = memoryview(row)
+            d = row.tolist()
             for j, sl in zip(near, segs):
                 high = highs[j]
                 for i, s in enumerate(sl):
-                    if d[s] <= high:
-                        hits[j] = i if exps or d[s] <= rad(runs[j].lo) else None
+                    x = d[s]
+                    if x <= high:
+                        hits[j] = i if exps or x <= runs[j].low_radius else None
                         break
             return hits
         bounds = list(accumulate(lens, initial=0))  # segment i is [bounds[i], bounds[i+1])
@@ -781,7 +809,7 @@ class GuessLadder:
             # the first hit at or after each segment start; "clip" reads the
             # last hit, which lies before the start, where there is none
             first = within.take(within.searchsorted(bounds[:-1]), mode="clip")
-            lowest = radii if exps else np.array([rad(runs[j].lo) for j in near])
+            lowest = radii if exps else np.array([runs[j].low_radius for j in near])
             agree = (near_row[first] <= lowest).tolist()
             for j, f, s, e, a in zip(near, first.tolist(), bounds, bounds[1:], agree):
                 if s <= f < e:
@@ -805,6 +833,8 @@ class GuessLadder:
             for i in range(1, len(own)):
                 if own[i] != own[i - 1]:
                     parts.append(parts[-1].split(lo + i))
+            for part in parts:
+                self._span(part, part.lo, part.hi)
             cut += parts
             out += [own[part.lo - lo] for part in parts]
         runs[:] = cut
@@ -822,23 +852,27 @@ class GuessLadder:
                 if high.evicted != low.evicted:
                     for e in range(high.lo, high.hi + 1):
                         self._evictions[e] += high.evicted - low.evicted
-                low.hi = high.hi
+                low.hi, low.high_radius = high.hi, high.high_radius
                 del runs[i]
 
     def maintain_oblivious_ladder(self, p: Point, estimates: tuple) -> None:
         """Take on the distance estimates and grid bounds ``_estimates``
-        checked, and retarget the grid, replaying the warm-up (then cleared)
-        or the recent points, before p is handed to the runs.  Called by
-        process_point once per arrival; never call it on its own."""
+        checked and, when the bounds differ from the grid, retarget it,
+        replaying the warm-up (then cleared) or the recent points, before p
+        is handed to the runs.  Called by process_point once per arrival;
+        never call it on its own."""
         self._closest_newer, self.d_t, self.D_t, bounds = estimates
         if p.arrival == 1:  # the first point holds a slot for good
             self._store.acquire(p)
-        replay = list(self.recent) if self.bootstrapped else self.warmup
+        runs = self._runs
+        moved = bounds is not None and (not runs or bounds != (runs[0].lo, runs[-1].hi))
+        if moved:
+            replay = list(self.recent) if runs else self.warmup
         self.recent.append(p)
         pos = p.arrival % len(self._ring_slots)
         leaving = int(self._ring_slots[pos])
         self._ring_slots[pos] = self._store.acquire(p)
-        if bounds is not None:
+        if moved:
             self._retarget(replay, p.arrival, *bounds)
             self.warmup.clear()
         if leaving >= 0:  # kept in the store for the replays of the recent points
@@ -876,8 +910,8 @@ class GuessLadder:
         while runs and runs[0].hi < lo:
             for s in runs.pop(0).slots:
                 self._store.release(s)
-        if runs:
-            runs[0].lo = max(runs[0].lo, lo)
+        if runs and runs[0].lo < lo:
+            self._span(runs[0], lo, runs[0].hi)
         # the warm-up, or the recent points, mutually farther than twice each
         # guess added below: replaying them is what a fresh run would store
         if lo < old_lo:
@@ -929,7 +963,7 @@ class GuessLadder:
             if direct:
                 gaps = rows[:, pinned]
                 np.fill_diagonal(gaps, math.inf)
-                if gaps.min() > self._radius(hi):
+                if gaps.min() > st.high_radius:
                     st.slots.extend(pinned)
                     st.reps = [(q, st._bumps.new(q.arrival)) for q in block]
                     return runs
@@ -996,14 +1030,14 @@ class GuessLadder:
             raise RuntimeError("no points processed yet")
         first = {q.coords: q for q in reversed(self.warmup)}
         return WeightedCoreset(tuple(first[c] for c in copies),
-                               np.fromiter(copies.values(), np.int64, len(copies)))
+                               _read_only(copies.values(), len(copies)))
 
     def coreset_at(self, exponent: int) -> WeightedCoreset:
         """The guess's representatives and orphans, with their estimated counts."""
         st = self._run_of(exponent)
         held = [*st.reps, *st.orphans.values()]
         return WeightedCoreset(tuple(p for p, _ in held),
-                               np.fromiter((h[0][1] for _, h in held), np.int64, len(held)))
+                               _read_only((h[0][1] for _, h in held), len(held)))
 
     # -- accounting ----------------------------------------------------------
 
@@ -1116,7 +1150,10 @@ class GuessLadder:
                     raise InvariantError(f"guess {e} counts {off!r} + {st.evicted} evictions")
         self._store.check(holders)
         for st in runs:
-            st.check_invariants(t, self._radius(st.hi))
+            if (st.low_radius, st.high_radius) != (self._radius(st.lo), self._radius(st.hi)):
+                raise InvariantError(f"run {st.lo}..{st.hi} keeps the radii {st.low_radius!r} "
+                                     f"and {st.high_radius!r}, not those of its guesses")
+            st.check_invariants(t, st.high_radius)
         self.newest()
 
     def newest(self) -> Optional[Point]:
@@ -1245,6 +1282,13 @@ def _same_content(a: GuessState, b: GuessState) -> bool:
         and a.orphans == b.orphans
         and list(a.orphans) == list(b.orphans)
     )
+
+
+def _read_only(counts: Iterable[int], n: int) -> np.ndarray:
+    """The n counts as a read-only int64 array, a coreset's weights."""
+    weights = np.fromiter(counts, np.int64, n)
+    weights.flags.writeable = False
+    return weights
 
 
 def _block_metric(metric: Metric) -> Metric:

@@ -30,6 +30,7 @@ was, so equal inputs at one arrival give equal outputs.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .core import InvariantError
 
@@ -47,24 +48,27 @@ def bump_and_trim(hist: Histogram, t: int, lam: float) -> Histogram:
     All existing counts go up by one, a fresh ``(t, 1)`` entry is appended,
     then interior entries are dropped wherever the last kept count is not more
     than ``(1 + lam)`` times the count after the candidate.  First and last
-    entries are always kept.
+    entries are always kept.  One pass appends the kept entries only: each
+    candidate is judged by the bumped count of the entry after it.
     """
     if hist and t <= hist[-1][0]:
         raise ValueError(f"timestamp {t} not greater than last entry {hist[-1][0]}")
-    bumped = [(ts, c + 1) for ts, c in hist]
-    bumped.append((t, 1))
-    n = len(bumped)
-    if n <= 2:
-        return bumped
-    trimmed = [bumped[0]]
-    last = 0
+    if len(hist) < 2:
+        return [(ts, c + 1) for ts, c in hist] + [(t, 1)]
     factor = 1.0 + lam
-    for i in range(1, n - 1):
-        if bumped[last][1] > factor * bumped[i + 1][1]:
-            trimmed.append(bumped[i])
-            last = i
-    trimmed.append(bumped[n - 1])
-    return trimmed
+    ts, c = hist[0]
+    last = c + 1  # the bumped count of the last kept entry
+    kept = [(ts, last)]
+    ts, c = hist[1]  # the candidate
+    for after_ts, after in islice(hist, 2, None):
+        if last > factor * (after + 1):
+            last = c + 1
+            kept.append((ts, last))
+        ts, c = after_ts, after
+    if last > factor:  # the last candidate is followed by the fresh (t, 1)
+        kept.append((ts, c + 1))
+    kept.append((t, 1))
+    return kept
 
 
 def weight_estimate(hist: Histogram) -> int:

@@ -87,6 +87,29 @@ def max_entries(window_len: int, lam: float) -> int:
     return 2 * math.ceil(math.log(window_len, 1.0 + lam)) + 2
 
 
+def reference_bump_and_trim(hist: Histogram, t: int, lam: float) -> Histogram:
+    """The reference for ``streamkc.histogram.bump_and_trim``: bump every
+    count into a new list, append ``(t, 1)``, then keep the first and last
+    entries and each interior one whose last kept count is above ``(1 + lam)``
+    times the count after it."""
+    if hist and t <= hist[-1][0]:
+        raise ValueError(f"timestamp {t} not greater than last entry {hist[-1][0]}")
+    bumped = [(ts, c + 1) for ts, c in hist]
+    bumped.append((t, 1))
+    n = len(bumped)
+    if n <= 2:
+        return bumped
+    trimmed = [bumped[0]]
+    last = 0
+    factor = 1.0 + lam
+    for i in range(1, n - 1):
+        if bumped[last][1] > factor * bumped[i + 1][1]:
+            trimmed.append(bumped[i])
+            last = i
+    trimmed.append(bumped[n - 1])
+    return trimmed
+
+
 def reference_outliers_cluster(points, weights, k, rho, eps, metric=dist, candidates=None):
     """Scalar greedy of Charikar, Khuller, Mount & Narasimhan: the reference
     for ``streamkc.solver.outliers_cluster``.
@@ -405,6 +428,66 @@ def store_fields(ladder: GuessLadder) -> dict:
     return out
 
 
+def filled_store(ladder: GuessLadder) -> dict:
+    """The ladder's store as two ladders built alike can compare it: the
+    fields of ``store_fields`` with the coordinates of filled rows only."""
+    fields = store_fields(ladder)
+    n = len(ladder._store.points)
+    fields["coords"] = ladder._store.coords[:n].tobytes()
+    return fields
+
+
+def retargets_every_arrival(ladder: GuessLadder) -> GuessLadder:
+    """The ladder, changed so that once its grid exists every arrival takes
+    its grid's ends from ``_grid_bounds`` and calls ``_retarget`` with them
+    and the recent points, whether or not d_t, D_t or the grid moved: the
+    twin against which the ladder's grid upkeep, which skips both while the
+    grid stands, is compared."""
+    estimates = ladder._estimates
+
+    def every_time(p: Point, row) -> tuple:
+        closest, d_t, D_t, bounds = estimates(p, row)
+        if ladder.bootstrapped:
+            bounds = ladder._grid_bounds(d_t / 2.0, 2.0 * D_t)
+        return closest, d_t, D_t, bounds
+
+    def maintain(p: Point, got: tuple) -> None:
+        ladder._closest_newer, ladder.d_t, ladder.D_t, bounds = got
+        if p.arrival == 1:
+            ladder._store.acquire(p)
+        replay = list(ladder.recent) if ladder.bootstrapped else ladder.warmup
+        ladder.recent.append(p)
+        ring = ladder._ring_slots
+        pos = p.arrival % len(ring)
+        leaving = int(ring[pos])
+        ring[pos] = ladder._store.acquire(p)
+        if bounds is not None:
+            ladder._retarget(replay, p.arrival, *bounds)
+            ladder.warmup.clear()
+        if leaving >= 0:
+            ladder._store.release(leaving)
+
+    ladder._estimates = every_time
+    ladder.maintain_oblivious_ladder = maintain
+    return ladder
+
+
+def _optimized(code: str, arg: str, stdin: str) -> str:
+    """The stdout of code run with arg in a ``python -O`` child, which
+    strips assert statements, reading stdin; the library comes from this
+    checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streamkc.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", code, arg],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return child.stdout
+
+
 _REFUSALS_CHILD = """\
 import importlib, json, sys
 module, name = sys.argv[1].rsplit(".", 1)
@@ -435,16 +518,30 @@ def refusals(cls, snaps: list, optimized: bool = False) -> list[str]:
             except ValueError as exc:
                 out.append(str(exc))
         return out
-    src = os.path.dirname(os.path.dirname(os.path.abspath(streamkc.__file__)))
-    child = subprocess.run(
-        [sys.executable, "-O", "-c", _REFUSALS_CHILD, f"{cls.__module__}.{cls.__name__}"],
-        input=json.dumps(snaps),
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=True,
-    )
-    return json.loads(child.stdout)
+    return json.loads(_optimized(_REFUSALS_CHILD, f"{cls.__module__}.{cls.__name__}",
+                                 json.dumps(snaps)))
+
+
+_MUTATION_CHILD = """\
+import json, sys
+from streamkc.core import InvariantError
+from streamkc.coreset import GuessLadder
+assert False, "asserts are on"
+lad = GuessLadder.from_snapshot(json.load(sys.stdin))
+exec(sys.argv[1])
+try:
+    lad.check_invariants()
+    print("passed")
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def optimized_check(snap: dict, mutation: str) -> str:
+    """What ``check_invariants`` says, in a ``python -O`` child, of the
+    ladder restored from snap once the statement mutation (which names it
+    ``lad``) has changed it: "passed", or the text of the InvariantError."""
+    return _optimized(_MUTATION_CHILD, mutation, json.dumps(snap)).strip()
 
 
 def reference_first_within(st, p: Point, radius: float) -> int:

@@ -20,7 +20,9 @@ from oracles import (
     adversarial_stream,
     coverage_radius,
     entries_of,
+    filled_store,
     looped,
+    optimized_check,
     make_stream,
     manhattan,
     max_entries,
@@ -32,7 +34,9 @@ from oracles import (
     stepped_runs,
     store_fields,
     stream_extremes,
+    retargets_every_arrival,
     unshared,
+    weighted,
 )
 
 
@@ -674,6 +678,39 @@ class TestLadderSoak:
                 assert coreset.total_weight() <= min(n, window_len)
 
 
+class TestWeightedCoreset:
+    """A coreset is a value: equal entries make equal coresets, and the
+    weights a ladder builds are read-only."""
+
+    @staticmethod
+    def _coresets():
+        """(the warm-up coreset, the grid's coreset) of one stream, two
+        entries each."""
+        lad = GuessLadder(StreamParams(10, 1, 1, 0.5, 0.5), "oblivious")
+        for t, x in enumerate((0.0, 5.0, 0.0), start=1):
+            lad.process_point(pt(t, x))
+        warm = lad.warmup_coreset()
+        lad.process_point(pt(4, 9.0))
+        assert lad.bootstrapped
+        return warm, lad.extract_coreset()
+
+    def test_equal_entries_make_equal_coresets(self):
+        (warm, grid), (warm_again, grid_again) = self._coresets(), self._coresets()
+        assert len(warm) == len(grid) == 2
+        assert warm == warm_again and grid == grid_again and warm != grid
+        assert warm == weighted(entries_of(warm))
+        assert warm != weighted([(warm.points[0], 3), (warm.points[1], 1)])
+        assert warm != weighted([(pt(9, 0.0), 2), (warm.points[1], 1)])
+        assert warm != entries_of(warm)
+
+    def test_weights_are_read_only(self):
+        for coreset_ in self._coresets():
+            before = coreset_.weights.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                coreset_.weights[0] = 5
+            assert coreset_.weights.tolist() == before
+
+
 class TestSnapshot:
     def test_round_trip_mid_stream(self):
         rng = np.random.default_rng(43)
@@ -688,7 +725,7 @@ class TestSnapshot:
             lad.process_point(p)
             restored.process_point(p)
         assert lad.to_snapshot() == restored.to_snapshot()
-        assert entries_of(lad.extract_coreset()) == entries_of(restored.extract_coreset())
+        assert lad.extract_coreset() == restored.extract_coreset()
 
     def test_round_trip_during_warmup(self):
         lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
@@ -1255,6 +1292,13 @@ def _index_a_stray_stamp(lad):
     _orphaned_run(lad)._first_ts[-1] = -1
 
 
+_STALE_A_RADIUS = "lad._runs[-1].high_radius = lad._radius(lad._runs[-1].hi - 1)"
+
+
+def _stale_a_radius(lad):
+    exec(_STALE_A_RADIUS)  # the radius of the guess below the top
+
+
 _PINNED_MUTATIONS = [
     (_ball_ladder, _name_a_slot_outside_the_store, "a holder names a slot outside the store"),
     (_mid_stream_ladder, _swap_two_ring_slots, "recent ring slots do not hold the recent points"),
@@ -1264,6 +1308,7 @@ _PINNED_MUTATIONS = [
     (_ball_ladder, _refile_an_orphan, "filed under"),
     (_ball_ladder, _unindex_an_orphan, "not in the timestamp index"),
     (_ball_ladder, _index_a_stray_stamp, "timestamp index out of step with the orphans"),
+    (_ball_ladder, _stale_a_radius, "keeps the radii"),
 ]
 
 
@@ -1293,6 +1338,18 @@ class TestPinnedRefusals:
         mutate(lad)
         with pytest.raises(InvariantError, match=re.escape(message)):
             lad.check_invariants()
+
+    def test_a_stale_radius_is_refused_in_optimized_mode(self):
+        # python -O strips assert statements; the radius check raises
+        # explicitly, so the stale radius is refused there with one message
+        lad = _ball_ladder()
+        _stale_a_radius(lad)
+        with pytest.raises(InvariantError) as refused:
+            lad.check_invariants()
+        assert str(refused.value).startswith(f"run {lad._runs[-1].lo}..")
+        said = optimized_check(_ball_ladder().to_snapshot(), _STALE_A_RADIUS)
+        assert said == str(refused.value)
+        assert optimized_check(_ball_ladder().to_snapshot(), "pass") == "passed"
 
     def test_the_wedge_corrupts_the_selected_guess(self):
         assert _ball_ladder().selected_exponent() == _SELECTED
@@ -2014,15 +2071,6 @@ def _runs_out(runs) -> list:
     return [(st.lo, st.hi, st.evicted, st.to_jsonable()) for st in runs]
 
 
-def _held(lad: GuessLadder) -> dict:
-    """The ladder's store as two ladders built alike can compare it: the
-    fields of ``store_fields`` with the coordinates of filled rows only."""
-    fields = store_fields(lad)
-    n = len(lad._store.points)
-    fields["coords"] = lad._store.coords[:n].tobytes()
-    return fields
-
-
 class TestReplayShortcut:
     """``_replayed_runs`` builds the run without a step exactly when no
     replayed point attracts another, and then holds what a step-only replay
@@ -2053,7 +2101,7 @@ class TestReplayShortcut:
         lad._step = counted
         got = _runs_out(lad._replayed_runs(lo, hi, points))
         want = _runs_out(stepped_runs(ref, lo, hi, points))
-        return (got, _held(lad), steps), (want, _held(ref))
+        return (got, filled_store(lad), steps), (want, filled_store(ref))
 
     @pytest.mark.parametrize("case", CASES, ids=str)
     def test_the_replay_matches_a_step_only_replay(self, case):
@@ -2109,11 +2157,75 @@ class TestReplayShortcut:
             lad.process_point(p)
             twin.process_point(p)
             assert lad.to_snapshot() == twin.to_snapshot()
-            assert _held(lad) == _held(twin)
+            assert filled_store(lad) == filled_store(twin)
         lad.check_invariants()
         assert True in direct and False in direct
         assert {bootstrapped for bootstrapped, _ in spans} == {False, True}
         assert max(span for _, span in spans) < lad.params.window_len
+
+
+def _ends(lad: GuessLadder) -> tuple:
+    """The exponents at the grid's ends, () without a grid."""
+    exps = lad.exponents()
+    return tuple(exps[:1] + exps[-1:])
+
+
+class TestGridUpkeep:
+    """An arrival that leaves d_t and D_t as they were reads the grid's ends
+    from its runs and leaves the grid alone; one that moves either reads the
+    ends from ``_grid_bounds`` and retargets exactly when they moved.  Each
+    run keeps its lowest and highest radius, set wherever its ends move."""
+
+    def test_only_a_moved_estimate_reads_the_bounds_and_a_moved_grid_retargets(
+            self, monkeypatch):
+        lad = GuessLadder(StreamParams(20, 2, 2, 0.5, 0.5), "oblivious")
+        calls = {"_grid_bounds": 0, "_retarget": 0}
+        for name in calls:
+            method = getattr(lad, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(lad, name, counted)
+        seen = set()
+        for p in adversarial_stream(np.random.default_rng(3401), 400, 2):
+            bootstrapped, d_t, D_t, ends = lad.bootstrapped, lad.d_t, lad.D_t, _ends(lad)
+            calls.update(dict.fromkeys(calls, 0))
+            lad.process_point(p)
+            if not bootstrapped:
+                continue
+            moved = (lad.d_t != d_t, lad.D_t != D_t, _ends(lad) != ends)
+            assert calls == {"_grid_bounds": int(any(moved[:2])), "_retarget": int(moved[2])}
+            seen.add(moved)
+        lad.check_invariants()
+        # still, moved d_t alone, D_t alone, both, with and without a retarget
+        assert seen >= {(False, False, False), (True, False, False), (True, False, True),
+                        (False, True, False), (False, True, True)}
+
+    @pytest.mark.parametrize("stream", ["adversarial", "ball"])
+    def test_a_ladder_matches_one_that_retargets_every_arrival(self, stream):
+        # after every arrival the snapshot, the store and each run's kept
+        # radii equal those of a twin that reads the grid's ends and
+        # retargets on every arrival past its bootstrap
+        rng = np.random.default_rng(3402)
+        if stream == "adversarial":
+            points = adversarial_stream(rng, 400, 2)
+        else:
+            coords = generate_ball_stream(400, 2, seed=3403)
+            points = list(inject_outliers((pt(i + 1, *row) for i, row in enumerate(coords)),
+                                          injection_prob(2, 50), 100.0, 3404, 2.0))
+        params = StreamParams(50, 2, 2, 0.5, 0.5)
+        lad, twin = GuessLadder(params), retargets_every_arrival(GuessLadder(params))
+        for p in points:
+            lad.process_point(p)
+            twin.process_point(p)
+            assert lad.to_snapshot() == twin.to_snapshot()
+            assert filled_store(lad) == filled_store(twin)
+            assert ([(st.lo, st.hi, st.low_radius, st.high_radius) for st in lad._runs]
+                    == [(st.lo, st.hi, st.low_radius, st.high_radius) for st in twin._runs])
+        lad.check_invariants()
+        twin.check_invariants()
 
 
 def _hand_run(lad: GuessLadder, lo: int, hi: int, placed) -> GuessState:

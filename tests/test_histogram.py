@@ -11,7 +11,7 @@ from streamkc.histogram import (
     synthetic_full_window,
     weight_estimate,
 )
-from oracles import ExactHistogram, expire_entry, max_entries
+from oracles import ExactHistogram, expire_entry, max_entries, reference_bump_and_trim
 
 
 def test_new_histogram():
@@ -47,6 +47,33 @@ def test_bump_and_trim_is_pure(lam):
         assert got is not hist
         deleted |= len(got) <= len(hist)
     assert deleted == (lam > 0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 2.0, 200.0], ids=lambda lam: f"lam={lam}")
+def test_the_one_pass_trim_matches_the_reference(lam):
+    # lam = 200 is the window length N, at which a trim keeps no interior
+    # entry; the histograms are seeded random ones of every length up to
+    # 40, and the chains of bumps that grow them from one entry
+    rng = np.random.default_rng(3405)
+    kept = set()
+    for n in range(41):
+        for _ in range(5):
+            stamps = np.sort(rng.choice(np.arange(1, 200), size=n, replace=False)).tolist()
+            counts = sorted(rng.choice(np.arange(1, 201), size=n, replace=False).tolist(),
+                            reverse=True)
+            hist = list(zip(stamps, counts))
+            got = bump_and_trim(hist, 200, lam)
+            assert got == reference_bump_and_trim(hist, 200, lam)
+            kept.add(len(got) - min(n, 1) - 1)  # the interior entries kept
+    hist = new_histogram(1)
+    for t in range(2, 201):
+        want = reference_bump_and_trim(hist, t, lam)
+        hist = bump_and_trim(hist, t, lam)
+        assert hist == want
+        check_invariants(hist, 200, lam)
+    assert (max(kept) == 0) == (lam == 200.0)
+    with pytest.raises(ValueError, match="not greater"):
+        bump_and_trim(hist, 200, lam)
 
 
 def test_max_entries_for_a_lam_that_rounds_away():
