@@ -265,6 +265,31 @@ class _PointStore:
             raise InvariantError("the arrival map does not name every filled slot")
 
 
+def _point_out(p: Point) -> list:
+    return [p.arrival, list(p.coords)]
+
+
+def _point_in(data: list, what: str, dim: Optional[int] = None) -> Point:
+    """The point of a snapshot entry [arrival, coordinates]; InvariantError
+    naming the entry (what) for any other shape, such as an arrival that is
+    no int (80.0 == 80 and True == 1 would pass the later arrival checks), a
+    coordinate that is no int or float (a bool is neither), or, given dim,
+    another number of coordinates."""
+    if type(data) is not list or not data:
+        raise InvariantError(f"{what} {data!r} is no [int arrival, coordinates] pair")
+    if len(data) != 2 or type(data[0]) is not int or type(data[1]) is not list:
+        raise InvariantError(f"{what} of arrival {data[0]!r} is no [int arrival, coordinates] pair")
+    coords = data[1]
+    for c in coords:
+        if type(c) is not float and type(c) is not int:
+            raise InvariantError(f"{what} of arrival {data[0]} has a coordinate {c!r} "
+                                 "that is no int or float")
+    if dim is not None and len(coords) != dim:
+        raise InvariantError(f"{what} of arrival {data[0]} has {len(coords)} coordinates, "
+                             f"not the stream's {dim}")
+    return Point(data[0], tuple(coords))
+
+
 class GuessState:
     """Attraction/representative/orphan bookkeeping for one run of adjacent
     radius guesses, the exponents ``lo..hi`` of a ladder.
@@ -284,7 +309,9 @@ class GuessState:
     arrival, and an attraction point's representative histogram begins at
     its arrival.  So the sweep reads the oldest attraction point's arrival
     and the orphans' first stamps, indexed in ``_first_ts`` (orphans are
-    keyed by arrival), in O(1); it must see every time step.
+    keyed by arrival), in O(1).  A sweep where the stamp begins no
+    histogram changes nothing, so the ladder sweeps only the runs where one
+    does (``GuessLadder._step``).
 
     Attraction points live in the ``_PointStore`` and bumps go through the
     ``_BumpMemo`` that every state of one ladder shares (and that holds
@@ -366,18 +393,32 @@ class GuessState:
         return self.reps.pop(0)
 
     def _insert(self, p: Point) -> None:
-        self.slots.append(self._store.acquire(p))
+        """Make p an attraction point.  Without an orphan_cap, a run that is
+        not full returns at once; a full one prunes the old orphans first and
+        files the evicted representative only if it survives the prune, which
+        leaves the orphans as filing it first and then pruning would."""
+        slots = self.slots
+        slots.append(self._store.acquire(p))
         self.reps.append((p, self._bumps.new(p.arrival)))
-        if len(self.slots) > self.max_attractions:
+        over = len(slots) > self.max_attractions
+        if self.orphan_cap is None:
+            if len(slots) < self.max_attractions:
+                return
+            left = None
+            if over:
+                left = self._pop_oldest()
+                self.evicted += 1
+            oldest = self._store.points[slots[0]].arrival
+            for arrival in [a for a in self.orphans if a < oldest]:
+                _, hist = self.orphans.pop(arrival)
+                self._first_ts.pop(hist[0][0], None)
+            if left is not None and left[0].arrival >= oldest:
+                self._add_orphan(*left)
+            return
+        if over:
             self._add_orphan(*self._pop_oldest())
             self.evicted += 1
-        if self.orphan_cap is None:
-            if len(self.slots) > self.max_attractions - 1:
-                oldest = self._store.points[self.slots[0]].arrival
-                for arrival in [a for a in self.orphans if a < oldest]:
-                    _, hist = self.orphans.pop(arrival)
-                    self._first_ts.pop(hist[0][0], None)
-        elif len(self.orphans) > self.orphan_cap:
+        if len(self.orphans) > self.orphan_cap:
             victim = min(self.orphans)
             _, hist = self.orphans.pop(victim)
             self._first_ts.pop(hist[0][0], None)
@@ -496,33 +537,19 @@ class GuessState:
             ],
         }
 
-    def restore(self, data: dict) -> None:
+    def restore(self, data: dict, point_in=_point_in) -> None:
         """Load a fresh state from a snapshot entry, placing its attraction
-        points in its store.  Each reps entry names its attraction point's
-        arrival; InvariantError unless they name them all, in order."""
-        attrs = [_point_in(p, "an attraction point") for p in data["attractions"]]
+        points in its store; point_in(entry, what) reads each point.  Each
+        reps entry names its attraction point's arrival; InvariantError
+        unless they name them all, in order."""
+        attrs = [point_in(p, "an attraction point") for p in data["attractions"]]
         if [a for a, _, _ in data["reps"]] != [a.arrival for a in attrs]:
             raise InvariantError("not one representative per attraction point, in its order")
         self.slots = array("q", [self._store.acquire(a) for a in attrs])
-        self.reps = [(_point_in(rep, "a representative"), [tuple(e) for e in hist])
+        self.reps = [(point_in(rep, "a representative"), [tuple(e) for e in hist])
                      for _, rep, hist in data["reps"]]
         for r, hist in data["orphans"]:
-            self._add_orphan(_point_in(r, "an orphan"), [tuple(e) for e in hist])
-
-
-def _point_out(p: Point) -> list:
-    return [p.arrival, list(p.coords)]
-
-
-def _point_in(data: list, what: str) -> Point:
-    """The point of a snapshot entry [arrival, coordinates]; InvariantError
-    naming the entry (what) for any other shape, such as an arrival that is
-    no int (80.0 == 80 and True == 1 would pass the later arrival checks)."""
-    if type(data) is not list or not data:
-        raise InvariantError(f"{what} {data!r} is no [int arrival, coordinates] pair")
-    if len(data) != 2 or type(data[0]) is not int or type(data[1]) is not list:
-        raise InvariantError(f"{what} of arrival {data[0]!r} is no [int arrival, coordinates] pair")
-    return Point(data[0], tuple(data[1]))
+            self._add_orphan(point_in(r, "an orphan"), [tuple(e) for e in hist])
 
 
 class GuessLadder:
@@ -541,9 +568,11 @@ class GuessLadder:
 
     The ladder's states keep their attraction points in one ``_PointStore``
     with its recent ring and first point, held only under arrival 1.  Each recent
-    point sits at ring position arrival mod (k + z + 1): ``_ring_slots``
-    holds its store slot (-1 while unfilled) and ``_closest_newer`` the
-    smallest positive distance from it to a newer recent point (inf if none).
+    point sits at ring position arrival mod (k + z + 1): ``_ring_slots``, an
+    index array that gathers the ring's entries from a row, holds its store
+    slot (-1 while unfilled), and ``_closest_newer``, a plain list (numpy's
+    fixed cost per call exceeds the work on k + z + 1 entries), the smallest
+    positive distance from it to a newer recent point (inf if none).
 
     ``_runs`` cuts the grid, in exponent order, into runs; the store counts
     one reference per slot of each.  Guess e took ``_evictions[e]`` plus its
@@ -583,6 +612,7 @@ class GuessLadder:
         self._evictions: Counter = Counter()  # exponent -> evictions less its run's
         self._captures = 0  # per guess, on arrivals
         self._inserts = 0
+        self._retargets = 0  # grid moves on arrivals
         self._selected: Optional[int] = None  # the last selected_exponent()
         self.d_min = d_min
         self.d_max = d_max
@@ -595,7 +625,7 @@ class GuessLadder:
             m = params.k + params.z + 1
             self.recent: deque[Point] = deque(maxlen=m)
             self._ring_slots = np.full(m, -1, dtype=np.intp)
-            self._closest_newer = np.full(m, math.inf)
+            self._closest_newer = [math.inf] * m
             self.d_t = 0.0
             self.D_t = 0.0
             # arrivals are consecutive, so the last N points are the window
@@ -718,8 +748,10 @@ class GuessLadder:
             if bootstrap:
                 row = self._store.rows([p])[0]
         runs = self._runs
-        got = self._step(runs, p, row)
-        inserts = sum(st.hi - st.lo + 1 for st, a in zip(runs, got) if a is None)
+        inserts = 0
+        for st, a in zip(runs, self._step(runs, p, row)):
+            if a is None:
+                inserts += st.hi - st.lo + 1
         self._inserts += inserts
         self._captures += runs[-1].hi - runs[0].lo + 1 - inserts
         self._merge_runs(runs)
@@ -747,13 +779,18 @@ class GuessLadder:
 
     def _step(self, runs: list[GuessState], p: Point, row: np.ndarray) -> list[Optional[int]]:
         """Hand p to runs, adjacent runs changed in place, the one way a run
-        changes: sweep each at p.arrival, probe each from row, p's distances
-        to the store (``_hits``), split those whose guesses disagree
-        (``_split_runs``) and step each once.  Returns what each run's
-        ``process_point`` returned, in the order of the runs after the split."""
+        changes: sweep at p.arrival each run where the stamp p.arrival - N
+        begins a histogram (the oldest attraction point's or, by its index
+        ``_first_ts``, an orphan's; a sweep elsewhere does nothing), probe
+        each from row, p's distances to the store (``_hits``), split those
+        whose guesses disagree (``_split_runs``) and step each once.  Returns
+        what each run's ``process_point`` returned, in the order of the runs
+        after the split."""
         t = p.arrival
+        stale = t - self.params.window_len
         for st in runs:
-            st.sweep(t)
+            if stale in st._first_ts or st.reps and st.reps[0][1][0][0] == stale:
+                st.sweep(t)
         hits = self._hits(row, runs)
         if None in hits:
             hits = self._split_runs(runs, row, hits)
@@ -847,7 +884,7 @@ class GuessLadder:
         between them (only a corrupt snapshot holds one) stay apart."""
         for i in range(len(runs) - 1, 0, -1):
             low, high = runs[i - 1], runs[i]
-            if low.hi + 1 == high.lo and _same_content(low, high):
+            if low.hi + 1 == high.lo and low.slots == high.slots and _same_content(low, high):
                 self._store.share(high.slots, -1)
                 if high.evicted != low.evicted:
                     for e in range(high.lo, high.hi + 1):
@@ -875,22 +912,22 @@ class GuessLadder:
         if moved:
             self._retarget(replay, p.arrival, *bounds)
             self.warmup.clear()
+            self._retargets += 1
         if leaving >= 0:  # kept in the store for the replays of the recent points
             self._store.release(leaving)
 
-    def _ring_closest(self, row: np.ndarray, t: int) -> tuple[np.ndarray, float]:
+    def _ring_closest(self, row: np.ndarray, t: int) -> tuple[list[float], float]:
         """The ring's closest-newer distances once the point arriving at t
         (store row row) replaces the oldest, counting each pair at its older
-        point, and their smallest (0.0 if none is finite)."""
+        point, and their smallest (0.0 if none is finite).  A distance that
+        is not positive, as at a position not filled yet, counts as none."""
         slots = self._ring_slots
-        pos = t % len(slots)
-        d = row[slots]
-        d[d <= 0.0] = math.inf
+        d = row.take(slots)
         if t < len(slots):
-            d[slots < 0] = math.inf  # positions not filled yet
-        closest = np.minimum(self._closest_newer, d)
-        closest[pos] = math.inf
-        low = float(closest.min())
+            d[slots < 0] = 0.0  # positions not filled yet
+        closest = [x if 0.0 < x < c else c for x, c in zip(d.tolist(), self._closest_newer)]
+        closest[t % len(slots)] = math.inf
+        low = min(closest)
         return closest, (low if low < math.inf else 0.0)
 
     def _retarget(self, points: Sequence[Point], t: int, lo: int, hi: int) -> None:
@@ -1056,7 +1093,8 @@ class GuessLadder:
         histogram entries, the evictions of every current guess, and the
         runs.  Then what arrivals did since the ladder was built or
         restored: captures and inserts, counted once per guess (replays
-        that build a new guess are not counted).  Last, the exponent the
+        that build a new guess are not counted), and retargets, the
+        arrivals that moved the grid, the bootstrap included.  Last, the exponent the
         last ``selected_exponent()`` returned, None before any; it is not
         part of a snapshot."""
         return {
@@ -1069,6 +1107,7 @@ class GuessLadder:
             "runs": len(self._runs),
             "captures": self._captures,
             "inserts": self._inserts,
+            "retargets": self._retargets,
             "selected": self._selected,
         }
 
@@ -1239,9 +1278,16 @@ class GuessLadder:
         )
         ladder.t = snap["t"]
         ladder._runs = []
+        dim: list[int] = []  # the stream's dimension, that of the first point read
+
+        def point_in(data: list, what: str) -> Point:
+            q = _point_in(data, what, dim[0] if dim else None)
+            dim[:] = [q.dim]
+            return q
+
         for entry in snap["states"]:
             st = ladder._new_state(entry["exponent"], entry["exponent"])
-            st.restore(entry)
+            st.restore(entry, point_in)
             ladder._runs.append(st)
             ladder._evictions[st.lo] = entry["evictions"]
         if ladder.mode == "oblivious":
@@ -1250,19 +1296,19 @@ class GuessLadder:
                 if len(ob[key]) > most:  # a deque would drop the extra points unseen
                     raise InvariantError(f"the {key} list holds {len(ob[key])} points, "
                                          f"more than {most}")
-            ladder.recent.extend(_point_in(q, "a recent point") for q in ob["recent"])
+            ladder.recent.extend(point_in(q, "a recent point") for q in ob["recent"])
             ladder.d_t = ob["d_t"]
             ladder.D_t = ob["D_t"]
             if ob["bootstrapped"] is not ladder.bootstrapped:
                 raise InvariantError("the bootstrapped field disagrees with the states")
-            ladder.warmup.extend(_point_in(q, "a warmup point") for q in ob["warmup"])
+            ladder.warmup.extend(point_in(q, "a warmup point") for q in ob["warmup"])
             first = ob["first_point"]  # named here: the row reads below would fail unnamed
             got, want = None if first is None else first[0], 1 if ladder.t else None
             if got != want or type(got) is not type(want):  # True == 1.0 == 1
                 raise InvariantError(f"the first point's arrival is {got!r} at clock {ladder.t!r}: "
                                      "1 after any arrival, None before")
             if first is not None:
-                ladder._store.acquire(_point_in(first, "the first point"))
+                ladder._store.acquire(point_in(first, "the first point"))
             for q in ladder.recent:  # the snapshot's d_t and D_t stand
                 row = ladder._store.rows([q])[0]
                 ladder._closest_newer, _ = ladder._ring_closest(row, q.arrival)

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -469,6 +470,85 @@ def retargets_every_arrival(ladder: GuessLadder) -> GuessLadder:
 
     ladder._estimates = every_time
     ladder.maintain_oblivious_ladder = maintain
+    return ladder
+
+
+def float_bits(values) -> bytes:
+    """The bytes of values as C doubles: equal exactly when every value has
+    the same bits, so 0.0 and -0.0 differ and a NaN equals its own bits."""
+    return array("d", values).tobytes()
+
+
+def reference_insert(st, p: Point) -> None:
+    """``GuessState._insert`` as a plain reading of its rule: append p as an
+    attraction point; past max_attractions evict the oldest, filing its
+    representative as an orphan; then, without an orphan_cap, once the run
+    holds max_attractions - 1 or more, prune every orphan older than the
+    oldest attraction point, the evicted one included, or, with one, evict
+    the oldest orphan past the cap."""
+    st.slots.append(st._store.acquire(p))
+    st.reps.append((p, st._bumps.new(p.arrival)))
+    if len(st.slots) > st.max_attractions:
+        st._add_orphan(*st._pop_oldest())
+        st.evicted += 1
+    if st.orphan_cap is None:
+        if len(st.slots) > st.max_attractions - 1:
+            oldest = st._store.points[st.slots[0]].arrival
+            for arrival in [a for a in st.orphans if a < oldest]:
+                _, hist = st.orphans.pop(arrival)
+                st._first_ts.pop(hist[0][0], None)
+    elif len(st.orphans) > st.orphan_cap:
+        victim = min(st.orphans)
+        _, hist = st.orphans.pop(victim)
+        st._first_ts.pop(hist[0][0], None)
+        st.evicted += 1
+
+
+def reference_ring_closest(ladder: GuessLadder, row, t: int) -> tuple[list, float]:
+    """``GuessLadder._ring_closest`` in numpy over the whole ring: the
+    gathered row entries, inf where a distance is not positive or a
+    position is unfilled, the element-wise minimum with the closest-newer
+    distances, inf at the position the point arriving at t takes, and
+    their smallest (0.0 if none is finite)."""
+    slots = np.array(ladder._ring_slots, dtype=np.intp)
+    d = row[slots]
+    d[d <= 0.0] = math.inf
+    d[slots < 0] = math.inf
+    closest = np.minimum(np.array(ladder._closest_newer, dtype=float), d)
+    closest[t % len(slots)] = math.inf
+    low = float(closest.min())
+    return closest.tolist(), (low if low < math.inf else 0.0)
+
+
+def reference_arrivals(ladder: GuessLadder) -> GuessLadder:
+    """The ladder, changed so that each of its arrivals inserts by
+    ``reference_insert``, reads its ring by ``reference_ring_closest`` and
+    sweeps every run at every step, replays included: the twin against
+    which the ladder's arrival path is compared.  ``GuessState._insert`` is
+    swapped on the class for the length of each ``process_point`` call (a
+    state has no instance dictionary), so the twin's arrivals must not
+    interleave with another ladder's."""
+    process = ladder.process_point
+
+    def process_point(p: Point) -> None:
+        insert = coreset.GuessState._insert
+        coreset.GuessState._insert = reference_insert
+        try:
+            process(p)
+        finally:
+            coreset.GuessState._insert = insert
+
+    def step(runs: list, p: Point, row) -> list:
+        for st in runs:
+            st.sweep(p.arrival)
+        hits = ladder._hits(row, runs)
+        if None in hits:
+            hits = ladder._split_runs(runs, row, hits)
+        return [st.process_point(p, hit) for st, hit in zip(runs, hits)]
+
+    ladder.process_point = process_point
+    ladder._ring_closest = lambda row, t: reference_ring_closest(ladder, row, t)
+    ladder._step = step
     return ladder
 
 

@@ -21,12 +21,14 @@ from oracles import (
     coverage_radius,
     entries_of,
     filled_store,
+    float_bits,
     looped,
     optimized_check,
     make_stream,
     manhattan,
     max_entries,
     per_guess_search,
+    reference_arrivals,
     reference_first_within,
     reference_qualifies,
     refusals,
@@ -1204,6 +1206,14 @@ def _write_the_last_recent_point_as(name: str, entry):
     return corrupt
 
 
+def _give_the_first_warmup_point_a_second_coordinate(snap, t, window_len):
+    snap["oblivious"]["warmup"][0][1].append(0.0)  # the warm-up ladder's stream is 1-d
+
+
+def _write_a_coordinate_of_the_last_representative_as_a_str(snap, t, window_len):
+    snap["states"][0]["reps"][-1][1][1][0] = "x"
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
@@ -1249,6 +1259,16 @@ _PINNED_SNAPSHOTS = [
           ("an_empty_list", [], "[]"), ("an_int", 7, "7"), ("null", None, "None"),
           ("a_dict", {"a": 1}, "{'a': 1}"), ("int_coordinates", [80, 7], "of arrival 80"),
           ("null_coordinates", [80, None], "of arrival 80"))),
+    (_mid_stream_ladder, _write_the_last_recent_point_as("str_coordinates", [80, ["a", "b"]]),
+     "a recent point of arrival 80 has a coordinate 'a' that is no int or float"),
+    (_mid_stream_ladder, _write_the_last_recent_point_as("bool_coordinates", [80, [0.5, True]]),
+     "a recent point of arrival 80 has a coordinate True that is no int or float"),
+    (_mid_stream_ladder, _write_the_last_recent_point_as("one_coordinate", [80, [1.0]]),
+     "a recent point of arrival 80 has 1 coordinates, not the stream's 2"),
+    (_warmup_ladder, _give_the_first_warmup_point_a_second_coordinate,
+     "a warmup point of arrival 1 has 2 coordinates, not the stream's 1"),
+    (_ball_ladder, _write_a_coordinate_of_the_last_representative_as_a_str,
+     "a representative of arrival 300 has a coordinate 'x' that is no int or float"),
 ]
 
 
@@ -1459,7 +1479,8 @@ class TestBlockMetric:
         for p in stream:
             lad.process_point(p)
             restored = _round_trip(lad, metric)
-            assert restored._closest_newer.tobytes() == lad._closest_newer.tobytes()
+            assert type(restored._closest_newer) is list
+            assert float_bits(restored._closest_newer) == float_bits(lad._closest_newer)
             filling += lad.t < len(lad._ring_slots)
             duplicates += len({q.coords for q in lad.recent}) < len(lad.recent)
         assert filling and duplicates
@@ -1882,9 +1903,11 @@ class TestPointStore:
         stream = make_stream(rng, 150, 2)
         bounds = stream_extremes(stream) if mode == "fixed" else ()
         lad = GuessLadder(StreamParams(40, 2, 1, 0.5, 0.5), mode, *bounds)
-        captures = inserts = 0
+        captures = inserts = retargets = 0
         for p in stream:
+            grid = lad.exponents()
             lad.process_point(p)
+            retargets += lad.exponents() != grid
             stats = lad.stats()
             held = {q for st in lad._runs for q in st.attractions}
             if mode == "oblivious":  # the first point holds a slot for good
@@ -1903,6 +1926,7 @@ class TestPointStore:
                 "runs": _equal_content_groups(lad),
                 "captures": captures,
                 "inserts": inserts,
+                "retargets": retargets,
                 "selected": None,  # arrivals select no guess
             }
             assert all(type(v) is int for key, v in stats.items() if key != "selected")
@@ -2226,6 +2250,95 @@ class TestGridUpkeep:
                     == [(st.lo, st.hi, st.low_radius, st.high_radius) for st in twin._runs])
         lad.check_invariants()
         twin.check_invariants()
+
+
+    def test_retargets_count_the_arrivals_that_move_the_grid(self):
+        # a 1-d stream cycling through 0, 1, 2, 3 keeps d_t at 1 and D_t at
+        # 3 but for one far point at 100: the bootstrap and that D_t jump
+        # are the only grid moves
+        params = StreamParams(50, 2, 2, 0.5, 0.5)
+        lad = GuessLadder(params, "oblivious")
+        fixed = GuessLadder(params, "fixed", 1.0, 100.0)
+        moved = []
+        for t in range(1, 121):
+            p = pt(t, 100.0 if t == 40 else float((t - 1) % 4))
+            before = lad.stats()["retargets"]
+            lad.process_point(p)
+            fixed.process_point(p)
+            assert type(lad.stats()["retargets"]) is int
+            if lad.stats()["retargets"] != before:
+                moved.append(t)
+            if t == 60:
+                restored = _round_trip(lad)
+        assert moved == [params.k + params.z + 2, 40]
+        assert lad.stats()["retargets"] == 2
+        assert fixed.stats()["retargets"] == 0  # a fixed grid never moves on an arrival
+        assert restored.stats()["retargets"] == 0  # counted since the restore
+        for t in range(61, 121):
+            restored.process_point(pt(t, float((t - 1) % 4)))
+        assert restored.stats()["retargets"] == 0
+        lad.check_invariants()
+
+
+class TestLeanArrivals:
+    """A full run's insert, without an orphan cap, prunes the old orphans
+    before it files the evicted representative, and files it only if it
+    survives the prune; the ring's closest-newer distances are a plain list,
+    read from the row in one comprehension; a step sweeps
+    only the runs where the stamp t - N begins a histogram.  After every
+    arrival the ladder equals a twin that inserts, reads its ring and sweeps
+    as the references do (``oracles.reference_arrivals``): by snapshot,
+    store, closest-newer bits and stats."""
+
+    @staticmethod
+    def _stream(kind: str) -> list[Point]:
+        rng = np.random.default_rng(3501)
+        if kind == "adversarial":  # duplicates, whose zero distances count as none
+            return adversarial_stream(rng, 400, 2)
+        coords = generate_ball_stream(600, 2, seed=3502)
+        return list(inject_outliers((pt(i + 1, *row) for i, row in enumerate(coords)),
+                                    injection_prob(2, 50), 100.0, 3503, 2.0))
+
+    @pytest.mark.parametrize("kind", ["far", "adversarial"])
+    @pytest.mark.parametrize("mode, cap, attr_factor",
+                             [("oblivious", None, 2.0), ("oblivious", 4, 0.5),
+                              ("fixed", None, 2.0), ("fixed", 4, 0.5)])
+    def test_a_ladder_matches_the_reference_arrivals(self, monkeypatch, kind, mode, cap,
+                                                     attr_factor):
+        stream = self._stream(kind)
+        insert = GuessState._insert
+        kept = []  # per full-run insert without a cap: whether the evicted representative stayed
+
+        def watched(st, p):
+            full = st.orphan_cap is None and len(st.slots) == st.max_attractions
+            left = st.reps[0][0] if full else None
+            insert(st, p)
+            if full:
+                kept.append(left.arrival in st.orphans)
+
+        monkeypatch.setattr(GuessState, "_insert", watched)
+        params = StreamParams(50, 2, 2, 0.5, 0.5)
+        bounds = stream_extremes(stream) if mode == "fixed" else (None, None)
+
+        def build():
+            return GuessLadder(params, mode, *bounds, attr_factor=attr_factor, cap=cap)
+
+        lad, twin = build(), reference_arrivals(build())
+        for p in stream:
+            lad.process_point(p)
+            twin.process_point(p)
+            assert lad.to_snapshot() == twin.to_snapshot()
+            assert filled_store(lad) == filled_store(twin)
+            if mode == "oblivious":
+                assert type(lad._closest_newer) is list
+                assert float_bits(lad._closest_newer) == float_bits(twin._closest_newer)
+                assert lad._ring_slots.tolist() == twin._ring_slots.tolist()
+            assert lad.stats() == twin.stats()
+        lad.check_invariants()
+        twin.check_invariants()
+        assert GuessState._insert is watched  # the twin put the ladder's own insert back
+        if cap is None:  # some evicted representatives survive the prune, some do not
+            assert True in kept and False in kept
 
 
 def _hand_run(lad: GuessLadder, lo: int, hi: int, placed) -> GuessState:
