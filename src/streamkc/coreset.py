@@ -27,7 +27,8 @@ Each setting is bound once: the ladder hands the window length and its
 it through the bump memo and the point store they share, so updates take
 only the point, whose arrival is the clock.  The same machinery doubles as
 the fine-grained layer used for effective diameter estimation, by shrinking
-the attraction radius and setting ``cap`` (see ``streamkc.effdiam``).
+the attraction radius and setting ``cap``, with its runs pruned by a
+validation ladder (``GuessLadder.prune_by``; see ``streamkc.effdiam``).
 
 Guesses of one ladder mostly hold the same stream points, so a ladder keeps
 one ``_PointStore``: a coordinate row per distinct point that its states
@@ -302,6 +303,8 @@ class GuessState:
     With one, orphans are never pruned, and an insertion that leaves more
     than orphan_cap of them evicts the oldest and bumps ``evicted``, the
     count of this content's evictions, which a split's copy inherits.
+    ``floor`` is the arrival of the last ``prune``, 0 before any: the state
+    holds no attraction point or orphan older than it.
 
     At arrival t the stamp t - N expires, the first entry of at most one
     histogram, by three facts ``check_invariants`` checks: a state's stamps
@@ -322,8 +325,8 @@ class GuessState:
     """
 
     __slots__ = ("lo", "hi", "low_radius", "high_radius", "max_attractions", "orphan_cap",
-                 "window_len", "slots", "reps", "orphans", "evicted", "_first_ts", "_store",
-                 "_bumps")
+                 "window_len", "slots", "reps", "orphans", "evicted", "floor", "_first_ts",
+                 "_store", "_bumps")
 
     def __init__(self, lo: int, hi: int, max_attractions: int, window_len: int,
                  store: _PointStore, bumps: _BumpMemo, orphan_cap: Optional[int] = None):
@@ -337,6 +340,7 @@ class GuessState:
         self.reps: list[tuple[Point, Histogram]] = []  # (rep, hist) of slots[i]
         self.orphans: dict[int, tuple[Point, Histogram]] = {}  # orphan arrival -> (pt, hist)
         self.evicted = 0
+        self.floor = 0  # the last prune's floor: no attraction point or orphan is older
         self._first_ts: dict[int, int] = {}  # orphan hist first timestamp -> arrival
         self._store = store
         self._bumps = bumps
@@ -443,7 +447,50 @@ class GuessState:
         self._store.share(upper.slots, 1)
         upper.reps, upper.orphans = self.reps[:], dict(self.orphans)
         upper._first_ts, upper.evicted = dict(self._first_ts), self.evicted
+        upper.floor = self.floor
         return upper
+
+    def prune(self, floor: int, part: Optional["GuessState"] = None) -> int:
+        """Drop what is older than floor: attraction points older than it
+        leave, their representatives become orphans unless they are older
+        too, and older orphans are dropped, the rest kept in order and the
+        new ones after them.  Orphans past the cap are then evicted, oldest
+        first, as ``_insert`` evicts them.  In place, or, given part, an
+        empty state of the same ladder, into part from what the prune keeps,
+        this state unchanged.  Returns how many attraction points and
+        orphans it removed."""
+        points, slots = self._store.points, self.slots
+        stale = [a for a in self.orphans if a < floor] if self.orphans else ()
+        if part is None:
+            part, removed = self, len(stale)
+            for a in stale:
+                _, hist = self.orphans.pop(a)
+                del self._first_ts[hist[0][0]]
+            while slots and points[slots[0]].arrival < floor:
+                rep, hist = self._pop_oldest()
+                if rep.arrival >= floor:
+                    self._add_orphan(rep, hist)
+                removed += 1
+        else:
+            i = 0
+            while i < len(slots) and points[slots[i]].arrival < floor:
+                i += 1
+            part.slots = slots[i:]
+            self._store.share(part.slots, 1)
+            part.reps, part.evicted = self.reps[i:], self.evicted
+            if self.orphans:
+                part.orphans = {a: o for a, o in self.orphans.items() if a >= floor}
+                part._first_ts = {ts: a for ts, a in self._first_ts.items() if a >= floor}
+            for rep, hist in self.reps[:i]:
+                if rep.arrival >= floor:
+                    part._add_orphan(rep, hist)
+            removed = i + len(stale)
+        part.floor = floor
+        while len(part.orphans) > self.orphan_cap:
+            _, hist = part.orphans.pop(min(part.orphans))
+            del part._first_ts[hist[0][0]]
+            part.evicted += 1
+        return removed
 
     def seed(self, anchor: Optional[Point], rep: Point, hist: Histogram) -> None:
         """Initialize an empty state with rep carrying a prebuilt histogram:
@@ -489,6 +536,8 @@ class GuessState:
             raise InvariantError(f"{len(self.reps)} representatives for {n} attraction points")
         if any(attrs[i - 1].arrival >= attrs[i].arrival for i in range(1, n)):
             raise InvariantError("attraction points not in arrival order")
+        if n and attrs[0].arrival < self.floor or any(a < self.floor for a in self.orphans):
+            raise InvariantError(f"a point held is older than the run's floor {self.floor}")
         d = _block_distances(attrs, self._store.metric)
         for r0 in range(0, n - 1, _BLOCK):
             rows = slice(r0, min(r0 + _BLOCK, n - 1))
@@ -564,7 +613,8 @@ class GuessLadder:
     cap sets each state's capacity policy.  None keeps k + z + 1 attraction
     points and prunes orphans that can no longer reach a coreset; an integer
     c keeps at most c attraction points and at most c orphans, pruning none
-    (the effective-diameter fine ladder).
+    on its own (the effective-diameter fine ladder, which the validation
+    ladder prunes: ``prune_by``).
 
     The ladder's states keep their attraction points in one ``_PointStore``
     with its recent ring and first point, held only under arrival 1.  Each recent
@@ -577,8 +627,9 @@ class GuessLadder:
     ``_runs`` cuts the grid, in exponent order, into runs; the store counts
     one reference per slot of each.  Guess e took ``_evictions[e]`` plus its
     run's ``evicted`` evictions, so a step that evicts touches no per-guess
-    entry.  Only ``_step`` splits runs, for an arrival or a replayed point
-    (``_replayed_runs``); both, and a restore, then merge them.
+    entry.  ``_step`` splits runs, for an arrival or a replayed point
+    (``_replayed_runs``), and so does a prune (``prune_by``); an arrival's
+    step, a replay and a restore then merge them.
     """
 
     def __init__(
@@ -890,7 +941,85 @@ class GuessLadder:
                     for e in range(high.lo, high.hi + 1):
                         self._evictions[e] += high.evicted - low.evicted
                 low.hi, low.high_radius = high.hi, high.high_radius
+                low.floor = max(low.floor, high.floor)
                 del runs[i]
+
+    def prune_by(self, guide: "GuessLadder") -> int:
+        """Prune the runs by guide's full runs, those holding more than its
+        k + z attraction points, which ``qualifies`` refuses: each prunes
+        the guesses it shares with a run at its oldest attraction point's
+        arrival, its floor (``GuessState.prune``).  Called on a ladder with
+        a cap, the fine one, before it takes an arrival; ``streamkc.effdiam``
+        says why it keeps every guess a query can select as it reads.
+
+        One pass over the runs that share guesses with a full guide run: a
+        run whose floor does not move is skipped, one within a full run is
+        pruned in place, and any other is cut where the floors differ
+        (``_cut``).  The arrival's step merges runs whose contents became
+        equal.  Returns how many attraction points and orphans left, counted
+        once per guess."""
+        if self.cap is None:
+            raise ValueError("only a ladder with a cap keeps what a prune removes")
+        points, full = guide._store.points, guide.params.k + guide.params.z
+        runs, removed, i = self._runs, 0, 0
+        for j, g in enumerate(guide._runs):
+            if len(g.slots) <= full:
+                continue
+            a = points[g.slots[0]].arrival
+            while i < len(runs) and runs[i].hi < g.lo:
+                i += 1
+            while i < len(runs) and runs[i].lo <= g.hi:
+                st = runs[i]
+                if st.floor < a and g.lo <= st.lo and st.hi <= g.hi:
+                    removed += st.prune(a) * (st.hi - st.lo + 1)
+                elif st.floor < a:  # cut for every guide run it meets from g on
+                    parts, got = self._cut(st, guide, j)
+                    runs[i : i + 1] = parts
+                    i += len(parts) - 1
+                    removed += got
+                if runs[i].hi > g.hi:  # it meets the next guide run too
+                    break
+                i += 1
+        return removed
+
+    def _cut(self, st: GuessState, guide: "GuessLadder", j: int) -> tuple[list[GuessState], int]:
+        """st cut into parts where the floors of the full guide runs it
+        shares guesses with, from guide run j on (none before passes st's
+        floor), differ, each pruned at its floor, or kept where none passes
+        st's; and how many attraction points and orphans left, once per
+        guess.  The first kept part, else the last part, keeps st; the
+        others are built from what they keep, before st is pruned."""
+        points, full = guide._store.points, guide.params.k + guide.params.z
+        pieces, e = [], st.lo  # (lo, hi, floor) of st's guesses, 0 where st stands
+        for g in guide._runs[j:]:
+            if g.lo > st.hi:
+                break
+            if g.hi < st.lo or len(g.slots) <= full or points[g.slots[0]].arrival <= st.floor:
+                continue
+            a = points[g.slots[0]].arrival
+            lo, hi = max(g.lo, st.lo), min(g.hi, st.hi)
+            if lo > e:
+                pieces.append((e, lo - 1, 0))
+            elif pieces and pieces[-1][2] == a:
+                lo = pieces.pop()[0]
+            pieces.append((lo, hi, a))
+            e = hi + 1
+        if e <= st.hi:
+            pieces.append((e, st.hi, 0))
+        floors = [a for _, _, a in pieces]
+        own = floors.index(0) if 0 in floors else len(pieces) - 1
+        parts, removed = [], 0
+        for n, (lo, hi, a) in enumerate(pieces):
+            if n == own:
+                parts.append(st)
+                continue
+            parts.append(self._new_state(lo, hi))
+            removed += st.prune(a or st.floor, parts[-1]) * (hi - lo + 1)
+        lo, hi, a = pieces[own]
+        if a:
+            removed += st.prune(a) * (hi - lo + 1)
+        self._span(st, lo, hi)
+        return parts, removed
 
     def maintain_oblivious_ladder(self, p: Point, estimates: tuple) -> None:
         """Take on the distance estimates and grid bounds ``_estimates``
@@ -1303,6 +1432,9 @@ class GuessLadder:
                 raise InvariantError("the bootstrapped field disagrees with the states")
             ladder.warmup.extend(point_in(q, "a warmup point") for q in ob["warmup"])
             first = ob["first_point"]  # named here: the row reads below would fail unnamed
+            if first is not None and (type(first) is not list or not first):
+                raise InvariantError(f"the first point {first!r} is no [int arrival, "
+                                     "coordinates] pair")
             got, want = None if first is None else first[0], 1 if ladder.t else None
             if got != want or type(got) is not type(want):  # True == 1.0 == 1
                 raise InvariantError(f"the first point's arrival is {got!r} at clock {ladder.t!r}: "

@@ -16,6 +16,49 @@ no longer fits the table's row capacity (at most twice the coreset), and
 reads each level from it by recomputing and sorting only the pairs of the
 one bucket that holds the level (``coreset_effective_diameter``).
 Distances are Euclidean throughout, with the bits of the exact oracle's.
+
+The validation ladder prunes the fine one (``GuessLadder.prune_by``).  After
+the validation ladder takes arrival p and before the fine ladder does, each
+full validation guess, one that holds k + z + 1 = 2 attraction points,
+prunes its fine guess at its floor a, the arrival of its oldest attraction
+point: fine attraction points older than a leave, their representatives
+become orphans unless they are older than a too, and orphans older than a
+are dropped.  Every query still selects the guess it would without the
+prune and reads there a coreset with the same guarantees:
+
+* A full guess stays full until a expires.  An insertion into it evicts its
+  oldest attraction point, so it stays full and its oldest arrival never
+  falls; it loses a point only when a sweep expires its oldest, at an
+  arrival t >= a + N.  Until then ``GuessLadder.qualifies`` refuses it, so
+  no query selects it, and the validation ladder, which the prune leaves
+  alone, selects every guess it would without it.
+* Whatever the prune drops is older than a: an attraction point, which is
+  no coreset entry, or a representative or orphan, whose histogram holds
+  stamps no later than its own arrival.  By the time the guess can be
+  selected again it has all left the window (arrivals up to t - N).  A
+  representative no older than a stays, an orphan with its histogram, as an
+  eviction files it, so every window point keeps a proxy within twice the
+  fine attraction radius, fine_precision * guess, and is counted in one
+  histogram, within (1 + lam).  Points that a pruned attraction point would
+  have captured are captured by another or become attraction points, under
+  the same bounds.
+* Oblivious retargets rebuild the same guesses in both ladders.  A guess
+  added below the grid is replayed from the same recent points in both,
+  with nothing pruned; one added above is seeded in the validation ladder
+  with at most one attraction point, so it is not full and prunes nothing
+  until arrivals fill it; a dropped guess vanishes from both with its
+  state, and is rebuilt from scratch if it returns.  Each prune's argument
+  holds from its own arrival on.  A prune reads the fine grid before the
+  fine ladder retargets for p: a guess the validation ladder has just
+  dropped is dropped from the fine one next, and one it has just added is
+  pruned from the next arrival on.
+* The prune runs before the fine ladder's step, so it never orphans p,
+  which becomes the newest representative of every fine guess, as
+  ``GuessLadder.newest`` requires.
+
+A prune is no eviction: it leaves each guess's evictions, and so
+``overflowed``, as they were, except that orphans it files past the cap are
+evicted, oldest first, and counted, as an insertion's are.
 """
 
 from __future__ import annotations
@@ -378,7 +421,9 @@ class FineCoresetState:
     weight, so it keeps each histogram's first and last entries alone
     (``streamkc.histogram``).  The fine ladder stores, per guess, attraction
     points pairwise farther than (fine_precision / 2) * guess, so its
-    coreset has proxy error at most fine_precision * guess.  Single-writer.
+    coreset has proxy error at most fine_precision * guess, and keeps
+    nothing older than its full validation guess's oldest attraction point
+    (the prune, in the module docstring).  Single-writer.
 
     Between queries the state keeps one ``PairMassTable`` of the last
     query's fine coreset, and the next query updates it by the entries that
@@ -414,13 +459,18 @@ class FineCoresetState:
         )
         self._pairs = PairMassTable()
         self._last_size = 0  # the last query's coreset size
+        self._pruned = 0  # fine attraction points and orphans pruned, per guess
 
     @property
     def t(self) -> int:
         return self.validation.t
 
     def process_point(self, p: Point) -> None:
+        """Feed p to the validation ladder, prune the fine ladder by it
+        (``GuessLadder.prune_by``), then feed p to the fine ladder.  The
+        ladders refuse the same points, so a refused one changes neither."""
         self.validation.process_point(p)
+        self._pruned += self.fine.prune_by(self.validation)
         self.fine.process_point(p)
 
     def fine_coreset(self) -> tuple[WeightedCoreset, bool]:
@@ -462,12 +512,16 @@ class FineCoresetState:
         """Plain integers or None, counted on call or kept by the queries:
         each ladder's ``GuessLadder.stats()`` (a query selects its guess on
         the validation ladder; the fine ladder's ``selected`` is None); the
-        last query's coreset size; the pair table's rows added and removed by
-        the last query, its refills, and its arrays' bytes."""
+        fine attraction points and orphans the prune removed since the state
+        was built or restored, counted once per guess
+        (``GuessLadder.prune_by``); the last query's coreset size; the pair
+        table's rows added and removed by the last query, its refills, and
+        its arrays' bytes."""
         pairs = self._pairs
         return {
             "validation": self.validation.stats(),
             "fine": self.fine.stats(),
+            "pruned": self._pruned,
             "coreset_size": self._last_size,
             "rows_added": pairs.added,
             "rows_removed": pairs.removed,

@@ -735,3 +735,29 @@ def weighted(entries) -> WeightedCoreset:
 def entries_of(coreset: WeightedCoreset) -> tuple[tuple[Point, int], ...]:
     """The coreset's (point, weight) entries, in order, with int weights."""
     return tuple(zip(coreset.points, coreset.weights.tolist()))
+
+
+def unpruned(state):
+    """The effective-diameter state, changed so that each arrival feeds its
+    validation ladder and then its fine ladder and nothing else, skipping
+    the prune of the fine ladder by the validation ladder
+    (``GuessLadder.prune_by``): the twin a pruned state is compared with."""
+
+    def process_point(p: Point) -> None:
+        state.validation.process_point(p)
+        state.fine.process_point(p)
+
+    state.process_point = process_point
+    return state
+
+
+def prune_stream(rng: np.random.Generator, n: int, dim: int) -> list[Point]:
+    """A small test stream for the prune: gaussian blobs with sporadic far
+    points (``make_stream``), a tenth of the points replaced by copies of
+    an earlier point's coordinates."""
+    pts = make_stream(rng, n, dim)
+    coords = [p.coords for p in pts]
+    for i in range(1, n):
+        if rng.random() < 0.1:
+            coords[i] = coords[int(rng.integers(i))]
+    return [Point(i + 1, c) for i, c in enumerate(coords)]

@@ -1,6 +1,6 @@
 """tools/arrival_split.py: a short split of both default recipes, at a
-shorter window, reports every column, fixed mode no oblivious upkeep, and
-puts every timed method back."""
+shorter window, reports every column, fixed mode no oblivious upkeep, the
+sliding engine no prune, and puts every timed method back."""
 
 import importlib.util
 import json
@@ -34,6 +34,8 @@ def test_a_short_split_of_both_recipes(capsys):
         assert math.isclose(sum(cols[part] for part in parts) + cols["other"], cols["timed"])
     assert got["sliding-k10-n10k"]["estimates"] > 0 and got["sliding-k10-n10k"]["upkeep"] > 0
     assert got["eff-fixed-n1k"]["estimates"] == got["eff-fixed-n1k"]["upkeep"] == 0
+    # only an effective-diameter engine prunes its fine ladder
+    assert got["eff-fixed-n1k"]["prune"] > 0 and got["sliding-k10-n10k"]["prune"] == 0
     assert {key: getattr(coreset, key[0]).__dict__[key[1]] for key in methods} == methods
 
 

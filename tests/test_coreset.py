@@ -61,6 +61,53 @@ def step(st, p, radius):
 
 
 class TestGuessState:
+    @staticmethod
+    def _three_spots(orphan_cap):
+        """A lone state of three attraction points, at 0, 10 and 20, the
+        first two of which captured a point at their spot: attractions 1, 2,
+        5 with representatives 3, 4, 5."""
+        st = lone_state(max_attractions=3, window_len=50, orphan_cap=orphan_cap)
+        for i, x in enumerate((0.0, 10.0, 0.0, 10.0, 20.0)):
+            step(st, pt(i + 1, x), 1.0)
+        assert ([a.arrival for a in st.attractions], [r.arrival for r, _ in st.reps]) == (
+            [1, 2, 5], [3, 4, 5])
+        return st
+
+    def test_a_prune_orphans_the_newer_representatives(self):
+        st = self._three_spots(orphan_cap=3)
+        step(st, pt(6, 10.0), 1.0)  # representative 6 for attraction point 2
+        assert st.prune(4) == 2  # attraction points 1 and 2 leave
+        assert [a.arrival for a in st.attractions] == [5]
+        assert list(st.orphans) == [6]  # 3 is older than the floor, 6 is not
+        assert (st.evicted, st.floor) == (0, 4)
+        st.check_invariants(6, 1.0)
+        assert st.prune(6) == 1  # attraction point 5 and its representative leave
+        assert (st.attractions, list(st.orphans), st.floor) == ([], [6], 6)
+        st.check_invariants(6, 1.0)
+
+    def test_a_carved_part_is_the_prune_in_place(self):
+        st = self._three_spots(orphan_cap=3)
+        before = st.to_jsonable()
+        part = GuessState(0, 0, 3, 50, st._store, st._bumps, 3)
+        assert st.prune(4, part) == 2
+        assert st.to_jsonable() == before and st.floor == 0
+        assert st.prune(4) == 2
+        assert part.to_jsonable() == st.to_jsonable() and part.floor == st.floor == 4
+        assert st._store.refs[st.slots[0]] == 2  # both hold attraction point 5
+
+    def test_a_prune_past_the_orphan_cap_evicts_the_oldest(self):
+        st = self._three_spots(orphan_cap=1)
+        assert st.prune(3) == 2
+        assert (list(st.orphans), st.evicted) == ([4], 1)
+        st.check_invariants(5, 1.0)
+
+    def test_a_point_older_than_the_floor_fails_the_state_check(self):
+        st = self._three_spots(orphan_cap=3)
+        st.prune(2)
+        st.floor = 3
+        with pytest.raises(InvariantError, match="older than the run's floor 3"):
+            st.check_invariants(5, 1.0)
+
     def test_two_far_points_both_attract(self):
         st = lone_state(max_attractions=5, window_len=100)
         step(st, pt(1, 0), 2.0)
@@ -1206,6 +1253,16 @@ def _write_the_last_recent_point_as(name: str, entry):
     return corrupt
 
 
+def _write_the_first_point_as(name: str, entry):
+    """A corruption that writes entry in place of the first point."""
+
+    def corrupt(snap, t, window_len):
+        snap["oblivious"]["first_point"] = entry
+
+    corrupt.__name__ = f"_write_the_first_point_as_{name}"
+    return corrupt
+
+
 def _give_the_first_warmup_point_a_second_coordinate(snap, t, window_len):
     snap["oblivious"]["warmup"][0][1].append(0.0)  # the warm-up ladder's stream is 1-d
 
@@ -1259,6 +1316,10 @@ _PINNED_SNAPSHOTS = [
           ("an_empty_list", [], "[]"), ("an_int", 7, "7"), ("null", None, "None"),
           ("a_dict", {"a": 1}, "{'a': 1}"), ("int_coordinates", [80, 7], "of arrival 80"),
           ("null_coordinates", [80, None], "of arrival 80"))),
+    *((_mid_stream_ladder, _write_the_first_point_as(name, entry),
+       f"the first point {said} is no [int arrival, coordinates] pair")
+      for name, entry, said in (
+          ("an_empty_list", [], "[]"), ("an_int", 7, "7"), ("a_dict", {"a": 1}, "{'a': 1}"))),
     (_mid_stream_ladder, _write_the_last_recent_point_as("str_coordinates", [80, ["a", "b"]]),
      "a recent point of arrival 80 has a coordinate 'a' that is no int or float"),
     (_mid_stream_ladder, _write_the_last_recent_point_as("bool_coordinates", [80, [0.5, True]]),

@@ -23,10 +23,14 @@ from streamkc.effdiam import (
 from streamkc.experiment import generate_ball_stream
 from oracles import (
     LadderShadow,
+    active_window,
+    coverage_radius,
     entries_of,
+    prune_stream,
     reference_coreset_effective_diameter,
     refusals,
     stream_extremes,
+    unpruned,
     weighted,
 )
 
@@ -494,7 +498,9 @@ class TestPairMassTable:
         assert state._pairs.added + state._pairs.removed > 0
         for f, a in zip(fields, kept):
             assert not np.shares_memory(getattr(table, f), getattr(state._pairs, f))
-            assert np.array_equal(a, getattr(table, f))
+            # bit for bit: free coordinate rows hold whatever np.empty gave,
+            # which may read as NaN, and NaN never equals itself
+            assert a.tobytes() == getattr(table, f).tobytes()
         assert coreset_effective_diameter(table, cfg.alpha, 200) == want
 
     @pytest.mark.parametrize(
@@ -812,13 +818,33 @@ class TestFineState:
         assert est.saturated and est.overflowed
 
     def test_overflow_alone(self):
-        # three far points overflow the two-point cap; once they expire, the
-        # window's points all sit at one spot and keep their full weight
+        # three far points would overflow the two-point cap at every guess,
+        # but at the guesses where the validation ladder evicts the first
+        # for the third, the prune drops it from the fine guess before the
+        # third arrives; the cap binds only at the guesses above, whose
+        # validation guess keeps the first point, and once the window's
+        # points all sit at one spot the query selects a guess below them
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, fine_cap=2)
         state = FineCoresetState(cfg, window_len=5, mode="fixed", d_min=0.05, d_max=30.0)
         for i, x in enumerate([0.0, 10.0, 20.0] + [20.0] * 7):
             state.process_point(Point(i + 1, (x,)))
         est = state.estimate()
+        assert (est.overflowed, est.short_lower, est.short_upper) == (False, False, False)
+        assert state.stats()["fine"]["evictions"] > 0 and state.stats()["pruned"] > 0
+        assert state.validation.selected_exponent() < min(
+            e for e, guess in state.fine.states.items() if guess.evictions)
+
+    def test_overflow_where_the_validation_guess_is_not_full(self):
+        # four points 0.3 apart lie within twice the selected guess of one
+        # another, so its validation guess holds one point and prunes
+        # nothing, but farther apart than its fine radius: the cap binds
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5, fine_cap=2)
+        state = FineCoresetState(cfg, window_len=5, mode="fixed", d_min=0.05, d_max=30.0)
+        for i, x in enumerate([0.0, 0.3, 0.6, 0.9, 0.6, 0.3]):
+            state.process_point(Point(i + 1, (x,)))
+        est = state.estimate()
+        e = state.validation.selected_exponent()
+        assert len(state.validation._run_of(e).slots) == 1
         assert (est.overflowed, est.short_lower, est.short_upper) == (True, False, False)
         assert est.saturated
 
@@ -939,6 +965,119 @@ class TestFineState:
         mid_exact, _ = coreset_effective_diameter(exact_pairs, cfg.alpha, wsize)
         hi_est, _ = coreset_effective_diameter(pairs, cfg.alpha, wsize)
         assert lo_est <= mid_exact <= hi_est
+
+
+def _guess_entries(ladder) -> dict:
+    """Exponent -> the guess's snapshot entry."""
+    return {entry["exponent"]: entry for entry in ladder.to_snapshot()["states"]}
+
+
+def _prunable(fine_held: dict, validation) -> int:
+    """How many of the attraction points and orphans fine_held (``_held``
+    of the fine ladder) lists at each guess lie below the guess's floor, the
+    oldest attraction point of a full guess of the validation ladder, summed
+    over the guesses of both: what the prune removes, counted by hand."""
+    full = validation.params.k + validation.params.z
+    floors = {e: attrs[0] for e, (attrs, _, _) in _held(validation).items() if len(attrs) > full}
+    return sum(sum(a < floors[e] for a in attrs + orphans)
+               for e, (attrs, _, orphans) in fine_held.items() if e in floors)
+
+
+class TestPrune:
+    """A state whose fine ladder is pruned by its validation ladder, fed
+    beside a twin that skips the prune (``oracles.unpruned``), on small
+    seeded windows with far points and duplicates."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "oblivious"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_prune_keeps_every_query_as_the_twin_answers_it(self, mode, seed):
+        rng = np.random.default_rng(3700 + seed)
+        pts = prune_stream(rng, 240, 2)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.05, lam=0.5, beta=0.5, fine_cap=256)
+        bounds = (0.01, 1e3) if mode == "fixed" else ()
+        state = FineCoresetState(cfg, 40, mode, *bounds)
+        twin = unpruned(FineCoresetState(cfg, 40, mode, *bounds))
+        restored = None
+        checked = pruned = 0
+        for p in pts:
+            before = _held(state.fine)
+            state.process_point(p)
+            twin.process_point(p)
+            pruned += _prunable(before, state.validation)
+            assert state.stats()["pruned"] == pruned
+            if restored is not None:
+                restored.process_point(p)
+            if p.arrival % 5 or not state.validation.bootstrapped:
+                continue
+            state.fine.check_invariants()
+            # the validation ladder is untouched, and so is every fine guess
+            # the prune never reached (floor 0)
+            assert state.validation.to_snapshot() == twin.validation.to_snapshot()
+            e = state.validation.selected_exponent()
+            assert e == twin.validation.selected_exponent()
+            entries, twins = _guess_entries(state.fine), _guess_entries(twin.fine)
+            for x in state.fine.exponents():
+                if state.fine._run_of(x).floor == 0:
+                    assert entries[x] == twins[x]
+            window = active_window(pts, p.arrival, 40)
+            exact = exact_effective_diameter(window, cfg.alpha)
+            promised = exact >= cfg.eta * exact_effective_diameter(window, 1.0)
+            budget = cfg.fine_precision * state.validation.guess_value(e) * (1 + 1e-12)
+            w = len(window.points)
+            for engine in (twin, state):
+                coreset, overflowed = engine.fine_coreset()
+                assert not overflowed
+                kept = (coverage_radius(window, coreset.points) <= budget,
+                        w / (1 + cfg.lam) <= coreset.total_weight() <= w)
+                est = engine.estimate()
+                if engine is twin:
+                    # the twin misses these only where an oblivious
+                    # retarget replayed the recent points alone, and
+                    # flags the estimate
+                    assert all(kept) or (mode == "oblivious" and est.saturated)
+                    twin_kept = kept
+                else:
+                    assert all(k or not t for k, t in zip(kept, twin_kept))
+                if promised and not est.saturated:
+                    assert est.lower <= exact <= est.upper
+                    checked += 1
+            if p.arrival == 120:
+                restored = FineCoresetState.from_snapshot(
+                    json.loads(json.dumps(state.to_snapshot())))
+                assert restored.stats()["pruned"] == 0
+            elif restored is not None:
+                assert restored.estimate() == state.estimate()
+                assert restored.to_snapshot() == state.to_snapshot()
+        assert checked > 40 and pruned > 0
+
+    def test_pruned_counts_nothing_while_no_validation_guess_is_full(self):
+        # one spot: every guess of the validation ladder holds one point
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5)
+        state = FineCoresetState(cfg, window_len=10, mode="fixed", d_min=0.05, d_max=30.0)
+        assert state.stats()["pruned"] == 0
+        for i in range(30):
+            state.process_point(Point(i + 1, (2.0, 2.0)))
+        assert max(len(st.slots) for st in state.validation._runs) == 1
+        assert type(state.stats()["pruned"]) is int and state.stats()["pruned"] == 0
+
+    def test_pruned_counts_each_guess_of_a_run(self):
+        # three points 10 apart: where the validation guesses evict the
+        # first for the third, their floor is the second, and the prune
+        # drops the first from each of those fine guesses, one per guess
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5)
+        state = FineCoresetState(cfg, window_len=10, mode="fixed", d_min=0.05, d_max=30.0)
+        for i, x in enumerate((0.0, 10.0, 20.0)):
+            state.process_point(Point(i + 1, (x,)))
+        floors = {e: attrs[0] for e, (attrs, _, _) in _held(state.validation).items()
+                  if len(attrs) == 2}
+        moved = [e for e, a in floors.items() if a == 2]
+        assert state.stats()["pruned"] == len(moved) > 1 and len(floors) > len(moved)
+        assert all(_held(state.fine)[e][0] == [2, 3] for e in moved)
+
+    def test_a_ladder_without_a_cap_refuses_a_prune(self):
+        lad = GuessLadder(StreamParams(10, 1, 0, 0.5, 0.5), "fixed", 0.05, 30.0)
+        with pytest.raises(ValueError, match="only a ladder with a cap"):
+            lad.prune_by(lad)
 
 
 def _held(ladder):

@@ -13,6 +13,8 @@ the median over the runs of the microseconds per arrival of:
 - ``estimates``: ``GuessLadder._estimates``, the ``d_t``/``D_t`` upkeep;
 - ``upkeep``: ``GuessLadder.maintain_oblivious_ladder``, the ring and the
   retargets with their replays;
+- ``prune``: ``GuessLadder.prune_by``, an effective-diameter engine's
+  prune of the fine ladder by the validation ladder, with its cuts;
 - ``sweep``: ``GuessState.sweep``;
 - ``probe``: ``GuessLadder._hits``, split probes included;
 - ``steps``: ``GuessState.process_point``, the run steps with their inserts
@@ -53,6 +55,7 @@ PARTS = (
     ("row", "_PointStore", "rows"),
     ("estimates", "GuessLadder", "_estimates"),
     ("upkeep", "GuessLadder", "maintain_oblivious_ladder"),
+    ("prune", "GuessLadder", "prune_by"),
     ("sweep", "GuessState", "sweep"),
     ("probe", "GuessLadder", "_hits"),
     ("steps", "GuessState", "process_point"),
