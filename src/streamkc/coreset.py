@@ -450,46 +450,29 @@ class GuessState:
         upper.floor = self.floor
         return upper
 
-    def prune(self, floor: int, part: Optional["GuessState"] = None) -> int:
+    def prune(self, floor: int) -> int:
         """Drop what is older than floor: attraction points older than it
         leave, their representatives become orphans unless they are older
         too, and older orphans are dropped, the rest kept in order and the
         new ones after them.  Orphans past the cap are then evicted, oldest
-        first, as ``_insert`` evicts them.  In place, or, given part, an
-        empty state of the same ladder, into part from what the prune keeps,
-        this state unchanged.  Returns how many attraction points and
-        orphans it removed."""
+        first, as ``_insert`` evicts them.  Returns how many attraction
+        points and orphans it removed."""
         points, slots = self._store.points, self.slots
         stale = [a for a in self.orphans if a < floor] if self.orphans else ()
-        if part is None:
-            part, removed = self, len(stale)
-            for a in stale:
-                _, hist = self.orphans.pop(a)
-                del self._first_ts[hist[0][0]]
-            while slots and points[slots[0]].arrival < floor:
-                rep, hist = self._pop_oldest()
-                if rep.arrival >= floor:
-                    self._add_orphan(rep, hist)
-                removed += 1
-        else:
-            i = 0
-            while i < len(slots) and points[slots[i]].arrival < floor:
-                i += 1
-            part.slots = slots[i:]
-            self._store.share(part.slots, 1)
-            part.reps, part.evicted = self.reps[i:], self.evicted
-            if self.orphans:
-                part.orphans = {a: o for a, o in self.orphans.items() if a >= floor}
-                part._first_ts = {ts: a for ts, a in self._first_ts.items() if a >= floor}
-            for rep, hist in self.reps[:i]:
-                if rep.arrival >= floor:
-                    part._add_orphan(rep, hist)
-            removed = i + len(stale)
-        part.floor = floor
-        while len(part.orphans) > self.orphan_cap:
-            _, hist = part.orphans.pop(min(part.orphans))
-            del part._first_ts[hist[0][0]]
-            part.evicted += 1
+        removed = len(stale)
+        for a in stale:
+            _, hist = self.orphans.pop(a)
+            del self._first_ts[hist[0][0]]
+        while slots and points[slots[0]].arrival < floor:
+            rep, hist = self._pop_oldest()
+            if rep.arrival >= floor:
+                self._add_orphan(rep, hist)
+            removed += 1
+        self.floor = floor
+        while len(self.orphans) > self.orphan_cap:
+            _, hist = self.orphans.pop(min(self.orphans))
+            del self._first_ts[hist[0][0]]
+            self.evicted += 1
         return removed
 
     def seed(self, anchor: Optional[Point], rep: Point, hist: Histogram) -> None:
@@ -987,8 +970,8 @@ class GuessLadder:
         shares guesses with, from guide run j on (none before passes st's
         floor), differ, each pruned at its floor, or kept where none passes
         st's; and how many attraction points and orphans left, once per
-        guess.  The first kept part, else the last part, keeps st; the
-        others are built from what they keep, before st is pruned."""
+        guess.  st keeps the lowest part, and each other part is split
+        off (``GuessState.split``) before it is pruned in place."""
         points, full = guide._store.points, guide.params.k + guide.params.z
         pieces, e = [], st.lo  # (lo, hi, floor) of st's guesses, 0 where st stands
         for g in guide._runs[j:]:
@@ -1006,19 +989,13 @@ class GuessLadder:
             e = hi + 1
         if e <= st.hi:
             pieces.append((e, st.hi, 0))
-        floors = [a for _, _, a in pieces]
-        own = floors.index(0) if 0 in floors else len(pieces) - 1
-        parts, removed = [], 0
-        for n, (lo, hi, a) in enumerate(pieces):
-            if n == own:
-                parts.append(st)
-                continue
-            parts.append(self._new_state(lo, hi))
-            removed += st.prune(a or st.floor, parts[-1]) * (hi - lo + 1)
-        lo, hi, a = pieces[own]
-        if a:
-            removed += st.prune(a) * (hi - lo + 1)
-        self._span(st, lo, hi)
+        parts, removed = [st], 0
+        for lo, _, _ in pieces[1:]:
+            parts.append(parts[-1].split(lo))
+        for part, (lo, hi, a) in zip(parts, pieces):
+            self._span(part, lo, hi)
+            if a:
+                removed += part.prune(a) * (hi - lo + 1)
         return parts, removed
 
     def maintain_oblivious_ladder(self, p: Point, estimates: tuple) -> None:

@@ -24,7 +24,8 @@ prunes its fine guess at its floor a, the arrival of its oldest attraction
 point: fine attraction points older than a leave, their representatives
 become orphans unless they are older than a too, and orphans older than a
 are dropped.  Every query still selects the guess it would without the
-prune and reads there a coreset with the same guarantees:
+prune and, where that guess never overflowed, reads there a coreset with
+the same guarantees:
 
 * A full guess stays full until a expires.  An insertion into it evicts its
   oldest attraction point, so it stays full and its oldest arrival never
@@ -56,9 +57,13 @@ prune and reads there a coreset with the same guarantees:
   which becomes the newest representative of every fine guess, as
   ``GuessLadder.newest`` requires.
 
-A prune is no eviction: it leaves each guess's evictions, and so
-``overflowed``, as they were, except that orphans it files past the cap are
-evicted, oldest first, and counted, as an insertion's are.
+A prune is no eviction: it evicts only orphans it files past the cap,
+oldest first, and counts them as an insertion's are.  At a binding cap it
+can still change later evictions, and so ``overflowed``: a pruned guess can
+hold more attraction points than the unpruned one (points a pruned
+attraction point would have captured attract on their own), so its
+insertions can evict where the unpruned ladder's do not, and it can hold
+fewer, so the reverse happens too.
 """
 
 from __future__ import annotations

@@ -85,16 +85,6 @@ class TestGuessState:
         assert (st.attractions, list(st.orphans), st.floor) == ([], [6], 6)
         st.check_invariants(6, 1.0)
 
-    def test_a_carved_part_is_the_prune_in_place(self):
-        st = self._three_spots(orphan_cap=3)
-        before = st.to_jsonable()
-        part = GuessState(0, 0, 3, 50, st._store, st._bumps, 3)
-        assert st.prune(4, part) == 2
-        assert st.to_jsonable() == before and st.floor == 0
-        assert st.prune(4) == 2
-        assert part.to_jsonable() == st.to_jsonable() and part.floor == st.floor == 4
-        assert st._store.refs[st.slots[0]] == 2  # both hold attraction point 5
-
     def test_a_prune_past_the_orphan_cap_evicts_the_oldest(self):
         st = self._three_spots(orphan_cap=1)
         assert st.prune(3) == 2

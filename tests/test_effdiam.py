@@ -1050,6 +1050,41 @@ class TestPrune:
                 assert restored.to_snapshot() == state.to_snapshot()
         assert checked > 40 and pruned > 0
 
+    @pytest.mark.parametrize("seed, cap, alone", [(4, 32, "pruned"), (3, 36, "twin")])
+    def test_a_binding_cap_can_overflow_either_ladder_alone(self, seed, cap, alone):
+        # a pruned guess can hold more attraction points than the twin's
+        # (points a pruned one would have captured attract on their own), so
+        # at a binding cap its insertions can evict where the twin's do not;
+        # and it can hold fewer, so the twin can overflow alone.  Wherever
+        # the pruned state does not overflow, its coreset keeps the bounds
+        rng = np.random.default_rng(3700 + seed)
+        pts = prune_stream(rng, 240, 2)
+        cfg = EffDiameterConfig(alpha=0.9, eps=0.9, eta=0.05, lam=0.5, beta=0.5, fine_cap=cap)
+        state = FineCoresetState(cfg, 40, "fixed", 0.01, 1e3)
+        twin = unpruned(FineCoresetState(cfg, 40, "fixed", 0.01, 1e3))
+        apart = {"pruned": 0, "twin": 0}
+        kept = 0
+        for p in pts:
+            state.process_point(p)
+            twin.process_point(p)
+            if not state.validation.bootstrapped:
+                continue
+            e = state.validation.selected_exponent()
+            assert e == twin.validation.selected_exponent()
+            coreset, overflowed = state.fine_coreset()
+            twin_overflowed = twin.fine_coreset()[1]
+            if overflowed != twin_overflowed:
+                apart["pruned" if overflowed else "twin"] += 1
+            if overflowed:
+                continue
+            window = active_window(pts, p.arrival, 40)
+            w = len(window.points)
+            budget = cfg.fine_precision * state.validation.guess_value(e) * (1 + 1e-12)
+            assert coverage_radius(window, coreset.points) <= budget
+            assert w / (1 + cfg.lam) <= coreset.total_weight() <= w
+            kept += 1
+        assert apart[alone] > 0 and kept > 40
+
     def test_pruned_counts_nothing_while_no_validation_guess_is_full(self):
         # one spot: every guess of the validation ladder holds one point
         cfg = EffDiameterConfig(alpha=0.9, eps=0.5, eta=0.5)
