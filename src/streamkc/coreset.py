@@ -28,7 +28,9 @@ it through the bump memo and the point store they share, so updates take
 only the point, whose arrival is the clock.  The same machinery doubles as
 the fine-grained layer used for effective diameter estimation, by shrinking
 the attraction radius and setting ``cap``, with its runs pruned by a
-validation ladder (``GuessLadder.prune_by``; see ``streamkc.effdiam``).
+validation ladder (``GuessLadder.prune_by``; see ``streamkc.effdiam``).  A
+full run without a cap prunes itself by that same rule (``GuessState.prune``),
+and a prune cuts a run by the splitter a step uses (``GuessLadder._split``).
 
 Guesses of one ladder mostly hold the same stream points, so a ladder keeps
 one ``_PointStore``: a coordinate row per distinct point that its states
@@ -297,14 +299,15 @@ class GuessState:
 
     max_attractions caps the attraction set; inserting beyond it evicts the
     oldest attraction point (its representative becomes an orphan) and bumps
-    ``evicted``.  Without an orphan_cap, any orphan older than the oldest
-    attraction point is discarded whenever the attraction set exceeds
-    ``max_attractions - 1`` (such orphans can never reach a usable coreset).
-    With one, orphans are never pruned, and an insertion that leaves more
-    than orphan_cap of them evicts the oldest and bumps ``evicted``, the
-    count of this content's evictions, which a split's copy inherits.
-    ``floor`` is the arrival of the last ``prune``, 0 before any: the state
-    holds no attraction point or orphan older than it.
+    ``evicted``.  Without an orphan_cap, a full state, one that holds
+    max_attractions, prunes itself at its oldest attraction point
+    (``prune``), by the rule a full validation guess applies to its fine
+    guess: older orphans can never reach a usable coreset.  With one,
+    orphans are pruned only by a ``prune`` call, and an insertion or prune
+    that leaves more than orphan_cap of them evicts the oldest and bumps
+    ``evicted``, the count of this content's evictions, which a split's
+    copy inherits.  ``floor`` is the arrival of the last ``prune``, 0
+    before any: the state holds no attraction point or orphan older than it.
 
     At arrival t the stamp t - N expires, the first entry of at most one
     histogram, by three facts ``check_invariants`` checks: a state's stamps
@@ -397,36 +400,21 @@ class GuessState:
         return self.reps.pop(0)
 
     def _insert(self, p: Point) -> None:
-        """Make p an attraction point.  Without an orphan_cap, a run that is
-        not full returns at once; a full one prunes the old orphans first and
-        files the evicted representative only if it survives the prune, which
-        leaves the orphans as filing it first and then pruning would."""
+        """Make p an attraction point, evicting the oldest past
+        max_attractions.  A full run without an orphan_cap then prunes itself
+        at the oldest attraction point it keeps (``prune``); with one, the
+        evicted representative is filed and an orphan past the cap evicted."""
         slots = self.slots
         slots.append(self._store.acquire(p))
         self.reps.append((p, self._bumps.new(p.arrival)))
         over = len(slots) > self.max_attractions
+        self.evicted += over
         if self.orphan_cap is None:
-            if len(slots) < self.max_attractions:
-                return
-            left = None
-            if over:
-                left = self._pop_oldest()
-                self.evicted += 1
-            oldest = self._store.points[slots[0]].arrival
-            for arrival in [a for a in self.orphans if a < oldest]:
-                _, hist = self.orphans.pop(arrival)
-                self._first_ts.pop(hist[0][0], None)
-            if left is not None and left[0].arrival >= oldest:
-                self._add_orphan(*left)
-            return
-        if over:
+            if len(slots) >= self.max_attractions:
+                self.prune(self._store.points[slots[1 if over else 0]].arrival)
+        elif over:
             self._add_orphan(*self._pop_oldest())
-            self.evicted += 1
-        if len(self.orphans) > self.orphan_cap:
-            victim = min(self.orphans)
-            _, hist = self.orphans.pop(victim)
-            self._first_ts.pop(hist[0][0], None)
-            self.evicted += 1
+            self._evict_orphans()
 
     def _add_orphan(self, rep: Point, hist: Histogram) -> None:
         ts = hist[0][0]
@@ -454,9 +442,9 @@ class GuessState:
         """Drop what is older than floor: attraction points older than it
         leave, their representatives become orphans unless they are older
         too, and older orphans are dropped, the rest kept in order and the
-        new ones after them.  Orphans past the cap are then evicted, oldest
-        first, as ``_insert`` evicts them.  Returns how many attraction
-        points and orphans it removed."""
+        new ones after them.  Orphans past the cap are then evicted
+        (``_evict_orphans``).  Returns how many attraction points and
+        orphans it removed."""
         points, slots = self._store.points, self.slots
         stale = [a for a in self.orphans if a < floor] if self.orphans else ()
         removed = len(stale)
@@ -469,11 +457,17 @@ class GuessState:
                 self._add_orphan(rep, hist)
             removed += 1
         self.floor = floor
-        while len(self.orphans) > self.orphan_cap:
+        self._evict_orphans()
+        return removed
+
+    def _evict_orphans(self) -> None:
+        """Evict the oldest orphans past the orphan_cap, each one bumping
+        ``evicted``; without a cap, none."""
+        cap = self.orphan_cap
+        while cap is not None and len(self.orphans) > cap:
             _, hist = self.orphans.pop(min(self.orphans))
             del self._first_ts[hist[0][0]]
             self.evicted += 1
-        return removed
 
     def seed(self, anchor: Optional[Point], rep: Point, hist: Histogram) -> None:
         """Initialize an empty state with rep carrying a prebuilt histogram:
@@ -541,9 +535,13 @@ class GuessState:
             if a is not None and hist[0][0] != a.arrival:
                 raise InvariantError(f"the representative histogram of attraction point "
                                      f"{a.arrival} begins at {hist[0][0]}")
-        stamps = [ts for _, (_, hist) in held for ts, _ in hist]
+        entries = [e for _, (_, hist) in held for e in hist]
+        stamps = [ts for ts, _ in entries]
         if any(type(ts) is not int or not t - window_len < ts <= t for ts in stamps):
             raise InvariantError(f"a stamp is no arrival in ({t - window_len}, {t}]")
+        odd = [c for _, c in entries if type(c) is not int]  # 9.0 == 9 and True == 1
+        if odd:
+            raise InvariantError(f"a histogram count {odd[0]!r} is no int")
         if len(set(stamps)) != len(stamps):
             raise InvariantError("two histograms of one state share a stamp")
         for arrival, (r, hist) in self.orphans.items():
@@ -610,9 +608,9 @@ class GuessLadder:
     ``_runs`` cuts the grid, in exponent order, into runs; the store counts
     one reference per slot of each.  Guess e took ``_evictions[e]`` plus its
     run's ``evicted`` evictions, so a step that evicts touches no per-guess
-    entry.  ``_step`` splits runs, for an arrival or a replayed point
-    (``_replayed_runs``), and so does a prune (``prune_by``); an arrival's
-    step, a replay and a restore then merge them.
+    entry.  ``_step``, for an arrival or a replayed point
+    (``_replayed_runs``), and a prune (``prune_by``) split runs by ``_split``;
+    an arrival's step, a replay and a restore then merge them.
     """
 
     def __init__(
@@ -889,27 +887,33 @@ class GuessLadder:
 
     def _split_runs(self, runs: list[GuessState], row: np.ndarray, hits: list) -> list[int]:
         """Cut each run whose guesses disagree (hit None) in place into runs
-        of equal hits, probed from row, and return those hits.  The lowest
-        part keeps the content; every other part holds a copy."""
+        of equal hits, probed from row (``_split``), and return those hits."""
         cut: list[GuessState] = []
         out: list[int] = []
         for st, hit in zip(runs, hits):
-            if hit is not None:
+            if hit is None:
+                lo = st.lo
+                own = self._hits(row, [st] * (st.hi - lo + 1), range(lo, st.hi + 1))
+                parts = self._split(st, own)
+                cut += parts
+                out += [own[part.lo - lo] for part in parts]
+            else:
                 cut.append(st)
                 out.append(hit)
-                continue
-            lo = st.lo
-            own = self._hits(row, [st] * (st.hi - lo + 1), range(lo, st.hi + 1))
-            parts = [st]
-            for i in range(1, len(own)):
-                if own[i] != own[i - 1]:
-                    parts.append(parts[-1].split(lo + i))
-            for part in parts:
-                self._span(part, part.lo, part.hi)
-            cut += parts
-            out += [own[part.lo - lo] for part in parts]
         runs[:] = cut
         return out
+
+    def _split(self, st: GuessState, keys: list) -> list[GuessState]:
+        """st cut into parts where keys, one per guess from st.lo up,
+        differ, each given its radii (``_span``).  st keeps the lowest part;
+        every other part holds a copy of the content (``GuessState.split``)."""
+        parts = [st]
+        for i in range(1, len(keys)):
+            if keys[i] != keys[i - 1]:
+                parts.append(parts[-1].split(st.lo + i))
+        for part in parts:
+            self._span(part, part.lo, part.hi)
+        return parts
 
     def _merge_runs(self, runs: list[GuessState]) -> None:
         """Join each pair of adjacent runs whose contents are equal, in place:
@@ -937,10 +941,10 @@ class GuessLadder:
 
         One pass over the runs that share guesses with a full guide run: a
         run whose floor does not move is skipped, one within a full run is
-        pruned in place, and any other is cut where the floors differ
-        (``_cut``).  The arrival's step merges runs whose contents became
-        equal.  Returns how many attraction points and orphans left, counted
-        once per guess."""
+        pruned in place, cheaper than a cut, and any other is cut where the
+        floors differ (``_cut``).  The arrival's step merges runs whose
+        contents became equal.  Returns how many attraction points and
+        orphans left, counted once per guess."""
         if self.cap is None:
             raise ValueError("only a ladder with a cap keeps what a prune removes")
         points, full = guide._store.points, guide.params.k + guide.params.z
@@ -966,36 +970,25 @@ class GuessLadder:
         return removed
 
     def _cut(self, st: GuessState, guide: "GuessLadder", j: int) -> tuple[list[GuessState], int]:
-        """st cut into parts where the floors of the full guide runs it
-        shares guesses with, from guide run j on (none before passes st's
-        floor), differ, each pruned at its floor, or kept where none passes
-        st's; and how many attraction points and orphans left, once per
-        guess.  st keeps the lowest part, and each other part is split
-        off (``GuessState.split``) before it is pruned in place."""
-        points, full = guide._store.points, guide.params.k + guide.params.z
-        pieces, e = [], st.lo  # (lo, hi, floor) of st's guesses, 0 where st stands
+        """st cut where its guesses' floors differ (``_split``), each part
+        pruned at its floor, and how many attraction points and orphans
+        left, once per guess.  A guess's floor is that of the full guide run
+        holding it, from guide run j on (none before passes st's floor), or
+        0, keeping the part as it stands, where none passes st's floor."""
+        points, full, lo = guide._store.points, guide.params.k + guide.params.z, st.lo
+        floors = [0] * (st.hi - lo + 1)
         for g in guide._runs[j:]:
             if g.lo > st.hi:
                 break
-            if g.hi < st.lo or len(g.slots) <= full or points[g.slots[0]].arrival <= st.floor:
-                continue
-            a = points[g.slots[0]].arrival
-            lo, hi = max(g.lo, st.lo), min(g.hi, st.hi)
-            if lo > e:
-                pieces.append((e, lo - 1, 0))
-            elif pieces and pieces[-1][2] == a:
-                lo = pieces.pop()[0]
-            pieces.append((lo, hi, a))
-            e = hi + 1
-        if e <= st.hi:
-            pieces.append((e, st.hi, 0))
-        parts, removed = [st], 0
-        for lo, _, _ in pieces[1:]:
-            parts.append(parts[-1].split(lo))
-        for part, (lo, hi, a) in zip(parts, pieces):
-            self._span(part, lo, hi)
+            a = points[g.slots[0]].arrival if len(g.slots) > full else 0
+            if a > st.floor:
+                first, last = max(g.lo, lo) - lo, min(g.hi, st.hi) - lo
+                floors[first : last + 1] = [a] * (last - first + 1)
+        parts, removed = self._split(st, floors), 0
+        for part in parts:
+            a = floors[part.lo - lo]
             if a:
-                removed += part.prune(a) * (hi - lo + 1)
+                removed += part.prune(a) * (part.hi - part.lo + 1)
         return parts, removed
 
     def maintain_oblivious_ladder(self, p: Point, estimates: tuple) -> None:
@@ -1263,7 +1256,9 @@ class GuessLadder:
                 raise InvariantError("recent ring slots do not hold the recent points")
             holders.update(held)
             d, _ = _extremes(_block_distances(self.recent, self.metric), len(self.recent))
-            if not (d == 0 or math.isclose(self.d_t, d, rel_tol=1e-9)):
+            # d_t keeps its value while the recent points coincide (d == 0),
+            # but only after the bootstrap: a positive d_t would have built it
+            if not (d == 0 and self.bootstrapped or math.isclose(self.d_t, d, rel_tol=1e-9)):
                 raise InvariantError(
                     f"d_t {self.d_t!r} is not the recent points' smallest distance {d!r}"
                 )

@@ -23,9 +23,12 @@ full validation guess, one that holds k + z + 1 = 2 attraction points,
 prunes its fine guess at its floor a, the arrival of its oldest attraction
 point: fine attraction points older than a leave, their representatives
 become orphans unless they are older than a too, and orphans older than a
-are dropped.  Every query still selects the guess it would without the
-prune and, where that guess never overflowed, reads there a coreset with
-the same guarantees:
+are dropped.  This is the rule by which a full sliding guess prunes
+itself (``GuessState.prune``), and a fine run that spans validation runs of
+different floors is cut where they differ by the splitter the step uses.
+Every query still selects the guess it would without the prune and, where
+that guess never overflowed, reads there a coreset with the same
+guarantees:
 
 * A full guess stays full until a expires.  An insertion into it evicts its
   oldest attraction point, so it stays full and its oldest arrival never

@@ -1035,6 +1035,28 @@ _WARMUP_CORRUPTIONS = [
 _CLOCK_CORRUPTIONS = [_clock_below_zero, _clock_past_every_guess, _clock_as_a_bool]
 
 
+def _coincident_warmup_ladder() -> GuessLadder:
+    # five copies of one point: no positive distance, so d_t is 0.0
+    lad = GuessLadder(StreamParams(30, 1, 0, 0.5, 0.5), "oblivious")
+    for t in range(1, 6):
+        lad.process_point(pt(t, 1.0))
+    return lad
+
+
+def _d_t_as(value, name):
+    def corrupt(snap, t, window_len):
+        snap["oblivious"]["d_t"] = value
+
+    corrupt.__name__ = f"_d_t_as_{name}"
+    return corrupt
+
+
+_COINCIDENT_WARMUP_CORRUPTIONS = [
+    _d_t_as(v, name) for v, name in ((math.inf, "inf"), (1e-320, "a_subnormal"),
+                                     (True, "true"), (math.nan, "nan"), (-3.0, "minus_three"))
+]
+
+
 def _name(corrupt) -> str:
     return "valid" if corrupt is None else corrupt.__name__.strip("_")
 
@@ -1053,11 +1075,17 @@ class TestSnapshotVerification:
         with pytest.raises(ValueError, match="corrupt ladder snapshot"):
             GuessLadder.from_snapshot(_corrupted(lad, corrupt))
 
-    @pytest.mark.parametrize("corrupt", [None, *_WARMUP_CORRUPTIONS], ids=_name)
-    def test_round_trip_of_a_warmup(self, corrupt):
-        # before the bootstrap the warm-up is the window, arrivals 1..3 in
-        # order, and ends with the recent points; a restore checks all three
-        lad = _warmup_ladder()
+    @pytest.mark.parametrize("build, corrupt", [
+        *(pytest.param(_warmup_ladder, c, id=_name(c)) for c in [None, *_WARMUP_CORRUPTIONS]),
+        *(pytest.param(_coincident_warmup_ladder, c, id=f"coincident_{_name(c)}")
+          for c in [None, *_COINCIDENT_WARMUP_CORRUPTIONS]),
+    ])
+    def test_round_trip_of_a_warmup(self, build, corrupt):
+        # before the bootstrap the warm-up is the window, in order, and ends
+        # with the recent points, and d_t is their smallest positive distance,
+        # 0.0 where they coincide; a restore checks all four (a d_t of inf
+        # restored there, and then refused every further copy of the point)
+        lad = build()
         assert not lad.bootstrapped
         if corrupt is None:
             snap = json.loads(json.dumps(lad.to_snapshot()))
@@ -1092,6 +1120,8 @@ class TestSnapshotVerification:
             _corrupted(build(), corrupt)
             for build, corruptions in ((_mid_stream_ladder, _MID_STREAM_CORRUPTIONS),
                                        (_warmup_ladder, _WARMUP_CORRUPTIONS),
+                                       (_coincident_warmup_ladder,
+                                        _COINCIDENT_WARMUP_CORRUPTIONS),
                                        (_fresh_fixed_ladder, _CLOCK_CORRUPTIONS))
             for corrupt in corruptions
         ] + [_corrupted(build(), corrupt) for build, corrupt, _ in _PINNED_SNAPSHOTS]
@@ -1261,6 +1291,16 @@ def _write_a_coordinate_of_the_last_representative_as_a_str(snap, t, window_len)
     snap["states"][0]["reps"][-1][1][1][0] = "x"
 
 
+def _count_a_representative_in_a_float(snap, t, window_len):
+    # the lowest guess holding the histogram, so that no merge drops it
+    hist = next(h for s in snap["states"] for _, _, h in s["reps"] if len(h) >= 2)
+    hist[0][1] = float(hist[0][1])  # equal to the int, and loaded as it
+
+
+def _count_an_orphan_in_a_bool(snap, t, window_len):
+    next(o for s in snap["states"] for o in s["orphans"])[1][-1][1] = True  # equal to 1
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
@@ -1268,6 +1308,8 @@ _PINNED_SNAPSHOTS = [
      "histogram of attraction point"),
     (_ball_ladder, _stamp_between_arrivals, "a stamp is no arrival in (200, 300]"),
     (_ball_ladder, _share_a_stamp, "two histograms of one state share a stamp"),
+    (_ball_ladder, _count_a_representative_in_a_float, "a histogram count 2.0 is no int"),
+    (_ball_ladder, _count_an_orphan_in_a_bool, "a histogram count True is no int"),
     (_ball_ladder, _swap_two_attraction_points, "attraction points not in arrival order"),
     (_ball_ladder, _lower_k, "6 attraction points, cap 4"),
     (lambda: _ball_ladder(cap=4), _add_an_orphan_past_the_cap, "5 orphans, cap 4"),

@@ -80,6 +80,8 @@ def test_snapshots_match_the_golden_file():
     for name, (engine, splits, merges) in engines.items():
         assert splits > 0 and merges > 0, name
         assert json.dumps(engine.to_snapshot()) == golden[name], name
+    for name in ("sliding", "fixed"):  # evictions pin the full run's own prune
+        assert engines[name][0].stats()["evictions"] > 0, name
     for name in ("fine", "fine_oblivious"):
         assert engines[name][0].stats()["fine"]["evictions"] > 0, name
 
