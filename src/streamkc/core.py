@@ -53,6 +53,8 @@ class Point:
     def __post_init__(self):
         if self.arrival < 1:
             raise ValueError(f"arrival must be >= 1, got {self.arrival}")
+        if math.isfinite(sum(self.coords)):  # no inf or nan term; the sum may overflow
+            return
         for c in self.coords:
             if not math.isfinite(c):
                 raise ValueError(f"non-finite coordinate {c!r} at arrival {self.arrival}")

@@ -55,7 +55,9 @@ guess, which the ladder sets wherever ``lo`` or ``hi`` changes (a new run,
 a split, a merge, a retarget's trim), for its probes.  Arrivals and
 replays change runs by one step: the ladder sweeps each run once, probes
 its hit at its lowest and its highest radius, splits it only where the two
-differ, steps it once and merges adjacent runs whose contents became equal.
+differ, steps every run in one loop (``GuessLadder._absorb``: an insert
+where a run has no hit, else a capture by the hit) and merges adjacent
+runs whose contents became equal.
 A probe scans small runs in plain Python and larger ones in one numpy pass.  A retarget's replay (of
 the warm-up from no grid, else of the recent points) starts from one empty
 run of all the guesses it builds, and takes no step when no replayed point
@@ -68,9 +70,12 @@ run agrees, and equal contents that get equal hits take equal steps.
 Every state of a ladder bumps through one ``_BumpMemo``, keyed by the
 histogram list: each distinct list is trimmed once per arrival, and the
 result is shared by every run that held it.  Histograms are therefore
-values that are never changed in place (``streamkc.histogram``).  Runs,
-memo and store are never serialized: a snapshot lists every guess, and the
-memory gauge counts every guess's points and entries, as the paper does.
+values that are never changed in place (``streamkc.histogram``).  The
+ladder's loop looks a trim up in the memo inline, and
+``GuessState.process_point``, the one-run step that no arrival calls,
+through ``_BumpMemo.bump``.  Runs, memo and store are never serialized: a
+snapshot lists every guess, and the memory gauge counts every guess's
+points and entries, as the paper does.
 """
 
 from __future__ import annotations
@@ -139,7 +144,8 @@ class _BumpMemo:
     the histogram, the arrival and ``lam``, and ``lam`` is fixed per memo.
     Each entry holds its input list until the arrival changes, so no other
     list can take its id meanwhile.  Equal histograms are nearly always one
-    list, since they come from one earlier bump or from ``new``."""
+    list, since they come from one earlier bump or from ``new``.
+    ``GuessLadder._absorb`` makes the lookup of ``bump`` inline."""
 
     __slots__ = ("lam", "t", "results", "fresh")
 
@@ -293,6 +299,19 @@ def _point_in(data: list, what: str, dim: Optional[int] = None) -> Point:
     return Point(data[0], tuple(coords))
 
 
+def _hist_in(data: list, whose: str, q: Point) -> Histogram:
+    """The histogram of a snapshot entry, a list of [stamp, count] pairs
+    of ints; InvariantError naming the entry and whose histogram it is
+    (whose, of q) for any other, such as a stamp or count that is no int.
+    Checked as it is read: a restore merges equal runs before it checks
+    them, and 9.0 == 9 and True == 1 would merge a corrupt guess away."""
+    for e in data:
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise InvariantError(f"the histogram of {whose} {q.arrival} holds {e!r}, "
+                                 "no [int stamp, int count] pair")
+    return [tuple(e) for e in data]
+
+
 class GuessState:
     """Attraction/representative/orphan bookkeeping for one run of adjacent
     radius guesses, the exponents ``lo..hi`` of a ladder.
@@ -357,7 +376,10 @@ class GuessState:
     # -- update ------------------------------------------------------------
 
     def process_point(self, p: Point, hit: int) -> Optional[int]:
-        """Absorb p at time p.arrival, once the state is swept at p.arrival.
+        """Absorb p at time p.arrival, once the state is swept at p.arrival:
+        the one-run step.  A ladder steps all its runs in one loop instead
+        (``GuessLadder._absorb``), which does to each run what this does;
+        this serves a state outside a ladder and the reference twins.
 
         hit is the position in ``slots`` of the oldest attraction point
         within the attraction radius of p, or -1 for none.
@@ -537,11 +559,8 @@ class GuessState:
                                      f"{a.arrival} begins at {hist[0][0]}")
         entries = [e for _, (_, hist) in held for e in hist]
         stamps = [ts for ts, _ in entries]
-        if any(type(ts) is not int or not t - window_len < ts <= t for ts in stamps):
+        if any(not t - window_len < ts <= t for ts in stamps):
             raise InvariantError(f"a stamp is no arrival in ({t - window_len}, {t}]")
-        odd = [c for _, c in entries if type(c) is not int]  # 9.0 == 9 and True == 1
-        if odd:
-            raise InvariantError(f"a histogram count {odd[0]!r} is no int")
         if len(set(stamps)) != len(stamps):
             raise InvariantError("two histograms of one state share a stamp")
         for arrival, (r, hist) in self.orphans.items():
@@ -569,17 +588,20 @@ class GuessState:
 
     def restore(self, data: dict, point_in=_point_in) -> None:
         """Load a fresh state from a snapshot entry, placing its attraction
-        points in its store; point_in(entry, what) reads each point.  Each
-        reps entry names its attraction point's arrival; InvariantError
-        unless they name them all, in order."""
+        points in its store; point_in(entry, what) reads each point, and
+        ``_hist_in`` each histogram.  Each reps entry names its attraction
+        point's arrival; InvariantError unless they name them all, in order."""
         attrs = [point_in(p, "an attraction point") for p in data["attractions"]]
         if [a for a, _, _ in data["reps"]] != [a.arrival for a in attrs]:
             raise InvariantError("not one representative per attraction point, in its order")
         self.slots = array("q", [self._store.acquire(a) for a in attrs])
-        self.reps = [(point_in(rep, "a representative"), [tuple(e) for e in hist])
-                     for _, rep, hist in data["reps"]]
+        self.reps = []
+        for _, rep, hist in data["reps"]:
+            q = point_in(rep, "a representative")
+            self.reps.append((q, _hist_in(hist, "representative", q)))
         for r, hist in data["orphans"]:
-            self._add_orphan(point_in(r, "an orphan"), [tuple(e) for e in hist])
+            q = point_in(r, "an orphan")
+            self._add_orphan(q, _hist_in(hist, "orphan", q))
 
 
 class GuessLadder:
@@ -780,10 +802,7 @@ class GuessLadder:
             if bootstrap:
                 row = self._store.rows([p])[0]
         runs = self._runs
-        inserts = 0
-        for st, a in zip(runs, self._step(runs, p, row)):
-            if a is None:
-                inserts += st.hi - st.lo + 1
+        inserts = self._step(runs, p, row)
         self._inserts += inserts
         self._captures += runs[-1].hi - runs[0].lo + 1 - inserts
         self._merge_runs(runs)
@@ -809,15 +828,15 @@ class GuessLadder:
         grid = self.bootstrapped or (p.arrival >= self.params.k + self.params.z + 2 and d_t > 0)
         return closest, d_t, D_t, self._grid_bounds(d_t / 2.0, 2.0 * D_t) if grid else None
 
-    def _step(self, runs: list[GuessState], p: Point, row: np.ndarray) -> list[Optional[int]]:
+    def _step(self, runs: list[GuessState], p: Point, row: np.ndarray) -> int:
         """Hand p to runs, adjacent runs changed in place, the one way a run
         changes: sweep at p.arrival each run where the stamp p.arrival - N
         begins a histogram (the oldest attraction point's or, by its index
         ``_first_ts``, an orphan's; a sweep elsewhere does nothing), probe
         each from row, p's distances to the store (``_hits``), split those
-        whose guesses disagree (``_split_runs``) and step each once.  Returns
-        what each run's ``process_point`` returned, in the order of the runs
-        after the split."""
+        whose guesses disagree (``_split_runs``) and step each once
+        (``_absorb``).  Returns how many guesses took p as a new attraction
+        point."""
         t = p.arrival
         stale = t - self.params.window_len
         for st in runs:
@@ -826,7 +845,33 @@ class GuessLadder:
         hits = self._hits(row, runs)
         if None in hits:
             hits = self._split_runs(runs, row, hits)
-        return [st.process_point(p, hit) for st, hit in zip(runs, hits)]
+        return self._absorb(runs, hits, p)
+
+    def _absorb(self, runs: list[GuessState], hits: list[int], p: Point) -> int:
+        """Step each swept run once at its hit, in one loop: a run with no
+        hit inserts p (``GuessState._insert``), and one with a hit makes p
+        the representative of that attraction point, with its histogram
+        bumped and trimmed at p.arrival through the ladder's memo, looked up
+        here as ``_BumpMemo.bump`` does.  What ``GuessState.process_point``
+        does to one run; returns how many guesses inserted p."""
+        t = p.arrival
+        memo = self._bumps
+        if memo.t != t:
+            memo.t, memo.results = t, {}
+        trims, lam = memo.results, memo.lam
+        inserted = 0
+        for st, hit in zip(runs, hits):
+            if hit < 0:
+                st._insert(p)
+                inserted += st.hi - st.lo + 1
+                continue
+            reps = st.reps
+            hist = reps[hit][1]
+            got = trims.get(id(hist))
+            if got is None:
+                got = trims[id(hist)] = (hist, bump_and_trim(hist, t, lam))
+            reps[hit] = (p, got[1])
+        return inserted
 
     def _hits(self, row: np.ndarray, runs: list[GuessState], exps=None) -> list[Optional[int]]:
         """Each swept run's hit, the position in its slots of the oldest

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import statistics
 import time
 from collections import deque
@@ -148,13 +147,15 @@ def ingest(path: str | Path) -> Iterator[Point]:
             line = raw.strip()
             if not line:
                 continue
-            fields = re.split(r"[,\s]+", line)
             try:
-                coords = tuple(float(x) for x in fields)
+                coords = tuple(map(float, line.replace(",", " ").split()))
             except ValueError:
+                coords = None
+            # a leading or trailing comma leaves an empty field, which is no number
+            if coords is None or line[0] == "," or line[-1] == ",":
                 if lineno == 1:
                     continue  # header
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+                raise ValueError(f"{path}:{lineno}: non-numeric field")
             if dim is None:
                 dim = len(coords)
             elif len(coords) != dim:

@@ -343,16 +343,26 @@ class LadderShadow:
         return w
 
 
+def one_run_steps(runs: list, hits: list, p: Point) -> int:
+    """``GuessLadder._absorb`` as one ``GuessState.process_point`` call per
+    run, each bumping through the run's own memo: how many guesses inserted
+    p, those whose run's step returned None."""
+    return sum(st.hi - st.lo + 1 for st, hit in zip(runs, hits)
+               if st.process_point(p, hit) is None)
+
+
 def unshared(ladder: GuessLadder) -> GuessLadder:
     """The ladder, changed so that every guess is its own run and memo,
     never merged: each run it holds or later creates covers one guess and
     bumps through a memo of its own.  This is the twin that steps every
     guess on its own and shares no histogram between guesses, against which
-    the ladder-wide memo and the runs are compared.  A replay (the bootstrap
-    or a retarget's) is one replay per guess, each through the ladder's own
-    step.  The runs it holds, and the run a retarget seeds above the grid,
-    are rebuilt one per guess, each from its guess's snapshot entry, not
-    through the ladder's own split."""
+    the ladder-wide memo and the runs are compared.  Each run takes its
+    step through ``GuessState.process_point`` (``one_run_steps``), not the
+    ladder's loop, which bumps through the ladder's memo.  A replay (the
+    bootstrap or a retarget's) is one replay per guess, each through the
+    ladder's own step.  The runs it holds, and the run a retarget seeds
+    above the grid, are rebuilt one per guess, each from its guess's
+    snapshot entry, not through the ladder's own split."""
     make, replay, retarget = ladder._new_state, ladder._replayed_runs, ladder._retarget
 
     def new_state(lo: int, hi: int):
@@ -390,6 +400,7 @@ def unshared(ladder: GuessLadder) -> GuessLadder:
     ladder._replayed_runs = replayed_runs
     ladder._retarget = retargeted
     ladder._merge_runs = lambda runs: None
+    ladder._absorb = one_run_steps
     return ladder
 
 
@@ -538,13 +549,13 @@ def reference_arrivals(ladder: GuessLadder) -> GuessLadder:
         finally:
             coreset.GuessState._insert = insert
 
-    def step(runs: list, p: Point, row) -> list:
+    def step(runs: list, p: Point, row) -> int:
         for st in runs:
             st.sweep(p.arrival)
         hits = ladder._hits(row, runs)
         if None in hits:
             hits = ladder._split_runs(runs, row, hits)
-        return [st.process_point(p, hit) for st, hit in zip(runs, hits)]
+        return one_run_steps(runs, hits, p)
 
     ladder.process_point = process_point
     ladder._ring_closest = lambda row, t: reference_ring_closest(ladder, row, t)

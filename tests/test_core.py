@@ -46,6 +46,20 @@ def test_point_rejects_non_finite():
         Point(1, (float("inf"),))
 
 
+def test_point_accepts_finite_coordinates_whose_sum_overflows():
+    assert sum((1e308, 1e308)) == math.inf
+    assert Point(1, (1e308, 1e308)).coords == (1e308, 1e308)
+
+
+@pytest.mark.parametrize("coords, first", [
+    ((1.0, math.nan), "nan"), ((math.inf, 2.0), "inf"), ((math.inf, -math.inf), "inf"),
+], ids=["nan", "inf", "inf_and_minus_inf"])
+def test_point_names_its_first_non_finite_coordinate(coords, first):
+    with pytest.raises(ValueError) as refused:
+        Point(7, coords)
+    assert str(refused.value) == f"non-finite coordinate {first} at arrival 7"
+
+
 def test_radius_excluding_drops_largest():
     w = WindowView.from_coords([[0], [1], [2], [100]])
     assert radius_excluding([w.points[0]], w, 1) == 2.0

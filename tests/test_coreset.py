@@ -1301,15 +1301,47 @@ def _count_an_orphan_in_a_bool(snap, t, window_len):
     next(o for s in snap["states"] for o in s["orphans"])[1][-1][1] = True  # equal to 1
 
 
+_MERGED = 4  # a guess of the ball ladder above the lowest of its run
+
+
+def _merged_histogram(snap):
+    """The first representative histogram of guess _MERGED, whose entry a
+    restore merges into the equal one below it unless it refuses it first."""
+    return next(s for s in snap["states"] if s["exponent"] == _MERGED)["reps"][0][2]
+
+
+def _count_at_a_merged_guess_in_a_float(snap, t, window_len):
+    first = _merged_histogram(snap)[0]
+    first[1] = float(first[1])
+
+
+def _count_at_a_merged_guess_in_a_bool(snap, t, window_len):
+    _merged_histogram(snap)[-1][1] = True  # the last count is 1
+
+
+def _stamp_at_a_merged_guess_in_a_float(snap, t, window_len):
+    first = _merged_histogram(snap)[0]
+    first[0] = float(first[0])
+
+
 _PINNED_SNAPSHOTS = [
     (_ball_ladder, _end_a_histogram_after_the_clock, "the histogram of 300 ends at 305"),
     (_ball_ladder, _stamp_an_orphan_before_the_window, "a stamp is no arrival in (200, 300]"),
     (_ball_ladder, _begin_a_histogram_before_its_attraction_point,
      "histogram of attraction point"),
-    (_ball_ladder, _stamp_between_arrivals, "a stamp is no arrival in (200, 300]"),
+    (_ball_ladder, _stamp_between_arrivals,
+     "the histogram of orphan 290 holds [286.5, 2], no [int stamp, int count] pair"),
     (_ball_ladder, _share_a_stamp, "two histograms of one state share a stamp"),
-    (_ball_ladder, _count_a_representative_in_a_float, "a histogram count 2.0 is no int"),
-    (_ball_ladder, _count_an_orphan_in_a_bool, "a histogram count True is no int"),
+    (_ball_ladder, _count_a_representative_in_a_float,
+     "the histogram of representative 295 holds [294, 2.0], no [int stamp, int count] pair"),
+    (_ball_ladder, _count_an_orphan_in_a_bool,
+     "the histogram of orphan 290 holds [290, True], no [int stamp, int count] pair"),
+    (_ball_ladder, _count_at_a_merged_guess_in_a_float,
+     "the histogram of representative 300 holds [201, 100.0], no [int stamp, int count] pair"),
+    (_ball_ladder, _count_at_a_merged_guess_in_a_bool,
+     "the histogram of representative 300 holds [300, True], no [int stamp, int count] pair"),
+    (_ball_ladder, _stamp_at_a_merged_guess_in_a_float,
+     "the histogram of representative 300 holds [201.0, 100], no [int stamp, int count] pair"),
     (_ball_ladder, _swap_two_attraction_points, "attraction points not in arrival order"),
     (_ball_ladder, _lower_k, "6 attraction points, cap 4"),
     (lambda: _ball_ladder(cap=4), _add_an_orphan_past_the_cap, "5 orphans, cap 4"),
@@ -1466,6 +1498,10 @@ class TestPinnedRefusals:
 
     def test_the_wedge_corrupts_the_selected_guess(self):
         assert _ball_ladder().selected_exponent() == _SELECTED
+
+    def test_the_merged_guess_shares_its_run_with_the_guess_below(self):
+        run = _ball_ladder()._run_of(_MERGED)
+        assert run.lo < _MERGED <= run.hi
 
     def test_an_attraction_point_in_a_free_slot_fails_the_state_check(self):
         # a ladder's store check refuses a freed slot first, so a lone state

@@ -76,6 +76,29 @@ class TestIngest:
         with pytest.raises(ValueError, match=":2"):
             list(ingest(f))
 
+    @pytest.mark.parametrize("line, coords", [
+        ("1, 2 ,3", (1.0, 2.0, 3.0)),  # commas and spaces mixed
+        ("1,,, 2,,3", (1.0, 2.0, 3.0)),  # runs of commas
+        ("1\t2\t\t3", (1.0, 2.0, 3.0)),
+        ("1\u00a02\u00a03", (1.0, 2.0, 3.0)),  # a no-break space is whitespace
+        ("1_000,2,3", (1000.0, 2.0, 3.0)),  # float() reads the underscore
+    ], ids=["comma_and_space", "comma_runs", "tabs", "no_break_space", "underscore"])
+    def test_separators(self, tmp_path, line, coords):
+        f = tmp_path / "d.csv"
+        f.write_text(f"{line}\n4,5,6\n")  # in the encoding ingest reads
+        assert [p.coords for p in ingest(f)] == [coords, (4.0, 5.0, 6.0)]
+
+    @pytest.mark.parametrize("line", [",1,2", "1,2,", " ,1,2", "1,2 , ", ",", ",,"],
+                             ids=["leading", "trailing", "leading_after_space",
+                                  "trailing_before_space", "one_comma", "two_commas"])
+    def test_a_leading_or_trailing_comma_leaves_an_empty_field(self, tmp_path, line):
+        f = tmp_path / "d.csv"
+        f.write_text(f"{line}\n3,4\n")
+        assert [p.coords for p in ingest(f)] == [(3.0, 4.0)]  # a header on line 1
+        f.write_text(f"3,4\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:2: non-numeric field")):
+            list(ingest(f))
+
 
 class TestInjectOutliers:
     def _stream(self, n=50, dim=3, seed=1):

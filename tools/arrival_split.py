@@ -17,11 +17,12 @@ the median over the runs of the microseconds per arrival of:
   prune of the fine ladder by the validation ladder, with its cuts;
 - ``sweep``: ``GuessState.sweep``;
 - ``probe``: ``GuessLadder._hits``, split probes included;
-- ``steps``: ``GuessState.process_point``, the run steps with their inserts
-  and trims;
+- ``steps``: ``GuessLadder._absorb``, the loop that steps every run, with
+  its inserts and trims;
 - ``merge``: ``GuessLadder._merge_runs``;
-- ``other``: the timed pass's total less the parts: the step loop, the
-  counting, the splits and the timers' own cost.
+- ``other``: the timed pass's total less the parts: the code between
+  them (the checks that pick the runs to sweep, the splits) and the
+  timers' own cost.
 
 A call's time counts once, under the outermost part running, so a
 retarget's replay counts as upkeep.  The timers add their own cost, which
@@ -58,7 +59,7 @@ PARTS = (
     ("prune", "GuessLadder", "prune_by"),
     ("sweep", "GuessState", "sweep"),
     ("probe", "GuessLadder", "_hits"),
-    ("steps", "GuessState", "process_point"),
+    ("steps", "GuessLadder", "_absorb"),
     ("merge", "GuessLadder", "_merge_runs"),
 )
 COLUMNS = ("total", "timed", *(part for part, _, _ in PARTS), "other")
