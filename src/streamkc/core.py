@@ -69,7 +69,9 @@ def dist(p: Point, q: Point) -> float:
 
     Any other metric must be symmetric, non-negative, zero only on equal
     coordinates, satisfy the triangle inequality, and carry a ``pairwise``
-    block form for the engine.
+    block form for the engine.  The block form gives a point's distance to
+    itself as exactly 0.0, as ``cdist`` does: ``_extremes`` reads the
+    diagonal of each block it reads.
     """
     return math.dist(p.coords, q.coords)
 
@@ -105,14 +107,17 @@ def _distances(points: Sequence[Point], metric: Metric) -> Distances:
 
 def _extremes(d: Distances, n: int) -> tuple[float, float]:
     """(smallest positive, largest) distance between two distinct points,
-    read one row block at a time; 0.0 stands in for a missing value."""
+    read one row block at a time; 0.0 stands in for a missing value.  A
+    point and itself form no pair, yet each block holds such distances on
+    its diagonal: they are exactly 0.0 (``dist``'s contract), so they move
+    neither the largest distance, which starts at 0.0, nor the smallest
+    positive one."""
     lo, hi = math.inf, 0.0
     for r0 in range(0, n - 1, _BLOCK):
         r1 = min(r0 + _BLOCK, n - 1)
         block = d(slice(r0, r1), slice(r0, n))
-        pair = ~np.eye(r1 - r0, n - r0, dtype=bool)  # a point and itself form no pair
-        hi = max(hi, float(block.max(initial=0.0, where=pair)))
-        lo = min(lo, float(block.min(initial=math.inf, where=pair & (block > 0))))
+        hi = max(hi, float(block.max(initial=0.0)))
+        lo = min(lo, float(block.min(initial=math.inf, where=block > 0)))
     return (lo if lo < math.inf else 0.0), hi
 
 
@@ -191,6 +196,7 @@ def radius_excluding(
     """
     if not centers:
         raise ValueError("centers must be non-empty")
+    _require_count("z", z)
     if z < 0:
         raise ValueError("z must be >= 0")
     if len(window.points) <= z:

@@ -15,9 +15,13 @@ the reader computes the full pairwise matrix once, so the scan computes
 each distance once; a larger set is read in blocks of at most ``_BLOCK``
 rows on each read.  Callers that read each row once (``outliers_cluster``
 and ``gonzalez``) read blocks (``core._block_distances``).  A run reads one
-scoring pass of its candidates, then each round's removal row and the
-removed points' rows, from which it subtracts what each round removed from
-the scores; this is exact while the weights are integers below 2^53.
+scoring pass of its candidates, then each round's removal row, and
+subtracts what each round removed from the scores through the removed
+points' rows of the cover test; this is exact while the weights are
+integers below 2^53.  On a set of at most ``core._MATRIX_POINTS`` points
+the run keeps the cover-test rows its first scoring pass computes, so a
+whole-window run reads each distance at most once; a removed point
+without such a row has its distances read again.
 
 Before a scan, a farthest-first traversal (Gonzalez, TCS 1985; also the
 ``gonzalez`` baseline) picks k + z + 1 points and measures their smallest
@@ -40,6 +44,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import core
 # radius_excluding is imported, not called (callers score the centers they get):
 # perfbench's tracer patches solver.radius_excluding, which tests/test_tracer.py checks
 from .core import _ALL, _BLOCK, Distances, Index, Metric, Point, WindowView, dist, radius_excluding
@@ -101,9 +106,16 @@ def outliers_cluster(
     in candidate order, and covers (removes) all uncovered points within
     (3 + 4*eps)*rho of it.  Candidates are all points in storage order, or
     the non-empty index array candidates(round) when given.  The weights are
-    integers below 2^53, which keeps the scores exact (``_greedy``).  Returns
-    the chosen centers and the uncovered points with their weights.
+    integers below 2^53, one per point, which keeps the scores exact
+    (``_greedy``); k is an integer >= 0.  Returns the chosen centers and the
+    uncovered points with their weights.
     """
+    _require_count("k", k)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if len(weights) != len(points):
+        raise ValueError(f"weights must hold one entry per point: "
+                         f"{len(weights)} for {len(points)} points")
     d = _block_distances(points, metric)
     w = np.asarray(weights, dtype=float)
     centers, uncovered = _greedy(d, w, k, rho, eps, candidates)
@@ -125,21 +137,39 @@ def _greedy(
     A candidate is scored once, against the points still uncovered, in the
     first round that draws it; after each round but the last, every scored
     candidate loses the weight the round removed within its small ball,
-    read from the removed points' rows.  So a run reads one scoring pass,
-    the k removal rows and each removed point's row once: at most
-    2n^2 + kn entries.  A read that takes every row or column asks for a
-    slice, which a matrix reader serves as a view.  The scores are sums of
-    the weights, exact while the weights are integers below 2^53, and the
-    block form is symmetric, so they equal a full rescoring."""
-    if rho < 0 or eps < 0:
-        raise ValueError("rho and eps must be non-negative")
+    read from the removed points' rows of the cover test d <= (1 + 2*eps)*rho.
+    Round 0 scores its candidates against every point, and on a set of at
+    most ``core._MATRIX_POINTS`` points (at most 1 MiB of bools) it keeps
+    those rows of the test; a removed point with a kept row is subtracted
+    through it, its distances not read again.  So a run whose round 0
+    scores every point reads one scoring pass and the k removal rows: at
+    most n^2 + kn entries.  A removed point without a kept row (on a larger
+    set, or drawn first after round 0 in a sampled run) has its row read
+    once more: at most 2n^2 + kn entries in all.  A read that takes every
+    row or column asks for a slice, which a matrix reader serves as a view.
+    The scores are sums of the weights, exact while the weights are
+    integers below 2^53, and the block form is symmetric, so they equal a
+    full rescoring.  They are summed in float32 while the weights total at
+    most 2^24, which holds every partial sum exactly, and in float64 above
+    that.  ValueError unless rho >= 0 and eps is finite and
+    >= 0: a NaN radius would remove every point with the first center."""
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho!r}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     n = w.size
+    # float32 products take about half the time of float64 ones
+    w = w.astype(np.float32) if w.sum() <= 2.0**24 else w
     cover_r = (1.0 + 2.0 * eps) * rho
     removal_r = (3.0 + 4.0 * eps) * rho
     everyone = uncovered = np.arange(n)
     scores = np.zeros(n)
     known = np.zeros(n, dtype=bool)
     scored = everyone[known]
+    # covers[i] is point i's cover test against every point, for the rows
+    # round 0 scores (kept[i]) on a set of at most _MATRIX_POINTS points
+    covers = np.empty((n, n), dtype=bool) if n <= core._MATRIX_POINTS else None
+    kept = np.zeros(n, dtype=bool)
     centers: list[int] = []
     for r in range(k):
         if not uncovered.size:
@@ -148,19 +178,29 @@ def _greedy(
         new = cand[~known[cand]]
         if new.size:
             cols, w_unc = _columns(uncovered, n), w[uncovered]
+            keep = covers is not None and cols is _ALL
             for c0 in range(0, new.size, _BLOCK):
                 rows = slice(c0, c0 + _BLOCK) if new.size == n else new[c0 : c0 + _BLOCK]
-                scores[rows] = (d(rows, cols) <= cover_r) @ w_unc
+                cover = d(rows, cols) <= cover_r
+                if keep:
+                    covers[rows] = cover
+                scores[rows] = cover @ w_unc
+            kept[new] = keep
             known[new] = True
             scored = everyone[known]
-        best = int(cand[scores[cand].argmax()])
+        best = int(scores.argmax() if candidates is None else cand[scores[cand].argmax()])
         centers.append(best)
         far = d([best], _columns(uncovered, n))[0] > removal_r
         gone, uncovered = uncovered[~far], uncovered[far]
         if r + 1 < k and uncovered.size:
             cols = _columns(scored, n)
-            for g0 in range(0, gone.size, _BLOCK):
-                rows = gone[g0 : g0 + _BLOCK]
+            mine = kept[gone]
+            held, unheld = gone[mine], gone[~mine]
+            for g0 in range(0, held.size, _BLOCK):
+                rows = held[g0 : g0 + _BLOCK]
+                scores[cols] -= w[rows] @ covers[rows][:, cols]
+            for g0 in range(0, unheld.size, _BLOCK):  # read again
+                rows = unheld[g0 : g0 + _BLOCK]
                 scores[cols] -= w[rows] @ (d(rows, cols) <= cover_r)
     return centers, uncovered
 
@@ -315,6 +355,8 @@ def gonzalez(window: WindowView, k: int, metric: Metric = dist) -> list[Point]:
     if k < 1:
         raise ValueError("k must be >= 1")
     pts = window.points
+    if not pts:
+        raise ValueError("window must be non-empty")
     picks, _ = _farthest_first(_block_distances(pts, metric), len(pts), k)
     return [pts[i] for i in picks]
 
@@ -367,6 +409,7 @@ def samp_charikar(
     """charikar with each center-selection scan restricted to a Bernoulli
     sample of the window of expected size sample_size (all points when a
     draw comes out empty).  Euclidean only."""
+    _require_count("sample_size", sample_size)
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     n = len(window.points)

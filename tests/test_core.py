@@ -8,6 +8,7 @@ import pytest
 from streamkc import core
 from streamkc.core import Point, StreamParams, WindowView, dist, radius_excluding
 from streamkc.coreset import GuessLadder
+from streamkc.experiment import generate_ball_stream
 from oracles import looped, manhattan, reference_radius_excluding
 
 
@@ -201,6 +202,55 @@ def test_empty_and_one_point_sets_hold_no_pair():
     lad.check_invariants()
 
 
+def _pair_extremes(points, metric) -> tuple[float, float]:
+    """(smallest positive, largest) distance over the pairs i < j, each read
+    alone in the metric's block form; 0.0 stands in for a missing value."""
+    xs = np.array([p.coords for p in points], dtype=float)
+    ds = [float(metric.pairwise(xs[[i]], xs[[j]])[0, 0])
+          for i in range(len(xs)) for j in range(i + 1, len(xs))]
+    return min((x for x in ds if x > 0), default=0.0), max(ds, default=0.0)
+
+
+def _extremes_cases():
+    rng = np.random.default_rng(23)
+    far = np.vstack([generate_ball_stream(30, dim=4, seed=3),
+                     generate_ball_stream(4, dim=4, outlier_rate=1.0, outlier_norm=200.0,
+                                          seed=4)])
+    return [
+        ("one-point", [[2.0, 3.0]], dist),
+        ("two-equal", [[2.0, 3.0]] * 2, dist),
+        ("all-equal", [[-1.5, 0.25, 7.0]] * 20, dist),
+        ("duplicates-beside-a-pair", [[1.0, 2.0]] * 9 + [[4.0, 6.0]], dist),
+        ("far-norm-200", far, dist),
+        ("random", rng.normal(size=(40, 3)), dist),
+        ("manhattan", rng.integers(-4, 5, size=(40, 2)).astype(float), manhattan),
+    ]
+
+
+@pytest.mark.parametrize("name, coords, metric", _extremes_cases(),
+                         ids=[case[0] for case in _extremes_cases()])
+@pytest.mark.parametrize("block", [7, core._BLOCK])
+@pytest.mark.parametrize("reader", [core._distances, core._block_distances])
+def test_extremes_match_a_loop_over_distinct_pairs(name, coords, metric, block, reader,
+                                                   monkeypatch):
+    # a block of 7 rows straddles the diagonal of most blocks: a point and
+    # itself form no pair, and their exact 0.0 there must be neither value
+    monkeypatch.setattr(core, "_BLOCK", block)
+    points = WindowView.from_coords(coords).points
+    got = core._extremes(reader(points, metric), len(points))
+    assert got == _pair_extremes(points, metric)
+
+
+@pytest.mark.parametrize("metric", [dist, manhattan, looped(dist)],
+                         ids=["euclidean", "manhattan", "looped"])
+def test_a_block_form_gives_each_point_distance_zero_to_itself(metric):
+    # core._extremes reads the diagonal of its blocks as no pair (dist's contract)
+    xs = np.vstack([generate_ball_stream(20, dim=4, seed=3),
+                    generate_ball_stream(4, dim=4, outlier_rate=1.0, outlier_norm=200.0,
+                                         seed=4)])
+    assert metric.pairwise(xs, xs).diagonal().tolist() == [0.0] * len(xs)
+
+
 def test_a_matrix_reader_reads_rows_of_a_read_only_matrix():
     pts = [Point(i + 1, (float(i), 2.0 * i)) for i in range(6)]
     d = core._distances(pts, dist)
@@ -221,6 +271,10 @@ def test_a_matrix_reader_reads_rows_of_a_read_only_matrix():
     pytest.param(lambda: radius_excluding([Point(1, (0.0,))],
                                           WindowView.from_coords([[0.0], [1.0]]), -1),
                  "z must be >= 0", id="radius_excluding-z-negative"),
+    *(pytest.param(lambda z=z: radius_excluding([Point(1, (0.0,))],
+                                                WindowView.from_coords([[0.0], [1.0]]), z),
+                   f"z must be an integer, got {z!r}", id=f"radius_excluding-z-{z!r}")
+      for z in (1.5, True)),
 ])
 def test_each_refusal_of_an_argument_is_raised(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -51,6 +51,15 @@ class TestOutliersCluster:
         centers, uncovered = outliers_cluster(list(w.points), [1, 1], 0, 1.0, 0.0)
         assert centers == [] and len(uncovered) == 2
 
+    def test_scores_above_two_to_the_24_stay_exact(self):
+        # 2^24 + 1 has no float32: summed in float32 it would tie with the
+        # first point's 2^24 and lose the tie
+        pts = list(wv(0, 100, 100).points)
+        weights = [2**24, 2**24, 1]
+        got = outliers_cluster(pts, weights, 1, 1.0, 0.0)
+        assert got == reference_outliers_cluster(pts, weights, 1, 1.0, 0.0, dist)
+        assert got[0] == [pts[1]]
+
     def test_ties_resolved_by_scan_order(self):
         w = wv(0, 10)
         for _ in range(3):
@@ -642,10 +651,11 @@ def _window_of_500() -> WindowView:
     return WindowView(points=tuple(_points(coords)), t=len(coords))
 
 
-def test_a_greedy_run_reads_at_most_two_squares_of_distances(monkeypatch):
-    # a run scores each candidate once, then reads only the removal rows and
-    # the removed points' rows: at most n^2 + k*n + n^2 entries, where
-    # rescoring every candidate each round reads about k*n*|uncovered|
+def test_a_greedy_run_reads_each_distance_at_most_once(monkeypatch):
+    # a run scores each candidate once and keeps the cover tests of that
+    # pass, then reads only the removal rows: at most n^2 + k*n entries,
+    # where reading the removed points' rows again read up to 2*n^2 + k*n,
+    # and rescoring every candidate each round about k*n*|uncovered|
     reads, runs = [0], []
     reader, kernel = solver._distances, solver._greedy
 
@@ -669,7 +679,7 @@ def test_a_greedy_run_reads_at_most_two_squares_of_distances(monkeypatch):
     monkeypatch.setattr(solver, "_greedy", run)
     n, k = 500, 10
     charikar(_window_of_500(), k, 10)
-    assert runs and max(runs) <= 2 * n * n + k * n, runs
+    assert runs and max(runs) <= n * n + k * n, runs
 
 
 def test_a_charikar_query_computes_each_distance_once():
@@ -793,6 +803,30 @@ def test_the_matrix_and_the_block_reader_give_the_same_outputs(monkeypatch):
                             (2.5, 1, "k must be an integer, got 2.5"),
                             (1, 1.5, "z must be an integer, got 1.5"),
                             (True, 1, "k must be an integer, got True"))),
+    # a NaN radius or eps once removed every point with the first center
+    pytest.param(lambda: outliers_cluster(list(wv(0, 1, 5, 9).points), [1] * 4, 2,
+                                          math.nan, 0.0),
+                 "rho must be >= 0, got nan", id="outliers_cluster-rho-nan"),
+    pytest.param(lambda: outliers_cluster(list(wv(0, 1, 5, 9).points), [1] * 4, 2, 1.0,
+                                          math.nan),
+                 "eps must be finite and >= 0, got nan", id="outliers_cluster-eps-nan"),
+    pytest.param(lambda: outliers_cluster(list(wv(0, 1, 5, 9).points), [1] * 4, 2, 0.0,
+                                          math.inf),
+                 "eps must be finite and >= 0, got inf", id="outliers_cluster-eps-inf"),
+    pytest.param(lambda: outliers_cluster(list(wv(0, 1, 5, 9).points), [1] * 4, True, 1.0, 0.0),
+                 "k must be an integer, got True", id="outliers_cluster-k-bool"),
+    pytest.param(lambda: outliers_cluster(list(wv(0, 1, 5, 9).points), [1] * 4, -1, 1.0, 0.0),
+                 "k must be >= 0", id="outliers_cluster-k-negative"),
+    pytest.param(lambda: outliers_cluster(list(wv(0, 1, 5, 9).points), [1] * 3, 2, 1.0, 0.0),
+                 "weights must hold one entry per point: 3 for 4 points",
+                 id="outliers_cluster-weights-short"),
+    *(pytest.param(lambda size=size: samp_charikar(wv(0.0, 1.0, 9.0, 10.0), 1, 1,
+                                                   sample_size=size),
+                   f"sample_size must be an integer, got {size!r}",
+                   id=f"samp_charikar-sample_size-{size!r}")
+      for size in (2.5, True, math.nan, "3")),
+    pytest.param(lambda: gonzalez(WindowView(points=(), t=0), 1), "window must be non-empty",
+                 id="gonzalez-empty-window"),
 ])
 def test_each_refusal_of_an_argument_is_raised(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
